@@ -1,247 +1,459 @@
-//! Suite-throughput benchmark: measures the end-to-end wall-clock of the
-//! paper's policy-comparison sweep under the optimized path (plan cache +
-//! rayon-parallel grid) against the serial, uncached reference, verifies the
-//! two produce bit-identical outcomes, and emits a machine-readable
-//! `BENCH_sim_suite.json` report establishing the performance trajectory.
+//! The bench driver: runs one sweep, writes its JSON report, and gates the
+//! report against a committed baseline (`throughput --help` lists the
+//! sub-commands and their flags).
 //!
-//! ```text
-//! throughput [--runs N] [--seed S] [--out PATH] [--check-baseline PATH]
-//! throughput cluster [--nodes N] [--duration-ms D] [--seed S] [--out PATH]
-//!                    [--check-baseline PATH]
-//! ```
+//! Each sub-command is one row of [`COMMANDS`]: its name, its usage line
+//! (which is also the set of flags it accepts), its default report path
+//! (the committed baseline's name), its gate list, and a run function. The
+//! run function lays the given flags over its sweep's `baseline()` options,
+//! validates them with the sweep's own `validate()`, runs the sweep and
+//! builds the report. The driver owns everything else: one flag parser, one
+//! report writer (stdout and `--out`), one `--check-baseline` that evaluates
+//! the gates against the parsed baseline, one GitHub Actions `::error` /
+//! step-summary path for failed gates, and the `--trace-out` Perfetto
+//! export.
 //!
-//! Defaults reproduce the paper's setup: 25 runs of 8-task workloads under
-//! all six non-preemptive policies plus the eight static/dynamic preemptive
-//! configurations of Figure 12 (15 configurations with the NP-FCFS baseline).
-//!
-//! The `cluster` subcommand instead runs the multi-NPU serving load sweep
-//! (offered load x dispatch policy on a 4-node cluster — the five open-loop
-//! front-end policies plus the five closed-loop online variants, see
-//! `prema_bench::cluster`) and emits a combined `BENCH_cluster.json`.
-//!
-//! With `--check-baseline`, the committed report at PATH is read and the run
-//! fails (non-zero exit) if the freshly measured `events_per_sec` regressed
-//! more than 20 % below the baseline's — the CI smoke gates on exactly this,
-//! alongside the always-on bit-identity check (outcome equality for the
-//! suite, the deterministic `sweep_hash` digest for the cluster).
+//! The suite (no sub-command) runs the paper's policy-comparison grid on
+//! the serial, uncached reference path and on the plan-cached, parallel
+//! fast path and requires bit-identical outcomes. `trace` writes one traced
+//! combined-fault scenario instead of a report.
 
 use std::env;
+use std::fmt::Display;
+use std::fs;
+use std::io::Write;
 use std::process::ExitCode;
-use std::time::Instant;
+use std::str::FromStr;
 
-use prema_bench::cluster::{cell_of, run_cluster_sweep, sweep_hash, ClusterSweepOptions};
-use prema_bench::faults::{fault_sweep_hash, run_fault_sweep, FaultSweepOptions};
+use prema_bench::cluster::{cell_of, run_cluster_sweep, ClusterCell, ClusterSweepOptions};
+use prema_bench::faults::{FaultCell, FaultSweepOptions};
 use prema_bench::fig11_15::{fig11_configs, fig12_configs};
-use prema_bench::migration::{migration_sweep_hash, run_migration_sweep, MigrationSweepOptions};
-use prema_bench::partition::{
-    partition_sweep_hash, partition_wins, run_partition_sweep, PartitionSweepOptions,
-};
-use prema_bench::scale::{
-    run_scale_sweep, scale_aggregates, scale_extended_sweep_hash, scale_sweep_hash,
-    ScaleSweepOptions,
-};
-use prema_bench::suite::{run_grid_instrumented, run_grid_reference, SuiteOptions};
-use prema_bench::trace::{
-    json_is_well_formed, run_trace_scenario, verify_reconciliation, TraceScenarioOptions,
-};
+use prema_bench::json::{self, Json};
+use prema_bench::migration::{MigrationCell, MigrationSweepOptions};
+use prema_bench::object;
+use prema_bench::paired::{paired_wins, run_paired, sweep_hash, PairedCell, PairedSweep};
+use prema_bench::partition::{PartitionCell, PartitionSweepOptions};
+use prema_bench::scale::{self, ScaleCell, ScaleSweepOptions};
+use prema_bench::suite::{run_grid_instrumented, run_grid_reference, timed, SuiteOptions};
+use prema_bench::trace::{run_trace_scenario, verify_reconciliation, TraceScenarioOptions};
 use prema_core::plan::plan_cache;
 use prema_core::{OutcomeSummary, SchedulerConfig, SimOutcome};
 
-/// Largest tolerated drop of measured `events_per_sec` below the baseline
-/// before `--check-baseline` fails the run.
-const MAX_REGRESSION: f64 = 0.20;
-
-struct Options {
-    runs: usize,
-    seed: u64,
-    out: String,
+/// The parsed flags; `None` keeps the sweep's baseline value.
+#[derive(Debug, Default)]
+struct Args {
+    runs: Option<usize>,
+    seed: Option<u64>,
+    nodes: Option<usize>,
+    node_counts: Option<Vec<usize>>,
+    heap_only: bool,
+    rho: Option<f64>,
+    duration_ms: Option<f64>,
+    reps: Option<usize>,
+    out: Option<String>,
     check_baseline: Option<String>,
+    trace_out: Option<String>,
 }
 
-const USAGE: &str = "usage: throughput [--runs N] [--seed S] [--out PATH] [--check-baseline PATH]\n       throughput cluster [--nodes N] [--duration-ms D] [--seed S] [--out PATH] [--check-baseline PATH] [--trace-out PATH]\n       throughput cluster-scale [--nodes A,B,C] [--heap-only] [--rho R] [--duration-ms D] [--seed S] [--reps N] [--out PATH] [--check-baseline PATH]\n       throughput cluster-faults [--nodes N] [--rho R] [--duration-ms D] [--seed S] [--reps N] [--out PATH] [--check-baseline PATH] [--trace-out PATH]\n       throughput cluster-migration [--nodes N] [--rho R] [--duration-ms D] [--seed S] [--reps N] [--out PATH] [--check-baseline PATH] [--trace-out PATH]\n       throughput cluster-partition [--nodes N] [--rho R] [--duration-ms D] [--seed S] [--reps N] [--out PATH] [--check-baseline PATH]\n       throughput trace [--nodes N] [--rho R] [--duration-ms D] [--seed S] [--out PATH]";
+/// Overrides an option with its flag's value, when the flag was given.
+fn set<T: Clone>(slot: &mut T, flag: &Option<T>) {
+    if let Some(value) = flag {
+        *slot = value.clone();
+    }
+}
 
-fn parse_args() -> Result<Options, String> {
-    let mut options = Options {
-        runs: SuiteOptions::paper().runs,
-        seed: SuiteOptions::paper().seed,
-        out: "BENCH_sim_suite.json".to_string(),
-        check_baseline: None,
-    };
-    let mut args = env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--runs" => {
-                options.runs = args
-                    .next()
-                    .ok_or("--runs requires a value")?
-                    .parse()
-                    .map_err(|e| format!("invalid --runs value: {e}"))?;
-            }
-            "--seed" => {
-                options.seed = args
-                    .next()
-                    .ok_or("--seed requires a value")?
-                    .parse()
-                    .map_err(|e| format!("invalid --seed value: {e}"))?;
-            }
-            "--out" => {
-                options.out = args.next().ok_or("--out requires a value")?;
-            }
-            "--check-baseline" => {
-                options.check_baseline =
-                    Some(args.next().ok_or("--check-baseline requires a value")?);
-            }
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown argument {other}\n{USAGE}")),
+/// One `--check-baseline` gate, as data.
+#[derive(Debug, Clone, Copy)]
+enum Gate {
+    /// `Same(key, when_same)`: the value under `key` equals the baseline's.
+    /// With `when_same`, the gate is skipped unless the values under that
+    /// key match too.
+    Same(&'static str, Option<&'static str>),
+    /// `Floor(rows, path, tolerance)`: the number at `path` is at most
+    /// `tolerance` below the baseline's. With `rows: Some((list, id))`,
+    /// `path` is read in each row of the `list` array and compared with the
+    /// baseline row of the same `id`; rows the baseline lacks are skipped.
+    Floor(
+        Option<(&'static str, &'static str)>,
+        &'static [&'static str],
+        f64,
+    ),
+    /// `AtLeast(key, min)`: the count under `key` is at least `min`.
+    AtLeast(&'static str, u64),
+    /// `True(key)`: the flag under `key` is true. The one gate that also
+    /// runs without `--check-baseline`.
+    True(&'static str),
+}
+
+const HASH: Gate = Gate::Same("sweep_hash", None);
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Status {
+    Pass,
+    Skip,
+    Fail,
+}
+
+/// One gate's verdict on one metric.
+#[derive(Debug, Clone, PartialEq)]
+struct Verdict {
+    status: Status,
+    metric: String,
+    expected: String,
+    actual: String,
+}
+
+impl Verdict {
+    fn new(pass: bool, metric: impl Into<String>, expected: String, actual: String) -> Self {
+        let status = if pass { Status::Pass } else { Status::Fail };
+        let metric = metric.into();
+        Verdict {
+            status,
+            metric,
+            expected,
+            actual,
         }
     }
-    if options.runs == 0 {
-        return Err("--runs must be at least 1".into());
-    }
-    Ok(options)
 }
 
-fn total_events(outcomes: &[SimOutcome]) -> u64 {
-    outcomes.iter().map(|o| o.scheduler_invocations).sum()
-}
-
-/// Extracts the first `"key": <number>` after the `"section"` key in a
-/// previously emitted report. The workspace is hermetic (no serde_json), so
-/// this parses the report's own fixed layout: find the section key, then
-/// the first numeric field of that name after it. Both names are passed
-/// unquoted and matched as quoted JSON keys.
-fn baseline_number(report: &str, section: &str, key: &str) -> Option<f64> {
-    let section_needle = format!("\"{section}\"");
-    let section_start = report.find(&section_needle)?;
-    let rest = &report[section_start..];
-    let needle = format!("\"{key}\"");
-    let field = rest.find(&needle)?;
-    let after = &rest[field + needle.len()..];
-    let number: String = after
-        .chars()
-        .skip_while(|c| *c == ':' || c.is_whitespace())
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e' || *c == 'E')
-        .collect();
-    number.parse().ok()
-}
-
-/// Extracts the first `"key": "<string>"` value from a previously emitted
-/// report.
-fn baseline_string(report: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\"");
-    let field = report.find(&needle)?;
-    let after = &report[field + needle.len()..];
-    let open = after.find('"')?;
-    let rest = &after[open + 1..];
-    let close = rest.find('"')?;
-    Some(rest[..close].to_string())
-}
-
-/// Largest tolerated drop for the cluster-scale heap figure. The event-heap
-/// loop finishes the 64-node cells in single-digit milliseconds, so its
-/// relative wall-clock noise on a shared host is inherently higher than the
-/// longer suite/cluster measurements; this gate exists to catch the heap
-/// loop degenerating back toward the stepping reference (a 5-8x change),
-/// so a wider band keeps it meaningful without flaking.
-const SCALE_MAX_REGRESSION: f64 = 0.40;
-
-/// Compares a measured events/sec figure against a baseline's, failing on a
-/// more-than-`tolerance` drop.
-fn check_events_per_sec_with(measured: f64, baseline: f64, what: &str, tolerance: f64) -> bool {
-    let floor = baseline * (1.0 - tolerance);
-    if measured < floor {
-        eprintln!(
-            "[throughput] FAIL: {what} events/sec regressed more than {:.0}%: \
-             measured {measured:.0} < floor {floor:.0} (baseline {baseline:.0})",
-            tolerance * 100.0,
-        );
-        false
-    } else {
-        eprintln!(
-            "[throughput] baseline check passed: {measured:.0} {what} events/sec >= {floor:.0} \
-             (baseline {baseline:.0}, tolerance {:.0}%)",
-            tolerance * 100.0
-        );
-        true
+/// A value for a message: strings bare, `missing` when absent.
+fn shown(value: Option<&Json>) -> String {
+    match value {
+        Some(Json::Str(text)) => text.clone(),
+        Some(value) => value.to_string(),
+        None => "missing".into(),
     }
 }
 
-/// Compares a measured events/sec figure against a baseline's, failing on a
-/// more-than-[`MAX_REGRESSION`] drop.
-fn check_events_per_sec(measured: f64, baseline: f64, what: &str) -> bool {
-    check_events_per_sec_with(measured, baseline, what, MAX_REGRESSION)
+fn rows<'a>(doc: &'a Json, list: &str) -> &'a [Json] {
+    doc.get(list).and_then(Json::as_array).unwrap_or(&[])
 }
 
-/// Emits a GitHub Actions `::error` workflow command so a failed baseline
-/// gate surfaces as an annotation on the run, not just a log line. Message
-/// newlines are escaped per the workflow-command grammar. No-op outside
-/// Actions (detected via `GITHUB_ACTIONS`).
-fn gha_error(title: &str, message: &str) {
-    if env::var_os("GITHUB_ACTIONS").is_none() {
-        return;
+/// Evaluates `gates` on a measured report against a parsed baseline.
+/// Without a baseline only [`Gate::True`] runs.
+fn check(gates: &[Gate], measured: &Json, baseline: Option<&Json>) -> Vec<Verdict> {
+    let mut verdicts = Vec::new();
+    for &gate in gates {
+        match (gate, baseline) {
+            (Gate::True(key), _) => {
+                let value = measured.get(key);
+                let pass = value == Some(&Json::Bool(true));
+                verdicts.push(Verdict::new(pass, key, "true".into(), shown(value)));
+            }
+            (Gate::AtLeast(key, min), Some(_)) => {
+                let value = measured.get(key);
+                let pass = value
+                    .and_then(Json::as_f64)
+                    .is_some_and(|n| n >= min as f64);
+                verdicts.push(Verdict::new(pass, key, format!(">= {min}"), shown(value)));
+            }
+            (Gate::Same(key, grid), Some(base)) => {
+                let (expected, actual) = (base.get(key), measured.get(key));
+                let mut verdict = Verdict::new(
+                    expected.is_some() && actual == expected,
+                    key,
+                    shown(expected),
+                    shown(actual),
+                );
+                if let Some(grid) = grid.filter(|grid| measured.get(grid) != base.get(grid)) {
+                    verdict.status = Status::Skip;
+                    verdict.expected = format!("{grid} {}", shown(base.get(grid)));
+                    verdict.actual = format!("{grid} {}", shown(measured.get(grid)));
+                }
+                verdicts.push(verdict);
+            }
+            (Gate::Floor(by_row, path, tolerance), Some(base)) => {
+                let metric = path.join(".");
+                let pairs: Vec<(String, &Json, Option<&Json>)> = match by_row {
+                    None => vec![(metric, measured, Some(base))],
+                    Some((list, id)) => rows(measured, list)
+                        .iter()
+                        .map(|row| {
+                            let twin = rows(base, list).iter().find(|b| b.get(id) == row.get(id));
+                            (format!("{metric} @ {id} {}", shown(row.get(id))), row, twin)
+                        })
+                        .collect(),
+                };
+                for (metric, row, twin) in pairs {
+                    let actual = row.at(path).and_then(Json::as_f64);
+                    let reference = twin.and_then(|twin| twin.at(path)).and_then(Json::as_f64);
+                    let floor = reference.map(|reference| reference * (1.0 - tolerance));
+                    let pass = matches!((actual, floor), (Some(a), Some(f)) if a >= f);
+                    let expected = match (floor, reference) {
+                        (Some(floor), Some(reference)) => format!(
+                            ">= {floor:.0} (baseline {reference:.0}, -{:.0}% floor)",
+                            tolerance * 100.0
+                        ),
+                        _ => "a baseline figure".into(),
+                    };
+                    let actual = actual.map_or("missing".into(), |value| format!("{value:.0}"));
+                    let mut verdict = Verdict::new(pass, metric, expected, actual);
+                    if reference.is_none() && by_row.is_some() {
+                        verdict.status = Status::Skip;
+                    }
+                    verdicts.push(verdict);
+                }
+            }
+            (_, None) => {}
+        }
     }
-    let escaped = message
-        .replace('%', "%25")
-        .replace('\r', "%0D")
-        .replace('\n', "%0A");
-    println!("::error title={title}::{escaped}");
+    verdicts
 }
 
-/// Appends markdown to the job's step summary when `GITHUB_STEP_SUMMARY`
-/// points at the collector file; no-op otherwise.
-fn gha_step_summary(markdown: &str) {
-    use std::io::Write;
-    let Some(path) = env::var_os("GITHUB_STEP_SUMMARY") else {
-        return;
-    };
-    if let Ok(mut file) = std::fs::OpenOptions::new()
-        .append(true)
-        .create(true)
-        .open(path)
-    {
-        let _ = writeln!(file, "{markdown}");
-    }
-}
-
-/// Reports a `--check-baseline` failure to GitHub Actions: one `::error`
-/// annotation plus an expected-vs-actual step-summary table covering every
-/// gate the run tripped. The detailed `eprintln` diagnostics stay the
-/// primary record; this makes them legible from the Actions UI.
-fn report_baseline_failure(bench: &str, rows: &[(String, String, String)]) {
+/// Prints every verdict and, when a gate failed, surfaces the failures in
+/// GitHub Actions: one `::error` annotation (under `GITHUB_ACTIONS`) plus an
+/// expected-vs-actual step-summary table (under `GITHUB_STEP_SUMMARY`).
+fn announce(bench: &str, verdicts: &[Verdict]) -> Result<(), String> {
     let mut detail = String::new();
     let mut table = format!(
         "### ❌ `{bench}` baseline check failed\n\n| metric | expected | actual |\n| --- | --- | --- |\n"
     );
-    for (metric, expected, actual) in rows {
-        detail.push_str(&format!("{metric}: expected {expected}, actual {actual}\n"));
-        table.push_str(&format!("| {metric} | {expected} | {actual} |\n"));
+    for verdict in verdicts {
+        let (metric, expected, actual) = (&verdict.metric, &verdict.expected, &verdict.actual);
+        match verdict.status {
+            Status::Pass => eprintln!(
+                "[throughput] baseline check passed: {metric} {actual} (expected {expected})"
+            ),
+            Status::Skip => eprintln!(
+                "[throughput] note: skipping the {metric} gate: baseline has {expected}, measured {actual}"
+            ),
+            Status::Fail => {
+                eprintln!("[throughput] FAIL: {metric}: expected {expected}, actual {actual}");
+                detail.push_str(&format!("{metric}: expected {expected}, actual {actual}\n"));
+                table.push_str(&format!("| {metric} | {expected} | {actual} |\n"));
+            }
+        }
     }
-    gha_error(&format!("{bench} baseline check failed"), detail.trim_end());
-    gha_step_summary(&table);
+    if detail.is_empty() {
+        return Ok(());
+    }
+    if env::var_os("GITHUB_ACTIONS").is_some() {
+        let escaped = detail.trim_end().replace('%', "%25");
+        let escaped = escaped.replace('\r', "%0D").replace('\n', "%0A");
+        println!("::error title={bench} baseline check failed::{escaped}");
+    }
+    if let Some(path) = env::var_os("GITHUB_STEP_SUMMARY") {
+        if let Ok(mut file) = fs::OpenOptions::new().append(true).create(true).open(path) {
+            let _ = writeln!(file, "{table}");
+        }
+    }
+    let hint = if detail.contains("hash:") {
+        " The sweeps are deterministic per seed, so a hash mismatch is a behavioural change: \
+         re-commit the baseline only if it is intentional."
+    } else {
+        ""
+    };
+    Err(format!(
+        "[throughput] FAIL: {bench} baseline check failed.{hint}"
+    ))
 }
 
-/// Runs one traced closed-loop scenario, checks the trace's counters
-/// against the outcome and its JSON for well-formedness, and writes the
-/// Perfetto file. Shared by `throughput trace` and the sweeps' `--trace-out`.
-fn export_trace(opts: &TraceScenarioOptions, path: &str) -> bool {
-    let artifacts = run_trace_scenario(opts);
-    if let Err(mismatch) = verify_reconciliation(&artifacts) {
-        eprintln!("[throughput] FAIL: trace does not reconcile with the outcome: {mismatch}");
-        return false;
+/// What a run function hands back to the driver.
+struct Report {
+    /// The JSON report; `None` when the sub-command's output is the trace.
+    json: Option<Json>,
+    /// The traced scenario written to `--trace-out` (or, for a sub-command
+    /// without a report, to `--out`).
+    trace: Option<TraceScenarioOptions>,
+}
+
+fn report(json: Json, trace: Option<TraceScenarioOptions>) -> Result<Report, String> {
+    Ok(Report {
+        json: Some(json),
+        trace,
+    })
+}
+
+/// One `throughput` sub-command.
+struct Command {
+    /// The sub-command word; empty for the suite.
+    name: &'static str,
+    /// The usage line's flags, `[--flag VALUE]` or `[--switch]`: exactly the
+    /// flags the sub-command accepts.
+    flags: &'static str,
+    /// Where the report goes without `--out`.
+    out: &'static str,
+    gates: &'static [Gate],
+    run: fn(&Args) -> Result<Report, String>,
+}
+
+static COMMANDS: [Command; 7] = [
+    Command {
+        name: "",
+        flags: "[--runs N] [--seed S] [--out PATH] [--check-baseline PATH]",
+        out: "BENCH_sim_suite.json",
+        gates: &[
+            Gate::True("outcomes_identical"),
+            Gate::Floor(None, &["serial_uncached", "events_per_sec"], 0.20),
+        ],
+        run: suite,
+    },
+    Command {
+        name: "cluster",
+        flags: "[--nodes N] [--duration-ms D] [--seed S] [--out PATH] [--check-baseline PATH] \
+                [--trace-out PATH]",
+        out: "BENCH_cluster.json",
+        gates: &[HASH, Gate::Floor(None, &["events_per_sec"], 0.20)],
+        run: cluster,
+    },
+    // The heap loop finishes its cells in milliseconds, so its relative
+    // wall-clock noise is higher than the longer sweeps': the wider band
+    // still catches the loop degenerating toward the stepping reference (a
+    // 5-8x change) without flaking.
+    Command {
+        name: "cluster-scale",
+        flags: "[--nodes A,B,C] [--heap-only] [--rho R] [--duration-ms D] [--seed S] [--reps N] \
+                [--out PATH] [--check-baseline PATH]",
+        out: "BENCH_cluster_scale.json",
+        gates: &[
+            HASH,
+            Gate::Same("extended_sweep_hash", Some("node_counts")),
+            Gate::Floor(
+                Some(("aggregates", "nodes")),
+                &["heap_events_per_sec"],
+                0.40,
+            ),
+        ],
+        run: scale,
+    },
+    Command {
+        name: "cluster-faults",
+        flags: "[--nodes N] [--rho R] [--duration-ms D] [--seed S] [--reps N] [--out PATH] \
+                [--check-baseline PATH] [--trace-out PATH]",
+        out: "BENCH_cluster_faults.json",
+        gates: &[HASH],
+        run: faults,
+    },
+    Command {
+        name: "cluster-migration",
+        flags: "[--nodes N] [--rho R] [--duration-ms D] [--seed S] [--reps N] [--out PATH] \
+                [--check-baseline PATH] [--trace-out PATH]",
+        out: "BENCH_cluster_migration.json",
+        gates: &[HASH, Gate::AtLeast("p99_wins", 2)],
+        run: migration,
+    },
+    Command {
+        name: "cluster-partition",
+        flags: "[--nodes N] [--rho R] [--duration-ms D] [--seed S] [--reps N] [--out PATH] \
+                [--check-baseline PATH]",
+        out: "BENCH_cluster_partition.json",
+        gates: &[HASH, Gate::AtLeast("paired_wins", 2)],
+        run: partition,
+    },
+    Command {
+        name: "trace",
+        flags: "[--nodes N] [--rho R] [--duration-ms D] [--seed S] [--out PATH]",
+        out: "TRACE_cluster.json",
+        gates: &[],
+        run: trace,
+    },
+];
+
+impl Command {
+    fn label(&self) -> &'static str {
+        if self.name.is_empty() {
+            "suite"
+        } else {
+            self.name
+        }
     }
-    if !json_is_well_formed(&artifacts.json) {
-        eprintln!("[throughput] FAIL: emitted trace JSON is not well-formed");
-        return false;
+
+    /// The accepted flags with their value placeholders (`None` for a
+    /// switch).
+    fn accepted(&self) -> impl Iterator<Item = (&'static str, Option<&'static str>)> {
+        self.flags
+            .split(['[', ']'])
+            .filter(|entry| entry.starts_with("--"))
+            .map(|entry| {
+                let mut words = entry.split(' ');
+                (words.next().unwrap_or_default(), words.next())
+            })
     }
-    if let Err(error) = std::fs::write(path, &artifacts.json) {
-        eprintln!("[throughput] could not write {path}: {error}");
-        return false;
+}
+
+fn usage() -> String {
+    let lines: Vec<String> = COMMANDS
+        .iter()
+        .map(|command| format!("throughput {} {}", command.name, command.flags).replace("  ", " "))
+        .collect();
+    format!("usage: {}", lines.join("\n       "))
+}
+
+fn number<T: FromStr>(flag: &str, value: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    let parsed = value.trim().parse();
+    parsed.map_err(|e| format!("invalid {flag} value {value:?}: {e}"))
+}
+
+/// Picks the sub-command and parses its flags: those in its usage line, and
+/// no others.
+fn parse(argv: &[String]) -> Result<(&'static Command, Args), String> {
+    let named = argv.first().and_then(|word| {
+        COMMANDS
+            .iter()
+            .find(|c| !c.name.is_empty() && c.name == word)
+    });
+    let command = named.unwrap_or(&COMMANDS[0]);
+    let mut rest = argv[usize::from(named.is_some())..].iter();
+    let mut args = Args::default();
+    while let Some(arg) = rest.next() {
+        let Some((flag, placeholder)) = command.accepted().find(|(flag, _)| flag == arg) else {
+            let help = arg == "--help" || arg == "-h";
+            return Err(if help {
+                usage()
+            } else {
+                format!("unknown argument {arg}\n{}", usage())
+            });
+        };
+        let mut value = || {
+            rest.next()
+                .ok_or_else(|| format!("{flag} requires a value"))
+        };
+        match (flag, placeholder) {
+            ("--heap-only", None) => args.heap_only = true,
+            ("--nodes", Some("A,B,C")) => {
+                let counts = value()?.split(',').map(|count| number(flag, count));
+                args.node_counts = Some(counts.collect::<Result<_, _>>()?);
+            }
+            ("--nodes", _) => args.nodes = Some(number(flag, value()?)?),
+            ("--runs", _) => args.runs = Some(number(flag, value()?)?),
+            ("--seed", _) => args.seed = Some(number(flag, value()?)?),
+            ("--rho", _) => args.rho = Some(number(flag, value()?)?),
+            ("--duration-ms", _) => args.duration_ms = Some(number(flag, value()?)?),
+            ("--reps", _) => args.reps = Some(number(flag, value()?)?),
+            ("--out", _) => args.out = Some(value()?.clone()),
+            ("--check-baseline", _) => args.check_baseline = Some(value()?.clone()),
+            ("--trace-out", _) => args.trace_out = Some(value()?.clone()),
+            _ => unreachable!("{flag} is in a usage line but has no parser"),
+        }
     }
+    Ok((command, args))
+}
+
+fn read_baseline(path: &str) -> Result<Json, String> {
+    let text = fs::read_to_string(path)
+        .map_err(|e| format!("[throughput] FAIL: could not read baseline {path}: {e}"))?;
+    json::parse(&text).map_err(|e| format!("[throughput] FAIL: baseline {path}: {e}"))
+}
+
+/// Runs one traced scenario, checks the trace's counters against the
+/// outcome and the trace itself against the JSON parser, and writes it.
+fn export_trace(scenario: &TraceScenarioOptions, path: &str) -> Result<(), String> {
+    let artifacts = run_trace_scenario(scenario);
+    verify_reconciliation(&artifacts).map_err(|e| {
+        format!("[throughput] FAIL: trace does not reconcile with the outcome: {e}")
+    })?;
+    json::parse(&artifacts.json)
+        .map_err(|e| format!("[throughput] FAIL: emitted trace is not valid JSON: {e}"))?;
+    fs::write(path, &artifacts.json)
+        .map_err(|e| format!("[throughput] could not write {path}: {e}"))?;
     let rec = &artifacts.reconciliation;
     eprintln!(
-        "[throughput] trace written to {path}: {} nodes, {}/{} served, {} slices \
-         ({} tasks), {} dispatch decisions, {} steals, {} migrations, {} recoveries, \
-         {} faults, {} sheds — outcome reconciled, load at https://ui.perfetto.dev",
+        "[throughput] trace written to {path}: {} nodes, {}/{} served, {} slices ({} tasks), \
+         {} dispatch decisions, {} steals, {} migrations, {} recoveries, {} faults, {} sheds — \
+         outcome reconciled, load at https://ui.perfetto.dev",
         artifacts.nodes,
         artifacts.outcome.served(),
         artifacts.requests,
@@ -254,1679 +466,757 @@ fn export_trace(opts: &TraceScenarioOptions, path: &str) -> bool {
         rec.faults,
         rec.sheds,
     );
-    true
+    Ok(())
 }
 
-struct TraceOptions {
-    nodes: usize,
-    rho: f64,
-    duration_ms: f64,
-    seed: u64,
-    out: String,
-}
-
-fn parse_trace_args(args: impl Iterator<Item = String>) -> Result<TraceOptions, String> {
-    let defaults = TraceScenarioOptions::combined();
-    let mut options = TraceOptions {
-        nodes: defaults.nodes,
-        rho: defaults.rho,
-        duration_ms: defaults.duration_ms,
-        seed: defaults.seed,
-        out: "TRACE_cluster.json".to_string(),
+/// Parses, runs, writes the report, gates it and exports the trace; `main`
+/// exits non-zero on any `Err`.
+fn drive(argv: &[String]) -> Result<(), String> {
+    let (command, args) = parse(argv)?;
+    let report = (command.run)(&args).map_err(|e| {
+        format!(
+            "[throughput] FAIL: invalid {} options: {e}",
+            command.label()
+        )
+    })?;
+    let out = args.out.as_deref().unwrap_or(command.out);
+    let trace_out = match &report.json {
+        None => Some(out),
+        Some(json) => {
+            let text = format!("{json}\n");
+            print!("{text}");
+            fs::write(out, text).map_err(|e| format!("[throughput] could not write {out}: {e}"))?;
+            eprintln!("[throughput] report written to {out}");
+            let baseline = args
+                .check_baseline
+                .as_deref()
+                .map(read_baseline)
+                .transpose()?;
+            announce(
+                command.label(),
+                &check(command.gates, json, baseline.as_ref()),
+            )?;
+            args.trace_out.as_deref()
+        }
     };
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--nodes" => {
-                options.nodes = args
-                    .next()
-                    .ok_or("--nodes requires a value")?
-                    .parse()
-                    .map_err(|e| format!("invalid --nodes value: {e}"))?;
-            }
-            "--rho" => {
-                options.rho = args
-                    .next()
-                    .ok_or("--rho requires a value")?
-                    .parse()
-                    .map_err(|e| format!("invalid --rho value: {e}"))?;
-            }
-            "--duration-ms" => {
-                options.duration_ms = args
-                    .next()
-                    .ok_or("--duration-ms requires a value")?
-                    .parse()
-                    .map_err(|e| format!("invalid --duration-ms value: {e}"))?;
-            }
-            "--seed" => {
-                options.seed = args
-                    .next()
-                    .ok_or("--seed requires a value")?
-                    .parse()
-                    .map_err(|e| format!("invalid --seed value: {e}"))?;
-            }
-            "--out" => {
-                options.out = args.next().ok_or("--out requires a value")?;
-            }
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown argument {other}\n{USAGE}")),
-        }
+    match (trace_out, &report.trace) {
+        (Some(path), Some(scenario)) => export_trace(scenario, path),
+        _ => Ok(()),
     }
-    if options.nodes < 2 {
-        return Err("--nodes must be at least 2".into());
-    }
-    if !options.rho.is_finite() || options.rho <= 0.0 {
-        return Err("--rho must be positive".into());
-    }
-    if !options.duration_ms.is_finite() || options.duration_ms <= 0.0 {
-        return Err("--duration-ms must be positive".into());
-    }
-    Ok(options)
-}
-
-fn trace_main(options: TraceOptions) -> ExitCode {
-    let opts = TraceScenarioOptions {
-        nodes: options.nodes,
-        rho: options.rho,
-        duration_ms: options.duration_ms,
-        seed: options.seed,
-        ..TraceScenarioOptions::combined()
-    };
-    eprintln!(
-        "[throughput] traced combined scenario: {} nodes at rho {:.2}, {} ms window, \
-         faults + migration + stealing on",
-        opts.nodes, opts.rho, opts.duration_ms
-    );
-    if export_trace(&opts, &options.out) {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-struct ClusterOptions {
-    nodes: usize,
-    duration_ms: f64,
-    seed: u64,
-    out: String,
-    check_baseline: Option<String>,
-    trace_out: Option<String>,
-}
-
-fn parse_cluster_args(args: impl Iterator<Item = String>) -> Result<ClusterOptions, String> {
-    let defaults = ClusterSweepOptions::baseline();
-    let mut options = ClusterOptions {
-        nodes: defaults.nodes,
-        duration_ms: defaults.duration_ms,
-        seed: defaults.seed,
-        out: "BENCH_cluster.json".to_string(),
-        check_baseline: None,
-        trace_out: None,
-    };
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--nodes" => {
-                options.nodes = args
-                    .next()
-                    .ok_or("--nodes requires a value")?
-                    .parse()
-                    .map_err(|e| format!("invalid --nodes value: {e}"))?;
-            }
-            "--duration-ms" => {
-                options.duration_ms = args
-                    .next()
-                    .ok_or("--duration-ms requires a value")?
-                    .parse()
-                    .map_err(|e| format!("invalid --duration-ms value: {e}"))?;
-            }
-            "--seed" => {
-                options.seed = args
-                    .next()
-                    .ok_or("--seed requires a value")?
-                    .parse()
-                    .map_err(|e| format!("invalid --seed value: {e}"))?;
-            }
-            "--out" => {
-                options.out = args.next().ok_or("--out requires a value")?;
-            }
-            "--trace-out" => {
-                options.trace_out = Some(args.next().ok_or("--trace-out requires a value")?);
-            }
-            "--check-baseline" => {
-                options.check_baseline =
-                    Some(args.next().ok_or("--check-baseline requires a value")?);
-            }
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown argument {other}\n{USAGE}")),
-        }
-    }
-    if options.nodes == 0 {
-        return Err("--nodes must be at least 1".into());
-    }
-    if !options.duration_ms.is_finite() || options.duration_ms <= 0.0 {
-        return Err("--duration-ms must be positive".into());
-    }
-    Ok(options)
-}
-
-/// Per-load-level measurement aggregates, printed whenever a baseline check
-/// fails so CI logs localize *where* the sweep diverged or slowed down.
-fn per_level_events_per_sec(cells: &[prema_bench::cluster::ClusterCell]) -> Vec<(f64, u64, f64)> {
-    let mut levels: Vec<(f64, u64, f64)> = Vec::new();
-    for cell in cells {
-        match levels.iter_mut().find(|(load, _, _)| *load == cell.load) {
-            Some((_, events, wall)) => {
-                *events += cell.events;
-                *wall += cell.wall_s;
-            }
-            None => levels.push((cell.load, cell.events, cell.wall_s)),
-        }
-    }
-    levels
-}
-
-fn print_per_level_breakdown(cells: &[prema_bench::cluster::ClusterCell]) {
-    eprintln!("[throughput] per-level breakdown (load: events, events/sec):");
-    for (load, events, wall) in per_level_events_per_sec(cells) {
-        eprintln!(
-            "[throughput]   load {load:.2}: {events} events, {:.0} events/sec",
-            events as f64 / wall.max(f64::EPSILON)
-        );
-    }
-}
-
-fn cluster_main(options: ClusterOptions) -> ExitCode {
-    let opts = ClusterSweepOptions {
-        nodes: options.nodes,
-        seed: options.seed,
-        duration_ms: options.duration_ms,
-        ..ClusterSweepOptions::baseline()
-    };
-    eprintln!(
-        "[throughput] cluster sweep: {} nodes x {} loads x ({} open + {} closed) policies, {} ms windows",
-        opts.nodes,
-        opts.loads.len(),
-        opts.policies.len(),
-        opts.closed.len(),
-        opts.duration_ms
-    );
-
-    let start = Instant::now();
-    let cells = run_cluster_sweep(&opts);
-    let wall_s = start.elapsed().as_secs_f64();
-    let events: u64 = cells.iter().map(|c| c.events).sum();
-    // One request stream per load level, replayed by every policy — count
-    // each stream once by summing over the first policy's cells.
-    let first_policy = cells.first().map(|c| c.policy).unwrap_or_default();
-    let unique_requests: usize = cells
-        .iter()
-        .filter(|cell| cell.policy == first_policy)
-        .map(|cell| cell.requests)
-        .sum();
-    let events_per_sec = events as f64 / wall_s.max(f64::EPSILON);
-    let digest = sweep_hash(&cells);
-
-    // The acceptance comparisons the sweep exists for, at the highest
-    // offered load: open-loop predictive vs the no-information random
-    // baseline on queueing delay, and closed-loop reactive dispatch vs
-    // open-loop predictive on p99 turnaround.
-    let top_load = opts.loads.iter().cloned().fold(f64::MIN, f64::max);
-    let queue_ms = |policy: &str| -> Option<f64> {
-        cell_of(&cells, top_load, policy).map(|c| c.metrics.mean_queueing_delay_ms)
-    };
-    let p99_ms = |policy: &str| -> Option<f64> {
-        cell_of(&cells, top_load, policy).map(|c| c.metrics.p99_ms)
-    };
-    let predictive_queue = queue_ms("predictive");
-    let random_queue = queue_ms("random");
-    if let (Some(predictive), Some(random)) = (predictive_queue, random_queue) {
-        eprintln!(
-            "[throughput] load {top_load:.2}: mean queueing delay predictive {predictive:.3} ms \
-             vs random {random:.3} ms"
-        );
-    }
-    let open_p99 = p99_ms("predictive");
-    let reactive_p99 = p99_ms("work-steal").or_else(|| p99_ms("predictive-live"));
-    if let (Some(open), Some(reactive)) = (open_p99, reactive_p99) {
-        eprintln!(
-            "[throughput] load {top_load:.2}: p99 turnaround closed-loop reactive {reactive:.3} ms \
-             vs open-loop predictive {open:.3} ms"
-        );
-    }
-
-    let mut cell_rows = String::new();
-    for (i, cell) in cells.iter().enumerate() {
-        let sla4 = cell.metrics.sla.rate_at(4.0).unwrap_or(0.0);
-        cell_rows.push_str(&format!(
-            "    {{ \"load\": {:.2}, \"mode\": \"{}\", \"policy\": \"{}\", \"requests\": {}, \
-             \"served\": {}, \"shed\": {}, \"steals\": {}, \"events\": {}, \
-             \"antt\": {:.4}, \"stp\": {:.4}, \"mean_queue_ms\": {:.4}, \"mean_service_ms\": {:.4}, \
-             \"p50_ms\": {:.4}, \"p95_ms\": {:.4}, \"p99_ms\": {:.4}, \"sla_violation_at_4x\": {:.4}, \
-             \"mean_utilization\": {:.4}, \"makespan_ms\": {:.4}, \"hash\": \"{:016x}\" }}{}\n",
-            cell.load,
-            cell.mode.label(),
-            cell.policy,
-            cell.requests,
-            cell.served,
-            cell.shed,
-            cell.steals,
-            cell.events,
-            cell.metrics.antt,
-            cell.metrics.stp,
-            cell.metrics.mean_queueing_delay_ms,
-            cell.metrics.mean_service_ms,
-            cell.metrics.p50_ms,
-            cell.metrics.p95_ms,
-            cell.metrics.p99_ms,
-            sla4,
-            cell.metrics.mean_utilization(),
-            cell.metrics.makespan_ms,
-            cell.hash,
-            if i + 1 == cells.len() { "" } else { "," },
-        ));
-    }
-    let load_levels = opts
-        .loads
-        .iter()
-        .map(|load| format!("{load:.2}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let policy_labels = opts
-        .policies
-        .iter()
-        .map(|policy| format!("\"{}\"", policy.label()))
-        .chain(opts.closed.iter().map(|variant| format!("\"{variant}\"")))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let report = format!(
-        "{{\n  \"bench\": \"cluster_serving_sweep\",\n  \"nodes\": {},\n  \"seed\": {},\n  \"duration_ms\": {:.1},\n  \"load_levels\": [{}],\n  \"policies\": [{}],\n  \"unique_requests\": {},\n  \"cluster_events\": {},\n  \"wall_s\": {:.4},\n  \"events_per_sec\": {:.0},\n  \"top_load_queue_ms\": {{ \"load\": {:.2}, \"predictive\": {:.4}, \"random\": {:.4} }},\n  \"top_load_p99_ms\": {{ \"load\": {:.2}, \"open_predictive\": {:.4}, \"closed_reactive\": {:.4} }},\n  \"sweep_hash\": \"{:016x}\",\n  \"cells\": [\n{}  ]\n}}\n",
-        opts.nodes,
-        opts.seed,
-        opts.duration_ms,
-        load_levels,
-        policy_labels,
-        unique_requests,
-        events,
-        wall_s,
-        events_per_sec,
-        top_load,
-        predictive_queue.unwrap_or(0.0),
-        random_queue.unwrap_or(0.0),
-        top_load,
-        open_p99.unwrap_or(0.0),
-        reactive_p99.unwrap_or(0.0),
-        digest,
-        cell_rows,
-    );
-    print!("{report}");
-    if let Err(error) = std::fs::write(&options.out, &report) {
-        eprintln!("[throughput] could not write {}: {error}", options.out);
-        return ExitCode::FAILURE;
-    }
-    eprintln!("[throughput] report written to {}", options.out);
-
-    if let Some(path) = &options.check_baseline {
-        let baseline = match std::fs::read_to_string(path) {
-            Ok(contents) => contents,
-            Err(error) => {
-                eprintln!("[throughput] FAIL: could not read baseline {path}: {error}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let Some(baseline_hash) = baseline_string(&baseline, "sweep_hash") else {
-            eprintln!("[throughput] FAIL: no sweep_hash found in baseline {path}");
-            return ExitCode::FAILURE;
-        };
-        let measured_hash = format!("{digest:016x}");
-        if baseline_hash != measured_hash {
-            eprintln!(
-                "[throughput] FAIL: cluster outcomes diverged from the baseline:\n\
-                 [throughput]   expected sweep_hash {baseline_hash}\n\
-                 [throughput]   actual   sweep_hash {measured_hash}\n\
-                 [throughput] The sweep is deterministic per seed, so this is a \
-                 behavioural change: re-commit the baseline only if it is intentional."
-            );
-            report_baseline_failure(
-                "cluster",
-                &[("sweep_hash".into(), baseline_hash, measured_hash)],
-            );
-            print_per_level_breakdown(&cells);
-            return ExitCode::FAILURE;
-        }
-        eprintln!("[throughput] baseline check passed: sweep_hash {measured_hash} matches");
-        let Some(baseline_eps) = baseline_number(&baseline, "cluster_events", "events_per_sec")
-        else {
-            eprintln!("[throughput] FAIL: no events_per_sec found in baseline {path}");
-            return ExitCode::FAILURE;
-        };
-        if !check_events_per_sec(events_per_sec, baseline_eps, "cluster") {
-            report_baseline_failure(
-                "cluster",
-                &[(
-                    "events_per_sec".into(),
-                    format!(
-                        ">= {:.0} (baseline {baseline_eps:.0}, -{:.0}% floor)",
-                        baseline_eps * (1.0 - MAX_REGRESSION),
-                        MAX_REGRESSION * 100.0
-                    ),
-                    format!("{events_per_sec:.0}"),
-                )],
-            );
-            print_per_level_breakdown(&cells);
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(path) = &options.trace_out {
-        let trace_opts = TraceScenarioOptions {
-            nodes: options.nodes,
-            seed: options.seed,
-            ..TraceScenarioOptions::serving()
-        };
-        if !export_trace(&trace_opts, path) {
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-struct ScaleOptions {
-    nodes: Option<Vec<usize>>,
-    heap_only: bool,
-    rho: f64,
-    duration_ms: f64,
-    seed: u64,
-    reps: usize,
-    out: String,
-    check_baseline: Option<String>,
-}
-
-fn parse_scale_args(args: impl Iterator<Item = String>) -> Result<ScaleOptions, String> {
-    let defaults = ScaleSweepOptions::baseline();
-    let mut options = ScaleOptions {
-        nodes: None,
-        heap_only: false,
-        rho: defaults.rho,
-        duration_ms: defaults.duration_ms,
-        seed: defaults.seed,
-        reps: defaults.repetitions,
-        out: "BENCH_cluster_scale.json".to_string(),
-        check_baseline: None,
-    };
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--nodes" => {
-                let list = args.next().ok_or("--nodes requires a value")?;
-                let counts: Result<Vec<usize>, _> =
-                    list.split(',').map(|n| n.trim().parse()).collect();
-                let counts = counts.map_err(|e| format!("invalid --nodes value {list:?}: {e}"))?;
-                if counts.is_empty() || counts.contains(&0) {
-                    return Err("--nodes needs a comma-separated list of positive counts".into());
-                }
-                options.nodes = Some(counts);
-            }
-            "--heap-only" => {
-                options.heap_only = true;
-            }
-            "--rho" => {
-                options.rho = args
-                    .next()
-                    .ok_or("--rho requires a value")?
-                    .parse()
-                    .map_err(|e| format!("invalid --rho value: {e}"))?;
-            }
-            "--duration-ms" => {
-                options.duration_ms = args
-                    .next()
-                    .ok_or("--duration-ms requires a value")?
-                    .parse()
-                    .map_err(|e| format!("invalid --duration-ms value: {e}"))?;
-            }
-            "--seed" => {
-                options.seed = args
-                    .next()
-                    .ok_or("--seed requires a value")?
-                    .parse()
-                    .map_err(|e| format!("invalid --seed value: {e}"))?;
-            }
-            "--reps" => {
-                options.reps = args
-                    .next()
-                    .ok_or("--reps requires a value")?
-                    .parse()
-                    .map_err(|e| format!("invalid --reps value: {e}"))?;
-            }
-            "--out" => {
-                options.out = args.next().ok_or("--out requires a value")?;
-            }
-            "--check-baseline" => {
-                options.check_baseline =
-                    Some(args.next().ok_or("--check-baseline requires a value")?);
-            }
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown argument {other}\n{USAGE}")),
-        }
-    }
-    if !options.rho.is_finite() || options.rho <= 0.0 {
-        return Err("--rho must be positive".into());
-    }
-    if !options.duration_ms.is_finite() || options.duration_ms <= 0.0 {
-        return Err("--duration-ms must be positive".into());
-    }
-    if options.reps == 0 {
-        return Err("--reps must be at least 1".into());
-    }
-    Ok(options)
-}
-
-/// Formats an optional figure as JSON: the number, or `null` for heap-only
-/// cells where the stepping reference did not run.
-fn json_opt(value: Option<f64>, decimals: usize) -> String {
-    value.map_or_else(|| "null".to_string(), |v| format!("{v:.decimals$}"))
-}
-
-/// Finds the baseline's aggregate `heap_events_per_sec` at one node count.
-/// The report lays the `aggregates` section out before `cells`, so the
-/// first `"nodes": N` row after the section key is the aggregate.
-fn baseline_aggregate_heap_eps(report: &str, nodes: usize) -> Option<f64> {
-    let section = report.find("\"aggregates\"")?;
-    let rest = &report[section..];
-    let row = rest.find(&format!("\"nodes\": {nodes},"))?;
-    baseline_number(&rest[row..], "heap_events_per_sec", "heap_events_per_sec")
-}
-
-/// Extracts a baseline's `"key": [ ... ]` list with whitespace stripped,
-/// for whole-grid comparisons.
-fn baseline_list(report: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\"");
-    let field = report.find(&needle)?;
-    let after = &report[field + needle.len()..];
-    let open = after.find('[')?;
-    let close = after.find(']')?;
-    Some(after[open + 1..close].split_whitespace().collect())
-}
-
-fn scale_main(options: ScaleOptions) -> ExitCode {
-    let baseline_defaults = ScaleSweepOptions::baseline();
-    let opts = ScaleSweepOptions {
-        node_counts: options
-            .nodes
-            .clone()
-            .unwrap_or(baseline_defaults.node_counts.clone()),
-        rho: options.rho,
-        duration_ms: options.duration_ms,
-        seed: options.seed,
-        repetitions: options.reps,
-        reference_cap: if options.heap_only {
-            0
-        } else {
-            baseline_defaults.reference_cap
-        },
-        ..baseline_defaults
-    };
-    eprintln!(
-        "[throughput] cluster-scale sweep: nodes {:?} x {} variants at rho {:.2}, {} ms windows, best-of-{} walls, reference capped at {} nodes",
-        opts.node_counts,
-        opts.variants.len(),
-        opts.rho,
-        opts.duration_ms,
-        opts.repetitions,
-        opts.reference_cap,
-    );
-
-    let cells = run_scale_sweep(&opts);
-    let aggregates = scale_aggregates(&cells);
-    let digest = scale_sweep_hash(&cells);
-    let extended_digest = scale_extended_sweep_hash(&cells);
-    for aggregate in &aggregates {
-        match (aggregate.reference_events_per_sec(), aggregate.speedup()) {
-            (Some(reference_eps), Some(speedup)) => eprintln!(
-                "[throughput] {:>4} nodes: {} events, reference {:.0} events/sec, heap {:.0} events/sec, speedup {:.2}x",
-                aggregate.nodes,
-                aggregate.events,
-                reference_eps,
-                aggregate.heap_events_per_sec(),
-                speedup,
-            ),
-            _ => eprintln!(
-                "[throughput] {:>4} nodes: {} events, heap {:.0} events/sec (heap-only, above the reference cap)",
-                aggregate.nodes,
-                aggregate.events,
-                aggregate.heap_events_per_sec(),
-            ),
-        }
-    }
-    let top = aggregates
-        .iter()
-        .max_by_key(|aggregate| aggregate.nodes)
-        .expect("at least one node count");
-
-    let mut cell_rows = String::new();
-    for (i, cell) in cells.iter().enumerate() {
-        cell_rows.push_str(&format!(
-            "    {{ \"nodes\": {}, \"policy\": \"{}\", \"requests\": {}, \"served\": {}, \
-             \"shed\": {}, \"steals\": {}, \"events\": {}, \"wall_reference_s\": {}, \
-             \"wall_heap_s\": {:.4}, \"reference_events_per_sec\": {}, \
-             \"heap_events_per_sec\": {:.0}, \"speedup\": {}, \"hash\": \"{:016x}\" }}{}\n",
-            cell.nodes,
-            cell.policy,
-            cell.requests,
-            cell.served,
-            cell.shed,
-            cell.steals,
-            cell.events,
-            json_opt(cell.wall_reference_s, 4),
-            cell.wall_heap_s,
-            json_opt(cell.reference_events_per_sec(), 0),
-            cell.heap_events_per_sec(),
-            json_opt(cell.speedup(), 2),
-            cell.hash,
-            if i + 1 == cells.len() { "" } else { "," },
-        ));
-    }
-    let mut aggregate_rows = String::new();
-    for (i, aggregate) in aggregates.iter().enumerate() {
-        aggregate_rows.push_str(&format!(
-            "    {{ \"nodes\": {}, \"events\": {}, \"reference_events_per_sec\": {}, \
-             \"heap_events_per_sec\": {:.0}, \"speedup\": {} }}{}\n",
-            aggregate.nodes,
-            aggregate.events,
-            json_opt(aggregate.reference_events_per_sec(), 0),
-            aggregate.heap_events_per_sec(),
-            json_opt(aggregate.speedup(), 2),
-            if i + 1 == aggregates.len() { "" } else { "," },
-        ));
-    }
-    let node_list = opts
-        .node_counts
-        .iter()
-        .map(|n| n.to_string())
-        .collect::<Vec<_>>()
-        .join(", ");
-    let variant_list = opts
-        .variants
-        .iter()
-        .map(|v| format!("\"{v}\""))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let report = format!(
-        "{{\n  \"bench\": \"cluster_scale_cosim\",\n  \"node_counts\": [{}],\n  \"rho\": {:.2},\n  \"seed\": {},\n  \"duration_ms\": {:.1},\n  \"scheduler\": \"np-fcfs\",\n  \"variants\": [{}],\n  \"repetitions\": {},\n  \"reference_cap\": {},\n  \"max_nodes\": {},\n  \"speedup_at_max_nodes\": {},\n  \"heap_events_per_sec_at_max_nodes\": {:.0},\n  \"sweep_hash\": \"{:016x}\",\n  \"extended_sweep_hash\": \"{:016x}\",\n  \"aggregates\": [\n{}  ],\n  \"cells\": [\n{}  ]\n}}\n",
-        node_list,
-        opts.rho,
-        opts.seed,
-        opts.duration_ms,
-        variant_list,
-        opts.repetitions,
-        opts.reference_cap,
-        top.nodes,
-        json_opt(top.speedup(), 2),
-        top.heap_events_per_sec(),
-        digest,
-        extended_digest,
-        aggregate_rows,
-        cell_rows,
-    );
-    print!("{report}");
-    if let Err(error) = std::fs::write(&options.out, &report) {
-        eprintln!("[throughput] could not write {}: {error}", options.out);
-        return ExitCode::FAILURE;
-    }
-    eprintln!("[throughput] report written to {}", options.out);
-
-    if let Some(path) = &options.check_baseline {
-        let baseline = match std::fs::read_to_string(path) {
-            Ok(contents) => contents,
-            Err(error) => {
-                eprintln!("[throughput] FAIL: could not read baseline {path}: {error}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let Some(baseline_hash) = baseline_string(&baseline, "sweep_hash") else {
-            eprintln!("[throughput] FAIL: no sweep_hash found in baseline {path}");
-            return ExitCode::FAILURE;
-        };
-        let measured_hash = format!("{digest:016x}");
-        if baseline_hash != measured_hash {
-            eprintln!(
-                "[throughput] FAIL: cluster-scale outcomes diverged from the baseline:\n\
-                 [throughput]   expected sweep_hash {baseline_hash}\n\
-                 [throughput]   actual   sweep_hash {measured_hash}\n\
-                 [throughput] The sweep is deterministic per seed, so this is a \
-                 behavioural change: re-commit the baseline only if it is intentional."
-            );
-            report_baseline_failure(
-                "cluster-scale",
-                &[("sweep_hash".into(), baseline_hash, measured_hash)],
-            );
-            return ExitCode::FAILURE;
-        }
-        eprintln!("[throughput] baseline check passed: sweep_hash {measured_hash} matches");
-
-        // The extended digest (heap-only columns included) is only
-        // comparable when the measured grid matches the baseline's; the
-        // per-PR smoke runs a prefix of the nightly grid and skips it.
-        let grids_match =
-            baseline_list(&baseline, "node_counts") == Some(node_list.split_whitespace().collect());
-        if grids_match {
-            if let Some(baseline_extended) = baseline_string(&baseline, "extended_sweep_hash") {
-                let measured_extended = format!("{extended_digest:016x}");
-                if baseline_extended != measured_extended {
-                    eprintln!(
-                        "[throughput] FAIL: heap-only scale columns diverged from the baseline:\n\
-                         [throughput]   expected extended_sweep_hash {baseline_extended}\n\
-                         [throughput]   actual   extended_sweep_hash {measured_extended}"
-                    );
-                    report_baseline_failure(
-                        "cluster-scale",
-                        &[(
-                            "extended_sweep_hash".into(),
-                            baseline_extended,
-                            measured_extended,
-                        )],
-                    );
-                    return ExitCode::FAILURE;
-                }
-                eprintln!(
-                    "[throughput] baseline check passed: extended_sweep_hash \
-                     {measured_extended} matches"
-                );
-            }
-        } else {
-            eprintln!(
-                "[throughput] note: measured node grid differs from the baseline's; \
-                 skipping the extended_sweep_hash comparison"
-            );
-        }
-
-        // Gate throughput per node count against the baseline aggregate at
-        // the *same* node count, so a 64-node smoke and the 1024-node
-        // nightly column each compare against their own figure.
-        let mut failures: Vec<(String, String, String)> = Vec::new();
-        for aggregate in &aggregates {
-            let Some(baseline_eps) = baseline_aggregate_heap_eps(&baseline, aggregate.nodes) else {
-                eprintln!(
-                    "[throughput] note: baseline {path} has no aggregate at {} nodes; \
-                     skipping its events/sec gate",
-                    aggregate.nodes
-                );
-                continue;
-            };
-            if !check_events_per_sec_with(
-                aggregate.heap_events_per_sec(),
-                baseline_eps,
-                &format!("cluster-scale heap @ {} nodes", aggregate.nodes),
-                SCALE_MAX_REGRESSION,
-            ) {
-                failures.push((
-                    format!("heap events/sec @ {} nodes", aggregate.nodes),
-                    format!(
-                        ">= {:.0} (baseline {baseline_eps:.0}, -{:.0}% floor)",
-                        baseline_eps * (1.0 - SCALE_MAX_REGRESSION),
-                        SCALE_MAX_REGRESSION * 100.0
-                    ),
-                    format!("{:.0}", aggregate.heap_events_per_sec()),
-                ));
-            }
-        }
-        if !failures.is_empty() {
-            report_baseline_failure("cluster-scale", &failures);
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-struct FaultsOptions {
-    nodes: usize,
-    rho: f64,
-    duration_ms: f64,
-    seed: u64,
-    reps: usize,
-    out: String,
-    check_baseline: Option<String>,
-    trace_out: Option<String>,
-}
-
-fn parse_faults_args(args: impl Iterator<Item = String>) -> Result<FaultsOptions, String> {
-    let defaults = FaultSweepOptions::baseline();
-    let mut options = FaultsOptions {
-        nodes: defaults.nodes,
-        rho: defaults.rho,
-        duration_ms: defaults.duration_ms,
-        seed: defaults.seed,
-        reps: defaults.repetitions,
-        out: "BENCH_cluster_faults.json".to_string(),
-        check_baseline: None,
-        trace_out: None,
-    };
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--nodes" => {
-                options.nodes = args
-                    .next()
-                    .ok_or("--nodes requires a value")?
-                    .parse()
-                    .map_err(|e| format!("invalid --nodes value: {e}"))?;
-            }
-            "--rho" => {
-                options.rho = args
-                    .next()
-                    .ok_or("--rho requires a value")?
-                    .parse()
-                    .map_err(|e| format!("invalid --rho value: {e}"))?;
-            }
-            "--duration-ms" => {
-                options.duration_ms = args
-                    .next()
-                    .ok_or("--duration-ms requires a value")?
-                    .parse()
-                    .map_err(|e| format!("invalid --duration-ms value: {e}"))?;
-            }
-            "--seed" => {
-                options.seed = args
-                    .next()
-                    .ok_or("--seed requires a value")?
-                    .parse()
-                    .map_err(|e| format!("invalid --seed value: {e}"))?;
-            }
-            "--reps" => {
-                options.reps = args
-                    .next()
-                    .ok_or("--reps requires a value")?
-                    .parse()
-                    .map_err(|e| format!("invalid --reps value: {e}"))?;
-            }
-            "--out" => {
-                options.out = args.next().ok_or("--out requires a value")?;
-            }
-            "--trace-out" => {
-                options.trace_out = Some(args.next().ok_or("--trace-out requires a value")?);
-            }
-            "--check-baseline" => {
-                options.check_baseline =
-                    Some(args.next().ok_or("--check-baseline requires a value")?);
-            }
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown argument {other}\n{USAGE}")),
-        }
-    }
-    if options.nodes == 0 {
-        return Err("--nodes must be at least 1".into());
-    }
-    if !options.rho.is_finite() || options.rho <= 0.0 {
-        return Err("--rho must be positive".into());
-    }
-    if !options.duration_ms.is_finite() || options.duration_ms <= 0.0 {
-        return Err("--duration-ms must be positive".into());
-    }
-    if options.reps == 0 {
-        return Err("--reps must be at least 1".into());
-    }
-    Ok(options)
-}
-
-fn faults_main(options: FaultsOptions) -> ExitCode {
-    let opts = FaultSweepOptions {
-        nodes: options.nodes,
-        rho: options.rho,
-        duration_ms: options.duration_ms,
-        seed: options.seed,
-        repetitions: options.reps,
-        ..FaultSweepOptions::baseline()
-    };
-    eprintln!(
-        "[throughput] cluster-faults sweep: {} nodes at rho {:.2}, {} ms windows, MTBF {:?}x mean service, best-of-{} walls",
-        opts.nodes, opts.rho, opts.duration_ms, opts.mtbf_multipliers, opts.repetitions,
-    );
-
-    let cells = run_fault_sweep(&opts);
-    let digest = fault_sweep_hash(&cells);
-    for cell in &cells {
-        eprintln!(
-            "[throughput] MTBF {:>5.1}x ({:>6.2} ms) {:<12}: {}/{} served, {} abandoned, {} recoveries, availability {:.4}, goodput {:.4}, p99 {:.3} ms",
-            cell.mtbf_multiplier,
-            cell.mtbf_ms,
-            cell.recovery,
-            cell.served,
-            cell.requests,
-            cell.abandoned,
-            cell.recoveries,
-            cell.availability,
-            cell.goodput,
-            cell.p99_ms,
-        );
-    }
-    // The headline comparison: checkpoint recovery vs restart-from-zero p99
-    // at each MTBF level (cells are paired, checkpoint first).
-    for pair in cells.chunks(2) {
-        let [checkpoint, restart] = pair else {
-            continue;
-        };
-        eprintln!(
-            "[throughput] MTBF {:>5.1}x: checkpoint p99 {:.3} ms vs restart-zero p99 {:.3} ms ({:+.1} %)",
-            checkpoint.mtbf_multiplier,
-            checkpoint.p99_ms,
-            restart.p99_ms,
-            (checkpoint.p99_ms / restart.p99_ms - 1.0) * 100.0,
-        );
-    }
-
-    let mtbf_list = opts
-        .mtbf_multipliers
-        .iter()
-        .map(|m| format!("{m:.1}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let mut cell_rows = String::new();
-    for (i, cell) in cells.iter().enumerate() {
-        cell_rows.push_str(&format!(
-            "    {{ \"mtbf_multiplier\": {:.1}, \"mtbf_ms\": {:.3}, \"recovery\": \"{}\", \
-             \"requests\": {}, \"served\": {}, \"shed\": {}, \"abandoned\": {}, \
-             \"crashes\": {}, \"freezes\": {}, \"recoveries\": {}, \
-             \"availability\": {:.6}, \"goodput\": {:.6}, \"p99_ms\": {:.4}, \
-             \"antt\": {:.4}, \"events\": {}, \"wall_s\": {:.4}, \
-             \"events_per_sec\": {:.0}, \"hash\": \"{:016x}\" }}{}\n",
-            cell.mtbf_multiplier,
-            cell.mtbf_ms,
-            cell.recovery,
-            cell.requests,
-            cell.served,
-            cell.shed,
-            cell.abandoned,
-            cell.crashes,
-            cell.freezes,
-            cell.recoveries,
-            cell.availability,
-            cell.goodput,
-            cell.p99_ms,
-            cell.antt,
-            cell.events,
-            cell.wall_s,
-            cell.events_per_sec(),
-            cell.hash,
-            if i + 1 == cells.len() { "" } else { "," },
-        ));
-    }
-    let report = format!(
-        "{{\n  \"bench\": \"cluster_faults\",\n  \"nodes\": {},\n  \"rho\": {:.2},\n  \"seed\": {},\n  \"duration_ms\": {:.1},\n  \"mtbf_multipliers\": [{}],\n  \"downtime_ms\": {:.1},\n  \"freeze_fraction\": {:.2},\n  \"scheduler\": \"prema\",\n  \"dispatch\": \"predictive-live\",\n  \"repetitions\": {},\n  \"sweep_hash\": \"{:016x}\",\n  \"cells\": [\n{}  ]\n}}\n",
-        opts.nodes,
-        opts.rho,
-        opts.seed,
-        opts.duration_ms,
-        mtbf_list,
-        opts.downtime_ms,
-        opts.freeze_fraction,
-        opts.repetitions,
-        digest,
-        cell_rows,
-    );
-    print!("{report}");
-    if let Err(error) = std::fs::write(&options.out, &report) {
-        eprintln!("[throughput] could not write {}: {error}", options.out);
-        return ExitCode::FAILURE;
-    }
-    eprintln!("[throughput] report written to {}", options.out);
-
-    if let Some(path) = &options.check_baseline {
-        let baseline = match std::fs::read_to_string(path) {
-            Ok(contents) => contents,
-            Err(error) => {
-                eprintln!("[throughput] FAIL: could not read baseline {path}: {error}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let Some(baseline_hash) = baseline_string(&baseline, "sweep_hash") else {
-            eprintln!("[throughput] FAIL: no sweep_hash found in baseline {path}");
-            return ExitCode::FAILURE;
-        };
-        let measured_hash = format!("{digest:016x}");
-        if baseline_hash != measured_hash {
-            eprintln!(
-                "[throughput] FAIL: cluster-faults outcomes diverged from the baseline:\n\
-                 [throughput]   expected sweep_hash {baseline_hash}\n\
-                 [throughput]   actual   sweep_hash {measured_hash}\n\
-                 [throughput] The sweep is deterministic per seed, so this is a \
-                 behavioural change: re-commit the baseline only if it is intentional."
-            );
-            report_baseline_failure(
-                "cluster-faults",
-                &[("sweep_hash".into(), baseline_hash, measured_hash)],
-            );
-            return ExitCode::FAILURE;
-        }
-        eprintln!("[throughput] baseline check passed: sweep_hash {measured_hash} matches");
-    }
-    if let Some(path) = &options.trace_out {
-        let trace_opts = TraceScenarioOptions {
-            nodes: options.nodes,
-            rho: options.rho,
-            seed: options.seed,
-            ..TraceScenarioOptions::faults()
-        };
-        if !export_trace(&trace_opts, path) {
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-struct MigrationOptions {
-    nodes: usize,
-    rho: f64,
-    duration_ms: f64,
-    seed: u64,
-    reps: usize,
-    out: String,
-    check_baseline: Option<String>,
-    trace_out: Option<String>,
-}
-
-fn parse_migration_args(args: impl Iterator<Item = String>) -> Result<MigrationOptions, String> {
-    let defaults = MigrationSweepOptions::baseline();
-    let mut options = MigrationOptions {
-        nodes: defaults.nodes,
-        rho: defaults.rho,
-        duration_ms: defaults.duration_ms,
-        seed: defaults.seed,
-        reps: defaults.repetitions,
-        out: "BENCH_cluster_migration.json".to_string(),
-        check_baseline: None,
-        trace_out: None,
-    };
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--nodes" => {
-                options.nodes = args
-                    .next()
-                    .ok_or("--nodes requires a value")?
-                    .parse()
-                    .map_err(|e| format!("invalid --nodes value: {e}"))?;
-            }
-            "--rho" => {
-                options.rho = args
-                    .next()
-                    .ok_or("--rho requires a value")?
-                    .parse()
-                    .map_err(|e| format!("invalid --rho value: {e}"))?;
-            }
-            "--duration-ms" => {
-                options.duration_ms = args
-                    .next()
-                    .ok_or("--duration-ms requires a value")?
-                    .parse()
-                    .map_err(|e| format!("invalid --duration-ms value: {e}"))?;
-            }
-            "--seed" => {
-                options.seed = args
-                    .next()
-                    .ok_or("--seed requires a value")?
-                    .parse()
-                    .map_err(|e| format!("invalid --seed value: {e}"))?;
-            }
-            "--reps" => {
-                options.reps = args
-                    .next()
-                    .ok_or("--reps requires a value")?
-                    .parse()
-                    .map_err(|e| format!("invalid --reps value: {e}"))?;
-            }
-            "--out" => {
-                options.out = args.next().ok_or("--out requires a value")?;
-            }
-            "--trace-out" => {
-                options.trace_out = Some(args.next().ok_or("--trace-out requires a value")?);
-            }
-            "--check-baseline" => {
-                options.check_baseline =
-                    Some(args.next().ok_or("--check-baseline requires a value")?);
-            }
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown argument {other}\n{USAGE}")),
-        }
-    }
-    if options.nodes < 2 {
-        return Err("--nodes must be at least 2".into());
-    }
-    if !options.rho.is_finite() || options.rho <= 0.0 {
-        return Err("--rho must be positive".into());
-    }
-    if !options.duration_ms.is_finite() || options.duration_ms <= 0.0 {
-        return Err("--duration-ms must be positive".into());
-    }
-    if options.reps == 0 {
-        return Err("--reps must be at least 1".into());
-    }
-    Ok(options)
-}
-
-fn migration_main(options: MigrationOptions) -> ExitCode {
-    let opts = MigrationSweepOptions {
-        nodes: options.nodes,
-        rho: options.rho,
-        duration_ms: options.duration_ms,
-        seed: options.seed,
-        repetitions: options.reps,
-        ..MigrationSweepOptions::baseline()
-    };
-    eprintln!(
-        "[throughput] cluster-migration sweep: {} nodes at rho {:.2}, {} ms windows, stragglers at {:?} speed, best-of-{} walls",
-        opts.nodes, opts.rho, opts.duration_ms, opts.severities, opts.repetitions,
-    );
-
-    let cells = run_migration_sweep(&opts);
-    let digest = migration_sweep_hash(&cells);
-    for cell in &cells {
-        eprintln!(
-            "[throughput] speed {}/{} {:<8}: {}/{} served, {} degrades, {} migrations ({} B, mean evac {:.3} ms), degraded {:.3}, p99 {:.3} ms",
-            cell.speed_num,
-            cell.speed_den,
-            cell.policy,
-            cell.served,
-            cell.requests,
-            cell.degrades,
-            cell.migrations,
-            cell.migration_bytes,
-            cell.mean_evacuation_ms,
-            cell.degraded_fraction,
-            cell.p99_ms,
-        );
-    }
-    // The headline comparison: migration vs stay-put p99 at each severity
-    // (cells are paired, migrate first).
-    let mut wins = 0usize;
-    for pair in cells.chunks(2) {
-        let [migrate, stay] = pair else {
-            continue;
-        };
-        if migrate.p99_ms < stay.p99_ms {
-            wins += 1;
-        }
-        eprintln!(
-            "[throughput] speed {}/{}: migrate p99 {:.3} ms vs stay p99 {:.3} ms ({:+.1} %)",
-            migrate.speed_num,
-            migrate.speed_den,
-            migrate.p99_ms,
-            stay.p99_ms,
-            (migrate.p99_ms / stay.p99_ms - 1.0) * 100.0,
-        );
-    }
-
-    let severity_list = opts
-        .severities
-        .iter()
-        .map(|(num, den)| format!("\"{num}/{den}\""))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let mut cell_rows = String::new();
-    for (i, cell) in cells.iter().enumerate() {
-        cell_rows.push_str(&format!(
-            "    {{ \"speed\": \"{}/{}\", \"policy\": \"{}\", \
-             \"requests\": {}, \"served\": {}, \"degrades\": {}, \
-             \"migrations\": {}, \"migration_bytes\": {}, \
-             \"mean_evacuation_ms\": {:.4}, \"degraded_fraction\": {:.6}, \
-             \"p99_ms\": {:.4}, \"antt\": {:.4}, \"events\": {}, \
-             \"wall_s\": {:.4}, \"hash\": \"{:016x}\" }}{}\n",
-            cell.speed_num,
-            cell.speed_den,
-            cell.policy,
-            cell.requests,
-            cell.served,
-            cell.degrades,
-            cell.migrations,
-            cell.migration_bytes,
-            cell.mean_evacuation_ms,
-            cell.degraded_fraction,
-            cell.p99_ms,
-            cell.antt,
-            cell.events,
-            cell.wall_s,
-            cell.hash,
-            if i + 1 == cells.len() { "" } else { "," },
-        ));
-    }
-    let report = format!(
-        "{{\n  \"bench\": \"cluster_migration\",\n  \"nodes\": {},\n  \"rho\": {:.2},\n  \"seed\": {},\n  \"duration_ms\": {:.1},\n  \"severities\": [{}],\n  \"degrade_mtbf_ms\": {:.1},\n  \"degrade_window_ms\": {:.1},\n  \"sla_multiplier\": {:.1},\n  \"scheduler\": \"prema\",\n  \"dispatch\": \"predictive-live\",\n  \"repetitions\": {},\n  \"p99_wins\": {},\n  \"sweep_hash\": \"{:016x}\",\n  \"cells\": [\n{}  ]\n}}\n",
-        opts.nodes,
-        opts.rho,
-        opts.seed,
-        opts.duration_ms,
-        severity_list,
-        opts.degrade_mtbf_ms,
-        opts.degrade_window_ms,
-        opts.sla_multiplier,
-        opts.repetitions,
-        wins,
-        digest,
-        cell_rows,
-    );
-    print!("{report}");
-    if let Err(error) = std::fs::write(&options.out, &report) {
-        eprintln!("[throughput] could not write {}: {error}", options.out);
-        return ExitCode::FAILURE;
-    }
-    eprintln!("[throughput] report written to {}", options.out);
-
-    if let Some(path) = &options.check_baseline {
-        let baseline = match std::fs::read_to_string(path) {
-            Ok(contents) => contents,
-            Err(error) => {
-                eprintln!("[throughput] FAIL: could not read baseline {path}: {error}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let Some(baseline_hash) = baseline_string(&baseline, "sweep_hash") else {
-            eprintln!("[throughput] FAIL: no sweep_hash found in baseline {path}");
-            return ExitCode::FAILURE;
-        };
-        let measured_hash = format!("{digest:016x}");
-        if baseline_hash != measured_hash {
-            eprintln!(
-                "[throughput] FAIL: cluster-migration outcomes diverged from the baseline:\n\
-                 [throughput]   expected sweep_hash {baseline_hash}\n\
-                 [throughput]   actual   sweep_hash {measured_hash}\n\
-                 [throughput] The sweep is deterministic per seed, so this is a \
-                 behavioural change: re-commit the baseline only if it is intentional."
-            );
-            report_baseline_failure(
-                "cluster-migration",
-                &[("sweep_hash".into(), baseline_hash, measured_hash)],
-            );
-            return ExitCode::FAILURE;
-        }
-        // The gated claim is not just identity — the committed baseline must
-        // keep demonstrating the p99 win at two or more severities.
-        if wins < 2 {
-            eprintln!(
-                "[throughput] FAIL: migration beat stay-put on p99 at only {wins} \
-                 severity level(s); the baseline promises at least 2"
-            );
-            report_baseline_failure(
-                "cluster-migration",
-                &[(
-                    "p99 wins".into(),
-                    ">= 2 severity levels".into(),
-                    format!("{wins}"),
-                )],
-            );
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "[throughput] baseline check passed: sweep_hash {measured_hash} matches, \
-             p99 win at {wins} severity level(s)"
-        );
-    }
-    if let Some(path) = &options.trace_out {
-        let trace_opts = TraceScenarioOptions {
-            nodes: options.nodes,
-            rho: options.rho,
-            seed: options.seed,
-            ..TraceScenarioOptions::migration()
-        };
-        if !export_trace(&trace_opts, path) {
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-struct PartitionOptions {
-    nodes: usize,
-    rho: f64,
-    duration_ms: f64,
-    seed: u64,
-    reps: usize,
-    out: String,
-    check_baseline: Option<String>,
-}
-
-fn parse_partition_args(args: impl Iterator<Item = String>) -> Result<PartitionOptions, String> {
-    let defaults = PartitionSweepOptions::baseline();
-    let mut options = PartitionOptions {
-        nodes: defaults.nodes,
-        rho: defaults.rho,
-        duration_ms: defaults.duration_ms,
-        seed: defaults.seed,
-        reps: defaults.repetitions,
-        out: "BENCH_cluster_partition.json".to_string(),
-        check_baseline: None,
-    };
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--nodes" => {
-                options.nodes = args
-                    .next()
-                    .ok_or("--nodes requires a value")?
-                    .parse()
-                    .map_err(|e| format!("invalid --nodes value: {e}"))?;
-            }
-            "--rho" => {
-                options.rho = args
-                    .next()
-                    .ok_or("--rho requires a value")?
-                    .parse()
-                    .map_err(|e| format!("invalid --rho value: {e}"))?;
-            }
-            "--duration-ms" => {
-                options.duration_ms = args
-                    .next()
-                    .ok_or("--duration-ms requires a value")?
-                    .parse()
-                    .map_err(|e| format!("invalid --duration-ms value: {e}"))?;
-            }
-            "--seed" => {
-                options.seed = args
-                    .next()
-                    .ok_or("--seed requires a value")?
-                    .parse()
-                    .map_err(|e| format!("invalid --seed value: {e}"))?;
-            }
-            "--reps" => {
-                options.reps = args
-                    .next()
-                    .ok_or("--reps requires a value")?
-                    .parse()
-                    .map_err(|e| format!("invalid --reps value: {e}"))?;
-            }
-            "--out" => {
-                options.out = args.next().ok_or("--out requires a value")?;
-            }
-            "--check-baseline" => {
-                options.check_baseline =
-                    Some(args.next().ok_or("--check-baseline requires a value")?);
-            }
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown argument {other}\n{USAGE}")),
-        }
-    }
-    if options.nodes < 2 {
-        return Err("--nodes must be at least 2".into());
-    }
-    if !options.rho.is_finite() || options.rho <= 0.0 {
-        return Err("--rho must be positive".into());
-    }
-    if !options.duration_ms.is_finite() || options.duration_ms <= 0.0 {
-        return Err("--duration-ms must be positive".into());
-    }
-    if options.reps == 0 {
-        return Err("--reps must be at least 1".into());
-    }
-    Ok(options)
-}
-
-fn partition_main(options: PartitionOptions) -> ExitCode {
-    let opts = PartitionSweepOptions {
-        nodes: options.nodes,
-        rho: options.rho,
-        duration_ms: options.duration_ms,
-        seed: options.seed,
-        repetitions: options.reps,
-        ..PartitionSweepOptions::baseline()
-    };
-    if let Err(message) = opts.validate() {
-        eprintln!("[throughput] FAIL: invalid partition sweep options: {message}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!(
-        "[throughput] cluster-partition sweep: {} nodes at rho {:.2}, {} ms windows, link MTBF {:?} ms, custody timeout {} ms, best-of-{} walls",
-        opts.nodes,
-        opts.rho,
-        opts.duration_ms,
-        opts.link_mtbf_levels_ms,
-        opts.delivery_timeout_ms,
-        opts.repetitions,
-    );
-
-    let cells = run_partition_sweep(&opts);
-    let digest = partition_sweep_hash(&cells);
-    for cell in &cells {
-        eprintln!(
-            "[throughput] link MTBF {:>5.1} ms {:<8}: {}/{} served, {} abandoned, {} link faults, {} migrations, {} transfer failures, {} redirects, goodput {:.4}, p99 {:.3} ms",
-            cell.link_mtbf_ms,
-            cell.policy,
-            cell.served,
-            cell.requests,
-            cell.abandoned,
-            cell.link_faults,
-            cell.migrations,
-            cell.transfer_failures,
-            cell.redirects,
-            cell.goodput,
-            cell.p99_ms,
-        );
-    }
-    // The headline comparison: redirect vs abandon on goodput AND
-    // lost-request-inclusive p99 at each MTBF level (cells are paired,
-    // redirect first).
-    let wins = partition_wins(&cells);
-    for pair in cells.chunks(2) {
-        let [redirect, abandon] = pair else {
-            continue;
-        };
-        eprintln!(
-            "[throughput] link MTBF {:>5.1} ms: redirect goodput {:.4} / p99 {:.3} ms vs abandon goodput {:.4} / p99 {:.3} ms",
-            redirect.link_mtbf_ms, redirect.goodput, redirect.p99_ms, abandon.goodput, abandon.p99_ms,
-        );
-    }
-
-    let mtbf_list = opts
-        .link_mtbf_levels_ms
-        .iter()
-        .map(|mtbf| format!("{mtbf:.1}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let mut cell_rows = String::new();
-    for (i, cell) in cells.iter().enumerate() {
-        // A lost-request-inclusive p99 is infinite when >= ~1 % of the
-        // stream was abandoned; JSON has no infinity, so emit null.
-        let p99 = if cell.p99_ms.is_finite() {
-            format!("{:.4}", cell.p99_ms)
-        } else {
-            "null".to_string()
-        };
-        cell_rows.push_str(&format!(
-            "    {{ \"link_mtbf_ms\": {:.1}, \"policy\": \"{}\", \
-             \"requests\": {}, \"served\": {}, \"abandoned\": {}, \
-             \"link_faults\": {}, \"migrations\": {}, \
-             \"transfer_failures\": {}, \"redirects\": {}, \
-             \"goodput\": {:.6}, \"p99_ms\": {}, \"events\": {}, \
-             \"wall_s\": {:.4}, \"hash\": \"{:016x}\" }}{}\n",
-            cell.link_mtbf_ms,
-            cell.policy,
-            cell.requests,
-            cell.served,
-            cell.abandoned,
-            cell.link_faults,
-            cell.migrations,
-            cell.transfer_failures,
-            cell.redirects,
-            cell.goodput,
-            p99,
-            cell.events,
-            cell.wall_s,
-            cell.hash,
-            if i + 1 == cells.len() { "" } else { "," },
-        ));
-    }
-    let report = format!(
-        "{{\n  \"bench\": \"cluster_partition\",\n  \"nodes\": {},\n  \"rho\": {:.2},\n  \"seed\": {},\n  \"duration_ms\": {:.1},\n  \"link_mtbf_levels_ms\": [{}],\n  \"link_outage_ms\": {:.1},\n  \"degraded_link_fraction\": {:.2},\n  \"link_bandwidth\": \"{}/{}\",\n  \"degrade_speed\": \"{}/{}\",\n  \"sla_multiplier\": {:.1},\n  \"delivery_timeout_ms\": {:.1},\n  \"scheduler\": \"prema\",\n  \"dispatch\": \"predictive-live\",\n  \"repetitions\": {},\n  \"paired_wins\": {},\n  \"sweep_hash\": \"{:016x}\",\n  \"cells\": [\n{}  ]\n}}\n",
-        opts.nodes,
-        opts.rho,
-        opts.seed,
-        opts.duration_ms,
-        mtbf_list,
-        opts.link_outage_ms,
-        opts.degraded_link_fraction,
-        opts.link_bandwidth.0,
-        opts.link_bandwidth.1,
-        opts.degrade_speed.0,
-        opts.degrade_speed.1,
-        opts.sla_multiplier,
-        opts.delivery_timeout_ms,
-        opts.repetitions,
-        wins,
-        digest,
-        cell_rows,
-    );
-    print!("{report}");
-    if let Err(error) = std::fs::write(&options.out, &report) {
-        eprintln!("[throughput] could not write {}: {error}", options.out);
-        return ExitCode::FAILURE;
-    }
-    eprintln!("[throughput] report written to {}", options.out);
-
-    if let Some(path) = &options.check_baseline {
-        let baseline = match std::fs::read_to_string(path) {
-            Ok(contents) => contents,
-            Err(error) => {
-                eprintln!("[throughput] FAIL: could not read baseline {path}: {error}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let Some(baseline_hash) = baseline_string(&baseline, "sweep_hash") else {
-            eprintln!("[throughput] FAIL: no sweep_hash found in baseline {path}");
-            return ExitCode::FAILURE;
-        };
-        let measured_hash = format!("{digest:016x}");
-        if baseline_hash != measured_hash {
-            eprintln!(
-                "[throughput] FAIL: cluster-partition outcomes diverged from the baseline:\n\
-                 [throughput]   expected sweep_hash {baseline_hash}\n\
-                 [throughput]   actual   sweep_hash {measured_hash}\n\
-                 [throughput] The sweep is deterministic per seed, so this is a \
-                 behavioural change: re-commit the baseline only if it is intentional."
-            );
-            report_baseline_failure(
-                "cluster-partition",
-                &[("sweep_hash".into(), baseline_hash, measured_hash)],
-            );
-            return ExitCode::FAILURE;
-        }
-        // The gated claim is not just identity — the committed baseline must
-        // keep demonstrating that redirect-with-backoff custody beats
-        // abandoning on both goodput and lost-request-inclusive p99 at two
-        // or more link-MTBF levels.
-        if wins < 2 {
-            eprintln!(
-                "[throughput] FAIL: redirect beat abandon on goodput and p99 at only {wins} \
-                 link-MTBF level(s); the baseline promises at least 2"
-            );
-            report_baseline_failure(
-                "cluster-partition",
-                &[(
-                    "goodput+p99 wins".into(),
-                    ">= 2 link-MTBF levels".into(),
-                    format!("{wins}"),
-                )],
-            );
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "[throughput] baseline check passed: sweep_hash {measured_hash} matches, \
-             goodput+p99 win at {wins} link-MTBF level(s)"
-        );
-    }
-    ExitCode::SUCCESS
 }
 
 fn main() -> ExitCode {
-    let mut args = env::args().skip(1).peekable();
-    if args.peek().map(String::as_str) == Some("trace") {
-        args.next();
-        return match parse_trace_args(args) {
-            Ok(options) => trace_main(options),
-            Err(message) => {
-                eprintln!("{message}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.peek().map(String::as_str) == Some("cluster-partition") {
-        args.next();
-        return match parse_partition_args(args) {
-            Ok(options) => partition_main(options),
-            Err(message) => {
-                eprintln!("{message}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.peek().map(String::as_str) == Some("cluster-migration") {
-        args.next();
-        return match parse_migration_args(args) {
-            Ok(options) => migration_main(options),
-            Err(message) => {
-                eprintln!("{message}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.peek().map(String::as_str) == Some("cluster-faults") {
-        args.next();
-        return match parse_faults_args(args) {
-            Ok(options) => faults_main(options),
-            Err(message) => {
-                eprintln!("{message}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.peek().map(String::as_str) == Some("cluster-scale") {
-        args.next();
-        return match parse_scale_args(args) {
-            Ok(options) => scale_main(options),
-            Err(message) => {
-                eprintln!("{message}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.peek().map(String::as_str) == Some("cluster") {
-        args.next();
-        return match parse_cluster_args(args) {
-            Ok(options) => cluster_main(options),
-            Err(message) => {
-                eprintln!("{message}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    drop(args);
-    let options = match parse_args() {
-        Ok(options) => options,
+    let argv: Vec<String> = env::args().skip(1).collect();
+    match drive(&argv) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("{message}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
+    }
+}
 
-    let opts = SuiteOptions {
-        runs: options.runs,
-        seed: options.seed,
-        ..SuiteOptions::paper()
-    };
-    // All six policies non-preemptively (Figure 11) plus the eight
-    // static/dynamic preemptive configurations (Figure 12). fig11 includes
-    // NP-FCFS, so the baseline is part of the grid.
+fn eps(events: u64, wall_s: f64) -> Json {
+    Json::num(events as f64 / wall_s.max(f64::EPSILON), 0)
+}
+
+/// An optional figure: the number, or `null` where it does not exist.
+fn maybe(value: Option<f64>, decimals: usize) -> Json {
+    Json::num(value.unwrap_or(f64::NAN), decimals)
+}
+
+fn suite_options(args: &Args) -> Result<SuiteOptions, String> {
+    let mut opts = SuiteOptions::paper();
+    set(&mut opts.runs, &args.runs);
+    set(&mut opts.seed, &args.seed);
+    opts.validate().map(|()| opts)
+}
+
+fn suite(args: &Args) -> Result<Report, String> {
+    let opts = suite_options(args)?;
+    // All six policies non-preemptively (Figure 11, NP-FCFS included) plus
+    // the eight static/dynamic preemptive configurations (Figure 12).
     let configs: Vec<SchedulerConfig> =
         fig11_configs().into_iter().chain(fig12_configs()).collect();
-    let cells = opts.runs * configs.len();
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-    eprintln!(
-        "[throughput] {} runs x {} configs = {} simulations on {} threads",
-        opts.runs,
-        configs.len(),
-        cells,
-        threads
-    );
-
-    eprintln!("[throughput] serial / uncached reference ...");
     plan_cache::clear();
-    let serial_start = Instant::now();
-    let reference = run_grid_reference(&configs, &opts);
-    let serial_s = serial_start.elapsed().as_secs_f64();
-
-    eprintln!("[throughput] parallel / plan-cached fast path ...");
+    let (reference, serial_s) = timed(1, || run_grid_reference(&configs, &opts));
     plan_cache::clear();
-    let parallel_start = Instant::now();
-    let (fast, estimate_cache) = run_grid_instrumented(&configs, &opts);
-    let parallel_s = parallel_start.elapsed().as_secs_f64();
+    let ((fast, estimates), parallel_s) = timed(1, || run_grid_instrumented(&configs, &opts));
     let cache = plan_cache::stats();
+    let events =
+        |outcomes: &[SimOutcome]| -> u64 { outcomes.iter().map(|o| o.scheduler_invocations).sum() };
+    let mut grid = OutcomeSummary::default();
+    for s in fast.iter().map(SimOutcome::summary) {
+        grid.antt += s.antt;
+        grid.stp += s.stp;
+        grid.preemptions += s.preemptions;
+        grid.kill_restarts += s.kill_restarts;
+        grid.quanta_skipped += s.quanta_skipped;
+        grid.replayed_token_grants += s.replayed_token_grants;
+    }
+    let cells = fast.len().max(1) as f64;
+    let lookups = (estimates.hits + estimates.misses).max(1) as f64;
+    let json = object! {
+        "bench" => "sim_suite_throughput",
+        "runs" => opts.runs,
+        "configs" => configs.len(),
+        "cells" => opts.runs * configs.len(),
+        "threads" => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        "scheduler_events" => events(&fast),
+        "serial_uncached" => object! {
+            "wall_s" => Json::num(serial_s, 4), "events_per_sec" => eps(events(&reference), serial_s),
+        },
+        "parallel_cached" => object! {
+            "wall_s" => Json::num(parallel_s, 4), "events_per_sec" => eps(events(&fast), parallel_s),
+        },
+        "speedup" => Json::num(serial_s / parallel_s.max(f64::EPSILON), 2),
+        "plan_cache" => object! {
+            "hits" => cache.hits, "misses" => cache.misses, "entries" => cache.entries,
+            "hit_rate" => Json::num(cache.hit_rate(), 4),
+        },
+        "predictor_cache" => object! {
+            "hits" => estimates.hits, "misses" => estimates.misses,
+            "hit_rate" => Json::num(estimates.hits as f64 / lookups, 4),
+        },
+        "grid" => object! {
+            "mean_antt" => Json::num(grid.antt / cells, 4), "mean_stp" => Json::num(grid.stp / cells, 4),
+            "preemptions" => grid.preemptions, "kill_restarts" => grid.kill_restarts,
+            "quanta_skipped" => grid.quanta_skipped, "replayed_token_grants" => grid.replayed_token_grants,
+        },
+        "outcomes_identical" => fast == reference,
+    };
+    report(json, None)
+}
 
-    let identical = fast == reference;
-    let events = total_events(&fast);
-    let serial_events_per_sec = total_events(&reference) as f64 / serial_s.max(f64::EPSILON);
-    let speedup = serial_s / parallel_s.max(f64::EPSILON);
+fn cluster_options(args: &Args) -> Result<ClusterSweepOptions, String> {
+    let mut opts = ClusterSweepOptions::baseline();
+    set(&mut opts.nodes, &args.nodes);
+    set(&mut opts.duration_ms, &args.duration_ms);
+    set(&mut opts.seed, &args.seed);
+    opts.validate().map(|()| opts)
+}
 
-    // Grid-wide sanity aggregates, one summary() pass per outcome.
-    let grid_summary =
-        fast.iter()
-            .map(SimOutcome::summary)
-            .fold(OutcomeSummary::default(), |mut acc, s| {
-                acc.task_count += s.task_count;
-                acc.antt += s.antt;
-                acc.stp += s.stp;
-                acc.preemptions += s.preemptions;
-                acc.kill_restarts += s.kill_restarts;
-                acc.quanta_skipped += s.quanta_skipped;
-                acc.replayed_token_grants += s.replayed_token_grants;
-                acc
-            });
-    let cell_count = fast.len().max(1) as f64;
-    let estimate_lookups = estimate_cache.hits + estimate_cache.misses;
-    let estimate_hit_rate = estimate_cache.hits as f64 / (estimate_lookups.max(1)) as f64;
+fn cluster(args: &Args) -> Result<Report, String> {
+    let opts = cluster_options(args)?;
+    let (cells, wall_s) = timed(1, || run_cluster_sweep(&opts));
+    for &load in &opts.loads {
+        let level = cells.iter().filter(|cell| cell.load == load);
+        let (events, wall) = level.fold((0, 0.0), |(e, w), c| (e + c.events, w + c.wall_s));
+        let rate = events as f64 / f64::max(wall, f64::EPSILON);
+        eprintln!("[throughput] load {load:.2}: {events} events, {rate:.0} events/sec");
+    }
+    let events: u64 = cells.iter().map(|c| c.events).sum();
+    // One request stream per load level, replayed by every policy — count
+    // each stream once, through the first policy's cells.
+    let first = cells.first().map(|c| c.policy);
+    let streams = cells.iter().filter(|cell| Some(cell.policy) == first);
+    // The acceptance comparisons at the highest offered load: open-loop
+    // predictive vs random on queueing delay, and closed-loop reactive
+    // dispatch vs open-loop predictive on p99 turnaround.
+    let top = opts.loads.iter().copied().fold(f64::MIN, f64::max);
+    let at_top = |policies: &[&str], metric: fn(&ClusterCell) -> f64| {
+        let cell = policies
+            .iter()
+            .find_map(|policy| cell_of(&cells, top, policy));
+        Json::num(cell.map_or(0.0, metric), 4)
+    };
+    let queue = |cell: &ClusterCell| cell.metrics.mean_queueing_delay_ms;
+    let p99 = |cell: &ClusterCell| cell.metrics.p99_ms;
+    let row = |cell: &ClusterCell| {
+        let m = &cell.metrics;
+        object! {
+            "load" => Json::num(cell.load, 2), "mode" => cell.mode.label(), "policy" => cell.policy,
+            "requests" => cell.requests, "served" => cell.served, "shed" => cell.shed,
+            "steals" => cell.steals, "events" => cell.events, "antt" => Json::num(m.antt, 4),
+            "stp" => Json::num(m.stp, 4), "mean_queue_ms" => Json::num(m.mean_queueing_delay_ms, 4),
+            "mean_service_ms" => Json::num(m.mean_service_ms, 4), "p50_ms" => Json::num(m.p50_ms, 4),
+            "p95_ms" => Json::num(m.p95_ms, 4), "p99_ms" => Json::num(m.p99_ms, 4),
+            "sla_violation_at_4x" => Json::num(m.sla.rate_at(4.0).unwrap_or(0.0), 4),
+            "mean_utilization" => Json::num(m.mean_utilization(), 4),
+            "makespan_ms" => Json::num(m.makespan_ms, 4), "hash" => Json::hash(cell.hash),
+        }
+    };
+    let closed = opts.closed.iter().map(|variant| variant.label());
+    let json = object! {
+        "bench" => "cluster_serving_sweep",
+        "nodes" => opts.nodes,
+        "seed" => opts.seed,
+        "duration_ms" => Json::num(opts.duration_ms, 1),
+        "load_levels" => opts.loads.iter().map(|&load| Json::num(load, 2)).collect::<Json>(),
+        "policies" => opts.policies.iter().map(|policy| policy.label()).chain(closed).collect::<Json>(),
+        "unique_requests" => streams.map(|cell| cell.requests).sum::<usize>(),
+        "cluster_events" => events,
+        "wall_s" => Json::num(wall_s, 4),
+        "events_per_sec" => eps(events, wall_s),
+        "top_load_queue_ms" => object! {
+            "load" => Json::num(top, 2), "predictive" => at_top(&["predictive"], queue),
+            "random" => at_top(&["random"], queue),
+        },
+        "top_load_p99_ms" => object! {
+            "load" => Json::num(top, 2), "open_predictive" => at_top(&["predictive"], p99),
+            "closed_reactive" => at_top(&["work-steal", "predictive-live"], p99),
+        },
+        "sweep_hash" => Json::hash(prema_bench::cluster::sweep_hash(&cells)),
+        "cells" => cells.iter().map(row).collect::<Json>(),
+    };
+    let (nodes, seed) = (opts.nodes, opts.seed);
+    report(
+        json,
+        Some(TraceScenarioOptions {
+            nodes,
+            seed,
+            ..TraceScenarioOptions::serving()
+        }),
+    )
+}
 
-    let report = format!(
-        "{{\n  \"bench\": \"sim_suite_throughput\",\n  \"runs\": {},\n  \"configs\": {},\n  \"cells\": {},\n  \"threads\": {},\n  \"scheduler_events\": {},\n  \"serial_uncached\": {{ \"wall_s\": {:.4}, \"events_per_sec\": {:.0} }},\n  \"parallel_cached\": {{ \"wall_s\": {:.4}, \"events_per_sec\": {:.0} }},\n  \"speedup\": {:.2},\n  \"plan_cache\": {{ \"hits\": {}, \"misses\": {}, \"entries\": {}, \"hit_rate\": {:.4} }},\n  \"predictor_cache\": {{ \"hits\": {}, \"misses\": {}, \"hit_rate\": {:.4} }},\n  \"grid\": {{ \"mean_antt\": {:.4}, \"mean_stp\": {:.4}, \"preemptions\": {}, \"kill_restarts\": {}, \"quanta_skipped\": {}, \"replayed_token_grants\": {} }},\n  \"outcomes_identical\": {}\n}}\n",
-        opts.runs,
-        configs.len(),
+fn scale_options(args: &Args) -> Result<ScaleSweepOptions, String> {
+    let mut opts = ScaleSweepOptions::baseline();
+    set(&mut opts.node_counts, &args.node_counts);
+    set(&mut opts.rho, &args.rho);
+    set(&mut opts.duration_ms, &args.duration_ms);
+    set(&mut opts.seed, &args.seed);
+    set(&mut opts.repetitions, &args.reps);
+    if args.heap_only {
+        opts.reference_cap = 0;
+    }
+    opts.validate().map(|()| opts)
+}
+
+fn scale(args: &Args) -> Result<Report, String> {
+    let opts = scale_options(args)?;
+    let cells = scale::run_scale_sweep(&opts);
+    let aggregates = scale::scale_aggregates(&cells);
+    let top = aggregates
+        .iter()
+        .max_by_key(|aggregate| aggregate.nodes)
+        .expect("a node count");
+    let row = |cell: &ScaleCell| {
+        object! {
+            "nodes" => cell.nodes, "policy" => cell.policy, "requests" => cell.requests,
+            "served" => cell.served, "shed" => cell.shed, "steals" => cell.steals,
+            "events" => cell.events, "wall_reference_s" => maybe(cell.wall_reference_s, 4),
+            "wall_heap_s" => Json::num(cell.wall_heap_s, 4),
+            "reference_events_per_sec" => maybe(cell.reference_events_per_sec(), 0),
+            "heap_events_per_sec" => Json::num(cell.heap_events_per_sec(), 0),
+            "speedup" => maybe(cell.speedup(), 2), "hash" => Json::hash(cell.hash),
+        }
+    };
+    let aggregate_rows = aggregates.iter().map(|aggregate| {
+        object! {
+            "nodes" => aggregate.nodes, "events" => aggregate.events,
+            "reference_events_per_sec" => maybe(aggregate.reference_events_per_sec(), 0),
+            "heap_events_per_sec" => Json::num(aggregate.heap_events_per_sec(), 0),
+            "speedup" => maybe(aggregate.speedup(), 2),
+        }
+    });
+    let json = object! {
+        "bench" => "cluster_scale_cosim",
+        "node_counts" => opts.node_counts.iter().copied().collect::<Json>(),
+        "rho" => Json::num(opts.rho, 2),
+        "seed" => opts.seed,
+        "duration_ms" => Json::num(opts.duration_ms, 1),
+        "scheduler" => "np-fcfs",
+        "variants" => opts.variants.iter().map(|variant| variant.label()).collect::<Json>(),
+        "repetitions" => opts.repetitions,
+        "reference_cap" => opts.reference_cap,
+        "max_nodes" => top.nodes,
+        "speedup_at_max_nodes" => maybe(top.speedup(), 2),
+        "heap_events_per_sec_at_max_nodes" => Json::num(top.heap_events_per_sec(), 0),
+        "sweep_hash" => Json::hash(scale::scale_sweep_hash(&cells)),
+        "extended_sweep_hash" => Json::hash(scale::scale_extended_sweep_hash(&cells)),
+        "aggregates" => aggregate_rows.collect::<Json>(),
+        "cells" => cells.iter().map(row).collect::<Json>(),
+    };
+    report(json, None)
+}
+
+/// The report layout the paired sweeps share: the common options, then the
+/// sweep's own `params` (an object), then the win count under `wins` when
+/// the sweep gates one, the sweep hash and one `row` per cell.
+fn paired_report<S: PairedSweep>(
+    bench: &str,
+    sweep: &S,
+    params: Json,
+    wins: Option<&str>,
+    cells: &[PairedCell<S::Level, S::Metrics>],
+    row: impl Fn(&PairedCell<S::Level, S::Metrics>) -> Json,
+) -> Json {
+    let base = sweep.base();
+    let head = object! {
+        "bench" => bench, "nodes" => base.nodes, "rho" => Json::num(base.rho, 2),
+        "seed" => base.seed, "duration_ms" => Json::num(base.duration_ms, 1),
+    };
+    let tail = object! {
+        "scheduler" => "prema", "dispatch" => "predictive-live", "repetitions" => base.repetitions,
+    };
+    let mut fields = Vec::new();
+    for part in [head, params, tail] {
+        let Json::Object(part) = part else {
+            unreachable!("report sections are objects")
+        };
+        fields.extend(part);
+    }
+    fields.extend(wins.map(|key| (key.to_string(), Json::from(paired_wins::<S>(cells)))));
+    fields.push(("sweep_hash".into(), Json::hash(sweep_hash(cells))));
+    fields.push(("cells".into(), cells.iter().map(row).collect()));
+    Json::Object(fields)
+}
+
+fn fault_options(args: &Args) -> Result<FaultSweepOptions, String> {
+    let mut opts = FaultSweepOptions::baseline();
+    set(&mut opts.nodes, &args.nodes);
+    set(&mut opts.rho, &args.rho);
+    set(&mut opts.duration_ms, &args.duration_ms);
+    set(&mut opts.seed, &args.seed);
+    set(&mut opts.repetitions, &args.reps);
+    opts.validate().map(|()| opts)
+}
+
+fn fault_report(opts: &FaultSweepOptions, cells: &[FaultCell]) -> Json {
+    let params = object! {
+        "mtbf_multipliers" => opts.mtbf_multipliers.iter().map(|&m| Json::num(m, 1)).collect::<Json>(),
+        "downtime_ms" => Json::num(opts.downtime_ms, 1),
+        "freeze_fraction" => Json::num(opts.freeze_fraction, 2),
+    };
+    paired_report("cluster_faults", opts, params, None, cells, |cell| {
+        let ((multiplier, mtbf_ms), m) = (cell.level, &cell.metrics);
+        object! {
+            "mtbf_multiplier" => Json::num(multiplier, 1), "mtbf_ms" => Json::num(mtbf_ms, 3),
+            "recovery" => cell.policy, "requests" => cell.requests, "served" => cell.served,
+            "shed" => m.shed, "abandoned" => m.abandoned, "crashes" => m.crashes,
+            "freezes" => m.freezes, "recoveries" => m.recoveries,
+            "availability" => Json::num(m.availability, 6), "goodput" => Json::num(m.goodput, 6),
+            "p99_ms" => Json::num(m.p99_ms, 4), "antt" => Json::num(m.antt, 4),
+            "events" => cell.events, "wall_s" => Json::num(cell.wall_s, 4),
+            "events_per_sec" => eps(cell.events, cell.wall_s), "hash" => Json::hash(cell.hash),
+        }
+    })
+}
+
+fn faults(args: &Args) -> Result<Report, String> {
+    let opts = fault_options(args)?;
+    let (nodes, rho, seed) = (opts.nodes, opts.rho, opts.seed);
+    let trace = TraceScenarioOptions {
+        nodes,
+        rho,
+        seed,
+        ..TraceScenarioOptions::faults()
+    };
+    report(fault_report(&opts, &run_paired(&opts)), Some(trace))
+}
+
+fn migration_options(args: &Args) -> Result<MigrationSweepOptions, String> {
+    let mut opts = MigrationSweepOptions::baseline();
+    set(&mut opts.nodes, &args.nodes);
+    set(&mut opts.rho, &args.rho);
+    set(&mut opts.duration_ms, &args.duration_ms);
+    set(&mut opts.seed, &args.seed);
+    set(&mut opts.repetitions, &args.reps);
+    opts.validate().map(|()| opts)
+}
+
+fn migration_report(opts: &MigrationSweepOptions, cells: &[MigrationCell]) -> Json {
+    let params = object! {
+        "severities" => opts.severities.iter().map(|(num, den)| format!("{num}/{den}")).collect::<Json>(),
+        "degrade_mtbf_ms" => Json::num(opts.degrade_mtbf_ms, 1),
+        "degrade_window_ms" => Json::num(opts.degrade_window_ms, 1),
+        "sla_multiplier" => Json::num(opts.sla_multiplier, 1),
+    };
+    paired_report(
+        "cluster_migration",
+        opts,
+        params,
+        Some("p99_wins"),
         cells,
-        threads,
-        events,
-        serial_s,
-        serial_events_per_sec,
-        parallel_s,
-        events as f64 / parallel_s.max(f64::EPSILON),
-        speedup,
-        cache.hits,
-        cache.misses,
-        cache.entries,
-        cache.hit_rate(),
-        estimate_cache.hits,
-        estimate_cache.misses,
-        estimate_hit_rate,
-        grid_summary.antt / cell_count,
-        grid_summary.stp / cell_count,
-        grid_summary.preemptions,
-        grid_summary.kill_restarts,
-        grid_summary.quanta_skipped,
-        grid_summary.replayed_token_grants,
-        identical,
-    );
-    print!("{report}");
-    if let Err(error) = std::fs::write(&options.out, &report) {
-        eprintln!("[throughput] could not write {}: {error}", options.out);
-        return ExitCode::FAILURE;
-    }
-    eprintln!("[throughput] report written to {}", options.out);
-
-    if !identical {
-        eprintln!("[throughput] FAIL: fast path diverged from the reference outcomes");
-        return ExitCode::FAILURE;
-    }
-
-    if let Some(path) = &options.check_baseline {
-        let baseline = match std::fs::read_to_string(path) {
-            Ok(contents) => contents,
-            Err(error) => {
-                eprintln!("[throughput] FAIL: could not read baseline {path}: {error}");
-                return ExitCode::FAILURE;
+        |cell| {
+            let ((num, den), m) = (cell.level, &cell.metrics);
+            object! {
+                "speed" => format!("{num}/{den}"), "policy" => cell.policy,
+                "requests" => cell.requests, "served" => cell.served, "degrades" => m.degrades,
+                "migrations" => m.migrations, "migration_bytes" => m.migration_bytes,
+                "mean_evacuation_ms" => Json::num(m.mean_evacuation_ms, 4),
+                "degraded_fraction" => Json::num(m.degraded_fraction, 6),
+                "p99_ms" => Json::num(m.p99_ms, 4), "antt" => Json::num(m.antt, 4),
+                "events" => cell.events, "wall_s" => Json::num(cell.wall_s, 4), "hash" => Json::hash(cell.hash),
             }
+        },
+    )
+}
+
+fn migration(args: &Args) -> Result<Report, String> {
+    let opts = migration_options(args)?;
+    let (nodes, rho, seed) = (opts.nodes, opts.rho, opts.seed);
+    let trace = TraceScenarioOptions {
+        nodes,
+        rho,
+        seed,
+        ..TraceScenarioOptions::migration()
+    };
+    report(migration_report(&opts, &run_paired(&opts)), Some(trace))
+}
+
+fn partition_options(args: &Args) -> Result<PartitionSweepOptions, String> {
+    let mut opts = PartitionSweepOptions::baseline();
+    set(&mut opts.nodes, &args.nodes);
+    set(&mut opts.rho, &args.rho);
+    set(&mut opts.duration_ms, &args.duration_ms);
+    set(&mut opts.seed, &args.seed);
+    set(&mut opts.repetitions, &args.reps);
+    opts.validate().map(|()| opts)
+}
+
+fn partition_report(opts: &PartitionSweepOptions, cells: &[PartitionCell]) -> Json {
+    let fraction = |(num, den): (u32, u32)| format!("{num}/{den}");
+    let params = object! {
+        "link_mtbf_levels_ms" => opts.link_mtbf_levels_ms.iter().map(|&mtbf| Json::num(mtbf, 1)).collect::<Json>(),
+        "link_outage_ms" => Json::num(opts.link_outage_ms, 1),
+        "degraded_link_fraction" => Json::num(opts.degraded_link_fraction, 2),
+        "link_bandwidth" => fraction(opts.link_bandwidth),
+        "degrade_speed" => fraction(opts.degrade_speed),
+        "sla_multiplier" => Json::num(opts.sla_multiplier, 1),
+        "delivery_timeout_ms" => Json::num(opts.delivery_timeout_ms, 1),
+    };
+    // A lost-request-inclusive p99 is infinite once ~1 % of the stream was
+    // abandoned, which the writer turns into null.
+    paired_report(
+        "cluster_partition",
+        opts,
+        params,
+        Some("paired_wins"),
+        cells,
+        |cell| {
+            let m = &cell.metrics;
+            object! {
+                "link_mtbf_ms" => Json::num(cell.level, 1), "policy" => cell.policy,
+                "requests" => cell.requests, "served" => cell.served, "abandoned" => m.abandoned,
+                "link_faults" => m.link_faults, "migrations" => m.migrations,
+                "transfer_failures" => m.transfer_failures, "redirects" => m.redirects,
+                "goodput" => Json::num(m.goodput, 6), "p99_ms" => Json::num(m.p99_ms, 4),
+                "events" => cell.events, "wall_s" => Json::num(cell.wall_s, 4), "hash" => Json::hash(cell.hash),
+            }
+        },
+    )
+}
+
+fn partition(args: &Args) -> Result<Report, String> {
+    let opts = partition_options(args)?;
+    report(partition_report(&opts, &run_paired(&opts)), None)
+}
+
+fn trace_options(args: &Args) -> Result<TraceScenarioOptions, String> {
+    let mut opts = TraceScenarioOptions::combined();
+    set(&mut opts.nodes, &args.nodes);
+    set(&mut opts.rho, &args.rho);
+    set(&mut opts.duration_ms, &args.duration_ms);
+    set(&mut opts.seed, &args.seed);
+    opts.validate().map(|()| opts)
+}
+
+fn trace(args: &Args) -> Result<Report, String> {
+    let trace = trace_options(args)?;
+    Ok(Report {
+        json: None,
+        trace: Some(trace),
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(words: &str) -> Vec<String> {
+        words.split_whitespace().map(str::to_string).collect()
+    }
+
+    fn committed_text(name: &str) -> String {
+        let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
+        fs::read_to_string(path).expect("committed baseline")
+    }
+
+    fn committed(name: &str) -> Json {
+        json::parse(&committed_text(name)).expect("valid JSON")
+    }
+
+    /// Drops every whitespace character outside string literals.
+    fn minify(text: &str) -> String {
+        let (mut in_string, mut escaped) = (false, false);
+        let keep = |&c: &char| {
+            let keep = in_string || !c.is_whitespace();
+            if in_string {
+                in_string = escaped || c != '"';
+                escaped = !escaped && c == '\\';
+            } else {
+                in_string = c == '"';
+            }
+            keep
         };
-        let Some(baseline_eps) = baseline_number(&baseline, "serial_uncached", "events_per_sec")
-        else {
-            eprintln!("[throughput] FAIL: no serial events_per_sec found in baseline {path}");
-            return ExitCode::FAILURE;
+        text.chars().filter(keep).collect()
+    }
+
+    fn named(name: &str) -> &'static Command {
+        COMMANDS
+            .iter()
+            .find(|c| c.name == name)
+            .expect("known command")
+    }
+
+    fn failed(verdicts: &[Verdict]) -> Vec<&str> {
+        let failures = verdicts.iter().filter(|v| v.status == Status::Fail);
+        failures.map(|v| v.metric.as_str()).collect()
+    }
+
+    /// Sets the value at `path` in an object tree.
+    fn replace(doc: &mut Json, path: &[&str], value: Json) {
+        let Json::Object(fields) = doc else {
+            panic!("not an object")
         };
-        if !check_events_per_sec(serial_events_per_sec, baseline_eps, "serial") {
-            report_baseline_failure(
-                "suite",
-                &[(
-                    "serial events_per_sec".into(),
-                    format!(
-                        ">= {:.0} (baseline {baseline_eps:.0}, -{:.0}% floor)",
-                        baseline_eps * (1.0 - MAX_REGRESSION),
-                        MAX_REGRESSION * 100.0
-                    ),
-                    format!("{serial_events_per_sec:.0}"),
-                )],
-            );
-            return ExitCode::FAILURE;
+        let slot = &mut fields
+            .iter_mut()
+            .find(|(k, _)| k == path[0])
+            .expect("key")
+            .1;
+        match path {
+            [_] => *slot = value,
+            _ => replace(slot, &path[1..], value),
         }
     }
-    ExitCode::SUCCESS
+
+    /// The CLI contract the workflows and the README invoke: each
+    /// sub-command accepts exactly these flags, defaulting to its sweep's
+    /// `baseline()`.
+    #[test]
+    fn every_command_accepts_exactly_its_flags() {
+        let serving = "--nodes --rho --duration-ms --seed --reps --out --check-baseline";
+        let contract = [
+            ("", "--runs --seed --out --check-baseline".to_string()),
+            (
+                "cluster",
+                "--nodes --duration-ms --seed --out --check-baseline --trace-out".into(),
+            ),
+            ("cluster-scale", format!("{serving} --heap-only")),
+            ("cluster-faults", format!("{serving} --trace-out")),
+            ("cluster-migration", format!("{serving} --trace-out")),
+            ("cluster-partition", serving.into()),
+            ("trace", "--nodes --rho --duration-ms --seed --out".into()),
+        ];
+        assert_eq!(contract.len(), COMMANDS.len());
+        let every = "--runs --seed --nodes --heap-only --rho --duration-ms --reps --out \
+                     --check-baseline --trace-out";
+        for (name, accepted) in &contract {
+            for flag in every.split(' ') {
+                let value = match flag {
+                    "--heap-only" => "",
+                    "--out" | "--check-baseline" | "--trace-out" => "x.json",
+                    _ => "4",
+                };
+                let parsed = parse(&argv(&format!("{name} {flag} {value}")));
+                let ok = accepted.split(' ').any(|a| a == flag);
+                assert_eq!(parsed.is_ok(), ok, "{name} {flag}");
+                assert!(parsed.map_or(true, |(command, _)| command.name == *name));
+            }
+        }
+        fn same<T: std::fmt::Debug>(resolved: Result<T, String>, baseline: T) {
+            assert_eq!(format!("{:?}", resolved.unwrap()), format!("{baseline:?}"));
+        }
+        let none = Args::default();
+        same(suite_options(&none), SuiteOptions::paper());
+        same(cluster_options(&none), ClusterSweepOptions::baseline());
+        same(scale_options(&none), ScaleSweepOptions::baseline());
+        same(fault_options(&none), FaultSweepOptions::baseline());
+        same(migration_options(&none), MigrationSweepOptions::baseline());
+        same(partition_options(&none), PartitionSweepOptions::baseline());
+        same(trace_options(&none), TraceScenarioOptions::combined());
+        // Flags land on their fields.
+        let (_, args) = parse(&argv("cluster-scale --nodes 4,16 --heap-only --reps 2")).unwrap();
+        let opts = scale_options(&args).unwrap();
+        assert_eq!(
+            (opts.node_counts, opts.reference_cap, opts.repetitions),
+            (vec![4, 16], 0, 2)
+        );
+        let words = "cluster-faults --nodes 8 --rho 0.5 --duration-ms 50 --seed 9 --reps 2";
+        let opts = fault_options(&parse(&argv(words)).unwrap().1).unwrap();
+        assert_eq!(
+            (opts.nodes, opts.rho, opts.duration_ms, opts.seed),
+            (8, 0.5, 50.0, 9)
+        );
+    }
+
+    /// Every invocation the README and the CI workflows spell out parses.
+    #[test]
+    fn documented_invocations_parse() {
+        let mut invocations = 0;
+        for doc in [
+            "README.md",
+            ".github/workflows/ci.yml",
+            ".github/workflows/nightly.yml",
+        ] {
+            for line in committed_text(doc).lines() {
+                let Some((_, rest)) = line.split_once("target/release/throughput") else {
+                    continue;
+                };
+                let words = rest.split(['#', '`']).next().unwrap_or_default();
+                if !words.contains("--help") {
+                    assert!(parse(&argv(words)).is_ok(), "{doc}: {line}");
+                    invocations += 1;
+                }
+            }
+        }
+        assert!(invocations >= 30, "found only {invocations} invocations");
+    }
+
+    /// Unknown or malformed flags, and values a sweep's own `validate()`
+    /// refuses, fail before any sweep runs — `main` turns that into a
+    /// non-zero exit.
+    #[test]
+    fn rejected_invocations_exit_nonzero() {
+        for words in [
+            "--bogus",
+            "--help",
+            "--runs 0",
+            "--runs many",
+            "--nodes 4",
+            "cluster --rho 0.5",
+            "cluster --nodes",
+            "cluster --nodes 4,16",
+            "cluster --nodes 0",
+            "cluster-scale --nodes 0",
+            "cluster-scale --rho -1",
+            "cluster-scale --reps 0",
+            "cluster-faults --nodes 0",
+            "cluster-faults --rho -1",
+            "cluster-faults --reps 0",
+            "cluster-migration --nodes 0",
+            "cluster-migration --reps 0",
+            "cluster-partition --rho -1",
+            "cluster-partition --trace-out x.json",
+            "trace --nodes 0",
+            "trace --reps 2",
+        ] {
+            assert!(drive(&argv(words)).is_err(), "{words}");
+        }
+    }
+
+    /// Every committed baseline gates the same way minified as laid out:
+    /// the reader sees values, not text positions.
+    #[test]
+    fn minified_baselines_give_the_same_verdicts() {
+        for command in COMMANDS.iter().filter(|c| c.out.starts_with("BENCH_")) {
+            let doc = committed(command.out);
+            let minified = json::parse(&minify(&committed_text(command.out))).unwrap();
+            let verdicts = check(command.gates, &doc, Some(&doc));
+            assert!(!verdicts.is_empty());
+            assert!(
+                verdicts.iter().all(|v| v.status == Status::Pass),
+                "{verdicts:?}"
+            );
+            assert_eq!(check(command.gates, &doc, Some(&minified)), verdicts);
+            assert_eq!(check(command.gates, &minified, Some(&doc)), verdicts);
+        }
+        // The scale baseline gates each of its node counts on its own row.
+        let scale = committed("BENCH_cluster_scale.json");
+        let verdicts = check(named("cluster-scale").gates, &scale, Some(&scale));
+        assert_eq!(
+            verdicts
+                .iter()
+                .filter(|v| v.metric.contains("@ nodes"))
+                .count(),
+            5
+        );
+    }
+
+    #[test]
+    fn a_doctored_sweep_hash_trips_the_hash_gate() {
+        let baseline = committed("BENCH_cluster_faults.json");
+        let mut measured = baseline.clone();
+        replace(&mut measured, &["sweep_hash"], Json::hash(0xdead_beef));
+        let gates = named("cluster-faults").gates;
+        assert_eq!(
+            failed(&check(gates, &measured, Some(&baseline))),
+            ["sweep_hash"]
+        );
+        // A node grid other than the baseline's skips the extended hash.
+        let baseline = committed("BENCH_cluster_scale.json");
+        let mut measured = baseline.clone();
+        replace(
+            &mut measured,
+            &["node_counts"],
+            [4usize].into_iter().collect(),
+        );
+        replace(&mut measured, &["extended_sweep_hash"], Json::hash(1));
+        let verdicts = check(named("cluster-scale").gates, &measured, Some(&baseline));
+        assert!(failed(&verdicts).is_empty());
+        assert_eq!(verdicts[1].status, Status::Skip);
+    }
+
+    #[test]
+    fn a_rate_below_its_floor_trips_the_floor_gate() {
+        let baseline = committed("BENCH_sim_suite.json");
+        let path = ["serial_uncached", "events_per_sec"];
+        let rate = baseline.at(&path).and_then(Json::as_f64).unwrap();
+        let mut measured = baseline.clone();
+        let gates = named("").gates;
+        replace(&mut measured, &path, Json::num(rate * 0.81, 0));
+        assert!(failed(&check(gates, &measured, Some(&baseline))).is_empty());
+        replace(&mut measured, &path, Json::num(rate * 0.79, 0));
+        assert_eq!(
+            failed(&check(gates, &measured, Some(&baseline))),
+            [path.join(".")]
+        );
+    }
+
+    #[test]
+    fn fewer_than_two_paired_wins_trips_the_wins_gate() {
+        let metrics = |p99_ms| prema_bench::migration::MigrationMetrics {
+            degrades: 1,
+            migrations: 1,
+            migration_bytes: 64,
+            mean_evacuation_ms: 0.1,
+            degraded_fraction: 0.1,
+            p99_ms,
+            antt: 1.0,
+        };
+        // Migration wins at 1/2 only.
+        let p99s = [
+            ((1, 2), 10.0, 20.0),
+            ((1, 4), 30.0, 20.0),
+            ((1, 8), 20.0, 20.0),
+        ];
+        let cells: Vec<MigrationCell> = p99s
+            .into_iter()
+            .flat_map(|(level, migrate, stay)| {
+                [("migrate", migrate), ("stay", stay)].map(|(policy, p99)| {
+                    let (requests, served, events, wall_s, hash) = (10, 10, 100, 0.001, 7);
+                    PairedCell {
+                        level,
+                        policy,
+                        requests,
+                        served,
+                        events,
+                        wall_s,
+                        hash,
+                        metrics: metrics(p99),
+                    }
+                })
+            })
+            .collect();
+        let measured = migration_report(&MigrationSweepOptions::baseline(), &cells);
+        assert_eq!(measured.get("p99_wins"), Some(&Json::from(1usize)));
+        let gates = named("cluster-migration").gates;
+        assert_eq!(
+            failed(&check(gates, &measured, Some(&measured))),
+            ["p99_wins"]
+        );
+        // Without --check-baseline the wins gate does not run.
+        assert!(check(gates, &measured, None).is_empty());
+    }
+
+    #[test]
+    fn diverged_outcomes_trip_the_identity_gate_even_without_a_baseline() {
+        let mut measured = committed("BENCH_sim_suite.json");
+        replace(&mut measured, &["outcomes_identical"], false.into());
+        let verdicts = check(named("").gates, &measured, None);
+        assert_eq!(failed(&verdicts), ["outcomes_identical"]);
+        assert!(announce("suite", &verdicts).is_err());
+    }
 }

@@ -14,8 +14,6 @@
 //! cluster` baseline gate hashes the cells to detect any behavioural
 //! divergence).
 
-use std::time::Instant;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -27,10 +25,11 @@ use prema_cluster::{
 };
 use prema_core::plan::ExecutionPlan;
 use prema_core::SchedulerConfig;
+use prema_predictor::AnalyticalPredictor;
 use prema_workload::arrivals::{generate_open_loop, OpenLoopConfig};
-use prema_workload::prepare::prepare_workload;
+use prema_workload::prepare::{prepare_workload, PreparedWorkload};
 
-use crate::suite::{build_predictor, run_seed};
+use crate::suite::{build_predictor, run_seed, timed};
 
 /// The p99 turnaround target (milliseconds) the sweep's `sla-admit` variant
 /// sheds against: between the committed baseline's p95 and p99 at high
@@ -232,6 +231,52 @@ pub fn offered_rate_per_ms(rho: f64, nodes: usize, service_ms: f64) -> f64 {
     rho * nodes as f64 / service_ms
 }
 
+/// The seeded open-loop request streams every serving sweep draws from:
+/// the sweep's predictor, and the mean service time of the Poisson mix
+/// that calibrates offered load and load-relative fault and SLA scales.
+#[derive(Debug)]
+pub(crate) struct Streams {
+    npu: NpuConfig,
+    seed: u64,
+    duration_ms: f64,
+    predictor: AnalyticalPredictor,
+    /// Mean isolated service time of the stream mix, milliseconds (see
+    /// [`mean_service_ms`]).
+    pub(crate) service_ms: f64,
+}
+
+impl Streams {
+    /// The set-up for `duration_ms` windows on `npu`, seeded by `seed`.
+    pub(crate) fn new(npu: &NpuConfig, seed: u64, duration_ms: f64) -> Self {
+        let predictor = build_predictor(npu, seed);
+        let template = OpenLoopConfig::poisson(1.0, duration_ms);
+        let service_ms = mean_service_ms(&template.models, &template.batch_sizes, npu);
+        Streams {
+            npu: npu.clone(),
+            seed,
+            duration_ms,
+            predictor,
+            service_ms,
+        }
+    }
+
+    /// The arrival rate that offers load `rho` to `nodes` servers.
+    pub(crate) fn rate(&self, rho: f64, nodes: usize) -> f64 {
+        offered_rate_per_ms(rho, nodes, self.service_ms)
+    }
+
+    /// Draws level `level`'s Poisson stream at `rate` from the level's own
+    /// [`run_seed`] generator and prepares it. The generator comes back
+    /// positioned after the arrivals, so a level's fault plan draws from
+    /// the same stream.
+    pub(crate) fn level(&self, rate: f64, level: usize) -> (PreparedWorkload, StdRng) {
+        let mut rng = StdRng::seed_from_u64(run_seed(self.seed, level));
+        let spec = generate_open_loop(&OpenLoopConfig::poisson(rate, self.duration_ms), &mut rng);
+        let prepared = prepare_workload(&spec, &self.npu, Some(&self.predictor));
+        (prepared, rng)
+    }
+}
+
 /// Which dispatch path a sweep cell ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DispatchMode {
@@ -252,7 +297,7 @@ impl DispatchMode {
 }
 
 /// One cell of the sweep: a (load, mode, policy) triple.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterCell {
     /// Offered load (fraction of cluster capacity).
     pub load: f64,
@@ -294,17 +339,12 @@ pub fn run_cluster_sweep(opts: &ClusterSweepOptions) -> Vec<ClusterCell> {
     if let Err(msg) = opts.validate() {
         panic!("invalid ClusterSweepOptions: {msg}");
     }
-    let predictor = build_predictor(&opts.npu, opts.seed);
-    let template = OpenLoopConfig::poisson(1.0, opts.duration_ms);
-    let service_ms = mean_service_ms(&template.models, &template.batch_sizes, &opts.npu);
-
+    let streams = Streams::new(&opts.npu, opts.seed, opts.duration_ms);
     let mut cells = Vec::with_capacity(opts.loads.len() * opts.policies_per_level());
     for (level, &load) in opts.loads.iter().enumerate() {
-        let rate = offered_rate_per_ms(load, opts.nodes, service_ms);
-        let config = OpenLoopConfig::poisson(rate, opts.duration_ms);
-        let mut rng = StdRng::seed_from_u64(run_seed(opts.seed, level));
-        let spec = generate_open_loop(&config, &mut rng);
-        let prepared = prepare_workload(&spec, &opts.npu, Some(&predictor));
+        let rate = streams.rate(load, opts.nodes);
+        let (prepared, _) = streams.level(rate, level);
+        let requests = prepared.tasks.len();
         for &policy in &opts.policies {
             let cluster = ClusterSimulator::new(ClusterConfig {
                 nodes: opts.nodes,
@@ -316,15 +356,13 @@ pub fn run_cluster_sweep(opts: &ClusterSweepOptions) -> Vec<ClusterCell> {
                 dispatch_seed: run_seed(opts.seed, 0x1000 + level),
                 parallel: opts.parallel,
             });
-            let start = Instant::now();
-            let outcome = cluster.run(&prepared.tasks);
-            let wall_s = start.elapsed().as_secs_f64();
+            let (outcome, wall_s) = timed(1, || cluster.run(&prepared.tasks));
             cells.push(ClusterCell {
                 load,
                 rate_per_ms: rate,
                 mode: DispatchMode::Open,
                 policy: policy.label(),
-                requests: spec.len(),
+                requests,
                 served: outcome.task_count(),
                 shed: 0,
                 steals: 0,
@@ -340,15 +378,13 @@ pub fn run_cluster_sweep(opts: &ClusterSweepOptions) -> Vec<ClusterCell> {
                 opts.scheduler.clone(),
                 opts.npu.clone(),
             ));
-            let start = Instant::now();
-            let outcome = online.run(&prepared.tasks);
-            let wall_s = start.elapsed().as_secs_f64();
+            let (outcome, wall_s) = timed(1, || online.run(&prepared.tasks));
             cells.push(ClusterCell {
                 load,
                 rate_per_ms: rate,
                 mode: DispatchMode::Closed,
                 policy: variant.label(),
-                requests: spec.len(),
+                requests,
                 served: outcome.served(),
                 shed: outcome.shed.len(),
                 steals: outcome.steals,

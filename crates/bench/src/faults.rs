@@ -3,18 +3,13 @@
 //!
 //! This sweep answers the fault-injection question the serving benches
 //! leave open: *what does PREMA's checkpointing actually buy when nodes
-//! fail?* For each MTBF level (expressed as a multiple of the mean service
-//! time, so the fault pressure is load-relative) it generates one seeded
-//! open-loop request stream and one seeded crash/freeze schedule, then
-//! serves the identical driving twice — once with
-//! [`RecoveryConfig::checkpointed`] (salvaged tasks resume from their last
-//! commit point, paying the restore DMA) and once with
+//! fail?* Each level is an MTBF, expressed as a multiple of the mean
+//! service time so the fault pressure is load-relative, and draws one
+//! crash/freeze schedule. The two arms of the [`PairedSweep`] answer it
+//! with [`RecoveryConfig::checkpointed`] (salvaged tasks resume from their
+//! last commit point, paying the restore DMA) and
 //! [`RecoveryConfig::restart_from_zero`] (identical retry/backoff policy,
-//! all progress discarded). Both cells run through **both** closed-loop
-//! drivers and are asserted bit-identical, every cell asserts exactly-once
-//! conservation (served + shed + abandoned == generated), and the per-cell
-//! digests fold into the sweep hash the `throughput cluster-faults
-//! --check-baseline` gate compares.
+//! all progress discarded).
 //!
 //! The headline row is MTBF ≈ 10× the mean service time: frequent enough
 //! that most crashes land on started work, rare enough that the cluster
@@ -22,23 +17,14 @@
 //! beat restart-from-zero's (the committed `BENCH_cluster_faults.json`
 //! records the margin).
 
-use std::time::Instant;
-
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use npu_sim::NpuConfig;
-use prema_cluster::{
-    online_outcome_hash, ClusterFaultPlan, ClusterMetrics, OnlineClusterConfig,
-    OnlineClusterSimulator, OnlineDispatchPolicy, OnlineOutcome, RecoveryConfig,
-};
+use prema_cluster::{ClusterMetrics, OnlineOutcome, RecoveryConfig};
 use prema_core::SchedulerConfig;
-use prema_workload::arrivals::{generate_open_loop, OpenLoopConfig};
-use prema_workload::prepare::prepare_workload;
-use prema_workload::FaultProcess;
+use prema_workload::{FaultProcess, FaultSchedule};
 
-use crate::cluster::{mean_service_ms, offered_rate_per_ms};
-use crate::suite::{build_predictor, run_seed};
+use crate::paired::{Arm, Base, PairedCell, PairedSweep};
 
 /// Options controlling a cluster fault-tolerance sweep.
 #[derive(Debug, Clone)]
@@ -95,59 +81,11 @@ impl FaultSweepOptions {
             ..FaultSweepOptions::baseline()
         }
     }
-
-    /// Validates the options.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first problem found.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.nodes == 0 {
-            return Err("at least one node is required".into());
-        }
-        if !self.rho.is_finite() || self.rho <= 0.0 {
-            return Err("rho must be positive and finite".into());
-        }
-        if !self.duration_ms.is_finite() || self.duration_ms <= 0.0 {
-            return Err("duration must be positive and finite".into());
-        }
-        if self.mtbf_multipliers.is_empty()
-            || self
-                .mtbf_multipliers
-                .iter()
-                .any(|m| !m.is_finite() || *m <= 0.0)
-        {
-            return Err("MTBF multipliers must be non-empty, positive and finite".into());
-        }
-        if !self.downtime_ms.is_finite() || self.downtime_ms <= 0.0 {
-            return Err("downtime must be positive and finite".into());
-        }
-        if !(0.0..=1.0).contains(&self.freeze_fraction) {
-            return Err("freeze fraction must be within [0, 1]".into());
-        }
-        if self.repetitions == 0 {
-            return Err("at least one repetition is required".into());
-        }
-        self.npu.validate()?;
-        self.scheduler.validate()?;
-        Ok(())
-    }
 }
 
-/// One cell of the fault sweep: an (MTBF level, recovery policy) pair
-/// measured under both drivers on the identical driving.
+/// The metrics of one fault-sweep cell.
 #[derive(Debug, Clone)]
-pub struct FaultCell {
-    /// The level's MTBF as a multiple of the mean service time.
-    pub mtbf_multiplier: f64,
-    /// The resulting per-node MTBF, in milliseconds.
-    pub mtbf_ms: f64,
-    /// The recovery policy label (`checkpoint` or `restart-zero`).
-    pub recovery: &'static str,
-    /// Number of requests in the stream.
-    pub requests: usize,
-    /// Requests served to completion.
-    pub served: usize,
+pub struct FaultMetrics {
     /// Requests shed by admission control (zero in this sweep — admission
     /// is off so recovery effects stay isolated).
     pub shed: usize,
@@ -167,198 +105,145 @@ pub struct FaultCell {
     pub p99_ms: f64,
     /// Average normalized turnaround time of the served work.
     pub antt: f64,
-    /// Total scheduler wakeups (identical under both drivers).
-    pub events: u64,
-    /// Best event-heap wall clock, seconds.
-    pub wall_s: f64,
-    /// The deterministic outcome digest (identical under both drivers).
-    pub hash: u64,
 }
 
-impl FaultCell {
-    /// Event-heap events per second.
-    pub fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall_s.max(f64::EPSILON)
-    }
-}
+/// One fault-sweep cell; the level is `(MTBF multiplier, MTBF in ms)`.
+pub type FaultCell = PairedCell<(f64, f64), FaultMetrics>;
 
-fn timed<F: FnMut() -> OnlineOutcome>(mut run: F, repetitions: usize) -> (OnlineOutcome, f64) {
-    let mut best = f64::INFINITY;
-    let mut outcome: Option<OnlineOutcome> = None;
-    for _ in 0..repetitions {
-        let start = Instant::now();
-        let this = run();
-        let wall = start.elapsed().as_secs_f64();
-        best = best.min(wall);
-        if let Some(previous) = &outcome {
-            assert_eq!(previous, &this, "nondeterministic faulty closed-loop run");
+impl PairedSweep for FaultSweepOptions {
+    type Level = (f64, f64);
+    type Metrics = FaultMetrics;
+
+    fn base(&self) -> Base<'_> {
+        Base {
+            nodes: self.nodes,
+            rho: self.rho,
+            seed: self.seed,
+            duration_ms: self.duration_ms,
+            scheduler: &self.scheduler,
+            npu: &self.npu,
+            repetitions: self.repetitions,
         }
-        outcome = Some(this);
     }
-    (outcome.expect("at least one repetition"), best)
-}
 
-/// Runs the fault sweep. Cells are laid out level-major, checkpoint before
-/// restart-zero; per level both policies answer the *identical* request
-/// stream and fault schedule, so the comparison is paired. Every cell's
-/// reference and event-heap outcomes are asserted bit-identical, and every
-/// cell asserts exactly-once conservation.
-///
-/// # Panics
-///
-/// Panics if the options are invalid, if the two drivers ever diverge, or
-/// if any request is lost or duplicated.
-pub fn run_fault_sweep(opts: &FaultSweepOptions) -> Vec<FaultCell> {
-    if let Err(msg) = opts.validate() {
-        panic!("invalid FaultSweepOptions: {msg}");
+    fn validate(&self) -> Result<(), String> {
+        self.base().validate()?;
+        if self.mtbf_multipliers.is_empty()
+            || self
+                .mtbf_multipliers
+                .iter()
+                .any(|m| !m.is_finite() || *m <= 0.0)
+        {
+            return Err("MTBF multipliers must be non-empty, positive and finite".into());
+        }
+        if !self.downtime_ms.is_finite() || self.downtime_ms <= 0.0 {
+            return Err("downtime must be positive and finite".into());
+        }
+        if !(0.0..=1.0).contains(&self.freeze_fraction) {
+            return Err("freeze fraction must be within [0, 1]".into());
+        }
+        Ok(())
     }
-    let predictor = build_predictor(&opts.npu, opts.seed);
-    let template = OpenLoopConfig::poisson(1.0, opts.duration_ms);
-    let service_ms = mean_service_ms(&template.models, &template.batch_sizes, &opts.npu);
-    let rate = offered_rate_per_ms(opts.rho, opts.nodes, service_ms);
 
-    let mut cells = Vec::with_capacity(opts.mtbf_multipliers.len() * 2);
-    for (level, &multiplier) in opts.mtbf_multipliers.iter().enumerate() {
-        let mtbf_ms = multiplier * service_ms;
-        let mut rng = StdRng::seed_from_u64(run_seed(opts.seed, level));
-        let spec = generate_open_loop(&OpenLoopConfig::poisson(rate, opts.duration_ms), &mut rng);
-        let prepared = prepare_workload(&spec, &opts.npu, Some(&predictor));
-        // The fault schedule draws from the same per-level stream, after
-        // the arrivals — one driving per level, answered by both policies.
-        let schedule =
-            FaultProcess::crashes(opts.nodes, mtbf_ms, opts.downtime_ms, opts.duration_ms)
-                .with_freeze_fraction(opts.freeze_fraction)
-                .generate(&mut rng);
+    fn levels(&self, service_ms: f64) -> Vec<(f64, f64)> {
+        self.mtbf_multipliers
+            .iter()
+            .map(|&multiplier| (multiplier, multiplier * service_ms))
+            .collect()
+    }
 
-        for (label, recovery) in [
+    fn arms(&self, _service_ms: f64) -> [Arm; 2] {
+        [
             ("checkpoint", RecoveryConfig::checkpointed()),
             ("restart-zero", RecoveryConfig::restart_from_zero()),
-        ] {
-            let config = OnlineClusterConfig::new(
-                opts.nodes,
-                opts.scheduler.clone(),
-                OnlineDispatchPolicy::Predictive,
-            )
-            .with_faults(ClusterFaultPlan::new(schedule.clone()).with_recovery(recovery));
-            let online = OnlineClusterSimulator::new(config);
-            let (reference, _) = timed(|| online.run_reference(&prepared.tasks), opts.repetitions);
-            let (heap, wall_s) = timed(|| online.run(&prepared.tasks), opts.repetitions);
-            assert_eq!(
-                heap, reference,
-                "event-heap loop diverged from the stepping reference at \
-                 MTBF {multiplier}x under {label} recovery"
-            );
-            let mut accounted: Vec<u64> = heap
-                .cluster
-                .merged_records()
-                .iter()
-                .map(|r| r.id.0)
-                .chain(heap.shed.iter().map(|r| r.id.0))
-                .chain(heap.abandoned.iter().map(|r| r.id.0))
-                .collect();
-            accounted.sort_unstable();
-            let mut expected: Vec<u64> = prepared.tasks.iter().map(|t| t.request.id.0).collect();
-            expected.sort_unstable();
-            assert_eq!(
-                accounted, expected,
-                "task conservation violated at MTBF {multiplier}x under {label} recovery"
-            );
-            let metrics = ClusterMetrics::from_online(&heap, &opts.npu);
-            cells.push(FaultCell {
-                mtbf_multiplier: multiplier,
-                mtbf_ms,
-                recovery: label,
-                requests: prepared.tasks.len(),
-                served: heap.served(),
-                shed: heap.shed.len(),
-                abandoned: heap.abandoned.len(),
-                crashes: heap.crashes,
-                freezes: heap.freezes,
-                recoveries: heap.recoveries,
+        ]
+        .map(|(label, recovery)| Arm {
+            label,
+            recovery,
+            migration: None,
+        })
+    }
+
+    fn plan(&self, (_, mtbf_ms): (f64, f64), rng: &mut StdRng) -> FaultSchedule {
+        FaultProcess::crashes(self.nodes, mtbf_ms, self.downtime_ms, self.duration_ms)
+            .with_freeze_fraction(self.freeze_fraction)
+            .generate(rng)
+    }
+
+    fn metrics(&self, _plan: &FaultSchedule, pair: [&OnlineOutcome; 2]) -> [FaultMetrics; 2] {
+        pair.map(|outcome| {
+            let metrics = ClusterMetrics::from_online(outcome, &self.npu);
+            FaultMetrics {
+                shed: outcome.shed.len(),
+                abandoned: outcome.abandoned.len(),
+                crashes: outcome.crashes,
+                freezes: outcome.freezes,
+                recoveries: outcome.recoveries,
                 availability: metrics.availability,
                 goodput: metrics.goodput,
                 p99_ms: metrics.p99_ms,
                 antt: metrics.antt,
-                events: heap.cluster.scheduler_invocations(),
-                wall_s,
-                hash: online_outcome_hash(&heap),
-            });
-        }
+            }
+        })
     }
-    cells
-}
 
-/// Folds every cell digest into the sweep-identity digest the
-/// `throughput cluster-faults` baseline gate compares.
-pub fn fault_sweep_hash(cells: &[FaultCell]) -> u64 {
-    prema_cluster::fold_hashes(cells.iter().map(|cell| cell.hash))
+    /// Checkpoint recovery beats restart-from-zero on p99 turnaround.
+    fn wins(checkpoint: &FaultMetrics, restart: &FaultMetrics) -> bool {
+        checkpoint.p99_ms < restart.p99_ms
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paired::{run_paired, sweep_hash};
 
     #[test]
     fn quick_fault_sweep_is_deterministic_and_actually_faults() {
         let opts = FaultSweepOptions::quick();
-        let a = run_fault_sweep(&opts);
-        let b = run_fault_sweep(&opts);
+        let a = run_paired(&opts);
+        let b = run_paired(&opts);
         assert_eq!(a.len(), opts.mtbf_multipliers.len() * 2);
-        assert_eq!(fault_sweep_hash(&a), fault_sweep_hash(&b));
+        assert_eq!(sweep_hash(&a), sweep_hash(&b));
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.hash, y.hash);
             assert_eq!(x.served, y.served);
         }
         // Both policies answered the same driving: same stream, same
         // faults, different service outcomes.
-        let checkpoint = &a[0];
-        let restart = &a[1];
-        assert_eq!(checkpoint.recovery, "checkpoint");
-        assert_eq!(restart.recovery, "restart-zero");
+        let (checkpoint, restart) = (&a[0], &a[1]);
+        assert_eq!(checkpoint.policy, "checkpoint");
+        assert_eq!(restart.policy, "restart-zero");
         assert_eq!(checkpoint.requests, restart.requests);
-        assert_eq!(checkpoint.crashes, restart.crashes);
-        assert_eq!(checkpoint.freezes, restart.freezes);
-        assert!(checkpoint.crashes > 0, "the process must crash nodes");
-        assert!(checkpoint.recoveries > 0, "crashes must trigger recovery");
-        assert!(checkpoint.availability < 1.0);
-        assert!(checkpoint.goodput > 0.0);
-        assert_eq!(checkpoint.shed, 0);
+        assert_eq!(checkpoint.metrics.crashes, restart.metrics.crashes);
+        assert_eq!(checkpoint.metrics.freezes, restart.metrics.freezes);
+        assert!(
+            checkpoint.metrics.crashes > 0,
+            "the process must crash nodes"
+        );
+        assert!(
+            checkpoint.metrics.recoveries > 0,
+            "crashes must trigger recovery"
+        );
+        assert!(checkpoint.metrics.availability < 1.0);
+        assert!(checkpoint.metrics.goodput > 0.0);
+        assert_eq!(checkpoint.metrics.shed, 0);
     }
 
     #[test]
     fn validation_rejects_bad_options() {
-        for bad in [
-            FaultSweepOptions {
-                nodes: 0,
-                ..FaultSweepOptions::quick()
-            },
-            FaultSweepOptions {
-                rho: -1.0,
-                ..FaultSweepOptions::quick()
-            },
-            FaultSweepOptions {
-                mtbf_multipliers: vec![],
-                ..FaultSweepOptions::quick()
-            },
-            FaultSweepOptions {
-                mtbf_multipliers: vec![0.0],
-                ..FaultSweepOptions::quick()
-            },
-            FaultSweepOptions {
-                downtime_ms: f64::NAN,
-                ..FaultSweepOptions::quick()
-            },
-            FaultSweepOptions {
-                freeze_fraction: 1.5,
-                ..FaultSweepOptions::quick()
-            },
-            FaultSweepOptions {
-                repetitions: 0,
-                ..FaultSweepOptions::quick()
-            },
-        ] {
-            assert!(bad.validate().is_err());
-        }
+        let rejects = |tweak: fn(&mut FaultSweepOptions)| {
+            let mut opts = FaultSweepOptions::quick();
+            tweak(&mut opts);
+            opts.validate().is_err()
+        };
+        assert!(rejects(|o| o.nodes = 0));
+        assert!(rejects(|o| o.rho = -1.0));
+        assert!(rejects(|o| o.mtbf_multipliers = vec![]));
+        assert!(rejects(|o| o.mtbf_multipliers = vec![0.0]));
+        assert!(rejects(|o| o.downtime_ms = f64::NAN));
+        assert!(rejects(|o| o.freeze_fraction = 1.5));
+        assert!(rejects(|o| o.repetitions = 0));
         assert!(FaultSweepOptions::baseline().validate().is_ok());
     }
 }

@@ -3,9 +3,15 @@
 //! Every table and figure of the paper's evaluation has a module here that
 //! regenerates it: a workload generator, the scheduler configurations under
 //! comparison, and a reporting function that prints the same rows/series the
-//! paper plots. The `experiments` binary dispatches to these modules; the
-//! Criterion benches under `benches/` wrap the same entry points so that
-//! `cargo bench` exercises every experiment.
+//! paper plots. The `experiments` binary dispatches to these modules.
+//!
+//! The `throughput` binary is the bench driver: one table-driven CLI over
+//! the suite and the cluster sweeps, one report writer and one
+//! `--check-baseline` whose gates are data. It builds every report with
+//! [`json`] and reads every committed baseline back with [`json::parse`].
+//! The fault, migration and partition sweeps share one paired A/B driver,
+//! [`paired::run_paired`]: each supplies only its levels, its fault plan,
+//! its arm pair, its cell metrics and its wins rule.
 //!
 //! | Module | Paper content |
 //! |---|---|
@@ -22,9 +28,12 @@
 //! | [`sensitivity`] | Section VI-E — quantum / token / batch sensitivity |
 //! | [`cluster`] | Beyond the paper: multi-NPU cluster serving load sweep |
 //! | [`scale`] | Beyond the paper: closed-loop co-simulation scaling sweep |
+//! | [`paired`] | Beyond the paper: the paired A/B driver behind the three sweeps below |
 //! | [`faults`] | Beyond the paper: checkpoint recovery vs restart-from-zero under node faults |
 //! | [`migration`] | Beyond the paper: deadline-triggered checkpoint migration vs riding out stragglers |
 //! | [`partition`] | Beyond the paper: redirect-with-backoff custody vs abandon-on-failure under link faults |
+//! | [`trace`] | Perfetto trace export of one traced closed-loop scenario |
+//! | [`json`] | The JSON value type, writer and parser behind every report and baseline |
 
 pub mod cluster;
 pub mod faults;
@@ -35,8 +44,10 @@ pub mod fig09;
 pub mod fig10;
 pub mod fig11_15;
 pub mod fig14;
+pub mod json;
 pub mod migration;
 pub mod overhead;
+pub mod paired;
 pub mod partition;
 pub mod prediction;
 pub mod scale;

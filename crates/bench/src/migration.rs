@@ -1,40 +1,26 @@
 //! The straggler-mitigation benchmark: deadline-triggered checkpoint
 //! migration vs riding out degraded nodes.
 //!
-//! This sweep answers the question PR 7's machinery exists for: *when nodes
-//! merely slow down instead of dying, does evacuating their started work
-//! over a priced interconnect beat staying put?* For each degrade severity
-//! (the straggler's fractional clock speed) it generates one seeded
-//! open-loop request stream and one seeded degrade-only fault schedule,
-//! then serves the identical driving twice — once with
-//! [`MigrationConfig`]-governed migration and once with migration off.
-//! Both cells run through **both** closed-loop drivers and are asserted
-//! bit-identical, every cell asserts exactly-once conservation and the
-//! interconnect byte accounting, and the per-cell digests fold into the
-//! sweep hash the `throughput cluster-migration --check-baseline` gate
-//! compares.
+//! This sweep answers the question the migration machinery exists for:
+//! *when nodes merely slow down instead of dying, does evacuating their
+//! started work over a priced interconnect beat staying put?* Each level is
+//! a degrade severity (the straggler's fractional clock speed) and draws
+//! one degrade-only fault schedule. The two arms of the [`PairedSweep`]
+//! serve it with [`MigrationConfig`]-governed migration and with migration
+//! off.
 //!
 //! The headline comparison is p99 turnaround per severity: migration must
 //! beat migration-off wherever the stragglers bite (the committed
 //! `BENCH_cluster_migration.json` records the margins).
 
-use std::time::Instant;
-
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use npu_sim::NpuConfig;
-use prema_cluster::{
-    online_outcome_hash, ClusterFaultPlan, ClusterMetrics, MigrationConfig, OnlineClusterConfig,
-    OnlineClusterSimulator, OnlineDispatchPolicy, OnlineOutcome,
-};
+use prema_cluster::{ClusterMetrics, MigrationConfig, OnlineOutcome, RecoveryConfig};
 use prema_core::SchedulerConfig;
-use prema_workload::arrivals::{generate_open_loop, OpenLoopConfig};
-use prema_workload::prepare::prepare_workload;
-use prema_workload::FaultProcess;
+use prema_workload::{FaultProcess, FaultSchedule};
 
-use crate::cluster::{mean_service_ms, offered_rate_per_ms};
-use crate::suite::{build_predictor, run_seed};
+use crate::paired::{Arm, Base, PairedCell, PairedSweep};
 
 /// Options controlling a straggler-migration sweep.
 #[derive(Debug, Clone)]
@@ -107,22 +93,51 @@ impl MigrationSweepOptions {
             ..MigrationSweepOptions::baseline()
         }
     }
+}
 
-    /// Validates the options.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first problem found.
-    pub fn validate(&self) -> Result<(), String> {
+/// The metrics of one migration-sweep cell.
+#[derive(Debug, Clone)]
+pub struct MigrationMetrics {
+    /// Degrade windows injected.
+    pub degrades: u64,
+    /// Checkpoint evacuations performed (zero in `stay` cells).
+    pub migrations: u64,
+    /// Checkpoint context shipped over the interconnect, in bytes.
+    pub migration_bytes: u64,
+    /// Mean evacuation latency (decision until delivery), milliseconds.
+    pub mean_evacuation_ms: f64,
+    /// Fraction of node-time spent inside a degrade window.
+    pub degraded_fraction: f64,
+    /// 99th-percentile turnaround of the served work, milliseconds.
+    pub p99_ms: f64,
+    /// Average normalized turnaround time of the served work.
+    pub antt: f64,
+}
+
+/// One migration-sweep cell; the level is the straggler clock `(num, den)`.
+pub type MigrationCell = PairedCell<(u32, u32), MigrationMetrics>;
+
+impl PairedSweep for MigrationSweepOptions {
+    type Level = (u32, u32);
+    type Metrics = MigrationMetrics;
+
+    fn base(&self) -> Base<'_> {
+        Base {
+            nodes: self.nodes,
+            rho: self.rho,
+            seed: self.seed,
+            duration_ms: self.duration_ms,
+            scheduler: &self.scheduler,
+            npu: &self.npu,
+            repetitions: self.repetitions,
+        }
+    }
+
+    fn validate(&self) -> Result<(), String> {
         if self.nodes < 2 {
             return Err("migration needs at least two nodes".into());
         }
-        if !self.rho.is_finite() || self.rho <= 0.0 {
-            return Err("rho must be positive and finite".into());
-        }
-        if !self.duration_ms.is_finite() || self.duration_ms <= 0.0 {
-            return Err("duration must be positive and finite".into());
-        }
+        self.base().validate()?;
         if self.degraded_nodes == 0 || self.degraded_nodes >= self.nodes {
             return Err(
                 "the straggler set must be non-empty and leave at least one healthy node".into(),
@@ -147,247 +162,114 @@ impl MigrationSweepOptions {
         if !self.sla_multiplier.is_finite() || self.sla_multiplier <= 0.0 {
             return Err("SLA multiplier must be positive and finite".into());
         }
-        if self.repetitions == 0 {
-            return Err("at least one repetition is required".into());
-        }
-        self.npu.validate()?;
-        self.scheduler.validate()?;
         Ok(())
     }
-}
 
-/// One cell of the migration sweep: a (severity, policy) pair measured
-/// under both drivers on the identical driving.
-#[derive(Debug, Clone)]
-pub struct MigrationCell {
-    /// The straggler clock numerator.
-    pub speed_num: u32,
-    /// The straggler clock denominator.
-    pub speed_den: u32,
-    /// The policy label (`migrate` or `stay`).
-    pub policy: &'static str,
-    /// Number of requests in the stream.
-    pub requests: usize,
-    /// Requests served to completion.
-    pub served: usize,
-    /// Degrade windows injected.
-    pub degrades: u64,
-    /// Checkpoint evacuations performed (zero in `stay` cells).
-    pub migrations: u64,
-    /// Checkpoint context shipped over the interconnect, in bytes.
-    pub migration_bytes: u64,
-    /// Mean evacuation latency (decision until delivery), milliseconds.
-    pub mean_evacuation_ms: f64,
-    /// Fraction of node-time spent inside a degrade window.
-    pub degraded_fraction: f64,
-    /// 99th-percentile turnaround of the served work, milliseconds.
-    pub p99_ms: f64,
-    /// Average normalized turnaround time of the served work.
-    pub antt: f64,
-    /// Total scheduler wakeups (identical under both drivers).
-    pub events: u64,
-    /// Best event-heap wall clock, seconds.
-    pub wall_s: f64,
-    /// The deterministic outcome digest (identical under both drivers).
-    pub hash: u64,
-}
-
-fn timed<F: FnMut() -> OnlineOutcome>(mut run: F, repetitions: usize) -> (OnlineOutcome, f64) {
-    let mut best = f64::INFINITY;
-    let mut outcome: Option<OnlineOutcome> = None;
-    for _ in 0..repetitions {
-        let start = Instant::now();
-        let this = run();
-        let wall = start.elapsed().as_secs_f64();
-        best = best.min(wall);
-        if let Some(previous) = &outcome {
-            assert_eq!(previous, &this, "nondeterministic degraded closed-loop run");
-        }
-        outcome = Some(this);
+    fn levels(&self, _service_ms: f64) -> Vec<(u32, u32)> {
+        self.severities.clone()
     }
-    (outcome.expect("at least one repetition"), best)
-}
 
-/// Runs the migration sweep. Cells are laid out severity-major, migrate
-/// before stay; per severity both policies answer the *identical* request
-/// stream and degrade schedule, so the comparison is paired. Every cell's
-/// reference and event-heap outcomes are asserted bit-identical, and every
-/// cell asserts exactly-once conservation and interconnect byte accounting.
-///
-/// # Panics
-///
-/// Panics if the options are invalid, if the two drivers ever diverge, or
-/// if any request is lost or duplicated.
-pub fn run_migration_sweep(opts: &MigrationSweepOptions) -> Vec<MigrationCell> {
-    if let Err(msg) = opts.validate() {
-        panic!("invalid MigrationSweepOptions: {msg}");
+    fn arms(&self, service_ms: f64) -> [Arm; 2] {
+        [
+            (
+                "migrate",
+                Some(MigrationConfig::new(self.sla_multiplier * service_ms)),
+            ),
+            ("stay", None),
+        ]
+        .map(|(label, migration)| Arm {
+            label,
+            recovery: RecoveryConfig::checkpointed(),
+            migration,
+        })
     }
-    let predictor = build_predictor(&opts.npu, opts.seed);
-    let template = OpenLoopConfig::poisson(1.0, opts.duration_ms);
-    let service_ms = mean_service_ms(&template.models, &template.batch_sizes, &opts.npu);
-    let rate = offered_rate_per_ms(opts.rho, opts.nodes, service_ms);
-    let sla_ms = opts.sla_multiplier * service_ms;
 
-    let mut cells = Vec::with_capacity(opts.severities.len() * 2);
-    for (level, &(num, den)) in opts.severities.iter().enumerate() {
-        let mut rng = StdRng::seed_from_u64(run_seed(opts.seed, level));
-        let spec = generate_open_loop(&OpenLoopConfig::poisson(rate, opts.duration_ms), &mut rng);
-        let prepared = prepare_workload(&spec, &opts.npu, Some(&predictor));
-        // The degrade schedule draws from the same per-severity stream,
-        // after the arrivals — one driving per severity, answered by both
-        // policies. degrade_fraction 1.0 makes every sampled window a
-        // straggler window at the swept speed.
-        let schedule = FaultProcess::crashes(
-            opts.degraded_nodes,
-            opts.degrade_mtbf_ms,
-            opts.degrade_window_ms,
-            opts.duration_ms,
+    /// degrade_fraction 1.0 makes every sampled window a straggler window
+    /// at the level's speed.
+    fn plan(&self, (num, den): (u32, u32), rng: &mut StdRng) -> FaultSchedule {
+        FaultProcess::crashes(
+            self.degraded_nodes,
+            self.degrade_mtbf_ms,
+            self.degrade_window_ms,
+            self.duration_ms,
         )
         .with_degradation(1.0, num, den)
-        .generate(&mut rng);
+        .generate(rng)
+    }
 
-        for (label, migration) in [
-            ("migrate", Some(MigrationConfig::new(sla_ms))),
-            ("stay", None),
-        ] {
-            let mut config = OnlineClusterConfig::new(
-                opts.nodes,
-                opts.scheduler.clone(),
-                OnlineDispatchPolicy::Predictive,
-            )
-            .with_faults(ClusterFaultPlan::new(schedule.clone()));
-            if let Some(migration) = migration {
-                config = config.with_migration(migration);
-            }
-            let online = OnlineClusterSimulator::new(config);
-            let (reference, _) = timed(|| online.run_reference(&prepared.tasks), opts.repetitions);
-            let (heap, wall_s) = timed(|| online.run(&prepared.tasks), opts.repetitions);
-            assert_eq!(
-                heap, reference,
-                "event-heap loop diverged from the stepping reference at \
-                 severity {num}/{den} under {label}"
-            );
-            let mut accounted: Vec<u64> = heap
-                .cluster
-                .merged_records()
-                .iter()
-                .map(|r| r.id.0)
-                .chain(heap.shed.iter().map(|r| r.id.0))
-                .chain(heap.abandoned.iter().map(|r| r.id.0))
-                .collect();
-            accounted.sort_unstable();
-            let mut expected: Vec<u64> = prepared.tasks.iter().map(|t| t.request.id.0).collect();
-            expected.sort_unstable();
-            assert_eq!(
-                accounted, expected,
-                "task conservation violated at severity {num}/{den} under {label}"
-            );
-            assert_eq!(
-                heap.migration_bytes,
-                heap.migration_log.iter().map(|r| r.bytes).sum::<u64>(),
-                "interconnect byte accounting diverged at severity {num}/{den} under {label}"
-            );
-            let metrics = ClusterMetrics::from_online(&heap, &opts.npu);
-            cells.push(MigrationCell {
-                speed_num: num,
-                speed_den: den,
-                policy: label,
-                requests: prepared.tasks.len(),
-                served: heap.served(),
-                degrades: heap.degrades,
-                migrations: heap.migrations,
-                migration_bytes: heap.migration_bytes,
+    fn metrics(&self, _plan: &FaultSchedule, pair: [&OnlineOutcome; 2]) -> [MigrationMetrics; 2] {
+        pair.map(|outcome| {
+            let metrics = ClusterMetrics::from_online(outcome, &self.npu);
+            MigrationMetrics {
+                degrades: outcome.degrades,
+                migrations: outcome.migrations,
+                migration_bytes: outcome.migration_bytes,
                 mean_evacuation_ms: metrics.mean_evacuation_ms,
                 degraded_fraction: metrics.degraded_fraction,
                 p99_ms: metrics.p99_ms,
                 antt: metrics.antt,
-                events: heap.cluster.scheduler_invocations(),
-                wall_s,
-                hash: online_outcome_hash(&heap),
-            });
-        }
+            }
+        })
     }
-    cells
-}
 
-/// Folds every cell digest into the sweep-identity digest the
-/// `throughput cluster-migration` baseline gate compares.
-pub fn migration_sweep_hash(cells: &[MigrationCell]) -> u64 {
-    prema_cluster::fold_hashes(cells.iter().map(|cell| cell.hash))
+    /// Migration beats staying put on p99 turnaround.
+    fn wins(migrate: &MigrationMetrics, stay: &MigrationMetrics) -> bool {
+        migrate.p99_ms < stay.p99_ms
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paired::{run_paired, sweep_hash};
 
     #[test]
     fn quick_migration_sweep_is_deterministic_and_actually_migrates() {
         let opts = MigrationSweepOptions::quick();
-        let a = run_migration_sweep(&opts);
-        let b = run_migration_sweep(&opts);
+        let a = run_paired(&opts);
+        let b = run_paired(&opts);
         assert_eq!(a.len(), opts.severities.len() * 2);
-        assert_eq!(migration_sweep_hash(&a), migration_sweep_hash(&b));
+        assert_eq!(sweep_hash(&a), sweep_hash(&b));
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.hash, y.hash);
             assert_eq!(x.served, y.served);
         }
         // Both policies answered the same driving: same stream, same
         // degrade windows, different service outcomes.
-        let migrate = &a[0];
-        let stay = &a[1];
+        let (migrate, stay) = (&a[0], &a[1]);
         assert_eq!(migrate.policy, "migrate");
         assert_eq!(stay.policy, "stay");
         assert_eq!(migrate.requests, stay.requests);
-        assert_eq!(migrate.degrades, stay.degrades);
-        assert!(migrate.degrades > 0, "the process must degrade nodes");
-        assert!(migrate.migrations > 0, "stragglers must trigger evacuation");
-        assert_eq!(stay.migrations, 0);
-        assert!(migrate.degraded_fraction > 0.0);
-        assert!(migrate.mean_evacuation_ms > 0.0);
+        assert_eq!(migrate.metrics.degrades, stay.metrics.degrades);
+        assert!(
+            migrate.metrics.degrades > 0,
+            "the process must degrade nodes"
+        );
+        assert!(
+            migrate.metrics.migrations > 0,
+            "stragglers must trigger evacuation"
+        );
+        assert_eq!(stay.metrics.migrations, 0);
+        assert!(migrate.metrics.degraded_fraction > 0.0);
+        assert!(migrate.metrics.mean_evacuation_ms > 0.0);
     }
 
     #[test]
     fn validation_rejects_bad_options() {
-        for bad in [
-            MigrationSweepOptions {
-                nodes: 1,
-                ..MigrationSweepOptions::quick()
-            },
-            MigrationSweepOptions {
-                rho: -1.0,
-                ..MigrationSweepOptions::quick()
-            },
-            MigrationSweepOptions {
-                severities: vec![],
-                ..MigrationSweepOptions::quick()
-            },
-            MigrationSweepOptions {
-                severities: vec![(0, 2)],
-                ..MigrationSweepOptions::quick()
-            },
-            MigrationSweepOptions {
-                severities: vec![(2, 2)],
-                ..MigrationSweepOptions::quick()
-            },
-            MigrationSweepOptions {
-                degrade_mtbf_ms: 0.0,
-                ..MigrationSweepOptions::quick()
-            },
-            MigrationSweepOptions {
-                degrade_window_ms: f64::NAN,
-                ..MigrationSweepOptions::quick()
-            },
-            MigrationSweepOptions {
-                sla_multiplier: 0.0,
-                ..MigrationSweepOptions::quick()
-            },
-            MigrationSweepOptions {
-                repetitions: 0,
-                ..MigrationSweepOptions::quick()
-            },
-        ] {
-            assert!(bad.validate().is_err());
-        }
+        let rejects = |tweak: fn(&mut MigrationSweepOptions)| {
+            let mut opts = MigrationSweepOptions::quick();
+            tweak(&mut opts);
+            opts.validate().is_err()
+        };
+        assert!(rejects(|o| o.nodes = 1));
+        assert!(rejects(|o| o.rho = -1.0));
+        assert!(rejects(|o| o.severities = vec![]));
+        assert!(rejects(|o| o.severities = vec![(0, 2)]));
+        assert!(rejects(|o| o.severities = vec![(2, 2)]));
+        assert!(rejects(|o| o.degrade_mtbf_ms = 0.0));
+        assert!(rejects(|o| o.degrade_window_ms = f64::NAN));
+        assert!(rejects(|o| o.sla_multiplier = 0.0));
+        assert!(rejects(|o| o.repetitions = 0));
         assert!(MigrationSweepOptions::baseline().validate().is_ok());
     }
 }

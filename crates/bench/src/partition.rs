@@ -4,17 +4,11 @@
 //! This sweep answers the question the custody layer exists for: *when the
 //! interconnect itself turns lossy — links dropping and throttling while
 //! stragglers force evacuations across them — does holding custody of an
-//! in-flight checkpoint and redirecting it beat giving up?* For each
-//! link-MTBF level it generates one seeded open-loop request stream, one
-//! seeded straggler (degrade) schedule and one seeded link-fault schedule,
-//! then serves the identical driving twice — once under
-//! [`CustodyConfig::redirect`] and once under
-//! [`CustodyConfig::abandon_on_failure`]. Both cells run through **both**
-//! closed-loop drivers and are asserted bit-identical, every cell asserts
-//! exactly-once conservation (served ∪ shed ∪ abandoned == generated, with
-//! custody reconciliation clean), and the per-cell digests fold into the
-//! sweep hash the `throughput cluster-partition --check-baseline` gate
-//! compares.
+//! in-flight checkpoint and redirecting it beat giving up?* Each level is
+//! a link MTBF and draws one straggler (degrade) schedule and then one
+//! link-fault schedule. The two arms of the [`PairedSweep`] serve it under
+//! [`CustodyConfig::redirect`] and [`CustodyConfig::abandon_on_failure`];
+//! every cell's books, custody reconciliation included, must balance.
 //!
 //! The headline comparison is goodput *and* lost-request-inclusive p99
 //! turnaround per MTBF level: redirect must beat abandon on both at a
@@ -25,24 +19,15 @@
 //! client actually observed: arrival until the end of the run, when it
 //! still had nothing.
 
-use std::time::Instant;
-
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use npu_sim::{Cycles, NpuConfig};
-use prema_cluster::{
-    online_outcome_hash, ClusterFaultPlan, CustodyConfig, MigrationConfig, OnlineClusterConfig,
-    OnlineClusterSimulator, OnlineDispatchPolicy, OnlineOutcome,
-};
+use prema_cluster::{CustodyConfig, MigrationConfig, OnlineOutcome, RecoveryConfig};
 use prema_core::SchedulerConfig;
 use prema_metrics::percentile;
-use prema_workload::arrivals::{generate_open_loop, OpenLoopConfig};
-use prema_workload::prepare::prepare_workload;
-use prema_workload::{FaultProcess, LinkFaultProcess};
+use prema_workload::{FaultProcess, FaultSchedule, LinkFaultProcess};
 
-use crate::cluster::{mean_service_ms, offered_rate_per_ms};
-use crate::suite::{build_predictor, run_seed};
+use crate::paired::{Arm, Base, PairedCell, PairedSweep};
 
 /// Options controlling a partition-tolerance sweep.
 #[derive(Debug, Clone)]
@@ -142,21 +127,104 @@ impl PartitionSweepOptions {
         }
     }
 
-    /// Validates the options.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first problem found.
-    pub fn validate(&self) -> Result<(), String> {
+    /// The per-link outage process at one link-MTBF level.
+    fn link_process(&self, link_mtbf_ms: f64) -> LinkFaultProcess {
+        LinkFaultProcess::outages(
+            self.nodes,
+            link_mtbf_ms,
+            self.link_outage_ms,
+            self.duration_ms,
+        )
+        .with_degraded(
+            self.degraded_link_fraction,
+            self.link_bandwidth.0,
+            self.link_bandwidth.1,
+        )
+    }
+}
+
+/// The lost-request-inclusive p99: served turnarounds plus, for every
+/// abandoned request, an infinite turnaround — the request never
+/// completed, and a policy must not look fast by deleting its slowest
+/// requests.
+fn lost_inclusive_p99_ms(outcome: &OnlineOutcome, npu: &NpuConfig) -> f64 {
+    let mut waits: Vec<f64> = outcome
+        .cluster
+        .merged_records()
+        .iter()
+        .map(|record| npu.cycles_to_millis(record.turnaround()))
+        .collect();
+    waits.extend(outcome.abandoned.iter().map(|_| f64::INFINITY));
+    percentile(&waits, 99.0).unwrap_or(0.0)
+}
+
+/// Useful served work per unit of provisioned capacity over a shared
+/// observation horizon.
+fn horizon_goodput(outcome: &OnlineOutcome, nodes: usize, horizon: Cycles) -> f64 {
+    let provisioned = horizon.get() as f64 * nodes as f64;
+    if provisioned == 0.0 {
+        return 0.0;
+    }
+    let useful: Cycles = outcome
+        .cluster
+        .merged_records()
+        .iter()
+        .map(|record| record.isolated_cycles)
+        .sum();
+    useful.get() as f64 / provisioned
+}
+
+/// The metrics of one partition-sweep cell.
+#[derive(Debug, Clone)]
+pub struct PartitionMetrics {
+    /// Requests abandoned (custody losses included).
+    pub abandoned: usize,
+    /// Link fault windows in the schedule (identical across policies).
+    pub link_faults: usize,
+    /// Checkpoint evacuations launched.
+    pub migrations: u64,
+    /// In-flight transfers that failed (drop, timeout, dead destination,
+    /// or no reachable redirect target).
+    pub transfer_failures: u64,
+    /// Failed transfers redirected instead of abandoned.
+    pub redirects: u64,
+    /// Useful served work per unit of provisioned capacity over the
+    /// level's common observation horizon (the longer of the two paired
+    /// makespans) — a policy must not raise its goodput by abandoning work
+    /// and ending the run early.
+    pub goodput: f64,
+    /// Lost-request-inclusive 99th-percentile turnaround, milliseconds: an
+    /// abandoned request never completes, so it enters the distribution at
+    /// infinity (the convention [`prema_cluster::ClusterMetrics`] already
+    /// uses for its SLA curve). Infinite whenever roughly a percent or
+    /// more of the stream was lost.
+    pub p99_ms: f64,
+}
+
+/// One partition-sweep cell; the level is the link MTBF in milliseconds.
+pub type PartitionCell = PairedCell<f64, PartitionMetrics>;
+
+impl PairedSweep for PartitionSweepOptions {
+    type Level = f64;
+    type Metrics = PartitionMetrics;
+
+    fn base(&self) -> Base<'_> {
+        Base {
+            nodes: self.nodes,
+            rho: self.rho,
+            seed: self.seed,
+            duration_ms: self.duration_ms,
+            scheduler: &self.scheduler,
+            npu: &self.npu,
+            repetitions: self.repetitions,
+        }
+    }
+
+    fn validate(&self) -> Result<(), String> {
         if self.nodes < 2 {
             return Err("custody transfers need at least two nodes".into());
         }
-        if !self.rho.is_finite() || self.rho <= 0.0 {
-            return Err("rho must be positive and finite".into());
-        }
-        if !self.duration_ms.is_finite() || self.duration_ms <= 0.0 {
-            return Err("duration must be positive and finite".into());
-        }
+        self.base().validate()?;
         if self.link_mtbf_levels_ms.is_empty() {
             return Err("at least one link-MTBF level is required".into());
         }
@@ -198,358 +266,121 @@ impl PartitionSweepOptions {
         if !self.backoff_base_ms.is_finite() || self.backoff_base_ms <= 0.0 {
             return Err("the backoff base must be positive and finite".into());
         }
-        if self.repetitions == 0 {
-            return Err("at least one repetition is required".into());
-        }
         // The link process carries its own invariants (outage length,
         // degraded fraction, bandwidth fraction); surface its typed error.
-        LinkFaultProcess::outages(
-            self.nodes,
-            self.link_mtbf_levels_ms[0],
-            self.link_outage_ms,
-            self.duration_ms,
-        )
-        .with_degraded(
-            self.degraded_link_fraction,
-            self.link_bandwidth.0,
-            self.link_bandwidth.1,
-        )
-        .validate()
-        .map_err(|e| e.to_string())?;
-        self.npu.validate()?;
-        self.scheduler.validate()?;
-        Ok(())
+        self.link_process(self.link_mtbf_levels_ms[0])
+            .validate()
+            .map_err(|e| e.to_string())
     }
-}
 
-/// One cell of the partition sweep: a (link-MTBF, custody-policy) pair
-/// measured under both drivers on the identical driving.
-#[derive(Debug, Clone)]
-pub struct PartitionCell {
-    /// Mean up-time between fault windows per directed link, milliseconds.
-    pub link_mtbf_ms: f64,
-    /// The policy label (`redirect` or `abandon`).
-    pub policy: &'static str,
-    /// Number of requests in the stream.
-    pub requests: usize,
-    /// Requests served to completion.
-    pub served: usize,
-    /// Requests abandoned (custody losses included).
-    pub abandoned: usize,
-    /// Link fault windows in the schedule (identical across policies).
-    pub link_faults: usize,
-    /// Checkpoint evacuations launched.
-    pub migrations: u64,
-    /// In-flight transfers that failed (drop, timeout, dead destination,
-    /// or no reachable redirect target).
-    pub transfer_failures: u64,
-    /// Failed transfers redirected instead of abandoned.
-    pub redirects: u64,
-    /// Useful served work per unit of provisioned capacity over the
-    /// level's common observation horizon (the longer of the two paired
-    /// makespans) — a policy must not raise its goodput by abandoning work
-    /// and ending the run early.
-    pub goodput: f64,
-    /// Lost-request-inclusive 99th-percentile turnaround, milliseconds: an
-    /// abandoned request never completes, so it enters the distribution at
-    /// infinity (the convention [`prema_cluster::ClusterMetrics`] already
-    /// uses for its SLA curve). Infinite whenever roughly a percent or
-    /// more of the stream was lost.
-    pub p99_ms: f64,
-    /// Total scheduler wakeups (identical under both drivers).
-    pub events: u64,
-    /// Best event-heap wall clock, seconds.
-    pub wall_s: f64,
-    /// The deterministic outcome digest (identical under both drivers).
-    pub hash: u64,
-}
-
-fn timed<F: FnMut() -> OnlineOutcome>(mut run: F, repetitions: usize) -> (OnlineOutcome, f64) {
-    let mut best = f64::INFINITY;
-    let mut outcome: Option<OnlineOutcome> = None;
-    for _ in 0..repetitions {
-        let start = Instant::now();
-        let this = run();
-        let wall = start.elapsed().as_secs_f64();
-        best = best.min(wall);
-        if let Some(previous) = &outcome {
-            assert_eq!(previous, &this, "nondeterministic partitioned run");
-        }
-        outcome = Some(this);
+    fn levels(&self, _service_ms: f64) -> Vec<f64> {
+        self.link_mtbf_levels_ms.clone()
     }
-    (outcome.expect("at least one repetition"), best)
-}
 
-/// The lost-request-inclusive p99: served turnarounds plus, for every
-/// abandoned request, an infinite turnaround — the request never
-/// completed, and a policy must not look fast by deleting its slowest
-/// requests.
-fn lost_inclusive_p99_ms(outcome: &OnlineOutcome, npu: &NpuConfig) -> f64 {
-    let mut waits: Vec<f64> = outcome
-        .cluster
-        .merged_records()
-        .iter()
-        .map(|record| npu.cycles_to_millis(record.turnaround()))
-        .collect();
-    waits.extend(outcome.abandoned.iter().map(|_| f64::INFINITY));
-    percentile(&waits, 99.0).unwrap_or(0.0)
-}
-
-/// Useful served work per unit of provisioned capacity over a shared
-/// observation horizon.
-fn horizon_goodput(outcome: &OnlineOutcome, nodes: usize, horizon: Cycles) -> f64 {
-    let provisioned = horizon.get() as f64 * nodes as f64;
-    if provisioned == 0.0 {
-        return 0.0;
-    }
-    let useful: Cycles = outcome
-        .cluster
-        .merged_records()
-        .iter()
-        .map(|record| record.isolated_cycles)
-        .sum();
-    useful.get() as f64 / provisioned
-}
-
-/// Runs the partition sweep. Cells are laid out MTBF-major, redirect
-/// before abandon; per level both policies answer the *identical* request
-/// stream, degrade schedule and link schedule, so the comparison is
-/// paired. Every cell's reference and event-heap outcomes are asserted
-/// bit-identical, every cell asserts exactly-once conservation with clean
-/// custody reconciliation, and interconnect byte accounting.
-///
-/// # Panics
-///
-/// Panics if the options are invalid, if the two drivers ever diverge, if
-/// any request is lost or duplicated, or if the custody ledger reports an
-/// undelivered task at end of run.
-pub fn run_partition_sweep(opts: &PartitionSweepOptions) -> Vec<PartitionCell> {
-    if let Err(msg) = opts.validate() {
-        panic!("invalid PartitionSweepOptions: {msg}");
-    }
-    let predictor = build_predictor(&opts.npu, opts.seed);
-    let template = OpenLoopConfig::poisson(1.0, opts.duration_ms);
-    let service_ms = mean_service_ms(&template.models, &template.batch_sizes, &opts.npu);
-    let rate = offered_rate_per_ms(opts.rho, opts.nodes, service_ms);
-    let sla_ms = opts.sla_multiplier * service_ms;
-    let (speed_num, speed_den) = opts.degrade_speed;
-
-    let mut cells = Vec::with_capacity(opts.link_mtbf_levels_ms.len() * 2);
-    for (level, &link_mtbf_ms) in opts.link_mtbf_levels_ms.iter().enumerate() {
-        let mut rng = StdRng::seed_from_u64(run_seed(opts.seed, level));
-        let spec = generate_open_loop(&OpenLoopConfig::poisson(rate, opts.duration_ms), &mut rng);
-        let prepared = prepare_workload(&spec, &opts.npu, Some(&predictor));
-        // One driving per level: arrivals, then the straggler windows that
-        // force evacuations, then the link windows those evacuations must
-        // cross — all from the same per-level stream, answered by both
-        // custody policies.
-        let schedule = FaultProcess::crashes(
-            opts.degraded_nodes,
-            opts.degrade_mtbf_ms,
-            opts.degrade_window_ms,
-            opts.duration_ms,
-        )
-        .with_degradation(1.0, speed_num, speed_den)
-        .generate(&mut rng);
-        let links = LinkFaultProcess::outages(
-            opts.nodes,
-            link_mtbf_ms,
-            opts.link_outage_ms,
-            opts.duration_ms,
-        )
-        .with_degraded(
-            opts.degraded_link_fraction,
-            opts.link_bandwidth.0,
-            opts.link_bandwidth.1,
-        )
-        .generate(&mut rng);
-        let schedule = schedule.with_links(links);
-        let link_faults = schedule.links.len();
-
+    fn arms(&self, service_ms: f64) -> [Arm; 2] {
         let mut redirect = CustodyConfig::redirect();
-        redirect.recovery.retry_budget = opts.retry_budget;
-        redirect.recovery.backoff_base_ms = opts.backoff_base_ms;
-        let mut outcomes = Vec::with_capacity(2);
-        for (label, custody) in [
+        redirect.recovery.retry_budget = self.retry_budget;
+        redirect.recovery.backoff_base_ms = self.backoff_base_ms;
+        [
             ("redirect", redirect),
             ("abandon", CustodyConfig::abandon_on_failure()),
-        ] {
-            let migration = MigrationConfig::new(sla_ms)
-                .with_custody(custody.with_timeout_ms(opts.delivery_timeout_ms));
-            let config = OnlineClusterConfig::new(
-                opts.nodes,
-                opts.scheduler.clone(),
-                OnlineDispatchPolicy::Predictive,
-            )
-            .with_faults(ClusterFaultPlan::new(schedule.clone()))
-            .with_migration(migration);
-            let online = OnlineClusterSimulator::new(config);
-            let (reference, _) = timed(|| online.run_reference(&prepared.tasks), opts.repetitions);
-            let (heap, wall_s) = timed(|| online.run(&prepared.tasks), opts.repetitions);
-            assert_eq!(
-                heap, reference,
-                "event-heap loop diverged from the stepping reference at \
-                 link MTBF {link_mtbf_ms} ms under {label}"
-            );
-            // Exactly-once custody: every generated request is exactly one
-            // of served, shed, or abandoned — and the ledger closed clean.
-            assert!(
-                heap.custody_error.is_none(),
-                "custody reconciliation failed at link MTBF {link_mtbf_ms} ms under {label}: {}",
-                heap.custody_error.as_ref().expect("checked above")
-            );
-            let mut accounted: Vec<u64> = heap
-                .cluster
-                .merged_records()
-                .iter()
-                .map(|r| r.id.0)
-                .chain(heap.shed.iter().map(|r| r.id.0))
-                .chain(heap.abandoned.iter().map(|r| r.id.0))
-                .collect();
-            accounted.sort_unstable();
-            let expected_len = accounted.len();
-            accounted.dedup();
-            assert_eq!(
-                accounted.len(),
-                expected_len,
-                "a request was double-counted at link MTBF {link_mtbf_ms} ms under {label}"
-            );
-            let mut expected: Vec<u64> = prepared.tasks.iter().map(|t| t.request.id.0).collect();
-            expected.sort_unstable();
-            assert_eq!(
-                accounted, expected,
-                "task conservation violated at link MTBF {link_mtbf_ms} ms under {label}"
-            );
-            assert_eq!(
-                heap.migration_bytes,
-                heap.migration_log.iter().map(|r| r.bytes).sum::<u64>(),
-                "interconnect byte accounting diverged at link MTBF {link_mtbf_ms} ms \
-                 under {label}"
-            );
-            outcomes.push((label, heap, wall_s));
-        }
-        // The pair shares one observation horizon — the longer of the two
-        // makespans — so a policy cannot raise its goodput by abandoning
-        // work and ending the run early.
-        let horizon = outcomes
-            .iter()
-            .map(|(_, heap, _)| heap.cluster.makespan())
-            .max()
-            .expect("two policies ran");
-        for (label, heap, wall_s) in outcomes {
-            cells.push(PartitionCell {
-                link_mtbf_ms,
-                policy: label,
-                requests: prepared.tasks.len(),
-                served: heap.served(),
-                abandoned: heap.abandoned.len(),
-                link_faults,
-                migrations: heap.migrations,
-                transfer_failures: heap.transfer_failures,
-                redirects: heap.redirects,
-                goodput: horizon_goodput(&heap, opts.nodes, horizon),
-                p99_ms: lost_inclusive_p99_ms(&heap, &opts.npu),
-                events: heap.cluster.scheduler_invocations(),
-                wall_s,
-                hash: online_outcome_hash(&heap),
-            });
-        }
-    }
-    cells
-}
-
-/// Counts the MTBF levels where redirect beats abandon on *both* goodput
-/// and lost-request-inclusive p99 — the paired headline the baseline gate
-/// requires at a majority of levels.
-pub fn partition_wins(cells: &[PartitionCell]) -> usize {
-    cells
-        .chunks(2)
-        .filter(|pair| {
-            pair.len() == 2
-                && pair[0].policy == "redirect"
-                && pair[1].policy == "abandon"
-                && pair[0].goodput > pair[1].goodput
-                && pair[0].p99_ms < pair[1].p99_ms
+        ]
+        .map(|(label, custody)| Arm {
+            label,
+            recovery: RecoveryConfig::checkpointed(),
+            migration: Some(
+                MigrationConfig::new(self.sla_multiplier * service_ms)
+                    .with_custody(custody.with_timeout_ms(self.delivery_timeout_ms)),
+            ),
         })
-        .count()
-}
+    }
 
-/// Folds every cell digest into the sweep-identity digest the
-/// `throughput cluster-partition` baseline gate compares.
-pub fn partition_sweep_hash(cells: &[PartitionCell]) -> u64 {
-    prema_cluster::fold_hashes(cells.iter().map(|cell| cell.hash))
-}
+    /// The straggler windows that force evacuations, then the link windows
+    /// those evacuations must cross.
+    fn plan(&self, link_mtbf_ms: f64, rng: &mut StdRng) -> FaultSchedule {
+        let (speed_num, speed_den) = self.degrade_speed;
+        let schedule = FaultProcess::crashes(
+            self.degraded_nodes,
+            self.degrade_mtbf_ms,
+            self.degrade_window_ms,
+            self.duration_ms,
+        )
+        .with_degradation(1.0, speed_num, speed_den)
+        .generate(rng);
+        schedule.with_links(self.link_process(link_mtbf_ms).generate(rng))
+    }
 
+    /// The pair shares one observation horizon — the longer of the two
+    /// makespans — so a policy cannot raise its goodput by abandoning work
+    /// and ending the run early.
+    fn metrics(&self, plan: &FaultSchedule, pair: [&OnlineOutcome; 2]) -> [PartitionMetrics; 2] {
+        let horizon = pair[0].cluster.makespan().max(pair[1].cluster.makespan());
+        pair.map(|outcome| PartitionMetrics {
+            abandoned: outcome.abandoned.len(),
+            link_faults: plan.links.len(),
+            migrations: outcome.migrations,
+            transfer_failures: outcome.transfer_failures,
+            redirects: outcome.redirects,
+            goodput: horizon_goodput(outcome, self.nodes, horizon),
+            p99_ms: lost_inclusive_p99_ms(outcome, &self.npu),
+        })
+    }
+
+    /// Redirect beats abandon on *both* goodput and lost-request-inclusive
+    /// p99.
+    fn wins(redirect: &PartitionMetrics, abandon: &PartitionMetrics) -> bool {
+        redirect.goodput > abandon.goodput && redirect.p99_ms < abandon.p99_ms
+    }
+}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paired::{run_paired, sweep_hash};
 
     #[test]
     fn quick_partition_sweep_is_deterministic_and_exercises_custody() {
         let opts = PartitionSweepOptions::quick();
-        let a = run_partition_sweep(&opts);
-        let b = run_partition_sweep(&opts);
+        let a = run_paired(&opts);
+        let b = run_paired(&opts);
         assert_eq!(a.len(), opts.link_mtbf_levels_ms.len() * 2);
-        assert_eq!(partition_sweep_hash(&a), partition_sweep_hash(&b));
+        assert_eq!(sweep_hash(&a), sweep_hash(&b));
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.hash, y.hash);
             assert_eq!(x.served, y.served);
         }
         // Both policies answered the same driving: same stream, same link
         // windows, different custody outcomes.
-        let redirect = &a[0];
-        let abandon = &a[1];
+        let (redirect, abandon) = (&a[0], &a[1]);
         assert_eq!(redirect.policy, "redirect");
         assert_eq!(abandon.policy, "abandon");
         assert_eq!(redirect.requests, abandon.requests);
-        assert_eq!(redirect.link_faults, abandon.link_faults);
-        assert!(redirect.link_faults > 0, "the process must fault links");
-        assert!(redirect.migrations > 0, "stragglers must force evacuation");
+        assert_eq!(redirect.metrics.link_faults, abandon.metrics.link_faults);
+        assert!(
+            redirect.metrics.link_faults > 0,
+            "the process must fault links"
+        );
+        assert!(
+            redirect.metrics.migrations > 0,
+            "stragglers must force evacuation"
+        );
     }
 
     #[test]
     fn validation_rejects_bad_options() {
-        for bad in [
-            PartitionSweepOptions {
-                nodes: 1,
-                degraded_nodes: 0,
-                ..PartitionSweepOptions::quick()
-            },
-            PartitionSweepOptions {
-                rho: -1.0,
-                ..PartitionSweepOptions::quick()
-            },
-            PartitionSweepOptions {
-                link_mtbf_levels_ms: vec![],
-                ..PartitionSweepOptions::quick()
-            },
-            PartitionSweepOptions {
-                link_mtbf_levels_ms: vec![0.0],
-                ..PartitionSweepOptions::quick()
-            },
-            PartitionSweepOptions {
-                degraded_link_fraction: 2.0,
-                ..PartitionSweepOptions::quick()
-            },
-            PartitionSweepOptions {
-                link_bandwidth: (2, 2),
-                ..PartitionSweepOptions::quick()
-            },
-            PartitionSweepOptions {
-                degrade_speed: (0, 8),
-                ..PartitionSweepOptions::quick()
-            },
-            PartitionSweepOptions {
-                delivery_timeout_ms: 0.0,
-                ..PartitionSweepOptions::quick()
-            },
-            PartitionSweepOptions {
-                repetitions: 0,
-                ..PartitionSweepOptions::quick()
-            },
-        ] {
-            assert!(bad.validate().is_err(), "{bad:?} should not validate");
-        }
+        let rejects = |tweak: fn(&mut PartitionSweepOptions)| {
+            let mut opts = PartitionSweepOptions::quick();
+            tweak(&mut opts);
+            opts.validate().is_err()
+        };
+        assert!(rejects(|o| o.nodes = 1));
+        assert!(rejects(|o| o.rho = -1.0));
+        assert!(rejects(|o| o.link_mtbf_levels_ms = vec![]));
+        assert!(rejects(|o| o.link_mtbf_levels_ms = vec![0.0]));
+        assert!(rejects(|o| o.degraded_link_fraction = 2.0));
+        assert!(rejects(|o| o.link_bandwidth = (2, 2)));
+        assert!(rejects(|o| o.degrade_speed = (0, 8)));
+        assert!(rejects(|o| o.delivery_timeout_ms = 0.0));
+        assert!(rejects(|o| o.repetitions = 0));
         assert!(PartitionSweepOptions::baseline().validate().is_ok());
     }
 }

@@ -34,19 +34,12 @@
 //! driver: the minimum is the standard low-noise estimator on a shared
 //! host, and the outcome is asserted identical on every repetition.
 
-use std::time::Instant;
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use npu_sim::NpuConfig;
-use prema_cluster::{online_outcome_hash, OnlineClusterSimulator, OnlineOutcome};
+use prema_cluster::{online_outcome_hash, OnlineClusterSimulator};
 use prema_core::SchedulerConfig;
-use prema_workload::arrivals::{generate_open_loop, OpenLoopConfig};
-use prema_workload::prepare::prepare_workload;
 
-use crate::cluster::{mean_service_ms, offered_rate_per_ms, ClosedLoopVariant};
-use crate::suite::{build_predictor, run_seed};
+use crate::cluster::{ClosedLoopVariant, Streams};
+use crate::suite::timed;
 
 /// Options controlling a cluster-scale sweep.
 #[derive(Debug, Clone)]
@@ -236,22 +229,6 @@ impl ScaleAggregate {
     }
 }
 
-fn timed<F: FnMut() -> OnlineOutcome>(mut run: F, repetitions: usize) -> (OnlineOutcome, f64) {
-    let mut best = f64::INFINITY;
-    let mut outcome: Option<OnlineOutcome> = None;
-    for _ in 0..repetitions {
-        let start = Instant::now();
-        let this = run();
-        let wall = start.elapsed().as_secs_f64();
-        best = best.min(wall);
-        if let Some(previous) = &outcome {
-            assert_eq!(previous, &this, "nondeterministic closed-loop run");
-        }
-        outcome = Some(this);
-    }
-    (outcome.expect("at least one repetition"), best)
-}
-
 /// Runs the scale sweep. Cells are laid out node-count-major in option
 /// order; every cell's reference and event-heap outcomes are asserted
 /// bit-identical (records, assignments, sheds, steals — and therefore the
@@ -264,29 +241,19 @@ pub fn run_scale_sweep(opts: &ScaleSweepOptions) -> Vec<ScaleCell> {
     if let Err(msg) = opts.validate() {
         panic!("invalid ScaleSweepOptions: {msg}");
     }
-    let predictor = build_predictor(&opts.npu, opts.seed);
-    let template = OpenLoopConfig::poisson(1.0, opts.duration_ms);
-    let service_ms = mean_service_ms(&template.models, &template.batch_sizes, &opts.npu);
-
+    let streams = Streams::new(&opts.npu, opts.seed, opts.duration_ms);
     let mut cells = Vec::with_capacity(opts.node_counts.len() * opts.variants.len());
     for (level, &nodes) in opts.node_counts.iter().enumerate() {
-        let rate = offered_rate_per_ms(opts.rho, nodes, service_ms);
-        let config = OpenLoopConfig::poisson(rate, opts.duration_ms);
-        let mut rng = StdRng::seed_from_u64(run_seed(opts.seed, level));
-        let spec = generate_open_loop(&config, &mut rng);
-        let prepared = prepare_workload(&spec, &opts.npu, Some(&predictor));
+        let (prepared, _) = streams.level(streams.rate(opts.rho, nodes), level);
         for &variant in &opts.variants {
             let online = OnlineClusterSimulator::new(variant.config(
                 nodes,
                 opts.scheduler.clone(),
                 opts.npu.clone(),
             ));
-            let wall_reference_s = (nodes <= opts.reference_cap).then(|| {
-                let (reference, wall) =
-                    timed(|| online.run_reference(&prepared.tasks), opts.repetitions);
-                (reference, wall)
-            });
-            let (heap, wall_heap_s) = timed(|| online.run(&prepared.tasks), opts.repetitions);
+            let wall_reference_s = (nodes <= opts.reference_cap)
+                .then(|| timed(opts.repetitions, || online.run_reference(&prepared.tasks)));
+            let (heap, wall_heap_s) = timed(opts.repetitions, || online.run(&prepared.tasks));
             let wall_reference_s = wall_reference_s.map(|(reference, wall)| {
                 assert_eq!(
                     heap, reference,
@@ -298,7 +265,7 @@ pub fn run_scale_sweep(opts: &ScaleSweepOptions) -> Vec<ScaleCell> {
             cells.push(ScaleCell {
                 nodes,
                 policy: variant.label(),
-                requests: spec.len(),
+                requests: prepared.tasks.len(),
                 served: heap.served(),
                 shed: heap.shed.len(),
                 steals: heap.steals,

@@ -18,6 +18,9 @@
 
 pub use crate::cluster::{run_cluster_sweep, ClusterSweepOptions};
 
+use std::fmt;
+use std::time::Instant;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
@@ -83,6 +86,19 @@ impl SuiteOptions {
         self.parallel = false;
         self
     }
+
+    /// Validates the options.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first problem found.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.runs == 0 {
+            return Err("at least one run is required".into());
+        }
+        self.workload.validate()?;
+        self.npu.validate()
+    }
 }
 
 /// Derives the workload seed for run index `run` from the suite seed.
@@ -98,6 +114,31 @@ pub fn run_seed(base: u64, run: usize) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// Runs `run` `repetitions` times, asserting every repetition returns the
+/// identical result, and returns that result with the best (minimum) wall
+/// clock in seconds — the standard low-noise estimator on a shared host.
+///
+/// # Panics
+///
+/// Panics if `repetitions` is zero or two repetitions disagree.
+pub fn timed<T: PartialEq + fmt::Debug>(
+    repetitions: usize,
+    mut run: impl FnMut() -> T,
+) -> (T, f64) {
+    let mut best = f64::INFINITY;
+    let mut result: Option<T> = None;
+    for _ in 0..repetitions {
+        let start = Instant::now();
+        let this = run();
+        best = best.min(start.elapsed().as_secs_f64());
+        if let Some(previous) = &result {
+            assert_eq!(previous, &this, "nondeterministic repetition");
+        }
+        result = Some(this);
+    }
+    (result.expect("at least one repetition"), best)
 }
 
 impl Default for SuiteOptions {
@@ -384,6 +425,13 @@ mod tests {
         assert_eq!(SuiteOptions::quick().with_runs(7).runs, 7);
         assert!(SuiteOptions::paper().parallel);
         assert!(!SuiteOptions::paper().serial().parallel);
+        assert!(SuiteOptions::paper().validate().is_ok());
+        assert!(SuiteOptions {
+            runs: 0,
+            ..SuiteOptions::paper()
+        }
+        .validate()
+        .is_err());
     }
 
     #[test]

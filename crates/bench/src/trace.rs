@@ -6,13 +6,12 @@
 //! observe-never-perturb invariant), the trace's reconciliation counters
 //! are checked against the outcome's own tallies, and the caller gets the
 //! Chrome/Perfetto `trace_event` JSON to write wherever it likes. The
-//! `throughput trace` subcommand runs the combined flavor; the `cluster`,
-//! `cluster-faults` and `cluster-migration` subcommands re-run their own
-//! flavor when `--trace-out` is given, so every bench bin can hand back a
-//! loadable timeline of the mechanism it measures.
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+//! `throughput` driver writes it through one export path: `throughput
+//! trace` runs the combined flavor, and `cluster`, `cluster-faults` and
+//! `cluster-migration` re-run their own flavor when `--trace-out` is given.
+//! Before writing, the driver checks the counters with
+//! [`verify_reconciliation`] and parses the JSON with
+//! [`crate::json::parse`], so every file it writes is loadable.
 
 use npu_sim::NpuConfig;
 use prema_cluster::{
@@ -20,12 +19,9 @@ use prema_cluster::{
     OnlineDispatchPolicy, OnlineOutcome, RecoveryConfig, TraceReconciliation,
 };
 use prema_core::SchedulerConfig;
-use prema_workload::arrivals::{generate_open_loop, OpenLoopConfig};
-use prema_workload::prepare::prepare_workload;
 use prema_workload::FaultProcess;
 
-use crate::cluster::{mean_service_ms, offered_rate_per_ms, SLA_ADMIT_TARGET_P99_MS};
-use crate::suite::{build_predictor, run_seed};
+use crate::cluster::{Streams, SLA_ADMIT_TARGET_P99_MS};
 
 /// Options controlling one traced closed-loop scenario.
 #[derive(Debug, Clone)]
@@ -124,6 +120,25 @@ impl TraceScenarioOptions {
             ..TraceScenarioOptions::combined()
         }
     }
+
+    /// Validates the options.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first problem found.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.nodes < 2 {
+            return Err("a traced cluster needs at least two nodes".into());
+        }
+        if !self.rho.is_finite() || self.rho <= 0.0 {
+            return Err("rho must be positive and finite".into());
+        }
+        if !self.duration_ms.is_finite() || self.duration_ms <= 0.0 {
+            return Err("duration must be positive and finite".into());
+        }
+        self.npu.validate()?;
+        self.scheduler.validate()
+    }
 }
 
 /// What one traced scenario produced: the outcome, the exporter's
@@ -150,13 +165,9 @@ pub struct TraceArtifacts {
 /// Panics if attaching the trace sink perturbs the outcome — the invariant
 /// the whole telemetry layer is built on.
 pub fn run_trace_scenario(opts: &TraceScenarioOptions) -> TraceArtifacts {
-    let predictor = build_predictor(&opts.npu, opts.seed);
-    let template = OpenLoopConfig::poisson(1.0, opts.duration_ms);
-    let service_ms = mean_service_ms(&template.models, &template.batch_sizes, &opts.npu);
-    let rate = offered_rate_per_ms(opts.rho, opts.nodes, service_ms);
-    let mut rng = StdRng::seed_from_u64(run_seed(opts.seed, 0));
-    let spec = generate_open_loop(&OpenLoopConfig::poisson(rate, opts.duration_ms), &mut rng);
-    let prepared = prepare_workload(&spec, &opts.npu, Some(&predictor));
+    let streams = Streams::new(&opts.npu, opts.seed, opts.duration_ms);
+    let service_ms = streams.service_ms;
+    let (prepared, mut rng) = streams.level(streams.rate(opts.rho, opts.nodes), 0);
 
     let mut config = OnlineClusterConfig::new(
         opts.nodes,
@@ -276,36 +287,6 @@ pub fn verify_reconciliation(artifacts: &TraceArtifacts) -> Result<(), String> {
     Ok(())
 }
 
-/// A minimal well-formedness scan of the emitted JSON — balanced braces and
-/// brackets outside string literals, escapes honoured — so the smoke gate
-/// can assert "Perfetto will parse this" without a JSON dependency.
-pub fn json_is_well_formed(text: &str) -> bool {
-    let mut depth: Vec<u8> = Vec::new();
-    let mut in_string = false;
-    let mut escaped = false;
-    for byte in text.bytes() {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if byte == b'\\' {
-                escaped = true;
-            } else if byte == b'"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match byte {
-            b'"' => in_string = true,
-            b'{' => depth.push(b'}'),
-            b'[' => depth.push(b']'),
-            b'}' | b']' if depth.pop() != Some(byte) => return false,
-            b'}' | b']' => {}
-            _ => {}
-        }
-    }
-    !in_string && depth.is_empty() && !text.trim().is_empty()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,7 +301,7 @@ mod tests {
     fn combined_scenario_reconciles_and_emits_well_formed_json() {
         let artifacts = run_trace_scenario(&quick(TraceScenarioOptions::combined()));
         verify_reconciliation(&artifacts).expect("reconciliation");
-        assert!(json_is_well_formed(&artifacts.json));
+        crate::json::parse(&artifacts.json).expect("the trace is valid JSON");
         assert!(artifacts.outcome.served() > 0);
         assert!(artifacts.reconciliation.slices >= artifacts.outcome.served() as u64);
         assert!(artifacts.reconciliation.faults > 0, "faults must fire");
@@ -338,9 +319,23 @@ mod tests {
 
     #[test]
     fn json_scanner_accepts_nested_and_rejects_unbalanced() {
-        assert!(json_is_well_formed(r#"{"a":[1,{"b":"}\""}]}"#));
-        assert!(!json_is_well_formed(r#"{"a":[1}"#));
-        assert!(!json_is_well_formed(r#"{"a":"unterminated}"#));
-        assert!(!json_is_well_formed("   "));
+        use crate::json::parse;
+        assert!(parse(r#"{"a":[1,{"b":"}\""}]}"#).is_ok());
+        assert!(parse(r#"{"a":[1}"#).is_err());
+        assert!(parse(r#"{"a":"unterminated}"#).is_err());
+        assert!(parse("   ").is_err());
+    }
+
+    #[test]
+    fn validation_rejects_bad_options() {
+        let rejects = |tweak: fn(&mut TraceScenarioOptions)| {
+            let mut opts = TraceScenarioOptions::combined();
+            tweak(&mut opts);
+            opts.validate().is_err()
+        };
+        assert!(rejects(|o| o.nodes = 1));
+        assert!(rejects(|o| o.rho = -1.0));
+        assert!(rejects(|o| o.duration_ms = 0.0));
+        assert!(TraceScenarioOptions::combined().validate().is_ok());
     }
 }

@@ -185,11 +185,16 @@ impl InferenceTimePredictor for AnalyticalPredictor {
             }
         }
         // Compute outside the lock: estimates are pure, so a racing
-        // duplicate computation inserts the identical value.
+        // duplicate computation inserts the identical value. Only the insert
+        // that adds the key counts as the miss; a racing duplicate counts as
+        // a hit, so misses always equal the distinct shapes asked for.
         let cycles = self.predict_cycles_uncached(kind, batch, input_len);
         let mut guard = self.cache.map.lock().expect("estimate cache poisoned");
-        guard.1.misses += 1;
-        guard.0.insert(key, cycles);
+        if guard.0.insert(key, cycles).is_none() {
+            guard.1.misses += 1;
+        } else {
+            guard.1.hits += 1;
+        }
         cycles
     }
 
@@ -376,6 +381,27 @@ mod tests {
         assert!(longer > predictor.predict_cycles(ModelKind::RnnTranslation1, 1, 20));
         let shared = predictor.clone();
         assert_eq!(shared.cache_stats(), predictor.cache_stats());
+    }
+
+    #[test]
+    fn racing_misses_on_one_shape_count_one_miss() {
+        use crate::InferenceTimePredictor;
+        use std::sync::Barrier;
+
+        const THREADS: u64 = 8;
+        let predictor = AnalyticalPredictor::new(cfg());
+        let barrier = Barrier::new(THREADS as usize);
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    barrier.wait();
+                    predictor.predict_cycles(ModelKind::CnnVggNet, 4, 0)
+                });
+            }
+        });
+        let stats = predictor.cache_stats();
+        assert_eq!(stats.misses, 1, "one distinct shape, one miss");
+        assert_eq!(stats.hits, THREADS - 1);
     }
 
     #[test]
