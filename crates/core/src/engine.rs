@@ -1379,8 +1379,9 @@ impl<S: TraceSink> SimSession<S> {
                 // waiting to every waiting task. The scheduler is frozen —
                 // no invocations are counted and the phase is preserved, so
                 // a stall that interrupts an execution step resumes that
-                // exact step.
-                let resume = self.stall_until.min(horizon);
+                // exact step. A horizon already behind the clock never
+                // rewinds it (that would charge the span as waiting twice).
+                let resume = self.stall_until.min(horizon).max(self.now);
                 let dt = resume - self.now;
                 self.state.accrue(dt);
                 self.now = resume;
@@ -3173,6 +3174,33 @@ mod tests {
             outcome.records[0].completion,
             stall_end + before - Cycles::new(100_000),
             "the frozen window pushes completion out one-for-one"
+        );
+    }
+
+    #[test]
+    fn a_past_horizon_inside_a_stall_never_rewinds_the_clock() {
+        // Regression: with the clock already past `horizon`, the stall
+        // branch used to set `now = min(stall_until, horizon)` — moving
+        // the clock backwards and charging the rewound span as waiting a
+        // second time on the next advance.
+        let sim = NpuSimulator::new(npu(), SchedulerConfig::paper_default());
+        let prepared = prepare(simple_requests());
+        let drive = |past_call: bool| {
+            let mut session = sim.session(&prepared);
+            assert_eq!(session.run_until(Cycles::new(100_000)), StepOutcome::Paused);
+            session.stall(Cycles::new(5_000_000));
+            assert_eq!(session.run_until(Cycles::new(300_000)), StepOutcome::Paused);
+            if past_call {
+                assert_eq!(session.run_until(Cycles::new(200_000)), StepOutcome::Paused);
+            }
+            assert_eq!(session.now(), Cycles::new(300_000), "the clock never drops");
+            assert_eq!(session.run_until(Cycles::MAX), StepOutcome::Drained);
+            session.finish()
+        };
+        assert_eq!(
+            drive(true),
+            drive(false),
+            "a past horizon is a no-op, so waiting time is charged once"
         );
     }
 
