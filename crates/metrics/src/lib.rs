@@ -29,7 +29,7 @@ pub mod sla;
 pub mod stats;
 pub mod table;
 
-pub use percentile::{percentile, Percentiles};
+pub use percentile::{percentile, percentile_in_place, Percentiles};
 pub use sla::{SlaCurve, SlaPoint};
 pub use stats::{correlation, geometric_mean, mean, std_dev};
 pub use table::TableBuilder;

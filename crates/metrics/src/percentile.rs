@@ -31,6 +31,48 @@ pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
     Some(sorted[lower] * (1.0 - weight) + sorted[upper] * weight)
 }
 
+/// [`percentile`] by selection: the same rank and interpolation, bit for
+/// bit, but computed with one in-place `select_nth_unstable_by` over a
+/// caller-owned buffer instead of copying and fully sorting it. `values`
+/// is left permuted.
+///
+/// Returns `None` when `values` is empty.
+///
+/// ```
+/// use prema_metrics::{percentile, percentile_in_place};
+///
+/// let latencies = vec![5.0, 1.0, 4.0, 2.0, 3.0];
+/// let mut scratch = latencies.clone();
+/// assert_eq!(percentile_in_place(&mut scratch, 99.0), percentile(&latencies, 99.0));
+/// ```
+pub fn percentile_in_place(values: &mut [f64], p: f64) -> Option<f64> {
+    if values.is_empty() {
+        return None;
+    }
+    assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
+    if values.len() == 1 {
+        return Some(values[0]);
+    }
+    let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("latencies must not be NaN");
+    let rank = (p / 100.0) * (values.len() - 1) as f64;
+    let lower = rank.floor() as usize;
+    let upper = rank.ceil() as usize;
+    let weight = rank - lower as f64;
+    let (_, &mut at_lower, above) = values.select_nth_unstable_by(lower, cmp);
+    // Everything after the selected element is >= it, so the next order
+    // statistic is the minimum of that tail.
+    let at_upper = if upper == lower {
+        at_lower
+    } else {
+        above
+            .iter()
+            .copied()
+            .min_by(cmp)
+            .expect("upper rank is in range")
+    };
+    Some(at_lower * (1.0 - weight) + at_upper * weight)
+}
+
 /// A summary of a latency distribution.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Percentiles {
