@@ -46,20 +46,38 @@
 //! node; `debug_assertions` builds replay the linear scan after every
 //! indexed pick and assert the argmin agrees.
 //!
-//! Work stealing and SLA admission run *synchronized* instead: stealing
-//! revokes never-started tasks whose availability depends on quantum-level
-//! dispatch timing, and admission's p99 prediction reads every node's exact
-//! resident set, so both must observe every node at the reference's own
-//! decision instants — the bound sequence itself is defined over
-//! synchronized node states. Those modes keep the reference's advance-all
-//! stepping but replace its per-decision resident rescans with the
-//! engine's O(1) incremental aggregates (`predicted_remaining_work`,
-//! `predicted_blocking_work`, `revocable_work`, `best_steal_candidate`,
-//! `best_shed_candidate`), reuse the admission scratch buffer across
-//! arrivals, and cache each node's predicted-turnaround segment keyed by
-//! its `state_version` — per arrival only nodes whose state actually moved
-//! are re-sorted, and within one arrival's shed loop only the shedded
-//! node's segment is rebuilt.
+//! Work stealing, SLA admission and migration run *synchronized* instead:
+//! their decisions must happen at the reference's own stepping instants
+//! (with stealing or migration, every completion bound and in-flight
+//! delivery between arrivals) and read every node's exact state there. The
+//! reference gets that by advancing all nodes at every step; this loop
+//! keys a second certificate, [`SimSession::next_event_time`] — the
+//! earliest instant at which `run_until` would do more than move the clock
+//! and the runner's cursor (a completion, an admission, a contended policy
+//! wakeup, a stall end; a degraded node is always due) — and per step:
+//!
+//! * takes the step bound from a lazily invalidated heap of
+//!   `next_completion_time`s, which do not move before the certificate;
+//! * advances only the nodes whose certificates are due, plus any node
+//!   about to be mutated (a steal's victim and thief, a shed victim, a
+//!   faulted node, a recovery or landing target, a migration source);
+//! * reads every other node through its `*_at` projections — the clock
+//!   and the runner's linear progress extrapolated — for dispatch scores,
+//!   admission's prediction segments, the migration deadline monitor and
+//!   stay/move and redirect pricing. Queue depths, stall status and the
+//!   steal/shed candidates do not move while a node is quiet.
+//!
+//! The reference's steps can revisit the past (a steal onto a parked
+//! thief makes the next bound the thief's frozen clock), where nodes already
+//! further ahead stay put; so a node this loop left alone is read, and
+//! advanced when due, at its *reach* — the latest step instant since it was
+//! last current — not at the step itself. The admission p99 over the
+//! projected segments is one in-place selection, and each node's segment is
+//! cached by `state_version` (per arrival only nodes whose state moved are
+//! re-sorted; within one shed loop only the shedded node's segment is
+//! rebuilt). Every signal is an O(1) engine aggregate (`revocable_work`,
+//! `best_steal_candidate`, `best_shed_candidate`, the predicted-work
+//! totals) rather than a resident rescan.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -70,7 +88,7 @@ use npu_sim::{Cycles, NpuConfig};
 use prema_core::{
     NpuSimulator, PreparedTask, Priority, ResidentTask, SimSession, TaskId, TaskRequest, TraceSink,
 };
-use prema_metrics::Percentiles;
+use prema_metrics::percentile_in_place;
 
 use prema_workload::FaultKind;
 
@@ -79,7 +97,7 @@ use crate::contender::ContenderIndex;
 use crate::faults::{FaultDriver, FaultEvent};
 use crate::migration::MigrationDriver;
 use crate::online::{
-    arrival_order, deliver_due_migrations, finish_outcome, scaled_admission_target,
+    arrival_order, deliver_due_migrations, finish_outcome, scaled_admission_target, Nodes,
     OnlineClusterConfig, OnlineDispatchPolicy, OnlineOutcome, ShedKey, SlaAdmissionConfig,
 };
 use crate::trace::{
@@ -246,8 +264,16 @@ impl PredictionSegment {
     /// work per wall cycle, so neither the absolute completions nor the
     /// backlogs stay constant between queries); rebuilding at every query
     /// reproduces exactly the reference's fresh recomputation.
-    fn refresh<S: TraceSink>(&mut self, session: &SimSession<S>, scratch: &mut Vec<ResidentTask>) {
-        let now = session.now();
+    ///
+    /// The session is read as a `run_until(at)` would leave it (the
+    /// sessions' `*_at` projections), so a quiet node need not be advanced.
+    fn refresh<S: TraceSink>(
+        &mut self,
+        session: &SimSession<S>,
+        at: Cycles,
+        scratch: &mut Vec<ResidentTask>,
+    ) {
+        let now = session.now_at(at);
         if self.valid
             && self.version == session.state_version()
             && now <= self.valid_until
@@ -256,7 +282,7 @@ impl PredictionSegment {
             return;
         }
         scratch.clear();
-        session.resident_tasks_into(scratch);
+        session.resident_tasks_at_into(at, scratch);
         scratch.sort_by_key(|resident| (Reverse(resident.priority), resident.arrival, resident.id));
         let stalled = session.stalled_until();
         let runner = session.running_task();
@@ -301,20 +327,43 @@ impl PredictionSegment {
 #[derive(Debug)]
 struct EventHeapLoop<'a, C: ClusterTraceSink> {
     config: &'a OnlineClusterConfig,
-    /// Whether decisions require every node synchronized at the decision
-    /// instant (work stealing / SLA admission) rather than lazy
-    /// certificates.
+    /// Whether decisions (work stealing, SLA admission, migration) read
+    /// every node's exact state at the reference's own stepping instants,
+    /// keyed on next-event certificates, rather than lazy completion
+    /// certificates with branch-and-bound dispatch.
     synchronized: bool,
     sessions: Vec<SimSession<NodeTap<C>>>,
     /// The shared cluster trace sink (disabled sinks compile the emission
     /// sites away). Borrowed only *between* session calls: the sessions'
     /// node taps borrow the same cell from inside engine methods.
     trace: Rc<RefCell<C>>,
-    /// Min-heap of (completion-certificate, node) candidates, lazy mode
-    /// only. An entry is current iff the session still reports exactly
-    /// that bound; every session mutation pushes the fresh bound, stale
-    /// entries are dropped at pop time.
+    /// Min-heap of (certificate, node) candidates: each node's
+    /// `completion_lower_bound` in lazy mode, its `next_event_time` when
+    /// synchronized. An entry is current iff the session still reports
+    /// exactly that certificate; every session mutation pushes the fresh
+    /// one, stale entries are dropped at pop time.
     heap: BinaryHeap<Reverse<(Cycles, usize)>>,
+    /// Min-heap of (`next_completion_time`, node), synchronized mode only:
+    /// the reference's stepping bound, lazily invalidated like `heap`. A
+    /// quiet node's completion time does not move before its certificate,
+    /// so its entry stays current while it lags.
+    bounds: BinaryHeap<Reverse<(Cycles, usize)>>,
+    /// The current step's number and instant (synchronized mode).
+    step: u64,
+    at: Cycles,
+    /// The reference advances every node at every step, and its steps can
+    /// revisit the past (after a steal onto a parked thief), where a node
+    /// already further ahead stays put. So a node this loop left alone
+    /// since step `fresh[i]` stands, in the reference, at the *latest*
+    /// step instant since then — its `reach`. `peaks` answers that query:
+    /// (step, instant) pairs with rising steps and strictly falling
+    /// instants, each the maximum over every step from it to the present.
+    peaks: Vec<(u64, Cycles)>,
+    /// The step at which this loop last advanced or mutated each node.
+    fresh: Vec<u64>,
+    /// Nodes mutated through [`Nodes::session_mut`] since the last
+    /// [`Self::flush_touched`].
+    touched: Vec<usize>,
     /// The ordered contender structures the per-arrival dispatch walks
     /// instead of scanning every node — lazy mode only (`None` when
     /// synchronized: with zero lag the exact linear scan is the decision
@@ -322,8 +371,10 @@ struct EventHeapLoop<'a, C: ClusterTraceSink> {
     /// from [`Self::reschedule`], the single funnel every lazy-mode session
     /// mutation already flows through.
     index: Option<ContenderIndex>,
-    /// Scratch for one `materialize_due` round (deduplicated due nodes).
+    /// Scratch for one `materialize_due` round (deduplicated due nodes,
+    /// marked in `due_mark`).
     due_scratch: Vec<usize>,
+    due_mark: Vec<bool>,
     /// Scratch for the dispatch query's stalled/degraded side scan.
     side_scratch: Vec<usize>,
     predictions: Vec<PredictionSegment>,
@@ -354,8 +405,15 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
             sessions,
             trace,
             heap: BinaryHeap::with_capacity(nodes * 2),
+            bounds: BinaryHeap::with_capacity(if synchronized { nodes * 2 } else { 0 }),
+            step: 0,
+            at: Cycles::ZERO,
+            peaks: Vec::new(),
+            fresh: vec![0; nodes],
+            touched: Vec::new(),
             index,
             due_scratch: Vec::with_capacity(nodes),
+            due_mark: vec![false; nodes],
             side_scratch: Vec::new(),
             predictions: vec![PredictionSegment::default(); nodes],
             predicted_ms: Vec::new(),
@@ -363,20 +421,36 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
         }
     }
 
-    /// Pushes node `i`'s current completion certificate (lazy mode). The
-    /// heap always holds each node's live bound plus stale leftovers that
-    /// pop-time validation discards.
+    /// Node `i`'s certificate in this loop's mode (see `heap`).
+    fn certificate(&self, i: usize) -> Option<Cycles> {
+        if self.synchronized {
+            self.sessions[i].next_event_time()
+        } else {
+            self.sessions[i].completion_lower_bound()
+        }
+    }
+
+    /// Pushes node `i`'s current certificate (and, synchronized, its
+    /// completion time; lazy, its contender-index keys). The heaps always
+    /// hold each node's live entries plus stale leftovers that pop-time
+    /// validation discards.
     fn reschedule(&mut self, i: usize) {
         if self.synchronized {
-            return;
+            if let Some(bound) = self.sessions[i].next_completion_time() {
+                self.bounds.push(Reverse((bound, i)));
+            }
+        } else {
+            self.refresh_index(i);
         }
-        self.refresh_index(i);
-        if let Some(bound) = self.sessions[i].completion_lower_bound() {
+        if let Some(bound) = self.certificate(i) {
             self.heap.push(Reverse((bound, i)));
             if C::ENABLED {
+                // Synchronized pushes happen inside a step, so they are
+                // stamped with it, keeping the cluster stream in step order.
+                let stamp = if self.synchronized { self.at } else { bound };
                 self.trace
                     .borrow_mut()
-                    .cluster_event(bound, ClusterTraceEvent::HeapPush { node: i, bound });
+                    .cluster_event(stamp, ClusterTraceEvent::HeapPush { node: i, bound });
             }
         }
     }
@@ -404,14 +478,89 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
         }
     }
 
-    /// Advances node `i` to `horizon` and refreshes its heap entry.
+    /// Advances node `i` to `horizon` and refreshes its heap entries.
     fn materialize(&mut self, i: usize, horizon: Cycles) {
         let _ = self.sessions[i].run_until(horizon);
+        self.fresh[i] = self.step;
         self.reschedule(i);
     }
 
+    /// Where the reference's stepping has carried node `i` since this loop
+    /// last advanced or mutated it (synchronized mode; see `peaks`), or
+    /// `None` if it has not stepped since.
+    fn reach(&self, i: usize) -> Option<Cycles> {
+        let since = self.fresh[i];
+        let k = self.peaks.partition_point(|&(step, _)| step <= since);
+        self.peaks.get(k).map(|&(_, at)| at)
+    }
+
+    /// The instant node `i`'s decisions read it at (synchronized mode): its
+    /// reach — through which it is quiet, so its `*_at` projections there
+    /// are exactly what the reference's advanced node reports — or, if the
+    /// node is current, its own clock, where the projections are the
+    /// identity.
+    fn horizon(&self, i: usize) -> Cycles {
+        self.reach(i).unwrap_or_else(|| self.sessions[i].now())
+    }
+
+    /// Brings node `i` to its reach before a mutation (synchronized mode)
+    /// and marks it current. A node already current this step is left
+    /// alone: a second `run_until` after a mutation is not inert — it would
+    /// admit and dispatch work the reference leaves pending until its next
+    /// step. Lazy mode's callers have materialized the node already.
+    fn sync(&mut self, i: usize) {
+        if !self.synchronized {
+            return;
+        }
+        if let Some(reach) = self.reach(i) {
+            let _ = self.sessions[i].run_until(reach);
+        }
+        self.fresh[i] = self.step;
+    }
+
+    /// Refreshes the heap entries of every node mutated through
+    /// [`Nodes::session_mut`].
+    fn flush_touched(&mut self) {
+        while let Some(i) = self.touched.pop() {
+            self.reschedule(i);
+        }
+    }
+
+    /// The earliest `next_completion_time` over all nodes (synchronized
+    /// mode): the reference's stepping bound, from the lazily invalidated
+    /// `bounds` heap.
+    fn next_bound(&mut self) -> Option<Cycles> {
+        while let Some(&Reverse((bound, i))) = self.bounds.peek() {
+            if self.sessions[i].next_completion_time() == Some(bound) {
+                return Some(bound);
+            }
+            self.bounds.pop();
+        }
+        None
+    }
+
+    /// Opens one synchronized step at `t`: advances exactly the nodes whose
+    /// next-event certificate is due, each to its reach. Every other node
+    /// is quiet through its reach — running its current task or idling —
+    /// and decisions read it through its `*_at` projections there, which
+    /// equal what the reference's `run_until` calls left.
+    ///
+    /// Invariant: a node left alone has a certificate beyond its reach. A
+    /// step at `t` raises reaches to at most `t` (a node whose reach was
+    /// already higher keeps it), so popping certificates up to `t` keeps
+    /// the invariant.
+    fn begin_step(&mut self, t: Cycles) {
+        self.step += 1;
+        self.at = t;
+        while self.peaks.last().is_some_and(|&(_, at)| at <= t) {
+            self.peaks.pop();
+        }
+        self.peaks.push((self.step, t));
+        self.materialize_due(t);
+    }
+
     /// Pops every node whose live certificate is due at or before `t` and
-    /// advances it to `t` (lazy mode). Each due node is materialized once:
+    /// advances it to `t`. Each due node is materialized once:
     /// its post-advance certificate (pushed for *future* rounds) is not
     /// re-examined, so the loop terminates even in the degenerate corner
     /// where a certificate does not clear `t`.
@@ -422,14 +571,13 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
                 break;
             }
             self.heap.pop();
-            if self.sessions[i].completion_lower_bound() == Some(bound)
-                && !self.due_scratch.contains(&i)
-            {
+            if self.certificate(i) == Some(bound) && !self.due_mark[i] {
                 if C::ENABLED {
                     self.trace
                         .borrow_mut()
                         .cluster_event(t, ClusterTraceEvent::HeapPop { node: i, bound });
                 }
+                self.due_mark[i] = true;
                 self.due_scratch.push(i);
             } else if C::ENABLED {
                 self.trace
@@ -439,19 +587,27 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
         }
         for k in 0..self.due_scratch.len() {
             let i = self.due_scratch[k];
-            self.materialize(i, t);
+            self.due_mark[i] = false;
+            let horizon = if self.synchronized {
+                self.reach(i)
+                    .expect("a due node has stepped since it was current")
+            } else {
+                t
+            };
+            self.materialize(i, horizon);
         }
     }
 
     /// Advances the cluster to `t`.
     ///
-    /// Lazy mode advances only nodes whose certificates are due.
-    /// Synchronized mode replays the reference's stepping: with stealing or
-    /// migration, execution is stepped to every completion bound (and every
-    /// in-flight migration delivery) on the way — the moments the task set
-    /// can shrink or a deadline can slip — advancing *all* sessions and
-    /// running steal and migration rounds at each; with admission only,
-    /// every session advances straight to `t`.
+    /// Lazy mode advances only nodes whose completion certificates are due.
+    /// Synchronized mode replays the reference's stepping instants: with
+    /// stealing or migration, execution is stepped to every completion
+    /// bound (and every in-flight migration delivery) on the way — the
+    /// moments the task set can shrink or a deadline can slip — running
+    /// steal and migration rounds at each; with admission only, one step
+    /// lands straight on `t`. Each step advances only the nodes whose
+    /// next-event certificates are due (see [`Self::begin_step`]).
     fn advance_to(
         &mut self,
         faults: Option<&FaultDriver<'_>>,
@@ -465,35 +621,26 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
             self.materialize_due(t);
             return;
         }
-        if !self.config.work_stealing && migration.is_none() {
-            for session in self.sessions.iter_mut() {
-                let _ = session.run_until(t);
-            }
-            return;
-        }
+        let stepping = self.config.work_stealing || migration.is_some();
+        let trace = Rc::clone(&self.trace);
         loop {
-            let bound = self
-                .sessions
-                .iter()
-                .filter_map(SimSession::next_completion_time)
-                .min();
-            let mut step = match bound {
-                Some(bound) if bound < t => bound,
-                _ => t,
-            };
-            // Mirrors the reference: deliveries strictly before `t` land
-            // mid-advance; one due exactly at `t` belongs to the caller's
-            // event batch.
-            if let Some(due) = migration
-                .as_ref()
-                .and_then(MigrationDriver::next_due)
-                .filter(|&due| due < step)
-            {
-                step = due;
+            let mut step = t;
+            if stepping {
+                if let Some(bound) = self.next_bound().filter(|&bound| bound < t) {
+                    step = bound;
+                }
+                // Mirrors the reference: deliveries strictly before `t`
+                // land mid-advance; one due exactly at `t` belongs to the
+                // caller's event batch.
+                if let Some(due) = migration
+                    .as_ref()
+                    .and_then(MigrationDriver::next_due)
+                    .filter(|&due| due < step)
+                {
+                    step = due;
+                }
             }
-            for session in self.sessions.iter_mut() {
-                let _ = session.run_until(step);
-            }
+            self.begin_step(step);
             if self.config.work_stealing {
                 *steals += self.steal_round(
                     faults.map(FaultDriver::topology),
@@ -506,14 +653,15 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
                     deliver_due_migrations(
                         migration,
                         faults,
-                        &mut self.sessions,
+                        self,
                         step,
                         assignments,
                         assignment_index,
-                        &self.trace,
+                        &trace,
                     );
                 }
-                migration.round(&mut self.sessions, step, &self.trace);
+                migration.round(self, step, &trace);
+                self.flush_touched();
             }
             if step == t {
                 return;
@@ -527,7 +675,10 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
     /// never-started task from the most-loaded peer to the first idle
     /// node (skipping victims the thief cannot currently reach over the
     /// fabric). All signals are O(1) engine aggregates instead of resident
-    /// rescans.
+    /// rescans, and none moves while a node is quiet (queue depth, stall
+    /// status and stealable work change only at events, and a thief is
+    /// drained, so its clock is frozen): they are read as-is, and only the
+    /// victim and thief are advanced, right before the move.
     fn steal_round(
         &mut self,
         links: Option<&crate::interconnect::LinkTopology>,
@@ -568,12 +719,16 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
             let stolen = self.sessions[victim]
                 .best_steal_candidate()
                 .expect("nonzero stealable work has a best task");
+            self.sync(victim);
+            self.sync(thief);
             let prepared = self.sessions[victim]
                 .revoke(stolen.id)
                 .expect("stolen task was revocable");
             self.sessions[thief]
                 .inject(prepared)
                 .expect("revoked task re-injects cleanly");
+            self.reschedule(victim);
+            self.reschedule(thief);
             if C::ENABLED {
                 self.trace.borrow_mut().cluster_event(
                     self.sessions[thief].now(),
@@ -598,8 +753,9 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
     /// `t` are lower-bounded by `value_now - (t - now)` and its queue
     /// depth is exact, so a node whose lower bound cannot strictly beat
     /// the best exact score cannot win the (score, index) minimum and is
-    /// skipped unadvanced. In synchronized mode every lag is zero and this
-    /// degenerates to the exact scan.
+    /// skipped unadvanced. In synchronized mode every score is read exactly,
+    /// through the quiet nodes' `*_at(t)` projections, and this degenerates
+    /// to the exact scan.
     ///
     /// Under fault injection the key gains the failure-aware penalty tier
     /// in front (down / cooling-down / healthy, exactly the reference's).
@@ -616,7 +772,7 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
         // Fresh arrivals have no source node: they enter through the
         // front-end control plane, which link faults never sever.
         //
-        // In synchronized mode the arrival pick must take scores as-is,
+        // In synchronized mode the arrival pick must never materialize,
         // like the fault drain's picks: a parked idle node can hold a
         // *pending* injected task (a steal or salvage landed after its
         // clock stopped), and materializing it here would dispatch that
@@ -626,13 +782,12 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
         self.pick_node_inner(t, task, faults, None, self.synchronized)
     }
 
-    /// [`Self::pick_node`] for callers that have already materialized every
-    /// session to `t` (the fault drain's synchronization points). Any
-    /// residual `t - now()` lag is inert there — a drained or stalled node
-    /// parks its clock before `t` even after `run_until(t)` — so scores are
-    /// taken as-is, and crucially no session is ever materialized: running
-    /// a target engine between two same-instant salvage injections would
-    /// admit a partial batch and diverge from the reference.
+    /// [`Self::pick_node`] for the fault drain's synchronization points,
+    /// where every node has been advanced to `t` (lazy mode) or is quiet
+    /// through it (synchronized mode). Scores are read exactly, and
+    /// crucially no session is ever materialized: running a target engine
+    /// between two same-instant salvage injections would admit a partial
+    /// batch and diverge from the reference.
     fn pick_node_synchronized(
         &mut self,
         t: Cycles,
@@ -687,22 +842,33 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
         chosen
     }
 
-    /// The dispatch score of node `i` for an arrival of `priority`, with
-    /// `lag` wall cycles of conservative decay subtracted from the
-    /// work-based signals (`lag == 0` reads the exact score).
-    fn lag_score(&self, i: usize, priority: Priority, lag: u64) -> (u64, u64) {
+    /// The dispatch score of node `i` for an arrival of `priority` at `t`:
+    /// with `lag > 0`, the signals as-is less `lag` wall cycles of
+    /// conservative decay (a lower bound); with `lag == 0`, the exact score
+    /// (synchronized mode reads it at the node's horizon).
+    fn lag_score(&self, i: usize, priority: Priority, t: Cycles, lag: u64) -> (u64, u64) {
         let session = &self.sessions[i];
-        let remaining = session.predicted_remaining_work().get().saturating_sub(lag);
+        let (remaining, blocking) = if lag == 0 {
+            let at = if self.synchronized {
+                self.horizon(i)
+            } else {
+                t
+            };
+            (
+                session.predicted_remaining_work_at(at),
+                session.predicted_blocking_work_at(priority, at),
+            )
+        } else {
+            (
+                session.predicted_remaining_work(),
+                session.predicted_blocking_work(priority),
+            )
+        };
+        let remaining = remaining.get().saturating_sub(lag);
         match self.config.dispatch {
             OnlineDispatchPolicy::ShortestQueue => (session.queue_depth() as u64, remaining),
             OnlineDispatchPolicy::LeastWork => (remaining, remaining),
-            OnlineDispatchPolicy::Predictive => (
-                session
-                    .predicted_blocking_work(priority)
-                    .get()
-                    .saturating_sub(lag),
-                remaining,
-            ),
+            OnlineDispatchPolicy::Predictive => (blocking.get().saturating_sub(lag), remaining),
         }
     }
 
@@ -728,7 +894,7 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
             } else {
                 (t - self.sessions[i].now()).get()
             };
-            let lower = (penalty, self.lag_score(i, priority, lag));
+            let lower = (penalty, self.lag_score(i, priority, t, lag));
             if best.is_some_and(|(exact, _)| lower >= exact) {
                 if C::ENABLED {
                     // Skipped unmaterialized: the trace records the lower
@@ -745,7 +911,7 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
             if lag > 0 {
                 self.materialize(i, t);
             }
-            let exact = (penalty, self.lag_score(i, priority, 0));
+            let exact = (penalty, self.lag_score(i, priority, t, 0));
             if C::ENABLED {
                 keys.push(NodeKey {
                     node: i,
@@ -836,7 +1002,7 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
                     "stored penalty tier went stale at {t:?}"
                 );
             }
-            let exact = (penalty, self.lag_score(node, priority, 0));
+            let exact = (penalty, self.lag_score(node, priority, t, 0));
             if C::ENABLED {
                 keys.push(NodeKey {
                     node,
@@ -857,7 +1023,7 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
             let node = self.side_scratch[k];
             let penalty = faults.map_or(0u8, |driver| driver.penalty(node, t));
             let lag = (t - self.sessions[node].now()).get();
-            let lower = (penalty, self.lag_score(node, priority, lag));
+            let lower = (penalty, self.lag_score(node, priority, t, lag));
             if best.is_some_and(|(best_key, best_node)| (lower, node) >= (best_key, best_node)) {
                 if C::ENABLED {
                     keys.push(NodeKey {
@@ -872,7 +1038,7 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
             if lag > 0 {
                 self.materialize(node, t);
             }
-            let exact = (penalty, self.lag_score(node, priority, 0));
+            let exact = (penalty, self.lag_score(node, priority, t, 0));
             if C::ENABLED {
                 keys.push(NodeKey {
                     node,
@@ -898,15 +1064,18 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
     /// migration delivery lands at its destination, and each instant ends
     /// with a migration round over the synchronized cluster.
     ///
-    /// Every fault-event instant is a *global* synchronization point:
-    /// all sessions are materialized to `t` before the batch due there is
+    /// Every fault-event instant is a *global* synchronization point. Lazy
+    /// mode materializes all sessions to `t` before the batch due there is
     /// processed, exactly as the reference's advance-all stepping does
     /// (pure suspension makes each node's state at `t` bit-identical
-    /// either way). This is load-bearing for same-instant recovery
-    /// batches — with zero lag, `pick_node` never materializes a target
-    /// mid-batch, so a node receiving several salvages at one instant
-    /// admits them atomically at its next wakeup, like the reference,
-    /// instead of dispatching a partial batch between two injections.
+    /// either way); synchronized mode closes a step at `t`, after which
+    /// every node is advanced or quiet through its reach, and each mutation
+    /// brings only its own node up first. Either way the batch's dispatch
+    /// picks read exact scores without materializing anything. This is
+    /// load-bearing for same-instant recovery batches: a node receiving
+    /// several salvages at one instant admits them atomically at its next
+    /// wakeup, like the reference, instead of dispatching a partial batch
+    /// between two injections.
     #[allow(clippy::too_many_arguments)]
     fn drain_fault_events(
         &mut self,
@@ -938,12 +1107,9 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
             );
             if !self.synchronized {
                 // Lazy mode: nodes may still lag `t`; pull them all up before
-                // the batch. In synchronized mode `advance_to` already ran
-                // every session to `t` — and re-running `run_until(t)` here
-                // would NOT be a no-op after a migration round evacuated a
-                // running task (the session would wake up and dispatch its
-                // next resident, a state transition the reference loop only
-                // performs on its next advance), so the pass must be skipped.
+                // the batch. In synchronized mode `advance_to` closed with a
+                // step at `t`: every node is advanced or quiet through `t`,
+                // and each mutation below brings its node up first (`sync`).
                 for i in 0..self.sessions.len() {
                     self.materialize(i, t);
                 }
@@ -973,6 +1139,7 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
                                     },
                                 );
                             }
+                            self.sync(fault.node);
                             match fault.kind {
                                 FaultKind::Crash => {
                                     let salvaged = self.sessions[fault.node].fail();
@@ -1007,6 +1174,7 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
                                     },
                                 );
                             }
+                            self.sync(node);
                             self.sessions[node].set_clock_scale(1, 1);
                             self.reschedule(node);
                             if let Some(index) = self.index.as_mut() {
@@ -1041,6 +1209,7 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
                                         },
                                     );
                                 }
+                                self.sync(node);
                                 self.sessions[node]
                                     .inject_salvaged(salvage, t)
                                     .expect("salvaged task id is not live");
@@ -1073,16 +1242,18 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
                 }
             }
             if let Some(migration) = migration.as_mut() {
+                let trace = Rc::clone(&self.trace);
                 deliver_due_migrations(
                     migration,
                     faults.as_ref(),
-                    &mut self.sessions,
+                    self,
                     t,
                     assignments,
                     assignment_index,
-                    &self.trace,
+                    &trace,
                 );
-                migration.round(&mut self.sessions, t, &self.trace);
+                migration.round(self, t, &trace);
+                self.flush_touched();
             }
             sample_nodes(&self.sessions, t, &self.trace);
         }
@@ -1091,10 +1262,11 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
     /// SLA-aware admission, bit-identical to the reference's: predicts the
     /// cluster-wide p99 turnaround over all residents plus the newcomer,
     /// shedding the globally lowest-priority never-started task while the
-    /// prediction exceeds the target. Admission runs synchronized (every
-    /// session is already at the arrival instant), but unchanged nodes
-    /// reuse their cached prediction segments, the input vector reuses one
-    /// scratch buffer, and the shed scan is an O(1) peek per node.
+    /// prediction exceeds the target. Every node is read at the arrival
+    /// instant through its `*_at` projections (quiet nodes stay
+    /// unadvanced), unchanged nodes reuse their cached prediction segments,
+    /// the input vector reuses one scratch buffer, the p99 is one selection
+    /// over it, and the shed scan is an O(1) peek per node.
     fn admit(
         &mut self,
         task: &PreparedTask,
@@ -1109,16 +1281,18 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
         loop {
             self.predicted_ms.clear();
             for i in 0..self.sessions.len() {
-                self.predictions[i].refresh(&self.sessions[i], &mut self.residents_scratch);
-                self.predictions[i].append_ms(self.sessions[i].now(), npu, &mut self.predicted_ms);
+                let at = self.horizon(i);
+                let session = &self.sessions[i];
+                self.predictions[i].refresh(session, at, &mut self.residents_scratch);
+                self.predictions[i].append_ms(session.now_at(at), npu, &mut self.predicted_ms);
             }
-            let incoming_turnaround =
-                self.sessions[node].predicted_blocking_work(incoming_priority) + incoming_estimate;
+            let incoming_turnaround = self.sessions[node]
+                .predicted_blocking_work_at(incoming_priority, self.horizon(node))
+                + incoming_estimate;
             self.predicted_ms
                 .push(npu.cycles_to_millis(incoming_turnaround));
-            let p99 = Percentiles::summarize(&self.predicted_ms)
-                .expect("the newcomer is always present")
-                .p99;
+            let p99 = percentile_in_place(&mut self.predicted_ms, 99.0)
+                .expect("the newcomer is always present");
             if p99 <= target_p99_ms {
                 return true;
             }
@@ -1139,9 +1313,11 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
             let incoming_key = ShedKey::of(incoming_priority, incoming_estimate, task.request.id);
             match candidate {
                 Some((key, victim_node, victim_id)) if key < incoming_key => {
+                    self.sync(victim_node);
                     let revoked = self.sessions[victim_node]
                         .revoke(victim_id)
                         .expect("resident was reported revocable");
+                    self.reschedule(victim_node);
                     if C::ENABLED {
                         self.trace.borrow_mut().cluster_event(
                             self.sessions[victim_node].now(),
@@ -1156,7 +1332,7 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
                 _ => {
                     if C::ENABLED {
                         self.trace.borrow_mut().cluster_event(
-                            self.sessions[node].now(),
+                            self.sessions[node].now_at(self.horizon(node)),
                             ClusterTraceEvent::Shed {
                                 task: task.request.id,
                                 node,
@@ -1170,11 +1346,33 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
         }
     }
 
-    /// Commits the newcomer to `node` (which `pick_node` materialized).
+    /// Commits the newcomer to `node` (which lazy mode's `pick_node`
+    /// materialized; synchronized mode brings it up here).
     fn inject(&mut self, node: usize, task: PreparedTask) {
+        self.sync(node);
         self.sessions[node]
             .inject(task)
             .expect("arrival ids are unique");
         self.reschedule(node);
+    }
+}
+
+/// Shared decision machines (migration rounds, transfer deliveries) read
+/// quiet nodes through their projections and advance a node only to mutate
+/// it; the touched nodes' heap entries are refreshed by
+/// [`EventHeapLoop::flush_touched`].
+impl<C: ClusterTraceSink> Nodes<NodeTap<C>> for EventHeapLoop<'_, C> {
+    fn sessions(&self) -> &[SimSession<NodeTap<C>>] {
+        &self.sessions
+    }
+
+    fn horizon(&self, i: usize) -> Cycles {
+        EventHeapLoop::horizon(self, i)
+    }
+
+    fn session_mut(&mut self, i: usize) -> &mut SimSession<NodeTap<C>> {
+        self.sync(i);
+        self.touched.push(i);
+        &mut self.sessions[i]
     }
 }

@@ -86,6 +86,7 @@ use prema_workload::LinkFault;
 
 use crate::faults::{FaultDriver, RecoveryConfig};
 use crate::interconnect::{InterconnectConfig, LinkTopology};
+use crate::online::Nodes;
 use crate::trace::{ClusterTraceEvent, ClusterTraceSink, TransferFailReason};
 
 /// Configuration of the transfer-custody layer: delivery deadlines and the
@@ -478,6 +479,10 @@ pub(crate) struct MigrationDriver<'a> {
     budget_used: Vec<u32>,
     /// Scratch for one source node's resident scan.
     residents: Vec<ResidentTask>,
+    /// Per source node, `(state_version, quiet_until)`: at that version and
+    /// unit clock scale, no started resident's deadline slips before
+    /// `quiet_until` (see [`MigrationDriver::deadline_candidate`]).
+    quiet: Vec<(u64, Cycles)>,
     ledger: CustodyLedger,
     tally: MigrationTally,
 }
@@ -515,6 +520,7 @@ impl<'a> MigrationDriver<'a> {
             seq: 0,
             budget_used: vec![0; nodes],
             residents: Vec::new(),
+            quiet: vec![(u64::MAX, Cycles::ZERO); nodes],
             ledger: CustodyLedger::default(),
             tally: MigrationTally::default(),
         }
@@ -551,23 +557,27 @@ impl<'a> MigrationDriver<'a> {
     ///
     /// The trace sink is borrowed only *between* session calls — the
     /// sessions' own taps borrow the same cell from inside `checkpoint_out`.
-    pub(crate) fn round<S: TraceSink, C: ClusterTraceSink>(
+    pub(crate) fn round<S: TraceSink, C: ClusterTraceSink, N: Nodes<S> + ?Sized>(
         &mut self,
-        sessions: &mut [SimSession<S>],
+        nodes: &mut N,
         t: Cycles,
         trace: &RefCell<C>,
     ) {
-        for from in 0..sessions.len() {
-            if sessions[from].stalled_until().is_some()
+        for from in 0..nodes.sessions().len() {
+            if nodes.sessions()[from].stalled_until().is_some()
                 || self.budget_used[from] >= self.config.node_budget
             {
                 continue;
             }
-            let Some((id, priority, remaining, stay)) = self.deadline_candidate(&sessions[from])
+            let Some((id, priority, remaining, stay)) =
+                self.deadline_candidate(from, &nodes.sessions()[from], nodes.horizon(from))
             else {
                 continue;
             };
-            let (_, bytes) = sessions[from]
+            // The preview reads the runner's commit point, so the source is
+            // brought to `t` first (it is about to be mutated anyway).
+            let (_, bytes) = nodes
+                .session_mut(from)
                 .checkpoint_preview(id)
                 .expect("a started resident is checkpointable");
             let restore = self.checkpoint.restore_cycles(bytes);
@@ -577,7 +587,7 @@ impl<'a> MigrationDriver<'a> {
             // reject the destination up front. Ties break to the lowest
             // index.
             let mut best: Option<(Cycles, usize, Cycles)> = None;
-            for (to, target) in sessions.iter().enumerate() {
+            for (to, target) in nodes.sessions().iter().enumerate() {
                 if to == from || target.stalled_until().is_some() {
                     continue;
                 }
@@ -587,7 +597,8 @@ impl<'a> MigrationDriver<'a> {
                 else {
                     continue;
                 };
-                let queue = target.predicted_blocking_work(priority) + remaining;
+                let queue =
+                    target.predicted_blocking_work_at(priority, nodes.horizon(to)) + remaining;
                 let move_cost = transfer + restore + target.scaled_wall_for_work(queue);
                 if best.is_none_or(|(cost, _, _)| move_cost < cost) {
                     best = Some((move_cost, to, transfer));
@@ -599,7 +610,8 @@ impl<'a> MigrationDriver<'a> {
             if move_cost.get() as f64 * self.config.hysteresis >= stay.get() as f64 {
                 continue;
             }
-            let salvage = sessions[from]
+            let salvage = nodes
+                .session_mut(from)
                 .checkpoint_out(id)
                 .expect("the previewed task is still checkpointable");
             self.budget_used[from] += 1;
@@ -650,23 +662,50 @@ impl<'a> MigrationDriver<'a> {
     /// is the candidate. Returns `(id, priority, estimated remaining, stay
     /// cost)` — the stay cost is the scaled wall time of everything at or
     /// ahead of the candidate.
+    ///
+    /// At unit clock scale a walk that finds no candidate also records when
+    /// the first one could appear, and later rounds at the same state
+    /// version skip the walk until then. Between versions only the clock
+    /// and the runner's progress move, one cycle per cycle, so a resident's
+    /// predicted completion `now + backlog` is constant while the runner's
+    /// estimate lasts if the runner drains at or ahead of it (its backlog
+    /// shrinks as fast as the clock grows), and grows one-for-one
+    /// otherwise. With slack `deadline - (now + backlog)` and `left` the
+    /// runner's remaining estimate when it is ahead (zero otherwise), the
+    /// resident therefore slips exactly at `now + slack + left + 1`.
     fn deadline_candidate<S: TraceSink>(
         &mut self,
+        from: usize,
         session: &SimSession<S>,
+        at: Cycles,
     ) -> Option<(TaskId, prema_core::Priority, Cycles, Cycles)> {
+        let now = session.now_at(at);
+        let unit = session.clock_scale() == (1, 1);
+        let (version, quiet_until) = self.quiet[from];
+        let quiet = unit && version == session.state_version() && now < quiet_until;
+        if quiet && !cfg!(debug_assertions) {
+            return None;
+        }
         self.residents.clear();
-        session.resident_tasks_into(&mut self.residents);
+        session.resident_tasks_at_into(at, &mut self.residents);
         self.residents
             .sort_by_key(|r| (Reverse(r.priority), r.arrival, r.id));
-        let now = session.now();
+        let runner = session.running_task();
         let mut backlog = Cycles::ZERO;
+        let mut left = Cycles::ZERO;
+        let mut first_slip = Cycles::MAX;
         for resident in &self.residents {
             backlog += resident.estimated_remaining();
+            if Some(resident.id) == runner {
+                left = resident.estimated_remaining();
+            }
             if !resident.started {
                 continue;
             }
             let stay = session.scaled_wall_for_work(backlog);
-            if now + stay > resident.arrival + self.deadline_offset {
+            let deadline = resident.arrival + self.deadline_offset;
+            if now + stay > deadline {
+                debug_assert!(!quiet, "a deadline slipped inside its quiet interval");
                 return Some((
                     resident.id,
                     resident.priority,
@@ -674,6 +713,10 @@ impl<'a> MigrationDriver<'a> {
                     stay,
                 ));
             }
+            first_slip = first_slip.min(deadline - backlog + left + Cycles::new(1));
+        }
+        if unit {
+            self.quiet[from] = (session.state_version(), first_slip);
         }
         None
     }
@@ -794,10 +837,10 @@ impl<'a> MigrationDriver<'a> {
     /// healthy destination (the custodian itself is a zero-transfer
     /// candidate). If nothing is reachable the attempt is spent waiting
     /// out another backoff.
-    pub(crate) fn redirect<S: TraceSink, C: ClusterTraceSink>(
+    pub(crate) fn redirect<S: TraceSink, C: ClusterTraceSink, N: Nodes<S> + ?Sized>(
         &mut self,
         pending: PendingMigration,
-        sessions: &[SimSession<S>],
+        nodes: &N,
         faults: Option<&FaultDriver<'_>>,
         t: Cycles,
         trace: &RefCell<C>,
@@ -808,7 +851,7 @@ impl<'a> MigrationDriver<'a> {
         let bytes = pending.salvage.checkpoint_bytes;
         let restore = self.checkpoint.restore_cycles(bytes);
         let mut best: Option<(Cycles, usize, Cycles)> = None;
-        for (to, target) in sessions.iter().enumerate() {
+        for (to, target) in nodes.sessions().iter().enumerate() {
             if target.stalled_until().is_some() || faults.is_some_and(|f| f.is_down(to, t)) {
                 continue;
             }
@@ -820,7 +863,9 @@ impl<'a> MigrationDriver<'a> {
             };
             let cost = transfer
                 + restore
-                + target.scaled_wall_for_work(target.predicted_blocking_work(priority));
+                + target.scaled_wall_for_work(
+                    target.predicted_blocking_work_at(priority, nodes.horizon(to)),
+                );
             if best.is_none_or(|(c, _, _)| cost < c) {
                 best = Some((cost, to, transfer));
             }

@@ -36,9 +36,13 @@
 //! * **Work stealing** ([`OnlineClusterConfig::work_stealing`]) — when a
 //!   node drains while others hold never-started waiting work, the idle
 //!   node takes over the largest such task ([`SimSession::revoke`] on the
-//!   victim, inject on the thief). The global loop steps node execution to
-//!   every completion bound between arrivals, so idleness is detected at
-//!   the completion that caused it, not at the next arrival.
+//!   victim, inject on the thief). The global loop steps to every
+//!   completion bound between arrivals, so idleness is detected at the
+//!   completion that caused it, not at the next arrival. The reference
+//!   advances every node at each such step; the event-heap loop advances
+//!   only the nodes whose next-event certificate
+//!   ([`SimSession::next_event_time`]) is due, plus the victim and thief of
+//!   a steal, and reads the rest through their `*_at` projections.
 //! * **SLA-aware admission** ([`OnlineClusterConfig::admission`]) — at each
 //!   arrival the front-end predicts the p99 turnaround over all resident
 //!   work plus the newcomer (per node: remaining work drained in
@@ -1172,6 +1176,36 @@ pub(crate) fn finish_outcome<S: TraceSink>(
     }
 }
 
+/// The node sessions as a shared decision machine (a migration round, a
+/// transfer delivery) sees them at a decision instant. Reads of node `i` go
+/// through its `*_at(horizon(i))` projections; a mutation goes through
+/// [`Nodes::session_mut`], which first brings the node to that horizon. The
+/// reference loop's slice is always advanced, so its horizon is each
+/// node's own clock (where the projections are the identity) and both are
+/// plain accesses; the event-heap loop leaves quiet nodes unadvanced.
+pub(crate) trait Nodes<S: TraceSink> {
+    /// Every session, for reads.
+    fn sessions(&self) -> &[SimSession<S>];
+    /// The instant node `i` is read at.
+    fn horizon(&self, i: usize) -> Cycles;
+    /// Node `i`, advanced to its horizon, for a mutation.
+    fn session_mut(&mut self, i: usize) -> &mut SimSession<S>;
+}
+
+impl<S: TraceSink> Nodes<S> for [SimSession<S>] {
+    fn sessions(&self) -> &[SimSession<S>] {
+        self
+    }
+
+    fn horizon(&self, i: usize) -> Cycles {
+        self[i].now()
+    }
+
+    fn session_mut(&mut self, i: usize) -> &mut SimSession<S> {
+        &mut self[i]
+    }
+}
+
 /// Processes every in-flight transfer event due at or before `t` — the
 /// single consumption point of the custody decision machine, shared by the
 /// reference loop and (with a certificate refresh on top) mirrored by the
@@ -1186,10 +1220,10 @@ pub(crate) fn finish_outcome<S: TraceSink>(
 ///   retry budget, abandonment with accounting past it;
 /// * a **redirect** re-prices every reachable healthy node and relaunches
 ///   the transfer toward the cheapest one.
-pub(crate) fn deliver_due_migrations<S: TraceSink, C: ClusterTraceSink>(
+pub(crate) fn deliver_due_migrations<S: TraceSink, C: ClusterTraceSink, N: Nodes<S> + ?Sized>(
     migration: &mut MigrationDriver<'_>,
     faults: Option<&FaultDriver<'_>>,
-    sessions: &mut [SimSession<S>],
+    nodes: &mut N,
     t: Cycles,
     assignments: &mut [NodeAssignment],
     assignment_index: &HashMap<TaskId, usize>,
@@ -1212,7 +1246,8 @@ pub(crate) fn deliver_due_migrations<S: TraceSink, C: ClusterTraceSink>(
                 }
                 let id = pending.salvage.prepared.request.id;
                 migration.on_landed(id, node);
-                sessions[node]
+                nodes
+                    .session_mut(node)
                     .inject_salvaged(pending.salvage, t)
                     .expect("migrated task id is not live");
                 if C::ENABLED {
@@ -1228,7 +1263,7 @@ pub(crate) fn deliver_due_migrations<S: TraceSink, C: ClusterTraceSink>(
                 migration.on_transfer_failed(pending, reason, t, trace);
             }
             TransferEvent::Redirect => {
-                migration.redirect(pending, sessions, faults, t, trace);
+                migration.redirect(pending, nodes, faults, t, trace);
             }
         }
     }

@@ -416,7 +416,7 @@ pub(crate) fn sample_nodes<S: TraceSink, C: ClusterTraceSink>(
             ClusterTraceEvent::NodeSample {
                 node,
                 queue_depth: session.queue_depth() as u32,
-                remaining_work: session.predicted_remaining_work(),
+                remaining_work: session.predicted_remaining_work_at(now),
             },
         );
     }

@@ -2094,6 +2094,131 @@ impl<S: TraceSink> SimSession<S> {
         pending_wakeup
     }
 
+    /// The session's *next-event certificate*: the earliest instant at which
+    /// [`SimSession::run_until`] would do more than move the clock and the
+    /// running task's progress cursor. That is the first of
+    ///
+    /// * the running task's completion;
+    /// * the admission of a pending arrival;
+    /// * a scheduling-period wakeup with a competitor waiting (preemptive
+    ///   modes only — every other wakeup is inert);
+    /// * the end of a fault stall.
+    ///
+    /// A clock-scaled (degraded) session reports its own clock: it is always
+    /// due. `None` once drained — a drained session's `run_until` does
+    /// nothing at all.
+    ///
+    /// For every horizon strictly before the certificate, `run_until` leaves
+    /// the whole closed-loop surface unchanged except [`SimSession::now`] and
+    /// the runner's progress, both of which move linearly; the `*_at` reads
+    /// ([`SimSession::now_at`], [`SimSession::predicted_remaining_work_at`],
+    /// [`SimSession::predicted_blocking_work_at`],
+    /// [`SimSession::resident_tasks_at_into`]) extrapolate exactly that
+    /// motion, so a cluster driver can leave a quiet node unadvanced and
+    /// still read what an advanced one would report.
+    pub fn next_event_time(&self) -> Option<Cycles> {
+        if self.is_drained() {
+            return None;
+        }
+        if self.now < self.stall_until {
+            return Some(self.stall_until);
+        }
+        if !self.clock.is_unit() {
+            return Some(self.now);
+        }
+        let arrival = self
+            .arrival_order
+            .get(self.next_arrival_idx)
+            .map_or(Cycles::MAX, |&i| {
+                self.state.runtimes[i].admit_at.max(self.now)
+            });
+        let own = match self.running {
+            Some(run_idx) => {
+                let completion = self.now + self.state.plan_remaining(run_idx);
+                if !self.state.waiting.is_empty() && self.sched.preemption.is_preemptive() {
+                    completion.min(realign_quantum(self.next_quantum, self.now, self.quantum))
+                } else {
+                    completion
+                }
+            }
+            None if !self.state.waiting.is_empty() => self.now,
+            None => Cycles::MAX,
+        };
+        Some(own.min(arrival))
+    }
+
+    /// The running task's progress gained by `at` along the session's quiet
+    /// interval, or `None` when `at` is not strictly inside it (at or
+    /// before the clock, at or past [`SimSession::next_event_time`], or
+    /// drained) — the session then reads as-is.
+    fn quiet_gain(&self, at: Cycles) -> Option<Cycles> {
+        if at <= self.now || self.next_event_time().is_none_or(|event| at >= event) {
+            return None;
+        }
+        // Inside the quiet interval the clock runs at unit scale; a stalled
+        // node's runner makes no progress before the stall ends.
+        let stalled = self.now < self.stall_until;
+        Some(match self.running {
+            Some(_) if !stalled => at - self.now,
+            _ => Cycles::ZERO,
+        })
+    }
+
+    /// The running task's estimated-remaining decrease by `at` (zero when
+    /// the session reads as-is).
+    fn quiet_freed(&self, at: Cycles) -> (Cycles, Option<Priority>) {
+        match (self.quiet_gain(at), self.running) {
+            (Some(gain), Some(run_idx)) => {
+                let runtime = &self.state.runtimes[run_idx];
+                (
+                    runtime.remaining_estimate().min(gain),
+                    Some(runtime.prepared.request.priority),
+                )
+            }
+            _ => (Cycles::ZERO, None),
+        }
+    }
+
+    /// [`SimSession::now`] as a `run_until(at)` would leave it, for `at`
+    /// before [`SimSession::next_event_time`]; otherwise the clock as-is.
+    pub fn now_at(&self, at: Cycles) -> Cycles {
+        if self.quiet_gain(at).is_some() {
+            at
+        } else {
+            self.now
+        }
+    }
+
+    /// [`SimSession::predicted_remaining_work`] as a `run_until(at)` would
+    /// leave it (see [`SimSession::now_at`]).
+    pub fn predicted_remaining_work_at(&self, at: Cycles) -> Cycles {
+        self.predicted_remaining_work() - self.quiet_freed(at).0
+    }
+
+    /// [`SimSession::predicted_blocking_work`] as a `run_until(at)` would
+    /// leave it (see [`SimSession::now_at`]).
+    pub fn predicted_blocking_work_at(&self, priority: Priority, at: Cycles) -> Cycles {
+        let blocking = self.predicted_blocking_work(priority);
+        match self.quiet_freed(at) {
+            (freed, Some(runner)) if runner >= priority => blocking - freed,
+            _ => blocking,
+        }
+    }
+
+    /// [`SimSession::resident_tasks_into`] as a `run_until(at)` would leave
+    /// the residents (see [`SimSession::now_at`]): only the running task's
+    /// `executed` moves.
+    pub fn resident_tasks_at_into(&self, at: Cycles, out: &mut Vec<ResidentTask>) {
+        let start = out.len();
+        self.resident_tasks_into(out);
+        if let (Some(gain), Some(run_idx)) = (self.quiet_gain(at), self.running) {
+            let id = self.state.runtimes[run_idx].id();
+            if let Some(runner) = out[start..].iter_mut().find(|resident| resident.id == id) {
+                runner.executed += gain;
+            }
+        }
+    }
+
     /// Injects a newly arrived task into the paused session. The task is
     /// admitted at the first wakeup at or after its arrival time; an arrival
     /// in the session's past is admitted immediately at the current clock

@@ -139,6 +139,33 @@ fn metrics_are_bounded() {
     }
 }
 
+/// Percentile by selection is bit-identical to the sort-based percentile,
+/// duplicates and interpolated ranks included.
+#[test]
+fn selected_percentile_matches_the_sorted_percentile_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(0x9999);
+    for _ in 0..512 {
+        let count = rng.gen_range(1usize..300);
+        // A small value pool forces runs of duplicates around the rank.
+        let pool: Vec<f64> = (0..rng.gen_range(1usize..40))
+            .map(|_| rng.gen_range(0.0f64..500.0))
+            .collect();
+        let values: Vec<f64> = (0..count)
+            .map(|_| pool[rng.gen_range(0..pool.len())])
+            .collect();
+        for p in [99.0, 95.0, 50.0, 0.0, 100.0, rng.gen_range(0.0f64..100.0)] {
+            let mut scratch = values.clone();
+            let selected = prema::metrics::percentile_in_place(&mut scratch, p);
+            let sorted = prema::metrics::percentile(&values, p);
+            assert_eq!(
+                selected.map(f64::to_bits),
+                sorted.map(f64::to_bits),
+                "p{p} over {values:?}"
+            );
+        }
+    }
+}
+
 /// Algorithm 3 never returns KILL, and drains exactly when waiting hurts
 /// the candidate less than preemption hurts the current task.
 #[test]
@@ -693,4 +720,183 @@ fn incremental_aggregates_match_resident_scans_under_random_driving() {
         // else completes exactly once.
         assert!(outcome.records.len() <= task_count);
     }
+}
+
+/// One operation of a random session driving (see
+/// `next_event_certificate_contract_holds_under_random_driving`).
+#[derive(Debug, Clone, Copy)]
+enum SessionOp {
+    Advance(u64),
+    Inject(usize),
+    Revoke(usize),
+    Stall(u64),
+    CheckpointOut,
+    Scale(u32),
+    Unscale,
+}
+
+/// Replays `ops` on a fresh session: the same operations always build the
+/// same session, which is how a test obtains an identical twin.
+fn replay_session(
+    sim: &NpuSimulator,
+    tasks: &[prema::PreparedTask],
+    ops: &[SessionOp],
+) -> prema::SimSession {
+    let mut session = sim.session(&[]);
+    let mut horizon = Cycles::ZERO;
+    for op in ops {
+        match *op {
+            SessionOp::Advance(delta) => {
+                horizon += Cycles::new(delta);
+                let _ = session.run_until(horizon);
+            }
+            SessionOp::Inject(task) => {
+                session
+                    .inject(tasks[task].clone())
+                    .expect("every task is injected once");
+            }
+            SessionOp::Revoke(pick) => {
+                let revocable: Vec<TaskId> = session
+                    .resident_tasks()
+                    .iter()
+                    .filter(|r| r.revocable)
+                    .map(|r| r.id)
+                    .collect();
+                if !revocable.is_empty() {
+                    session
+                        .revoke(revocable[pick % revocable.len()])
+                        .expect("revocable");
+                }
+            }
+            SessionOp::Stall(length) => session.stall(session.now() + Cycles::new(length)),
+            SessionOp::CheckpointOut => {
+                if let Some(id) = session.running_task() {
+                    session.checkpoint_out(id).expect("a runner has started");
+                }
+            }
+            SessionOp::Scale(den) => session.set_clock_scale(1, den),
+            SessionOp::Unscale => session.set_clock_scale(1, 1),
+        }
+    }
+    session
+}
+
+/// The next-event certificate contract, over random sessions under all 14
+/// paper-grid scheduler configurations, driven through random
+/// inject / revoke / stall / `checkpoint_out` / clock-scale sequences: for
+/// every horizon strictly before `next_event_time()`, `run_until` leaves the
+/// closed-loop surface unchanged except the clock and the runner's
+/// progress, and the `*_at` projections read exactly what an identical
+/// twin advanced to that horizon reports.
+#[test]
+fn next_event_certificate_contract_holds_under_random_driving() {
+    let npu = NpuConfig::paper_default();
+    let mut configs: Vec<SchedulerConfig> = PolicyKind::ALL
+        .iter()
+        .map(|&policy| SchedulerConfig::named(policy, PreemptionMode::NonPreemptive))
+        .collect();
+    for mode in [
+        PreemptionMode::Static(PreemptionMechanism::Checkpoint),
+        PreemptionMode::Dynamic,
+    ] {
+        for policy in [
+            PolicyKind::Hpf,
+            PolicyKind::Token,
+            PolicyKind::Sjf,
+            PolicyKind::Prema,
+        ] {
+            configs.push(SchedulerConfig::named(policy, mode));
+        }
+    }
+    assert_eq!(configs.len(), 14);
+    let mut rng = StdRng::seed_from_u64(0xCE27);
+    let mut projected = 0usize;
+    for case in 0..168 {
+        let sim = NpuSimulator::new(npu.clone(), configs[case % configs.len()].clone());
+        let task_count = rng.gen_range(2usize..7);
+        let requests: Vec<TaskRequest> = (0..task_count)
+            .map(|i| {
+                let model = ALL_EVAL_MODELS[rng.gen_range(0usize..ALL_EVAL_MODELS.len())];
+                TaskRequest::new(TaskId(i as u64), model)
+                    .with_priority(Priority::ALL[rng.gen_range(0usize..3)])
+                    .with_arrival(Cycles::new(rng.gen_range(0u64..8_000_000)))
+                    .with_seq(SeqSpec::for_model(model, 10))
+            })
+            .collect();
+        let tasks = sim.prepare(&requests);
+        let mut ops = Vec::new();
+        let mut injected = 0;
+        for _ in 0..rng.gen_range(3usize..14) {
+            ops.push(match rng.gen_range(0u8..10) {
+                0..=2 if injected < task_count => {
+                    injected += 1;
+                    SessionOp::Inject(injected - 1)
+                }
+                0..=4 => SessionOp::Advance(rng.gen_range(1u64..3_000_000)),
+                5 => SessionOp::Revoke(rng.gen_range(0usize..4)),
+                6 => SessionOp::Stall(rng.gen_range(1u64..1_000_000)),
+                7 => SessionOp::CheckpointOut,
+                8 => SessionOp::Scale(rng.gen_range(2u32..8)),
+                _ => SessionOp::Unscale,
+            });
+        }
+        let session = replay_session(&sim, &tasks, &ops);
+        let now = session.now();
+        let Some(event) = session.next_event_time() else {
+            continue;
+        };
+        assert!(event >= now, "case {case}: the certificate is never past");
+        let mut horizons = vec![now.saturating_sub(Cycles::new(1)), now];
+        if event > now + Cycles::new(1) {
+            horizons.push(event - Cycles::new(1));
+            for _ in 0..3 {
+                horizons.push(Cycles::new(rng.gen_range(now.get()..event.get())));
+            }
+        }
+        for horizon in horizons.into_iter().filter(|&h| h < event) {
+            let context = format!("case {case} at {horizon:?} (event {event:?}): {ops:?}");
+            let mut twin = replay_session(&sim, &tasks, &ops);
+            let _ = twin.run_until(horizon);
+            assert_eq!(twin.state_version(), session.state_version(), "{context}");
+            assert_eq!(twin.queue_depth(), session.queue_depth(), "{context}");
+            assert_eq!(
+                twin.next_completion_time(),
+                session.next_completion_time(),
+                "{context}"
+            );
+            assert_eq!(twin.revocable_work(), session.revocable_work(), "{context}");
+            assert_eq!(
+                twin.best_steal_candidate(),
+                session.best_steal_candidate(),
+                "{context}"
+            );
+            assert_eq!(
+                twin.best_shed_candidate(),
+                session.best_shed_candidate(),
+                "{context}"
+            );
+            assert_eq!(twin.running_task(), session.running_task(), "{context}");
+            assert_eq!(twin.stalled_until(), session.stalled_until(), "{context}");
+            assert_eq!(twin.next_event_time(), Some(event), "{context}");
+
+            assert_eq!(twin.now(), session.now_at(horizon), "{context}");
+            assert_eq!(
+                twin.predicted_remaining_work(),
+                session.predicted_remaining_work_at(horizon),
+                "{context}"
+            );
+            for priority in Priority::ALL {
+                assert_eq!(
+                    twin.predicted_blocking_work(priority),
+                    session.predicted_blocking_work_at(priority, horizon),
+                    "{context} {priority:?}"
+                );
+            }
+            let mut residents = Vec::new();
+            session.resident_tasks_at_into(horizon, &mut residents);
+            assert_eq!(twin.resident_tasks(), residents, "{context}");
+            projected += usize::from(horizon > now);
+        }
+    }
+    assert!(projected > 100, "the drivings reach into quiet intervals");
 }
