@@ -503,15 +503,13 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
         self.reach(i).unwrap_or_else(|| self.sessions[i].now())
     }
 
-    /// Brings node `i` to its reach before a mutation (synchronized mode)
-    /// and marks it current. A node already current this step is left
-    /// alone: a second `run_until` after a mutation is not inert — it would
-    /// admit and dispatch work the reference leaves pending until its next
-    /// step. Lazy mode's callers have materialized the node already.
+    /// Brings node `i` to its reach before a mutation and marks it
+    /// current. A node already current this step is left alone: a second
+    /// `run_until` after a mutation is not inert — it would admit and
+    /// dispatch work the reference leaves pending until its next step.
+    /// (Lazy mode opens steps only at fault instants; its arrival picks
+    /// materialize their winner themselves.)
     fn sync(&mut self, i: usize) {
-        if !self.synchronized {
-            return;
-        }
         if let Some(reach) = self.reach(i) {
             let _ = self.sessions[i].run_until(reach);
         }
@@ -550,13 +548,18 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
     /// already higher keeps it), so popping certificates up to `t` keeps
     /// the invariant.
     fn begin_step(&mut self, t: Cycles) {
+        self.open_step(t);
+        self.materialize_due(t);
+    }
+
+    /// Records a new step at `t` (see `peaks`).
+    fn open_step(&mut self, t: Cycles) {
         self.step += 1;
         self.at = t;
         while self.peaks.last().is_some_and(|&(_, at)| at <= t) {
             self.peaks.pop();
         }
         self.peaks.push((self.step, t));
-        self.materialize_due(t);
     }
 
     /// Pops every node whose live certificate is due at or before `t` and
@@ -1106,12 +1109,21 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
                 assignment_index,
             );
             if !self.synchronized {
-                // Lazy mode: nodes may still lag `t`; pull them all up before
-                // the batch. In synchronized mode `advance_to` closed with a
-                // step at `t`: every node is advanced or quiet through `t`,
-                // and each mutation below brings its node up first (`sync`).
+                // Lazy mode keys completion certificates only, so a node may
+                // still hold an event due by `t`: open a step there and
+                // advance exactly those nodes (a scan of O(1) reads — fault
+                // instants are rare). Synchronized mode's `advance_to`
+                // already closed with a step at `t`. Either way every node
+                // is now advanced or quiet through `t`, and each mutation
+                // below brings its node up first (`sync`).
+                self.open_step(t);
                 for i in 0..self.sessions.len() {
-                    self.materialize(i, t);
+                    if self.sessions[i]
+                        .next_event_time()
+                        .is_some_and(|event| event <= t)
+                    {
+                        self.materialize(i, t);
+                    }
                 }
             }
             if let Some(driver) = faults.as_mut() {
