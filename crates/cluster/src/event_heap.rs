@@ -348,16 +348,17 @@ struct EventHeapLoop<'a, C: ClusterTraceSink> {
     /// quiet node's completion time does not move before its certificate,
     /// so its entry stays current while it lags.
     bounds: BinaryHeap<Reverse<(Cycles, usize)>>,
-    /// The current step's number and instant (synchronized mode).
+    /// The current step's number: every synchronized step, and every
+    /// lazy-mode fault instant, opens one.
     step: u64,
-    at: Cycles,
     /// The reference advances every node at every step, and its steps can
     /// revisit the past (after a steal onto a parked thief), where a node
     /// already further ahead stays put. So a node this loop left alone
     /// since step `fresh[i]` stands, in the reference, at the *latest*
     /// step instant since then — its `reach`. `peaks` answers that query:
     /// (step, instant) pairs with rising steps and strictly falling
-    /// instants, each the maximum over every step from it to the present.
+    /// instants, each the maximum over every step from it to the present;
+    /// the last is the current step.
     peaks: Vec<(u64, Cycles)>,
     /// The step at which this loop last advanced or mutated each node.
     fresh: Vec<u64>,
@@ -407,7 +408,6 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
             heap: BinaryHeap::with_capacity(nodes * 2),
             bounds: BinaryHeap::with_capacity(if synchronized { nodes * 2 } else { 0 }),
             step: 0,
-            at: Cycles::ZERO,
             peaks: Vec::new(),
             fresh: vec![0; nodes],
             touched: Vec::new(),
@@ -446,8 +446,12 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
             self.heap.push(Reverse((bound, i)));
             if C::ENABLED {
                 // Synchronized pushes happen inside a step, so they are
-                // stamped with it, keeping the cluster stream in step order.
-                let stamp = if self.synchronized { self.at } else { bound };
+                // stamped with its instant (the newest peak), keeping the
+                // cluster stream in step order.
+                let stamp = match self.peaks.last() {
+                    Some(&(_, at)) if self.synchronized => at,
+                    _ => bound,
+                };
                 self.trace
                     .borrow_mut()
                     .cluster_event(stamp, ClusterTraceEvent::HeapPush { node: i, bound });
@@ -486,8 +490,8 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
     }
 
     /// Where the reference's stepping has carried node `i` since this loop
-    /// last advanced or mutated it (synchronized mode; see `peaks`), or
-    /// `None` if it has not stepped since.
+    /// last advanced or mutated it (see `peaks`), or `None` if no step has
+    /// opened since.
     fn reach(&self, i: usize) -> Option<Cycles> {
         let since = self.fresh[i];
         let k = self.peaks.partition_point(|&(step, _)| step <= since);
@@ -555,7 +559,6 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
     /// Records a new step at `t` (see `peaks`).
     fn open_step(&mut self, t: Cycles) {
         self.step += 1;
-        self.at = t;
         while self.peaks.last().is_some_and(|&(_, at)| at <= t) {
             self.peaks.pop();
         }
@@ -563,7 +566,8 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
     }
 
     /// Pops every node whose live certificate is due at or before `t` and
-    /// advances it to `t`. Each due node is materialized once:
+    /// advances it to `t` (synchronized: to its reach, which is at least
+    /// `t`). Each due node is materialized once:
     /// its post-advance certificate (pushed for *future* rounds) is not
     /// re-examined, so the loop terminates even in the degenerate corner
     /// where a certificate does not clear `t`.
