@@ -575,7 +575,8 @@ impl<'a> MigrationDriver<'a> {
                 continue;
             };
             // The preview reads the runner's commit point, so the source is
-            // brought to `t` first (it is about to be mutated anyway).
+            // brought up to its horizon first (it is about to be mutated
+            // anyway).
             let (_, bytes) = nodes
                 .session_mut(from)
                 .checkpoint_preview(id)

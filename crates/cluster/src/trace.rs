@@ -397,8 +397,9 @@ impl<C: ClusterTraceSink> TraceSink for NodeTap<C> {
     }
 }
 
-/// Samples every node's queue depth and predicted remaining work into the
-/// cluster sink — called by the loops at global events (arrivals and
+/// Samples every node's queue depth and predicted remaining work as of `now`
+/// (a node left unadvanced through `now` reads its projection there) into
+/// the cluster sink — called by the loops at global events (arrivals and
 /// fault/migration synchronization instants). O(1) per node, compiled away
 /// when the sink is disabled.
 pub(crate) fn sample_nodes<S: TraceSink, C: ClusterTraceSink>(
