@@ -75,9 +75,11 @@
 //! projected segments is one in-place selection, and each node's segment is
 //! cached by `state_version` (per arrival only nodes whose state moved are
 //! re-sorted; within one shed loop only the shedded node's segment is
-//! rebuilt). Every signal is an O(1) engine aggregate (`revocable_work`,
-//! `best_steal_candidate`, `best_shed_candidate`, the predicted-work
-//! totals) rather than a resident rescan.
+//! rebuilt); the migration deadline monitor likewise skips a node until
+//! its first possible deadline slip. Stealing, shedding and dispatch read
+//! O(1) engine aggregates (`revocable_work`, `best_steal_candidate`,
+//! `best_shed_candidate`, the predicted-work totals) rather than resident
+//! rescans.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -723,11 +725,11 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
             let Some((_, victim)) = victim else {
                 return steals;
             };
+            self.sync(victim);
+            self.sync(thief);
             let stolen = self.sessions[victim]
                 .best_steal_candidate()
                 .expect("nonzero stealable work has a best task");
-            self.sync(victim);
-            self.sync(thief);
             let prepared = self.sessions[victim]
                 .revoke(stolen.id)
                 .expect("stolen task was revocable");

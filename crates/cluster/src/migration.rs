@@ -680,13 +680,15 @@ impl<'a> MigrationDriver<'a> {
         session: &SimSession<S>,
         at: Cycles,
     ) -> Option<(TaskId, prema_core::Priority, Cycles, Cycles)> {
-        let now = session.now_at(at);
         let unit = session.clock_scale() == (1, 1);
         let (version, quiet_until) = self.quiet[from];
-        let quiet = unit && version == session.state_version() && now < quiet_until;
+        // The node is read at `now_at(at)`, never later than this bound.
+        let quiet =
+            unit && version == session.state_version() && session.now().max(at) < quiet_until;
         if quiet && !cfg!(debug_assertions) {
             return None;
         }
+        let now = session.now_at(at);
         self.residents.clear();
         session.resident_tasks_at_into(at, &mut self.residents);
         self.residents
