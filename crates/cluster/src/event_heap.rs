@@ -75,8 +75,9 @@
 //! projected segments is one in-place selection, and each node's segment is
 //! cached by `state_version` (per arrival only nodes whose state moved are
 //! re-sorted; within one shed loop only the shedded node's segment is
-//! rebuilt); the migration deadline monitor likewise skips a node until
-//! its first possible deadline slip. Stealing, shedding and dispatch read
+//! rebuilt); the migration deadline monitor reads the same segments and
+//! walks a node's residents only once one of its started residents has
+//! slipped. Stealing, shedding and dispatch read
 //! O(1) engine aggregates (`revocable_work`, `best_steal_candidate`,
 //! `best_shed_candidate`, the predicted-work totals) rather than resident
 //! rescans.
@@ -208,7 +209,8 @@ pub(crate) fn run_impl<C: ClusterTraceSink>(
     )
 }
 
-/// Per-node cache of the SLA-admission predicted-turnaround segment.
+/// Per-node cache of the predicted-completion segment that SLA admission
+/// and the migration deadline monitor read.
 ///
 /// Each entry is one resident, in drain (priority, arrival, id) order:
 /// `(base, arrival, add_now)`. The resident's predicted completion is
@@ -220,7 +222,10 @@ pub(crate) fn run_impl<C: ClusterTraceSink>(
 /// but the clock still advances under it). The reference computes
 /// `millis((now + backlog) - arrival)` with saturating integer cycle
 /// arithmetic; these segments reproduce exactly those integers, then
-/// convert once per query.
+/// convert once per query. At unit clock scale the same completions are
+/// the deadline monitor's `now + scaled_wall(backlog)`, so the segment
+/// also keeps the largest started turnaround per entry form: a deadline
+/// can slip only once it passes the SLA offset.
 ///
 /// One clamp makes the absolute entries *time-limited*: when the predictor
 /// underestimated the runner, its estimated remaining saturates at zero
@@ -245,6 +250,11 @@ struct PredictionSegment {
     valid: bool,
     valid_until: Cycles,
     entries: Vec<(Cycles, Cycles, bool)>,
+    /// The largest predicted turnaround of a started resident, over the
+    /// absolute entries (constant) and over the `add_now` entries at the
+    /// rebuild clock `built` (growing one-for-one with the clock).
+    started_turnaround: (Cycles, Option<Cycles>),
+    built: Cycles,
 }
 
 impl Default for PredictionSegment {
@@ -254,6 +264,8 @@ impl Default for PredictionSegment {
             valid: false,
             valid_until: Cycles::MAX,
             entries: Vec::new(),
+            started_turnaround: (Cycles::ZERO, None),
+            built: Cycles::ZERO,
         }
     }
 }
@@ -291,6 +303,7 @@ impl PredictionSegment {
         self.entries.clear();
         self.entries.reserve(scratch.len());
         self.valid_until = stalled.unwrap_or(Cycles::MAX);
+        let (mut fixed, mut moving) = (Cycles::ZERO, None::<Cycles>);
         let mut backlog = Cycles::ZERO;
         let mut runner_seen = false;
         for resident in scratch.iter() {
@@ -309,7 +322,17 @@ impl PredictionSegment {
             } else {
                 self.entries.push((backlog, resident.arrival, true));
             }
+            if resident.started {
+                let turnaround = (now + backlog) - resident.arrival;
+                if runner_seen {
+                    fixed = fixed.max(turnaround);
+                } else {
+                    moving = Some(moving.map_or(turnaround, |m| m.max(turnaround)));
+                }
+            }
         }
+        self.started_turnaround = (fixed, moving);
+        self.built = now;
         self.version = session.state_version();
         self.valid = true;
     }
@@ -321,6 +344,15 @@ impl PredictionSegment {
             let completion = if add_now { now + base } else { base };
             out.push(npu.cycles_to_millis(completion - arrival));
         }
+    }
+
+    /// The largest predicted turnaround of a started resident at the
+    /// session clock `now` (zero with none). Exact when every started
+    /// resident's completion is at or after its arrival at the rebuild;
+    /// otherwise the saturated difference makes it an upper bound.
+    fn max_started_turnaround(&self, now: Cycles) -> Cycles {
+        let (fixed, moving) = self.started_turnaround;
+        moving.map_or(fixed, |moving| fixed.max(moving + (now - self.built)))
     }
 }
 
@@ -350,8 +382,7 @@ struct EventHeapLoop<'a, C: ClusterTraceSink> {
     /// quiet node's completion time does not move before its certificate,
     /// so its entry stays current while it lags.
     bounds: BinaryHeap<Reverse<(Cycles, usize)>>,
-    /// The current step's number: every synchronized step, and every
-    /// lazy-mode fault instant, opens one.
+    /// The current synchronized step's number (zero throughout lazy mode).
     step: u64,
     /// The reference advances every node at every step, and its steps can
     /// revisit the past (after a steal onto a parked thief), where a node
@@ -449,11 +480,8 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
             if C::ENABLED {
                 // Synchronized pushes happen inside a step, so they are
                 // stamped with its instant (the newest peak), keeping the
-                // cluster stream in step order.
-                let stamp = match self.peaks.last() {
-                    Some(&(_, at)) if self.synchronized => at,
-                    _ => bound,
-                };
+                // cluster stream in step order. Lazy mode opens no steps.
+                let stamp = self.peaks.last().map_or(bound, |&(_, at)| at);
                 self.trace
                     .borrow_mut()
                     .cluster_event(stamp, ClusterTraceEvent::HeapPush { node: i, bound });
@@ -513,8 +541,8 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
     /// current. A node already current this step is left alone: a second
     /// `run_until` after a mutation is not inert — it would admit and
     /// dispatch work the reference leaves pending until its next step.
-    /// (Lazy mode opens steps only at fault instants; its arrival picks
-    /// materialize their winner themselves.)
+    /// Lazy mode opens no steps, so there this only marks the node: its
+    /// callers have materialized it already.
     fn sync(&mut self, i: usize) {
         if let Some(reach) = self.reach(i) {
             let _ = self.sessions[i].run_until(reach);
@@ -554,17 +582,12 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
     /// already higher keeps it), so popping certificates up to `t` keeps
     /// the invariant.
     fn begin_step(&mut self, t: Cycles) {
-        self.open_step(t);
-        self.materialize_due(t);
-    }
-
-    /// Records a new step at `t` (see `peaks`).
-    fn open_step(&mut self, t: Cycles) {
         self.step += 1;
         while self.peaks.last().is_some_and(|&(_, at)| at <= t) {
             self.peaks.pop();
         }
         self.peaks.push((self.step, t));
+        self.materialize_due(t);
     }
 
     /// Pops every node whose live certificate is due at or before `t` and
@@ -1115,21 +1138,17 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
                 assignment_index,
             );
             if !self.synchronized {
-                // Lazy mode keys completion certificates only, so a node may
-                // still hold an event due by `t`: open a step there and
-                // advance exactly those nodes (a scan of O(1) reads — fault
-                // instants are rare). Synchronized mode's `advance_to`
-                // already closed with a step at `t`. Either way every node
-                // is now advanced or quiet through `t`, and each mutation
-                // below brings its node up first (`sync`).
-                self.open_step(t);
+                // Lazy mode: nodes may still lag `t`; pull them all up before
+                // the batch. Synchronized mode's `advance_to` already closed
+                // with a step at `t`, after which every node is advanced or
+                // quiet through its reach, and each mutation below brings its
+                // node up first (`sync`) — re-running `run_until(t)` on every
+                // node would NOT be a no-op after a migration round evacuated
+                // a running task (the session would wake up and dispatch its
+                // next resident, a state transition the reference loop only
+                // performs on its next advance).
                 for i in 0..self.sessions.len() {
-                    if self.sessions[i]
-                        .next_event_time()
-                        .is_some_and(|event| event <= t)
-                    {
-                        self.materialize(i, t);
-                    }
+                    self.materialize(i, t);
                 }
             }
             if let Some(driver) = faults.as_mut() {
@@ -1392,5 +1411,19 @@ impl<C: ClusterTraceSink> Nodes<NodeTap<C>> for EventHeapLoop<'_, C> {
         self.sync(i);
         self.touched.push(i);
         &mut self.sessions[i]
+    }
+
+    /// Reads the node's cached prediction segment: at unit clock scale its
+    /// completions are exactly the monitor's, and an overestimated
+    /// turnaround only costs a walk. A scaled node is always walked.
+    fn deadlines_quiet(&mut self, i: usize, deadline_offset: Cycles) -> bool {
+        if self.sessions[i].clock_scale() != (1, 1) {
+            return false;
+        }
+        let at = EventHeapLoop::horizon(self, i);
+        let session = &self.sessions[i];
+        let segment = &mut self.predictions[i];
+        segment.refresh(session, at, &mut self.residents_scratch);
+        segment.max_started_turnaround(session.now_at(at)) <= deadline_offset
     }
 }

@@ -479,10 +479,6 @@ pub(crate) struct MigrationDriver<'a> {
     budget_used: Vec<u32>,
     /// Scratch for one source node's resident scan.
     residents: Vec<ResidentTask>,
-    /// Per source node, `(state_version, quiet_until)`: at that version and
-    /// unit clock scale, no started resident's deadline slips before
-    /// `quiet_until` (see [`MigrationDriver::deadline_candidate`]).
-    quiet: Vec<(u64, Cycles)>,
     ledger: CustodyLedger,
     tally: MigrationTally,
 }
@@ -520,7 +516,6 @@ impl<'a> MigrationDriver<'a> {
             seq: 0,
             budget_used: vec![0; nodes],
             residents: Vec::new(),
-            quiet: vec![(u64::MAX, Cycles::ZERO); nodes],
             ledger: CustodyLedger::default(),
             tally: MigrationTally::default(),
         }
@@ -548,9 +543,10 @@ impl<'a> MigrationDriver<'a> {
         None
     }
 
-    /// One migration round at global instant `t` over sessions all
-    /// materialized at `t`: per source node in index order, find the first
-    /// deadline-blown started task in drain order, price stay-vs-move over
+    /// One migration round at global instant `t` over the nodes as seen at
+    /// `t` (see [`Nodes`]): per source node in index order, find the first
+    /// deadline-blown started task in drain order (skipping a source the
+    /// view certifies has none), price stay-vs-move over
     /// the live link state, and (budget and hysteresis permitting) extract
     /// it and put it in flight. At most one evacuation per source per
     /// round. Closes with the custody reconciliation check.
@@ -569,8 +565,16 @@ impl<'a> MigrationDriver<'a> {
             {
                 continue;
             }
+            if nodes.deadlines_quiet(from, self.deadline_offset) {
+                debug_assert!(
+                    self.deadline_candidate(&nodes.sessions()[from], nodes.horizon(from))
+                        .is_none(),
+                    "node {from} reported quiet with a slipped deadline at {t:?}"
+                );
+                continue;
+            }
             let Some((id, priority, remaining, stay)) =
-                self.deadline_candidate(from, &nodes.sessions()[from], nodes.horizon(from))
+                self.deadline_candidate(&nodes.sessions()[from], nodes.horizon(from))
             else {
                 continue;
             };
@@ -662,53 +666,26 @@ impl<'a> MigrationDriver<'a> {
     /// clock-scaled predicted completion slips past `arrival + sla + margin`
     /// is the candidate. Returns `(id, priority, estimated remaining, stay
     /// cost)` — the stay cost is the scaled wall time of everything at or
-    /// ahead of the candidate.
-    ///
-    /// At unit clock scale a walk that finds no candidate also records when
-    /// the first one could appear, and later rounds at the same state
-    /// version skip the walk until then. Between versions only the clock
-    /// and the runner's progress move, one cycle per cycle, so a resident's
-    /// predicted completion `now + backlog` is constant while the runner's
-    /// estimate lasts if the runner drains at or ahead of it (its backlog
-    /// shrinks as fast as the clock grows), and grows one-for-one
-    /// otherwise. With slack `deadline - (now + backlog)` and `left` the
-    /// runner's remaining estimate when it is ahead (zero otherwise), the
-    /// resident therefore slips exactly at `now + slack + left + 1`.
+    /// ahead of the candidate. The session is read as a `run_until(at)`
+    /// would leave it.
     fn deadline_candidate<S: TraceSink>(
         &mut self,
-        from: usize,
         session: &SimSession<S>,
         at: Cycles,
     ) -> Option<(TaskId, prema_core::Priority, Cycles, Cycles)> {
-        let unit = session.clock_scale() == (1, 1);
-        let (version, quiet_until) = self.quiet[from];
-        // The node is read at `now_at(at)`, never later than this bound.
-        let quiet =
-            unit && version == session.state_version() && session.now().max(at) < quiet_until;
-        if quiet && !cfg!(debug_assertions) {
-            return None;
-        }
-        let now = session.now_at(at);
         self.residents.clear();
         session.resident_tasks_at_into(at, &mut self.residents);
         self.residents
             .sort_by_key(|r| (Reverse(r.priority), r.arrival, r.id));
-        let runner = session.running_task();
+        let now = session.now_at(at);
         let mut backlog = Cycles::ZERO;
-        let mut left = Cycles::ZERO;
-        let mut first_slip = Cycles::MAX;
         for resident in &self.residents {
             backlog += resident.estimated_remaining();
-            if Some(resident.id) == runner {
-                left = resident.estimated_remaining();
-            }
             if !resident.started {
                 continue;
             }
             let stay = session.scaled_wall_for_work(backlog);
-            let deadline = resident.arrival + self.deadline_offset;
-            if now + stay > deadline {
-                debug_assert!(!quiet, "a deadline slipped inside its quiet interval");
+            if now + stay > resident.arrival + self.deadline_offset {
                 return Some((
                     resident.id,
                     resident.priority,
@@ -716,10 +693,6 @@ impl<'a> MigrationDriver<'a> {
                     stay,
                 ));
             }
-            first_slip = first_slip.min(deadline - backlog + left + Cycles::new(1));
-        }
-        if unit {
-            self.quiet[from] = (session.state_version(), first_slip);
         }
         None
     }

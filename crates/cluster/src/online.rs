@@ -1190,6 +1190,11 @@ pub(crate) trait Nodes<S: TraceSink> {
     fn horizon(&self, i: usize) -> Cycles;
     /// Node `i`, advanced to its horizon, for a mutation.
     fn session_mut(&mut self, i: usize) -> &mut SimSession<S>;
+    /// Whether node `i` is known, at its horizon, to hold no started
+    /// resident whose predicted completion is past `arrival +
+    /// deadline_offset`, so the migration deadline monitor may skip its
+    /// walk. `false` means "walk it".
+    fn deadlines_quiet(&mut self, i: usize, deadline_offset: Cycles) -> bool;
 }
 
 impl<S: TraceSink> Nodes<S> for [SimSession<S>] {
@@ -1203,6 +1208,12 @@ impl<S: TraceSink> Nodes<S> for [SimSession<S>] {
 
     fn session_mut(&mut self, i: usize) -> &mut SimSession<S> {
         &mut self[i]
+    }
+
+    /// The reference walks every source every round, so the event-heap
+    /// loop's skips are checked against it.
+    fn deadlines_quiet(&mut self, _: usize, _: Cycles) -> bool {
+        false
     }
 }
 
