@@ -1427,3 +1427,94 @@ impl<C: ClusterTraceSink> Nodes<NodeTap<C>> for EventHeapLoop<'_, C> {
         segment.max_started_turnaround(session.now_at(at)) <= deadline_offset
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dnn_models::CNN_MODELS;
+    use prema_core::{PolicyKind, PreemptionMechanism, PreemptionMode, SchedulerConfig};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The largest started turnaround as the migration deadline monitor's
+    /// walk computes it at unit clock scale, from a fresh resident scan.
+    fn walked_max_turnaround<S: TraceSink>(session: &SimSession<S>, at: Cycles) -> Cycles {
+        let mut residents = Vec::new();
+        session.resident_tasks_at_into(at, &mut residents);
+        residents.sort_by_key(|r| (Reverse(r.priority), r.arrival, r.id));
+        let now = session.now_at(at);
+        let mut backlog = Cycles::ZERO;
+        let mut max = Cycles::ZERO;
+        for resident in &residents {
+            backlog += resident.estimated_remaining();
+            if resident.started {
+                max = max.max((now + backlog) - resident.arrival);
+            }
+        }
+        max
+    }
+
+    /// One segment, kept across a whole random session and queried at
+    /// ascending instants inside each quiet interval the way the loop
+    /// queries it, always reports the walk's largest started turnaround.
+    /// Estimates from half to one and a half times the true length make
+    /// runners overrun (their entries turn clock-relative mid-version), and
+    /// the preemptive schedulers leave started residents ahead of the
+    /// runner.
+    #[test]
+    fn segments_track_the_largest_started_turnaround_through_quiet_intervals() {
+        let npu = NpuConfig::paper_default();
+        let configs = [
+            SchedulerConfig::paper_default(),
+            SchedulerConfig::np_fcfs(),
+            SchedulerConfig::named(
+                PolicyKind::Hpf,
+                PreemptionMode::Static(PreemptionMechanism::Checkpoint),
+            ),
+        ];
+        let mut rng = StdRng::seed_from_u64(0x5E67);
+        let mut grown = 0usize;
+        for case in 0..48 {
+            let sim = NpuSimulator::new(npu.clone(), configs[case % configs.len()].clone());
+            let mut session = sim.session(&[]);
+            for id in 0..rng.gen_range(2u64..7) {
+                let request =
+                    TaskRequest::new(TaskId(id), CNN_MODELS[rng.gen_range(0..CNN_MODELS.len())])
+                        .with_priority(Priority::ALL[rng.gen_range(0usize..3)])
+                        .with_arrival(Cycles::new(rng.gen_range(0u64..4_000_000)));
+                let exact = PreparedTask::prepare(request, &npu).isolated_cycles();
+                let estimate = Cycles::new(exact.get() * rng.gen_range(5u64..16) / 10);
+                session
+                    .inject(PreparedTask::prepare(request.with_estimate(estimate), &npu))
+                    .expect("ids are unique");
+            }
+            let mut segment = PredictionSegment::default();
+            let mut scratch = Vec::new();
+            // A preemptive session can take many wakeups to drain; a
+            // bounded prefix of its events is enough here.
+            for _ in 0..10_000 {
+                let Some(event) = session.next_event_time() else {
+                    break;
+                };
+                let mut at = session.now();
+                while at < event {
+                    segment.refresh(&session, at, &mut scratch);
+                    let turnaround = segment.max_started_turnaround(session.now_at(at));
+                    assert_eq!(
+                        turnaround,
+                        walked_max_turnaround(&session, at),
+                        "case {case} at {at:?}"
+                    );
+                    grown +=
+                        usize::from(at > segment.built && segment.started_turnaround.1.is_some());
+                    at = Cycles::new(rng.gen_range(at.get() + 1..=event.get()));
+                }
+                let _ = session.run_until(event);
+            }
+        }
+        assert!(
+            grown > 100,
+            "clock-relative turnarounds are read after their rebuild"
+        );
+    }
+}
