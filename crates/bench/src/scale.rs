@@ -8,23 +8,22 @@
 //! open-loop stream at a fixed offered load (`rho`, so the request rate
 //! scales with the cluster), then runs every closed-loop dispatch variant
 //! through **both** drivers — [`OnlineClusterSimulator::run_reference`]
-//! (the PR 4 stepping loop: every arrival advances all node sessions and
+//! (the naive stepping loop: every step advances all node sessions and
 //! every decision rescans residents, O(events × nodes)) and
-//! [`OnlineClusterSimulator::run`] (the event-heap loop: certificates +
-//! branch-and-bound, only due nodes and genuine contenders advance) — and
-//! records both wall clocks. The two outcomes are asserted bit-identical
+//! [`OnlineClusterSimulator::run`] (the event-heap loop: next-event
+//! certificates and an indexed dispatch walk, so only due nodes and
+//! nodes about to change advance) — and records both wall clocks. The two outcomes are asserted bit-identical
 //! per cell; the per-cell digest folds into the sweep hash the
 //! `throughput cluster-scale --check-baseline` gate compares.
 //!
 //! The default sweep runs the three *plain* live-dispatch variants on
 //! NP-FCFS nodes. Two deliberate choices:
 //!
-//! * Work stealing and SLA admission are *synchronized* mechanisms — their
-//!   semantics pin every node to the decision instants, so both drivers
-//!   must advance all sessions and the comparison mostly measures shared
-//!   engine time. Their serving behaviour is covered by `BENCH_cluster.json`;
-//!   this sweep isolates the loop's scaling, where the drivers actually
-//!   differ.
+//! * Work stealing and SLA admission add decisions that read every node —
+//!   steal rounds at every completion bound between arrivals, a p99 over
+//!   all residents per arrival — so their cost is dominated by the
+//!   mechanism rather than the loop. Their serving behaviour is covered by
+//!   `BENCH_cluster.json`; this sweep isolates the loop's scaling.
 //! * NP-FCFS nodes keep per-node execution on the engine's event-horizon
 //!   fast path, so node execution is nearly free and the measurement is
 //!   dominated by the co-simulation loop — the thing under test. (The
@@ -103,8 +102,8 @@ impl ScaleSweepOptions {
         opts
     }
 
-    /// A reduced sweep for unit tests and quick local runs, covering the
-    /// synchronized mechanisms too.
+    /// A reduced sweep for unit tests and quick local runs, covering
+    /// stealing and admission too.
     pub fn quick() -> Self {
         ScaleSweepOptions {
             node_counts: vec![2, 6],
@@ -346,8 +345,8 @@ mod tests {
             assert!(row.iter().all(|c| c.nodes == opts.node_counts[level]));
         }
         // The sla-admit variant actually shed under load, and the steal
-        // variant migrated work — the sweep exercises the synchronized
-        // mechanisms end to end.
+        // variant migrated work — the sweep exercises both mechanisms end
+        // to end.
         assert!(a.iter().any(|c| c.steals > 0));
         let aggregates = scale_aggregates(&a);
         assert_eq!(aggregates.len(), opts.node_counts.len());

@@ -1,19 +1,21 @@
-//! Indexed contender structures for the live-dispatch branch and bound.
+//! Indexed contender structures for live dispatch.
 //!
-//! The event-heap loop's `pick_node` scans every node per arrival: O(1)
+//! The event-heap loop's exact scan scores every node per arrival: O(1)
 //! work each, but O(nodes) of it, which becomes the wall at hundreds of
 //! nodes. This module gives the three live-dispatch policies an ordered
-//! index over the *same* branch-and-bound lower bounds the linear scan
-//! compares, so each arrival examines O(log nodes) candidates — and, by
-//! construction, still picks the byte-identical node.
+//! index over lower bounds on those scores, so each arrival examines
+//! O(log nodes) candidates — and, by construction, still picks the
+//! byte-identical node. The loop builds it only when it never steps
+//! between arrivals (no stealing, no migration).
 //!
 //! # Absolute keys
 //!
-//! In lazy mode a paused node's state is frozen between heap events: every
-//! mutation (materialize, inject, salvage, fault edge) flows through the
+//! A quiet node's state is frozen between its own advances: every mutation
+//! (due advance, inject, salvage, shed, fault edge) flows through the
 //! loop's `reschedule` hook, which refreshes this index. What changes
-//! between refreshes is the *query instant* `t`, not the node: the scan's
-//! lower bound for a node paused at `now` with work-signal `v` is
+//! between refreshes is the *query instant* `t`, not the node: until its
+//! next-event certificate, only the runner progresses, at one cycle per
+//! cycle, so a node paused at `now` with work-signal `v` scores at least
 //! `v - (t - now)` saturated at zero. Rewriting it as
 //! `max(0, (v + now) - t)` makes the node-side part a constant — the
 //! **absolute key** `K = v + now` — so the index can store plain integers
@@ -29,12 +31,13 @@
 //! index therefore maintains the invariant that **at query time every
 //! stored absolute component is either exactly `0` or exceeds `t`**: each
 //! refresh pushes its nonzero components onto a min-heap, and each query
-//! first drains the heap up to `t`, materializing any node whose stored
+//! first drains the heap up to `t`, bringing up any node whose stored
 //! components actually fell inside the window (the node advances to `t`,
 //! its refresh re-anchors the key above `t`, or the signal drained to an
 //! exact zero). Under the invariant, decoded lower bounds order exactly
 //! like stored keys, so the structure minimum *is* the best remaining lower
-//! bound and the branch-and-bound stop rule carries over unchanged.
+//! bound: a walk that brings each minimum up (re-anchoring its key to the
+//! exact score) stops once its best exact key beats the next minimum.
 //!
 //! # Fault-penalty tiers as the major key
 //!
@@ -50,12 +53,12 @@
 //!
 //! A stalled node (crash/freeze window) parks its clock while `t` advances,
 //! and a degraded node's signals shrink slower than its wall clock — for
-//! both, materializing does *not* push the absolute key past `t`, so they
+//! both, advancing does *not* push the absolute key past `t`, so they
 //! cannot satisfy the window invariant and would pin the staleness drain.
-//! Refresh instead diverts them to a small `unindexed` set that the query
-//! scans linearly with the reference's own lag lower bounds; fault-window
-//! edges go through `reschedule`, so the node rejoins the ordered
-//! structures at its next refresh once healthy. The set is bounded by the
+//! Refresh instead diverts them to a small `unindexed` set whose exact
+//! scores the query folds in linearly; fault-window edges go through
+//! `reschedule`, so the node rejoins the ordered structures at its next
+//! refresh once healthy. The set is bounded by the
 //! number of concurrently open fault windows, which is what keeps the
 //! common case at O(log nodes).
 //!
@@ -383,7 +386,7 @@ impl ContenderIndex {
     }
 
     /// Pops the next indexed node with a stored absolute component inside
-    /// the saturation window `(0, t]`. The caller materializes it to `t`
+    /// the saturation window `(0, t]`. The caller advances it to `t`
     /// (whose refresh re-anchors the key) and calls again; `None` means the
     /// window invariant holds for every indexed node.
     pub(crate) fn pop_stale(&mut self, t: Cycles) -> Option<usize> {
@@ -435,7 +438,7 @@ impl ContenderIndex {
     }
 
     /// The unindexed (stalled / degraded) nodes, ascending — the query's
-    /// linear side scan.
+    /// linear side set.
     pub(crate) fn copy_unindexed_into(&self, out: &mut Vec<usize>) {
         out.clear();
         out.extend(self.unindexed.iter().map(|&node| node as usize));
@@ -504,7 +507,7 @@ mod tests {
     #[test]
     fn absolute_keys_decode_to_the_scan_lower_bound() {
         // K = v + now decoded at t is exactly v - (t - now) saturated —
-        // the linear scan's lower bound for a node paused at `now`.
+        // the lower bound on the score of a node paused at `now`.
         for (v, now, t) in [(40u64, 10u64, 30u64), (5, 0, 30), (0, 25, 30), (7, 30, 30)] {
             let key = absolute(Cycles::new(v), Cycles::new(now));
             assert_eq!(decode(key, t), v.saturating_sub(t - now));
@@ -551,7 +554,7 @@ mod tests {
         index.refresh(1, &signals(0, 500)); // K = 500: beyond t
         index.refresh(2, &signals(0, 0)); // exact zero: never stale
         assert_eq!(index.pop_stale(Cycles::new(100)), Some(0));
-        // Materializing would re-anchor node 0; simulate that refresh.
+        // Advancing would re-anchor node 0; simulate that refresh.
         index.refresh(0, &signals(100, 30)); // K = 130 > 100
         assert_eq!(index.pop_stale(Cycles::new(100)), None);
         let min = index.min_lower(Priority::ALL[0], Cycles::new(100));

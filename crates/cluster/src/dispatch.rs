@@ -276,7 +276,6 @@ impl Dispatcher {
                         node: index,
                         penalty: 0,
                         key,
-                        lower_bounded: false,
                     });
                 }
             }

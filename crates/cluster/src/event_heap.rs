@@ -1,86 +1,75 @@
-//! The event-heap closed-loop cluster driver: lazy, O(events × log nodes)
+//! The event-heap closed-loop cluster driver: O(events × log nodes)
 //! co-simulation, bit-identical to the naive stepping loop.
 //!
-//! [`crate::online::OnlineClusterSimulator::run_reference`] — the loop PR 4
-//! shipped — advances *every* node session at every global event and
-//! rescans every node's residents for every dispatch, admission and
-//! stealing decision: O(events × nodes) `run_until` calls plus
-//! O(events × nodes × residents) scan work. This module reproduces its
-//! decisions, and therefore its outcomes, exactly while doing asymptotically
-//! less work. Two pillars:
+//! [`crate::online::OnlineClusterSimulator::run_reference`] advances
+//! *every* node session at every step and rescans every node's residents
+//! for every dispatch, admission and stealing decision: O(steps × nodes)
+//! `run_until` calls plus O(steps × nodes × residents) scan work. This
+//! module opens exactly the reference's steps and makes exactly its
+//! decisions, and therefore reproduces its outcomes, while doing
+//! asymptotically less work. Two pillars:
 //!
 //! **Pure suspension.** `SimSession::run_until` composed over *any*
-//! ascending horizon sequence yields a bit-identical `SimOutcome` (the PR 4
+//! ascending horizon sequence yields a bit-identical `SimOutcome` (the
 //! resume-equivalence property). So a node that no decision needs to
-//! observe can simply be left paused in the past; only the *decisions* must
-//! see exactly what the reference saw.
+//! observe can simply be left paused in the past; only the *decisions*
+//! must see exactly what the reference saw.
 //!
-//! **Completion certificates.** [`SimSession::completion_lower_bound`] is a
-//! conservative bound: no resident of the node can complete strictly
-//! before it, regardless of preemptive interleaving. While a node's
-//! certificate exceeds the decision instant `t`:
-//!
-//! * its live queue depth is constant through `t` (depths change only at
-//!   completions and at injections, which this driver performs itself);
-//! * its predicted-work totals at `t` are at least `value_now - (t - now)`
-//!   (only the running task progresses, at ≤ 1 cycle per cycle, and no
-//!   completion can release an estimate-error remainder).
-//!
-//! The driver keeps the certificates in a binary min-heap with *lazy
-//! invalidation* (every session mutation pushes the fresh bound; stale
-//! entries are discarded at pop time). Per global event it advances only
-//! the nodes whose certificates are due, then picks the dispatch target by
-//! *branch and bound*: nodes whose lower-bounded score cannot strictly beat
-//! the best exact score are skipped without being advanced; genuine
-//! contenders are advanced and scored exactly, with ties breaking to the
-//! lowest index exactly like the reference scan.
-//!
-//! At hundreds of nodes the scan itself becomes the wall — O(nodes) per
-//! arrival even when every node is skipped. [`crate::contender`] therefore
-//! keeps the *same* lower bounds in ordered structures (queue-depth buckets
-//! for `jsq-live`, tournament trees keyed on predicted work for
-//! `least-work-live` / `predictive-live`, fault-penalty tiers as the major
-//! key), refreshed from the one `reschedule` funnel every lazy-mode
-//! mutation already flows through. A dispatch then examines O(log nodes)
-//! candidates off the structure minimum and provably picks the scan's
-//! node; `debug_assertions` builds replay the linear scan after every
-//! indexed pick and assert the argmin agrees.
-//!
-//! Work stealing, SLA admission and migration run *synchronized* instead:
-//! their decisions must happen at the reference's own stepping instants
-//! (with stealing or migration, every completion bound and in-flight
-//! delivery between arrivals) and read every node's exact state there. The
-//! reference gets that by advancing all nodes at every step; this loop
-//! keys a second certificate, [`SimSession::next_event_time`] — the
+//! **One certificate per node.** [`SimSession::next_event_time`] is the
 //! earliest instant at which `run_until` would do more than move the clock
 //! and the runner's cursor (a completion, an admission, a contended policy
-//! wakeup, a stall end; a degraded node is always due) — and per step:
+//! wakeup, a stall end; a degraded node is always due). Before it, the
+//! node's `*_at` projections — the clock and the runner's linear progress
+//! extrapolated — read exactly what an advanced node would report; queue
+//! depths, stall status and the steal/shed candidates do not move while a
+//! node is quiet. The loop keeps the certificates in a binary min-heap with
+//! *lazy invalidation* (every session mutation pushes the fresh one; stale
+//! entries are discarded at pop time).
 //!
-//! * takes the step bound from a lazily invalidated heap of
-//!   `next_completion_time`s, which do not move before the certificate;
-//! * advances only the nodes whose certificates are due, plus any node
-//!   about to be mutated (a steal's victim and thief, a shed victim, a
-//!   faulted node, a recovery or landing target, a migration source);
-//! * reads every other node through its `*_at` projections — the clock
-//!   and the runner's linear progress extrapolated — for dispatch scores,
-//!   admission's prediction segments, the migration deadline monitor and
-//!   stay/move and redirect pricing. Queue depths, stall status and the
-//!   steal/shed candidates do not move while a node is quiet.
+//! **Steps.** The loop opens a step at each arrival and each fault-timeline
+//! instant. With stealing or migration it also steps, as the reference
+//! does, to every completion bound and in-flight delivery in between,
+//! taking each bound from a lazily invalidated heap of
+//! `next_completion_time`s (which do not move before the certificate).
+//! Without them it opens exactly one step per instant. Per step it
+//! advances only the nodes whose certificates are due, plus any node about
+//! to be mutated (an arrival's target, a steal's victim and thief, a shed
+//! victim, a faulted node, a recovery or landing target, a migration
+//! source), and reads every other node through its `*_at` projections:
+//! dispatch scores, admission's prediction segments, the migration
+//! deadline monitor and stay/move and redirect pricing.
 //!
 //! The reference's steps can revisit the past (a steal onto a parked
 //! thief makes the next bound the thief's frozen clock), where nodes already
 //! further ahead stay put; so a node this loop left alone is read, and
 //! advanced when due, at its *reach* — the latest step instant since it was
-//! last current — not at the step itself. The admission p99 over the
-//! projected segments is one in-place selection, and each node's segment is
-//! cached by `state_version` (per arrival only nodes whose state moved are
-//! re-sorted; within one shed loop only the shedded node's segment is
-//! rebuilt); the migration deadline monitor reads the same segments and
-//! walks a node's residents only once one of its started residents has
-//! slipped. Stealing, shedding and dispatch read
-//! O(1) engine aggregates (`revocable_work`, `best_steal_candidate`,
-//! `best_shed_candidate`, the predicted-work totals) rather than resident
-//! rescans.
+//! last current — not at the step itself.
+//!
+//! **Dispatch.** Every pick is the reference's argmin over (penalty tier,
+//! score, node index). The exact linear scan reads each node at its reach
+//! and never advances one; it serves recovery picks, which route from a
+//! source node. When the loop never steps between arrivals (no stealing, no
+//! migration — the reference's own test), sourceless arrivals walk
+//! [`crate::contender`] instead: queue-depth buckets for `jsq-live`,
+//! tournament trees keyed on predicted work for `least-work-live` /
+//! `predictive-live`, fault-penalty tiers as the major key, refreshed from
+//! the one `reschedule` funnel every session mutation flows through. A walk
+//! examines O(log nodes) candidates off the structure minimum and provably
+//! picks the scan's node; `debug_assertions` builds replay the scan after
+//! every indexed pick and assert the argmin agrees. The walk brings each
+//! contender up with the same `sync` a mutation uses: without stepping,
+//! every node holding work at an arrival pick is either current at the step
+//! or quiet through it, so that advance is one the reference made too.
+//!
+//! The admission p99 over the projected segments is one in-place
+//! selection, and each node's segment is cached by `state_version` (per
+//! arrival only nodes whose state moved are re-sorted; within one shed loop
+//! only the shedded node's segment is rebuilt); the migration deadline
+//! monitor reads the same segments and walks a node's residents only once
+//! one of its started residents has slipped. Stealing, shedding and
+//! dispatch read O(1) engine aggregates (`revocable_work`,
+//! `best_steal_candidate`, `best_shed_candidate`, the predicted-work
+//! totals) rather than resident rescans.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -107,6 +96,9 @@ use crate::trace::{
     sample_nodes, ClusterTraceEvent, ClusterTraceSink, FaultTraceKind, NodeKey, NodeKeySet,
     NodeTap, NullClusterSink,
 };
+
+/// A dispatch key: (penalty tier, (signal, remaining work)).
+type PenaltyScore = (u8, (u64, u64));
 
 /// Runs the event-heap closed-loop simulation. Caller has validated the
 /// config and checked id uniqueness.
@@ -169,7 +161,7 @@ pub(crate) fn run_impl<C: ClusterTraceSink>(
         );
         sample_nodes(&driver.sessions, now, trace);
 
-        let node = driver.pick_node(now, task, faults.as_ref());
+        let node = driver.pick_node(now, task, faults.as_ref(), None);
         if let Some(admission) = config.admission {
             if !driver.admit(task, node, admission, &mut shed) {
                 continue;
@@ -361,28 +353,23 @@ impl PredictionSegment {
 #[derive(Debug)]
 struct EventHeapLoop<'a, C: ClusterTraceSink> {
     config: &'a OnlineClusterConfig,
-    /// Whether decisions (work stealing, SLA admission, migration) read
-    /// every node's exact state at the reference's own stepping instants,
-    /// keyed on next-event certificates, rather than lazy completion
-    /// certificates with branch-and-bound dispatch.
-    synchronized: bool,
     sessions: Vec<SimSession<NodeTap<C>>>,
     /// The shared cluster trace sink (disabled sinks compile the emission
     /// sites away). Borrowed only *between* session calls: the sessions'
     /// node taps borrow the same cell from inside engine methods.
     trace: Rc<RefCell<C>>,
-    /// Min-heap of (certificate, node) candidates: each node's
-    /// `completion_lower_bound` in lazy mode, its `next_event_time` when
-    /// synchronized. An entry is current iff the session still reports
-    /// exactly that certificate; every session mutation pushes the fresh
-    /// one, stale entries are dropped at pop time.
+    /// Min-heap of (`next_event_time`, node) candidates. An entry is
+    /// current iff the session still reports exactly that certificate;
+    /// every session mutation pushes the fresh one, stale entries are
+    /// dropped at pop time.
     heap: BinaryHeap<Reverse<(Cycles, usize)>>,
-    /// Min-heap of (`next_completion_time`, node), synchronized mode only:
-    /// the reference's stepping bound, lazily invalidated like `heap`. A
-    /// quiet node's completion time does not move before its certificate,
-    /// so its entry stays current while it lags.
+    /// Min-heap of (`next_completion_time`, node), kept only when the loop
+    /// steps between arrivals (no contender index): the reference's
+    /// stepping bound, lazily invalidated like `heap`. A quiet node's
+    /// completion time does not move before its certificate, so its entry
+    /// stays current while it lags.
     bounds: BinaryHeap<Reverse<(Cycles, usize)>>,
-    /// The current synchronized step's number (zero throughout lazy mode).
+    /// The current step's number.
     step: u64,
     /// The reference advances every node at every step, and its steps can
     /// revisit the past (after a steal onto a parked thief), where a node
@@ -398,15 +385,14 @@ struct EventHeapLoop<'a, C: ClusterTraceSink> {
     /// Nodes mutated through [`Nodes::session_mut`] since the last
     /// [`Self::flush_touched`].
     touched: Vec<usize>,
-    /// The ordered contender structures the per-arrival dispatch walks
-    /// instead of scanning every node — lazy mode only (`None` when
-    /// synchronized: with zero lag the exact linear scan is the decision
-    /// procedure, and fault sync points must never materialize). Refreshed
-    /// from [`Self::reschedule`], the single funnel every lazy-mode session
-    /// mutation already flows through.
+    /// The ordered contender structures sourceless arrivals walk instead
+    /// of scanning every node, built only when the loop never steps
+    /// between arrivals (no stealing, no migration). Refreshed from
+    /// [`Self::reschedule`], the single funnel every session mutation
+    /// flows through.
     index: Option<ContenderIndex>,
-    /// Scratch for one `materialize_due` round (deduplicated due nodes,
-    /// marked in `due_mark`).
+    /// Scratch for one step's due nodes (deduplicated, marked in
+    /// `due_mark`).
     due_scratch: Vec<usize>,
     due_mark: Vec<bool>,
     /// Scratch for the dispatch query's stalled/degraded side scan.
@@ -425,9 +411,8 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
         trace: Rc<RefCell<C>>,
     ) -> Self {
         let nodes = sessions.len();
-        let synchronized =
-            config.work_stealing || config.admission.is_some() || config.migration.is_some();
-        let mut index = (!synchronized).then(|| ContenderIndex::new(config.dispatch, nodes));
+        let stepping = config.work_stealing || config.migration.is_some();
+        let mut index = (!stepping).then(|| ContenderIndex::new(config.dispatch, nodes));
         if let Some(index) = index.as_mut() {
             for (i, session) in sessions.iter().enumerate() {
                 index.refresh(i, &session.dispatch_signals());
@@ -435,11 +420,10 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
         }
         EventHeapLoop {
             config,
-            synchronized,
             sessions,
             trace,
             heap: BinaryHeap::with_capacity(nodes * 2),
-            bounds: BinaryHeap::with_capacity(if synchronized { nodes * 2 } else { 0 }),
+            bounds: BinaryHeap::with_capacity(if stepping { nodes * 2 } else { 0 }),
             step: 0,
             peaks: Vec::new(),
             fresh: vec![0; nodes],
@@ -454,34 +438,23 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
         }
     }
 
-    /// Node `i`'s certificate in this loop's mode (see `heap`).
-    fn certificate(&self, i: usize) -> Option<Cycles> {
-        if self.synchronized {
-            self.sessions[i].next_event_time()
-        } else {
-            self.sessions[i].completion_lower_bound()
-        }
-    }
-
-    /// Pushes node `i`'s current certificate (and, synchronized, its
-    /// completion time; lazy, its contender-index keys). The heaps always
-    /// hold each node's live entries plus stale leftovers that pop-time
-    /// validation discards.
+    /// Pushes node `i`'s current certificate, plus its contender-index keys
+    /// (without stepping) or its completion time (with it). The heaps
+    /// always hold each node's live entries plus stale leftovers that
+    /// pop-time validation discards.
     fn reschedule(&mut self, i: usize) {
-        if self.synchronized {
-            if let Some(bound) = self.sessions[i].next_completion_time() {
-                self.bounds.push(Reverse((bound, i)));
-            }
-        } else {
+        if self.index.is_some() {
             self.refresh_index(i);
+        } else if let Some(bound) = self.sessions[i].next_completion_time() {
+            self.bounds.push(Reverse((bound, i)));
         }
-        if let Some(bound) = self.certificate(i) {
+        if let Some(bound) = self.sessions[i].next_event_time() {
             self.heap.push(Reverse((bound, i)));
             if C::ENABLED {
-                // Synchronized pushes happen inside a step, so they are
-                // stamped with its instant (the newest peak), keeping the
-                // cluster stream in step order. Lazy mode opens no steps.
-                let stamp = self.peaks.last().map_or(bound, |&(_, at)| at);
+                // Sessions change only inside a step, so pushes are stamped
+                // with its instant (the newest peak), keeping the cluster
+                // stream in step order.
+                let (_, stamp) = *self.peaks.last().expect("pushes happen inside a step");
                 self.trace
                     .borrow_mut()
                     .cluster_event(stamp, ClusterTraceEvent::HeapPush { node: i, bound });
@@ -489,16 +462,13 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
         }
     }
 
-    /// Re-keys node `i` in the contender index from a fresh signal read
-    /// (lazy mode; no-op otherwise). Sits inside [`Self::reschedule`], so
-    /// the index tracks every session mutation the certificate heap does:
-    /// materializations, injections, salvage re-entries, fault edges.
+    /// Re-keys node `i` in the contender index from a fresh signal read.
+    /// Sits inside [`Self::reschedule`], so the index tracks every session
+    /// mutation the certificate heap does: advances, injections, salvage
+    /// re-entries, sheds, fault edges.
     fn refresh_index(&mut self, i: usize) {
-        let Some(index) = self.index.as_mut() else {
-            return;
-        };
         let signals = self.sessions[i].dispatch_signals();
-        let (penalty, key, indexed) = index.refresh(i, &signals);
+        let (penalty, key, indexed) = self.index().refresh(i, &signals);
         if C::ENABLED {
             self.trace.borrow_mut().cluster_event(
                 signals.now,
@@ -512,10 +482,17 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
         }
     }
 
-    /// Advances node `i` to `horizon` and refreshes its heap entries.
-    fn materialize(&mut self, i: usize, horizon: Cycles) {
-        let _ = self.sessions[i].run_until(horizon);
-        self.fresh[i] = self.step;
+    /// The contender index, for indexed picks and their refreshes.
+    fn index(&mut self) -> &mut ContenderIndex {
+        self.index
+            .as_mut()
+            .expect("indexed dispatch requires the index")
+    }
+
+    /// Brings node `i` to its reach (see [`Self::sync`]) and refreshes its
+    /// heap and index entries.
+    fn materialize(&mut self, i: usize) {
+        self.sync(i);
         self.reschedule(i);
     }
 
@@ -528,11 +505,10 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
         self.peaks.get(k).map(|&(_, at)| at)
     }
 
-    /// The instant node `i`'s decisions read it at (synchronized mode): its
-    /// reach — through which it is quiet, so its `*_at` projections there
-    /// are exactly what the reference's advanced node reports — or, if the
-    /// node is current, its own clock, where the projections are the
-    /// identity.
+    /// The instant node `i`'s decisions read it at: its reach — through
+    /// which it is quiet, so its `*_at` projections there are exactly what
+    /// the reference's advanced node reports — or, if the node is current,
+    /// its own clock, where the projections are the identity.
     fn horizon(&self, i: usize) -> Cycles {
         self.reach(i).unwrap_or_else(|| self.sessions[i].now())
     }
@@ -541,8 +517,6 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
     /// current. A node already current this step is left alone: a second
     /// `run_until` after a mutation is not inert — it would admit and
     /// dispatch work the reference leaves pending until its next step.
-    /// Lazy mode opens no steps, so there this only marks the node: its
-    /// callers have materialized it already.
     fn sync(&mut self, i: usize) {
         if let Some(reach) = self.reach(i) {
             let _ = self.sessions[i].run_until(reach);
@@ -558,9 +532,8 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
         }
     }
 
-    /// The earliest `next_completion_time` over all nodes (synchronized
-    /// mode): the reference's stepping bound, from the lazily invalidated
-    /// `bounds` heap.
+    /// The earliest `next_completion_time` over all nodes: the reference's
+    /// stepping bound, from the lazily invalidated `bounds` heap.
     fn next_bound(&mut self) -> Option<Cycles> {
         while let Some(&Reverse((bound, i))) = self.bounds.peek() {
             if self.sessions[i].next_completion_time() == Some(bound) {
@@ -571,39 +544,33 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
         None
     }
 
-    /// Opens one synchronized step at `t`: advances exactly the nodes whose
-    /// next-event certificate is due, each to its reach. Every other node
-    /// is quiet through its reach — running its current task or idling —
-    /// and decisions read it through its `*_at` projections there, which
-    /// equal what the reference's `run_until` calls left.
+    /// Opens one step at `t`: pops every node whose live certificate is due
+    /// at or before `t` and advances it to its reach, which is at least
+    /// `t`. Every other node is quiet through its reach — running its
+    /// current task or idling — and decisions read it through its `*_at`
+    /// projections there, which equal what the reference's `run_until`
+    /// calls left.
     ///
     /// Invariant: a node left alone has a certificate beyond its reach. A
     /// step at `t` raises reaches to at most `t` (a node whose reach was
     /// already higher keeps it), so popping certificates up to `t` keeps
-    /// the invariant.
+    /// the invariant. Each due node is advanced once: its post-advance
+    /// certificate (pushed for *future* steps) is not re-examined, so the
+    /// step terminates even in the degenerate corner where a certificate
+    /// does not clear `t`.
     fn begin_step(&mut self, t: Cycles) {
         self.step += 1;
         while self.peaks.last().is_some_and(|&(_, at)| at <= t) {
             self.peaks.pop();
         }
         self.peaks.push((self.step, t));
-        self.materialize_due(t);
-    }
-
-    /// Pops every node whose live certificate is due at or before `t` and
-    /// advances it to `t` (synchronized: to its reach, which is at least
-    /// `t`). Each due node is materialized once:
-    /// its post-advance certificate (pushed for *future* rounds) is not
-    /// re-examined, so the loop terminates even in the degenerate corner
-    /// where a certificate does not clear `t`.
-    fn materialize_due(&mut self, t: Cycles) {
         self.due_scratch.clear();
         while let Some(&Reverse((bound, i))) = self.heap.peek() {
             if bound > t {
                 break;
             }
             self.heap.pop();
-            if self.certificate(i) == Some(bound) && !self.due_mark[i] {
+            if self.sessions[i].next_event_time() == Some(bound) && !self.due_mark[i] {
                 if C::ENABLED {
                     self.trace
                         .borrow_mut()
@@ -620,26 +587,17 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
         for k in 0..self.due_scratch.len() {
             let i = self.due_scratch[k];
             self.due_mark[i] = false;
-            let horizon = if self.synchronized {
-                self.reach(i)
-                    .expect("a due node has stepped since it was current")
-            } else {
-                t
-            };
-            self.materialize(i, horizon);
+            self.materialize(i);
         }
     }
 
-    /// Advances the cluster to `t`.
-    ///
-    /// Lazy mode advances only nodes whose completion certificates are due.
-    /// Synchronized mode replays the reference's stepping instants: with
-    /// stealing or migration, execution is stepped to every completion
-    /// bound (and every in-flight migration delivery) on the way — the
-    /// moments the task set can shrink or a deadline can slip — running
-    /// steal and migration rounds at each; with admission only, one step
-    /// lands straight on `t`. Each step advances only the nodes whose
-    /// next-event certificates are due (see [`Self::begin_step`]).
+    /// Advances the cluster to `t`, replaying the reference's stepping
+    /// instants: with stealing or migration, execution is stepped to every
+    /// completion bound (and every in-flight migration delivery) on the way
+    /// — the moments the task set can shrink or a deadline can slip —
+    /// running steal and migration rounds at each; otherwise one step lands
+    /// straight on `t`. Each step advances only the nodes whose certificates
+    /// are due (see [`Self::begin_step`]).
     fn advance_to(
         &mut self,
         faults: Option<&FaultDriver<'_>>,
@@ -649,10 +607,6 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
         assignments: &mut [NodeAssignment],
         assignment_index: &HashMap<TaskId, usize>,
     ) {
-        if !self.synchronized {
-            self.materialize_due(t);
-            return;
-        }
         let stepping = self.config.work_stealing || migration.is_some();
         let trace = Rc::clone(&self.trace);
         loop {
@@ -702,7 +656,7 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
     }
 
     /// One block of work-stealing rounds, mirroring the reference's
-    /// `steal_onto_idle_nodes` over synchronized sessions: while some node
+    /// `steal_onto_idle_nodes`: while some node
     /// is idle and some peer holds stealable work, move the largest
     /// never-started task from the most-loaded peer to the first idle
     /// node (skipping victims the thief cannot currently reach over the
@@ -778,88 +732,40 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
         }
     }
 
-    /// The dispatch decision at arrival time `t`: identical to the
-    /// reference's full scan — the node minimizing (signal, remaining,
-    /// index). In lazy mode only *contenders* are advanced: for a node
-    /// whose completion certificate clears `t`, the work-based signals at
-    /// `t` are lower-bounded by `value_now - (t - now)` and its queue
-    /// depth is exact, so a node whose lower bound cannot strictly beat
-    /// the best exact score cannot win the (score, index) minimum and is
-    /// skipped unadvanced. In synchronized mode every score is read exactly,
-    /// through the quiet nodes' `*_at(t)` projections, and this degenerates
-    /// to the exact scan.
+    /// The dispatch decision at `t`: identical to the reference's full
+    /// scan — the node minimizing (penalty tier, signal, remaining, index).
+    /// Under fault injection the tier is the failure-aware penalty (down /
+    /// cooling-down / healthy, exactly the reference's), routed from
+    /// `source`: `Some` for a recovery (the salvage travels from the
+    /// crashed node), `None` for a fresh arrival, which enters through the
+    /// front-end control plane that link faults never sever.
     ///
-    /// Under fault injection the key gains the failure-aware penalty tier
-    /// in front (down / cooling-down / healthy, exactly the reference's).
-    /// The tier is *exact* regardless of lag — it reads the fault driver,
-    /// not session state — so prefixing it preserves the branch-and-bound
-    /// invariant: the lower-bounded key is still lexicographically ≤ the
-    /// exact key, and the skip rule stays sound.
+    /// Sourceless picks walk the contender index when the loop keeps one;
+    /// every other pick is the exact scan.
     fn pick_node(
         &mut self,
         t: Cycles,
         task: &PreparedTask,
         faults: Option<&FaultDriver<'_>>,
-    ) -> usize {
-        // Fresh arrivals have no source node: they enter through the
-        // front-end control plane, which link faults never sever.
-        //
-        // In synchronized mode the arrival pick must never materialize,
-        // like the fault drain's picks: a parked idle node can hold a
-        // *pending* injected task (a steal or salvage landed after its
-        // clock stopped), and materializing it here would dispatch that
-        // task before the reference does — the advance loop's next bound
-        // would then skip the pending-arrival instant the reference still
-        // steps (and prices a migration round) at.
-        self.pick_node_inner(t, task, faults, None, self.synchronized)
-    }
-
-    /// [`Self::pick_node`] for the fault drain's synchronization points,
-    /// where every node has been advanced to `t` (lazy mode) or is quiet
-    /// through it (synchronized mode). Scores are read exactly, and
-    /// crucially no session is ever materialized: running a target engine
-    /// between two same-instant salvage injections would admit a partial
-    /// batch and diverge from the reference.
-    fn pick_node_synchronized(
-        &mut self,
-        t: Cycles,
-        task: &PreparedTask,
-        faults: Option<&FaultDriver<'_>>,
         source: Option<usize>,
     ) -> usize {
-        self.pick_node_inner(t, task, faults, source, true)
-    }
-
-    fn pick_node_inner(
-        &mut self,
-        t: Cycles,
-        task: &PreparedTask,
-        faults: Option<&FaultDriver<'_>>,
-        source: Option<usize>,
-        synchronized: bool,
-    ) -> usize {
-        let use_index = !synchronized && self.index.is_some();
-        let (chosen, keys) = if use_index {
-            // The contender index keys penalties without a source (lazy
-            // modes only serve sourceless fresh arrivals).
-            debug_assert!(source.is_none(), "indexed dispatch is sourceless");
+        let indexed = source.is_none() && self.index.is_some();
+        let (chosen, keys) = if indexed {
             self.pick_node_indexed(t, task, faults)
         } else {
-            self.pick_node_scan(t, task, faults, source, synchronized)
+            self.pick_node_scan(t, task, faults, source)
         };
-        // Debug cross-check: replay the linear branch-and-bound scan over
-        // the post-query state — extra materializations are outcome-inert
-        // (pure suspension) and the scan's argmin is state-independent, so
-        // the two procedures must name the same node.
+        // Debug cross-check: replay the exact scan over the post-query
+        // state — the walk's advances are outcome-inert (pure suspension)
+        // and the scan reads every node at its reach, so the two
+        // procedures must name the same node.
         #[cfg(debug_assertions)]
-        {
-            if use_index {
-                let (check, _) = self.pick_node_scan(t, task, faults, source, synchronized);
-                debug_assert_eq!(
-                    chosen, check,
-                    "indexed dispatch diverged from the linear scan at {t:?}"
-                );
-            }
+        if indexed {
+            let (check, _) = self.pick_node_scan(t, task, faults, source);
+            debug_assert_eq!(
+                chosen, check,
+                "indexed dispatch diverged from the linear scan at {t:?}"
+            );
         }
         if C::ENABLED {
             self.trace.borrow_mut().cluster_event(
@@ -874,89 +780,60 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
         chosen
     }
 
-    /// The dispatch score of node `i` for an arrival of `priority` at `t`:
-    /// with `lag > 0`, the signals as-is less `lag` wall cycles of
-    /// conservative decay (a lower bound); with `lag == 0`, the exact score
-    /// (synchronized mode reads it at the node's horizon).
-    fn lag_score(&self, i: usize, priority: Priority, t: Cycles, lag: u64) -> (u64, u64) {
+    /// The exact dispatch score of node `i` for an arrival of `priority`,
+    /// read at its horizon.
+    fn score(&self, i: usize, priority: Priority) -> (u64, u64) {
         let session = &self.sessions[i];
-        let (remaining, blocking) = if lag == 0 {
-            let at = if self.synchronized {
-                self.horizon(i)
-            } else {
-                t
-            };
-            (
-                session.predicted_remaining_work_at(at),
-                session.predicted_blocking_work_at(priority, at),
-            )
-        } else {
-            (
-                session.predicted_remaining_work(),
-                session.predicted_blocking_work(priority),
-            )
-        };
-        let remaining = remaining.get().saturating_sub(lag);
+        let at = self.horizon(i);
+        let remaining = session.predicted_remaining_work_at(at).get();
         match self.config.dispatch {
             OnlineDispatchPolicy::ShortestQueue => (session.queue_depth() as u64, remaining),
             OnlineDispatchPolicy::LeastWork => (remaining, remaining),
-            OnlineDispatchPolicy::Predictive => (blocking.get().saturating_sub(lag), remaining),
+            OnlineDispatchPolicy::Predictive => (
+                session.predicted_blocking_work_at(priority, at).get(),
+                remaining,
+            ),
         }
     }
 
-    /// The linear branch-and-bound scan (the reference decision procedure):
-    /// every node visited in index order, lagging nodes compared by lower
-    /// bound and materialized only when they might win.
+    /// The linear scan (the reference decision procedure): every node
+    /// scored exactly at its horizon, in index order. Advances nothing.
     fn pick_node_scan(
-        &mut self,
+        &self,
         t: Cycles,
         task: &PreparedTask,
         faults: Option<&FaultDriver<'_>>,
         source: Option<usize>,
-        synchronized: bool,
     ) -> (usize, NodeKeySet) {
         let priority = task.request.priority;
-        type PenaltyScore = (u8, (u64, u64));
         let mut keys = NodeKeySet::default();
-        let mut best: Option<(PenaltyScore, usize)> = None;
+        let mut best = None;
         for i in 0..self.sessions.len() {
             let penalty = faults.map_or(0u8, |driver| driver.route_penalty(source, i, t));
-            let lag = if synchronized {
-                0
-            } else {
-                (t - self.sessions[i].now()).get()
-            };
-            let lower = (penalty, self.lag_score(i, priority, t, lag));
-            if best.is_some_and(|(exact, _)| lower >= exact) {
-                if C::ENABLED {
-                    // Skipped unmaterialized: the trace records the lower
-                    // bound the branch-and-bound rule actually compared.
-                    keys.push(NodeKey {
-                        node: i,
-                        penalty,
-                        key: lower.1,
-                        lower_bounded: lag > 0,
-                    });
-                }
-                continue;
-            }
-            if lag > 0 {
-                self.materialize(i, t);
-            }
-            let exact = (penalty, self.lag_score(i, priority, t, 0));
-            if C::ENABLED {
-                keys.push(NodeKey {
-                    node: i,
-                    penalty,
-                    key: exact.1,
-                    lower_bounded: false,
-                });
-            }
-            if best.is_none_or(|(score, _)| exact < score) {
-                best = Some((exact, i));
-            }
+            let exact = (penalty, self.score(i, priority));
+            Self::fold(&mut best, &mut keys, i, exact);
         }
         (best.expect("at least one node").1, keys)
+    }
+
+    /// Folds node `node`'s exact key into a running argmin over (key, node
+    /// index), recording it for the trace.
+    fn fold(
+        best: &mut Option<(PenaltyScore, usize)>,
+        keys: &mut NodeKeySet,
+        node: usize,
+        exact: PenaltyScore,
+    ) {
+        if C::ENABLED {
+            keys.push(NodeKey {
+                node,
+                penalty: exact.0,
+                key: exact.1,
+            });
+        }
+        if best.is_none_or(|best| (exact, node) < best) {
+            *best = Some((exact, node));
+        }
     }
 
     /// The indexed dispatch query: provably the same argmin as
@@ -964,18 +841,13 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
     /// [`crate::contender`] for the invariants; the shape here is
     ///
     /// 1. drain due penalty decays, re-keying the affected nodes;
-    /// 2. drain the staleness heap, materializing nodes whose stored keys
+    /// 2. drain the staleness heap, bringing up nodes whose stored keys
     ///    fell inside the saturation window (restores stored-order ==
     ///    lower-bound-order);
     /// 3. walk structure minima — each is the best remaining lower bound —
-    ///    materializing and folding exact scores until the best exact key
-    ///    (index tiebreak included) beats the minimum;
-    /// 4. linearly fold the stalled/degraded side set with the scan's own
-    ///    lag lower bounds.
-    ///
-    /// Unlike the scan — whose ascending visit order lets it compare bare
-    /// scores — every comparison here carries the node index, because the
-    /// walk examines nodes in key order.
+    ///    bringing up contenders and folding exact scores until the best
+    ///    exact key (index tiebreak included) beats the minimum;
+    /// 4. fold the stalled/degraded side set's exact scores.
     fn pick_node_indexed(
         &mut self,
         t: Cycles,
@@ -983,48 +855,26 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
         faults: Option<&FaultDriver<'_>>,
     ) -> (usize, NodeKeySet) {
         if let Some(driver) = faults {
-            while let Some(node) = self
-                .index
-                .as_mut()
-                .expect("indexed pick requires the index")
-                .next_due_promotion(t)
-            {
+            while let Some(node) = self.index().next_due_promotion(t) {
                 let (tier, expiry) = driver.penalty_with_expiry(node, t);
-                self.index
-                    .as_mut()
-                    .expect("indexed pick requires the index")
-                    .set_penalty(node, tier, expiry);
+                self.index().set_penalty(node, tier, expiry);
             }
         }
-        while let Some(node) = self
-            .index
-            .as_mut()
-            .expect("indexed pick requires the index")
-            .pop_stale(t)
-        {
-            self.materialize(node, t);
+        while let Some(node) = self.index().pop_stale(t) {
+            self.materialize(node);
         }
         let priority = task.request.priority;
-        type PenaltyScore = (u8, (u64, u64));
         let mut keys = NodeKeySet::default();
-        let mut best: Option<(PenaltyScore, usize)> = None;
-        while let Some((penalty, lower_score, node)) = self
-            .index
-            .as_ref()
-            .expect("indexed pick requires the index")
-            .min_lower(priority, t)
-        {
-            let lower = (penalty, lower_score);
-            if let Some((best_key, best_node)) = best {
-                if (lower, node) >= (best_key, best_node) {
-                    break;
-                }
+        let mut best = None;
+        while let Some((penalty, lower, node)) = self.index().min_lower(priority, t) {
+            if best.is_some_and(|best| ((penalty, lower), node) >= best) {
+                break;
             }
-            if self.sessions[node].now() < t {
-                // A contender: materialize (the refresh re-anchors its
+            if self.fresh[node] != self.step {
+                // A contender: bring it up (the refresh re-anchors its
                 // stored key to an exact one, so a re-encounter at the
-                // minimum terminates the walk).
-                self.materialize(node, t);
+                // minimum ends the walk).
+                self.materialize(node);
             }
             #[cfg(debug_assertions)]
             if let Some(driver) = faults {
@@ -1034,54 +884,17 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
                     "stored penalty tier went stale at {t:?}"
                 );
             }
-            let exact = (penalty, self.lag_score(node, priority, t, 0));
-            if C::ENABLED {
-                keys.push(NodeKey {
-                    node,
-                    penalty,
-                    key: exact.1,
-                    lower_bounded: false,
-                });
-            }
-            if best.is_none_or(|(best_key, best_node)| (exact, node) < (best_key, best_node)) {
-                best = Some((exact, node));
-            }
+            let exact = (penalty, self.score(node, priority));
+            Self::fold(&mut best, &mut keys, node, exact);
         }
         self.index
             .as_ref()
-            .expect("indexed pick requires the index")
+            .expect("indexed dispatch requires the index")
             .copy_unindexed_into(&mut self.side_scratch);
-        for k in 0..self.side_scratch.len() {
-            let node = self.side_scratch[k];
+        for &node in &self.side_scratch {
             let penalty = faults.map_or(0u8, |driver| driver.penalty(node, t));
-            let lag = (t - self.sessions[node].now()).get();
-            let lower = (penalty, self.lag_score(node, priority, t, lag));
-            if best.is_some_and(|(best_key, best_node)| (lower, node) >= (best_key, best_node)) {
-                if C::ENABLED {
-                    keys.push(NodeKey {
-                        node,
-                        penalty,
-                        key: lower.1,
-                        lower_bounded: lag > 0,
-                    });
-                }
-                continue;
-            }
-            if lag > 0 {
-                self.materialize(node, t);
-            }
-            let exact = (penalty, self.lag_score(node, priority, t, 0));
-            if C::ENABLED {
-                keys.push(NodeKey {
-                    node,
-                    penalty,
-                    key: exact.1,
-                    lower_bounded: false,
-                });
-            }
-            if best.is_none_or(|(best_key, best_node)| (exact, node) < (best_key, best_node)) {
-                best = Some((exact, node));
-            }
+            let exact = (penalty, self.score(node, priority));
+            Self::fold(&mut best, &mut keys, node, exact);
         }
         (best.expect("at least one node").1, keys)
     }
@@ -1090,24 +903,24 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
     /// reference's `drain_fault_events`): processes every due event through
     /// the *same* [`FaultDriver`] and [`MigrationDriver`]. A crash or
     /// freeze fails/stalls the faulted node at the fault instant; a
-    /// degrade start/end rescales its clock; a due recovery runs the
-    /// branch-and-bound dispatch over penalty-tiered nodes and re-injects
-    /// the salvage with its admission gated to the recovery instant; a due
-    /// migration delivery lands at its destination, and each instant ends
-    /// with a migration round over the synchronized cluster.
+    /// degrade start/end rescales its clock; a due recovery runs the exact
+    /// scan over penalty-tiered nodes and re-injects the salvage with its
+    /// admission gated to the recovery instant; a due migration delivery
+    /// lands at its destination, and each instant ends with a migration
+    /// round.
     ///
-    /// Every fault-event instant is a *global* synchronization point. Lazy
-    /// mode materializes all sessions to `t` before the batch due there is
-    /// processed, exactly as the reference's advance-all stepping does
-    /// (pure suspension makes each node's state at `t` bit-identical
-    /// either way); synchronized mode closes a step at `t`, after which
+    /// Every fault-event instant closes a step of `advance_to`, after which
     /// every node is advanced or quiet through its reach, and each mutation
-    /// brings only its own node up first. Either way the batch's dispatch
-    /// picks read exact scores without materializing anything. This is
+    /// brings only its own node up first (`sync`). The batch's dispatch
+    /// picks read exact scores without advancing anything. This is
     /// load-bearing for same-instant recovery batches: a node receiving
     /// several salvages at one instant admits them atomically at its next
     /// wakeup, like the reference, instead of dispatching a partial batch
-    /// between two injections.
+    /// between two injections. Re-running `run_until(t)` on a node would
+    /// not be a no-op after a mutation either (after a migration round
+    /// evacuated a running task, the session would wake up and dispatch
+    /// its next resident, a state transition the reference only performs
+    /// at its next step).
     #[allow(clippy::too_many_arguments)]
     fn drain_fault_events(
         &mut self,
@@ -1137,20 +950,6 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
                 assignments,
                 assignment_index,
             );
-            if !self.synchronized {
-                // Lazy mode: nodes may still lag `t`; pull them all up before
-                // the batch. Synchronized mode's `advance_to` already closed
-                // with a step at `t`, after which every node is advanced or
-                // quiet through its reach, and each mutation below brings its
-                // node up first (`sync`) — re-running `run_until(t)` on every
-                // node would NOT be a no-op after a migration round evacuated
-                // a running task (the session would wake up and dispatch its
-                // next resident, a state transition the reference loop only
-                // performs on its next advance).
-                for i in 0..self.sessions.len() {
-                    self.materialize(i, t);
-                }
-            }
             if let Some(driver) = faults.as_mut() {
                 while let Some(event) = driver.pop_due(t) {
                     match event {
@@ -1220,7 +1019,7 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
                             }
                         }
                         FaultEvent::Recovery(pending) => {
-                            let node = self.pick_node_synchronized(
+                            let node = self.pick_node(
                                 t,
                                 &pending.salvage.prepared,
                                 Some(driver),
@@ -1383,8 +1182,7 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
         }
     }
 
-    /// Commits the newcomer to `node` (which lazy mode's `pick_node`
-    /// materialized; synchronized mode brings it up here).
+    /// Commits the newcomer to `node`, bringing the node up first.
     fn inject(&mut self, node: usize, task: PreparedTask) {
         self.sync(node);
         self.sessions[node]

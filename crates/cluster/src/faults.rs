@@ -28,9 +28,10 @@
 //! it contributes no downtime — the node is *up*, just slow — so it is
 //! tracked separately (`degrades`, `node_degraded_time`) and earns the
 //! middle dispatch-penalty tier rather than the down tier. Both the window
-//! start and its end are global synchronization points (all sessions are
-//! materialized there before the clock scale flips), which is what keeps
-//! the bit-identity contract intact over scaled clocks.
+//! start and its end are global synchronization points (both loops step
+//! there, and the degraded node is advanced to the window edge before its
+//! clock scale flips), which is what keeps the bit-identity contract intact
+//! over scaled clocks.
 //!
 //! The recovery cost model follows the engine's commit-point salvage
 //! ([`prema_core::SimSession::fail`]): a crash loses in-flight progress
@@ -203,8 +204,8 @@ impl Ord for PendingRecovery {
 
 /// One edge of a directed-link fault window: a synchronization (and trace)
 /// instant for both loops. Link state itself lives in the
-/// [`LinkTopology`] — the edge mutates no session, but materializing every
-/// node there keeps migration rounds and transfer decisions bit-identical
+/// [`LinkTopology`] — the edge mutates no session, but stepping both loops
+/// there keeps migration rounds and transfer decisions bit-identical
 /// across the two loops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct LinkEdge {
@@ -524,7 +525,7 @@ impl<'a> FaultDriver<'a> {
     /// next *decays* (2 → 1 at the downtime end, 1 → 0 at the later of the
     /// cooldown end and the degrade end), or `None` for a healthy node. Tier
     /// *increases* only happen inside [`FaultDriver::pop_due`] processing —
-    /// the synchronized fault instants the event-heap loop already hooks —
+    /// the fault instants the event-heap loop already steps at —
     /// so a dispatch index holding `(tier, expiry)` per node stays exact by
     /// re-reading at fault instants plus the returned expiries.
     pub(crate) fn penalty_with_expiry(&self, node: usize, t: Cycles) -> (u8, Option<Cycles>) {

@@ -16,11 +16,11 @@
 //! The crate-private `MigrationDriver` is — like the fault driver — one
 //! shared decision machine both closed-loop drivers consume, so the
 //! heap-vs-reference bit-identity contract extends over migration by
-//! construction. (Migration is a *synchronized* mechanism: with it
-//! enabled the event-heap loop steps all nodes to each decision instant
-//! and the crate-private `contender` dispatch index stays unbuilt —
-//! every migration round reads every node anyway.) At every global
-//! synchronization instant it runs a *migration round*:
+//! construction. (With migration enabled both loops step to every
+//! completion bound and delivery between arrivals, so the event-heap loop
+//! builds no `contender` dispatch index; it reads quiet nodes through
+//! their projections and advances only a move's source and landing
+//! target.) At every step it runs a *migration round*:
 //!
 //! 1. **Deadline check.** Per source node, residents are walked in the
 //!    preemptive scheduler's drain order (priority, then arrival, then id);
@@ -454,8 +454,8 @@ impl CustodyLedger {
 /// The shared migration decision machine both closed-loop drivers consume
 /// (see the module docs): the deadline monitor, the stay-vs-move arbiter,
 /// the in-flight transfer heap, the custody ledger and the outcome tally.
-/// Every method must be called with all sessions materialized at the
-/// decision instant — the loops' global synchronization points.
+/// Every method must be called at a step of either loop, reading each node
+/// at its [`Nodes::horizon`].
 #[derive(Debug)]
 pub(crate) struct MigrationDriver<'a> {
     config: &'a MigrationConfig,

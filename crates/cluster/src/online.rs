@@ -17,18 +17,20 @@
 //! resumes. Two drivers produce bit-identical results:
 //!
 //! * [`OnlineClusterSimulator::run`] — the production *event-heap* loop
-//!   (see the crate-private `event_heap` module): per-node completion certificates in a
-//!   lazily invalidated min-heap, branch-and-bound dispatch over an
-//!   indexed contender structure (the crate-private `contender` module:
-//!   penalty-tiered depth buckets / tournament trees, O(log nodes) per
-//!   arrival in lazy modes), and the engine's O(1) incremental
-//!   aggregates, so a global event advances only the nodes it actually
-//!   concerns.
-//! * [`OnlineClusterSimulator::run_reference`] — the naive stepping loop
-//!   PR 4 shipped, kept in this module as the semantic oracle (and the
-//!   baseline of the `cluster-scale` bench): every global event advances
-//!   *all* sessions via [`SimSession::run_until`], and every decision
-//!   rescans every node's residents.
+//!   (see the crate-private `event_heap` module): it opens the reference's
+//!   steps, keeps one next-event certificate per node
+//!   ([`SimSession::next_event_time`]) in a lazily invalidated min-heap,
+//!   advances only the nodes that are due or about to be mutated, and
+//!   reads every other node through its `*_at` projections. Decisions read
+//!   the engine's O(1) incremental aggregates; without stealing or
+//!   migration each fresh arrival walks an indexed contender structure
+//!   (the crate-private `contender` module: penalty-tiered depth buckets /
+//!   tournament trees, O(log nodes) per arrival).
+//! * [`OnlineClusterSimulator::run_reference`] — the naive stepping loop,
+//!   kept in this module as the semantic oracle (and the baseline of the
+//!   `cluster-scale` bench): every step advances *all* sessions via
+//!   [`SimSession::run_until`], and every decision rescans every node's
+//!   residents.
 //!
 //! Two mechanisms that only a closed loop can express ride on the same
 //! surface:
@@ -40,8 +42,7 @@
 //!   completion bound between arrivals, so idleness is detected at the
 //!   completion that caused it, not at the next arrival. The reference
 //!   advances every node at each such step; the event-heap loop advances
-//!   only the nodes whose next-event certificate
-//!   ([`SimSession::next_event_time`]) is due, plus the victim and thief of
+//!   only the nodes whose certificate is due, plus the victim and thief of
 //!   a steal, and reads the rest through their `*_at` projections.
 //! * **SLA-aware admission** ([`OnlineClusterConfig::admission`]) — at each
 //!   arrival the front-end predicts the p99 turnaround over all resident
@@ -637,7 +638,7 @@ impl OnlineClusterSimulator {
     /// `limit`, in timeline order: advance the cluster to the event
     /// instant, then fail (crash), stall (freeze), scale (degrade start /
     /// end), re-dispatch (due recovery) or deliver (due migration). Each
-    /// instant ends with a migration round over the synchronized cluster.
+    /// instant ends with a migration round over the advanced cluster.
     /// Crashes push their salvage manifests back into the fault driver and
     /// migration rounds put new transfers in flight, so the timeline grows
     /// while it drains; the retry and per-node migration budgets bound it.
@@ -949,7 +950,6 @@ impl OnlineClusterSimulator {
                     node: index,
                     penalty: penalty(index),
                     key: score(session),
-                    lower_bounded: false,
                 });
             }
             trace.borrow_mut().cluster_event(
@@ -1746,8 +1746,8 @@ mod tests {
 
     #[test]
     fn idle_migration_config_is_digest_neutral() {
-        // Enabling migration switches the heap loop to synchronized
-        // bound-stepping; a policy that never fires must not perturb the
+        // Enabling migration makes both loops step to every completion
+        // bound; a policy that never fires must not perturb the
         // outcome or its digest (stepping purity), and the digest must not
         // grow speculative fields.
         let tasks = prepared(0.5, 40.0, 0x4D1);

@@ -3,7 +3,7 @@
 //!
 //! The engine's [`prema_core::trace`] layer streams *per-node* scheduling
 //! events; this module adds the *cluster* vocabulary on top — dispatch
-//! decisions with the per-node branch-and-bound keys actually compared,
+//! decisions with the per-node keys actually compared,
 //! steal / shed / fault / recovery hops, migration decisions with their
 //! priced stay-vs-move alternatives, certificate-heap traffic, and per-node
 //! queue-depth/remaining-work samples taken at global events.
@@ -39,7 +39,7 @@ use std::rc::Rc;
 use npu_sim::{Cycles, NpuConfig};
 use prema_core::{SimSession, TaskId, TraceEvent, TraceSink};
 
-/// How many per-node branch-and-bound keys a [`NodeKeySet`] stores inline.
+/// How many per-node dispatch keys a [`NodeKeySet`] stores inline.
 /// Decisions over larger clusters record the first four nodes in index
 /// order plus the true total.
 pub const MAX_TRACE_NODES: usize = 4;
@@ -56,10 +56,6 @@ pub struct NodeKey {
     /// The live-state score under the configured dispatch policy
     /// (signal, total remaining work).
     pub key: (u64, u64),
-    /// Whether this is a branch-and-bound *lower bound* (the event-heap
-    /// loop skipped the node without materializing it) rather than an
-    /// exact score.
-    pub lower_bounded: bool,
 }
 
 /// A fixed-width capture of the per-node keys one dispatch decision
@@ -161,8 +157,8 @@ impl TransferFailReason {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ClusterTraceEvent {
     /// The front-end dispatched (or re-dispatched) a task: the chosen node
-    /// and the per-node keys compared, including branch-and-bound lower
-    /// bounds for nodes skipped unmaterialized.
+    /// and the exact per-node keys compared (the contender index's walk
+    /// records only the nodes it examined).
     DispatchDecision {
         /// The dispatched task.
         task: TaskId,
@@ -292,11 +288,12 @@ pub enum ClusterTraceEvent {
         /// Cumulative transfers abandoned after budget exhaustion.
         abandoned: u64,
     },
-    /// The event-heap loop pushed a node's completion certificate.
+    /// The event-heap loop pushed a node's next-event certificate, stamped
+    /// with the step that changed the node.
     HeapPush {
         /// The node whose bound was pushed.
         node: usize,
-        /// The completion lower bound.
+        /// The certificate: the node's `next_event_time`.
         bound: Cycles,
     },
     /// The event-heap loop popped a due, still-current certificate.
@@ -323,10 +320,10 @@ pub enum ClusterTraceEvent {
         /// Its predicted remaining work.
         remaining_work: Cycles,
     },
-    /// The contender index re-keyed one node (lazy dispatch only): emitted
-    /// at every index refresh — heap events, fault instants, injections.
-    /// Like the certificate events, the timestamp is the node-local clock
-    /// at the refresh, which may trail the global event time.
+    /// The contender index re-keyed one node (only runs without stealing or
+    /// migration build the index): emitted at every index refresh — due
+    /// advances, fault instants, injections, sheds. The timestamp is the
+    /// node-local clock at the refresh, which may trail the step instant.
     IndexUpdate {
         /// The re-keyed node.
         node: usize,
@@ -962,7 +959,6 @@ mod tests {
                 node,
                 penalty: 0,
                 key: (node as u64, 0),
-                lower_bounded: node % 2 == 1,
             });
         }
         assert_eq!(set.total(), 6);

@@ -497,12 +497,6 @@ struct EngineState {
     revocable_work: Cycles,
     steal_order: Vec<usize>,
     shed_order: Vec<usize>,
-    /// The *true* (plan-cursor) remaining cycles of every live resident
-    /// that is not currently running, sorted ascending. A non-running
-    /// resident's plan remaining is constant, so entries change only at
-    /// dispatch / preemption / completion / injection / revocation. The
-    /// minimum feeds [`SimSession::completion_lower_bound`].
-    static_remaining: Vec<(Cycles, TaskId)>,
     state_version: u64,
 }
 
@@ -525,11 +519,6 @@ impl EngineState {
             remaining_by_priority[priority.index()] += runtime.estimated;
             revocable_work += runtime.estimated;
         }
-        let mut static_remaining: Vec<(Cycles, TaskId)> = runtimes
-            .iter()
-            .map(|r| (r.prepared.plan.total_cycles(), r.id()))
-            .collect();
-        static_remaining.sort_unstable();
         let mut state = EngineState {
             runtimes,
             waiting: Vec::with_capacity(capacity),
@@ -542,7 +531,6 @@ impl EngineState {
             revocable_work,
             steal_order: (0..capacity).collect(),
             shed_order: (0..capacity).collect(),
-            static_remaining,
             state_version: 0,
         };
         // Keys are indexed by *runtime index*, matching the indices stored
@@ -621,29 +609,6 @@ impl EngineState {
     fn plan_remaining(&self, idx: usize) -> Cycles {
         let runtime = &self.runtimes[idx];
         runtime.cursor.remaining(&runtime.prepared.plan)
-    }
-
-    /// Adds a non-running resident to the static-remaining index. Must be
-    /// called when the task's cursor is at the position it will keep while
-    /// off the NPU.
-    fn static_insert(&mut self, idx: usize) {
-        let key = (self.plan_remaining(idx), self.runtimes[idx].id());
-        let pos = self
-            .static_remaining
-            .binary_search(&key)
-            .expect_err("task is not already static-tracked");
-        self.static_remaining.insert(pos, key);
-    }
-
-    /// Removes a resident from the static-remaining index (it is starting
-    /// to run, completing while resident, or leaving the session).
-    fn static_remove(&mut self, idx: usize) {
-        let key = (self.plan_remaining(idx), self.runtimes[idx].id());
-        let pos = self
-            .static_remaining
-            .binary_search(&key)
-            .expect("task is static-tracked");
-        self.static_remaining.remove(pos);
     }
 
     /// Advances `idx`'s progress cursor by at most `budget` cycles, keeping
@@ -1713,7 +1678,6 @@ impl<S: TraceSink> SimSession<S> {
     /// useful execution begins.
     fn dispatch(&mut self, idx: usize) -> Cycles {
         let state = &mut self.state;
-        state.static_remove(idx);
         if state.runtimes[idx].first_start.is_none() {
             // The task is starting for the first time: it can no longer be
             // revoked (stolen or shed) by a cluster front-end.
@@ -1787,7 +1751,6 @@ impl<S: TraceSink> SimSession<S> {
         }
         // During the checkpoint DMA nobody makes forward progress; everyone
         // waiting (including the just-preempted task) accrues wait time.
-        state.static_insert(run_idx);
         state.enter_waiting(run_idx);
         state.accrue(checkpoint);
         time += checkpoint;
@@ -1807,7 +1770,6 @@ impl<S: TraceSink> SimSession<S> {
             runtime.needs_restore = false;
             runtime.state = TaskState::Ready;
         }
-        state.static_insert(run_idx);
         state.enter_waiting(run_idx);
     }
 
@@ -2027,71 +1989,6 @@ impl<S: TraceSink> SimSession<S> {
         self.arrival_order
             .get(self.next_arrival_idx)
             .map(|&i| self.state.runtimes[i].admit_at.max(resume))
-    }
-
-    /// A *conservative* lower bound on the next time any resident task can
-    /// complete: no completion can occur strictly before the returned
-    /// instant, no matter how the scheduler interleaves the residents.
-    ///
-    /// [`SimSession::next_completion_time`] reports when the *currently
-    /// running* task would finish if it kept the NPU — an optimistic
-    /// figure: a preemptive switch to a shorter task can produce an
-    /// earlier completion. This bound instead takes the minimum of
-    ///
-    /// * the running task's true (plan-cursor) remaining time, and
-    /// * the earliest instant any *other* resident could finish: the first
-    ///   wakeup that could dispatch it (the next scheduling-period expiry
-    ///   or the next pending arrival, both strictly in the future of a
-    ///   paused session — only relevant under preemptive modes) plus the
-    ///   smallest plan remaining over non-running residents.
-    ///
-    /// A lazy cluster driver uses this as a certificate: while the bound
-    /// exceeds `t`, the node's queue depth is constant through `t`, its
-    /// predicted-work totals shrink at most one cycle per cycle, and no
-    /// completion-time estimate error can be released — which is what
-    /// makes branch-and-bound dispatch on unadvanced nodes exact.
-    /// `None` once drained.
-    pub fn completion_lower_bound(&self) -> Option<Cycles> {
-        if self.is_drained() {
-            return None;
-        }
-        // A stalled node performs no work and no wakeups before the stall
-        // ends, so every term is floored at the resume instant — the bound
-        // stays sound (nothing completes during the stall) and makes strict
-        // progress for drivers paused inside the fault window.
-        let resume = self.now.max(self.stall_until);
-        let pending_wakeup = self
-            .arrival_order
-            .get(self.next_arrival_idx)
-            .map(|&i| self.state.runtimes[i].admit_at.max(resume));
-        if let Some(run_idx) = self.running {
-            let run_completion =
-                resume + self.clock.wall_needed(self.state.plan_remaining(run_idx));
-            if !self.sched.preemption.is_preemptive() {
-                // Non-preemptive: nothing can displace the runner, so the
-                // first possible completion is the runner's own.
-                return Some(run_completion);
-            }
-            let mut bound = run_completion;
-            if let Some(&(min_static, _)) = self.state.static_remaining.first() {
-                // Both wakeup sources are strictly after `now` for a paused
-                // session, so the bound always makes strict progress.
-                // `min_static` is *work* left deliberately unscaled: work
-                // cycles never exceed the wall cycles they take (the scale
-                // is slowdown-only), so the bound stays sound without
-                // guessing the carry at a future dispatch instant.
-                let wakeup = self
-                    .next_quantum
-                    .max(resume)
-                    .min(pending_wakeup.unwrap_or(Cycles::MAX));
-                bound = bound.min(wakeup + min_static);
-            }
-            return Some(bound);
-        }
-        if !self.state.waiting.is_empty() {
-            return Some(resume);
-        }
-        pending_wakeup
     }
 
     /// The session's *next-event certificate*: the earliest instant at which
@@ -2314,8 +2211,7 @@ impl<S: TraceSink> SimSession<S> {
 
     /// Shared admission path of [`SimSession::inject`] /
     /// [`SimSession::inject_salvaged`]: places the runtime in the id index,
-    /// the predicted-work totals, the static-remaining index and the
-    /// pending-arrival queue. Does *not* touch the revocable indexes — the
+    /// the predicted-work totals and the pending-arrival queue. Does *not* touch the revocable indexes — the
     /// callers decide stealability.
     fn admit_runtime(&mut self, runtime: Runtime) -> Result<usize, EngineError> {
         let id = runtime.id();
@@ -2347,7 +2243,6 @@ impl<S: TraceSink> SimSession<S> {
             let priority = state.runtimes[idx].prepared.request.priority;
             state.remaining_work += remaining;
             state.remaining_by_priority[priority.index()] += remaining;
-            state.static_insert(idx);
         }
         // Keep the unadmitted tail of the arrival queue (admit_at, id)-sorted
         // so admission order stays deterministic.
@@ -2401,7 +2296,6 @@ impl<S: TraceSink> SimSession<S> {
         }
         self.state.state_version += 1;
         self.state.untrack_revocable(idx);
-        self.state.static_remove(idx);
         {
             let state = &mut self.state;
             let removed = state.runtimes[idx].remaining_estimate();
@@ -2610,7 +2504,6 @@ impl<S: TraceSink> SimSession<S> {
             self.running = None;
         } else if self.state.runtimes[idx].arrived {
             self.state.leave_waiting(idx);
-            self.state.static_remove(idx);
         } else {
             let tail = &self.arrival_order[self.next_arrival_idx..];
             let offset = tail
@@ -2618,7 +2511,6 @@ impl<S: TraceSink> SimSession<S> {
                 .position(|&i| i == idx)
                 .expect("unadmitted resident is in the pending arrival queue");
             self.arrival_order.remove(self.next_arrival_idx + offset);
-            self.state.static_remove(idx);
         }
         if self.state.runtimes[idx].first_start.is_none() {
             self.state.untrack_revocable(idx);
@@ -3288,7 +3180,11 @@ mod tests {
         assert_eq!(session.stalled_until(), Some(stall_end));
         let shifted = session.next_completion_time().unwrap();
         assert_eq!(shifted, before - Cycles::new(100_000) + stall_end);
-        assert!(session.completion_lower_bound().unwrap() >= stall_end);
+        assert_eq!(
+            session.next_event_time(),
+            Some(stall_end),
+            "a stalled node is quiet until the stall ends"
+        );
         // Pausing inside the stall makes clock progress but no execution.
         assert_eq!(session.run_until(Cycles::new(200_000)), StepOutcome::Paused);
         assert_eq!(session.now(), Cycles::new(200_000));
@@ -3352,32 +3248,6 @@ mod tests {
         assert!(session.is_drained());
         let outcome = session.finish();
         assert_eq!(outcome.records.len(), 3);
-    }
-
-    #[test]
-    fn completion_lower_bound_never_exceeds_an_actual_completion() {
-        // The certificate contract: advancing to any horizon strictly below
-        // the reported lower bound never shrinks the task set.
-        let sim = NpuSimulator::new(npu(), SchedulerConfig::paper_default());
-        let prepared = prepare(simple_requests());
-        let mut session = sim.session(&prepared);
-        let mut guard = 0u64;
-        while let Some(bound) = session.completion_lower_bound() {
-            let depth_before = session.queue_depth();
-            if bound > session.now() {
-                // One cycle short of the certificate: nothing may complete.
-                let _ = session.run_until(bound - Cycles::new(1));
-                assert_eq!(
-                    session.queue_depth(),
-                    depth_before,
-                    "a completion occurred strictly before the certificate"
-                );
-            }
-            let _ = session.run_until(bound);
-            guard += 1;
-            assert!(guard < 100_000, "certificate driving livelocked");
-        }
-        assert!(session.is_drained());
     }
 
     #[test]
@@ -3472,7 +3342,11 @@ mod tests {
         assert_eq!(session.clock_scale(), (1, 3));
         assert_eq!(session.run_until(Cycles::new(100_000)), StepOutcome::Paused);
         let bound = session.next_completion_time().expect("running");
-        assert!(session.completion_lower_bound().expect("running") <= bound);
+        assert_eq!(
+            session.next_event_time(),
+            Some(session.now()),
+            "a scaled session is always due"
+        );
         let wall = session.scaled_wall_for_work(Cycles::new(100));
         assert!(
             wall >= Cycles::new(298) && wall <= Cycles::new(300),

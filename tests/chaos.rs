@@ -36,8 +36,11 @@
 //! drop, and the backoff retry finally lands — exactly one record.
 //!
 //! Storm-shaped drivings check heap == reference where the event-heap loop
-//! leaves most nodes unadvanced at most steps: 32 and 48 nodes per run, and
-//! 256 nodes over a full 200 ms storm in the `#[ignore]`d nightly variant.
+//! leaves most nodes unadvanced at most steps: 32 and 48 nodes per run
+//! with every mechanism (the loop steps between arrivals), one 32–48-node
+//! storm per live dispatch policy with faults but no stealing or migration
+//! (arrivals walk the contender index), and 256 nodes over a full 200 ms
+//! storm in the `#[ignore]`d nightly variant.
 
 use std::panic::AssertUnwindSafe;
 
@@ -645,22 +648,47 @@ fn destination_crash_link_drop_backoff_retry_lands_exactly_once() {
 /// millisecond.
 const MEAN_SERVICE_MS: f64 = 19.948;
 
-/// One storm-shaped driving: a Poisson stream on Dynamic-PREMA nodes behind
-/// predictive dispatch, with work stealing, SLA admission, crash / freeze /
-/// degrade windows on the first quarter of the nodes, throttling and
-/// severing link windows among the first eight, and deadline migration
-/// under a redirecting custody layer — every synchronized mechanism at
-/// once, at a node count where most nodes are quiet at most steps.
+/// One storm-shaped driving: a Poisson stream behind live dispatch, with
+/// crash / freeze / degrade windows on the first quarter of the nodes and
+/// throttling and severing link windows among the first eight, at a node
+/// count where most nodes are quiet at most steps. Each driving picks its
+/// mechanisms: the full storm adds work stealing, SLA admission and
+/// deadline migration under a redirecting custody layer; without stealing
+/// and migration the loop never steps between arrivals and walks the
+/// contender index instead.
 struct Storm {
     nodes: usize,
     window_ms: f64,
     load: f64,
-    admission_ms: f64,
-    sla_ms: f64,
+    dispatch: OnlineDispatchPolicy,
+    stealing: bool,
+    admission_ms: Option<f64>,
+    /// The deadline-migration SLA, if the storm migrates.
+    sla_ms: Option<f64>,
     seed: u64,
 }
 
 impl Storm {
+    /// An 80 ms storm at load 1.3 with faults (plus optional admission)
+    /// but no stealing and no migration.
+    fn unstepped(
+        nodes: usize,
+        dispatch: OnlineDispatchPolicy,
+        admission_ms: Option<f64>,
+        seed: u64,
+    ) -> Self {
+        Storm {
+            nodes,
+            window_ms: 80.0,
+            load: 1.3,
+            dispatch,
+            stealing: false,
+            admission_ms,
+            sla_ms: None,
+            seed,
+        }
+    }
+
     fn simulate(&self, npu: &NpuConfig) -> (OnlineClusterSimulator, Vec<PreparedTask>) {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let rate = self.load * self.nodes as f64 / MEAN_SERVICE_MS;
@@ -673,16 +701,19 @@ impl Storm {
         let links = LinkFaultProcess::outages(8, 20.0, 6.0, self.window_ms)
             .with_degraded(0.9, 1, 128)
             .generate(&mut rng);
-        let custody = CustodyConfig::redirect().with_timeout_ms(0.02);
-        let config = OnlineClusterConfig::new(
-            self.nodes,
-            SchedulerConfig::paper_default(),
-            OnlineDispatchPolicy::Predictive,
-        )
-        .with_work_stealing()
-        .with_admission(self.admission_ms)
-        .with_faults(ClusterFaultPlan::new(faults.with_links(links)))
-        .with_migration(MigrationConfig::new(self.sla_ms).with_custody(custody));
+        let mut config =
+            OnlineClusterConfig::new(self.nodes, SchedulerConfig::paper_default(), self.dispatch)
+                .with_faults(ClusterFaultPlan::new(faults.with_links(links)));
+        if self.stealing {
+            config = config.with_work_stealing();
+        }
+        if let Some(target) = self.admission_ms {
+            config = config.with_admission(target);
+        }
+        if let Some(sla_ms) = self.sla_ms {
+            let custody = CustodyConfig::redirect().with_timeout_ms(0.02);
+            config = config.with_migration(MigrationConfig::new(sla_ms).with_custody(custody));
+        }
         (OnlineClusterSimulator::new(config), tasks)
     }
 }
@@ -733,16 +764,20 @@ fn storm_drivings_at_dozens_of_nodes_match_the_reference() {
             nodes: 32,
             window_ms: 60.0,
             load: 1.6,
-            admission_ms: 400.0,
-            sla_ms: 12.0,
+            dispatch: OnlineDispatchPolicy::Predictive,
+            stealing: true,
+            admission_ms: Some(400.0),
+            sla_ms: Some(12.0),
             seed: 0x5707_0001,
         },
         Storm {
             nodes: 48,
             window_ms: 50.0,
             load: 1.3,
-            admission_ms: 60.0,
-            sla_ms: 10.0,
+            dispatch: OnlineDispatchPolicy::Predictive,
+            stealing: true,
+            admission_ms: Some(60.0),
+            sla_ms: Some(10.0),
             seed: 0x5707_0002,
         },
     ];
@@ -768,6 +803,33 @@ fn storm_drivings_at_dozens_of_nodes_match_the_reference() {
     );
 }
 
+/// One fixed storm per live dispatch policy at 32–48 nodes without
+/// stealing or migration: the loop opens one step per arrival and fault
+/// instant, fresh arrivals walk the contender index (debug builds replay
+/// the exact scan after every walk), and recoveries take the scan. The
+/// predictive storm adds SLA admission, so sheds meet the index too.
+#[test]
+fn unstepped_storms_at_dozens_of_nodes_match_the_reference() {
+    let storms = [
+        Storm::unstepped(32, OnlineDispatchPolicy::ShortestQueue, None, 0x5707_0011),
+        Storm::unstepped(40, OnlineDispatchPolicy::LeastWork, None, 0x5707_0012),
+        Storm::unstepped(
+            48,
+            OnlineDispatchPolicy::Predictive,
+            Some(60.0),
+            0x5707_0013,
+        ),
+    ];
+    let mut sheds = 0;
+    for storm in &storms {
+        let (outcome, _) = assert_storm_matches_reference(storm);
+        assert!(outcome.has_fault_activity(), "every storm faults nodes");
+        assert_eq!(outcome.steals + outcome.migrations, 0);
+        sheds += outcome.shed.len();
+    }
+    assert!(sheds > 0, "the admission storm must shed");
+}
+
 /// The storm driving at the scale the host-time benchmark measures: 256
 /// nodes over a full 200 ms storm. Too slow for the per-PR debug suite (the
 /// reference advances all 256 nodes at every step); the nightly workflow
@@ -779,8 +841,10 @@ fn storm_at_256_nodes_matches_the_reference() {
         nodes: 256,
         window_ms: 200.0,
         load: 1.2,
-        admission_ms: 360.0,
-        sla_ms: 40.0,
+        dispatch: OnlineDispatchPolicy::Predictive,
+        stealing: true,
+        admission_ms: Some(360.0),
+        sla_ms: Some(40.0),
         seed: 0x5707_0100,
     });
     assert!(outcome.steals > 0 && !outcome.shed.is_empty() && outcome.migrations > 0);

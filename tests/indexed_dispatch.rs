@@ -1,33 +1,36 @@
 //! Property test pinning the indexed contender structures to the linear
-//! branch-and-bound scan they replace.
+//! scan they replace.
 //!
 //! The event-heap loop's live dispatch (`jsq-live`, `least-work-live`,
-//! `predictive-live`) consults an indexed contender structure — depth
-//! buckets or a tournament tree over absolute keys — whenever the run is
-//! *lazy* (no stealing / admission / migration): plain drivings and
-//! faults-only drivings. This sweep drives random cluster shapes through
-//! every feature combination and asserts the outcome is exactly what the
-//! linear scan produces:
+//! `predictive-live`) walks an indexed contender structure — depth
+//! buckets or a tournament tree over absolute keys — for every fresh
+//! arrival whenever the loop never steps between arrivals: no stealing and
+//! no migration. Plain, faults-only, admission-only and admission-with-
+//! faults drivings take that path. This sweep drives random cluster shapes
+//! through every feature combination and asserts the outcome is exactly
+//! what the linear scan produces:
 //!
-//! * **Heap == reference, bit for bit** — the indexed event-heap run must
-//!   equal the horizon-stepping reference (which knows nothing about the
-//!   index), outcome struct *and* `online_outcome_hash`. Any divergence in
-//!   a single dispatch decision cascades into different node assignments
-//!   and a different digest, so hash equality pins every pick.
+//! * **Heap == reference, bit for bit** — the event-heap run must equal
+//!   the horizon-stepping reference (which knows nothing about the index),
+//!   outcome struct *and* `online_outcome_hash`. Any divergence in a
+//!   single dispatch decision cascades into different node assignments and
+//!   a different digest, so hash equality pins every pick.
 //! * **Chosen-node identity per arrival** — debug builds (which `cargo
-//!   test` uses) additionally replay the linear branch-and-bound scan
-//!   after every indexed pick inside `pick_node_inner` and
-//!   `debug_assert_eq!` the chosen node, so a compensating double-error
-//!   cannot hide behind an identical final hash.
-//! * **Synchronized modes stay untouched** — with stealing, admission or
-//!   migration enabled the loop steps all nodes in lockstep and the index
-//!   is never built; those drivings pin that the refactor did not perturb
-//!   the synchronized path.
+//!   test` uses) additionally replay the exact scan after every indexed
+//!   pick inside `pick_node` and `debug_assert_eq!` the chosen node, so a
+//!   compensating double-error cannot hide behind an identical final hash.
+//! * **Stepping modes build no index** — with stealing or migration the
+//!   loop steps to every completion bound between arrivals and every pick
+//!   is the exact scan; those drivings pin the same heap == reference
+//!   contract on the path without the index.
 //!
 //! Fault drivings matter most here: they exercise the penalty tiers
 //! (down > cooling > healthy) as the index's major key, the promotion
 //! heap that decays tiers at fault-drain instants, and the unindexed side
-//! set that stalled and clock-scaled nodes divert to.
+//! set that stalled and clock-scaled nodes divert to. Admission drivings
+//! add sheds, which mutate nodes between an indexed pick and the next
+//! arrival's walk; with faults on top, sheds, penalty tiers and the side
+//! set meet on the index.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -42,9 +45,10 @@ use prema::workload::{
 };
 use prema::{NpuConfig, SchedulerConfig};
 
-/// Which subsystems a driving switches on. `Plain` and `Faults` leave the
-/// loop lazy, so the indexed pick path handles every dispatch; the rest
-/// force the synchronized stepping path where the index is never built.
+/// Which subsystems a driving switches on. Without stealing and migration
+/// the loop never steps between arrivals, so the indexed pick path handles
+/// every fresh arrival; stealing or migration makes it step, and the index
+/// is never built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Features {
     Plain,
@@ -53,15 +57,17 @@ enum Features {
     Admission,
     Migration,
     AllOn,
+    AdmissionFaults,
 }
 
-const FEATURES: [Features; 6] = [
+const FEATURES: [Features; 7] = [
     Features::Plain,
     Features::Faults,
     Features::Stealing,
     Features::Admission,
     Features::Migration,
     Features::AllOn,
+    Features::AdmissionFaults,
 ];
 
 const POLICIES: [OnlineDispatchPolicy; 3] = [
@@ -71,11 +77,17 @@ const POLICIES: [OnlineDispatchPolicy; 3] = [
 ];
 
 fn uses_index(features: Features) -> bool {
-    matches!(features, Features::Plain | Features::Faults)
+    !matches!(
+        features,
+        Features::Stealing | Features::Migration | Features::AllOn
+    )
 }
 
 fn wants_faults(features: Features) -> bool {
-    matches!(features, Features::Faults | Features::AllOn)
+    matches!(
+        features,
+        Features::Faults | Features::AllOn | Features::AdmissionFaults
+    )
 }
 
 fn draw_config(
@@ -96,7 +108,9 @@ fn draw_config(
     }
     match features {
         Features::Stealing => config = config.with_work_stealing(),
-        Features::Admission => config = config.with_admission(rng.gen_range(20.0..80.0)),
+        Features::Admission | Features::AdmissionFaults => {
+            config = config.with_admission(rng.gen_range(20.0..80.0))
+        }
         Features::Migration => {
             config = config.with_migration(MigrationConfig::new(rng.gen_range(2.0..20.0)))
         }
@@ -121,6 +135,7 @@ fn indexed_dispatch_matches_the_linear_scan_exactly() {
     let mut rng = StdRng::seed_from_u64(0x1D3_C0DE);
     let mut indexed_drivings = 0usize;
     let mut indexed_faulty = 0usize;
+    let mut indexed_faulty_shedding = 0usize;
     for features in FEATURES {
         for policy in POLICIES {
             for case in 0..3 {
@@ -189,19 +204,27 @@ fn indexed_dispatch_matches_the_linear_scan_exactly() {
                     indexed_drivings += 1;
                     if heap.has_fault_activity() {
                         indexed_faulty += 1;
+                        if !heap.shed.is_empty() {
+                            indexed_faulty_shedding += 1;
+                        }
                     }
                 }
             }
         }
     }
     // The sweep must actually have exercised the indexed path, including
-    // under live fault windows (penalty tiers + unindexed side set).
+    // under live fault windows (penalty tiers + unindexed side set) and
+    // with sheds on top.
     assert!(
-        indexed_drivings >= 12,
+        indexed_drivings >= 24,
         "only {indexed_drivings} drivings ran with the contender index live"
     );
     assert!(
         indexed_faulty >= 4,
         "only {indexed_faulty} indexed drivings saw fault activity; penalty tiers untested"
+    );
+    assert!(
+        indexed_faulty_shedding >= 3,
+        "only {indexed_faulty_shedding} indexed drivings shed under fault activity"
     );
 }
