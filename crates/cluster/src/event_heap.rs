@@ -1,12 +1,15 @@
-//! The event-heap closed-loop cluster driver: O(events × log nodes)
-//! co-simulation, bit-identical to the naive stepping loop.
+//! The event-heap node strategy: O(events × log nodes) co-simulation,
+//! bit-identical to the stepping reference.
 //!
-//! [`crate::online::OnlineClusterSimulator::run_reference`] advances
-//! *every* node session at every step and rescans every node's residents
-//! for every dispatch, admission and stealing decision: O(steps × nodes)
-//! `run_until` calls plus O(steps × nodes × residents) scan work. This
-//! module opens exactly the reference's steps and makes exactly its
-//! decisions, and therefore reproduces its outcomes, while doing
+//! Both closed-loop drivers run the one timeline in [`crate::online`]:
+//! arrivals, fault and transfer-delivery instants, and the steps between
+//! them. A node strategy ([`crate::online::Nodes`]) owns only which nodes a
+//! step advances and how each decision reads them. The reference strategy
+//! advances *every* node session at every step and rescans every node's
+//! residents for every dispatch, admission and stealing decision:
+//! O(steps × nodes) `run_until` calls plus O(steps × nodes × residents)
+//! scan work. This strategy makes exactly the reference's decisions at
+//! the same steps, and therefore reproduces its outcomes, while doing
 //! asymptotically less work. Two pillars:
 //!
 //! **Pure suspension.** `SimSession::run_until` composed over *any*
@@ -26,40 +29,41 @@
 //! *lazy invalidation* (every session mutation pushes the fresh one; stale
 //! entries are discarded at pop time).
 //!
-//! **Steps.** The loop opens a step at each arrival and each fault-timeline
-//! instant. With stealing or migration it also steps, as the reference
-//! does, to every completion bound and in-flight delivery in between,
-//! taking each bound from a lazily invalidated heap of
-//! `next_completion_time`s (which do not move before the certificate).
-//! Without them it opens exactly one step per instant. Per step it
-//! advances only the nodes whose certificates are due, plus any node about
-//! to be mutated (an arrival's target, a steal's victim and thief, a shed
-//! victim, a faulted node, a recovery or landing target, a migration
-//! source), and reads every other node through its `*_at` projections:
-//! dispatch scores, admission's prediction segments, the migration
-//! deadline monitor and stay/move and redirect pricing.
+//! **Steps.** The timeline opens a step at each arrival and each
+//! fault-timeline instant. With stealing or migration it also steps, as
+//! the reference does, to every completion bound and in-flight delivery in
+//! between; this strategy takes each bound from a lazily invalidated heap
+//! of `next_completion_time`s (which do not move before the certificate).
+//! Per step it advances only the nodes whose certificates are due, plus
+//! any node about to be mutated (an arrival's target, a steal's victim and
+//! thief, a shed victim, a faulted node, a recovery or landing target, a
+//! migration source), and reads every other node through its `*_at`
+//! projections: dispatch scores, admission's prediction segments, the
+//! migration deadline monitor and stay/move and redirect pricing. Each
+//! batch of mutations ends at `settle`, which re-keys the touched nodes.
 //!
-//! The reference's steps can revisit the past (a steal onto a parked
-//! thief makes the next bound the thief's frozen clock), where nodes already
-//! further ahead stay put; so a node this loop left alone is read, and
+//! The timeline's steps can revisit the past (a steal onto a parked thief
+//! makes the next bound the thief's frozen clock), where nodes already
+//! further ahead stay put; so a node this strategy left alone is read, and
 //! advanced when due, at its *reach* — the latest step instant since it was
 //! last current — not at the step itself.
 //!
 //! **Dispatch.** Every pick is the reference's argmin over (penalty tier,
 //! score, node index). The exact linear scan reads each node at its reach
 //! and never advances one; it serves recovery picks, which route from a
-//! source node. When the loop never steps between arrivals (no stealing, no
-//! migration — the reference's own test), sourceless arrivals walk
-//! [`crate::contender`] instead: queue-depth buckets for `jsq-live`,
-//! tournament trees keyed on predicted work for `least-work-live` /
-//! `predictive-live`, fault-penalty tiers as the major key, refreshed from
-//! the one `reschedule` funnel every session mutation flows through. A walk
-//! examines O(log nodes) candidates off the structure minimum and provably
-//! picks the scan's node; `debug_assertions` builds replay the scan after
-//! every indexed pick and assert the argmin agrees. The walk brings each
-//! contender up with the same `sync` a mutation uses: without stepping,
-//! every node holding work at an arrival pick is either current at the step
-//! or quiet through it, so that advance is one the reference made too.
+//! source node. When the timeline never steps between arrivals (no
+//! stealing, no migration), sourceless arrivals walk [`crate::contender`]
+//! instead: queue-depth buckets for `jsq-live`, tournament trees keyed on
+//! predicted work for `least-work-live` / `predictive-live`, fault-penalty
+//! tiers as the major key (re-tiered at every fault window edge), refreshed
+//! from the one `reschedule` funnel every session mutation flows through. A
+//! walk examines O(log nodes) candidates off the structure minimum and
+//! provably picks the scan's node; `debug_assertions` builds replay the
+//! scan after every indexed pick and assert the argmin agrees. The walk
+//! brings each contender up with the same `sync` a mutation uses: without
+//! stepping, every node holding work at an arrival pick is either current
+//! at the step or quiet through it, so that advance is one the reference
+//! made too.
 //!
 //! The admission p99 over the projected segments is one in-place
 //! selection, and each node's segment is cached by `state_version` (per
@@ -73,133 +77,26 @@
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 use npu_sim::{Cycles, NpuConfig};
 use prema_core::{
-    NpuSimulator, PreparedTask, Priority, ResidentTask, SimSession, TaskId, TaskRequest, TraceSink,
+    PreparedTask, Priority, ResidentTask, SimSession, TaskId, TaskRequest, TraceSink,
 };
 use prema_metrics::percentile_in_place;
 
-use prema_workload::FaultKind;
-
-use crate::cluster::NodeAssignment;
 use crate::contender::ContenderIndex;
-use crate::faults::{FaultDriver, FaultEvent};
-use crate::migration::MigrationDriver;
+use crate::faults::FaultDriver;
+use crate::interconnect::LinkTopology;
 use crate::online::{
-    arrival_order, deliver_due_migrations, finish_outcome, scaled_admission_target, Nodes,
-    OnlineClusterConfig, OnlineDispatchPolicy, OnlineOutcome, ShedKey, SlaAdmissionConfig,
+    scaled_admission_target, Books, Nodes, OnlineClusterConfig, OnlineDispatchPolicy, ShedKey,
+    SlaAdmissionConfig,
 };
-use crate::trace::{
-    sample_nodes, ClusterTraceEvent, ClusterTraceSink, FaultTraceKind, NodeKey, NodeKeySet,
-    NodeTap, NullClusterSink,
-};
+use crate::trace::{ClusterTraceEvent, ClusterTraceSink, NodeKey, NodeKeySet, NodeTap};
 
 /// A dispatch key: (penalty tier, (signal, remaining work)).
 type PenaltyScore = (u8, (u64, u64));
-
-/// Runs the event-heap closed-loop simulation. Caller has validated the
-/// config and checked id uniqueness.
-pub(crate) fn run(config: &OnlineClusterConfig, tasks: &[PreparedTask]) -> OnlineOutcome {
-    let trace = Rc::new(RefCell::new(NullClusterSink));
-    run_impl(config, tasks, &trace)
-}
-
-/// [`run`] with a cluster trace sink shared between the loop and every node
-/// session. The sink only observes — outcomes are bit-identical to the
-/// untraced run.
-pub(crate) fn run_impl<C: ClusterTraceSink>(
-    config: &OnlineClusterConfig,
-    tasks: &[PreparedTask],
-    trace: &Rc<RefCell<C>>,
-) -> OnlineOutcome {
-    let simulator = NpuSimulator::new(config.npu.clone(), config.scheduler.clone());
-    let sessions: Vec<SimSession<NodeTap<C>>> = (0..config.nodes)
-        .map(|node| simulator.session_with_sink(&[], NodeTap::new(node, Rc::clone(trace))))
-        .collect();
-    let order = arrival_order(tasks);
-
-    let mut driver = EventHeapLoop::new(config, sessions, Rc::clone(trace));
-    let mut assignments: Vec<NodeAssignment> = Vec::with_capacity(tasks.len());
-    let mut assignment_index: HashMap<TaskId, usize> = HashMap::with_capacity(tasks.len());
-    let mut shed: Vec<TaskRequest> = Vec::new();
-    let mut steals = 0u64;
-    let mut faults = config
-        .faults
-        .as_ref()
-        .map(|plan| FaultDriver::new(plan, &config.npu, config.nodes));
-    let link_faults = config
-        .faults
-        .as_ref()
-        .map(|plan| plan.schedule.links.as_slice())
-        .unwrap_or(&[]);
-    let mut migration = config
-        .migration
-        .as_ref()
-        .map(|policy| MigrationDriver::new(policy, &config.npu, config.nodes, link_faults));
-
-    for &i in &order {
-        let task = &tasks[i];
-        let now = task.request.arrival;
-        driver.drain_fault_events(
-            &mut faults,
-            &mut migration,
-            now,
-            &mut steals,
-            &mut assignments,
-            &assignment_index,
-        );
-        driver.advance_to(
-            faults.as_ref(),
-            &mut migration,
-            now,
-            &mut steals,
-            &mut assignments,
-            &assignment_index,
-        );
-        sample_nodes(&driver.sessions, now, trace);
-
-        let node = driver.pick_node(now, task, faults.as_ref(), None);
-        if let Some(admission) = config.admission {
-            if !driver.admit(task, node, admission, &mut shed) {
-                continue;
-            }
-        }
-        assignment_index.insert(task.request.id, assignments.len());
-        assignments.push(NodeAssignment {
-            task: task.request.id,
-            node,
-        });
-        driver.inject(node, task.clone());
-    }
-
-    driver.drain_fault_events(
-        &mut faults,
-        &mut migration,
-        Cycles::MAX,
-        &mut steals,
-        &mut assignments,
-        &assignment_index,
-    );
-    driver.advance_to(
-        faults.as_ref(),
-        &mut migration,
-        Cycles::MAX,
-        &mut steals,
-        &mut assignments,
-        &assignment_index,
-    );
-    finish_outcome(
-        driver.sessions,
-        assignments,
-        shed,
-        steals,
-        faults.map(FaultDriver::finish),
-        migration.map(MigrationDriver::finish),
-    )
-}
 
 /// Per-node cache of the predicted-completion segment that SLA admission
 /// and the migration deadline monitor read.
@@ -348,10 +245,10 @@ impl PredictionSegment {
     }
 }
 
-/// The event-heap loop state: sessions, the lazily invalidated certificate
-/// heap, and the reused admission scratch buffers.
+/// The event-heap strategy's state: sessions, the lazily invalidated
+/// certificate heap, and the reused admission scratch buffers.
 #[derive(Debug)]
-struct EventHeapLoop<'a, C: ClusterTraceSink> {
+pub(crate) struct EventHeapLoop<'a, C: ClusterTraceSink> {
     config: &'a OnlineClusterConfig,
     sessions: Vec<SimSession<NodeTap<C>>>,
     /// The shared cluster trace sink (disabled sinks compile the emission
@@ -363,9 +260,9 @@ struct EventHeapLoop<'a, C: ClusterTraceSink> {
     /// every session mutation pushes the fresh one, stale entries are
     /// dropped at pop time.
     heap: BinaryHeap<Reverse<(Cycles, usize)>>,
-    /// Min-heap of (`next_completion_time`, node), kept only when the loop
-    /// steps between arrivals (no contender index): the reference's
-    /// stepping bound, lazily invalidated like `heap`. A quiet node's
+    /// Min-heap of (`next_completion_time`, node), kept only when the
+    /// timeline steps between arrivals (no contender index): the stepping
+    /// bound, lazily invalidated like `heap`. A quiet node's
     /// completion time does not move before its certificate, so its entry
     /// stays current while it lags.
     bounds: BinaryHeap<Reverse<(Cycles, usize)>>,
@@ -383,10 +280,10 @@ struct EventHeapLoop<'a, C: ClusterTraceSink> {
     /// The step at which this loop last advanced or mutated each node.
     fresh: Vec<u64>,
     /// Nodes mutated through [`Nodes::session_mut`] since the last
-    /// [`Self::flush_touched`].
+    /// [`Nodes::settle`].
     touched: Vec<usize>,
     /// The ordered contender structures sourceless arrivals walk instead
-    /// of scanning every node, built only when the loop never steps
+    /// of scanning every node, built only when the timeline never steps
     /// between arrivals (no stealing, no migration). Refreshed from
     /// [`Self::reschedule`], the single funnel every session mutation
     /// flows through.
@@ -405,7 +302,7 @@ struct EventHeapLoop<'a, C: ClusterTraceSink> {
 }
 
 impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
-    fn new(
+    pub(crate) fn new(
         config: &'a OnlineClusterConfig,
         sessions: Vec<SimSession<NodeTap<C>>>,
         trace: Rc<RefCell<C>>,
@@ -505,14 +402,6 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
         self.peaks.get(k).map(|&(_, at)| at)
     }
 
-    /// The instant node `i`'s decisions read it at: its reach — through
-    /// which it is quiet, so its `*_at` projections there are exactly what
-    /// the reference's advanced node reports — or, if the node is current,
-    /// its own clock, where the projections are the identity.
-    fn horizon(&self, i: usize) -> Cycles {
-        self.reach(i).unwrap_or_else(|| self.sessions[i].now())
-    }
-
     /// Brings node `i` to its reach before a mutation and marks it
     /// current. A node already current this step is left alone: a second
     /// `run_until` after a mutation is not inert — it would admit and
@@ -522,262 +411,6 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
             let _ = self.sessions[i].run_until(reach);
         }
         self.fresh[i] = self.step;
-    }
-
-    /// Refreshes the heap entries of every node mutated through
-    /// [`Nodes::session_mut`].
-    fn flush_touched(&mut self) {
-        while let Some(i) = self.touched.pop() {
-            self.reschedule(i);
-        }
-    }
-
-    /// The earliest `next_completion_time` over all nodes: the reference's
-    /// stepping bound, from the lazily invalidated `bounds` heap.
-    fn next_bound(&mut self) -> Option<Cycles> {
-        while let Some(&Reverse((bound, i))) = self.bounds.peek() {
-            if self.sessions[i].next_completion_time() == Some(bound) {
-                return Some(bound);
-            }
-            self.bounds.pop();
-        }
-        None
-    }
-
-    /// Opens one step at `t`: pops every node whose live certificate is due
-    /// at or before `t` and advances it to its reach, which is at least
-    /// `t`. Every other node is quiet through its reach — running its
-    /// current task or idling — and decisions read it through its `*_at`
-    /// projections there, which equal what the reference's `run_until`
-    /// calls left.
-    ///
-    /// Invariant: a node left alone has a certificate beyond its reach. A
-    /// step at `t` raises reaches to at most `t` (a node whose reach was
-    /// already higher keeps it), so popping certificates up to `t` keeps
-    /// the invariant. Each due node is advanced once: its post-advance
-    /// certificate (pushed for *future* steps) is not re-examined, so the
-    /// step terminates even in the degenerate corner where a certificate
-    /// does not clear `t`.
-    fn begin_step(&mut self, t: Cycles) {
-        self.step += 1;
-        while self.peaks.last().is_some_and(|&(_, at)| at <= t) {
-            self.peaks.pop();
-        }
-        self.peaks.push((self.step, t));
-        self.due_scratch.clear();
-        while let Some(&Reverse((bound, i))) = self.heap.peek() {
-            if bound > t {
-                break;
-            }
-            self.heap.pop();
-            if self.sessions[i].next_event_time() == Some(bound) && !self.due_mark[i] {
-                if C::ENABLED {
-                    self.trace
-                        .borrow_mut()
-                        .cluster_event(t, ClusterTraceEvent::HeapPop { node: i, bound });
-                }
-                self.due_mark[i] = true;
-                self.due_scratch.push(i);
-            } else if C::ENABLED {
-                self.trace
-                    .borrow_mut()
-                    .cluster_event(t, ClusterTraceEvent::HeapStaleDrop { node: i, bound });
-            }
-        }
-        for k in 0..self.due_scratch.len() {
-            let i = self.due_scratch[k];
-            self.due_mark[i] = false;
-            self.materialize(i);
-        }
-    }
-
-    /// Advances the cluster to `t`, replaying the reference's stepping
-    /// instants: with stealing or migration, execution is stepped to every
-    /// completion bound (and every in-flight migration delivery) on the way
-    /// — the moments the task set can shrink or a deadline can slip —
-    /// running steal and migration rounds at each; otherwise one step lands
-    /// straight on `t`. Each step advances only the nodes whose certificates
-    /// are due (see [`Self::begin_step`]).
-    fn advance_to(
-        &mut self,
-        faults: Option<&FaultDriver<'_>>,
-        migration: &mut Option<MigrationDriver<'_>>,
-        t: Cycles,
-        steals: &mut u64,
-        assignments: &mut [NodeAssignment],
-        assignment_index: &HashMap<TaskId, usize>,
-    ) {
-        let stepping = self.config.work_stealing || migration.is_some();
-        let trace = Rc::clone(&self.trace);
-        loop {
-            let mut step = t;
-            if stepping {
-                if let Some(bound) = self.next_bound().filter(|&bound| bound < t) {
-                    step = bound;
-                }
-                // Mirrors the reference: deliveries strictly before `t`
-                // land mid-advance; one due exactly at `t` belongs to the
-                // caller's event batch.
-                if let Some(due) = migration
-                    .as_ref()
-                    .and_then(MigrationDriver::next_due)
-                    .filter(|&due| due < step)
-                {
-                    step = due;
-                }
-            }
-            self.begin_step(step);
-            if self.config.work_stealing {
-                *steals += self.steal_round(
-                    faults.map(FaultDriver::topology),
-                    assignments,
-                    assignment_index,
-                );
-            }
-            if let Some(migration) = migration.as_mut() {
-                if step < t {
-                    deliver_due_migrations(
-                        migration,
-                        faults,
-                        self,
-                        step,
-                        assignments,
-                        assignment_index,
-                        &trace,
-                    );
-                }
-                migration.round(self, step, &trace);
-                self.flush_touched();
-            }
-            if step == t {
-                return;
-            }
-        }
-    }
-
-    /// One block of work-stealing rounds, mirroring the reference's
-    /// `steal_onto_idle_nodes`: while some node
-    /// is idle and some peer holds stealable work, move the largest
-    /// never-started task from the most-loaded peer to the first idle
-    /// node (skipping victims the thief cannot currently reach over the
-    /// fabric). All signals are O(1) engine aggregates instead of resident
-    /// rescans, and none moves while a node is quiet (queue depth, stall
-    /// status and stealable work change only at events, and a thief is
-    /// drained, so its clock is frozen): they are read as-is, and only the
-    /// victim and thief are advanced, right before the move.
-    fn steal_round(
-        &mut self,
-        links: Option<&crate::interconnect::LinkTopology>,
-        assignments: &mut [NodeAssignment],
-        assignment_index: &HashMap<TaskId, usize>,
-    ) -> u64 {
-        let mut steals = 0u64;
-        loop {
-            // Mirrors the reference: a stalled node (crashed-and-drained or
-            // frozen) cannot be a thief, but may still be a victim.
-            let Some(thief) = self
-                .sessions
-                .iter()
-                .position(|s| s.queue_depth() == 0 && s.stalled_until().is_none())
-            else {
-                return steals;
-            };
-            let now = self.sessions[thief].now();
-            let mut victim: Option<(Cycles, usize)> = None;
-            for (i, session) in self.sessions.iter().enumerate() {
-                if session.queue_depth() < 2 {
-                    continue;
-                }
-                if links.is_some_and(|links| !links.reachable(i, thief, now)) {
-                    continue;
-                }
-                let stealable = session.revocable_work();
-                if stealable.is_zero() {
-                    continue;
-                }
-                if victim.is_none_or(|(most, _)| stealable > most) {
-                    victim = Some((stealable, i));
-                }
-            }
-            let Some((_, victim)) = victim else {
-                return steals;
-            };
-            self.sync(victim);
-            self.sync(thief);
-            let stolen = self.sessions[victim]
-                .best_steal_candidate()
-                .expect("nonzero stealable work has a best task");
-            let prepared = self.sessions[victim]
-                .revoke(stolen.id)
-                .expect("stolen task was revocable");
-            self.sessions[thief]
-                .inject(prepared)
-                .expect("revoked task re-injects cleanly");
-            self.reschedule(victim);
-            self.reschedule(thief);
-            if C::ENABLED {
-                self.trace.borrow_mut().cluster_event(
-                    self.sessions[thief].now(),
-                    ClusterTraceEvent::Steal {
-                        task: stolen.id,
-                        from: victim,
-                        to: thief,
-                    },
-                );
-            }
-            if let Some(&slot) = assignment_index.get(&stolen.id) {
-                assignments[slot].node = thief;
-            }
-            steals += 1;
-        }
-    }
-
-    /// The dispatch decision at `t`: identical to the reference's full
-    /// scan — the node minimizing (penalty tier, signal, remaining, index).
-    /// Under fault injection the tier is the failure-aware penalty (down /
-    /// cooling-down / healthy, exactly the reference's), routed from
-    /// `source`: `Some` for a recovery (the salvage travels from the
-    /// crashed node), `None` for a fresh arrival, which enters through the
-    /// front-end control plane that link faults never sever.
-    ///
-    /// Sourceless picks walk the contender index when the loop keeps one;
-    /// every other pick is the exact scan.
-    fn pick_node(
-        &mut self,
-        t: Cycles,
-        task: &PreparedTask,
-        faults: Option<&FaultDriver<'_>>,
-        source: Option<usize>,
-    ) -> usize {
-        let indexed = source.is_none() && self.index.is_some();
-        let (chosen, keys) = if indexed {
-            self.pick_node_indexed(t, task, faults)
-        } else {
-            self.pick_node_scan(t, task, faults, source)
-        };
-        // Debug cross-check: replay the exact scan over the post-query
-        // state — the walk's advances are outcome-inert (pure suspension)
-        // and the scan reads every node at its reach, so the two
-        // procedures must name the same node.
-        #[cfg(debug_assertions)]
-        if indexed {
-            let (check, _) = self.pick_node_scan(t, task, faults, source);
-            debug_assert_eq!(
-                chosen, check,
-                "indexed dispatch diverged from the linear scan at {t:?}"
-            );
-        }
-        if C::ENABLED {
-            self.trace.borrow_mut().cluster_event(
-                t,
-                ClusterTraceEvent::DispatchDecision {
-                    task: task.request.id,
-                    chosen,
-                    keys,
-                },
-            );
-        }
-        chosen
     }
 
     /// The exact dispatch score of node `i` for an arrival of `priority`,
@@ -898,208 +531,168 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
         }
         (best.expect("at least one node").1, keys)
     }
+}
 
-    /// The event-heap half of the shared fault/migration timeline (see the
-    /// reference's `drain_fault_events`): processes every due event through
-    /// the *same* [`FaultDriver`] and [`MigrationDriver`]. A crash or
-    /// freeze fails/stalls the faulted node at the fault instant; a
-    /// degrade start/end rescales its clock; a due recovery runs the exact
-    /// scan over penalty-tiered nodes and re-injects the salvage with its
-    /// admission gated to the recovery instant; a due migration delivery
-    /// lands at its destination, and each instant ends with a migration
-    /// round.
-    ///
-    /// Every fault-event instant closes a step of `advance_to`, after which
-    /// every node is advanced or quiet through its reach, and each mutation
-    /// brings only its own node up first (`sync`). The batch's dispatch
-    /// picks read exact scores without advancing anything. This is
-    /// load-bearing for same-instant recovery batches: a node receiving
-    /// several salvages at one instant admits them atomically at its next
-    /// wakeup, like the reference, instead of dispatching a partial batch
-    /// between two injections. Re-running `run_until(t)` on a node would
-    /// not be a no-op after a mutation either (after a migration round
-    /// evacuated a running task, the session would wake up and dispatch
-    /// its next resident, a state transition the reference only performs
-    /// at its next step).
-    #[allow(clippy::too_many_arguments)]
-    fn drain_fault_events(
-        &mut self,
-        faults: &mut Option<FaultDriver<'_>>,
-        migration: &mut Option<MigrationDriver<'_>>,
-        limit: Cycles,
-        steals: &mut u64,
-        assignments: &mut [NodeAssignment],
-        assignment_index: &HashMap<TaskId, usize>,
-    ) {
-        loop {
-            let fault_next = faults.as_ref().and_then(FaultDriver::next_event_time);
-            let migration_next = migration.as_ref().and_then(MigrationDriver::next_due);
-            let Some(t) = [fault_next, migration_next]
-                .into_iter()
-                .flatten()
-                .min()
-                .filter(|&t| t <= limit)
-            else {
-                return;
-            };
-            self.advance_to(
-                faults.as_ref(),
-                migration,
-                t,
-                steals,
-                assignments,
-                assignment_index,
-            );
-            if let Some(driver) = faults.as_mut() {
-                while let Some(event) = driver.pop_due(t) {
-                    match event {
-                        FaultEvent::Fault(fault) => {
-                            if C::ENABLED {
-                                let kind = match fault.kind {
-                                    FaultKind::Crash => FaultTraceKind::Crash,
-                                    FaultKind::Freeze => FaultTraceKind::Freeze,
-                                    FaultKind::Degrade {
-                                        speed_num,
-                                        speed_den,
-                                    } => FaultTraceKind::Degrade {
-                                        num: speed_num,
-                                        den: speed_den,
-                                    },
-                                };
-                                self.trace.borrow_mut().cluster_event(
-                                    t,
-                                    ClusterTraceEvent::Fault {
-                                        node: fault.node,
-                                        kind,
-                                        until: fault.end,
-                                    },
-                                );
-                            }
-                            self.sync(fault.node);
-                            match fault.kind {
-                                FaultKind::Crash => {
-                                    let salvaged = self.sessions[fault.node].fail();
-                                    driver.on_salvaged(fault.node, t, salvaged, &self.trace);
-                                    self.sessions[fault.node].stall(fault.end);
-                                }
-                                FaultKind::Freeze => self.sessions[fault.node].stall(fault.end),
-                                FaultKind::Degrade {
-                                    speed_num,
-                                    speed_den,
-                                } => {
-                                    self.sessions[fault.node].set_clock_scale(speed_num, speed_den)
-                                }
-                            }
-                            self.reschedule(fault.node);
-                            // The fault window just opened moves the node's
-                            // penalty tier: store the fresh (tier, decay
-                            // instant) as the index's major key.
-                            if let Some(index) = self.index.as_mut() {
-                                let (tier, expiry) = driver.penalty_with_expiry(fault.node, t);
-                                index.set_penalty(fault.node, tier, expiry);
-                            }
-                        }
-                        FaultEvent::DegradeEnd { node } => {
-                            if C::ENABLED {
-                                self.trace.borrow_mut().cluster_event(
-                                    t,
-                                    ClusterTraceEvent::Fault {
-                                        node,
-                                        kind: FaultTraceKind::DegradeEnd,
-                                        until: t,
-                                    },
-                                );
-                            }
-                            self.sync(node);
-                            self.sessions[node].set_clock_scale(1, 1);
-                            self.reschedule(node);
-                            if let Some(index) = self.index.as_mut() {
-                                let (tier, expiry) = driver.penalty_with_expiry(node, t);
-                                index.set_penalty(node, tier, expiry);
-                            }
-                        }
-                        FaultEvent::Recovery(pending) => {
-                            let node = self.pick_node(
-                                t,
-                                &pending.salvage.prepared,
-                                Some(driver),
-                                Some(pending.from_node),
-                            );
-                            // Mirrors the reference: the scan minimizes the
-                            // penalty tier, so an unreachable winner means
-                            // every node is partitioned away from the
-                            // custodian — the attempt is spent instead of
-                            // routed across the partition.
-                            if driver.topology().reachable(pending.from_node, node, t) {
-                                let origin = (pending.from_node, pending.attempt);
-                                let salvage = driver.redispatch(pending, node, t);
-                                let id = salvage.prepared.request.id;
-                                if C::ENABLED {
-                                    self.trace.borrow_mut().cluster_event(
-                                        t,
-                                        ClusterTraceEvent::Recovery {
-                                            task: id,
-                                            from: origin.0,
-                                            to: node,
-                                            attempt: origin.1,
-                                        },
-                                    );
-                                }
-                                self.sync(node);
-                                self.sessions[node]
-                                    .inject_salvaged(salvage, t)
-                                    .expect("salvaged task id is not live");
-                                self.reschedule(node);
-                                if let Some(&slot) = assignment_index.get(&id) {
-                                    assignments[slot].node = node;
-                                }
-                            } else {
-                                driver.on_unreachable(pending, t, &self.trace);
-                            }
-                        }
-                        FaultEvent::LinkEdge(edge) => {
-                            // Link windows mutate no session (and therefore
-                            // no certificate): the topology answers state
-                            // queries lazily. The edge synchronizes both
-                            // loops at the instant routing changes.
-                            if C::ENABLED {
-                                self.trace.borrow_mut().cluster_event(
-                                    t,
-                                    ClusterTraceEvent::LinkFault {
-                                        from: edge.from,
-                                        to: edge.to,
-                                        kind: edge.kind,
-                                        until: edge.until,
-                                    },
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-            if let Some(migration) = migration.as_mut() {
-                let trace = Rc::clone(&self.trace);
-                deliver_due_migrations(
-                    migration,
-                    faults.as_ref(),
-                    self,
-                    t,
-                    assignments,
-                    assignment_index,
-                    &trace,
-                );
-                migration.round(self, t, &trace);
-                self.flush_touched();
-            }
-            sample_nodes(&self.sessions, t, &self.trace);
+/// The event-heap strategy. Shared decision machines (migration rounds,
+/// transfer deliveries) and the timeline's own mutations read quiet nodes
+/// through their projections and advance a node only to mutate it; the
+/// touched nodes' heap entries are refreshed at [`Nodes::settle`].
+impl<C: ClusterTraceSink> Nodes<NodeTap<C>> for EventHeapLoop<'_, C> {
+    fn sessions(&self) -> &[SimSession<NodeTap<C>>] {
+        &self.sessions
+    }
+
+    /// Node `i`'s reach — through which it is quiet, so its `*_at`
+    /// projections there are exactly what the reference's advanced node
+    /// reports — or, if the node is current, its own clock, where the
+    /// projections are the identity.
+    fn horizon(&self, i: usize) -> Cycles {
+        self.reach(i).unwrap_or_else(|| self.sessions[i].now())
+    }
+
+    fn session_mut(&mut self, i: usize) -> &mut SimSession<NodeTap<C>> {
+        self.sync(i);
+        self.touched.push(i);
+        &mut self.sessions[i]
+    }
+
+    /// Refreshes the heap and index entries of every touched node.
+    fn settle(&mut self) {
+        while let Some(i) = self.touched.pop() {
+            self.reschedule(i);
         }
     }
 
-    /// SLA-aware admission, bit-identical to the reference's: predicts the
-    /// cluster-wide p99 turnaround over all residents plus the newcomer,
-    /// shedding the globally lowest-priority never-started task while the
-    /// prediction exceeds the target. Every node is read at the arrival
-    /// instant through its `*_at` projections (quiet nodes stay
+    /// Stores the node's fresh (tier, decay instant) as the contender
+    /// index's major key.
+    fn retier(&mut self, node: usize, faults: &FaultDriver<'_>, t: Cycles) {
+        if let Some(index) = self.index.as_mut() {
+            let (tier, expiry) = faults.penalty_with_expiry(node, t);
+            index.set_penalty(node, tier, expiry);
+        }
+    }
+
+    /// Reads the node's cached prediction segment: at unit clock scale its
+    /// completions are exactly the monitor's, and an overestimated
+    /// turnaround only costs a walk. A scaled node is always walked.
+    fn deadlines_quiet(&mut self, i: usize, deadline_offset: Cycles) -> bool {
+        if self.sessions[i].clock_scale() != (1, 1) {
+            return false;
+        }
+        let at = self.horizon(i);
+        let session = &self.sessions[i];
+        let segment = &mut self.predictions[i];
+        segment.refresh(session, at, &mut self.residents_scratch);
+        segment.max_started_turnaround(session.now_at(at)) <= deadline_offset
+    }
+
+    /// The lazily invalidated `bounds` heap's live minimum.
+    fn next_bound(&mut self) -> Option<Cycles> {
+        while let Some(&Reverse((bound, i))) = self.bounds.peek() {
+            if self.sessions[i].next_completion_time() == Some(bound) {
+                return Some(bound);
+            }
+            self.bounds.pop();
+        }
+        None
+    }
+
+    /// Pops every node whose live certificate is due at or before `t` and
+    /// advances it to its reach, which is at least `t`. Every other node is
+    /// quiet through its reach — running its current task or idling — and
+    /// decisions read it through its `*_at` projections there, which equal
+    /// what the reference's `run_until` calls left.
+    ///
+    /// Invariant: a node left alone has a certificate beyond its reach. A
+    /// step at `t` raises reaches to at most `t` (a node whose reach was
+    /// already higher keeps it), so popping certificates up to `t` keeps
+    /// the invariant. Each due node is advanced once: its post-advance
+    /// certificate (pushed for *future* steps) is not re-examined, so the
+    /// step terminates even in the degenerate corner where a certificate
+    /// does not clear `t`.
+    fn begin_step(&mut self, t: Cycles) {
+        self.step += 1;
+        while self.peaks.last().is_some_and(|&(_, at)| at <= t) {
+            self.peaks.pop();
+        }
+        self.peaks.push((self.step, t));
+        self.due_scratch.clear();
+        while let Some(&Reverse((bound, i))) = self.heap.peek() {
+            if bound > t {
+                break;
+            }
+            self.heap.pop();
+            if self.sessions[i].next_event_time() == Some(bound) && !self.due_mark[i] {
+                if C::ENABLED {
+                    self.trace
+                        .borrow_mut()
+                        .cluster_event(t, ClusterTraceEvent::HeapPop { node: i, bound });
+                }
+                self.due_mark[i] = true;
+                self.due_scratch.push(i);
+            } else if C::ENABLED {
+                self.trace
+                    .borrow_mut()
+                    .cluster_event(t, ClusterTraceEvent::HeapStaleDrop { node: i, bound });
+            }
+        }
+        for k in 0..self.due_scratch.len() {
+            let i = self.due_scratch[k];
+            self.due_mark[i] = false;
+            self.materialize(i);
+        }
+    }
+
+    /// Identical to the reference's full scan: the node minimizing (penalty
+    /// tier, signal, remaining, index). Under fault injection the tier is
+    /// the failure-aware penalty (down / cooling-down / healthy, exactly
+    /// the reference's), routed from `source`: `Some` for a recovery (the
+    /// salvage travels from the crashed node), `None` for a fresh arrival,
+    /// which enters through the front-end control plane that link faults
+    /// never sever.
+    ///
+    /// Sourceless picks walk the contender index when the loop keeps one;
+    /// every other pick is the exact scan.
+    fn pick_node(
+        &mut self,
+        t: Cycles,
+        task: &PreparedTask,
+        faults: Option<&FaultDriver<'_>>,
+        source: Option<usize>,
+    ) -> usize {
+        let indexed = source.is_none() && self.index.is_some();
+        let (chosen, keys) = if indexed {
+            self.pick_node_indexed(t, task, faults)
+        } else {
+            self.pick_node_scan(t, task, faults, source)
+        };
+        // Debug cross-check: replay the exact scan over the post-query
+        // state — the walk's advances are outcome-inert (pure suspension)
+        // and the scan reads every node at its reach, so the two
+        // procedures must name the same node.
+        #[cfg(debug_assertions)]
+        if indexed {
+            let (check, _) = self.pick_node_scan(t, task, faults, source);
+            debug_assert_eq!(
+                chosen, check,
+                "indexed dispatch diverged from the linear scan at {t:?}"
+            );
+        }
+        if C::ENABLED {
+            self.trace.borrow_mut().cluster_event(
+                t,
+                ClusterTraceEvent::DispatchDecision {
+                    task: task.request.id,
+                    chosen,
+                    keys,
+                },
+            );
+        }
+        chosen
+    }
+
+    /// Bit-identical to the reference's admission. Every node is read at
+    /// its horizon through its `*_at` projections (quiet nodes stay
     /// unadvanced), unchanged nodes reuse their cached prediction segments,
     /// the input vector reuses one scratch buffer, the p99 is one selection
     /// over it, and the shed scan is an O(1) peek per node.
@@ -1182,47 +775,75 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
         }
     }
 
-    /// Commits the newcomer to `node`, bringing the node up first.
-    fn inject(&mut self, node: usize, task: PreparedTask) {
-        self.sync(node);
-        self.sessions[node]
-            .inject(task)
-            .expect("arrival ids are unique");
-        self.reschedule(node);
-    }
-}
-
-/// Shared decision machines (migration rounds, transfer deliveries) read
-/// quiet nodes through their projections and advance a node only to mutate
-/// it; the touched nodes' heap entries are refreshed by
-/// [`EventHeapLoop::flush_touched`].
-impl<C: ClusterTraceSink> Nodes<NodeTap<C>> for EventHeapLoop<'_, C> {
-    fn sessions(&self) -> &[SimSession<NodeTap<C>>] {
-        &self.sessions
-    }
-
-    fn horizon(&self, i: usize) -> Cycles {
-        EventHeapLoop::horizon(self, i)
-    }
-
-    fn session_mut(&mut self, i: usize) -> &mut SimSession<NodeTap<C>> {
-        self.sync(i);
-        self.touched.push(i);
-        &mut self.sessions[i]
-    }
-
-    /// Reads the node's cached prediction segment: at unit clock scale its
-    /// completions are exactly the monitor's, and an overestimated
-    /// turnaround only costs a walk. A scaled node is always walked.
-    fn deadlines_quiet(&mut self, i: usize, deadline_offset: Cycles) -> bool {
-        if self.sessions[i].clock_scale() != (1, 1) {
-            return false;
+    /// The reference's steal rounds: while some node is idle and some peer
+    /// holds stealable work, move the largest never-started task from the
+    /// most-loaded peer to the first idle node (skipping victims the thief
+    /// cannot currently reach over the fabric). All signals are O(1) engine
+    /// aggregates instead of resident rescans, and none moves while a node
+    /// is quiet (queue depth, stall status and stealable work change only
+    /// at events, and a thief is drained, so its clock is frozen): they are
+    /// read as-is, and only the victim and thief are advanced, right before
+    /// the move.
+    fn steal_round(&mut self, links: Option<&LinkTopology>, books: &mut Books) {
+        loop {
+            // A stalled node (crashed-and-drained or frozen) cannot be a
+            // thief, but may still be a victim.
+            let Some(thief) = self
+                .sessions
+                .iter()
+                .position(|s| s.queue_depth() == 0 && s.stalled_until().is_none())
+            else {
+                return;
+            };
+            let now = self.sessions[thief].now();
+            let mut victim: Option<(Cycles, usize)> = None;
+            for (i, session) in self.sessions.iter().enumerate() {
+                if session.queue_depth() < 2 {
+                    continue;
+                }
+                if links.is_some_and(|links| !links.reachable(i, thief, now)) {
+                    continue;
+                }
+                let stealable = session.revocable_work();
+                if stealable.is_zero() {
+                    continue;
+                }
+                if victim.is_none_or(|(most, _)| stealable > most) {
+                    victim = Some((stealable, i));
+                }
+            }
+            let Some((_, victim)) = victim else {
+                return;
+            };
+            self.sync(victim);
+            self.sync(thief);
+            let stolen = self.sessions[victim]
+                .best_steal_candidate()
+                .expect("nonzero stealable work has a best task");
+            let prepared = self.sessions[victim]
+                .revoke(stolen.id)
+                .expect("stolen task was revocable");
+            self.sessions[thief]
+                .inject(prepared)
+                .expect("revoked task re-injects cleanly");
+            self.reschedule(victim);
+            self.reschedule(thief);
+            if C::ENABLED {
+                self.trace.borrow_mut().cluster_event(
+                    self.sessions[thief].now(),
+                    ClusterTraceEvent::Steal {
+                        task: stolen.id,
+                        from: victim,
+                        to: thief,
+                    },
+                );
+            }
+            books.steal(stolen.id, thief);
         }
-        let at = EventHeapLoop::horizon(self, i);
-        let session = &self.sessions[i];
-        let segment = &mut self.predictions[i];
-        segment.refresh(session, at, &mut self.residents_scratch);
-        segment.max_started_turnaround(session.now_at(at)) <= deadline_offset
+    }
+
+    fn into_sessions(self) -> Vec<SimSession<NodeTap<C>>> {
+        self.sessions
     }
 }
 
@@ -1230,7 +851,9 @@ impl<C: ClusterTraceSink> Nodes<NodeTap<C>> for EventHeapLoop<'_, C> {
 mod tests {
     use super::*;
     use dnn_models::CNN_MODELS;
-    use prema_core::{PolicyKind, PreemptionMechanism, PreemptionMode, SchedulerConfig};
+    use prema_core::{
+        NpuSimulator, PolicyKind, PreemptionMechanism, PreemptionMode, SchedulerConfig,
+    };
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

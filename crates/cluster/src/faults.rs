@@ -8,18 +8,20 @@
 //! whether recovery resumes from the last checkpoint commit or restarts
 //! from zero (the baseline the checkpoint pricing is compared against).
 //!
-//! The crate-private `FaultDriver` is the shared state machine **both**
-//! closed-loop drivers consume. It owns everything about faults that is a
-//! *decision* rather than a session mutation: the merged event timeline
-//! (fault starts interleaved with degrade-window ends and due
-//! re-dispatches; ties process degrade ends first, then fault starts, then
-//! recoveries), per-task attempt counts and backoff arithmetic, the
-//! abandon rule, the failure-aware dispatch penalty, and the recovery log.
-//! The two loops differ only in how they advance sessions to an event
-//! instant; every fault-policy decision comes from this one
-//! implementation, so the heap-vs-reference bit-identity contract extends
-//! over faulty drivings by construction (and is pinned by the chaos
-//! property tests).
+//! The crate-private `FaultDriver` is the fault state machine of the one
+//! closed-loop timeline in [`crate::online`], which runs under both node
+//! strategies. It owns everything about faults that is a *decision* rather
+//! than a session mutation: the merged event timeline (fault starts
+//! interleaved with degrade-window ends and due re-dispatches; ties process
+//! degrade ends first, then fault starts, then recoveries), per-task
+//! attempt counts and backoff arithmetic, the abandon rule, the
+//! failure-aware dispatch penalty, and the recovery log. The timeline's one
+//! fault drain applies every event to the sessions; the two strategies
+//! differ only in how they advance sessions to an event instant and how a
+//! recovery's dispatch pick reads them. Every fault-policy decision comes
+//! from this one implementation, so the heap-vs-reference bit-identity
+//! contract extends over faulty drivings by construction (and is pinned by
+//! the chaos property tests).
 //!
 //! A *degrade* window ([`prema_workload::FaultKind::Degrade`]) is the
 //! straggler fault: the node keeps serving but its clock runs at
@@ -28,7 +30,7 @@
 //! it contributes no downtime — the node is *up*, just slow — so it is
 //! tracked separately (`degrades`, `node_degraded_time`) and earns the
 //! middle dispatch-penalty tier rather than the down tier. Both the window
-//! start and its end are global synchronization points (both loops step
+//! start and its end are global synchronization points (the timeline steps
 //! there, and the degraded node is advanced to the window edge before its
 //! clock scale flips), which is what keeps the bit-identity contract intact
 //! over scaled clocks.
@@ -203,10 +205,10 @@ impl Ord for PendingRecovery {
 }
 
 /// One edge of a directed-link fault window: a synchronization (and trace)
-/// instant for both loops. Link state itself lives in the
-/// [`LinkTopology`] — the edge mutates no session, but stepping both loops
-/// there keeps migration rounds and transfer decisions bit-identical
-/// across the two loops.
+/// instant of the closed-loop timeline. Link state itself lives in the
+/// [`LinkTopology`] — the edge mutates no session, but stepping there
+/// keeps migration rounds and transfer decisions bit-identical across the
+/// two node strategies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct LinkEdge {
     /// When the edge fires.
@@ -269,7 +271,7 @@ impl FaultTally {
     }
 }
 
-/// The shared fault/recovery state machine both closed-loop drivers consume
+/// The fault/recovery state machine of the shared closed-loop timeline
 /// (see the module docs): a cursor over the fault schedule, the backoff
 /// heap of salvaged tasks, per-task attempt counts, per-node failure
 /// history for the dispatch penalty, and the outcome tallies.
@@ -525,8 +527,8 @@ impl<'a> FaultDriver<'a> {
     /// next *decays* (2 → 1 at the downtime end, 1 → 0 at the later of the
     /// cooldown end and the degrade end), or `None` for a healthy node. Tier
     /// *increases* only happen inside [`FaultDriver::pop_due`] processing —
-    /// the fault instants the event-heap loop already steps at —
-    /// so a dispatch index holding `(tier, expiry)` per node stays exact by
+    /// the fault instants the timeline already steps at — so a dispatch
+    /// index holding `(tier, expiry)` per node stays exact by
     /// re-reading at fault instants plus the returned expiries.
     pub(crate) fn penalty_with_expiry(&self, node: usize, t: Cycles) -> (u8, Option<Cycles>) {
         let tier = self.penalty(node, t);

@@ -14,12 +14,13 @@
 //! defines.
 //!
 //! The crate-private `MigrationDriver` is — like the fault driver — one
-//! shared decision machine both closed-loop drivers consume, so the
+//! decision machine of the shared closed-loop timeline in
+//! [`crate::online`], which runs under both node strategies, so the
 //! heap-vs-reference bit-identity contract extends over migration by
-//! construction. (With migration enabled both loops step to every
-//! completion bound and delivery between arrivals, so the event-heap loop
-//! builds no `contender` dispatch index; it reads quiet nodes through
-//! their projections and advances only a move's source and landing
+//! construction. (With migration enabled the timeline steps to every
+//! completion bound and delivery between arrivals, so the event-heap
+//! strategy builds no `contender` dispatch index; it reads quiet nodes
+//! through their projections and advances only a move's source and landing
 //! target.) At every step it runs a *migration round*:
 //!
 //! 1. **Deadline check.** Per source node, residents are walked in the
@@ -451,11 +452,11 @@ impl CustodyLedger {
     }
 }
 
-/// The shared migration decision machine both closed-loop drivers consume
-/// (see the module docs): the deadline monitor, the stay-vs-move arbiter,
-/// the in-flight transfer heap, the custody ledger and the outcome tally.
-/// Every method must be called at a step of either loop, reading each node
-/// at its [`Nodes::horizon`].
+/// The migration decision machine of the shared closed-loop timeline (see
+/// the module docs): the deadline monitor, the stay-vs-move arbiter, the
+/// in-flight transfer heap, the custody ledger and the outcome tally. Every
+/// method must be called at a step of the timeline, reading each node at
+/// its [`Nodes::horizon`].
 #[derive(Debug)]
 pub(crate) struct MigrationDriver<'a> {
     config: &'a MigrationConfig,

@@ -14,19 +14,24 @@
 //! [`prema_core::SimSession`]; at each arrival the dispatcher inspects the
 //! nodes' *actual* state through the session's closed-loop surface, commits
 //! the request to the best node ([`SimSession::inject`]), and execution
-//! resumes. Two drivers produce bit-identical results:
+//! resumes. That timeline is written once — arrivals in (arrival, id)
+//! order, the fault and transfer-delivery instants, the steps between
+//! them, and where each fault, steal and migration round runs — over one of
+//! two *node strategies*. A strategy owns only which nodes a step advances
+//! and how each decision reads them, so heap ≡ reference checks exactly
+//! those. The two produce bit-identical results:
 //!
-//! * [`OnlineClusterSimulator::run`] — the production *event-heap* loop
-//!   (see the crate-private `event_heap` module): it opens the reference's
-//!   steps, keeps one next-event certificate per node
-//!   ([`SimSession::next_event_time`]) in a lazily invalidated min-heap,
-//!   advances only the nodes that are due or about to be mutated, and
-//!   reads every other node through its `*_at` projections. Decisions read
-//!   the engine's O(1) incremental aggregates; without stealing or
-//!   migration each fresh arrival walks an indexed contender structure
-//!   (the crate-private `contender` module: penalty-tiered depth buckets /
-//!   tournament trees, O(log nodes) per arrival).
-//! * [`OnlineClusterSimulator::run_reference`] — the naive stepping loop,
+//! * [`OnlineClusterSimulator::run`] — the production *event-heap*
+//!   strategy (the crate-private `event_heap` module): one next-event
+//!   certificate per node ([`SimSession::next_event_time`]) in a lazily
+//!   invalidated min-heap, so a step advances only the nodes that are due
+//!   or about to be mutated and reads every other node through its `*_at`
+//!   projections. Its decisions read the engine's O(1) incremental
+//!   aggregates; without stealing or migration each fresh arrival walks an
+//!   indexed contender structure (the crate-private `contender` module:
+//!   penalty-tiered depth buckets / tournament trees, O(log nodes) per
+//!   arrival).
+//! * [`OnlineClusterSimulator::run_reference`] — the *stepping* strategy,
 //!   kept in this module as the semantic oracle (and the baseline of the
 //!   `cluster-scale` bench): every step advances *all* sessions via
 //!   [`SimSession::run_until`], and every decision rescans every node's
@@ -41,9 +46,9 @@
 //!   victim, inject on the thief). The global loop steps to every
 //!   completion bound between arrivals, so idleness is detected at the
 //!   completion that caused it, not at the next arrival. The reference
-//!   advances every node at each such step; the event-heap loop advances
-//!   only the nodes whose certificate is due, plus the victim and thief of
-//!   a steal, and reads the rest through their `*_at` projections.
+//!   advances every node at each such step; the event-heap strategy
+//!   advances only the nodes whose certificate is due, plus the victim and
+//!   thief of a steal, and reads the rest through their `*_at` projections.
 //! * **SLA-aware admission** ([`OnlineClusterConfig::admission`]) — at each
 //!   arrival the front-end predicts the p99 turnaround over all resident
 //!   work plus the newcomer (per node: remaining work drained in
@@ -87,7 +92,6 @@
 //! (shed requests, steal count) live in [`OnlineOutcome`] and fold into
 //! [`online_outcome_hash`]. Everything is a pure function of the inputs —
 //! no RNG at all on the closed-loop path — pinned by `tests/determinism.rs`.
-
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -105,10 +109,10 @@ use prema_workload::FaultKind;
 
 use crate::cluster::{ClusterOutcome, NodeAssignment};
 use crate::faults::{ClusterFaultPlan, FaultDriver, FaultEvent, FaultTally, RecoveryRecord};
+use crate::interconnect::LinkTopology;
 use crate::metrics::fold_hashes;
 use crate::migration::{
-    CustodyError, MigrationConfig, MigrationDriver, MigrationRecord, MigrationTally,
-    RedirectRecord, TransferEvent,
+    CustodyError, MigrationConfig, MigrationDriver, MigrationRecord, RedirectRecord, TransferEvent,
 };
 use crate::trace::{
     sample_nodes, ClusterTraceEvent, ClusterTraceSink, FaultTraceKind, NodeKey, NodeKeySet,
@@ -413,6 +417,10 @@ pub fn online_outcome_hash(outcome: &OnlineOutcome) -> u64 {
     fold_hashes(parts)
 }
 
+/// A closed-loop run's node sessions, each tapped into the cluster trace
+/// sink.
+type TappedSessions<C> = Vec<SimSession<NodeTap<C>>>;
+
 /// The closed-loop multi-NPU cluster simulator.
 #[derive(Debug, Clone)]
 pub struct OnlineClusterSimulator {
@@ -441,13 +449,13 @@ impl OnlineClusterSimulator {
     /// interleaved with node execution, each arrival dispatched on the
     /// nodes' live state. An empty task list yields an empty outcome.
     ///
-    /// This is the production *event-heap* loop (see
-    /// the `event_heap` module): node completion bounds live in a lazily
-    /// invalidated binary min-heap, only nodes whose events are due (or
-    /// that genuinely contend for a dispatch decision) are advanced per
-    /// global event, and all dispatch / stealing / admission signals come
-    /// from the engine's O(1) incremental aggregates. It is bit-identical
-    /// to [`OnlineClusterSimulator::run_reference`] — same records, same
+    /// This is the production *event-heap* strategy (see the `event_heap`
+    /// module): node certificates live in a lazily invalidated binary
+    /// min-heap, a step advances only the nodes whose events are due (or
+    /// that a decision is about to mutate), and all dispatch / stealing /
+    /// admission signals come from the engine's O(1) incremental
+    /// aggregates. It is bit-identical to
+    /// [`OnlineClusterSimulator::run_reference`] — same records, same
     /// assignments, same shed and steal sequences, same
     /// [`online_outcome_hash`] — pinned by a property test across random
     /// node counts, policies and arrival processes.
@@ -456,8 +464,7 @@ impl OnlineClusterSimulator {
     ///
     /// Panics if task IDs are not unique across the whole cluster workload.
     pub fn run(&self, tasks: &[PreparedTask]) -> OnlineOutcome {
-        assert_unique_ids(tasks);
-        crate::event_heap::run(&self.config, tasks)
+        self.run_traced(tasks, NullClusterSink).0
     }
 
     /// Like [`OnlineClusterSimulator::run`] with a [`ClusterTraceSink`]
@@ -476,33 +483,25 @@ impl OnlineClusterSimulator {
         tasks: &[PreparedTask],
         sink: C,
     ) -> (OnlineOutcome, C) {
-        assert_unique_ids(tasks);
-        let trace = Rc::new(RefCell::new(sink));
-        let outcome = crate::event_heap::run_impl(&self.config, tasks, &trace);
-        let sink = Rc::try_unwrap(trace)
-            .expect("every node tap is dropped with its finished session")
-            .into_inner();
-        (outcome, sink)
+        self.drive(tasks, sink, crate::event_heap::EventHeapLoop::new)
     }
 
-    /// The naive stepping loop PR 4 shipped, kept as the semantic oracle
-    /// for [`OnlineClusterSimulator::run`] and as the baseline the
-    /// `cluster-scale` bench measures the event-heap loop against: every
-    /// global event (arrival, and with stealing every completion bound)
-    /// advances *all* node sessions, and every dispatch / admission /
-    /// stealing decision rescans every node's residents — O(events x
-    /// nodes) and worse. Deliberately computes its signals from resident
-    /// scans rather than the engine's incremental aggregates, so the
-    /// equivalence property test cross-checks the aggregates against an
-    /// independent implementation.
+    /// The naive stepping strategy, kept as the semantic oracle for
+    /// [`OnlineClusterSimulator::run`] and as the baseline the
+    /// `cluster-scale` bench measures the event-heap strategy against:
+    /// every step (each arrival and fault instant, and with stealing or
+    /// migration every completion bound) advances *all* node sessions, and
+    /// every dispatch / admission / stealing decision rescans every node's
+    /// residents — O(events x nodes) and worse. Deliberately computes its
+    /// signals from resident scans rather than the engine's incremental
+    /// aggregates, so the equivalence property test cross-checks the
+    /// aggregates against an independent implementation.
     ///
     /// # Panics
     ///
     /// Panics if task IDs are not unique across the whole cluster workload.
     pub fn run_reference(&self, tasks: &[PreparedTask]) -> OnlineOutcome {
-        assert_unique_ids(tasks);
-        let trace = Rc::new(RefCell::new(NullClusterSink));
-        self.run_reference_impl(tasks, &trace)
+        self.run_reference_traced(tasks, NullClusterSink).0
     }
 
     /// Like [`OnlineClusterSimulator::run_reference`] with a
@@ -517,121 +516,279 @@ impl OnlineClusterSimulator {
         tasks: &[PreparedTask],
         sink: C,
     ) -> (OnlineOutcome, C) {
+        self.drive(tasks, sink, |config, sessions, trace| ReferenceNodes {
+            config,
+            sessions,
+            trace,
+        })
+    }
+
+    /// Runs the shared [`Timeline`] over the node strategy `strategy`
+    /// builds, with `sink` shared between the timeline and every node
+    /// session, and hands the sink back once every session has finished.
+    fn drive<'a, C, N>(
+        &'a self,
+        tasks: &[PreparedTask],
+        sink: C,
+        strategy: fn(&'a OnlineClusterConfig, TappedSessions<C>, Rc<RefCell<C>>) -> N,
+    ) -> (OnlineOutcome, C)
+    where
+        C: ClusterTraceSink,
+        N: Nodes<NodeTap<C>>,
+    {
         assert_unique_ids(tasks);
         let trace = Rc::new(RefCell::new(sink));
-        let outcome = self.run_reference_impl(tasks, &trace);
+        let simulator = NpuSimulator::new(self.config.npu.clone(), self.config.scheduler.clone());
+        let sessions = (0..self.config.nodes)
+            .map(|node| simulator.session_with_sink(&[], NodeTap::new(node, Rc::clone(&trace))))
+            .collect();
+        let nodes = strategy(&self.config, sessions, Rc::clone(&trace));
+        let outcome = Timeline::new(&self.config, nodes, Rc::clone(&trace), tasks.len()).run(tasks);
         let sink = Rc::try_unwrap(trace)
             .expect("every node tap is dropped with its finished session")
             .into_inner();
         (outcome, sink)
     }
+}
 
-    fn run_reference_impl<C: ClusterTraceSink>(
-        &self,
-        tasks: &[PreparedTask],
-        trace: &Rc<RefCell<C>>,
-    ) -> OnlineOutcome {
-        let simulator = NpuSimulator::new(self.config.npu.clone(), self.config.scheduler.clone());
-        let mut sessions: Vec<SimSession<NodeTap<C>>> = (0..self.config.nodes)
-            .map(|node| simulator.session_with_sink(&[], NodeTap::new(node, Rc::clone(trace))))
-            .collect();
+/// The shed-preference ordering: lowest priority, then largest predicted
+/// remaining work, then newest id. Smaller keys shed first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct ShedKey(
+    Priority,
+    std::cmp::Reverse<Cycles>,
+    std::cmp::Reverse<TaskId>,
+);
 
-        let order = arrival_order(tasks);
-        let mut assignments: Vec<NodeAssignment> = Vec::with_capacity(tasks.len());
-        // Index into `assignments` per task, so steals and recoveries can
-        // rewrite the serving node (lookups only — never iterated).
-        let mut assignment_index: HashMap<TaskId, usize> = HashMap::with_capacity(tasks.len());
-        let mut shed: Vec<TaskRequest> = Vec::new();
-        let mut steals = 0u64;
-        let mut driver = self
-            .config
+impl ShedKey {
+    pub(crate) fn of(priority: Priority, remaining: Cycles, id: TaskId) -> Self {
+        ShedKey(
+            priority,
+            std::cmp::Reverse(remaining),
+            std::cmp::Reverse(id),
+        )
+    }
+}
+
+/// Panics unless every task id is unique.
+pub(crate) fn assert_unique_ids(tasks: &[PreparedTask]) {
+    let mut ids: Vec<TaskId> = tasks.iter().map(|t| t.request.id).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), tasks.len(), "task IDs must be unique");
+}
+
+/// The global arrival queue: task indices in the order a front-end sees
+/// requests — (arrival, id)-sorted.
+fn arrival_order(tasks: &[PreparedTask]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..tasks.len()).collect();
+    order.sort_by_key(|&i| (tasks[i].request.arrival, tasks[i].request.id));
+    order
+}
+
+/// The SLA admission target under graceful degradation: the configured p99
+/// tightened to the fraction of nodes currently up (not inside a fault
+/// window), so a degraded cluster sheds proportionally earlier instead of
+/// queueing work the surviving capacity cannot absorb. Fault-free (and
+/// fault-idle) instants leave the target exactly unchanged.
+pub(crate) fn scaled_admission_target<S: TraceSink>(
+    sessions: &[SimSession<S>],
+    target_p99_ms: f64,
+) -> f64 {
+    let up = sessions
+        .iter()
+        .filter(|session| session.stalled_until().is_none())
+        .count();
+    target_p99_ms * (up.max(1) as f64 / sessions.len() as f64)
+}
+
+/// The run's books: each admitted request's serving node, the shed list and
+/// the steal count.
+#[derive(Debug)]
+pub(crate) struct Books {
+    assignments: Vec<NodeAssignment>,
+    /// Index into `assignments` per task, so steals, recoveries and
+    /// landings can rewrite the serving node (lookups only — never
+    /// iterated).
+    slots: HashMap<TaskId, usize>,
+    shed: Vec<TaskRequest>,
+    steals: u64,
+}
+
+impl Books {
+    fn with_capacity(tasks: usize) -> Self {
+        Books {
+            assignments: Vec::with_capacity(tasks),
+            slots: HashMap::with_capacity(tasks),
+            shed: Vec::new(),
+            steals: 0,
+        }
+    }
+
+    /// Books a fresh arrival onto `node`.
+    fn assign(&mut self, task: TaskId, node: usize) {
+        self.slots.insert(task, self.assignments.len());
+        self.assignments.push(NodeAssignment { task, node });
+    }
+
+    /// Rewrites `task`'s serving node.
+    fn reassign(&mut self, task: TaskId, node: usize) {
+        if let Some(&slot) = self.slots.get(&task) {
+            self.assignments[slot].node = node;
+        }
+    }
+
+    /// Books one steal: `task` now runs on `thief`.
+    pub(crate) fn steal(&mut self, task: TaskId, thief: usize) {
+        self.reassign(task, thief);
+        self.steals += 1;
+    }
+}
+
+/// A node strategy: how one closed-loop driver keeps the node sessions and
+/// decides over them. The shared [`Timeline`] owns everything else, so
+/// heap ≡ reference checks exactly what a strategy owns: which nodes a step
+/// advances, and how each decision (dispatch, admission, stealing, the
+/// migration deadline skip) reads them.
+///
+/// Reads of node `i` go through its `*_at(horizon(i))` projections. A
+/// mutation goes through [`Nodes::session_mut`], which first brings the
+/// node to that horizon, and each batch of mutations ends with
+/// [`Nodes::settle`]. The reference advances every session at every step,
+/// so its horizon is each node's own clock (where the projections are the
+/// identity) and its hooks do nothing; the event-heap strategy leaves quiet
+/// nodes unadvanced.
+pub(crate) trait Nodes<S: TraceSink> {
+    /// Every session, for reads.
+    fn sessions(&self) -> &[SimSession<S>];
+    /// The instant node `i` is read at.
+    fn horizon(&self, i: usize) -> Cycles;
+    /// Node `i`, advanced to its horizon, for a mutation.
+    fn session_mut(&mut self, i: usize) -> &mut SimSession<S>;
+    /// Ends a batch of mutations: refreshes whatever the strategy keeps
+    /// per node for every node [`Nodes::session_mut`] handed out since the
+    /// last call.
+    fn settle(&mut self) {}
+    /// A fault window edge at `t` moved node `node`'s dispatch penalty
+    /// tier.
+    fn retier(&mut self, _node: usize, _faults: &FaultDriver<'_>, _t: Cycles) {}
+    /// Whether node `i` is known, at its horizon, to hold no started
+    /// resident whose predicted completion is past `arrival +
+    /// deadline_offset`, so the migration deadline monitor may skip its
+    /// walk. `false` means "walk it": the reference walks every node, so
+    /// heap ≡ reference checks every skip.
+    fn deadlines_quiet(&mut self, _i: usize, _deadline_offset: Cycles) -> bool {
+        false
+    }
+    /// The earliest `next_completion_time` over all nodes: where the next
+    /// step between two timeline instants lands.
+    fn next_bound(&mut self) -> Option<Cycles>;
+    /// Opens a step at `t`: the reference advances every node to `t`, the
+    /// event-heap strategy only the nodes whose certificate is due.
+    fn begin_step(&mut self, t: Cycles);
+    /// The dispatch decision at `t`: the node minimizing (penalty tier,
+    /// live-state signal, remaining work, index). `source` is the node the
+    /// task's bytes travel from: `Some` for a recovery, `None` for a fresh
+    /// arrival.
+    fn pick_node(
+        &mut self,
+        t: Cycles,
+        task: &PreparedTask,
+        faults: Option<&FaultDriver<'_>>,
+        source: Option<usize>,
+    ) -> usize;
+    /// SLA-aware admission of `task`, headed for `node`: sheds into `shed`
+    /// while the predicted p99 exceeds the target, and returns whether the
+    /// newcomer survived.
+    fn admit(
+        &mut self,
+        task: &PreparedTask,
+        node: usize,
+        admission: SlaAdmissionConfig,
+        shed: &mut Vec<TaskRequest>,
+    ) -> bool;
+    /// One block of work-stealing rounds over the fabric `links`, booking
+    /// every steal.
+    fn steal_round(&mut self, links: Option<&LinkTopology>, books: &mut Books);
+    /// The sessions, to finish.
+    fn into_sessions(self) -> Vec<SimSession<S>>
+    where
+        Self: Sized;
+}
+
+/// The closed-loop timeline, written once for both node strategies:
+/// arrivals in (arrival, id) order, the fault-timeline and transfer
+/// delivery instants, and the steps between them, driving the shared
+/// [`FaultDriver`] and [`MigrationDriver`] and keeping the run's books.
+#[derive(Debug)]
+struct Timeline<'a, C: ClusterTraceSink, N> {
+    config: &'a OnlineClusterConfig,
+    nodes: N,
+    /// The cluster trace sink (disabled sinks compile the emission sites
+    /// away). Borrowed only *between* session calls: the sessions' node
+    /// taps borrow the same cell from inside engine methods.
+    trace: Rc<RefCell<C>>,
+    faults: Option<FaultDriver<'a>>,
+    migration: Option<MigrationDriver<'a>>,
+    books: Books,
+}
+
+impl<'a, C: ClusterTraceSink, N: Nodes<NodeTap<C>>> Timeline<'a, C, N> {
+    fn new(config: &'a OnlineClusterConfig, nodes: N, trace: Rc<RefCell<C>>, tasks: usize) -> Self {
+        let link_faults = config
             .faults
             .as_ref()
-            .map(|plan| FaultDriver::new(plan, &self.config.npu, self.config.nodes));
-        let link_faults = self
-            .config
-            .faults
-            .as_ref()
-            .map(|plan| plan.schedule.links.as_slice())
-            .unwrap_or(&[]);
-        let mut migration = self.config.migration.as_ref().map(|config| {
-            MigrationDriver::new(config, &self.config.npu, self.config.nodes, link_faults)
-        });
+            .map_or(&[][..], |plan| plan.schedule.links.as_slice());
+        Timeline {
+            config,
+            nodes,
+            trace,
+            faults: config
+                .faults
+                .as_ref()
+                .map(|plan| FaultDriver::new(plan, &config.npu, config.nodes)),
+            migration: config
+                .migration
+                .as_ref()
+                .map(|policy| MigrationDriver::new(policy, &config.npu, config.nodes, link_faults)),
+            books: Books::with_capacity(tasks),
+        }
+    }
 
-        for &i in &order {
+    /// Dispatches every arrival on the nodes' live state at its instant,
+    /// then plays out the rest of the timeline.
+    fn run(mut self, tasks: &[PreparedTask]) -> OnlineOutcome {
+        for i in arrival_order(tasks) {
             let task = &tasks[i];
             let now = task.request.arrival;
-            self.drain_fault_events(
-                &mut sessions,
-                &mut driver,
-                &mut migration,
-                now,
-                &mut steals,
-                &mut assignments,
-                &assignment_index,
-                trace,
-            );
-            self.advance_to(
-                &mut sessions,
-                driver.as_ref(),
-                &mut migration,
-                now,
-                &mut steals,
-                &mut assignments,
-                &assignment_index,
-                trace,
-            );
-            sample_nodes(&sessions, now, trace);
+            self.drain_fault_events(now);
+            self.advance_to(now);
+            sample_nodes(self.nodes.sessions(), now, &self.trace);
 
-            let node = self.pick_node(&sessions, task, driver.as_ref(), None, now, trace);
+            let node = self.nodes.pick_node(now, task, self.faults.as_ref(), None);
             if let Some(admission) = self.config.admission {
-                if !self.admit(&mut sessions, task, node, admission, &mut shed, trace) {
+                if !self
+                    .nodes
+                    .admit(task, node, admission, &mut self.books.shed)
+                {
                     continue;
                 }
             }
-            assignment_index.insert(task.request.id, assignments.len());
-            assignments.push(NodeAssignment {
-                task: task.request.id,
-                node,
-            });
-            sessions[node]
+            self.books.assign(task.request.id, node);
+            self.nodes
+                .session_mut(node)
                 .inject(task.clone())
                 .expect("arrival ids are unique");
+            self.nodes.settle();
         }
 
         // Play out the remaining fault/migration timeline (crashes spawn
         // recoveries that re-enter it, migration rounds put new transfers
         // in flight), then drain every node (still stealing and migrating
         // at each completion bound).
-        self.drain_fault_events(
-            &mut sessions,
-            &mut driver,
-            &mut migration,
-            Cycles::MAX,
-            &mut steals,
-            &mut assignments,
-            &assignment_index,
-            trace,
-        );
-        self.advance_to(
-            &mut sessions,
-            driver.as_ref(),
-            &mut migration,
-            Cycles::MAX,
-            &mut steals,
-            &mut assignments,
-            &assignment_index,
-            trace,
-        );
-
-        finish_outcome(
-            sessions,
-            assignments,
-            shed,
-            steals,
-            driver.map(FaultDriver::finish),
-            migration.map(MigrationDriver::finish),
-        )
+        self.drain_fault_events(Cycles::MAX);
+        self.advance_to(Cycles::MAX);
+        self.finish()
     }
 
     /// Processes every fault- and migration-timeline event due at or before
@@ -642,21 +799,22 @@ impl OnlineClusterSimulator {
     /// Crashes push their salvage manifests back into the fault driver and
     /// migration rounds put new transfers in flight, so the timeline grows
     /// while it drains; the retry and per-node migration budgets bound it.
-    #[allow(clippy::too_many_arguments)]
-    fn drain_fault_events<S: TraceSink, C: ClusterTraceSink>(
-        &self,
-        sessions: &mut [SimSession<S>],
-        driver: &mut Option<FaultDriver<'_>>,
-        migration: &mut Option<MigrationDriver<'_>>,
-        limit: Cycles,
-        steals: &mut u64,
-        assignments: &mut [NodeAssignment],
-        assignment_index: &HashMap<TaskId, usize>,
-        trace: &RefCell<C>,
-    ) {
+    ///
+    /// Every event instant closes a step of [`Timeline::advance_to`].
+    /// After it, each mutation brings only its own node to its horizon
+    /// ([`Nodes::session_mut`]), and the batch's dispatch picks advance
+    /// nothing. This is load-bearing for same-instant recovery batches: a
+    /// node receiving several salvages at one instant admits them
+    /// atomically at its next wakeup, instead of dispatching a partial
+    /// batch between two injections. Re-running `run_until(t)` on a node
+    /// would not be a no-op after a mutation either: after a migration
+    /// round evacuated a running task, the session would wake up and
+    /// dispatch its next resident, a state transition the reference only
+    /// performs at its next step.
+    fn drain_fault_events(&mut self, limit: Cycles) {
         loop {
-            let fault_next = driver.as_ref().and_then(FaultDriver::next_event_time);
-            let migration_next = migration.as_ref().and_then(MigrationDriver::next_due);
+            let fault_next = self.faults.as_ref().and_then(FaultDriver::next_event_time);
+            let migration_next = self.migration.as_ref().and_then(MigrationDriver::next_due);
             let Some(t) = [fault_next, migration_next]
                 .into_iter()
                 .flatten()
@@ -665,17 +823,8 @@ impl OnlineClusterSimulator {
             else {
                 return;
             };
-            self.advance_to(
-                sessions,
-                driver.as_ref(),
-                migration,
-                t,
-                steals,
-                assignments,
-                assignment_index,
-                trace,
-            );
-            if let Some(driver) = driver.as_mut() {
+            self.advance_to(t);
+            if let Some(driver) = self.faults.as_mut() {
                 while let Some(event) = driver.pop_due(t) {
                     match event {
                         FaultEvent::Fault(fault) => {
@@ -691,7 +840,7 @@ impl OnlineClusterSimulator {
                                         den: speed_den,
                                     },
                                 };
-                                trace.borrow_mut().cluster_event(
+                                self.trace.borrow_mut().cluster_event(
                                     t,
                                     ClusterTraceEvent::Fault {
                                         node: fault.node,
@@ -700,22 +849,25 @@ impl OnlineClusterSimulator {
                                     },
                                 );
                             }
+                            let session = self.nodes.session_mut(fault.node);
                             match fault.kind {
                                 FaultKind::Crash => {
-                                    let salvaged = sessions[fault.node].fail();
-                                    driver.on_salvaged(fault.node, t, salvaged, trace);
-                                    sessions[fault.node].stall(fault.end);
+                                    let salvaged = session.fail();
+                                    driver.on_salvaged(fault.node, t, salvaged, &self.trace);
+                                    session.stall(fault.end);
                                 }
-                                FaultKind::Freeze => sessions[fault.node].stall(fault.end),
+                                FaultKind::Freeze => session.stall(fault.end),
                                 FaultKind::Degrade {
                                     speed_num,
                                     speed_den,
-                                } => sessions[fault.node].set_clock_scale(speed_num, speed_den),
+                                } => session.set_clock_scale(speed_num, speed_den),
                             }
+                            self.nodes.settle();
+                            self.nodes.retier(fault.node, driver, t);
                         }
                         FaultEvent::DegradeEnd { node } => {
                             if C::ENABLED {
-                                trace.borrow_mut().cluster_event(
+                                self.trace.borrow_mut().cluster_event(
                                     t,
                                     ClusterTraceEvent::Fault {
                                         node,
@@ -724,18 +876,18 @@ impl OnlineClusterSimulator {
                                     },
                                 );
                             }
-                            sessions[node].set_clock_scale(1, 1);
+                            self.nodes.session_mut(node).set_clock_scale(1, 1);
+                            self.nodes.settle();
+                            self.nodes.retier(node, driver, t);
                         }
                         FaultEvent::Recovery(pending) => {
-                            let node = self.pick_node(
-                                sessions,
+                            let node = self.nodes.pick_node(
+                                t,
                                 &pending.salvage.prepared,
                                 Some(driver),
                                 Some(pending.from_node),
-                                t,
-                                trace,
                             );
-                            // The scan minimizes the penalty tier, so an
+                            // The pick minimizes the penalty tier, so an
                             // unreachable winner means *no* node is
                             // reachable from the custodian: the attempt is
                             // spent and the salvage re-queues (or is
@@ -745,7 +897,7 @@ impl OnlineClusterSimulator {
                                 let salvage = driver.redispatch(pending, node, t);
                                 let id = salvage.prepared.request.id;
                                 if C::ENABLED {
-                                    trace.borrow_mut().cluster_event(
+                                    self.trace.borrow_mut().cluster_event(
                                         t,
                                         ClusterTraceEvent::Recovery {
                                             task: id,
@@ -755,23 +907,23 @@ impl OnlineClusterSimulator {
                                         },
                                     );
                                 }
-                                sessions[node]
+                                self.nodes
+                                    .session_mut(node)
                                     .inject_salvaged(salvage, t)
                                     .expect("salvaged task id is not live");
-                                if let Some(&slot) = assignment_index.get(&id) {
-                                    assignments[slot].node = node;
-                                }
+                                self.nodes.settle();
+                                self.books.reassign(id, node);
                             } else {
-                                driver.on_unreachable(pending, t, trace);
+                                driver.on_unreachable(pending, t, &self.trace);
                             }
                         }
                         FaultEvent::LinkEdge(edge) => {
                             // Link windows mutate no session: the topology
                             // answers state queries lazily. The edge exists
-                            // so both loops synchronize (and trace) at the
+                            // so the timeline steps (and traces) at the
                             // instant routing decisions change.
                             if C::ENABLED {
-                                trace.borrow_mut().cluster_event(
+                                self.trace.borrow_mut().cluster_event(
                                     t,
                                     ClusterTraceEvent::LinkFault {
                                         from: edge.from,
@@ -785,110 +937,243 @@ impl OnlineClusterSimulator {
                     }
                 }
             }
-            if let Some(migration) = migration.as_mut() {
-                deliver_due_migrations(
-                    migration,
-                    driver.as_ref(),
-                    sessions,
-                    t,
-                    assignments,
-                    assignment_index,
-                    trace,
-                );
-                migration.round(sessions, t, trace);
-            }
-            sample_nodes(sessions, t, trace);
+            self.deliver_due_migrations(t);
+            self.migration_round(t);
+            sample_nodes(self.nodes.sessions(), t, &self.trace);
         }
     }
 
-    /// Advances every node to `t`. With work stealing or migration enabled,
-    /// execution is stepped to every completion bound (and every in-flight
-    /// migration delivery) on the way, so a node that drains between
-    /// arrivals steals at its drain moment — and a deadline that slips at a
-    /// completion is caught there — rather than at the next arrival.
-    #[allow(clippy::too_many_arguments)]
-    fn advance_to<S: TraceSink, C: ClusterTraceSink>(
-        &self,
-        sessions: &mut [SimSession<S>],
-        faults: Option<&FaultDriver<'_>>,
-        migration: &mut Option<MigrationDriver<'_>>,
-        t: Cycles,
-        steals: &mut u64,
-        assignments: &mut [NodeAssignment],
-        assignment_index: &HashMap<TaskId, usize>,
-        trace: &RefCell<C>,
-    ) {
-        if !self.config.work_stealing && migration.is_none() {
-            for session in sessions.iter_mut() {
-                let _ = session.run_until(t);
-            }
-            return;
-        }
+    /// Advances the cluster to `t`. With work stealing or migration
+    /// enabled, execution is stepped to every completion bound (and every
+    /// in-flight migration delivery) on the way, with steal and migration
+    /// rounds at each, so a node that drains between arrivals steals at
+    /// its drain moment — and a deadline that slips at a completion is
+    /// caught there — rather than at the next arrival. Otherwise one step
+    /// lands straight on `t`. Which nodes a step advances is the
+    /// strategy's ([`Nodes::begin_step`]).
+    fn advance_to(&mut self, t: Cycles) {
+        let stepping = self.config.work_stealing || self.migration.is_some();
         loop {
-            // The earliest moment any node's task set can shrink. Bounds are
-            // strictly in the future (a paused node is running or idle), so
-            // every iteration advances the clock and the loop terminates.
-            let bound = sessions
-                .iter()
-                .filter_map(SimSession::next_completion_time)
-                .min();
-            let mut step = match bound {
-                Some(bound) if bound < t => bound,
-                _ => t,
-            };
-            // In-flight deliveries strictly before `t` land mid-advance;
-            // one due exactly at `t` belongs to the caller's event batch
-            // (the fault drain processes it after the fault events there).
-            if let Some(due) = migration
-                .as_ref()
-                .and_then(MigrationDriver::next_due)
-                .filter(|&due| due < step)
-            {
-                step = due;
-            }
-            for session in sessions.iter_mut() {
-                let _ = session.run_until(step);
-            }
-            if self.config.work_stealing {
-                *steals += steal_onto_idle_nodes(
-                    sessions,
-                    faults.map(FaultDriver::topology),
-                    assignments,
-                    assignment_index,
-                    trace,
-                );
-            }
-            if let Some(migration) = migration.as_mut() {
-                if step < t {
-                    deliver_due_migrations(
-                        migration,
-                        faults,
-                        sessions,
-                        step,
-                        assignments,
-                        assignment_index,
-                        trace,
-                    );
+            let mut step = t;
+            if stepping {
+                // The earliest moment any node's task set can shrink.
+                if let Some(bound) = self.nodes.next_bound().filter(|&bound| bound < t) {
+                    step = bound;
                 }
-                migration.round(sessions, step, trace);
+                // In-flight deliveries strictly before `t` land mid-advance;
+                // one due exactly at `t` belongs to the caller's event batch
+                // (the fault drain processes it after the fault events there).
+                if let Some(due) = self
+                    .migration
+                    .as_ref()
+                    .and_then(MigrationDriver::next_due)
+                    .filter(|&due| due < step)
+                {
+                    step = due;
+                }
             }
+            self.nodes.begin_step(step);
+            if self.config.work_stealing {
+                let links = self.faults.as_ref().map(FaultDriver::topology);
+                self.nodes.steal_round(links, &mut self.books);
+            }
+            if step < t {
+                self.deliver_due_migrations(step);
+            }
+            self.migration_round(step);
             if step == t {
                 return;
             }
         }
     }
 
-    /// The dispatch decision: the node minimizing the configured live-state
-    /// signal. Ties break toward the node with the least total remaining
-    /// work, then the lowest index — without the load-aware tie-break, a
-    /// high-priority arrival in a mostly-low-priority mix sees near-zero
-    /// blocking work on *every* node and the whole high tier would pile
-    /// onto node 0.
+    /// Processes every in-flight transfer event due at or before `t` — the
+    /// single consumption point of the custody decision machine:
+    ///
+    /// * a **landing** injects the salvage at its destination (paying the
+    ///   restore DMA there) and rewrites the task's assignment to the new
+    ///   serving node — unless custody is enabled and the destination is
+    ///   down at the landing instant, which converts it into a failed
+    ///   attempt;
+    /// * a **failure** (link drop mid-flight, delivery deadline expiry)
+    ///   routes through the retry machinery — exponential backoff under the
+    ///   custody retry budget, abandonment with accounting past it;
+    /// * a **redirect** re-prices every reachable healthy node and
+    ///   relaunches the transfer toward the cheapest one.
+    ///
+    /// The landings' nodes settle after the migration round that follows.
+    fn deliver_due_migrations(&mut self, t: Cycles) {
+        let Some(migration) = self.migration.as_mut() else {
+            return;
+        };
+        while let Some(pending) = migration.pop_due(t) {
+            match pending.event {
+                TransferEvent::Land => {
+                    let node = pending.to_node;
+                    if migration.custody_enabled()
+                        && self
+                            .faults
+                            .as_ref()
+                            .is_some_and(|driver| driver.is_down(node, t))
+                    {
+                        migration.on_transfer_failed(
+                            pending,
+                            TransferFailReason::DestinationDown,
+                            t,
+                            &self.trace,
+                        );
+                        continue;
+                    }
+                    let id = pending.salvage.prepared.request.id;
+                    migration.on_landed(id, node);
+                    self.nodes
+                        .session_mut(node)
+                        .inject_salvaged(pending.salvage, t)
+                        .expect("migrated task id is not live");
+                    if C::ENABLED {
+                        self.trace
+                            .borrow_mut()
+                            .cluster_event(t, ClusterTraceEvent::MigrationLand { task: id, node });
+                    }
+                    self.books.reassign(id, node);
+                }
+                TransferEvent::Fail(reason) => {
+                    migration.on_transfer_failed(pending, reason, t, &self.trace);
+                }
+                TransferEvent::Redirect => {
+                    migration.redirect(pending, &self.nodes, self.faults.as_ref(), t, &self.trace);
+                }
+            }
+        }
+    }
+
+    /// One migration round at `t`, when migration is on, then the settle
+    /// that closes its mutations (and the landings' before it).
+    fn migration_round(&mut self, t: Cycles) {
+        if let Some(migration) = self.migration.as_mut() {
+            migration.round(&mut self.nodes, t, &self.trace);
+            self.nodes.settle();
+        }
+    }
+
+    /// Finishes every session and assembles the [`OnlineOutcome`], dropping
+    /// shed, abandoned and undelivered tasks' assignment entries so
+    /// assignments biject onto records. Custody abandonments (transfer
+    /// retry budget exhausted) are appended after recovery abandonments, in
+    /// abandonment order within each source; tasks the custody ledger still
+    /// holds in flight surface as [`OnlineOutcome::custody_error`].
+    fn finish(self) -> OnlineOutcome {
+        let sessions = self.nodes.into_sessions();
+        let tally = self
+            .faults
+            .map_or_else(|| FaultTally::empty(sessions.len()), FaultDriver::finish);
+        let migration = self
+            .migration
+            .map(MigrationDriver::finish)
+            .unwrap_or_default();
+        let Books {
+            mut assignments,
+            shed,
+            steals,
+            ..
+        } = self.books;
+        let mut abandoned = tally.abandoned;
+        abandoned.extend(migration.abandoned);
+        let custody_error = if migration.undelivered.is_empty() {
+            None
+        } else {
+            Some(CustodyError {
+                undelivered: migration.undelivered,
+            })
+        };
+        if !shed.is_empty() || !abandoned.is_empty() || custody_error.is_some() {
+            let dropped: std::collections::HashSet<TaskId> = shed
+                .iter()
+                .chain(abandoned.iter())
+                .map(|request| request.id)
+                .chain(
+                    custody_error
+                        .iter()
+                        .flat_map(|error| error.undelivered.iter().copied()),
+                )
+                .collect();
+            assignments.retain(|assignment| !dropped.contains(&assignment.task));
+        }
+        let node_outcomes = sessions.into_iter().map(SimSession::finish).collect();
+        OnlineOutcome {
+            cluster: ClusterOutcome {
+                node_outcomes,
+                assignments,
+            },
+            shed,
+            steals,
+            abandoned,
+            crashes: tally.crashes,
+            freezes: tally.freezes,
+            recoveries: tally.recoveries,
+            recovery_log: tally.recovery_log,
+            node_downtime: tally.node_downtime,
+            degrades: tally.degrades,
+            node_degraded_time: tally.node_degraded_time,
+            migrations: migration.migrations,
+            migration_bytes: migration.migration_bytes,
+            migration_log: migration.migration_log,
+            transfer_failures: migration.transfer_failures,
+            redirects: migration.redirects,
+            redirect_log: migration.redirect_log,
+            custody_error,
+        }
+    }
+}
+
+/// The stepping oracle's node strategy (see
+/// [`OnlineClusterSimulator::run_reference`]): every step advances every
+/// session to the step instant, and every decision rescans every node's
+/// residents.
+#[derive(Debug)]
+struct ReferenceNodes<'a, C: ClusterTraceSink> {
+    config: &'a OnlineClusterConfig,
+    sessions: Vec<SimSession<NodeTap<C>>>,
+    trace: Rc<RefCell<C>>,
+}
+
+impl<C: ClusterTraceSink> Nodes<NodeTap<C>> for ReferenceNodes<'_, C> {
+    fn sessions(&self) -> &[SimSession<NodeTap<C>>] {
+        &self.sessions
+    }
+
+    fn horizon(&self, i: usize) -> Cycles {
+        self.sessions[i].now()
+    }
+
+    fn session_mut(&mut self, i: usize) -> &mut SimSession<NodeTap<C>> {
+        &mut self.sessions[i]
+    }
+
+    /// A scan over every session. Bounds are strictly in the future (a
+    /// paused node is running or idle), so every step advances the clock.
+    fn next_bound(&mut self) -> Option<Cycles> {
+        self.sessions
+            .iter()
+            .filter_map(SimSession::next_completion_time)
+            .min()
+    }
+
+    fn begin_step(&mut self, t: Cycles) {
+        for session in &mut self.sessions {
+            let _ = session.run_until(t);
+        }
+    }
+
+    /// The node minimizing the configured live-state signal. Ties break
+    /// toward the node with the least total remaining work, then the lowest
+    /// index — without the load-aware tie-break, a high-priority arrival in
+    /// a mostly-low-priority mix sees near-zero blocking work on *every*
+    /// node and the whole high tier would pile onto node 0.
     ///
     /// Deliberately computes the work signals by scanning every node's
-    /// residents — the PR 4 implementation this reference path preserves —
-    /// rather than through the engine's incremental totals, so the
-    /// equivalence property test cross-checks those totals against an
+    /// residents rather than through the engine's incremental totals, so
+    /// the equivalence property test cross-checks those totals against an
     /// independent computation.
     ///
     /// Under fault injection the live-state signal is preceded by the
@@ -897,30 +1182,28 @@ impl OnlineClusterSimulator {
     /// healthier node is worse *by tier*. Fault-free runs see a uniform
     /// zero tier, leaving the historical ordering untouched.
     ///
-    /// `source` is the node the task's bytes must travel *from* — `Some`
-    /// for recovery re-dispatch (the salvage lives on the crashed node),
-    /// `None` for fresh arrivals, which enter through the front-end control
-    /// plane and reach every node regardless of inter-node link state.
-    /// Nodes unreachable from `source` sit above every penalty tier, so
-    /// they only win when the whole cluster is partitioned away.
-    fn pick_node<S: TraceSink, C: ClusterTraceSink>(
-        &self,
-        sessions: &[SimSession<S>],
+    /// A fresh arrival enters through the front-end control plane and
+    /// reaches every node regardless of inter-node link state; a recovery's
+    /// salvage lives on the crashed `source`. Nodes unreachable from
+    /// `source` sit above every penalty tier, so they only win when the
+    /// whole cluster is partitioned away.
+    fn pick_node(
+        &mut self,
+        now: Cycles,
         task: &PreparedTask,
         faults: Option<&FaultDriver<'_>>,
         source: Option<usize>,
-        now: Cycles,
-        trace: &RefCell<C>,
     ) -> usize {
         let priority = task.request.priority;
-        let score = |session: &SimSession<S>| -> (u64, u64) {
+        let dispatch = self.config.dispatch;
+        let score = |session: &SimSession<NodeTap<C>>| -> (u64, u64) {
             let residents = session.resident_tasks();
             let remaining: Cycles = residents
                 .iter()
                 .map(ResidentTask::estimated_remaining)
                 .sum();
             let remaining = remaining.get();
-            match self.config.dispatch {
+            match dispatch {
                 OnlineDispatchPolicy::ShortestQueue => (session.queue_depth() as u64, remaining),
                 OnlineDispatchPolicy::LeastWork => (remaining, remaining),
                 OnlineDispatchPolicy::Predictive => {
@@ -935,7 +1218,8 @@ impl OnlineClusterSimulator {
         };
         let penalty =
             |index: usize| faults.map_or(0u8, |driver| driver.route_penalty(source, index, now));
-        let chosen = sessions
+        let chosen = self
+            .sessions
             .iter()
             .enumerate()
             .min_by_key(|(index, session)| (penalty(*index), score(session), *index))
@@ -945,14 +1229,14 @@ impl OnlineClusterSimulator {
             // The reference path compares every node exactly; rebuild the
             // keys in a separate pass so the decision code stays untouched.
             let mut keys = NodeKeySet::default();
-            for (index, session) in sessions.iter().enumerate() {
+            for (index, session) in self.sessions.iter().enumerate() {
                 keys.push(NodeKey {
                     node: index,
                     penalty: penalty(index),
                     key: score(session),
                 });
             }
-            trace.borrow_mut().cluster_event(
+            self.trace.borrow_mut().cluster_event(
                 now,
                 ClusterTraceEvent::DispatchDecision {
                     task: task.request.id,
@@ -964,22 +1248,18 @@ impl OnlineClusterSimulator {
         chosen
     }
 
-    /// SLA-aware admission: predicts the cluster-wide p99 turnaround over
-    /// all resident tasks plus the newcomer (headed for `node`); while it
-    /// exceeds the target, sheds the lowest-priority never-started task
-    /// cluster-wide. Returns whether the newcomer survived (it is pushed to
-    /// `shed` itself otherwise).
-    #[allow(clippy::too_many_arguments)]
-    fn admit<S: TraceSink, C: ClusterTraceSink>(
-        &self,
-        sessions: &mut [SimSession<S>],
+    /// Predicts the cluster-wide p99 turnaround over all resident tasks
+    /// plus the newcomer (headed for `node`); while it exceeds the target,
+    /// sheds the lowest-priority never-started task cluster-wide.
+    fn admit(
+        &mut self,
         task: &PreparedTask,
         node: usize,
         admission: SlaAdmissionConfig,
         shed: &mut Vec<TaskRequest>,
-        trace: &RefCell<C>,
     ) -> bool {
         let npu = &self.config.npu;
+        let sessions = &mut self.sessions;
         let incoming_priority = task.request.priority;
         let incoming_estimate = task.estimated_cycles();
         let target_p99_ms = scaled_admission_target(sessions, admission.target_p99_ms);
@@ -1031,7 +1311,7 @@ impl OnlineClusterSimulator {
                         .revoke(victim_id)
                         .expect("resident was reported revocable");
                     if C::ENABLED {
-                        trace.borrow_mut().cluster_event(
+                        self.trace.borrow_mut().cluster_event(
                             sessions[victim_node].now(),
                             ClusterTraceEvent::Shed {
                                 task: victim_id,
@@ -1045,7 +1325,7 @@ impl OnlineClusterSimulator {
                     // The newcomer is itself the lowest-priority work (or
                     // nothing else is sheddable): reject it.
                     if C::ENABLED {
-                        trace.borrow_mut().cluster_event(
+                        self.trace.borrow_mut().cluster_event(
                             sessions[node].now(),
                             ClusterTraceEvent::Shed {
                                 task: task.request.id,
@@ -1059,224 +1339,92 @@ impl OnlineClusterSimulator {
             }
         }
     }
-}
 
-/// The shed-preference ordering: lowest priority, then largest predicted
-/// remaining work, then newest id. Smaller keys shed first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct ShedKey(
-    Priority,
-    std::cmp::Reverse<Cycles>,
-    std::cmp::Reverse<TaskId>,
-);
-
-impl ShedKey {
-    pub(crate) fn of(priority: Priority, remaining: Cycles, id: TaskId) -> Self {
-        ShedKey(
-            priority,
-            std::cmp::Reverse(remaining),
-            std::cmp::Reverse(id),
-        )
-    }
-}
-
-/// Panics unless every task id is unique.
-pub(crate) fn assert_unique_ids(tasks: &[PreparedTask]) {
-    let mut ids: Vec<TaskId> = tasks.iter().map(|t| t.request.id).collect();
-    ids.sort_unstable();
-    ids.dedup();
-    assert_eq!(ids.len(), tasks.len(), "task IDs must be unique");
-}
-
-/// The global arrival queue: task indices in the order a front-end sees
-/// requests — (arrival, id)-sorted.
-pub(crate) fn arrival_order(tasks: &[PreparedTask]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..tasks.len()).collect();
-    order.sort_by_key(|&i| (tasks[i].request.arrival, tasks[i].request.id));
-    order
-}
-
-/// The SLA admission target under graceful degradation: the configured p99
-/// tightened to the fraction of nodes currently up (not inside a fault
-/// window), so a degraded cluster sheds proportionally earlier instead of
-/// queueing work the surviving capacity cannot absorb. Fault-free (and
-/// fault-idle) instants leave the target exactly unchanged.
-pub(crate) fn scaled_admission_target<S: TraceSink>(
-    sessions: &[SimSession<S>],
-    target_p99_ms: f64,
-) -> f64 {
-    let up = sessions
-        .iter()
-        .filter(|session| session.stalled_until().is_none())
-        .count();
-    target_p99_ms * (up.max(1) as f64 / sessions.len() as f64)
-}
-
-/// Finishes every session and assembles the [`OnlineOutcome`], dropping
-/// shed, abandoned and undelivered tasks' assignment entries so assignments
-/// biject onto records. Custody abandonments (transfer retry budget
-/// exhausted) are appended after recovery abandonments, in abandonment
-/// order within each source; tasks the custody ledger still holds in flight
-/// surface as [`OnlineOutcome::custody_error`].
-pub(crate) fn finish_outcome<S: TraceSink>(
-    sessions: Vec<SimSession<S>>,
-    mut assignments: Vec<NodeAssignment>,
-    shed: Vec<TaskRequest>,
-    steals: u64,
-    faults: Option<FaultTally>,
-    migration: Option<MigrationTally>,
-) -> OnlineOutcome {
-    let tally = faults.unwrap_or_else(|| FaultTally::empty(sessions.len()));
-    let migration = migration.unwrap_or_default();
-    let mut abandoned = tally.abandoned;
-    abandoned.extend(migration.abandoned);
-    let custody_error = if migration.undelivered.is_empty() {
-        None
-    } else {
-        Some(CustodyError {
-            undelivered: migration.undelivered,
-        })
-    };
-    if !shed.is_empty() || !abandoned.is_empty() || custody_error.is_some() {
-        let dropped: std::collections::HashSet<TaskId> = shed
-            .iter()
-            .chain(abandoned.iter())
-            .map(|request| request.id)
-            .chain(
-                custody_error
-                    .iter()
-                    .flat_map(|error| error.undelivered.iter().copied()),
-            )
-            .collect();
-        assignments.retain(|assignment| !dropped.contains(&assignment.task));
-    }
-    let node_outcomes = sessions.into_iter().map(SimSession::finish).collect();
-    OnlineOutcome {
-        cluster: ClusterOutcome {
-            node_outcomes,
-            assignments,
-        },
-        shed,
-        steals,
-        abandoned,
-        crashes: tally.crashes,
-        freezes: tally.freezes,
-        recoveries: tally.recoveries,
-        recovery_log: tally.recovery_log,
-        node_downtime: tally.node_downtime,
-        degrades: tally.degrades,
-        node_degraded_time: tally.node_degraded_time,
-        migrations: migration.migrations,
-        migration_bytes: migration.migration_bytes,
-        migration_log: migration.migration_log,
-        transfer_failures: migration.transfer_failures,
-        redirects: migration.redirects,
-        redirect_log: migration.redirect_log,
-        custody_error,
-    }
-}
-
-/// The node sessions as a shared decision machine (a migration round, a
-/// transfer delivery) sees them at a decision instant. Reads of node `i` go
-/// through its `*_at(horizon(i))` projections; a mutation goes through
-/// [`Nodes::session_mut`], which first brings the node to that horizon. The
-/// reference loop's slice is always advanced, so its horizon is each
-/// node's own clock (where the projections are the identity) and both are
-/// plain accesses; the event-heap loop leaves quiet nodes unadvanced.
-pub(crate) trait Nodes<S: TraceSink> {
-    /// Every session, for reads.
-    fn sessions(&self) -> &[SimSession<S>];
-    /// The instant node `i` is read at.
-    fn horizon(&self, i: usize) -> Cycles;
-    /// Node `i`, advanced to its horizon, for a mutation.
-    fn session_mut(&mut self, i: usize) -> &mut SimSession<S>;
-    /// Whether node `i` is known, at its horizon, to hold no started
-    /// resident whose predicted completion is past `arrival +
-    /// deadline_offset`, so the migration deadline monitor may skip its
-    /// walk. `false` means "walk it".
-    fn deadlines_quiet(&mut self, i: usize, deadline_offset: Cycles) -> bool;
-}
-
-impl<S: TraceSink> Nodes<S> for [SimSession<S>] {
-    fn sessions(&self) -> &[SimSession<S>] {
-        self
-    }
-
-    fn horizon(&self, i: usize) -> Cycles {
-        self[i].now()
-    }
-
-    fn session_mut(&mut self, i: usize) -> &mut SimSession<S> {
-        &mut self[i]
-    }
-
-    /// The reference walks every source every round, so the event-heap
-    /// loop's skips are checked against it.
-    fn deadlines_quiet(&mut self, _: usize, _: Cycles) -> bool {
-        false
-    }
-}
-
-/// Processes every in-flight transfer event due at or before `t` — the
-/// single consumption point of the custody decision machine, shared by the
-/// reference loop and (with a certificate refresh on top) mirrored by the
-/// event-heap loop:
-///
-/// * a **landing** injects the salvage at its destination (paying the
-///   restore DMA there) and rewrites the task's assignment to the new
-///   serving node — unless custody is enabled and the destination is down
-///   at the landing instant, which converts it into a failed attempt;
-/// * a **failure** (link drop mid-flight, delivery deadline expiry) routes
-///   through the retry machinery — exponential backoff under the custody
-///   retry budget, abandonment with accounting past it;
-/// * a **redirect** re-prices every reachable healthy node and relaunches
-///   the transfer toward the cheapest one.
-pub(crate) fn deliver_due_migrations<S: TraceSink, C: ClusterTraceSink, N: Nodes<S> + ?Sized>(
-    migration: &mut MigrationDriver<'_>,
-    faults: Option<&FaultDriver<'_>>,
-    nodes: &mut N,
-    t: Cycles,
-    assignments: &mut [NodeAssignment],
-    assignment_index: &HashMap<TaskId, usize>,
-    trace: &RefCell<C>,
-) {
-    while let Some(pending) = migration.pop_due(t) {
-        match pending.event {
-            TransferEvent::Land => {
-                let node = pending.to_node;
-                if migration.custody_enabled()
-                    && faults.is_some_and(|driver| driver.is_down(node, t))
-                {
-                    migration.on_transfer_failed(
-                        pending,
-                        TransferFailReason::DestinationDown,
-                        t,
-                        trace,
-                    );
+    /// Every idle node (live queue depth zero) takes the largest
+    /// never-started waiting task from the peer holding the most such work,
+    /// until no idle node or no stealable work remains. A steal moves the
+    /// task's bytes victim-to-thief over the fabric, so victims the thief
+    /// cannot currently reach (link down or partitioned away) are skipped.
+    fn steal_round(&mut self, links: Option<&LinkTopology>, books: &mut Books) {
+        let sessions = &mut self.sessions;
+        loop {
+            // A crashed node drains to queue depth zero the instant it fails
+            // — the stall check keeps it from masquerading as an eager thief
+            // (frozen nodes may still be *victims*: their waiting work is
+            // exactly what is worth migrating off a straggler).
+            let Some(thief) = sessions
+                .iter()
+                .position(|s| s.queue_depth() == 0 && s.stalled_until().is_none())
+            else {
+                return;
+            };
+            // Victim: the node with the most stealable (never-started)
+            // predicted work, provided it keeps at least one task for
+            // itself. One pass per node finds both the stealable sum and the
+            // task to take — the revocable task with the largest remaining
+            // work, ties to the lowest id.
+            let now = sessions[thief].now();
+            let mut victim: Option<(Cycles, usize, ResidentTask)> = None;
+            for (index, session) in sessions.iter().enumerate() {
+                if session.queue_depth() < 2 {
                     continue;
                 }
-                let id = pending.salvage.prepared.request.id;
-                migration.on_landed(id, node);
-                nodes
-                    .session_mut(node)
-                    .inject_salvaged(pending.salvage, t)
-                    .expect("migrated task id is not live");
-                if C::ENABLED {
-                    trace
-                        .borrow_mut()
-                        .cluster_event(t, ClusterTraceEvent::MigrationLand { task: id, node });
+                if links.is_some_and(|links| !links.reachable(index, thief, now)) {
+                    continue;
                 }
-                if let Some(&slot) = assignment_index.get(&id) {
-                    assignments[slot].node = node;
+                let mut stealable = Cycles::ZERO;
+                let mut best: Option<ResidentTask> = None;
+                for resident in session.resident_tasks() {
+                    if !resident.revocable {
+                        continue;
+                    }
+                    stealable += resident.estimated_remaining();
+                    let better = best.as_ref().is_none_or(|current| {
+                        (
+                            resident.estimated_remaining(),
+                            std::cmp::Reverse(resident.id),
+                        ) > (current.estimated_remaining(), std::cmp::Reverse(current.id))
+                    });
+                    if better {
+                        best = Some(resident);
+                    }
+                }
+                if stealable.is_zero() {
+                    continue;
+                }
+                if victim.as_ref().is_none_or(|(most, _, _)| stealable > *most) {
+                    victim = Some((
+                        stealable,
+                        index,
+                        best.expect("nonzero stealable work has a best task"),
+                    ));
                 }
             }
-            TransferEvent::Fail(reason) => {
-                migration.on_transfer_failed(pending, reason, t, trace);
+            let Some((_, victim, stolen)) = victim else {
+                return;
+            };
+            let prepared = sessions[victim]
+                .revoke(stolen.id)
+                .expect("stolen task was revocable");
+            sessions[thief]
+                .inject(prepared)
+                .expect("revoked task re-injects cleanly");
+            if C::ENABLED {
+                self.trace.borrow_mut().cluster_event(
+                    sessions[thief].now(),
+                    ClusterTraceEvent::Steal {
+                        task: stolen.id,
+                        from: victim,
+                        to: thief,
+                    },
+                );
             }
-            TransferEvent::Redirect => {
-                migration.redirect(pending, nodes, faults, t, trace);
-            }
+            books.steal(stolen.id, thief);
         }
+    }
+
+    fn into_sessions(self) -> Vec<SimSession<NodeTap<C>>> {
+        self.sessions
     }
 }
 
@@ -1303,99 +1451,6 @@ fn predicted_turnarounds_ms<S: TraceSink>(
         backlog += resident.estimated_remaining();
         let completion = now + backlog;
         out.push(npu.cycles_to_millis(completion - resident.arrival));
-    }
-}
-
-/// One round of work stealing: every idle node (live queue depth zero) takes
-/// the largest never-started waiting task from the peer holding the most
-/// such work. Rewrites the victim's assignment to the thief. Returns the
-/// number of migrations. A steal moves the task's bytes victim-to-thief
-/// over the fabric, so victims the thief cannot currently reach (link down
-/// or partitioned away) are skipped.
-fn steal_onto_idle_nodes<S: TraceSink, C: ClusterTraceSink>(
-    sessions: &mut [SimSession<S>],
-    links: Option<&crate::interconnect::LinkTopology>,
-    assignments: &mut [NodeAssignment],
-    assignment_index: &HashMap<TaskId, usize>,
-    trace: &RefCell<C>,
-) -> u64 {
-    let mut steals = 0u64;
-    loop {
-        // A crashed node drains to queue depth zero the instant it fails —
-        // the stall check keeps it from masquerading as an eager thief
-        // (frozen nodes may still be *victims*: their waiting work is
-        // exactly what is worth migrating off a straggler).
-        let Some(thief) = sessions
-            .iter()
-            .position(|s| s.queue_depth() == 0 && s.stalled_until().is_none())
-        else {
-            return steals;
-        };
-        // Victim: the node with the most stealable (never-started) predicted
-        // work, provided it keeps at least one task for itself. One pass per
-        // node finds both the stealable sum and the task to take — the
-        // revocable task with the largest remaining work, ties to the
-        // lowest id.
-        let now = sessions[thief].now();
-        let mut victim: Option<(Cycles, usize, ResidentTask)> = None;
-        for (index, session) in sessions.iter().enumerate() {
-            if session.queue_depth() < 2 {
-                continue;
-            }
-            if links.is_some_and(|links| !links.reachable(index, thief, now)) {
-                continue;
-            }
-            let mut stealable = Cycles::ZERO;
-            let mut best: Option<ResidentTask> = None;
-            for resident in session.resident_tasks() {
-                if !resident.revocable {
-                    continue;
-                }
-                stealable += resident.estimated_remaining();
-                let better = best.as_ref().is_none_or(|current| {
-                    (
-                        resident.estimated_remaining(),
-                        std::cmp::Reverse(resident.id),
-                    ) > (current.estimated_remaining(), std::cmp::Reverse(current.id))
-                });
-                if better {
-                    best = Some(resident);
-                }
-            }
-            if stealable.is_zero() {
-                continue;
-            }
-            if victim.as_ref().is_none_or(|(most, _, _)| stealable > *most) {
-                victim = Some((
-                    stealable,
-                    index,
-                    best.expect("nonzero stealable work has a best task"),
-                ));
-            }
-        }
-        let Some((_, victim, stolen)) = victim else {
-            return steals;
-        };
-        let prepared = sessions[victim]
-            .revoke(stolen.id)
-            .expect("stolen task was revocable");
-        sessions[thief]
-            .inject(prepared)
-            .expect("revoked task re-injects cleanly");
-        if C::ENABLED {
-            trace.borrow_mut().cluster_event(
-                sessions[thief].now(),
-                ClusterTraceEvent::Steal {
-                    task: stolen.id,
-                    from: victim,
-                    to: thief,
-                },
-            );
-        }
-        if let Some(&slot) = assignment_index.get(&stolen.id) {
-            assignments[slot].node = thief;
-        }
-        steals += 1;
     }
 }
 

@@ -40,7 +40,9 @@
 //! with every mechanism (the loop steps between arrivals), one 32–48-node
 //! storm per live dispatch policy with faults but no stealing or migration
 //! (arrivals walk the contender index), and 256 nodes over a full 200 ms
-//! storm in the `#[ignore]`d nightly variant.
+//! storm in the `#[ignore]`d nightly variant. Each storm also compares the
+//! two loops' traces: the shared cluster decision stream, every node's
+//! engine events, and every node's quantum-skip counters.
 
 use std::panic::AssertUnwindSafe;
 
@@ -49,9 +51,10 @@ use rand::{Rng, SeedableRng};
 
 use prema::cluster::{
     online_outcome_hash, ClusterFaultPlan, ClusterTraceEvent, CustodyConfig, FlightEntry,
-    FlightRecorder, MigrationConfig, OnlineClusterConfig, OnlineClusterSimulator,
+    FlightRecorder, MigrationConfig, NodeKeySet, OnlineClusterConfig, OnlineClusterSimulator,
     OnlineDispatchPolicy, RecoveryConfig, VecClusterSink,
 };
+use prema::scheduler::TraceEvent;
 use prema::workload::prepare::prepare_requests;
 use prema::workload::{
     generate_open_loop, ArrivalProcess, FaultKind, FaultProcess, FaultSchedule, LinkFault,
@@ -719,14 +722,18 @@ impl Storm {
 }
 
 /// Heap == reference where node skipping matters: storm-shaped drivings at
-/// 32–48 nodes. Returns the outcome and how many steals landed on a thief
-/// whose clock froze before the preceding step — the reference then steps
-/// back to that past instant.
+/// 32–48 nodes. Beyond the outcomes, both loops' traces must agree: the
+/// cluster events they share in order and timestamp, each node's engine
+/// events, and each node's quantum-skip counters (which `SimOutcome`
+/// equality ignores). Returns the outcome and how many steals landed on a
+/// thief whose clock froze before the preceding step — the reference then
+/// steps back to that past instant.
 fn assert_storm_matches_reference(storm: &Storm) -> (prema::cluster::OnlineOutcome, usize) {
     let npu = NpuConfig::paper_default();
     let (simulator, tasks) = storm.simulate(&npu);
     let (heap, sink) = simulator.run_traced(&tasks, VecClusterSink::default());
-    let reference = simulator.run_reference(&tasks);
+    let (reference, reference_sink) =
+        simulator.run_reference_traced(&tasks, VecClusterSink::default());
     let context = format!("storm at {} nodes, seed {:#x}", storm.nodes, storm.seed);
     assert_eq!(heap, reference, "{context}: heap != reference");
     assert_eq!(
@@ -734,6 +741,31 @@ fn assert_storm_matches_reference(storm: &Storm) -> (prema::cluster::OnlineOutco
         online_outcome_hash(&reference),
         "{context}: digest divergence"
     );
+    assert_same_stream(
+        &shared_cluster_events(&sink),
+        &shared_cluster_events(&reference_sink),
+        &format!("{context}: cluster events"),
+    );
+    let (heap_nodes, reference_nodes) = (
+        engine_events(&sink, storm.nodes),
+        engine_events(&reference_sink, storm.nodes),
+    );
+    for (node, (ours, theirs)) in heap_nodes.iter().zip(&reference_nodes).enumerate() {
+        assert_same_stream(
+            ours,
+            theirs,
+            &format!("{context}: node {node} engine events"),
+        );
+        let (ours, theirs) = (
+            &heap.cluster.node_outcomes[node],
+            &reference.cluster.node_outcomes[node],
+        );
+        assert_eq!(
+            (ours.quanta_skipped, ours.replayed_token_grants),
+            (theirs.quanta_skipped, theirs.replayed_token_grants),
+            "{context}: node {node} skip counters"
+        );
+    }
     // Every migration round closes with a custody check stamped at its
     // step; a steal stamped (at the thief's clock) before the last one
     // landed on a thief frozen in the past.
@@ -753,6 +785,60 @@ fn assert_storm_matches_reference(storm: &Storm) -> (prema::cluster::OnlineOutco
         }
     }
     (heap, stale_thieves)
+}
+
+/// The cluster events both loops emit: everything but the event-heap
+/// loop's own certificate-heap and contender-index bookkeeping. Dispatch
+/// decisions keep only the task and the chosen node, because the index
+/// records just the contenders it walked.
+fn shared_cluster_events(sink: &VecClusterSink) -> Vec<(Cycles, ClusterTraceEvent)> {
+    sink.entries
+        .iter()
+        .filter_map(|entry| match *entry {
+            FlightEntry::Cluster { now, event } => match event {
+                ClusterTraceEvent::HeapPush { .. }
+                | ClusterTraceEvent::HeapPop { .. }
+                | ClusterTraceEvent::HeapStaleDrop { .. }
+                | ClusterTraceEvent::IndexUpdate { .. } => None,
+                ClusterTraceEvent::DispatchDecision { task, chosen, .. } => Some((
+                    now,
+                    ClusterTraceEvent::DispatchDecision {
+                        task,
+                        chosen,
+                        keys: NodeKeySet::default(),
+                    },
+                )),
+                event => Some((now, event)),
+            },
+            FlightEntry::Node { .. } => None,
+        })
+        .collect()
+}
+
+/// Each node's engine events in emission order, without the quantum-skip
+/// batches: how the fast path splits a skipped span follows the horizons
+/// each loop advanced the node to.
+fn engine_events(sink: &VecClusterSink, nodes: usize) -> Vec<Vec<(Cycles, TraceEvent)>> {
+    let mut streams = vec![Vec::new(); nodes];
+    for entry in &sink.entries {
+        if let FlightEntry::Node { node, now, event } = *entry {
+            if !matches!(event, TraceEvent::QuantumSkip { .. }) {
+                streams[node].push((now, event));
+            }
+        }
+    }
+    streams
+}
+
+/// Asserts two event streams are equal, reporting the first divergence.
+fn assert_same_stream<E: PartialEq + std::fmt::Debug>(ours: &[E], theirs: &[E], context: &str) {
+    if let Some(k) = ours.iter().zip(theirs).position(|(a, b)| a != b) {
+        panic!(
+            "{context}: entry {k} differs: heap {:?} vs reference {:?}",
+            ours[k], theirs[k]
+        );
+    }
+    assert_eq!(ours.len(), theirs.len(), "{context}: stream lengths");
 }
 
 /// Two fixed storms at 32 and 48 nodes: together they must steal (including
