@@ -30,7 +30,6 @@ pub fn run(npu: &NpuConfig) -> OverheadSummary {
         let plan = ExecutionPlan::compile(model, 16, seq, npu);
         let peak = plan
             .layers()
-            .iter()
             .flat_map(|l| l.intervals.iter())
             .map(|i| i.live_output_bytes)
             .max()

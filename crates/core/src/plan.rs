@@ -12,27 +12,44 @@
 //! questions the preemption machinery needs: "how long until the next legal
 //! preemption point?" and "how many bytes are live right now?".
 //!
-//! # Design note: the plan arena and the event horizon
+//! # Design note: distinct layers and the event horizon
 //!
 //! The simulation engine advances a running task by hundreds of thousands of
-//! cycles per scheduling event, and a single advance used to walk the nested
-//! `layers → intervals` vectors one interval at a time — O(intervals crossed)
-//! per event, with a pointer chase per layer. Compilation therefore flattens
-//! every plan into a `PlanArena`: one cache-friendly prefix-sum table of
-//! cumulative interval end boundaries, plus parallel per-interval live-byte
-//! and layer-index tables and the flat offset of each layer's first interval.
-//! On the arena, [`ProgressCursor::advance`] is a bounds check in the common
-//! case and a binary search in the worst case, and
-//! [`ProgressCursor::cycles_to_boundary`] /
-//! [`ProgressCursor::live_checkpoint_bytes`] / [`ProgressCursor::layer_index`]
-//! are O(1) lookups. The arena is what lets the engine's *event-horizon*
-//! fast path (see [`crate::engine`]) jump a running task over thousands of
-//! provably uneventful scheduling quanta in a single bounded step.
+//! cycles per scheduling event, so [`ProgressCursor::advance`] must not walk
+//! the plan one interval at a time. Compilation therefore gives each layer
+//! a local prefix-sum table (the cycle count from the layer's start through
+//! the end of each of its intervals) and records where each layer starts.
 //!
-//! The original nested-vector walk survives as [`reference::ReferenceCursor`]
-//! — the oracle a property test replays random plans and budgets against to
-//! pin the flat cursor to the exact historical semantics (including
-//! zero-cycle intervals and layer-boundary normalization).
+//! An unrolled RNN executes the same cell at every timestep, so most of a
+//! plan's layers repeat an earlier layer of the same plan exactly (98.7 %
+//! or more of the layers in the host-time benchmark's plans). Layer timing
+//! is a pure function of the lowered work and the NPU configuration, so
+//! [`ExecutionPlan::compile`] models each distinct lowered layer once and
+//! the plan stores:
+//!
+//! - the distinct [`LayerPlan`]s, each with its local prefix-sum table;
+//! - per layer, in execution order, only the index of its distinct layer
+//!   and the absolute cycle at which it starts.
+//!
+//! A plan therefore costs memory in proportion to its distinct layers (a
+//! handful for an RNN) plus 12 bytes per executed layer, not per interval.
+//!
+//! The cursor is (layer, interval within the layer, cycles executed).
+//! [`ProgressCursor::advance`] is one bound comparison in the common case
+//! and otherwise two binary searches: over the layer starts, then over that
+//! layer's local table. [`ProgressCursor::cycles_to_boundary`],
+//! [`ProgressCursor::live_checkpoint_bytes`],
+//! [`ProgressCursor::in_interval`] and [`ProgressCursor::layer_index`] are
+//! O(1). This is what lets the engine's *event-horizon* fast path (see
+//! [`crate::engine`]) jump a running task over thousands of provably
+//! uneventful scheduling quanta in a single bounded step.
+//!
+//! The original nested interval walk survives as
+//! [`reference::ReferenceCursor`], which reads only the raw
+//! [`LayerPlan::intervals`] of each layer. It is the oracle the tests replay
+//! random plans and budgets against to pin the cursor to the exact
+//! historical semantics (including zero-cycle intervals and layer-boundary
+//! normalization).
 
 use std::sync::Arc;
 
@@ -53,102 +70,106 @@ pub struct LayerPlan {
     pub macs: u64,
 }
 
-/// Flat prefix-sum view of every preemption interval in a plan (see the
+/// One distinct layer of a plan and its local prefix-sum table (see the
 /// module-level design note). Built once at compile time; immutable after.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-struct PlanArena {
-    /// `bounds[i]` is the cumulative cycle count through the *end* of flat
-    /// interval `i`; strictly the running prefix sum of interval lengths.
-    bounds: Vec<Cycles>,
-    /// `live_bytes[i]` is the checkpoint footprint at the end of flat
-    /// interval `i`.
-    live_bytes: Vec<u64>,
-    /// `layer_of[i]` is the layer that flat interval `i` belongs to.
-    layer_of: Vec<u32>,
-    /// `layer_starts[l]` is the flat index of layer `l`'s first interval.
-    layer_starts: Vec<u32>,
-}
-
-impl PlanArena {
-    fn build(layers: &[LayerPlan]) -> Self {
-        let interval_count: usize = layers.iter().map(|l| l.intervals.len()).sum();
-        let mut arena = PlanArena {
-            bounds: Vec::with_capacity(interval_count),
-            live_bytes: Vec::with_capacity(interval_count),
-            layer_of: Vec::with_capacity(interval_count),
-            layer_starts: Vec::with_capacity(layers.len()),
-        };
-        let mut cumulative = Cycles::ZERO;
-        for (layer_idx, layer) in layers.iter().enumerate() {
-            arena.layer_starts.push(arena.bounds.len() as u32);
-            for interval in &layer.intervals {
-                cumulative += interval.cycles;
-                arena.bounds.push(cumulative);
-                arena.live_bytes.push(interval.live_output_bytes);
-                arena.layer_of.push(layer_idx as u32);
-            }
-        }
-        arena
-    }
-
-    /// Number of flat intervals.
-    fn len(&self) -> usize {
-        self.bounds.len()
-    }
-
-    /// Cumulative cycles at the *start* of flat interval `i`.
-    fn start_of(&self, i: usize) -> Cycles {
-        if i == 0 {
-            Cycles::ZERO
-        } else {
-            self.bounds[i - 1]
-        }
-    }
-
-    /// Whether flat interval `i` is the first interval of its layer.
-    fn is_layer_start(&self, i: usize) -> bool {
-        self.layer_starts[self.layer_of[i] as usize] as usize == i
-    }
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct DistinctLayer {
+    layer: LayerPlan,
+    /// `ends[k]` is the cycle count from the layer's start through the end
+    /// of its interval `k`; the last entry is the layer's length.
+    ends: Vec<Cycles>,
 }
 
 /// A task's complete compiled execution plan.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExecutionPlan {
-    layers: Vec<LayerPlan>,
+    /// Every distinct layer once, in order of first execution.
+    distinct: Vec<DistinctLayer>,
+    /// `order[l]` is the index into `distinct` of layer `l`.
+    order: Vec<u32>,
+    /// `starts[l]` is the cycle at which layer `l` starts.
+    starts: Vec<Cycles>,
     total_cycles: Cycles,
-    total_macs: u64,
-    arena: PlanArena,
+}
+
+/// Splits `items` into its distinct values, in order of first appearance,
+/// and the index of each item's value among them.
+fn dedupe<T: PartialEq>(items: Vec<T>) -> (Vec<T>, Vec<u32>) {
+    let mut distinct: Vec<T> = Vec::new();
+    let order = items
+        .into_iter()
+        .map(|item| {
+            let slot = distinct.iter().position(|d| *d == item).unwrap_or_else(|| {
+                distinct.push(item);
+                distinct.len() - 1
+            });
+            slot as u32
+        })
+        .collect();
+    (distinct, order)
 }
 
 impl ExecutionPlan {
     /// Compiles `model` at `batch`/`seq` onto the NPU described by `cfg`.
+    ///
+    /// Each distinct lowered layer is timed once, however often the network
+    /// executes it.
     pub fn compile(model: ModelKind, batch: u64, seq: SeqSpec, cfg: &NpuConfig) -> Self {
         let network = model.build(batch, seq);
-        let works = lower_graph(&network, batch);
-        let mut layers = Vec::with_capacity(works.len());
-        for work in &works {
-            let timing = LayerTiming::model(work, cfg);
-            let total_cycles = timing.total_cycles();
-            let macs = timing.macs();
-            layers.push(LayerPlan {
-                intervals: timing.into_intervals(),
-                total_cycles,
-                macs,
-            });
-        }
-        Self::from_layers(layers)
+        let (works, order) = dedupe(lower_graph(&network, batch));
+        let layers = works
+            .iter()
+            .map(|work| {
+                let timing = LayerTiming::model(work, cfg);
+                let total_cycles = timing.total_cycles();
+                let macs = timing.macs();
+                LayerPlan {
+                    intervals: timing.into_intervals(),
+                    total_cycles,
+                    macs,
+                }
+            })
+            .collect();
+        Self::from_distinct(layers, order)
     }
 
-    /// Assembles a plan (totals + flat arena) from per-layer plans.
+    /// Assembles a plan from per-layer plans in execution order, sharing
+    /// the tables of equal layers.
+    #[cfg(test)]
     fn from_layers(layers: Vec<LayerPlan>) -> Self {
-        let total_cycles = layers.iter().map(|l| l.total_cycles).sum();
-        let total_macs = layers.iter().map(|l| l.macs).sum();
-        let arena = PlanArena::build(&layers);
+        let (distinct, order) = dedupe(layers);
+        Self::from_distinct(distinct, order)
+    }
+
+    /// Assembles a plan that executes `distinct[order[0]]`,
+    /// `distinct[order[1]]`, ... and builds its prefix-sum tables.
+    fn from_distinct(distinct: Vec<LayerPlan>, order: Vec<u32>) -> Self {
+        let distinct: Vec<DistinctLayer> = distinct
+            .into_iter()
+            .map(|layer| {
+                let ends = layer
+                    .intervals
+                    .iter()
+                    .scan(Cycles::ZERO, |end, interval| {
+                        *end += interval.cycles;
+                        Some(*end)
+                    })
+                    .collect();
+                DistinctLayer { layer, ends }
+            })
+            .collect();
+        let mut starts = Vec::with_capacity(order.len());
+        let mut cumulative = Cycles::ZERO;
+        for &slot in &order {
+            starts.push(cumulative);
+            let ends = &distinct[slot as usize].ends;
+            cumulative += *ends.last().expect("a layer has at least one interval");
+        }
         ExecutionPlan {
-            layers,
-            total_cycles,
-            total_macs,
-            arena,
+            distinct,
+            order,
+            starts,
+            total_cycles: cumulative,
         }
     }
 
@@ -182,9 +203,26 @@ impl ExecutionPlan {
         plan_cache::get_or_compile(model, batch, seq, cfg)
     }
 
-    /// The per-layer plans in execution order.
-    pub fn layers(&self) -> &[LayerPlan] {
-        &self.layers
+    /// The per-layer plans in execution order. Repeated layers yield the
+    /// same stored [`LayerPlan`].
+    pub fn layers(&self) -> impl ExactSizeIterator<Item = &LayerPlan> {
+        self.order
+            .iter()
+            .map(|&slot| &self.distinct[slot as usize].layer)
+    }
+
+    /// The plan of layer `layer` (in execution order).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer >= layer_count()`.
+    pub fn layer(&self, layer: usize) -> &LayerPlan {
+        &self.distinct_layer(layer).layer
+    }
+
+    /// The distinct layer executed as layer `layer`.
+    fn distinct_layer(&self, layer: usize) -> &DistinctLayer {
+        &self.distinct[self.order[layer] as usize]
     }
 
     /// The task's isolated, uninterrupted execution time.
@@ -194,17 +232,18 @@ impl ExecutionPlan {
 
     /// Total MAC operations across the network.
     pub fn total_macs(&self) -> u64 {
-        self.total_macs
+        self.layers().map(|l| l.macs).sum()
     }
 
     /// Number of layers in the plan.
     pub fn layer_count(&self) -> usize {
-        self.layers.len()
+        self.order.len()
     }
 
-    /// Total number of preemption intervals across all layers.
+    /// Total number of preemption intervals across all layers, counting a
+    /// repeated layer's intervals at every repetition.
     pub fn interval_count(&self) -> usize {
-        self.arena.len()
+        self.layers().map(|l| l.intervals.len()).sum()
     }
 
     /// The cumulative cycle offset at which `layer` starts executing.
@@ -213,7 +252,7 @@ impl ExecutionPlan {
     ///
     /// Panics if `layer >= layer_count()`.
     pub fn layer_start_cycles(&self, layer: usize) -> Cycles {
-        self.arena.start_of(self.arena.layer_starts[layer] as usize)
+        self.starts[layer]
     }
 }
 
@@ -428,20 +467,23 @@ pub mod plan_cache {
 
 /// A task's position within its execution plan.
 ///
-/// The cursor works on the plan's flat `PlanArena`: its state is the total
-/// cycles executed plus the flat index of the interval the next cycle
-/// executes in. [`ProgressCursor::advance`] is a boundary comparison in the
-/// common case and a binary search over the prefix-sum table otherwise; the
-/// boundary/footprint/layer queries are O(1). The semantics — including the
-/// treatment of zero-cycle intervals and the normalization of a cursor that
-/// lands exactly on an interval boundary — are pinned bit-for-bit to the
-/// original nested interval walk, which survives as
-/// [`reference::ReferenceCursor`] for the equivalence property test.
+/// The cursor's state is the layer and the interval within that layer in
+/// which the next cycle executes, plus the total cycles executed.
+/// [`ProgressCursor::advance`] is a bound comparison in the common case and
+/// two binary searches otherwise (the plan's layer starts, then the layer's
+/// local prefix-sum table); the boundary/footprint/layer queries are O(1).
+/// The semantics — including the treatment of zero-cycle intervals and the
+/// normalization of a cursor that lands exactly on an interval boundary —
+/// are pinned bit-for-bit to the original nested interval walk, which
+/// survives as [`reference::ReferenceCursor`] for the equivalence tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProgressCursor {
-    /// Flat index (into the plan arena) of the interval in which the next
-    /// cycle executes; `interval_count` once the plan is complete.
-    interval: usize,
+    /// Layer in which the next cycle executes; `layer_count` once the plan
+    /// is complete.
+    layer: u32,
+    /// Interval, within `layer`, in which the next cycle executes; zero once
+    /// the plan is complete.
+    interval: u32,
     /// Total cycles executed so far.
     executed: Cycles,
 }
@@ -450,6 +492,7 @@ impl ProgressCursor {
     /// A cursor at the very beginning of a plan.
     pub fn start() -> Self {
         ProgressCursor {
+            layer: 0,
             interval: 0,
             executed: Cycles::ZERO,
         }
@@ -462,17 +505,13 @@ impl ProgressCursor {
 
     /// Index of the layer currently being executed (`layer_count` once the
     /// plan is complete).
-    pub fn layer_index(&self, plan: &ExecutionPlan) -> usize {
-        if self.interval >= plan.arena.len() {
-            plan.layer_count()
-        } else {
-            plan.arena.layer_of[self.interval] as usize
-        }
+    pub fn layer_index(&self, _plan: &ExecutionPlan) -> usize {
+        self.layer as usize
     }
 
     /// Whether the whole plan has finished.
     pub fn is_complete(&self, plan: &ExecutionPlan) -> bool {
-        self.interval >= plan.arena.len()
+        self.layer as usize >= plan.layer_count()
     }
 
     /// Remaining cycles until the plan completes.
@@ -489,9 +528,8 @@ impl ProgressCursor {
     /// Advances the cursor by at most `budget` cycles, returning the cycles
     /// actually consumed (less than `budget` only if the plan completes).
     pub fn advance(&mut self, plan: &ExecutionPlan, budget: Cycles) -> Cycles {
-        let arena = &plan.arena;
-        let n = arena.len();
-        if budget.is_zero() || self.interval >= n {
+        let layer = self.layer as usize;
+        if budget.is_zero() || layer >= plan.layer_count() {
             return Cycles::ZERO;
         }
         let total = plan.total_cycles();
@@ -500,25 +538,66 @@ impl ProgressCursor {
         if self.executed + budget > total {
             // Leftover budget walks the cursor through any trailing
             // zero-cycle intervals and completes the plan.
-            self.interval = n;
+            self.layer = plan.layer_count() as u32;
+            self.interval = 0;
         } else {
             // The budget is consumed exactly. The interval ending precisely
             // at `target` (if any) counts as consumed; zero-cycle intervals
             // *after* that boundary do not — matching the reference walk,
             // which stops stepping the moment its budget reaches zero.
-            let bound = arena.bounds[self.interval];
+            let interval = self.interval as usize;
+            let bound = plan.starts[layer] + plan.distinct_layer(layer).ends[interval];
             if target < bound {
                 // Common case: still inside the current interval.
             } else if target == bound {
-                self.interval += 1;
+                self.step_past(plan, layer, interval);
             } else {
-                let offset = self.interval + 1;
-                let j = offset + arena.bounds[offset..].partition_point(|&b| b < target);
-                self.interval = if arena.bounds[j] == target { j + 1 } else { j };
+                // The first interval ending at or after `target` lies in the
+                // first layer ending at or after it: the layer just before
+                // the first later layer that starts at or after `target`
+                // (the last layer when none does).
+                let layer = layer + plan.starts[layer + 1..].partition_point(|&s| s < target);
+                let offset = target - plan.starts[layer];
+                let ends = &plan.distinct_layer(layer).ends;
+                let interval = ends.partition_point(|&e| e < offset);
+                if ends[interval] == offset {
+                    self.step_past(plan, layer, interval);
+                } else {
+                    self.layer = layer as u32;
+                    self.interval = interval as u32;
+                }
             }
         }
         self.executed = target;
         consumed
+    }
+
+    /// Moves the cursor to the interval after `interval` of `layer`.
+    fn step_past(&mut self, plan: &ExecutionPlan, layer: usize, interval: usize) {
+        if interval + 1 < plan.distinct_layer(layer).ends.len() {
+            self.layer = layer as u32;
+            self.interval = interval as u32 + 1;
+        } else {
+            self.layer = layer as u32 + 1;
+            self.interval = 0;
+        }
+    }
+
+    /// The start and end cycles of the interval the next cycle executes in;
+    /// `None` once the plan is complete.
+    fn interval_span(&self, plan: &ExecutionPlan) -> Option<(Cycles, Cycles)> {
+        let layer = self.layer as usize;
+        if layer >= plan.layer_count() {
+            return None;
+        }
+        let ends = &plan.distinct_layer(layer).ends;
+        let interval = self.interval as usize;
+        let layer_start = plan.starts[layer];
+        let start = match interval {
+            0 => layer_start,
+            _ => layer_start + ends[interval - 1],
+        };
+        Some((start, layer_start + ends[interval]))
     }
 
     /// Cycles executed *inside* the currently executing interval — progress
@@ -527,22 +606,20 @@ impl ProgressCursor {
     /// last `GEMM_OP` commit the task can resume from). Zero when sitting
     /// exactly on a boundary or when the plan is complete.
     pub fn in_interval(&self, plan: &ExecutionPlan) -> Cycles {
-        let arena = &plan.arena;
-        if self.interval >= arena.len() {
-            return Cycles::ZERO;
+        match self.interval_span(plan) {
+            Some((start, _)) => self.executed - start,
+            None => Cycles::ZERO,
         }
-        self.executed - arena.start_of(self.interval)
     }
 
     /// Cycles needed to reach the next legal preemption point (the end of the
     /// currently executing interval). Zero when already at a boundary or when
     /// the plan is complete.
     pub fn cycles_to_boundary(&self, plan: &ExecutionPlan) -> Cycles {
-        let arena = &plan.arena;
-        if self.interval >= arena.len() || self.executed == arena.start_of(self.interval) {
-            return Cycles::ZERO;
+        match self.interval_span(plan) {
+            Some((start, end)) if self.executed != start => end - self.executed,
+            _ => Cycles::ZERO,
         }
-        arena.bounds[self.interval] - self.executed
     }
 
     /// The output-activation bytes that are live (and would have to be
@@ -550,21 +627,21 @@ impl ProgressCursor {
     /// footprint if the task is preempted at the end of the interval it is
     /// currently in, or right now if it already sits at a boundary.
     pub fn live_checkpoint_bytes(&self, plan: &ExecutionPlan) -> u64 {
-        let arena = &plan.arena;
-        if self.interval >= arena.len() {
+        let Some((start, _)) = self.interval_span(plan) else {
             return 0;
-        }
-        if self.executed == arena.start_of(self.interval) {
-            // At a boundary: the last *completed* interval of this layer
-            // defines the live state; at a layer start nothing is live.
-            if arena.is_layer_start(self.interval) {
-                0
-            } else {
-                arena.live_bytes[self.interval - 1]
-            }
-        } else {
+        };
+        let intervals = &plan.layer(self.layer as usize).intervals;
+        let interval = self.interval as usize;
+        if self.executed != start {
             // Mid-interval: preemption waits for this interval to commit.
-            arena.live_bytes[self.interval]
+            intervals[interval].live_output_bytes
+        } else if interval == 0 {
+            // At a layer start nothing is live.
+            0
+        } else {
+            // At a boundary: the last *completed* interval of this layer
+            // defines the live state.
+            intervals[interval - 1].live_output_bytes
         }
     }
 }
@@ -578,13 +655,14 @@ impl Default for ProgressCursor {
 /// The original nested-vector progress cursor, preserved verbatim as the
 /// semantic oracle for [`ProgressCursor`].
 ///
-/// This walks `plan.layers()[..].intervals[..]` one interval at a time —
-/// O(intervals crossed) per advance — exactly as the engine did before the
-/// flat `PlanArena` existed. It is **not** used on any production path;
-/// the cursor-equivalence property test (`tests/property_tests.rs`) replays
-/// random plans and budgets through both cursors and asserts every
-/// observable (consumed cycles, executed total, boundary distance, live
-/// checkpoint bytes, layer index, completion) is identical at every step.
+/// This walks each layer's raw [`LayerPlan::intervals`] one interval at a
+/// time — O(intervals crossed) per advance — and never reads the plan's
+/// prefix-sum tables. It is **not** used on any production path; the
+/// cursor-equivalence tests (here and in `tests/property_tests.rs`) replay
+/// random plans and budgets through both cursors and assert every
+/// observable (consumed cycles, executed total, boundary distance, cycles
+/// inside the interval, live checkpoint bytes, layer index, completion) is
+/// identical at every step.
 pub mod reference {
     use super::{Cycles, ExecutionPlan};
 
@@ -622,7 +700,7 @@ pub mod reference {
 
         /// Whether the whole plan has finished.
         pub fn is_complete(&self, plan: &ExecutionPlan) -> bool {
-            self.layer >= plan.layers().len()
+            self.layer >= plan.layer_count()
         }
 
         /// Remaining cycles until the plan completes.
@@ -638,18 +716,17 @@ pub mod reference {
         /// Advances the cursor by at most `budget` cycles, returning the
         /// cycles actually consumed.
         pub fn advance(&mut self, plan: &ExecutionPlan, budget: Cycles) -> Cycles {
-            let layers = plan.layers();
             let mut remaining_budget = budget;
             let mut consumed = Cycles::ZERO;
-            while !remaining_budget.is_zero() && self.layer < layers.len() {
-                let interval = &layers[self.layer].intervals[self.interval];
-                let left_in_interval = interval.cycles - self.offset;
+            while !remaining_budget.is_zero() && self.layer < plan.layer_count() {
+                let intervals = &plan.layer(self.layer).intervals;
+                let left_in_interval = intervals[self.interval].cycles - self.offset;
                 if remaining_budget >= left_in_interval {
                     remaining_budget -= left_in_interval;
                     consumed += left_in_interval;
                     self.offset = Cycles::ZERO;
                     self.interval += 1;
-                    if self.interval >= layers[self.layer].intervals.len() {
+                    if self.interval >= intervals.len() {
                         self.interval = 0;
                         self.layer += 1;
                     }
@@ -670,20 +747,18 @@ pub mod reference {
 
         /// Cycles needed to reach the next legal preemption point.
         pub fn cycles_to_boundary(&self, plan: &ExecutionPlan) -> Cycles {
-            let layers = plan.layers();
-            if self.layer >= layers.len() || self.offset.is_zero() {
+            if self.layer >= plan.layer_count() || self.offset.is_zero() {
                 return Cycles::ZERO;
             }
-            layers[self.layer].intervals[self.interval].cycles - self.offset
+            plan.layer(self.layer).intervals[self.interval].cycles - self.offset
         }
 
         /// The checkpoint footprint at the current boundary.
         pub fn live_checkpoint_bytes(&self, plan: &ExecutionPlan) -> u64 {
-            let layers = plan.layers();
-            if self.layer >= layers.len() {
+            if self.layer >= plan.layer_count() {
                 return 0;
             }
-            let intervals = &layers[self.layer].intervals;
+            let intervals = &plan.layer(self.layer).intervals;
             if self.offset.is_zero() {
                 if self.interval == 0 {
                     0
@@ -723,38 +798,36 @@ mod tests {
         assert!(plan.interval_count() >= plan.layer_count());
         assert!(plan.total_cycles() > Cycles::ZERO);
         assert!(plan.total_macs() > 500_000_000);
-        let sum: Cycles = plan.layers().iter().map(|l| l.total_cycles).sum();
+        let sum: Cycles = plan.layers().map(|l| l.total_cycles).sum();
         assert_eq!(sum, plan.total_cycles());
     }
 
     #[test]
-    fn arena_is_consistent_with_the_nested_layers() {
+    fn prefix_tables_are_consistent_with_the_layers() {
         let plan =
             ExecutionPlan::compile(ModelKind::RnnTranslation1, 2, SeqSpec::new(20, 15), &cfg());
-        let arena = &plan.arena;
-        assert_eq!(arena.len(), plan.interval_count());
-        assert_eq!(arena.layer_starts.len(), plan.layer_count());
-        // Bounds are the running prefix sum of interval cycles, ending at
-        // the plan total; live bytes and layer indices line up flat-to-nested.
-        let mut flat = 0usize;
+        assert_eq!(plan.starts.len(), plan.layer_count());
+        // Layer starts are the running prefix sum of interval cycles, ending
+        // at the plan total; each distinct layer's local table is the running
+        // prefix sum of its own intervals.
         let mut cumulative = Cycles::ZERO;
-        for (layer_idx, layer) in plan.layers().iter().enumerate() {
-            assert_eq!(arena.layer_starts[layer_idx] as usize, flat);
+        for (layer_idx, layer) in plan.layers().enumerate() {
             assert_eq!(plan.layer_start_cycles(layer_idx), cumulative);
-            for interval in &layer.intervals {
-                cumulative += interval.cycles;
-                assert_eq!(arena.bounds[flat], cumulative);
-                assert_eq!(arena.live_bytes[flat], interval.live_output_bytes);
-                assert_eq!(arena.layer_of[flat] as usize, layer_idx);
-                assert_eq!(
-                    arena.is_layer_start(flat),
-                    arena.layer_starts[layer_idx] as usize == flat
-                );
-                flat += 1;
+            let distinct = plan.distinct_layer(layer_idx);
+            assert!(std::ptr::eq(&distinct.layer, layer));
+            assert_eq!(distinct.ends.len(), layer.intervals.len());
+            let mut local = Cycles::ZERO;
+            for (interval, end) in layer.intervals.iter().zip(&distinct.ends) {
+                local += interval.cycles;
+                assert_eq!(*end, local);
             }
+            cumulative += local;
         }
-        assert_eq!(flat, arena.len());
         assert_eq!(cumulative, plan.total_cycles());
+        // Every distinct layer is stored once.
+        for (i, a) in plan.distinct.iter().enumerate() {
+            assert!(plan.distinct[i + 1..].iter().all(|b| b.layer != a.layer));
+        }
     }
 
     #[test]
@@ -811,7 +884,7 @@ mod tests {
         let mut cursor = ProgressCursor::start();
         assert_eq!(cursor.cycles_to_boundary(&plan), Cycles::ZERO);
         // Step into the middle of the first interval.
-        let first_interval = plan.layers()[0].intervals[0].cycles;
+        let first_interval = plan.layer(0).intervals[0].cycles;
         cursor.advance(&plan, first_interval / 2);
         let to_boundary = cursor.cycles_to_boundary(&plan);
         assert!(to_boundary > Cycles::ZERO);
@@ -827,12 +900,12 @@ mod tests {
         let mut cursor = ProgressCursor::start();
         assert_eq!(cursor.live_checkpoint_bytes(&plan), 0);
         // Execute the whole first layer: cursor lands at the start of layer 1.
-        cursor.advance(&plan, plan.layers()[0].total_cycles);
+        cursor.advance(&plan, plan.layer(0).total_cycles);
         assert_eq!(cursor.layer_index(&plan), 1);
         assert_eq!(cursor.live_checkpoint_bytes(&plan), 0);
         // Step partway into layer 1: some state is now live.
-        cursor.advance(&plan, plan.layers()[1].total_cycles / 2);
-        if plan.layers()[1].intervals.len() > 1 {
+        cursor.advance(&plan, plan.layer(1).total_cycles / 2);
+        if plan.layer(1).intervals.len() > 1 {
             assert!(cursor.live_checkpoint_bytes(&plan) > 0);
         }
     }
@@ -856,13 +929,13 @@ mod tests {
         let mut reference = ReferenceCursor::start();
         // Step sizes chosen to land exactly on boundaries, mid-interval and
         // past the end.
-        let first = plan.layers()[0].intervals[0].cycles;
+        let first = plan.layer(0).intervals[0].cycles;
         let steps = [
             first / 2,
             first - first / 2, // exactly at the first boundary
             Cycles::new(1),
             Cycles::ZERO,
-            plan.layers()[0].total_cycles,
+            plan.layer(0).total_cycles,
             Cycles::new(123_457),
             plan.total_cycles(), // overshoots: completes
         ];
@@ -870,19 +943,185 @@ mod tests {
             let a = flat.advance(&plan, step);
             let b = reference.advance(&plan, step);
             assert_eq!(a, b);
-            assert_eq!(flat.executed(), reference.executed());
-            assert_eq!(flat.is_complete(&plan), reference.is_complete(&plan));
-            assert_eq!(flat.layer_index(&plan), reference.layer_index());
-            assert_eq!(
-                flat.cycles_to_boundary(&plan),
-                reference.cycles_to_boundary(&plan)
-            );
-            assert_eq!(
-                flat.live_checkpoint_bytes(&plan),
-                reference.live_checkpoint_bytes(&plan)
-            );
+            assert_same_position(&plan, &flat, &reference, "real plan");
         }
         assert!(flat.is_complete(&plan));
+    }
+
+    /// Asserts every observable of `cursor` equals the reference walk's.
+    fn assert_same_position(
+        plan: &ExecutionPlan,
+        cursor: &ProgressCursor,
+        reference: &ReferenceCursor,
+        context: &str,
+    ) {
+        assert_eq!(cursor.executed(), reference.executed(), "{context}");
+        assert_eq!(
+            cursor.remaining(plan),
+            reference.remaining(plan),
+            "{context}"
+        );
+        assert_eq!(
+            cursor.is_complete(plan),
+            reference.is_complete(plan),
+            "{context}"
+        );
+        assert_eq!(
+            cursor.layer_index(plan),
+            reference.layer_index(),
+            "{context}"
+        );
+        assert_eq!(
+            cursor.cycles_to_boundary(plan),
+            reference.cycles_to_boundary(plan),
+            "{context}"
+        );
+        assert_eq!(
+            cursor.in_interval(plan),
+            reference.in_interval(plan),
+            "{context}"
+        );
+        assert_eq!(
+            cursor.live_checkpoint_bytes(plan),
+            reference.live_checkpoint_bytes(plan),
+            "{context}"
+        );
+    }
+
+    /// A synthetic layer from `(cycles, live bytes)` intervals.
+    fn synthetic_layer(intervals: &[(u64, u64)]) -> LayerPlan {
+        let intervals: Vec<PreemptionInterval> = intervals
+            .iter()
+            .map(|&(cycles, live_output_bytes)| PreemptionInterval {
+                cycles: Cycles::new(cycles),
+                live_output_bytes,
+            })
+            .collect();
+        LayerPlan {
+            total_cycles: intervals.iter().map(|i| i.cycles).sum(),
+            intervals,
+            macs: 0,
+        }
+    }
+
+    /// Real plans hold no zero-cycle intervals, so the normalization the
+    /// cursor promises for them (and for layer boundaries next to them) is
+    /// pinned on synthetic plans instead: zero-cycle intervals at a
+    /// layer's start and end, an all-zero layer, zero layers first and
+    /// last, and one layer repeated non-adjacently (its tables shared).
+    #[test]
+    fn cursor_matches_the_reference_on_synthetic_zero_cycle_plans() {
+        let layers = [
+            synthetic_layer(&[(0, 0), (40, 7), (25, 11), (0, 13)]),
+            synthetic_layer(&[(0, 0), (0, 5)]),
+            synthetic_layer(&[(30, 3), (30, 6), (1, 9)]),
+            synthetic_layer(&[(17, 2)]),
+        ];
+        // Each plan as indices into `layers`, in execution order.
+        let plans: [&[usize]; 5] = [
+            &[1, 0, 2, 0, 1],
+            &[0, 1, 1, 3, 0],
+            &[3, 2, 3, 2, 1],
+            &[1],
+            &[0],
+        ];
+        // SplitMix64: a fixed, dependency-free stream of budgets.
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for (case, indices) in plans.iter().enumerate() {
+            let plan =
+                ExecutionPlan::from_layers(indices.iter().map(|&i| layers[i].clone()).collect());
+            let mut distinct = indices.to_vec();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert_eq!(plan.distinct.len(), distinct.len(), "case {case}");
+            assert!(plan.layers().eq(indices.iter().map(|&i| &layers[i])));
+            for replay in 0..64 {
+                let mut cursor = ProgressCursor::start();
+                let mut reference = ReferenceCursor::start();
+                let context = format!("case {case} replay {replay} at start");
+                assert_same_position(&plan, &cursor, &reference, &context);
+                for step in 0..24 {
+                    let layer = reference.layer_index();
+                    let budget = match next() % 6 {
+                        0 => Cycles::ZERO,
+                        1 => reference.cycles_to_boundary(&plan),
+                        // Exactly to the end of the current layer.
+                        2 if layer < plan.layer_count() => {
+                            plan.layer_start_cycles(layer) + plan.layer(layer).total_cycles
+                                - reference.executed()
+                        }
+                        3 => reference.remaining(&plan) + Cycles::new(next() % 3),
+                        _ => Cycles::new(next() % 50),
+                    };
+                    let consumed = cursor.advance(&plan, budget);
+                    let consumed_reference = reference.advance(&plan, budget);
+                    let context =
+                        format!("case {case} replay {replay} step {step} budget {budget}");
+                    assert_eq!(consumed, consumed_reference, "{context}");
+                    assert_same_position(&plan, &cursor, &reference, &context);
+                }
+            }
+        }
+    }
+
+    /// The deduplicated plan must equal modelling every lowered layer on its
+    /// own: a dedupe key coarser than the lowered work would hand a layer
+    /// another layer's timing, which the cursor tests cannot see (both
+    /// cursors would read the same wrong layer).
+    #[test]
+    fn deduplicated_plan_equals_the_per_layer_compile() {
+        let c = cfg();
+        for &model in &dnn_models::ALL_EVAL_MODELS {
+            for batch in [1u64, 4, 16] {
+                for input_len in [5u64, 20, 40] {
+                    let seq = SeqSpec::for_model(model, input_len);
+                    let plan = ExecutionPlan::compile(model, batch, seq, &c);
+                    let works = lower_graph(&model.build(batch, seq), batch);
+                    let context = format!("{model:?} batch {batch} input {input_len}");
+                    assert_eq!(plan.layer_count(), works.len(), "{context}");
+                    for (layer, work) in plan.layers().zip(&works) {
+                        let timing = LayerTiming::model(work, &c);
+                        assert_eq!(layer.intervals, timing.intervals(), "{context}");
+                        assert_eq!(layer.total_cycles, timing.total_cycles(), "{context}");
+                        assert_eq!(layer.macs, timing.macs(), "{context}");
+                    }
+                    let cycles: Cycles = plan.layers().map(|l| l.total_cycles).sum();
+                    let macs: u64 = plan.layers().map(|l| l.macs).sum();
+                    let intervals: usize = plan.layers().map(|l| l.intervals.len()).sum();
+                    assert_eq!(plan.total_cycles(), cycles, "{context}");
+                    assert_eq!(plan.total_macs(), macs, "{context}");
+                    assert_eq!(plan.interval_count(), intervals, "{context}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_unrolled_rnn_plan_stores_each_distinct_layer_once() {
+        let plan =
+            ExecutionPlan::compile(ModelKind::RnnTranslation1, 1, SeqSpec::new(20, 40), &cfg());
+        assert!(plan.layer_count() > 100, "{} layers", plan.layer_count());
+        assert!(plan.distinct.len() <= 5, "{} distinct", plan.distinct.len());
+        assert!(plan.interval_count() > plan.layer_count());
+    }
+
+    #[test]
+    #[should_panic]
+    fn layer_start_past_the_last_layer_panics() {
+        let plan = small_plan();
+        plan.layer_start_cycles(plan.layer_count());
+    }
+
+    #[test]
+    fn cursor_stays_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<ProgressCursor>(), 16);
     }
 
     #[test]

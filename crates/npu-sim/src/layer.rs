@@ -313,8 +313,8 @@ impl LayerTiming {
     }
 
     /// Consumes the timing and returns its intervals without cloning, for
-    /// callers (like `prema-core`'s execution-plan compiler) that flatten
-    /// many layers' intervals into one arena.
+    /// callers (like `prema-core`'s execution-plan compiler) that keep the
+    /// intervals past the timing.
     pub fn into_intervals(self) -> Vec<PreemptionInterval> {
         self.intervals
     }

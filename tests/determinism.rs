@@ -1,6 +1,6 @@
 //! Determinism regression tests for the simulation fast path.
 //!
-//! The engine's incremental scheduler state, the flat plan arena, the
+//! The engine's incremental scheduler state, the prefix-sum plan tables, the
 //! event-horizon fast-forward, the sharded plan-compilation cache (and its
 //! warm pass) and the rayon-parallel evaluation suite are all pure
 //! optimizations: none of them may change a single bit of any

@@ -225,12 +225,13 @@ fn cursor_conserves_cycles_under_arbitrary_stepping() {
     }
 }
 
-/// The flat (prefix-sum arena) progress cursor is observably equivalent to
-/// the original nested interval-walk cursor on random plans under random
-/// budget sequences — including zero budgets, boundary-exact budgets and
+/// The prefix-sum progress cursor is observably equivalent to the original
+/// nested interval-walk cursor on random plans under random budget
+/// sequences — including zero budgets, boundary-exact budgets and
 /// overshooting budgets. Every observable is compared after every step:
 /// consumed cycles, executed total, completion, layer index, distance to the
-/// next preemption boundary and the live checkpoint footprint.
+/// next preemption boundary, cycles inside the current interval (what crash
+/// salvage loses) and the live checkpoint footprint.
 #[test]
 fn flat_cursor_is_equivalent_to_the_reference_interval_walk() {
     let cfg = NpuConfig::paper_default();
@@ -277,6 +278,11 @@ fn flat_cursor_is_equivalent_to_the_reference_interval_walk() {
             assert_eq!(
                 flat.cycles_to_boundary(&plan),
                 reference.cycles_to_boundary(&plan),
+                "{context}"
+            );
+            assert_eq!(
+                flat.in_interval(&plan),
+                reference.in_interval(&plan),
                 "{context}"
             );
             assert_eq!(
