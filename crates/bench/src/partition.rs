@@ -278,9 +278,11 @@ impl PairedSweep for PartitionSweepOptions {
     }
 
     fn arms(&self, service_ms: f64) -> [Arm; 2] {
-        let mut redirect = CustodyConfig::redirect();
-        redirect.recovery.retry_budget = self.retry_budget;
-        redirect.recovery.backoff_base_ms = self.backoff_base_ms;
+        let redirect = CustodyConfig {
+            retry_budget: self.retry_budget,
+            backoff_base_ms: self.backoff_base_ms,
+            ..CustodyConfig::redirect()
+        };
         [
             ("redirect", redirect),
             ("abandon", CustodyConfig::abandon_on_failure()),

@@ -64,18 +64,19 @@
 //!
 //! # Structures
 //!
-//! * `jsq-live` ([`OnlineDispatchPolicy::ShortestQueue`]): [`DepthBuckets`],
-//!   an ordered map of (penalty, queue depth) buckets — depth is exact for
-//!   a paused node, never lower-bounded — each holding an ordered set of
-//!   (absolute remaining work, node) tiebreakers.
-//! * `least-work-live` ([`OnlineDispatchPolicy::LeastWork`]): one
-//!   [`TournamentTree`] keyed (penalty, absolute remaining, node).
-//! * `predictive-live` ([`OnlineDispatchPolicy::Predictive`]): one
-//!   [`TournamentTree`] per arrival priority, keyed (penalty, absolute
-//!   blocking work at that priority, absolute remaining, node).
+//! Every policy keeps its contenders in a [`TournamentTree`]:
+//!
+//! * `jsq-live` ([`OnlineDispatchPolicy::ShortestQueue`]): one tree keyed
+//!   (penalty, queue depth, absolute remaining work, node) — depth is exact
+//!   for a paused node, never lower-bounded.
+//! * `least-work-live` ([`OnlineDispatchPolicy::LeastWork`]): one tree
+//!   keyed (penalty, absolute remaining, node).
+//! * `predictive-live` ([`OnlineDispatchPolicy::Predictive`]): one tree per
+//!   arrival priority, keyed (penalty, absolute blocking work at that
+//!   priority, absolute remaining, node).
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeSet, BinaryHeap};
 
 use npu_sim::Cycles;
 use prema_core::{DispatchSignals, Priority};
@@ -159,61 +160,6 @@ impl TournamentTree {
     }
 }
 
-/// Queue-count buckets for `jsq-live`: an ordered map keyed
-/// (penalty, exact queue depth), each bucket an ordered set of
-/// (absolute remaining work, node) — the scan's tiebreak order.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct DepthBuckets {
-    buckets: BTreeMap<(u8, u64), BTreeSet<(u64, u32)>>,
-    /// Where each node currently sits, for O(log n) removal.
-    placement: Vec<Option<Placement>>,
-}
-
-/// A node's current bucket key and in-bucket entry.
-type Placement = ((u8, u64), (u64, u32));
-
-impl DepthBuckets {
-    fn new(nodes: usize) -> Self {
-        DepthBuckets {
-            buckets: BTreeMap::new(),
-            placement: vec![None; nodes],
-        }
-    }
-
-    fn set(&mut self, node: usize, key: Option<StoredKey>) {
-        let next =
-            key.map(|(penalty, depth, remaining)| ((penalty, depth), (remaining, node as u32)));
-        let prev = std::mem::replace(&mut self.placement[node], next);
-        if prev == next {
-            return;
-        }
-        if let Some((bucket, entry)) = prev {
-            let slot = self.buckets.get_mut(&bucket).expect("placed bucket exists");
-            slot.remove(&entry);
-            if slot.is_empty() {
-                self.buckets.remove(&bucket);
-            }
-        }
-        if let Some((bucket, entry)) = next {
-            self.buckets.entry(bucket).or_default().insert(entry);
-        }
-    }
-
-    fn min(&self) -> Option<(u8, u64, u64, usize)> {
-        let ((penalty, depth), bucket) = self.buckets.first_key_value()?;
-        let (remaining, node) = bucket.first().expect("empty buckets are removed");
-        Some((*penalty, *depth, *remaining, *node as usize))
-    }
-}
-
-/// The policy-selected ordered structure.
-#[derive(Debug, Clone)]
-enum Structures {
-    Depth(DepthBuckets),
-    Tree(TournamentTree),
-    PerPriority(Box<[TournamentTree; Priority::ALL.len()]>),
-}
-
 /// One node's cached refresh: everything needed to re-derive its stored
 /// keys without touching the session again.
 #[derive(Debug, Clone, Copy, Default)]
@@ -233,7 +179,8 @@ struct Entry {
 #[derive(Debug)]
 pub(crate) struct ContenderIndex {
     policy: OnlineDispatchPolicy,
-    structures: Structures,
+    /// One tree, or one per arrival priority for `predictive-live`.
+    trees: Vec<TournamentTree>,
     entries: Vec<Entry>,
     /// Min-heap of (absolute key component, node): a due entry flags a node
     /// whose stored components may have entered the saturation window.
@@ -249,18 +196,13 @@ pub(crate) struct ContenderIndex {
 
 impl ContenderIndex {
     pub(crate) fn new(policy: OnlineDispatchPolicy, nodes: usize) -> Self {
-        let structures = match policy {
-            OnlineDispatchPolicy::ShortestQueue => Structures::Depth(DepthBuckets::new(nodes)),
-            OnlineDispatchPolicy::LeastWork => Structures::Tree(TournamentTree::new(nodes)),
-            OnlineDispatchPolicy::Predictive => {
-                Structures::PerPriority(Box::new(std::array::from_fn(|_| {
-                    TournamentTree::new(nodes)
-                })))
-            }
+        let trees = match policy {
+            OnlineDispatchPolicy::Predictive => Priority::ALL.len(),
+            _ => 1,
         };
         ContenderIndex {
             policy,
-            structures,
+            trees: vec![TournamentTree::new(nodes); trees],
             entries: vec![Entry::default(); nodes],
             staleness: BinaryHeap::new(),
             promotions: BinaryHeap::new(),
@@ -268,47 +210,26 @@ impl ContenderIndex {
         }
     }
 
-    /// The stored key of `node` under `priority`, from the cached entry.
-    fn stored_key(&self, node: usize, priority: Priority) -> StoredKey {
+    /// The stored key of `node` in the tree of priority level `level`,
+    /// from the cached entry.
+    fn stored_key(&self, node: usize, level: usize) -> StoredKey {
         let entry = &self.entries[node];
         match self.policy {
             OnlineDispatchPolicy::ShortestQueue => (entry.penalty, entry.depth, entry.remaining),
             OnlineDispatchPolicy::LeastWork => (entry.penalty, entry.remaining, entry.remaining),
-            OnlineDispatchPolicy::Predictive => (
-                entry.penalty,
-                entry.blocking[priority.index()],
-                entry.remaining,
-            ),
+            OnlineDispatchPolicy::Predictive => {
+                (entry.penalty, entry.blocking[level], entry.remaining)
+            }
         }
     }
 
-    /// Writes `node`'s current keys into the ordered structures, or removes
-    /// it when diverted to the side set.
+    /// Writes `node`'s current keys into the trees, or removes it when
+    /// diverted to the side set.
     fn apply(&mut self, node: usize) {
         let present = self.entries[node].indexed;
-        match &mut self.structures {
-            Structures::Depth(buckets) => {
-                let key = present.then(|| {
-                    let entry = &self.entries[node];
-                    (entry.penalty, entry.depth, entry.remaining)
-                });
-                buckets.set(node, key);
-            }
-            Structures::Tree(tree) => {
-                let key = present.then(|| {
-                    let entry = &self.entries[node];
-                    (entry.penalty, entry.remaining, entry.remaining)
-                });
-                tree.set(node, key);
-            }
-            Structures::PerPriority(trees) => {
-                let entry = self.entries[node];
-                for (level, tree) in trees.iter_mut().enumerate() {
-                    let key =
-                        present.then(|| (entry.penalty, entry.blocking[level], entry.remaining));
-                    tree.set(node, key);
-                }
-            }
+        for level in 0..self.trees.len() {
+            let key = present.then(|| self.stored_key(node, level));
+            self.trees[level].set(node, key);
         }
     }
 
@@ -328,7 +249,7 @@ impl ContenderIndex {
         }
         entry.indexed = indexed;
         let traced = {
-            let (_, a, b) = self.stored_key(node, Priority::ALL[0]);
+            let (_, a, b) = self.stored_key(node, 0);
             (self.entries[node].penalty, (a, b), indexed)
         };
         if indexed {
@@ -424,11 +345,11 @@ impl ContenderIndex {
         t: Cycles,
     ) -> Option<(u8, (u64, u64), usize)> {
         let t = t.get();
-        let (penalty, a, b, node) = match &self.structures {
-            Structures::Depth(buckets) => buckets.min()?,
-            Structures::Tree(tree) => tree.min()?,
-            Structures::PerPriority(trees) => trees[priority.index()].min()?,
+        let level = match self.policy {
+            OnlineDispatchPolicy::Predictive => priority.index(),
+            _ => 0,
         };
+        let (penalty, a, b, node) = self.trees[level].min()?;
         let primary = match self.policy {
             // Depth is stored exact, not clock-anchored.
             OnlineDispatchPolicy::ShortestQueue => a,
@@ -475,32 +396,6 @@ mod tests {
                     .min();
                 assert_eq!(tree.min(), expect);
             }
-        }
-    }
-
-    #[test]
-    fn depth_buckets_order_by_penalty_depth_then_tiebreak() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let nodes = 17;
-        let mut buckets = DepthBuckets::new(nodes);
-        let mut shadow: Vec<Option<StoredKey>> = vec![None; nodes];
-        for _ in 0..500 {
-            let node = rng.gen_range(0..nodes);
-            let key = rng.gen_bool(0.75).then(|| {
-                (
-                    rng.gen_range(0u8..3),
-                    rng.gen_range(0u64..6),
-                    rng.gen_range(0u64..90),
-                )
-            });
-            buckets.set(node, key);
-            shadow[node] = key;
-            let expect = shadow
-                .iter()
-                .enumerate()
-                .filter_map(|(i, key)| key.map(|(p, d, r)| (p, d, r, i)))
-                .min();
-            assert_eq!(buckets.min(), expect);
         }
     }
 

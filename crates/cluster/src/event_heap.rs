@@ -784,7 +784,7 @@ impl<C: ClusterTraceSink> Nodes<NodeTap<C>> for EventHeapLoop<'_, C> {
     /// at events, and a thief is drained, so its clock is frozen): they are
     /// read as-is, and only the victim and thief are advanced, right before
     /// the move.
-    fn steal_round(&mut self, links: Option<&LinkTopology>, books: &mut Books) {
+    fn steal_round(&mut self, links: &LinkTopology, books: &mut Books) {
         loop {
             // A stalled node (crashed-and-drained or frozen) cannot be a
             // thief, but may still be a victim.
@@ -801,7 +801,7 @@ impl<C: ClusterTraceSink> Nodes<NodeTap<C>> for EventHeapLoop<'_, C> {
                 if session.queue_depth() < 2 {
                     continue;
                 }
-                if links.is_some_and(|links| !links.reachable(i, thief, now)) {
+                if !links.reachable(i, thief, now) {
                     continue;
                 }
                 let stealable = session.revocable_work();

@@ -3,10 +3,14 @@
 //!
 //! A [`prema_workload::FaultSchedule`] says *when* nodes crash, freeze or
 //! degrade; this module says what the cluster *does* about it.
-//! [`ClusterFaultPlan`] pairs a schedule with a [`RecoveryConfig`] — the retry budget,
-//! exponential re-dispatch backoff, post-recovery dispatch cooldown, and
-//! whether recovery resumes from the last checkpoint commit or restarts
-//! from zero (the baseline the checkpoint pricing is compared against).
+//! [`ClusterFaultPlan`] pairs a schedule with a [`RecoveryConfig`] — the
+//! retry budget, the exponential re-dispatch backoff base, and whether
+//! recovery resumes from the last checkpoint commit or restarts from zero
+//! (the baseline the checkpoint pricing is compared against). The
+//! post-recovery dispatch cooldown is the fixed [`RECOVERY_COOLDOWN_MS`].
+//! Crash recovery and the migration layer's transfer custody share one
+//! retry rule: failed attempt `k` within the budget holds the task for
+//! `backoff_base_ms · 2^(k−1)`, and attempt `budget + 1` abandons it.
 //!
 //! The crate-private `FaultDriver` is the fault state machine of the one
 //! closed-loop timeline in [`crate::online`], which runs under both node
@@ -14,14 +18,13 @@
 //! than a session mutation: the merged event timeline (fault starts
 //! interleaved with degrade-window ends and due re-dispatches; ties process
 //! degrade ends first, then fault starts, then recoveries), per-task
-//! attempt counts and backoff arithmetic, the abandon rule, the
-//! failure-aware dispatch penalty, and the recovery log. The timeline's one
-//! fault drain applies every event to the sessions; the two strategies
-//! differ only in how they advance sessions to an event instant and how a
-//! recovery's dispatch pick reads them. Every fault-policy decision comes
-//! from this one implementation, so the heap-vs-reference bit-identity
-//! contract extends over faulty drivings by construction (and is pinned by
-//! the chaos property tests).
+//! attempt counts, the failure-aware dispatch penalty, and the recovery
+//! log. The timeline's one fault drain applies every event to the
+//! sessions; the two strategies differ only in how they advance sessions
+//! to an event instant and how a recovery's dispatch pick reads them.
+//! Every fault-policy decision comes from this one implementation, so the
+//! heap-vs-reference bit-identity contract extends over faulty drivings by
+//! construction (and is pinned by the chaos property tests).
 //!
 //! A *degrade* window ([`prema_workload::FaultKind::Degrade`]) is the
 //! straggler fault: the node keeps serving but its clock runs at
@@ -44,7 +47,7 @@
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
 use serde::{Deserialize, Serialize};
 
@@ -54,6 +57,36 @@ use prema_workload::{FaultKind, FaultSchedule, LinkFaultKind, NodeFault};
 
 use crate::interconnect::LinkTopology;
 use crate::trace::{ClusterTraceEvent, ClusterTraceSink, LinkTraceKind};
+
+/// How long after a node's fault window ends its dispatches stay
+/// deprioritized (the failure-aware dispatch cooldown), in milliseconds.
+pub const RECOVERY_COOLDOWN_MS: f64 = 2.0;
+
+/// The retry rule crash recovery and transfer custody share: failed
+/// attempt `attempt` (1-based) within `budget` holds the task for
+/// `backoff_base_ms · 2^(attempt−1)` before its next try; attempt
+/// `budget + 1` abandons it (`None`).
+pub(crate) fn retry_hold(
+    npu: &NpuConfig,
+    budget: u32,
+    backoff_base_ms: f64,
+    attempt: u32,
+) -> Option<Cycles> {
+    (attempt <= budget)
+        .then(|| npu.millis_to_cycles(backoff_base_ms * f64::powi(2.0, attempt as i32 - 1)))
+}
+
+/// Validates a retry budget and backoff base, for crash recovery and
+/// transfer custody alike.
+pub(crate) fn validate_retry(budget: u32, backoff_base_ms: f64) -> Result<(), String> {
+    if !backoff_base_ms.is_finite() || backoff_base_ms < 0.0 {
+        return Err("retry backoff base must be non-negative and finite".into());
+    }
+    if budget > 32 {
+        return Err("retry budget above 32 overflows the exponential backoff".into());
+    }
+    Ok(())
+}
 
 /// How salvaged work is re-dispatched after a node crash.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -65,10 +98,6 @@ pub struct RecoveryConfig {
     /// Base of the exponential re-dispatch backoff, in milliseconds:
     /// attempt `k` re-enters dispatch `base * 2^(k-1)` after the crash.
     pub backoff_base_ms: f64,
-    /// How long after a node's fault window ends its dispatches stay
-    /// deprioritized (the failure-aware dispatch cooldown), in
-    /// milliseconds.
-    pub cooldown_ms: f64,
     /// Whether recovery resumes from the last checkpoint commit point
     /// (paying the restore DMA) or restarts the task from zero.
     pub checkpoint_recovery: bool,
@@ -76,41 +105,22 @@ pub struct RecoveryConfig {
 
 impl RecoveryConfig {
     /// The checkpoint-priced recovery policy: resume from the last commit
-    /// point, three attempts, 0.5 ms backoff base, 2 ms dispatch cooldown.
+    /// point, three attempts, 0.5 ms backoff base.
     pub fn checkpointed() -> Self {
         RecoveryConfig {
             retry_budget: 3,
             backoff_base_ms: 0.5,
-            cooldown_ms: 2.0,
             checkpoint_recovery: true,
         }
     }
 
-    /// The restart-from-zero baseline: identical retry/backoff/cooldown,
-    /// but every recovery discards all execution progress.
+    /// The restart-from-zero baseline: identical retry/backoff, but every
+    /// recovery discards all execution progress.
     pub fn restart_from_zero() -> Self {
         RecoveryConfig {
             checkpoint_recovery: false,
             ..RecoveryConfig::checkpointed()
         }
-    }
-
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first problem found.
-    pub fn validate(&self) -> Result<(), String> {
-        if !self.backoff_base_ms.is_finite() || self.backoff_base_ms < 0.0 {
-            return Err("recovery backoff base must be non-negative and finite".into());
-        }
-        if !self.cooldown_ms.is_finite() || self.cooldown_ms < 0.0 {
-            return Err("recovery cooldown must be non-negative and finite".into());
-        }
-        if self.retry_budget > 32 {
-            return Err("retry budget above 32 overflows the exponential backoff".into());
-        }
-        Ok(())
     }
 }
 
@@ -148,7 +158,7 @@ impl ClusterFaultPlan {
         self.schedule
             .validate()
             .map_err(|error| error.to_string())?;
-        self.recovery.validate()
+        validate_retry(self.recovery.retry_budget, self.recovery.backoff_base_ms)
     }
 }
 
@@ -176,32 +186,9 @@ pub struct RecoveryRecord {
 /// A salvaged task waiting out its re-dispatch backoff.
 #[derive(Debug, Clone)]
 pub(crate) struct PendingRecovery {
-    due: Cycles,
-    /// Tie-break for identical due instants: scheduling order.
-    seq: u64,
     pub(crate) salvage: SalvagedTask,
     pub(crate) attempt: u32,
     pub(crate) from_node: usize,
-}
-
-impl PartialEq for PendingRecovery {
-    fn eq(&self, other: &Self) -> bool {
-        (self.due, self.seq) == (other.due, other.seq)
-    }
-}
-
-impl Eq for PendingRecovery {}
-
-impl PartialOrd for PendingRecovery {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for PendingRecovery {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.due, self.seq).cmp(&(other.due, other.seq))
-    }
 }
 
 /// One edge of a directed-link fault window: a synchronization (and trace)
@@ -272,15 +259,16 @@ impl FaultTally {
 }
 
 /// The fault/recovery state machine of the shared closed-loop timeline
-/// (see the module docs): a cursor over the fault schedule, the backoff
-/// heap of salvaged tasks, per-task attempt counts, per-node failure
-/// history for the dispatch penalty, and the outcome tallies.
+/// (see the module docs): a cursor over the fault schedule, the salvaged
+/// tasks waiting out their backoff, per-task attempt counts, per-node
+/// failure history for the dispatch penalty, and the outcome tallies.
 #[derive(Debug)]
 pub(crate) struct FaultDriver<'a> {
     plan: &'a ClusterFaultPlan,
     npu: &'a NpuConfig,
     next_fault: usize,
-    pending: BinaryHeap<Reverse<PendingRecovery>>,
+    /// Salvaged tasks keyed (due, scheduling order).
+    pending: BTreeMap<(Cycles, u64), PendingRecovery>,
     /// Open degrade windows, keyed by their end instant: the clock-restore
     /// events still to come. (node index second for deterministic ties.)
     degrade_ends: BinaryHeap<Reverse<(Cycles, usize)>>,
@@ -294,9 +282,9 @@ pub(crate) struct FaultDriver<'a> {
     /// until the node first degrades).
     degraded_until: Vec<Cycles>,
     cooldown: Cycles,
-    /// Per-directed-link fault windows, read at decision time for
-    /// reachability and transfer pricing.
-    links: LinkTopology,
+    /// The run's per-directed-link fault windows, read at decision time for
+    /// reachability.
+    links: &'a LinkTopology,
     /// Both edges of every link window, in firing order — the
     /// synchronization instants the link schedule adds to the timeline.
     link_edges: Vec<LinkEdge>,
@@ -305,7 +293,12 @@ pub(crate) struct FaultDriver<'a> {
 }
 
 impl<'a> FaultDriver<'a> {
-    pub(crate) fn new(plan: &'a ClusterFaultPlan, npu: &'a NpuConfig, nodes: usize) -> Self {
+    pub(crate) fn new(
+        plan: &'a ClusterFaultPlan,
+        npu: &'a NpuConfig,
+        nodes: usize,
+        links: &'a LinkTopology,
+    ) -> Self {
         let mut link_edges: Vec<LinkEdge> = Vec::with_capacity(plan.schedule.links.len() * 2);
         for window in &plan.schedule.links {
             let kind = match window.kind {
@@ -347,24 +340,18 @@ impl<'a> FaultDriver<'a> {
             plan,
             npu,
             next_fault: 0,
-            pending: BinaryHeap::new(),
+            pending: BTreeMap::new(),
             degrade_ends: BinaryHeap::new(),
             seq: 0,
             attempts: HashMap::new(),
             down_until: vec![Cycles::ZERO; nodes],
             degraded_until: vec![Cycles::ZERO; nodes],
-            cooldown: npu.millis_to_cycles(plan.recovery.cooldown_ms),
-            links: LinkTopology::new(&plan.schedule.links),
+            cooldown: npu.millis_to_cycles(RECOVERY_COOLDOWN_MS),
+            links,
             link_edges,
             next_link: 0,
             tally: FaultTally::empty(nodes),
         }
-    }
-
-    /// The per-directed-link fault windows, for reachability checks and
-    /// link-state transfer pricing at decision time.
-    pub(crate) fn topology(&self) -> &LinkTopology {
-        &self.links
     }
 
     /// Whether `node` is inside a crash/freeze window at instant `t` — a
@@ -385,7 +372,7 @@ impl<'a> FaultDriver<'a> {
             .get(self.next_fault)
             .map(|event| event.start);
         let degrade_end = self.degrade_ends.peek().map(|&Reverse((end, _))| end);
-        let recovery = self.pending.peek().map(|Reverse(p)| p.due);
+        let recovery = self.pending.first_key_value().map(|(&(due, _), _)| due);
         [link, fault, degrade_end, recovery]
             .into_iter()
             .flatten()
@@ -409,7 +396,7 @@ impl<'a> FaultDriver<'a> {
             .get(self.next_fault)
             .map(|event| event.start);
         let degrade_end = self.degrade_ends.peek().map(|&Reverse((end, _))| end);
-        let recovery_due = self.pending.peek().map(|Reverse(p)| p.due);
+        let recovery_due = self.pending.first_key_value().map(|(&(due, _), _)| due);
         if let Some(edge) = self.link_edges.get(self.next_link).copied() {
             if edge.at <= t
                 && degrade_end.is_none_or(|end| edge.at <= end)
@@ -453,15 +440,14 @@ impl<'a> FaultDriver<'a> {
             }
         }
         if recovery_due.is_some_and(|due| due <= t) {
-            let Reverse(pending) = self.pending.pop().expect("peeked entry");
+            let (_, pending) = self.pending.pop_first().expect("peeked entry");
             return Some(FaultEvent::Recovery(pending));
         }
         None
     }
 
     /// Accepts a crash's salvage manifests (taken at `at` off `node`):
-    /// tasks within their retry budget enter the backoff heap, the rest are
-    /// abandoned (and reported to the trace sink).
+    /// each counts as its task's next lifetime attempt under the retry rule.
     pub(crate) fn on_salvaged<C: ClusterTraceSink>(
         &mut self,
         node: usize,
@@ -470,35 +456,57 @@ impl<'a> FaultDriver<'a> {
         trace: &RefCell<C>,
     ) {
         for salvage in salvaged {
-            let id = salvage.prepared.request.id;
-            let attempt = self.attempts.get(&id).copied().unwrap_or(0) + 1;
-            if attempt > self.plan.recovery.retry_budget {
-                if C::ENABLED {
-                    trace.borrow_mut().cluster_event(
-                        at,
-                        ClusterTraceEvent::Abandon {
-                            task: id,
-                            node,
-                            attempts: attempt,
-                        },
-                    );
-                }
-                self.tally.abandoned.push(salvage.prepared.request);
-                continue;
-            }
-            self.attempts.insert(id, attempt);
-            let backoff_ms =
-                self.plan.recovery.backoff_base_ms * f64::powi(2.0, attempt as i32 - 1);
-            let due = at + self.npu.millis_to_cycles(backoff_ms);
-            self.pending.push(Reverse(PendingRecovery {
-                due,
-                seq: self.seq,
-                salvage,
-                attempt,
-                from_node: node,
-            }));
-            self.seq += 1;
+            let attempt = self
+                .attempts
+                .get(&salvage.prepared.request.id)
+                .copied()
+                .unwrap_or(0)
+                + 1;
+            self.hold_or_abandon(salvage, attempt, node, at, trace);
         }
+    }
+
+    /// Applies the shared retry rule ([`retry_hold`]) to attempt `attempt`
+    /// of a salvage held by `from_node`: within the budget it waits out its
+    /// backoff, past it the task is abandoned (and reported to the trace
+    /// sink).
+    fn hold_or_abandon<C: ClusterTraceSink>(
+        &mut self,
+        salvage: SalvagedTask,
+        attempt: u32,
+        from_node: usize,
+        at: Cycles,
+        trace: &RefCell<C>,
+    ) {
+        let id = salvage.prepared.request.id;
+        let recovery = &self.plan.recovery;
+        let Some(hold) = retry_hold(
+            self.npu,
+            recovery.retry_budget,
+            recovery.backoff_base_ms,
+            attempt,
+        ) else {
+            if C::ENABLED {
+                trace.borrow_mut().cluster_event(
+                    at,
+                    ClusterTraceEvent::Abandon {
+                        task: id,
+                        node: from_node,
+                        attempts: attempt,
+                    },
+                );
+            }
+            self.tally.abandoned.push(salvage.prepared.request);
+            return;
+        };
+        self.attempts.insert(id, attempt);
+        let pending = PendingRecovery {
+            salvage,
+            attempt,
+            from_node,
+        };
+        self.pending.insert((at + hold, self.seq), pending);
+        self.seq += 1;
     }
 
     /// The failure-aware dispatch penalty of `node` at instant `t`: 2 while
@@ -566,41 +574,16 @@ impl<'a> FaultDriver<'a> {
 
     /// The due re-dispatch found no reachable destination (every node is
     /// across the partition from the salvage's custodian): the attempt is
-    /// spent, and the salvage either waits out another backoff or is
-    /// abandoned once the budget is exhausted.
+    /// spent, and the retry rule holds the salvage for another backoff or
+    /// abandons it.
     pub(crate) fn on_unreachable<C: ClusterTraceSink>(
         &mut self,
         pending: PendingRecovery,
         at: Cycles,
         trace: &RefCell<C>,
     ) {
-        let id = pending.salvage.prepared.request.id;
         let attempt = pending.attempt + 1;
-        if attempt > self.plan.recovery.retry_budget {
-            if C::ENABLED {
-                trace.borrow_mut().cluster_event(
-                    at,
-                    ClusterTraceEvent::Abandon {
-                        task: id,
-                        node: pending.from_node,
-                        attempts: attempt,
-                    },
-                );
-            }
-            self.tally.abandoned.push(pending.salvage.prepared.request);
-            return;
-        }
-        self.attempts.insert(id, attempt);
-        let backoff_ms = self.plan.recovery.backoff_base_ms * f64::powi(2.0, attempt as i32 - 1);
-        let due = at + self.npu.millis_to_cycles(backoff_ms);
-        self.pending.push(Reverse(PendingRecovery {
-            due,
-            seq: self.seq,
-            salvage: pending.salvage,
-            attempt,
-            from_node: pending.from_node,
-        }));
-        self.seq += 1;
+        self.hold_or_abandon(pending.salvage, attempt, pending.from_node, at, trace);
     }
 
     /// Commits a due re-dispatch onto `to_node` at `at`: applies the
@@ -703,7 +686,8 @@ mod tests {
             backoff_base_ms: 0.0,
             ..RecoveryConfig::checkpointed()
         });
-        let mut driver = FaultDriver::new(&plan, &npu, 2);
+        let links = LinkTopology::default();
+        let mut driver = FaultDriver::new(&plan, &npu, 2, &links);
         assert_eq!(driver.next_event_time(), Some(Cycles::new(1_000)));
         // Nothing due before the first fault.
         assert!(driver.pop_due(Cycles::new(999)).is_none());
@@ -742,7 +726,8 @@ mod tests {
             backoff_base_ms: 1.0,
             ..RecoveryConfig::checkpointed()
         });
-        let mut driver = FaultDriver::new(&plan, &npu, 1);
+        let links = LinkTopology::default();
+        let mut driver = FaultDriver::new(&plan, &npu, 1, &links);
         let base = npu.millis_to_cycles(1.0);
         driver.on_salvaged(0, Cycles::ZERO, vec![salvage_of(1)], &null_trace());
         assert_eq!(driver.next_event_time(), Some(base));
@@ -770,19 +755,16 @@ mod tests {
     #[test]
     fn penalty_tiers_track_down_and_cooldown_windows() {
         let npu = NpuConfig::paper_default();
-        let plan = ClusterFaultPlan::new(FaultSchedule::from_events(vec![crash(1, 100, 200)]))
-            .with_recovery(RecoveryConfig {
-                cooldown_ms: 1.0,
-                ..RecoveryConfig::checkpointed()
-            });
-        let mut driver = FaultDriver::new(&plan, &npu, 2);
+        let plan = ClusterFaultPlan::new(FaultSchedule::from_events(vec![crash(1, 100, 200)]));
+        let links = LinkTopology::default();
+        let mut driver = FaultDriver::new(&plan, &npu, 2, &links);
         // Never-faulted nodes are always healthy.
         assert_eq!(driver.penalty(0, Cycles::new(150)), 0);
         assert_eq!(driver.penalty(1, Cycles::new(50)), 0);
         let _ = driver.pop_due(Cycles::new(100));
         assert_eq!(driver.penalty(1, Cycles::new(150)), 2);
         assert_eq!(driver.penalty(1, Cycles::new(200)), 1);
-        let cooldown_end = Cycles::new(200) + npu.millis_to_cycles(1.0);
+        let cooldown_end = Cycles::new(200) + npu.millis_to_cycles(RECOVERY_COOLDOWN_MS);
         assert_eq!(driver.penalty(1, cooldown_end - Cycles::new(1)), 1);
         assert_eq!(driver.penalty(1, cooldown_end), 0);
         let _ = driver.finish();
@@ -794,12 +776,9 @@ mod tests {
         let plan = ClusterFaultPlan::new(FaultSchedule::from_events(vec![
             crash(1, 100, 200),
             degrade(2, 100, 5_000_000, 1, 4),
-        ]))
-        .with_recovery(RecoveryConfig {
-            cooldown_ms: 1.0,
-            ..RecoveryConfig::checkpointed()
-        });
-        let mut driver = FaultDriver::new(&plan, &npu, 3);
+        ]));
+        let links = LinkTopology::default();
+        let mut driver = FaultDriver::new(&plan, &npu, 3, &links);
         assert_eq!(driver.penalty_with_expiry(1, Cycles::new(50)), (0, None));
         while driver.pop_due(Cycles::new(100)).is_some() {}
         // Down: the expiry is the downtime end (tier 2 -> 1 there).
@@ -808,7 +787,7 @@ mod tests {
             (2, Some(Cycles::new(200)))
         );
         // Cooling: the expiry is the cooldown end (tier 1 -> 0 there).
-        let cooldown_end = Cycles::new(200) + npu.millis_to_cycles(1.0);
+        let cooldown_end = Cycles::new(200) + npu.millis_to_cycles(RECOVERY_COOLDOWN_MS);
         assert_eq!(
             driver.penalty_with_expiry(1, Cycles::new(200)),
             (1, Some(cooldown_end))
@@ -846,7 +825,8 @@ mod tests {
         let npu = NpuConfig::paper_default();
         let plan =
             ClusterFaultPlan::new(FaultSchedule::from_events(vec![degrade(0, 100, 300, 1, 4)]));
-        let mut driver = FaultDriver::new(&plan, &npu, 2);
+        let links = LinkTopology::default();
+        let mut driver = FaultDriver::new(&plan, &npu, 2, &links);
         let Some(FaultEvent::Fault(fault)) = driver.pop_due(Cycles::new(100)) else {
             panic!("degrade window due at its start");
         };
@@ -879,7 +859,8 @@ mod tests {
             degrade(0, 100, 200, 1, 2),
             degrade(0, 200, 300, 1, 4),
         ]));
-        let mut driver = FaultDriver::new(&plan, &npu, 1);
+        let links = LinkTopology::default();
+        let mut driver = FaultDriver::new(&plan, &npu, 1, &links);
         let Some(FaultEvent::Fault(first)) = driver.pop_due(Cycles::MAX) else {
             panic!("first degrade start");
         };
@@ -904,7 +885,8 @@ mod tests {
         let npu = NpuConfig::paper_default();
         let plan = ClusterFaultPlan::new(FaultSchedule::none())
             .with_recovery(RecoveryConfig::restart_from_zero());
-        let mut driver = FaultDriver::new(&plan, &npu, 1);
+        let links = LinkTopology::default();
+        let mut driver = FaultDriver::new(&plan, &npu, 1, &links);
         let mut salvage = salvage_of(3);
         salvage.resume_executed = Cycles::new(4_096);
         salvage.checkpoint_bytes = 64;
@@ -921,15 +903,20 @@ mod tests {
 
     #[test]
     fn validation_covers_recovery_fields() {
-        assert!(RecoveryConfig::checkpointed().validate().is_ok());
-        assert!(RecoveryConfig::restart_from_zero().validate().is_ok());
+        let plan = ClusterFaultPlan::new(FaultSchedule::none());
+        assert!(plan.validate().is_ok());
+        assert!(plan
+            .clone()
+            .with_recovery(RecoveryConfig::restart_from_zero())
+            .validate()
+            .is_ok());
         let bad = [
             RecoveryConfig {
                 backoff_base_ms: f64::NAN,
                 ..RecoveryConfig::checkpointed()
             },
             RecoveryConfig {
-                cooldown_ms: -1.0,
+                backoff_base_ms: -0.5,
                 ..RecoveryConfig::checkpointed()
             },
             RecoveryConfig {
@@ -937,17 +924,9 @@ mod tests {
                 ..RecoveryConfig::checkpointed()
             },
         ];
-        for config in bad {
-            assert!(config.validate().is_err(), "{config:?}");
+        for recovery in bad {
+            let plan = plan.clone().with_recovery(recovery);
+            assert!(plan.validate().is_err(), "{recovery:?}");
         }
-        let plan = ClusterFaultPlan::new(FaultSchedule::none());
-        assert!(plan.validate().is_ok());
-        assert!(plan
-            .with_recovery(RecoveryConfig {
-                backoff_base_ms: -0.5,
-                ..RecoveryConfig::checkpointed()
-            })
-            .validate()
-            .is_err());
     }
 }

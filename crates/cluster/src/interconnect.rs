@@ -1,88 +1,51 @@
 //! The priced cluster interconnect: what moving checkpointed context
 //! between nodes costs, and which links can carry it at all.
 //!
-//! PR 6's recovery path re-dispatches salvaged tasks for free — the crash
+//! Crash recovery re-dispatches salvaged tasks for free — the crash
 //! already paid the data loss, and the restore DMA is priced by the
 //! engine's [`npu_sim::CheckpointModel`]. Proactive *migration* is
 //! different: evacuating a live task off a straggler ships its checkpoint
 //! context across the cluster fabric, and whether the move beats staying
-//! depends directly on how expensive that shipment is. [`InterconnectConfig`]
-//! is the deliberately simple deterministic model the migration arbiter
-//! prices against: every ordered node pair is a link with a fixed
-//! propagation latency and a fixed bandwidth, and a transfer of `bytes`
+//! depends directly on how expensive that shipment is. The fabric is the
+//! deliberately simple deterministic model the migration arbiter prices
+//! against: every ordered node pair is a link with the fixed propagation
+//! latency [`LINK_LATENCY_CYCLES`] and the fixed bandwidth
+//! [`LINK_BYTES_PER_CYCLE`], and a transfer of `bytes` over a healthy link
 //! costs `latency + ceil(bytes / bytes_per_cycle)` cycles. Integer
 //! arithmetic only, so the bit-identity contract extends over priced
 //! transfers.
 //!
-//! Since the partition-tolerance PR the fabric is also a *fault domain*:
+//! The fabric is also a *fault domain*:
 //! [`LinkTopology`] overlays the uniform cost model with the
 //! [`prema_workload::LinkFault`] windows of the driving's fault schedule.
-//! Transfer decisions query it at decision time — a down link makes the
-//! destination unreachable (rejected up front, before pricing), and a
-//! degraded-bandwidth window stretches the serialization term by the
-//! window's `den / num` factor. Because the schedule is known offline, a
-//! transfer's *fate* is also computable at launch:
+//! Each closed-loop run builds one topology, which the fault and migration
+//! drivers both read. Transfer decisions query it at decision time — a
+//! down link makes the destination unreachable (rejected up front, before
+//! pricing), and a degraded-bandwidth window stretches the serialization
+//! term by the window's `den / num` factor. Because the schedule is known
+//! offline, a transfer's *fate* is also computable at launch:
 //! [`LinkTopology::first_down_within`] reports the instant a mid-flight
 //! link drop would lose the payload, which the custody layer turns into a
 //! deterministic timeout event on the shared cluster timeline.
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use npu_sim::Cycles;
-use prema_workload::faults::{FaultDomainError, InterconnectError, LinkFault, LinkFaultKind};
+use prema_workload::faults::{LinkFault, LinkFaultKind};
 
-/// The deterministic interconnect cost model: uniform per-link latency and
-/// bandwidth over all node pairs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct InterconnectConfig {
-    /// Fixed per-transfer propagation latency, in cycles. Paid once per
-    /// migration regardless of size — this is the term that makes tiny
-    /// checkpoints not free to move.
-    pub latency_cycles: u64,
-    /// Link bandwidth, in checkpoint bytes moved per cycle. The serialization
-    /// term of a transfer is `ceil(bytes / bytes_per_cycle)`.
-    pub bytes_per_cycle: u64,
-}
+/// Fixed per-transfer propagation latency of every link, in cycles (about
+/// 2.9 µs at the paper NPU's 700 MHz). Paid once per transfer regardless
+/// of size — the term that makes tiny checkpoints not free to move.
+pub const LINK_LATENCY_CYCLES: u64 = 2_000;
 
-impl InterconnectConfig {
-    /// A paper-scale default: 2 µs-class propagation (2 000 cycles at the
-    /// reproduction's 0.5 ns cycle) and 16 bytes per cycle — a PCIe-class
-    /// fabric next to the NPU's local checkpoint DMA.
-    pub fn paper_default() -> Self {
-        InterconnectConfig {
-            latency_cycles: 2_000,
-            bytes_per_cycle: 16,
-        }
-    }
+/// Nominal bandwidth of every link, in checkpoint bytes moved per cycle (a
+/// PCIe-class fabric). The serialization term of a healthy transfer is
+/// `ceil(bytes / LINK_BYTES_PER_CYCLE)`.
+pub const LINK_BYTES_PER_CYCLE: u64 = 16;
 
-    /// The cost of moving `bytes` of checkpoint context over one healthy
-    /// link: `latency + ceil(bytes / bytes_per_cycle)` cycles. The base
-    /// model is uniform, so the cost depends only on the payload; link
-    /// state overlays ride on top via
-    /// [`LinkTopology::transfer_cycles`].
-    pub fn transfer_cycles(&self, bytes: u64) -> Cycles {
-        let serialization = bytes.div_ceil(self.bytes_per_cycle.max(1));
-        Cycles::new(self.latency_cycles.saturating_add(serialization))
-    }
-
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns the violation as the fault domain's shared
-    /// [`FaultDomainError`].
-    pub fn validate(&self) -> Result<(), FaultDomainError> {
-        if self.bytes_per_cycle == 0 {
-            return Err(InterconnectError::ZeroBandwidth.into());
-        }
-        if self.latency_cycles == 0 {
-            return Err(InterconnectError::ZeroLatency.into());
-        }
-        Ok(())
-    }
-}
+// A zero bandwidth could never transfer, and a zero latency would deliver
+// a transfer at its own decision instant (a same-instant event cycle).
+const _: () = assert!(LINK_LATENCY_CYCLES > 0 && LINK_BYTES_PER_CYCLE > 0);
 
 /// One directed link's state at a queried instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,38 +143,31 @@ impl LinkTopology {
         !matches!(self.status(from, to, t), LinkState::Down { .. })
     }
 
-    /// The cost of moving `bytes` from `from` to `to` launching at `t`,
-    /// with the serialization term stretched by the link's degraded
-    /// bandwidth if a throttle window is active at launch. Returns `None`
-    /// if the link is down (the destination is unreachable — callers must
-    /// reject it up front, not price it). A self-transfer costs zero: the
-    /// payload never crosses the fabric.
-    pub fn transfer_cycles(
-        &self,
-        fabric: &InterconnectConfig,
-        from: usize,
-        to: usize,
-        bytes: u64,
-        t: Cycles,
-    ) -> Option<Cycles> {
+    /// The cost of moving `bytes` from `from` to `to` launching at `t`:
+    /// `latency + ceil(bytes / bytes_per_cycle)` cycles, with the
+    /// serialization term stretched by the link's degraded bandwidth if a
+    /// throttle window is active at launch. Returns `None` if the link is
+    /// down (the destination is unreachable — callers must reject it up
+    /// front, not price it). A self-transfer costs zero: the payload never
+    /// crosses the fabric.
+    pub fn transfer_cycles(&self, from: usize, to: usize, bytes: u64, t: Cycles) -> Option<Cycles> {
         if from == to {
             return Some(Cycles::ZERO);
         }
-        match self.status(from, to, t) {
-            LinkState::Down { .. } => None,
-            LinkState::Up => Some(fabric.transfer_cycles(bytes)),
-            LinkState::Degraded { num, den, .. } => {
-                // Effective bandwidth is bytes_per_cycle * num / den;
-                // serialization = ceil(bytes * den / (bpc * num)). Widened
-                // arithmetic so large payloads cannot overflow.
-                let numer = u128::from(bytes) * u128::from(den);
-                let denom = u128::from(fabric.bytes_per_cycle.max(1)) * u128::from(num.max(1));
-                let serialization = u64::try_from(numer.div_ceil(denom)).unwrap_or(u64::MAX);
-                Some(Cycles::new(
-                    fabric.latency_cycles.saturating_add(serialization),
-                ))
-            }
-        }
+        let (num, den) = match self.status(from, to, t) {
+            LinkState::Down { .. } => return None,
+            LinkState::Up => (1, 1),
+            LinkState::Degraded { num, den, .. } => (num, den),
+        };
+        // Effective bandwidth is bytes_per_cycle * num / den; serialization
+        // = ceil(bytes * den / (bpc * num)). Widened arithmetic so large
+        // payloads cannot overflow.
+        let numer = u128::from(bytes) * u128::from(den);
+        let denom = u128::from(LINK_BYTES_PER_CYCLE) * u128::from(num.max(1));
+        let serialization = u64::try_from(numer.div_ceil(denom)).unwrap_or(u64::MAX);
+        Some(Cycles::new(
+            LINK_LATENCY_CYCLES.saturating_add(serialization),
+        ))
     }
 
     /// The first instant in `(after, until]` at which the directed link
@@ -244,36 +200,13 @@ mod tests {
 
     #[test]
     fn transfer_cost_is_latency_plus_ceil_serialization() {
-        let link = InterconnectConfig {
-            latency_cycles: 100,
-            bytes_per_cycle: 16,
-        };
-        assert_eq!(link.transfer_cycles(0), Cycles::new(100));
-        assert_eq!(link.transfer_cycles(1), Cycles::new(101));
-        assert_eq!(link.transfer_cycles(16), Cycles::new(101));
-        assert_eq!(link.transfer_cycles(17), Cycles::new(102));
-        assert_eq!(link.transfer_cycles(1_024), Cycles::new(164));
-    }
-
-    #[test]
-    fn validation_rejects_degenerate_links() {
-        assert!(InterconnectConfig::paper_default().validate().is_ok());
-        let zero_bw = InterconnectConfig {
-            bytes_per_cycle: 0,
-            ..InterconnectConfig::paper_default()
-        };
-        assert_eq!(
-            zero_bw.validate(),
-            Err(InterconnectError::ZeroBandwidth.into())
-        );
-        let zero_latency = InterconnectConfig {
-            latency_cycles: 0,
-            ..InterconnectConfig::paper_default()
-        };
-        assert_eq!(
-            zero_latency.validate(),
-            Err(InterconnectError::ZeroLatency.into())
-        );
+        let fabric = LinkTopology::default();
+        let cost = |bytes| fabric.transfer_cycles(0, 1, bytes, Cycles::ZERO);
+        assert_eq!(cost(0), Some(Cycles::new(2_000)));
+        assert_eq!(cost(1), Some(Cycles::new(2_001)));
+        assert_eq!(cost(16), Some(Cycles::new(2_001)));
+        assert_eq!(cost(17), Some(Cycles::new(2_002)));
+        assert_eq!(cost(1_024), Some(Cycles::new(2_064)));
     }
 
     fn window(from: usize, to: usize, start: u64, end: u64, kind: LinkFaultKind) -> LinkFault {
@@ -335,10 +268,6 @@ mod tests {
 
     #[test]
     fn degraded_bandwidth_stretches_the_serialization_term() {
-        let fabric = InterconnectConfig {
-            latency_cycles: 100,
-            bytes_per_cycle: 16,
-        };
         let topology = LinkTopology::new(&[window(
             0,
             1,
@@ -351,25 +280,22 @@ mod tests {
         )]);
         // Healthy launch: uniform price.
         assert_eq!(
-            topology.transfer_cycles(&fabric, 0, 1, 1_024, Cycles::new(50)),
-            Some(Cycles::new(164))
+            topology.transfer_cycles(0, 1, 1_024, Cycles::new(50)),
+            Some(Cycles::new(2_000 + 64))
         );
         // Launch inside the throttle window: serialization x4.
         assert_eq!(
-            topology.transfer_cycles(&fabric, 0, 1, 1_024, Cycles::new(150)),
-            Some(Cycles::new(100 + 256))
+            topology.transfer_cycles(0, 1, 1_024, Cycles::new(150)),
+            Some(Cycles::new(2_000 + 256))
         );
         // Self transfers never cross the fabric.
         assert_eq!(
-            topology.transfer_cycles(&fabric, 1, 1, 1_024, Cycles::new(150)),
+            topology.transfer_cycles(1, 1, 1_024, Cycles::new(150)),
             Some(Cycles::ZERO)
         );
         // A down link prices as unreachable.
         let down = LinkTopology::new(&[window(0, 1, 100, 200, LinkFaultKind::Down)]);
-        assert_eq!(
-            down.transfer_cycles(&fabric, 0, 1, 1_024, Cycles::new(150)),
-            None
-        );
+        assert_eq!(down.transfer_cycles(0, 1, 1_024, Cycles::new(150)), None);
     }
 
     #[test]

@@ -43,8 +43,8 @@
 //!   its last checkpoint commit point), freezes, or *degrades* nodes
 //!   mid-run (a straggler window at a fractional clock), and a
 //!   [`RecoveryConfig`] governs re-dispatch — retry budget, exponential
-//!   backoff, failure-aware dispatch cooldown, and checkpoint-priced resume
-//!   versus the restart-from-zero baseline.
+//!   backoff, and checkpoint-priced resume versus the restart-from-zero
+//!   baseline — behind a failure-aware dispatch cooldown.
 //! * [`interconnect`] + [`migration`] — the straggler answer: a priced
 //!   cluster fabric (`latency + ceil(bytes / bandwidth)`) and a deadline
 //!   monitor that, when a started task's predicted completion slips past
@@ -94,11 +94,12 @@ pub mod trace;
 
 pub use cluster::{ClusterConfig, ClusterOutcome, ClusterSimulator, NodeAssignment};
 pub use dispatch::{DispatchPolicy, Dispatcher};
-pub use faults::{ClusterFaultPlan, RecoveryConfig, RecoveryRecord};
-pub use interconnect::{InterconnectConfig, LinkState, LinkTopology};
+pub use faults::{ClusterFaultPlan, RecoveryConfig, RecoveryRecord, RECOVERY_COOLDOWN_MS};
+pub use interconnect::{LinkState, LinkTopology, LINK_BYTES_PER_CYCLE, LINK_LATENCY_CYCLES};
 pub use metrics::{fold_hashes, outcome_hash, ClusterMetrics};
 pub use migration::{
     CustodyConfig, CustodyError, MigrationConfig, MigrationRecord, RedirectRecord,
+    MIGRATION_MARGIN_MS, MIGRATION_NODE_BUDGET,
 };
 pub use online::{
     online_outcome_hash, OnlineClusterConfig, OnlineClusterSimulator, OnlineDispatchPolicy,

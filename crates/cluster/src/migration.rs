@@ -27,24 +27,25 @@
 //!    preemptive scheduler's drain order (priority, then arrival, then id);
 //!    each task's predicted completion is the node clock plus the
 //!    *clock-scaled* wall time of the backlog at or ahead of it. The first
-//!    started task whose prediction slips past `arrival + sla + margin` is
-//!    the evacuation candidate.
+//!    started task whose prediction slips past `arrival + sla +`
+//!    [`MIGRATION_MARGIN_MS`] is the evacuation candidate.
 //! 2. **Stay-vs-move pricing.** Staying costs the scaled wall time of the
 //!    candidate's backlog on the straggler. Moving to a target costs the
-//!    interconnect transfer of its `live_checkpoint_bytes` — priced over
-//!    the *current link state* by [`crate::LinkTopology::transfer_cycles`],
-//!    so a degraded link stretches the serialization term and a downed or
+//!    interconnect transfer of its `live_checkpoint_bytes` — priced from
+//!    the fabric constants of [`crate::interconnect`] over the *current
+//!    link state* by [`crate::LinkTopology::transfer_cycles`], so a
+//!    degraded link stretches the serialization term and a downed or
 //!    partitioned link removes the target from consideration entirely —
 //!    plus the restore DMA ([`npu_sim::CheckpointModel`]), plus the scaled
 //!    wall time of the target's blocking work ahead of the newcomer. The
 //!    cheapest reachable healthy target wins, ties to the lowest index.
 //! 3. **Hysteresis and budget.** The move must beat staying by the
 //!    configured hysteresis factor, and each source node may initiate at
-//!    most `node_budget` evacuations per run — together these prevent
-//!    migration thrash when every node is slow.
+//!    most [`MIGRATION_NODE_BUDGET`] evacuations per run — together these
+//!    prevent migration thrash when every node is slow.
 //!
 //! A decided migration extracts the task immediately and schedules its
-//! *delivery* (`decision instant + transfer time`) on an in-flight heap;
+//! *delivery* (`decision instant + transfer time`) on an in-flight queue;
 //! the loops treat deliveries as arrival events at the destination, global
 //! synchronization points exactly like fault instants.
 //!
@@ -61,12 +62,13 @@
 //! * the destination is down when the payload arrives → the attempt
 //!   **fails** at the landing instant (`DestinationDown`).
 //!
-//! The source node retains custody of the checkpoint between attempts. A
-//! failed attempt `k` within the [`RecoveryConfig`] retry budget schedules
-//! a *redirect* after `backoff_base_ms * 2^(k-1)`: at the redirect instant
-//! the task is re-priced and re-routed to the cheapest reachable healthy
-//! node (the custodian itself is a zero-transfer candidate). An exhausted
-//! budget abandons the task with full accounting. A crate-private
+//! The source node retains custody of the checkpoint between attempts.
+//! Failed attempts follow the retry rule crash recovery uses (see
+//! [`crate::faults`]): attempt `k` within the custody retry budget
+//! schedules a *redirect* after `backoff_base_ms * 2^(k-1)`, at which the
+//! task is re-priced and re-routed to the cheapest reachable healthy node
+//! (the custodian itself is a zero-transfer candidate); attempt `budget +
+//! 1` abandons the task with full accounting. A crate-private
 //! `CustodyLedger` asserts exactly-once ownership — every task the
 //! migration layer ever took custody of is exactly one of resident,
 //! in-flight, or abandoned — at every synchronization instant, and
@@ -76,43 +78,43 @@
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
 use npu_sim::{CheckpointModel, Cycles, NpuConfig};
 use prema_core::{ResidentTask, SalvagedTask, SimSession, TaskId, TaskRequest, TraceSink};
-use prema_workload::LinkFault;
 
-use crate::faults::{FaultDriver, RecoveryConfig};
-use crate::interconnect::{InterconnectConfig, LinkTopology};
+use crate::faults::{retry_hold, validate_retry, FaultDriver, RecoveryConfig};
+use crate::interconnect::LinkTopology;
 use crate::online::Nodes;
 use crate::trace::{ClusterTraceEvent, ClusterTraceSink, TransferFailReason};
 
 /// Configuration of the transfer-custody layer: delivery deadlines and the
-/// retry/backoff policy applied when an in-flight transfer fails.
-///
-/// Reuses [`RecoveryConfig`] for the retry budget and exponential backoff
-/// base so transfer redirects and crash re-dispatches speak one policy
-/// vocabulary (`cooldown_ms` and `checkpoint_recovery` do not apply to
-/// transfers and are ignored here).
+/// retry budget and backoff base applied when an in-flight transfer fails,
+/// under the retry rule crash recovery uses.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CustodyConfig {
     /// Delivery deadline of one transfer attempt, in milliseconds past its
     /// launch: an attempt whose landing would slip past this times out.
     pub delivery_timeout_ms: f64,
-    /// The retry budget and backoff base governing failed attempts.
-    pub recovery: RecoveryConfig,
+    /// Failed attempts beyond this many abandon the task.
+    pub retry_budget: u32,
+    /// Base of the exponential redirect backoff, in milliseconds: failed
+    /// attempt `k` holds the checkpoint `base * 2^(k-1)` before redirecting.
+    pub backoff_base_ms: f64,
 }
 
 impl CustodyConfig {
     /// The redirect-with-backoff policy: a 4 ms delivery deadline and the
     /// checkpointed recovery defaults (three retries, 0.5 ms backoff base).
     pub fn redirect() -> Self {
+        let recovery = RecoveryConfig::checkpointed();
         CustodyConfig {
             delivery_timeout_ms: 4.0,
-            recovery: RecoveryConfig::checkpointed(),
+            retry_budget: recovery.retry_budget,
+            backoff_base_ms: recovery.backoff_base_ms,
         }
     }
 
@@ -120,10 +122,7 @@ impl CustodyConfig {
     /// the first failed attempt abandons the task.
     pub fn abandon_on_failure() -> Self {
         CustodyConfig {
-            recovery: RecoveryConfig {
-                retry_budget: 0,
-                ..RecoveryConfig::checkpointed()
-            },
+            retry_budget: 0,
             ..CustodyConfig::redirect()
         }
     }
@@ -143,7 +142,7 @@ impl CustodyConfig {
         if !self.delivery_timeout_ms.is_finite() || self.delivery_timeout_ms <= 0.0 {
             return Err("custody delivery timeout must be positive and finite".into());
         }
-        self.recovery.validate()
+        validate_retry(self.retry_budget, self.backoff_base_ms)
     }
 }
 
@@ -174,26 +173,26 @@ impl fmt::Display for CustodyError {
 
 impl std::error::Error for CustodyError {}
 
+/// Slack past the SLA before the migration arbiter reacts, in milliseconds
+/// — a prediction has to slip *this far* beyond the target to trigger the
+/// stay-vs-move comparison.
+pub const MIGRATION_MARGIN_MS: f64 = 0.5;
+
+/// Maximum number of evacuations each source node may initiate per run —
+/// the thrash bound.
+pub const MIGRATION_NODE_BUDGET: u32 = 8;
+
 /// Configuration of deadline-triggered checkpoint migration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MigrationConfig {
     /// The per-task turnaround SLA, in milliseconds: each task's deadline is
-    /// its arrival plus this (plus the margin).
+    /// its arrival plus this (plus [`MIGRATION_MARGIN_MS`]).
     pub sla_ms: f64,
-    /// Slack past the SLA before the arbiter reacts, in milliseconds — a
-    /// prediction has to slip *this far* beyond the target to trigger the
-    /// stay-vs-move comparison.
-    pub margin_ms: f64,
     /// The move must beat staying by this factor
     /// (`move_cost * hysteresis < stay_cost`) before the task is evacuated.
     /// 1.0 migrates on any predicted win; higher values demand a clearer
     /// one.
     pub hysteresis: f64,
-    /// Maximum number of evacuations each source node may initiate per run —
-    /// the thrash bound.
-    pub node_budget: u32,
-    /// The interconnect the checkpoint context travels over.
-    pub interconnect: InterconnectConfig,
     /// The transfer-custody layer. `None` models a reliable fabric: link
     /// state still prices transfers and gates destinations at decision
     /// time, but a launched transfer always lands.
@@ -201,16 +200,12 @@ pub struct MigrationConfig {
 }
 
 impl MigrationConfig {
-    /// A migration policy answering the given SLA: half-millisecond margin,
-    /// 1.25x hysteresis, eight evacuations per node, paper-default fabric,
-    /// no custody layer (reliable fabric).
+    /// A migration policy answering the given SLA: 1.25x hysteresis, no
+    /// custody layer (reliable fabric).
     pub fn new(sla_ms: f64) -> Self {
         MigrationConfig {
             sla_ms,
-            margin_ms: 0.5,
             hysteresis: 1.25,
-            node_budget: 8,
-            interconnect: InterconnectConfig::paper_default(),
             custody: None,
         }
     }
@@ -218,12 +213,6 @@ impl MigrationConfig {
     /// Replaces the hysteresis factor.
     pub fn with_hysteresis(mut self, hysteresis: f64) -> Self {
         self.hysteresis = hysteresis;
-        self
-    }
-
-    /// Replaces the per-node evacuation budget.
-    pub fn with_node_budget(mut self, node_budget: u32) -> Self {
-        self.node_budget = node_budget;
         self
     }
 
@@ -242,16 +231,12 @@ impl MigrationConfig {
         if !self.sla_ms.is_finite() || self.sla_ms <= 0.0 {
             return Err("migration SLA must be positive and finite".into());
         }
-        if !self.margin_ms.is_finite() || self.margin_ms < 0.0 {
-            return Err("migration margin must be non-negative and finite".into());
-        }
         if !self.hysteresis.is_finite() || self.hysteresis < 1.0 {
             return Err("migration hysteresis must be at least 1.0 and finite".into());
         }
-        if let Some(custody) = &self.custody {
-            custody.validate()?;
-        }
-        self.interconnect.validate().map_err(|e| e.to_string())
+        self.custody
+            .as_ref()
+            .map_or(Ok(()), CustodyConfig::validate)
     }
 }
 
@@ -291,7 +276,7 @@ pub struct RedirectRecord {
     pub at: Cycles,
 }
 
-/// What happens when an in-flight heap entry comes due.
+/// What happens when an in-flight entry comes due.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum TransferEvent {
     /// The payload lands at `to_node` (custody may still fail it there if
@@ -308,9 +293,6 @@ pub(crate) enum TransferEvent {
 /// custodian between attempts).
 #[derive(Debug)]
 pub(crate) struct PendingMigration {
-    due: Cycles,
-    /// Tie-break for identical delivery instants: decision order.
-    seq: u64,
     pub(crate) salvage: SalvagedTask,
     pub(crate) to_node: usize,
     /// The custodian: the node the checkpoint was extracted from. Custody
@@ -321,26 +303,6 @@ pub(crate) struct PendingMigration {
     pub(crate) attempt: u32,
     /// What happens at `due`.
     pub(crate) event: TransferEvent,
-}
-
-impl PartialEq for PendingMigration {
-    fn eq(&self, other: &Self) -> bool {
-        (self.due, self.seq) == (other.due, other.seq)
-    }
-}
-
-impl Eq for PendingMigration {}
-
-impl PartialOrd for PendingMigration {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for PendingMigration {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.due, self.seq).cmp(&(other.due, other.seq))
-    }
 }
 
 /// Everything the migration machinery contributes to an
@@ -441,7 +403,7 @@ impl CustodyLedger {
         tasks
     }
 
-    /// Cross-checks the ledger against the in-flight heap: every task in
+    /// Cross-checks the ledger against the in-flight queue: every task in
     /// flight has exactly one pending entry, and vice versa.
     fn check(&self, pending: usize) {
         assert_eq!(
@@ -454,28 +416,25 @@ impl CustodyLedger {
 
 /// The migration decision machine of the shared closed-loop timeline (see
 /// the module docs): the deadline monitor, the stay-vs-move arbiter, the
-/// in-flight transfer heap, the custody ledger and the outcome tally. Every
+/// in-flight transfer queue, the custody ledger and the outcome tally. Every
 /// method must be called at a step of the timeline, reading each node at
 /// its [`Nodes::horizon`].
 #[derive(Debug)]
 pub(crate) struct MigrationDriver<'a> {
     config: &'a MigrationConfig,
+    npu: &'a NpuConfig,
     checkpoint: CheckpointModel,
     /// `sla + margin`, in cycles: each task's deadline is its arrival plus
     /// this.
     deadline_offset: Cycles,
-    /// Per-directed-link fault windows, shared vocabulary with the fault
+    /// The run's per-directed-link fault windows, shared with the fault
     /// driver; empty means a perfect fabric (uniform pricing, everything
     /// reachable).
-    links: LinkTopology,
+    links: &'a LinkTopology,
     /// The per-attempt delivery deadline, when custody is configured.
     timeout: Option<Cycles>,
-    /// Transfer retry budget (attempts beyond `budget + 1` abandon).
-    retry_budget: u32,
-    /// `backoffs[k-1]` is the hold after failed attempt `k`, in cycles
-    /// (`backoff_base_ms * 2^(k-1)`).
-    backoffs: Vec<Cycles>,
-    pending: BinaryHeap<Reverse<PendingMigration>>,
+    /// Transfer events keyed (due, decision order).
+    pending: BTreeMap<(Cycles, u64), PendingMigration>,
     seq: u64,
     budget_used: Vec<u32>,
     /// Scratch for one source node's resident scan.
@@ -487,33 +446,20 @@ pub(crate) struct MigrationDriver<'a> {
 impl<'a> MigrationDriver<'a> {
     pub(crate) fn new(
         config: &'a MigrationConfig,
-        npu: &NpuConfig,
+        npu: &'a NpuConfig,
         nodes: usize,
-        links: &[LinkFault],
+        links: &'a LinkTopology,
     ) -> Self {
-        let (timeout, retry_budget, backoffs) = match &config.custody {
-            Some(custody) => (
-                Some(npu.millis_to_cycles(custody.delivery_timeout_ms)),
-                custody.recovery.retry_budget,
-                (1..=custody.recovery.retry_budget.max(1))
-                    .map(|k| {
-                        let backoff_ms =
-                            custody.recovery.backoff_base_ms * f64::powi(2.0, k as i32 - 1);
-                        npu.millis_to_cycles(backoff_ms)
-                    })
-                    .collect(),
-            ),
-            None => (None, 0, Vec::new()),
-        };
         MigrationDriver {
             config,
+            npu,
             checkpoint: CheckpointModel::new(npu),
-            deadline_offset: npu.millis_to_cycles(config.sla_ms + config.margin_ms),
-            links: LinkTopology::new(links),
-            timeout,
-            retry_budget,
-            backoffs,
-            pending: BinaryHeap::new(),
+            deadline_offset: npu.millis_to_cycles(config.sla_ms + MIGRATION_MARGIN_MS),
+            links,
+            timeout: config
+                .custody
+                .map(|custody| npu.millis_to_cycles(custody.delivery_timeout_ms)),
+            pending: BTreeMap::new(),
             seq: 0,
             budget_used: vec![0; nodes],
             residents: Vec::new(),
@@ -531,15 +477,14 @@ impl<'a> MigrationDriver<'a> {
 
     /// The due instant of the earliest in-flight transfer event, if any.
     pub(crate) fn next_due(&self) -> Option<Cycles> {
-        self.pending.peek().map(|Reverse(p)| p.due)
+        self.pending.first_key_value().map(|(&(due, _), _)| due)
     }
 
     /// Pops the next transfer event due at or before `t` (the loop routes
     /// it through `deliver_due_migrations`).
     pub(crate) fn pop_due(&mut self, t: Cycles) -> Option<PendingMigration> {
         if self.next_due().is_some_and(|due| due <= t) {
-            let Reverse(pending) = self.pending.pop().expect("peeked entry");
-            return Some(pending);
+            return self.pending.pop_first().map(|(_, pending)| pending);
         }
         None
     }
@@ -562,7 +507,7 @@ impl<'a> MigrationDriver<'a> {
     ) {
         for from in 0..nodes.sessions().len() {
             if nodes.sessions()[from].stalled_until().is_some()
-                || self.budget_used[from] >= self.config.node_budget
+                || self.budget_used[from] >= MIGRATION_NODE_BUDGET
             {
                 continue;
             }
@@ -597,10 +542,7 @@ impl<'a> MigrationDriver<'a> {
                 if to == from || target.stalled_until().is_some() {
                     continue;
                 }
-                let Some(transfer) =
-                    self.links
-                        .transfer_cycles(&self.config.interconnect, from, to, bytes, t)
-                else {
+                let Some(transfer) = self.links.transfer_cycles(from, to, bytes, t) else {
                     continue;
                 };
                 let queue =
@@ -727,15 +669,14 @@ impl<'a> MigrationDriver<'a> {
             }
             None => (arrive, TransferEvent::Land),
         };
-        self.pending.push(Reverse(PendingMigration {
-            due,
-            seq: self.seq,
+        let pending = PendingMigration {
             salvage,
             to_node: to,
             from_node: from,
             attempt,
             event,
-        }));
+        };
+        self.pending.insert((due, self.seq), pending);
         self.seq += 1;
     }
 
@@ -745,9 +686,10 @@ impl<'a> MigrationDriver<'a> {
         self.ledger.land(task, node);
     }
 
-    /// Handles one failed attempt at `t`: accounts the failure, then
-    /// either schedules a redirect after exponential backoff or abandons
-    /// the task once the retry budget is exhausted.
+    /// Handles one failed attempt at `t`: accounts the failure, then, under
+    /// the retry rule crash recovery shares ([`retry_hold`]), either holds
+    /// the checkpoint for its backoff and schedules a redirect or abandons
+    /// the task with full accounting.
     pub(crate) fn on_transfer_failed<C: ClusterTraceSink>(
         &mut self,
         pending: PendingMigration,
@@ -756,11 +698,12 @@ impl<'a> MigrationDriver<'a> {
         trace: &RefCell<C>,
     ) {
         self.tally.transfer_failures += 1;
+        let task = pending.salvage.prepared.request.id;
         if C::ENABLED {
             trace.borrow_mut().cluster_event(
                 t,
                 ClusterTraceEvent::TransferTimeout {
-                    task: pending.salvage.prepared.request.id,
+                    task,
                     from: pending.from_node,
                     to: pending.to_node,
                     attempt: pending.attempt,
@@ -768,20 +711,16 @@ impl<'a> MigrationDriver<'a> {
                 },
             );
         }
-        self.schedule_retry(pending, t, trace);
-    }
-
-    /// After failed attempt `k`: within budget, hold the checkpoint for
-    /// `backoff_base * 2^(k-1)` and then redirect; beyond it, abandon with
-    /// full accounting.
-    fn schedule_retry<C: ClusterTraceSink>(
-        &mut self,
-        pending: PendingMigration,
-        t: Cycles,
-        trace: &RefCell<C>,
-    ) {
-        let task = pending.salvage.prepared.request.id;
-        if pending.attempt > self.retry_budget {
+        let custody = self
+            .config
+            .custody
+            .expect("only the custody layer fails transfers");
+        let Some(hold) = retry_hold(
+            self.npu,
+            custody.retry_budget,
+            custody.backoff_base_ms,
+            pending.attempt,
+        ) else {
             self.ledger.abandon(task);
             if C::ENABLED {
                 trace.borrow_mut().cluster_event(
@@ -795,17 +734,12 @@ impl<'a> MigrationDriver<'a> {
             }
             self.tally.abandoned.push(pending.salvage.prepared.request);
             return;
-        }
-        let due = t + self.backoffs[(pending.attempt - 1) as usize];
-        self.pending.push(Reverse(PendingMigration {
-            due,
-            seq: self.seq,
-            salvage: pending.salvage,
-            to_node: pending.to_node,
-            from_node: pending.from_node,
-            attempt: pending.attempt,
+        };
+        let held = PendingMigration {
             event: TransferEvent::Redirect,
-        }));
+            ..pending
+        };
+        self.pending.insert((t + hold, self.seq), held);
         self.seq += 1;
     }
 
@@ -832,10 +766,7 @@ impl<'a> MigrationDriver<'a> {
             if target.stalled_until().is_some() || faults.is_some_and(|f| f.is_down(to, t)) {
                 continue;
             }
-            let Some(transfer) =
-                self.links
-                    .transfer_cycles(&self.config.interconnect, from, to, bytes, t)
-            else {
+            let Some(transfer) = self.links.transfer_cycles(from, to, bytes, t) else {
                 continue;
             };
             let cost = transfer
@@ -887,14 +818,14 @@ impl<'a> MigrationDriver<'a> {
     pub(crate) fn finish(mut self) -> MigrationTally {
         let mut undelivered: Vec<TaskId> = self
             .pending
-            .into_iter()
-            .map(|Reverse(p)| p.salvage.prepared.request.id)
+            .into_values()
+            .map(|p| p.salvage.prepared.request.id)
             .collect();
         undelivered.sort();
         assert_eq!(
             undelivered,
             self.ledger.undelivered(),
-            "custody violation: the in-flight heap and ledger disagree at end of run"
+            "custody violation: the in-flight queue and ledger disagree at end of run"
         );
         self.tally.undelivered = undelivered;
         self.tally
@@ -904,6 +835,9 @@ impl<'a> MigrationDriver<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{ClusterFaultPlan, FaultEvent};
+    use crate::trace::NullClusterSink;
+    use prema_workload::{FaultSchedule, LinkFault};
 
     fn salvage_for(npu: &NpuConfig, id: u64) -> SalvagedTask {
         use dnn_models::ModelKind;
@@ -937,10 +871,6 @@ mod tests {
                 ..MigrationConfig::new(8.0)
             },
             MigrationConfig {
-                margin_ms: -0.1,
-                ..MigrationConfig::new(8.0)
-            },
-            MigrationConfig {
                 hysteresis: 0.9,
                 ..MigrationConfig::new(8.0)
             },
@@ -948,19 +878,13 @@ mod tests {
                 hysteresis: f64::INFINITY,
                 ..MigrationConfig::new(8.0)
             },
-            MigrationConfig {
-                interconnect: InterconnectConfig {
-                    bytes_per_cycle: 0,
-                    ..InterconnectConfig::paper_default()
-                },
-                ..MigrationConfig::new(8.0)
-            },
             MigrationConfig::new(8.0).with_custody(CustodyConfig::redirect().with_timeout_ms(0.0)),
             MigrationConfig::new(8.0).with_custody(CustodyConfig {
-                recovery: RecoveryConfig {
-                    backoff_base_ms: f64::NAN,
-                    ..RecoveryConfig::checkpointed()
-                },
+                backoff_base_ms: f64::NAN,
+                ..CustodyConfig::redirect()
+            }),
+            MigrationConfig::new(8.0).with_custody(CustodyConfig {
+                retry_budget: 64,
                 ..CustodyConfig::redirect()
             }),
         ];
@@ -973,19 +897,18 @@ mod tests {
     fn in_flight_heap_orders_by_due_then_decision_order() {
         let npu = NpuConfig::paper_default();
         let config = MigrationConfig::new(8.0);
-        let mut driver = MigrationDriver::new(&config, &npu, 2, &[]);
+        let links = LinkTopology::default();
+        let mut driver = MigrationDriver::new(&config, &npu, 2, &links);
         for (due, id) in [(500u64, 1u64), (300, 2), (500, 3)] {
             driver.ledger.depart(TaskId(id));
-            driver.pending.push(Reverse(PendingMigration {
-                due: Cycles::new(due),
-                seq: driver.seq,
-                salvage: salvage_for(&npu, id),
-                to_node: 0,
-                from_node: 1,
-                attempt: 1,
-                event: TransferEvent::Land,
-            }));
-            driver.seq += 1;
+            driver.launch(
+                salvage_for(&npu, id),
+                1,
+                0,
+                1,
+                Cycles::new(due),
+                Cycles::ZERO,
+            );
         }
         assert_eq!(driver.next_due(), Some(Cycles::new(300)));
         assert!(driver.pop_due(Cycles::new(299)).is_none());
@@ -1006,13 +929,13 @@ mod tests {
         use prema_workload::LinkFaultKind;
         let npu = NpuConfig::paper_default();
         // Paper fabric: 2000 cycles latency + bytes/16 serialization.
-        let links = [LinkFault {
+        let links = LinkTopology::new(&[LinkFault {
             from: 0,
             to: 1,
             start: Cycles::new(2_500),
             end: Cycles::new(3_000),
             kind: LinkFaultKind::Down,
-        }];
+        }]);
         let config = MigrationConfig::new(8.0).with_custody(CustodyConfig::redirect());
         let mut driver = MigrationDriver::new(&config, &npu, 2, &links);
 
@@ -1027,8 +950,8 @@ mod tests {
             Cycles::new(2_064),
             Cycles::new(1_000),
         );
+        assert_eq!(driver.next_due(), Some(Cycles::new(2_500)));
         let dropped = driver.pop_due(Cycles::MAX).expect("one entry");
-        assert_eq!(dropped.due, Cycles::new(2_500));
         assert_eq!(
             dropped.event,
             TransferEvent::Fail(TransferFailReason::LinkDown)
@@ -1044,8 +967,8 @@ mod tests {
             Cycles::new(2_064),
             Cycles::new(1_000),
         );
+        assert_eq!(driver.next_due(), Some(Cycles::new(3_064)));
         let landed = driver.pop_due(Cycles::MAX).expect("one entry");
-        assert_eq!(landed.due, Cycles::new(3_064));
         assert_eq!(landed.event, TransferEvent::Land);
 
         // A transfer slower than the delivery deadline times out at the
@@ -1060,13 +983,12 @@ mod tests {
             deadline + Cycles::new(1_000),
             Cycles::new(10_000),
         );
+        assert_eq!(driver.next_due(), Some(Cycles::new(10_000) + deadline));
         let timed_out = driver.pop_due(Cycles::MAX).expect("one entry");
-        assert_eq!(timed_out.due, Cycles::new(10_000) + deadline);
         assert_eq!(
             timed_out.event,
             TransferEvent::Fail(TransferFailReason::Timeout)
         );
-        driver.pending.clear();
         driver.ledger = CustodyLedger::default();
         let _ = driver.finish();
     }
@@ -1075,18 +997,19 @@ mod tests {
     fn exhausted_retry_budget_abandons_with_accounting() {
         let npu = NpuConfig::paper_default();
         let config = MigrationConfig::new(8.0).with_custody(CustodyConfig::abandon_on_failure());
-        let mut driver = MigrationDriver::new(&config, &npu, 2, &[]);
+        let links = LinkTopology::default();
+        let mut driver = MigrationDriver::new(&config, &npu, 2, &links);
         driver.ledger.depart(TaskId(7));
-        let pending = PendingMigration {
-            due: Cycles::new(100),
-            seq: 0,
-            salvage: salvage_for(&npu, 7),
-            to_node: 1,
-            from_node: 0,
-            attempt: 1,
-            event: TransferEvent::Fail(TransferFailReason::LinkDown),
-        };
-        let trace = RefCell::new(crate::trace::NullClusterSink);
+        driver.launch(
+            salvage_for(&npu, 7),
+            0,
+            1,
+            1,
+            Cycles::new(100),
+            Cycles::ZERO,
+        );
+        let pending = driver.pop_due(Cycles::MAX).expect("one entry");
+        let trace = RefCell::new(NullClusterSink);
         driver.on_transfer_failed(
             pending,
             TransferFailReason::LinkDown,
@@ -1102,10 +1025,87 @@ mod tests {
     }
 
     #[test]
+    fn recovery_and_custody_share_one_retry_rule() {
+        // One (budget, base) for both layers: attempt k <= budget holds
+        // exactly base * 2^(k-1), attempt budget + 1 abandons.
+        const BUDGET: u32 = 3;
+        const BASE_MS: f64 = 0.75;
+        let npu = NpuConfig::paper_default();
+        let hold = |k: u32| npu.millis_to_cycles(BASE_MS * f64::from(1u32 << (k - 1)));
+        let trace = RefCell::new(NullClusterSink);
+        let links = LinkTopology::default();
+
+        // Crash recovery: the salvage is attempt 1, each unreachable
+        // re-dispatch spends one more.
+        let plan = ClusterFaultPlan::new(FaultSchedule::none()).with_recovery(RecoveryConfig {
+            retry_budget: BUDGET,
+            backoff_base_ms: BASE_MS,
+            ..RecoveryConfig::checkpointed()
+        });
+        let mut faults = FaultDriver::new(&plan, &npu, 2, &links);
+        let mut t = Cycles::new(1_000);
+        faults.on_salvaged(0, t, vec![salvage_for(&npu, 1)], &trace);
+        for k in 1..=BUDGET {
+            assert_eq!(
+                faults.next_event_time(),
+                Some(t + hold(k)),
+                "recovery attempt {k}"
+            );
+            t += hold(k);
+            let Some(FaultEvent::Recovery(pending)) = faults.pop_due(t) else {
+                panic!("recovery attempt {k} due after its hold");
+            };
+            assert_eq!(pending.attempt, k);
+            faults.on_unreachable(pending, t, &trace);
+        }
+        assert_eq!(faults.next_event_time(), None);
+        let tally = faults.finish();
+        assert_eq!(tally.abandoned.len(), 1);
+        assert_eq!(tally.recoveries, 0);
+
+        // Custody: each failed transfer attempt holds, and the redirect
+        // relaunches as the next attempt.
+        let custody = CustodyConfig {
+            retry_budget: BUDGET,
+            backoff_base_ms: BASE_MS,
+            ..CustodyConfig::redirect()
+        };
+        let config = MigrationConfig::new(8.0).with_custody(custody);
+        let mut migration = MigrationDriver::new(&config, &npu, 2, &links);
+        let mut t = Cycles::new(1_000);
+        migration.ledger.depart(TaskId(1));
+        migration.launch(salvage_for(&npu, 1), 0, 1, 1, Cycles::new(10), t);
+        for k in 1..=BUDGET + 1 {
+            t += Cycles::new(10);
+            let landing = migration.pop_due(t).expect("the attempt comes due");
+            assert_eq!(landing.attempt, k);
+            migration.on_transfer_failed(landing, TransferFailReason::LinkDown, t, &trace);
+            if k > BUDGET {
+                break;
+            }
+            assert_eq!(
+                migration.next_due(),
+                Some(t + hold(k)),
+                "custody attempt {k}"
+            );
+            t += hold(k);
+            let held = migration.pop_due(t).expect("the redirect comes due");
+            assert_eq!(held.event, TransferEvent::Redirect);
+            migration.launch(held.salvage, 0, 1, k + 1, Cycles::new(10), t);
+        }
+        assert_eq!(migration.next_due(), None);
+        let tally = migration.finish();
+        assert_eq!(tally.transfer_failures, u64::from(BUDGET) + 1);
+        assert_eq!(tally.abandoned.len(), 1);
+        assert!(tally.undelivered.is_empty());
+    }
+
+    #[test]
     fn finish_reports_undelivered_tasks_instead_of_asserting() {
         let npu = NpuConfig::paper_default();
         let config = MigrationConfig::new(8.0).with_custody(CustodyConfig::redirect());
-        let mut driver = MigrationDriver::new(&config, &npu, 2, &[]);
+        let links = LinkTopology::default();
+        let mut driver = MigrationDriver::new(&config, &npu, 2, &links);
         driver.ledger.depart(TaskId(9));
         driver.launch(
             salvage_for(&npu, 9),

@@ -78,7 +78,7 @@
 //! re-checks per-task completion predictions at every global
 //! synchronization point; when a started task's prediction slips past its
 //! SLA-derived deadline, a stay-vs-move arbiter prices evacuation over the
-//! [`crate::InterconnectConfig`] fabric (checkpoint transfer plus restore
+//! [`crate::interconnect`] fabric (checkpoint transfer plus restore
 //! DMA plus queueing at the target, against the scaled remaining time on
 //! the straggler) and, hysteresis and budget permitting, extracts the task at
 //! its last checkpoint commit point
@@ -543,7 +543,14 @@ impl OnlineClusterSimulator {
             .map(|node| simulator.session_with_sink(&[], NodeTap::new(node, Rc::clone(&trace))))
             .collect();
         let nodes = strategy(&self.config, sessions, Rc::clone(&trace));
-        let outcome = Timeline::new(&self.config, nodes, Rc::clone(&trace), tasks.len()).run(tasks);
+        let links = LinkTopology::new(
+            self.config
+                .faults
+                .as_ref()
+                .map_or(&[], |plan| &plan.schedule.links),
+        );
+        let outcome =
+            Timeline::new(&self.config, &links, nodes, Rc::clone(&trace), tasks.len()).run(tasks);
         let sink = Rc::try_unwrap(trace)
             .expect("every node tap is dropped with its finished session")
             .into_inner();
@@ -709,7 +716,7 @@ pub(crate) trait Nodes<S: TraceSink> {
     ) -> bool;
     /// One block of work-stealing rounds over the fabric `links`, booking
     /// every steal.
-    fn steal_round(&mut self, links: Option<&LinkTopology>, books: &mut Books);
+    fn steal_round(&mut self, links: &LinkTopology, books: &mut Books);
     /// The sessions, to finish.
     fn into_sessions(self) -> Vec<SimSession<S>>
     where
@@ -728,29 +735,35 @@ struct Timeline<'a, C: ClusterTraceSink, N> {
     /// away). Borrowed only *between* session calls: the sessions' node
     /// taps borrow the same cell from inside engine methods.
     trace: Rc<RefCell<C>>,
+    /// The run's link-fault windows, shared by both drivers and the steal
+    /// rounds (empty for a perfect fabric).
+    links: &'a LinkTopology,
     faults: Option<FaultDriver<'a>>,
     migration: Option<MigrationDriver<'a>>,
     books: Books,
 }
 
 impl<'a, C: ClusterTraceSink, N: Nodes<NodeTap<C>>> Timeline<'a, C, N> {
-    fn new(config: &'a OnlineClusterConfig, nodes: N, trace: Rc<RefCell<C>>, tasks: usize) -> Self {
-        let link_faults = config
-            .faults
-            .as_ref()
-            .map_or(&[][..], |plan| plan.schedule.links.as_slice());
+    fn new(
+        config: &'a OnlineClusterConfig,
+        links: &'a LinkTopology,
+        nodes: N,
+        trace: Rc<RefCell<C>>,
+        tasks: usize,
+    ) -> Self {
         Timeline {
             config,
             nodes,
             trace,
+            links,
             faults: config
                 .faults
                 .as_ref()
-                .map(|plan| FaultDriver::new(plan, &config.npu, config.nodes)),
+                .map(|plan| FaultDriver::new(plan, &config.npu, config.nodes, links)),
             migration: config
                 .migration
                 .as_ref()
-                .map(|policy| MigrationDriver::new(policy, &config.npu, config.nodes, link_faults)),
+                .map(|policy| MigrationDriver::new(policy, &config.npu, config.nodes, links)),
             books: Books::with_capacity(tasks),
         }
     }
@@ -892,7 +905,7 @@ impl<'a, C: ClusterTraceSink, N: Nodes<NodeTap<C>>> Timeline<'a, C, N> {
                             // reachable from the custodian: the attempt is
                             // spent and the salvage re-queues (or is
                             // abandoned) instead of crossing the partition.
-                            if driver.topology().reachable(pending.from_node, node, t) {
+                            if self.links.reachable(pending.from_node, node, t) {
                                 let origin = (pending.from_node, pending.attempt);
                                 let salvage = driver.redispatch(pending, node, t);
                                 let id = salvage.prepared.request.id;
@@ -974,8 +987,7 @@ impl<'a, C: ClusterTraceSink, N: Nodes<NodeTap<C>>> Timeline<'a, C, N> {
             }
             self.nodes.begin_step(step);
             if self.config.work_stealing {
-                let links = self.faults.as_ref().map(FaultDriver::topology);
-                self.nodes.steal_round(links, &mut self.books);
+                self.nodes.steal_round(self.links, &mut self.books);
             }
             if step < t {
                 self.deliver_due_migrations(step);
@@ -1345,7 +1357,7 @@ impl<C: ClusterTraceSink> Nodes<NodeTap<C>> for ReferenceNodes<'_, C> {
     /// until no idle node or no stealable work remains. A steal moves the
     /// task's bytes victim-to-thief over the fabric, so victims the thief
     /// cannot currently reach (link down or partitioned away) are skipped.
-    fn steal_round(&mut self, links: Option<&LinkTopology>, books: &mut Books) {
+    fn steal_round(&mut self, links: &LinkTopology, books: &mut Books) {
         let sessions = &mut self.sessions;
         loop {
             // A crashed node drains to queue depth zero the instant it fails
@@ -1369,7 +1381,7 @@ impl<C: ClusterTraceSink> Nodes<NodeTap<C>> for ReferenceNodes<'_, C> {
                 if session.queue_depth() < 2 {
                     continue;
                 }
-                if links.is_some_and(|links| !links.reachable(index, thief, now)) {
+                if !links.reachable(index, thief, now) {
                     continue;
                 }
                 let mut stealable = Cycles::ZERO;

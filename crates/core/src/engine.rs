@@ -1200,20 +1200,6 @@ impl NpuSimulator {
         self.session_impl(tasks, true, sink)
     }
 
-    /// Like [`NpuSimulator::session_reference`] with a [`TraceSink`]
-    /// attached.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tasks` contains duplicate task IDs.
-    pub fn session_reference_with_sink<S: TraceSink>(
-        &self,
-        tasks: &[PreparedTask],
-        sink: S,
-    ) -> SimSession<S> {
-        self.session_impl(tasks, false, sink)
-    }
-
     fn session_impl<S: TraceSink>(
         &self,
         tasks: &[PreparedTask],

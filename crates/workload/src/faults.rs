@@ -51,15 +51,8 @@
 //! [`LinkFaultProcess`] draws per-link renewal chains exactly like the node
 //! process, and [`LinkFault::partition`] materializes a network partition —
 //! every cross link between two node groups down, both directions, for one
-//! window.
-//!
-//! # The shared fault-domain error
-//!
-//! [`FaultDomainError`] is the one typed error every fault-domain validator
-//! returns: [`FaultSchedule::validate`] wraps schedule violations
-//! ([`FaultScheduleError`]), and the cluster crate's interconnect
-//! configuration wraps fabric violations ([`InterconnectError`]), so CLI
-//! front-ends can match on one enum instead of threading strings.
+//! window. [`FaultSchedule::validate`] reports a violation of either
+//! domain as one typed [`FaultScheduleError`].
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -346,76 +339,6 @@ impl std::fmt::Display for FaultScheduleError {
 
 impl std::error::Error for FaultScheduleError {}
 
-/// A violation of the interconnect fabric configuration (the cluster
-/// crate's `InterconnectConfig`). Defined here, next to the schedule
-/// errors, so the whole fault domain shares one typed error vocabulary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InterconnectError {
-    /// `bytes_per_cycle` is zero — nothing could ever transfer.
-    ZeroBandwidth,
-    /// `latency_cycles` is zero — a transfer would deliver at its own
-    /// decision instant, creating a same-instant event cycle.
-    ZeroLatency,
-}
-
-impl std::fmt::Display for InterconnectError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            InterconnectError::ZeroBandwidth => {
-                f.write_str("interconnect bandwidth (bytes per cycle) must be positive")
-            }
-            InterconnectError::ZeroLatency => f.write_str(
-                "interconnect latency must be positive (a zero-latency transfer \
-                 would deliver at its own decision instant)",
-            ),
-        }
-    }
-}
-
-impl std::error::Error for InterconnectError {}
-
-/// The shared typed validation error for the cluster's fault domain: one
-/// enum covering the fault schedule (node and link windows) and the
-/// interconnect fabric, so validators and CLI front-ends match on types
-/// instead of strings.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FaultDomainError {
-    /// The node- or link-fault schedule violates its invariants.
-    Schedule(FaultScheduleError),
-    /// The interconnect fabric configuration is invalid.
-    Interconnect(InterconnectError),
-}
-
-impl std::fmt::Display for FaultDomainError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FaultDomainError::Schedule(err) => write!(f, "fault schedule: {err}"),
-            FaultDomainError::Interconnect(err) => write!(f, "interconnect: {err}"),
-        }
-    }
-}
-
-impl std::error::Error for FaultDomainError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            FaultDomainError::Schedule(err) => Some(err),
-            FaultDomainError::Interconnect(err) => Some(err),
-        }
-    }
-}
-
-impl From<FaultScheduleError> for FaultDomainError {
-    fn from(err: FaultScheduleError) -> Self {
-        FaultDomainError::Schedule(err)
-    }
-}
-
-impl From<InterconnectError> for FaultDomainError {
-    fn from(err: InterconnectError) -> Self {
-        FaultDomainError::Interconnect(err)
-    }
-}
-
 /// A deterministic, time-sorted schedule of node fault windows.
 ///
 /// Invariants (enforced by the generators and checked by
@@ -493,16 +416,15 @@ impl FaultSchedule {
     ///
     /// # Errors
     ///
-    /// Returns the first violation found, wrapped in the shared
-    /// [`FaultDomainError`]. Mixed-kind overlap on one node reports
-    /// [`FaultScheduleError::MixedKindOverlap`] so the no-nesting
+    /// Returns the first violation found. Mixed-kind overlap on one node
+    /// reports [`FaultScheduleError::MixedKindOverlap`] so the no-nesting
     /// precedence rule (see the module docs) is named explicitly; link
     /// windows are checked per directed link with the same
     /// sequential-composition rule.
-    pub fn validate(&self) -> Result<(), FaultDomainError> {
+    pub fn validate(&self) -> Result<(), FaultScheduleError> {
         for pair in self.events.windows(2) {
             if (pair[0].start, pair[0].node) > (pair[1].start, pair[1].node) {
-                return Err(FaultScheduleError::Unsorted.into());
+                return Err(FaultScheduleError::Unsorted);
             }
         }
         for (i, event) in self.events.iter().enumerate() {
@@ -510,8 +432,7 @@ impl FaultSchedule {
                 return Err(FaultScheduleError::EmptyWindow {
                     index: i,
                     node: event.node,
-                }
-                .into());
+                });
             }
             if let FaultKind::Degrade {
                 speed_num,
@@ -522,16 +443,15 @@ impl FaultSchedule {
                     return Err(FaultScheduleError::InvalidDegradeSpeed {
                         index: i,
                         node: event.node,
-                    }
-                    .into());
+                    });
                 }
             }
             for later in &self.events[i + 1..] {
                 if later.node == event.node && later.start < event.end {
                     return Err(if later.kind == event.kind {
-                        FaultScheduleError::OverlappingWindows { node: event.node }.into()
+                        FaultScheduleError::OverlappingWindows { node: event.node }
                     } else {
-                        FaultScheduleError::MixedKindOverlap { node: event.node }.into()
+                        FaultScheduleError::MixedKindOverlap { node: event.node }
                     });
                 }
             }
@@ -539,7 +459,7 @@ impl FaultSchedule {
         for pair in self.links.windows(2) {
             if (pair[0].start, pair[0].from, pair[0].to) > (pair[1].start, pair[1].from, pair[1].to)
             {
-                return Err(FaultScheduleError::LinksUnsorted.into());
+                return Err(FaultScheduleError::LinksUnsorted);
             }
         }
         for (i, link) in self.links.iter().enumerate() {
@@ -547,16 +467,14 @@ impl FaultSchedule {
                 return Err(FaultScheduleError::SelfLink {
                     index: i,
                     node: link.from,
-                }
-                .into());
+                });
             }
             if link.end <= link.start {
                 return Err(FaultScheduleError::EmptyLinkWindow {
                     index: i,
                     from: link.from,
                     to: link.to,
-                }
-                .into());
+                });
             }
             if let LinkFaultKind::Degraded {
                 bandwidth_num,
@@ -568,8 +486,7 @@ impl FaultSchedule {
                         index: i,
                         from: link.from,
                         to: link.to,
-                    }
-                    .into());
+                    });
                 }
             }
             for later in &self.links[i + 1..] {
@@ -577,8 +494,7 @@ impl FaultSchedule {
                     return Err(FaultScheduleError::OverlappingLinkWindows {
                         from: link.from,
                         to: link.to,
-                    }
-                    .into());
+                    });
                 }
             }
         }
@@ -1056,11 +972,11 @@ mod tests {
         };
         assert_eq!(
             make(degrade, FaultKind::Crash).validate(),
-            Err(FaultScheduleError::MixedKindOverlap { node: 2 }.into())
+            Err(FaultScheduleError::MixedKindOverlap { node: 2 })
         );
         assert_eq!(
             make(FaultKind::Crash, FaultKind::Crash).validate(),
-            Err(FaultScheduleError::OverlappingWindows { node: 2 }.into())
+            Err(FaultScheduleError::OverlappingWindows { node: 2 })
         );
         // Both overlap errors say "overlapping"; only the mixed one names
         // the no-nesting rule.
@@ -1086,7 +1002,7 @@ mod tests {
                     links: Vec::new(),
                 }
                 .validate(),
-                Err(FaultScheduleError::InvalidDegradeSpeed { index: 0, node: 0 }.into())
+                Err(FaultScheduleError::InvalidDegradeSpeed { index: 0, node: 0 })
             );
         }
         assert!(FaultSchedule {
@@ -1185,7 +1101,7 @@ mod tests {
         };
         assert_eq!(
             of(vec![link(0, 0, 10, 20, LinkFaultKind::Down)]).validate(),
-            Err(FaultScheduleError::SelfLink { index: 0, node: 0 }.into())
+            Err(FaultScheduleError::SelfLink { index: 0, node: 0 })
         );
         assert_eq!(
             of(vec![link(0, 1, 20, 20, LinkFaultKind::Down)]).validate(),
@@ -1193,8 +1109,7 @@ mod tests {
                 index: 0,
                 from: 0,
                 to: 1
-            }
-            .into())
+            })
         );
         assert_eq!(
             of(vec![link(
@@ -1212,8 +1127,7 @@ mod tests {
                 index: 0,
                 from: 0,
                 to: 1
-            }
-            .into())
+            })
         );
         assert_eq!(
             of(vec![
@@ -1221,7 +1135,7 @@ mod tests {
                 link(0, 1, 30, 60, LinkFaultKind::Down)
             ])
             .validate(),
-            Err(FaultScheduleError::OverlappingLinkWindows { from: 0, to: 1 }.into())
+            Err(FaultScheduleError::OverlappingLinkWindows { from: 0, to: 1 })
         );
         assert_eq!(
             of(vec![
@@ -1229,7 +1143,7 @@ mod tests {
                 link(0, 1, 10, 50, LinkFaultKind::Down)
             ])
             .validate(),
-            Err(FaultScheduleError::LinksUnsorted.into())
+            Err(FaultScheduleError::LinksUnsorted)
         );
         // Same window on two different links is fine.
         assert!(of(vec![
@@ -1238,15 +1152,6 @@ mod tests {
         ])
         .validate()
         .is_ok());
-    }
-
-    #[test]
-    fn fault_domain_error_display_names_the_domain() {
-        let schedule: FaultDomainError = FaultScheduleError::Unsorted.into();
-        assert!(schedule.to_string().starts_with("fault schedule:"));
-        let fabric: FaultDomainError = InterconnectError::ZeroBandwidth.into();
-        assert!(fabric.to_string().starts_with("interconnect:"));
-        assert!(std::error::Error::source(&fabric).is_some());
     }
 
     #[test]

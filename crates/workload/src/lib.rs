@@ -47,8 +47,8 @@ pub mod seqlen;
 
 pub use arrivals::{generate_open_loop, ArrivalProcess, OpenLoopConfig, OpenLoopIter};
 pub use faults::{
-    FaultDomainError, FaultKind, FaultProcess, FaultSchedule, FaultScheduleError,
-    InterconnectError, LinkFault, LinkFaultKind, LinkFaultProcess, NodeFault,
+    FaultKind, FaultProcess, FaultSchedule, FaultScheduleError, LinkFault, LinkFaultKind,
+    LinkFaultProcess, NodeFault,
 };
 pub use generator::{generate_workload, WorkloadConfig, WorkloadSpec};
 pub use prepare::{prepare_workload, PreparedWorkload};

@@ -82,8 +82,8 @@ pub use dnn_models::{ModelKind, SeqSpec};
 pub use npu_sim::{Cycles, NpuConfig};
 pub use prema_cluster::{
     ClusterConfig, ClusterMetrics, ClusterOutcome, ClusterSimulator, DispatchPolicy,
-    InterconnectConfig, MigrationConfig, MigrationRecord, OnlineClusterConfig,
-    OnlineClusterSimulator, OnlineDispatchPolicy, OnlineOutcome,
+    MigrationConfig, MigrationRecord, OnlineClusterConfig, OnlineClusterSimulator,
+    OnlineDispatchPolicy, OnlineOutcome,
 };
 pub use prema_core::{
     NpuSimulator, OutcomeSummary, PolicyKind, PreemptionMechanism, PreemptionMode, PreparedTask,

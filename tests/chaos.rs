@@ -178,8 +178,8 @@ fn draw_driving(rng: &mut StdRng) -> Driving {
         },
         custody: if rng.gen_bool(0.6) {
             let mut custody = CustodyConfig::redirect().with_timeout_ms(rng.gen_range(0.2..4.0));
-            custody.recovery.retry_budget = rng.gen_range(0u32..=4);
-            custody.recovery.backoff_base_ms = rng.gen_range(0.25..1.0);
+            custody.retry_budget = rng.gen_range(0u32..=4);
+            custody.backoff_base_ms = rng.gen_range(0.25..1.0);
             Some(custody)
         } else {
             None
