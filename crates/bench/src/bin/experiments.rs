@@ -32,11 +32,13 @@ const USAGE: &str = "usage: experiments [EXPERIMENT] [--runs N] [--seed S]\n\
 experiments: all, table1, table2, fig1, fig5, fig6, fig7, fig9, fig10, fig11, \
 fig12, fig13, fig14, fig15, prediction, overhead, sensitivity";
 
-fn parse_args() -> Result<Options, String> {
-    let mut experiment = "all".to_string();
+/// Parses the arguments after the program name: at most one experiment
+/// name plus the flags in [`USAGE`].
+fn parse_args(argv: &[String]) -> Result<Options, String> {
+    let mut experiment = None;
     let mut runs = 5usize;
     let mut seed = 2020u64;
-    let mut args = env::args().skip(1);
+    let mut args = argv.iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--runs" => {
@@ -56,7 +58,13 @@ fn parse_args() -> Result<Options, String> {
             "--help" | "-h" => {
                 return Err(USAGE.to_string());
             }
-            other if !other.starts_with('-') => experiment = other.to_string(),
+            other if !other.starts_with('-') => {
+                if let Some(first) = experiment.replace(other.to_string()) {
+                    return Err(format!(
+                        "more than one experiment given ('{first}', '{other}')\n{USAGE}"
+                    ));
+                }
+            }
             other => return Err(format!("unknown flag {other}\n{USAGE}")),
         }
     }
@@ -64,14 +72,15 @@ fn parse_args() -> Result<Options, String> {
         return Err("--runs must be at least 1".into());
     }
     Ok(Options {
-        experiment,
+        experiment: experiment.unwrap_or_else(|| "all".to_string()),
         runs,
         seed,
     })
 }
 
 fn main() -> ExitCode {
-    let options = match parse_args() {
+    let argv: Vec<String> = env::args().skip(1).collect();
+    let options = match parse_args(&argv) {
         Ok(options) => options,
         Err(message) => {
             eprintln!("{message}");
@@ -156,6 +165,46 @@ fn main() -> ExitCode {
                 eprintln!("unknown experiment '{}'\n{USAGE}", options.experiment);
                 ExitCode::FAILURE
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(words: &str) -> Result<Options, String> {
+        let argv: Vec<String> = words.split_whitespace().map(str::to_string).collect();
+        parse_args(&argv)
+    }
+
+    #[test]
+    fn defaults_to_every_experiment() {
+        let options = parse("").unwrap();
+        assert_eq!(options.experiment, "all");
+        assert_eq!((options.runs, options.seed), (5, 2020));
+    }
+
+    #[test]
+    fn reads_one_experiment_and_its_flags_in_any_order() {
+        for words in ["fig10 --runs 3 --seed 7", "--runs 3 fig10 --seed 7"] {
+            let options = parse(words).unwrap();
+            assert_eq!(options.experiment, "fig10");
+            assert_eq!((options.runs, options.seed), (3, 7));
+        }
+    }
+
+    #[test]
+    fn rejects_a_second_experiment() {
+        let err = parse("fig1 table1").err().unwrap();
+        assert!(err.contains("'fig1', 'table1'"), "{err}");
+        assert!(err.contains(USAGE), "{err}");
+    }
+
+    #[test]
+    fn rejects_bad_flags_and_values() {
+        for words in ["--runs 0", "--runs", "--seed x", "--bogus", "--help"] {
+            assert!(parse(words).is_err(), "{words}");
         }
     }
 }

@@ -30,7 +30,7 @@ pub fn run(npu: &NpuConfig) -> Vec<LayerPoint> {
     for &model in &ALL_EVAL_MODELS {
         let seq = SeqSpec::for_model(model, 20);
         let network = model.build(1, seq);
-        for layer in network.execution_order() {
+        for layer in network.layers() {
             if layer.gemm_dims(1).is_none() {
                 continue;
             }

@@ -18,9 +18,8 @@
 //! The closed-loop (`-live`) counterparts of the queue-depth and
 //! work-based policies read real node state instead of ledgers; at scale
 //! their per-arrival node choice is served by the crate-private
-//! `contender` index (depth buckets / tournament trees over the same
-//! scores, O(log nodes)) rather than a linear scan — see the
-//! `event_heap` module.
+//! `contender` index (tournament trees over the same scores, O(log nodes))
+//! rather than a linear scan — see the `event_heap` module.
 
 use std::cell::RefCell;
 

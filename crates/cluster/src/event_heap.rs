@@ -53,7 +53,7 @@
 //! and never advances one; it serves recovery picks, which route from a
 //! source node. When the timeline never steps between arrivals (no
 //! stealing, no migration), sourceless arrivals walk [`crate::contender`]
-//! instead: queue-depth buckets for `jsq-live`, tournament trees keyed on
+//! instead: tournament trees keyed on queue depth for `jsq-live` and on
 //! predicted work for `least-work-live` / `predictive-live`, fault-penalty
 //! tiers as the major key (re-tiered at every fault window edge), refreshed
 //! from the one `reschedule` funnel every session mutation flows through. A

@@ -29,8 +29,7 @@
 //!   projections. Its decisions read the engine's O(1) incremental
 //!   aggregates; without stealing or migration each fresh arrival walks an
 //!   indexed contender structure (the crate-private `contender` module:
-//!   penalty-tiered depth buckets / tournament trees, O(log nodes) per
-//!   arrival).
+//!   penalty-tiered tournament trees, O(log nodes) per arrival).
 //! * [`OnlineClusterSimulator::run_reference`] — the *stepping* strategy,
 //!   kept in this module as the semantic oracle (and the baseline of the
 //!   `cluster-scale` bench): every step advances *all* sessions via

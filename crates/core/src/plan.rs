@@ -55,7 +55,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use dnn_models::lowering::lower_graph;
+use dnn_models::lowering::lower_network;
 use dnn_models::{ModelKind, SeqSpec};
 use npu_sim::{Cycles, LayerTiming, NpuConfig, PreemptionInterval};
 
@@ -116,7 +116,7 @@ impl ExecutionPlan {
     /// executes it.
     pub fn compile(model: ModelKind, batch: u64, seq: SeqSpec, cfg: &NpuConfig) -> Self {
         let network = model.build(batch, seq);
-        let (works, order) = dedupe(lower_graph(&network, batch));
+        let (works, order) = dedupe(lower_network(&network, batch));
         let layers = works
             .iter()
             .map(|work| {
@@ -1083,7 +1083,7 @@ mod tests {
                 for input_len in [5u64, 20, 40] {
                     let seq = SeqSpec::for_model(model, input_len);
                     let plan = ExecutionPlan::compile(model, batch, seq, &c);
-                    let works = lower_graph(&model.build(batch, seq), batch);
+                    let works = lower_network(&model.build(batch, seq), batch);
                     let context = format!("{model:?} batch {batch} input {input_len}");
                     assert_eq!(plan.layer_count(), works.len(), "{context}");
                     for (layer, work) in plan.layers().zip(&works) {

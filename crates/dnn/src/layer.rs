@@ -1,8 +1,8 @@
 //! Layer intermediate representation.
 //!
-//! A [`Layer`] describes one node of a DNN's dataflow graph: its type
-//! ([`LayerKind`]), its shape parameters, and an optionally fused activation
-//! function. The IR is deliberately architecture-agnostic: it exposes MAC
+//! A [`Layer`] describes one layer of a DNN: its type ([`LayerKind`]), its
+//! shape parameters, and an optionally fused activation function. The IR is
+//! deliberately architecture-agnostic: it exposes MAC
 //! counts, element counts, and the `(m, k, n)` GEMM dimensions the layer
 //! lowers to, and leaves the mapping onto a concrete NPU to
 //! [`crate::lowering`].

@@ -1,13 +1,13 @@
-//! DNN layer intermediate representation, network graphs, and the model zoo
-//! used by the PREMA reproduction (Section III of the paper).
+//! DNN layer intermediate representation, networks, and the model zoo used
+//! by the PREMA reproduction (Section III of the paper).
 //!
 //! The crate provides:
 //!
 //! * [`Layer`] / [`LayerKind`] — a compact layer IR covering the layer types
 //!   the paper enumerates (CONV, depthwise CONV, FC, ACTV, POOL, RECR) with
 //!   shape arithmetic, MAC counts, and GEMM lowering dimensions.
-//! * [`NetworkGraph`] — the direct acyclic graph of layers extracted at
-//!   compile time (Section II-A), with topological iteration.
+//! * [`Network`] — a model's layers in the order the NPU executes them,
+//!   fixed at compile time (Section II-A).
 //! * [`ModelKind`] and the [`models`] module — builders for the eight
 //!   evaluation DNNs (CNN-AN/GN/VN/MN and RNN-SA/MT1/MT2/ASR) plus ResNet-50
 //!   used by the Figure 1 co-location experiment.
@@ -29,13 +29,13 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod graph;
 pub mod layer;
 pub mod lowering;
 pub mod models;
+pub mod network;
 pub mod sparsity;
 
-pub use graph::{NetworkGraph, NodeId};
 pub use layer::{ActivationKind, Layer, LayerKind, PoolKind, RecurrentKind};
 pub use models::{ModelKind, SeqSpec, ALL_EVAL_MODELS, CNN_MODELS, RNN_MODELS};
+pub use network::Network;
 pub use sparsity::ActivationDensityModel;

@@ -6,11 +6,11 @@
 //! shapes are turned into the GEMM that the weight-stationary array executes
 //! plus the vector-unit work fused with it.
 
-use npu_sim::isa::VectorOpKind;
-use npu_sim::vector::VectorWork;
+use npu_sim::vector::{VectorOpKind, VectorWork};
 use npu_sim::{GemmShape, LayerWork};
 
 use crate::layer::{ActivationKind, Layer, LayerKind, PoolKind};
+use crate::network::Network;
 
 impl From<ActivationKind> for VectorOpKind {
     fn from(kind: ActivationKind) -> Self {
@@ -38,34 +38,23 @@ impl From<ActivationKind> for VectorOpKind {
 pub fn lower_layer(layer: &Layer, batch: u64) -> LayerWork {
     assert!(batch > 0, "batch size must be non-zero");
     match layer.kind() {
-        LayerKind::Conv { .. } | LayerKind::DepthwiseConv { .. } => {
-            let dims = layer.gemm_dims(batch).expect("conv layers lower to GEMM");
-            let shape = GemmShape::new(dims.m, dims.k, dims.n);
-            let mut work = LayerWork::conv(shape, layer.output_bytes(batch));
-            work.weight_bytes = layer.weight_bytes();
-            work.input_bytes = layer.input_bytes(batch);
-            if let Some(act) = layer.fused_activation() {
-                work = work.with_fused_vector(act.into(), layer.output_elements(batch));
-            }
-            work
-        }
-        LayerKind::FullyConnected { .. } | LayerKind::Recurrent { .. } => {
+        LayerKind::Conv { .. }
+        | LayerKind::DepthwiseConv { .. }
+        | LayerKind::FullyConnected { .. }
+        | LayerKind::Recurrent { .. } => {
             let dims = layer
                 .gemm_dims(batch)
-                .expect("FC/RECR layers lower to GEMM");
+                .expect("CONV/FC/RECR layers lower to GEMM");
             let shape = GemmShape::new(dims.m, dims.k, dims.n);
             let mut work = LayerWork::gemm(shape, layer.output_bytes(batch));
             work.weight_bytes = layer.weight_bytes();
             work.input_bytes = layer.input_bytes(batch);
-            if let Some(act) = layer.fused_activation() {
-                work = work.with_fused_vector(act.into(), layer.output_elements(batch));
-            }
-            // Recurrent cells additionally run their gate non-linearities on
-            // the vector unit even when no explicit activation was fused.
-            if layer.fused_activation().is_none() {
-                if let LayerKind::Recurrent { .. } = layer.kind() {
-                    work = work.with_fused_vector(VectorOpKind::Tanh, layer.output_elements(batch));
-                }
+            // Recurrent cells run their gate non-linearities on the vector
+            // unit even when no explicit activation was fused.
+            let gates =
+                matches!(layer.kind(), LayerKind::Recurrent { .. }).then_some(VectorOpKind::Tanh);
+            if let Some(op) = layer.fused_activation().map(VectorOpKind::from).or(gates) {
+                work = work.with_fused_vector(op, layer.output_elements(batch));
             }
             work
         }
@@ -85,11 +74,11 @@ pub fn lower_layer(layer: &Layer, batch: u64) -> LayerWork {
     }
 }
 
-/// Lowers every layer of a graph in execution order.
-pub fn lower_graph(graph: &crate::NetworkGraph, batch: u64) -> Vec<LayerWork> {
-    graph
-        .execution_order()
-        .into_iter()
+/// Lowers every layer of a network in execution order.
+pub fn lower_network(network: &Network, batch: u64) -> Vec<LayerWork> {
+    network
+        .layers()
+        .iter()
         .map(|layer| lower_layer(layer, batch))
         .collect()
 }
@@ -98,7 +87,6 @@ pub fn lower_graph(graph: &crate::NetworkGraph, batch: u64) -> Vec<LayerWork> {
 mod tests {
     use super::*;
     use crate::layer::RecurrentKind;
-    use crate::NetworkGraph;
 
     #[test]
     fn conv_lowers_to_conv_work() {
@@ -115,7 +103,6 @@ mod tests {
         )
         .fused(ActivationKind::Relu);
         let work = lower_layer(&conv, 2);
-        assert!(work.is_conv);
         let g = work.gemm.unwrap();
         assert_eq!(g.m, 128);
         assert_eq!(g.k, 64 * 9);
@@ -156,7 +143,6 @@ mod tests {
             },
         );
         let work = lower_layer(&lstm, 1);
-        assert!(!work.is_conv);
         assert_eq!(work.gemm.unwrap().m, 2048);
         assert_eq!(work.vector.unwrap().kind, VectorOpKind::Tanh);
     }
@@ -174,26 +160,23 @@ mod tests {
     }
 
     #[test]
-    fn lower_graph_preserves_layer_count() {
-        let mut g = NetworkGraph::new("g");
-        let a = g.add_layer(Layer::new(
+    fn lower_network_preserves_layer_count() {
+        let mut net = Network::new("net");
+        net.push(Layer::new(
             "fc1",
             LayerKind::FullyConnected {
                 in_features: 10,
                 out_features: 20,
             },
         ));
-        g.add_layer_after(
-            a,
-            Layer::new(
-                "relu",
-                LayerKind::Activation {
-                    kind: ActivationKind::Relu,
-                    elements_per_sample: 20,
-                },
-            ),
-        );
-        let works = lower_graph(&g, 4);
+        net.push(Layer::new(
+            "relu",
+            LayerKind::Activation {
+                kind: ActivationKind::Relu,
+                elements_per_sample: 20,
+            },
+        ));
+        let works = lower_network(&net, 4);
         assert_eq!(works.len(), 2);
         assert!(works[0].gemm.is_some());
         assert!(works[1].gemm.is_none());

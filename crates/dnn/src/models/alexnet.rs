@@ -4,66 +4,45 @@
 //! operating on 227×227 RGB inputs. Roughly 0.7 GMACs and 61 M parameters per
 //! image.
 
-use crate::graph::NetworkGraph;
-use crate::layer::{ActivationKind, Layer, LayerKind, PoolKind};
+use crate::layer::{ActivationKind, PoolKind};
+use crate::network::Network;
 
 use super::builders::{conv_relu, fully_connected, pool};
 
-/// Builds the AlexNet graph.
-pub fn build() -> NetworkGraph {
-    let mut g = NetworkGraph::new("alexnet");
+/// Builds AlexNet.
+pub fn build() -> Network {
+    let mut net = Network::new("alexnet");
 
-    let conv1 = g.add_layer(
-        Layer::new(
-            "conv1",
-            LayerKind::Conv {
-                in_channels: 3,
-                out_channels: 96,
-                kernel: (11, 11),
-                stride: (4, 4),
-                padding: (0, 0),
-                input_hw: (227, 227),
-            },
-        )
-        .fused(ActivationKind::Relu),
-    );
+    net.push(conv_relu("conv1", 3, 96, 11, 4, 0, 227));
     // 96 x 55 x 55 -> pool -> 96 x 27 x 27
-    let pool1 = pool(&mut g, conv1, "pool1", PoolKind::Max, 3, 2, 96, 55);
+    net.push(pool("pool1", PoolKind::Max, 3, 2, 96, 55));
 
-    let conv2 = conv_relu(&mut g, pool1, "conv2", 96, 256, 5, 1, 2, 27);
+    net.push(conv_relu("conv2", 96, 256, 5, 1, 2, 27));
     // 256 x 27 x 27 -> pool -> 256 x 13 x 13
-    let pool2 = pool(&mut g, conv2, "pool2", PoolKind::Max, 3, 2, 256, 27);
+    net.push(pool("pool2", PoolKind::Max, 3, 2, 256, 27));
 
-    let conv3 = conv_relu(&mut g, pool2, "conv3", 256, 384, 3, 1, 1, 13);
-    let conv4 = conv_relu(&mut g, conv3, "conv4", 384, 384, 3, 1, 1, 13);
-    let conv5 = conv_relu(&mut g, conv4, "conv5", 384, 256, 3, 1, 1, 13);
+    net.push(conv_relu("conv3", 256, 384, 3, 1, 1, 13));
+    net.push(conv_relu("conv4", 384, 384, 3, 1, 1, 13));
+    net.push(conv_relu("conv5", 384, 256, 3, 1, 1, 13));
     // 256 x 13 x 13 -> pool -> 256 x 6 x 6
-    let pool5 = pool(&mut g, conv5, "pool5", PoolKind::Max, 3, 2, 256, 13);
+    net.push(pool("pool5", PoolKind::Max, 3, 2, 256, 13));
 
-    let fc6 = fully_connected(
-        &mut g,
-        pool5,
+    net.push(fully_connected(
         "fc6",
         256 * 6 * 6,
         4096,
-        Some(ActivationKind::Relu),
-    );
-    let fc7 = fully_connected(&mut g, fc6, "fc7", 4096, 4096, Some(ActivationKind::Relu));
-    let _fc8 = fully_connected(
-        &mut g,
-        fc7,
-        "fc8",
-        4096,
-        1000,
-        Some(ActivationKind::Softmax),
-    );
+        ActivationKind::Relu,
+    ));
+    net.push(fully_connected("fc7", 4096, 4096, ActivationKind::Relu));
+    net.push(fully_connected("fc8", 4096, 1000, ActivationKind::Softmax));
 
-    g
+    net
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::LayerKind;
 
     #[test]
     fn layer_inventory() {
@@ -72,7 +51,8 @@ mod tests {
         assert_eq!(g.layer_count(), 11);
         let conv_count = g
             .layers()
-            .filter(|(_, l)| matches!(l.kind(), LayerKind::Conv { .. }))
+            .iter()
+            .filter(|l| matches!(l.kind(), LayerKind::Conv { .. }))
             .count();
         assert_eq!(conv_count, 5);
     }
@@ -97,8 +77,9 @@ mod tests {
         let g = build();
         let pool5 = g
             .layers()
-            .find(|(_, l)| l.name() == "pool5")
-            .map(|(_, l)| l.output_hw().unwrap())
+            .iter()
+            .find(|l| l.name() == "pool5")
+            .map(|l| l.output_hw().unwrap())
             .unwrap();
         assert_eq!(pool5, (6, 6));
     }

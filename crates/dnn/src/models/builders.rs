@@ -1,13 +1,9 @@
-//! Shared helpers for constructing model-zoo graphs.
+//! Shared layer constructors for the model-zoo builders.
 
-use crate::graph::{NetworkGraph, NodeId};
 use crate::layer::{ActivationKind, Layer, LayerKind, PoolKind, RecurrentKind};
 
-/// Appends a ReLU-fused convolution after `from`.
-#[allow(clippy::too_many_arguments)]
+/// A ReLU-fused square convolution.
 pub fn conv_relu(
-    graph: &mut NetworkGraph,
-    from: NodeId,
     name: &str,
     in_channels: u64,
     out_channels: u64,
@@ -15,8 +11,8 @@ pub fn conv_relu(
     stride: u64,
     padding: u64,
     input_hw: u64,
-) -> NodeId {
-    let layer = Layer::new(
+) -> Layer {
+    Layer::new(
         name,
         LayerKind::Conv {
             in_channels,
@@ -27,23 +23,19 @@ pub fn conv_relu(
             input_hw: (input_hw, input_hw),
         },
     )
-    .fused(ActivationKind::Relu);
-    graph.add_layer_after(from, layer)
+    .fused(ActivationKind::Relu)
 }
 
-/// Appends a ReLU-fused depthwise convolution after `from`.
-#[allow(clippy::too_many_arguments)]
+/// A ReLU-fused square depthwise convolution.
 pub fn depthwise_relu(
-    graph: &mut NetworkGraph,
-    from: NodeId,
     name: &str,
     channels: u64,
     kernel: u64,
     stride: u64,
     padding: u64,
     input_hw: u64,
-) -> NodeId {
-    let layer = Layer::new(
+) -> Layer {
+    Layer::new(
         name,
         LayerKind::DepthwiseConv {
             channels,
@@ -53,23 +45,19 @@ pub fn depthwise_relu(
             input_hw: (input_hw, input_hw),
         },
     )
-    .fused(ActivationKind::Relu);
-    graph.add_layer_after(from, layer)
+    .fused(ActivationKind::Relu)
 }
 
-/// Appends a pooling layer after `from`.
-#[allow(clippy::too_many_arguments)]
+/// A square pooling layer.
 pub fn pool(
-    graph: &mut NetworkGraph,
-    from: NodeId,
     name: &str,
     kind: PoolKind,
     window: u64,
     stride: u64,
     channels: u64,
     input_hw: u64,
-) -> NodeId {
-    let layer = Layer::new(
+) -> Layer {
+    Layer::new(
         name,
         LayerKind::Pool {
             kind,
@@ -78,104 +66,46 @@ pub fn pool(
             channels,
             input_hw: (input_hw, input_hw),
         },
-    );
-    graph.add_layer_after(from, layer)
+    )
 }
 
-/// Appends a fully-connected layer after `from`, optionally fusing an
-/// activation.
+/// A fully-connected layer with a fused activation.
 pub fn fully_connected(
-    graph: &mut NetworkGraph,
-    from: NodeId,
     name: &str,
     in_features: u64,
     out_features: u64,
-    activation: Option<ActivationKind>,
-) -> NodeId {
-    let mut layer = Layer::new(
+    activation: ActivationKind,
+) -> Layer {
+    Layer::new(
         name,
         LayerKind::FullyConnected {
             in_features,
             out_features,
         },
-    );
-    if let Some(act) = activation {
-        layer = layer.fused(act);
-    }
-    graph.add_layer_after(from, layer)
+    )
+    .fused(activation)
 }
 
-/// Appends one time step of an LSTM layer after `from`.
-pub fn lstm_step(
-    graph: &mut NetworkGraph,
-    from: NodeId,
-    name: &str,
-    input_size: u64,
-    hidden_size: u64,
-) -> NodeId {
-    let layer = Layer::new(
+/// One time step of an LSTM layer.
+pub fn lstm_step(name: &str, input_size: u64, hidden_size: u64) -> Layer {
+    Layer::new(
         name,
         LayerKind::Recurrent {
             kind: RecurrentKind::Lstm,
             input_size,
             hidden_size,
         },
-    );
-    graph.add_layer_after(from, layer)
+    )
 }
 
-/// Appends an explicit element-wise layer (used for residual additions and
-/// branch concatenations, which are cheap vector-unit copies/adds).
-pub fn elementwise(
-    graph: &mut NetworkGraph,
-    from: NodeId,
-    name: &str,
-    kind: ActivationKind,
-    elements_per_sample: u64,
-) -> NodeId {
-    let layer = Layer::new(
+/// An explicit element-wise layer (used for residual additions and branch
+/// concatenations, which are cheap vector-unit copies/adds).
+pub fn elementwise(name: &str, kind: ActivationKind, elements_per_sample: u64) -> Layer {
+    Layer::new(
         name,
         LayerKind::Activation {
             kind,
             elements_per_sample,
         },
-    );
-    graph.add_layer_after(from, layer)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn helpers_chain_into_a_linear_graph() {
-        let mut g = NetworkGraph::new("test");
-        let input = g.add_layer(Layer::new(
-            "stem",
-            LayerKind::Conv {
-                in_channels: 3,
-                out_channels: 8,
-                kernel: (3, 3),
-                stride: (1, 1),
-                padding: (1, 1),
-                input_hw: (8, 8),
-            },
-        ));
-        let c = conv_relu(&mut g, input, "c", 8, 16, 3, 1, 1, 8);
-        let d = depthwise_relu(&mut g, c, "dw", 16, 3, 1, 1, 8);
-        let p = pool(&mut g, d, "p", PoolKind::Max, 2, 2, 16, 8);
-        let f = fully_connected(
-            &mut g,
-            p,
-            "fc",
-            16 * 4 * 4,
-            10,
-            Some(ActivationKind::Softmax),
-        );
-        let l = lstm_step(&mut g, f, "lstm", 10, 10);
-        let _e = elementwise(&mut g, l, "add", ActivationKind::Relu, 10);
-        assert_eq!(g.layer_count(), 7);
-        assert_eq!(g.edge_count(), 6);
-        assert_eq!(g.topological_order().unwrap().len(), 7);
-    }
+    )
 }

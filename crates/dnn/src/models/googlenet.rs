@@ -3,12 +3,11 @@
 //! A stem of three convolutions followed by nine inception modules in three
 //! stages and a final classifier. Each inception module has four parallel
 //! branches (1×1, 1×1→3×3, 1×1→5×5, pool→1×1) whose outputs are concatenated
-//! channel-wise; the branch structure is preserved in the graph and joined by
-//! an explicit (cheap) concatenation node. Roughly 1.5 GMACs and 7 M
-//! parameters per 224×224 image.
+//! channel-wise by an explicit (cheap) concatenation layer. Roughly 1.5
+//! GMACs and 7 M parameters per 224×224 image.
 
-use crate::graph::{NetworkGraph, NodeId};
-use crate::layer::{ActivationKind, Layer, LayerKind, PoolKind};
+use crate::layer::{ActivationKind, PoolKind};
+use crate::network::Network;
 
 use super::builders::{conv_relu, elementwise, fully_connected, pool};
 
@@ -31,40 +30,45 @@ impl InceptionSpec {
     }
 }
 
-/// Appends one inception module after `from`, returning the concat node and
-/// the module's output channel count.
-fn inception(graph: &mut NetworkGraph, from: NodeId, spec: &InceptionSpec) -> (NodeId, u64) {
+/// Appends one inception module, returning its output channel count.
+///
+/// The module runs its four branch heads first, all of which read the
+/// module input, then each branch's second layer, then the concatenation.
+fn inception(net: &mut Network, spec: &InceptionSpec) -> u64 {
     let s = spec.spatial;
     let name = spec.name;
+    let cin = spec.in_channels;
 
-    // Branch 1: 1x1 convolution.
-    let b1 = conv_relu(
-        graph,
-        from,
+    net.push(conv_relu(
         &format!("{name}_1x1"),
-        spec.in_channels,
+        cin,
         spec.branch1x1,
         1,
         1,
         0,
         s,
-    );
-
-    // Branch 2: 1x1 reduce -> 3x3.
-    let b2r = conv_relu(
-        graph,
-        from,
+    ));
+    net.push(conv_relu(
         &format!("{name}_3x3_reduce"),
-        spec.in_channels,
+        cin,
         spec.branch3x3_reduce,
         1,
         1,
         0,
         s,
-    );
-    let b2 = conv_relu(
-        graph,
-        b2r,
+    ));
+    net.push(conv_relu(
+        &format!("{name}_5x5_reduce"),
+        cin,
+        spec.branch5x5_reduce,
+        1,
+        1,
+        0,
+        s,
+    ));
+    net.push(pool(&format!("{name}_pool"), PoolKind::Max, 3, 1, cin, s));
+
+    net.push(conv_relu(
         &format!("{name}_3x3"),
         spec.branch3x3_reduce,
         spec.branch3x3,
@@ -72,23 +76,8 @@ fn inception(graph: &mut NetworkGraph, from: NodeId, spec: &InceptionSpec) -> (N
         1,
         1,
         s,
-    );
-
-    // Branch 3: 1x1 reduce -> 5x5.
-    let b3r = conv_relu(
-        graph,
-        from,
-        &format!("{name}_5x5_reduce"),
-        spec.in_channels,
-        spec.branch5x5_reduce,
-        1,
-        1,
-        0,
-        s,
-    );
-    let b3 = conv_relu(
-        graph,
-        b3r,
+    ));
+    net.push(conv_relu(
         &format!("{name}_5x5"),
         spec.branch5x5_reduce,
         spec.branch5x5,
@@ -96,73 +85,40 @@ fn inception(graph: &mut NetworkGraph, from: NodeId, spec: &InceptionSpec) -> (N
         1,
         2,
         s,
-    );
-
-    // Branch 4: 3x3 max pool -> 1x1 projection.
-    let b4p = pool(
-        graph,
-        from,
-        &format!("{name}_pool"),
-        PoolKind::Max,
-        3,
-        1,
-        spec.in_channels,
-        s,
-    );
+    ));
     // A 3x3/1 max pool without padding shrinks the map by 2; the original
     // network pads to keep it constant, so the projection sees `s` again.
-    let b4 = conv_relu(
-        graph,
-        b4p,
+    net.push(conv_relu(
         &format!("{name}_pool_proj"),
-        spec.in_channels,
+        cin,
         spec.pool_proj,
         1,
         1,
         0,
         s,
-    );
+    ));
 
     // Channel-wise concatenation of the four branches: a cheap on-chip copy,
-    // modelled as a single element-wise node joining the branch outputs.
+    // modelled as a single element-wise layer.
     let out_channels = spec.output_channels();
-    let concat = elementwise(
-        graph,
-        b1,
+    net.push(elementwise(
         &format!("{name}_concat"),
         ActivationKind::Relu,
         out_channels * s * s,
-    );
-    graph.add_edge(b2, concat).expect("branch 2 joins concat");
-    graph.add_edge(b3, concat).expect("branch 3 joins concat");
-    graph.add_edge(b4, concat).expect("branch 4 joins concat");
-
-    (concat, out_channels)
+    ));
+    out_channels
 }
 
-/// Builds the GoogLeNet graph.
-pub fn build() -> NetworkGraph {
-    let mut g = NetworkGraph::new("googlenet");
+/// Builds GoogLeNet.
+pub fn build() -> Network {
+    let mut net = Network::new("googlenet");
 
     // Stem: 7x7/2 conv, pool, 1x1 conv, 3x3 conv, pool.
-    let conv1 = g.add_layer(
-        Layer::new(
-            "conv1_7x7",
-            LayerKind::Conv {
-                in_channels: 3,
-                out_channels: 64,
-                kernel: (7, 7),
-                stride: (2, 2),
-                padding: (3, 3),
-                input_hw: (224, 224),
-            },
-        )
-        .fused(ActivationKind::Relu),
-    );
-    let pool1 = pool(&mut g, conv1, "pool1", PoolKind::Max, 3, 2, 64, 112);
-    let conv2 = conv_relu(&mut g, pool1, "conv2_1x1", 64, 64, 1, 1, 0, 56);
-    let conv3 = conv_relu(&mut g, conv2, "conv2_3x3", 64, 192, 3, 1, 1, 56);
-    let pool2 = pool(&mut g, conv3, "pool2", PoolKind::Max, 3, 2, 192, 56);
+    net.push(conv_relu("conv1_7x7", 3, 64, 7, 2, 3, 224));
+    net.push(pool("pool1", PoolKind::Max, 3, 2, 64, 112));
+    net.push(conv_relu("conv2_1x1", 64, 64, 1, 1, 0, 56));
+    net.push(conv_relu("conv2_3x3", 64, 192, 3, 1, 1, 56));
+    net.push(pool("pool2", PoolKind::Max, 3, 2, 192, 56));
 
     let specs_28 = [
         InceptionSpec {
@@ -188,14 +144,11 @@ pub fn build() -> NetworkGraph {
             spatial: 28,
         },
     ];
-    let mut node = pool2;
     let mut channels = 192;
     for spec in &specs_28 {
-        let (concat, out) = inception(&mut g, node, spec);
-        node = concat;
-        channels = out;
+        channels = inception(&mut net, spec);
     }
-    let pool3 = pool(&mut g, node, "pool3", PoolKind::Max, 3, 2, channels, 28);
+    net.push(pool("pool3", PoolKind::Max, 3, 2, channels, 28));
 
     let specs_14 = [
         InceptionSpec {
@@ -254,13 +207,10 @@ pub fn build() -> NetworkGraph {
             spatial: 14,
         },
     ];
-    let mut node = pool3;
     for spec in &specs_14 {
-        let (concat, out) = inception(&mut g, node, spec);
-        node = concat;
-        channels = out;
+        channels = inception(&mut net, spec);
     }
-    let pool4 = pool(&mut g, node, "pool4", PoolKind::Max, 3, 2, channels, 14);
+    net.push(pool("pool4", PoolKind::Max, 3, 2, channels, 14));
 
     let specs_7 = [
         InceptionSpec {
@@ -286,46 +236,35 @@ pub fn build() -> NetworkGraph {
             spatial: 7,
         },
     ];
-    let mut node = pool4;
     for spec in &specs_7 {
-        let (concat, out) = inception(&mut g, node, spec);
-        node = concat;
-        channels = out;
+        channels = inception(&mut net, spec);
     }
 
-    let avg_pool = pool(&mut g, node, "avg_pool", PoolKind::Avg, 7, 1, channels, 7);
-    let _fc = fully_connected(
-        &mut g,
-        avg_pool,
+    net.push(pool("avg_pool", PoolKind::Avg, 7, 1, channels, 7));
+    net.push(fully_connected(
         "fc",
         channels,
         1000,
-        Some(ActivationKind::Softmax),
-    );
+        ActivationKind::Softmax,
+    ));
 
-    g
+    net
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::LayerKind;
 
     #[test]
     fn has_nine_inception_modules() {
         let g = build();
         let concats = g
             .layers()
-            .filter(|(_, l)| l.name().ends_with("_concat"))
+            .iter()
+            .filter(|l| l.name().ends_with("_concat"))
             .count();
         assert_eq!(concats, 9);
-    }
-
-    #[test]
-    fn graph_is_a_dag_with_branching() {
-        let g = build();
-        assert!(g.topological_order().is_ok());
-        // Branching means more edges than a simple chain would have.
-        assert!(g.edge_count() > g.layer_count());
     }
 
     #[test]
@@ -345,7 +284,7 @@ mod tests {
     #[test]
     fn final_stage_produces_1024_channels() {
         let g = build();
-        let fc = g.layers().find(|(_, l)| l.name() == "fc").unwrap().1;
+        let fc = g.layers().iter().find(|l| l.name() == "fc").unwrap();
         match fc.kind() {
             LayerKind::FullyConnected { in_features, .. } => assert_eq!(*in_features, 1024),
             other => panic!("unexpected classifier kind {other:?}"),

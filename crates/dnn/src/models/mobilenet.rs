@@ -7,8 +7,8 @@
 //! of Figure 10 in the paper. Roughly 0.57 GMACs and 4.2 M parameters per
 //! 224×224 image.
 
-use crate::graph::NetworkGraph;
-use crate::layer::{ActivationKind, Layer, LayerKind, PoolKind};
+use crate::layer::{ActivationKind, PoolKind};
+use crate::network::Network;
 
 use super::builders::{conv_relu, depthwise_relu, fully_connected, pool};
 
@@ -30,33 +30,23 @@ const BLOCKS: [(u64, u64, u64, u64); 13] = [
     (1024, 1024, 1, 7),
 ];
 
-/// Builds the MobileNet v1 graph.
-pub fn build() -> NetworkGraph {
-    let mut g = NetworkGraph::new("mobilenet_v1");
+/// Builds MobileNet v1.
+pub fn build() -> Network {
+    let mut net = Network::new("mobilenet_v1");
 
-    let stem = g.add_layer(
-        Layer::new(
-            "conv_stem",
-            LayerKind::Conv {
-                in_channels: 3,
-                out_channels: 32,
-                kernel: (3, 3),
-                stride: (2, 2),
-                padding: (1, 1),
-                input_hw: (224, 224),
-            },
-        )
-        .fused(ActivationKind::Relu),
-    );
-
-    let mut node = stem;
+    net.push(conv_relu("conv_stem", 3, 32, 3, 2, 1, 224));
     for (idx, &(in_ch, out_ch, stride, hw)) in BLOCKS.iter().enumerate() {
         let block = idx + 1;
-        let dw = depthwise_relu(&mut g, node, &format!("dw{block}"), in_ch, 3, stride, 1, hw);
+        net.push(depthwise_relu(
+            &format!("dw{block}"),
+            in_ch,
+            3,
+            stride,
+            1,
+            hw,
+        ));
         let pw_hw = if stride == 2 { hw / 2 } else { hw };
-        node = conv_relu(
-            &mut g,
-            dw,
+        net.push(conv_relu(
             &format!("pw{block}"),
             in_ch,
             out_ch,
@@ -64,18 +54,19 @@ pub fn build() -> NetworkGraph {
             1,
             0,
             pw_hw,
-        );
+        ));
     }
 
-    let avg = pool(&mut g, node, "avg_pool", PoolKind::Avg, 7, 1, 1024, 7);
-    let _fc = fully_connected(&mut g, avg, "fc", 1024, 1000, Some(ActivationKind::Softmax));
+    net.push(pool("avg_pool", PoolKind::Avg, 7, 1, 1024, 7));
+    net.push(fully_connected("fc", 1024, 1000, ActivationKind::Softmax));
 
-    g
+    net
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::LayerKind;
 
     #[test]
     fn layer_inventory() {
@@ -84,7 +75,8 @@ mod tests {
         assert_eq!(g.layer_count(), 29);
         let dw_count = g
             .layers()
-            .filter(|(_, l)| matches!(l.kind(), LayerKind::DepthwiseConv { .. }))
+            .iter()
+            .filter(|l| matches!(l.kind(), LayerKind::DepthwiseConv { .. }))
             .count();
         assert_eq!(dw_count, 13);
     }
@@ -106,7 +98,7 @@ mod tests {
     #[test]
     fn depthwise_layers_have_shallow_reductions() {
         let g = build();
-        for (_, layer) in g.layers() {
+        for layer in g.layers() {
             if matches!(layer.kind(), LayerKind::DepthwiseConv { .. }) {
                 let dims = layer.gemm_dims(1).unwrap();
                 assert_eq!(dims.k, 9, "depthwise reduction depth is the 3x3 window");

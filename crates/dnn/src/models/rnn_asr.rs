@@ -7,8 +7,8 @@
 //! a two-layer LSTM decoder with an attention projection and a character
 //! classifier, unrolled for the (input-data dependent) output text length.
 
-use crate::graph::NetworkGraph;
 use crate::layer::ActivationKind;
+use crate::network::Network;
 
 use super::builders::{fully_connected, lstm_step};
 use super::SeqSpec;
@@ -24,15 +24,13 @@ const SPELLER_LAYERS: u64 = 2;
 /// Output character-set size.
 const CHARSET: u64 = 30;
 
-/// Builds the time-unrolled Listen-Attend-Spell graph.
-pub fn build(seq: SeqSpec) -> NetworkGraph {
+/// Builds the time-unrolled Listen-Attend-Spell network.
+pub fn build(seq: SeqSpec) -> Network {
     let frames = seq.input_len.max(1);
-    let out_steps = seq.output_len.max(1);
-    let mut g = NetworkGraph::new("rnn_asr");
+    let mut net = Network::new("rnn_asr");
 
     // Listener: pyramidal BLSTM. Layer `l` processes frames / 2^l steps, two
     // directions per step.
-    let mut prev = None;
     for layer in 0..LISTENER_LAYERS {
         let steps = (frames >> layer).max(1);
         // The first layer reads acoustic features; deeper layers read the
@@ -41,54 +39,36 @@ pub fn build(seq: SeqSpec) -> NetworkGraph {
         for t in 0..steps {
             for direction in ["fwd", "bwd"] {
                 let name = format!("listen_l{layer}_{direction}_t{t}");
-                let node = match prev {
-                    Some(p) => lstm_step(&mut g, p, &name, input_size, HIDDEN),
-                    None => g.add_layer(crate::layer::Layer::new(
-                        name,
-                        crate::layer::LayerKind::Recurrent {
-                            kind: crate::layer::RecurrentKind::Lstm,
-                            input_size,
-                            hidden_size: HIDDEN,
-                        },
-                    )),
-                };
-                prev = Some(node);
+                net.push(lstm_step(&name, input_size, HIDDEN));
             }
         }
     }
-    let mut prev = prev.expect("listener unrolled at least one step");
 
     // Speller: attention-equipped LSTM decoder emitting characters.
-    for t in 0..out_steps {
+    for t in 0..seq.output_len.max(1) {
         for layer in 0..SPELLER_LAYERS {
             let input_size = if layer == 0 { 2 * HIDDEN } else { HIDDEN };
-            prev = lstm_step(
-                &mut g,
-                prev,
+            net.push(lstm_step(
                 &format!("spell_l{layer}_t{t}"),
                 input_size,
                 HIDDEN,
-            );
+            ));
         }
-        prev = fully_connected(
-            &mut g,
-            prev,
+        net.push(fully_connected(
             &format!("attention_t{t}"),
             2 * HIDDEN,
             HIDDEN,
-            Some(ActivationKind::Tanh),
-        );
-        prev = fully_connected(
-            &mut g,
-            prev,
+            ActivationKind::Tanh,
+        ));
+        net.push(fully_connected(
             &format!("char_t{t}"),
             HIDDEN,
             CHARSET,
-            Some(ActivationKind::Softmax),
-        );
+            ActivationKind::Softmax,
+        ));
     }
 
-    g
+    net
 }
 
 #[cfg(test)]
@@ -100,7 +80,8 @@ mod tests {
         let g = build(SeqSpec::new(40, 10));
         let count = |prefix: &str| {
             g.layers()
-                .filter(|(_, l)| l.name().starts_with(prefix))
+                .iter()
+                .filter(|l| l.name().starts_with(prefix))
                 .count()
         };
         assert_eq!(count("listen_l0_"), 40 * 2);
@@ -113,7 +94,8 @@ mod tests {
         let g = build(SeqSpec::new(40, 10));
         let spell_layers = g
             .layers()
-            .filter(|(_, l)| l.name().starts_with("spell_"))
+            .iter()
+            .filter(|l| l.name().starts_with("spell_"))
             .count();
         assert_eq!(spell_layers, 10 * SPELLER_LAYERS as usize);
     }
@@ -123,10 +105,5 @@ mod tests {
         let short = build(SeqSpec::new(20, 10)).total_macs();
         let long = build(SeqSpec::new(100, 10)).total_macs();
         assert!(long > 3 * short);
-    }
-
-    #[test]
-    fn graph_is_acyclic() {
-        assert!(build(SeqSpec::new(24, 12)).topological_order().is_ok());
     }
 }

@@ -10,8 +10,8 @@
 //! different languages, so they differ in output vocabulary size and in
 //! their input→output length characteristics.
 
-use crate::graph::NetworkGraph;
 use crate::layer::ActivationKind;
+use crate::network::Network;
 
 use super::builders::{fully_connected, lstm_step};
 use super::SeqSpec;
@@ -23,70 +23,44 @@ const HIDDEN: u64 = 1024;
 /// Encoder / decoder depth.
 const LAYERS: u64 = 4;
 
-/// Builds the time-unrolled translation graph.
+/// Builds the time-unrolled translation network.
 ///
 /// `vocab` is the target-language vocabulary size used by the per-step output
 /// projection; `seq.input_len` encoder steps and `seq.output_len` decoder
 /// steps are unrolled.
-pub fn build(name: &str, vocab: u64, seq: SeqSpec) -> NetworkGraph {
-    let enc_steps = seq.input_len.max(1);
-    let dec_steps = seq.output_len.max(1);
-    let mut g = NetworkGraph::new(name);
+pub fn build(name: &str, vocab: u64, seq: SeqSpec) -> Network {
+    let mut net = Network::new(name);
 
     // Encoder.
-    let mut prev = None;
-    for t in 0..enc_steps {
+    for t in 0..seq.input_len.max(1) {
         for layer in 0..LAYERS {
             let input_size = if layer == 0 { EMBED } else { HIDDEN };
-            let name = format!("enc_l{layer}_t{t}");
-            let node = match prev {
-                Some(p) => lstm_step(&mut g, p, &name, input_size, HIDDEN),
-                None => g.add_layer(crate::layer::Layer::new(
-                    name,
-                    crate::layer::LayerKind::Recurrent {
-                        kind: crate::layer::RecurrentKind::Lstm,
-                        input_size,
-                        hidden_size: HIDDEN,
-                    },
-                )),
-            };
-            prev = Some(node);
+            net.push(lstm_step(&format!("enc_l{layer}_t{t}"), input_size, HIDDEN));
         }
     }
-    let mut prev = prev.expect("encoder unrolled at least one step");
 
     // Decoder: LSTM stack + attention context projection + vocabulary
     // projection with softmax, per generated token.
-    for t in 0..dec_steps {
+    for t in 0..seq.output_len.max(1) {
         for layer in 0..LAYERS {
             let input_size = if layer == 0 { EMBED } else { HIDDEN };
-            prev = lstm_step(
-                &mut g,
-                prev,
-                &format!("dec_l{layer}_t{t}"),
-                input_size,
-                HIDDEN,
-            );
+            net.push(lstm_step(&format!("dec_l{layer}_t{t}"), input_size, HIDDEN));
         }
-        prev = fully_connected(
-            &mut g,
-            prev,
+        net.push(fully_connected(
             &format!("attention_t{t}"),
             2 * HIDDEN,
             HIDDEN,
-            Some(ActivationKind::Tanh),
-        );
-        prev = fully_connected(
-            &mut g,
-            prev,
+            ActivationKind::Tanh,
+        ));
+        net.push(fully_connected(
             &format!("proj_t{t}"),
             HIDDEN,
             vocab,
-            Some(ActivationKind::Softmax),
-        );
+            ActivationKind::Softmax,
+        ));
     }
 
-    g
+    net
 }
 
 #[cfg(test)]
@@ -113,12 +87,5 @@ mod tests {
         let large = build("mt", 42_000, SeqSpec::new(10, 10));
         assert!(large.total_weights() > small.total_weights());
         assert!(large.total_macs() > small.total_macs());
-    }
-
-    #[test]
-    fn graph_is_an_acyclic_chain() {
-        let g = build("mt", 32_000, SeqSpec::new(7, 9));
-        assert!(g.topological_order().is_ok());
-        assert_eq!(g.edge_count(), g.layer_count() - 1);
     }
 }

@@ -4,75 +4,54 @@
 //! fully-connected layers. Roughly 15.5 GMACs and 138 M parameters per
 //! 224×224 image — the longest-running CNN in the PREMA evaluation.
 
-use crate::graph::NetworkGraph;
-use crate::layer::{ActivationKind, Layer, LayerKind, PoolKind};
+use crate::layer::{ActivationKind, PoolKind};
+use crate::network::Network;
 
 use super::builders::{conv_relu, fully_connected, pool};
 
-/// Builds the VGG-16 graph.
-pub fn build() -> NetworkGraph {
-    let mut g = NetworkGraph::new("vgg16");
+/// Builds VGG-16.
+pub fn build() -> Network {
+    let mut net = Network::new("vgg16");
 
-    let c01 = g.add_layer(
-        Layer::new(
-            "c01",
-            LayerKind::Conv {
-                in_channels: 3,
-                out_channels: 64,
-                kernel: (3, 3),
-                stride: (1, 1),
-                padding: (1, 1),
-                input_hw: (224, 224),
-            },
-        )
-        .fused(ActivationKind::Relu),
-    );
-    let c02 = conv_relu(&mut g, c01, "c02", 64, 64, 3, 1, 1, 224);
-    let p1 = pool(&mut g, c02, "pool1", PoolKind::Max, 2, 2, 64, 224);
+    net.push(conv_relu("c01", 3, 64, 3, 1, 1, 224));
+    net.push(conv_relu("c02", 64, 64, 3, 1, 1, 224));
+    net.push(pool("pool1", PoolKind::Max, 2, 2, 64, 224));
 
-    let c03 = conv_relu(&mut g, p1, "c03", 64, 128, 3, 1, 1, 112);
-    let c04 = conv_relu(&mut g, c03, "c04", 128, 128, 3, 1, 1, 112);
-    let p2 = pool(&mut g, c04, "pool2", PoolKind::Max, 2, 2, 128, 112);
+    net.push(conv_relu("c03", 64, 128, 3, 1, 1, 112));
+    net.push(conv_relu("c04", 128, 128, 3, 1, 1, 112));
+    net.push(pool("pool2", PoolKind::Max, 2, 2, 128, 112));
 
-    let c05 = conv_relu(&mut g, p2, "c05", 128, 256, 3, 1, 1, 56);
-    let c06 = conv_relu(&mut g, c05, "c06", 256, 256, 3, 1, 1, 56);
-    let c07 = conv_relu(&mut g, c06, "c07", 256, 256, 3, 1, 1, 56);
-    let p3 = pool(&mut g, c07, "pool3", PoolKind::Max, 2, 2, 256, 56);
+    net.push(conv_relu("c05", 128, 256, 3, 1, 1, 56));
+    net.push(conv_relu("c06", 256, 256, 3, 1, 1, 56));
+    net.push(conv_relu("c07", 256, 256, 3, 1, 1, 56));
+    net.push(pool("pool3", PoolKind::Max, 2, 2, 256, 56));
 
-    let c08 = conv_relu(&mut g, p3, "c08", 256, 512, 3, 1, 1, 28);
-    let c09 = conv_relu(&mut g, c08, "c09", 512, 512, 3, 1, 1, 28);
-    let c10 = conv_relu(&mut g, c09, "c10", 512, 512, 3, 1, 1, 28);
-    let p4 = pool(&mut g, c10, "pool4", PoolKind::Max, 2, 2, 512, 28);
+    net.push(conv_relu("c08", 256, 512, 3, 1, 1, 28));
+    net.push(conv_relu("c09", 512, 512, 3, 1, 1, 28));
+    net.push(conv_relu("c10", 512, 512, 3, 1, 1, 28));
+    net.push(pool("pool4", PoolKind::Max, 2, 2, 512, 28));
 
-    let c11 = conv_relu(&mut g, p4, "c11", 512, 512, 3, 1, 1, 14);
-    let c12 = conv_relu(&mut g, c11, "c12", 512, 512, 3, 1, 1, 14);
-    let c13 = conv_relu(&mut g, c12, "c13", 512, 512, 3, 1, 1, 14);
-    let p5 = pool(&mut g, c13, "pool5", PoolKind::Max, 2, 2, 512, 14);
+    net.push(conv_relu("c11", 512, 512, 3, 1, 1, 14));
+    net.push(conv_relu("c12", 512, 512, 3, 1, 1, 14));
+    net.push(conv_relu("c13", 512, 512, 3, 1, 1, 14));
+    net.push(pool("pool5", PoolKind::Max, 2, 2, 512, 14));
 
-    let fc1 = fully_connected(
-        &mut g,
-        p5,
+    net.push(fully_connected(
         "fc1",
         512 * 7 * 7,
         4096,
-        Some(ActivationKind::Relu),
-    );
-    let fc2 = fully_connected(&mut g, fc1, "fc2", 4096, 4096, Some(ActivationKind::Relu));
-    let _fc3 = fully_connected(
-        &mut g,
-        fc2,
-        "fc3",
-        4096,
-        1000,
-        Some(ActivationKind::Softmax),
-    );
+        ActivationKind::Relu,
+    ));
+    net.push(fully_connected("fc2", 4096, 4096, ActivationKind::Relu));
+    net.push(fully_connected("fc3", 4096, 1000, ActivationKind::Softmax));
 
-    g
+    net
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::LayerKind;
 
     #[test]
     fn layer_inventory() {
@@ -81,7 +60,8 @@ mod tests {
         assert_eq!(g.layer_count(), 21);
         let conv_count = g
             .layers()
-            .filter(|(_, l)| matches!(l.kind(), LayerKind::Conv { .. }))
+            .iter()
+            .filter(|l| matches!(l.kind(), LayerKind::Conv { .. }))
             .count();
         assert_eq!(conv_count, 13);
     }
@@ -105,10 +85,11 @@ mod tests {
         let g = build();
         let fc1 = g
             .layers()
-            .find(|(_, l)| l.name() == "fc1")
-            .map(|(_, l)| l.weight_count())
+            .iter()
+            .find(|l| l.name() == "fc1")
+            .map(|l| l.weight_count())
             .unwrap();
         assert_eq!(fc1, 512 * 7 * 7 * 4096);
-        assert!(g.layers().all(|(_, l)| l.weight_count() <= fc1));
+        assert!(g.layers().iter().all(|l| l.weight_count() <= fc1));
     }
 }

@@ -19,6 +19,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::layer::{Layer, LayerKind};
 use crate::models::ModelKind;
+use crate::network::Network;
 
 /// Mean activation density and per-inference variation for one layer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -55,10 +56,10 @@ impl ActivationDensityModel {
     /// activations feed a ReLU and therefore exhibit sparsity); pooling and
     /// stand-alone activation layers are skipped, matching the `c01..c13,
     /// fc1, fc2` x-axis of Figure 7.
-    pub fn for_network(network: &crate::NetworkGraph) -> Self {
+    pub fn for_network(network: &Network) -> Self {
         let weighted: Vec<&Layer> = network
-            .execution_order()
-            .into_iter()
+            .layers()
+            .iter()
             .filter(|l| l.has_weights())
             .collect();
         let depth = weighted.len().max(1);

@@ -14,9 +14,8 @@ use serde::{Deserialize, Serialize};
 use crate::config::NpuConfig;
 use crate::cycles::Cycles;
 use crate::gemm::{GemmShape, TilePlan};
-use crate::isa::{Buffer, Instruction, VectorOpKind};
 use crate::memory::DmaModel;
-use crate::vector::VectorWork;
+use crate::vector::{VectorOpKind, VectorWork};
 
 /// Default number of preemption intervals a single layer is coalesced into.
 ///
@@ -36,9 +35,6 @@ pub struct LayerWork {
     /// Element-wise work executed on the vector unit (activation functions,
     /// pooling, residual adds), possibly fused with the GEMM.
     pub vector: Option<VectorWork>,
-    /// Whether this layer is a convolution (uses `CONV_OP` rather than
-    /// `GEMM_OP`); purely informational for the instruction stream.
-    pub is_conv: bool,
     /// Weight bytes streamed from DRAM for this layer.
     pub weight_bytes: u64,
     /// Input-activation bytes streamed from DRAM (or the previous layer's
@@ -52,25 +48,16 @@ pub struct LayerWork {
 }
 
 impl LayerWork {
-    /// A layer executed as a plain matrix multiplication (`GEMM_OP`), e.g. a
-    /// fully-connected or recurrent layer.
+    /// A layer executed as a matrix multiplication on the systolic array: a
+    /// fully-connected or recurrent layer, or a convolution lowered to one.
     pub fn gemm(shape: GemmShape, output_bytes: u64) -> Self {
         LayerWork {
             gemm: Some(shape),
             vector: None,
-            is_conv: false,
             weight_bytes: shape.weight_bytes(),
             input_bytes: shape.input_bytes(),
             output_bytes,
             in_place: false,
-        }
-    }
-
-    /// A convolution lowered to a matrix multiplication (`CONV_OP`).
-    pub fn conv(shape: GemmShape, output_bytes: u64) -> Self {
-        LayerWork {
-            is_conv: true,
-            ..LayerWork::gemm(shape, output_bytes)
         }
     }
 
@@ -80,7 +67,6 @@ impl LayerWork {
         LayerWork {
             gemm: None,
             vector: Some(work),
-            is_conv: false,
             weight_bytes: 0,
             input_bytes: data_bytes,
             output_bytes: data_bytes,
@@ -97,53 +83,6 @@ impl LayerWork {
     /// Total MAC operations performed by this layer.
     pub fn macs(&self) -> u64 {
         self.gemm.map(|g| g.macs()).unwrap_or(0)
-    }
-
-    /// Lowers the layer into the coarse-grained instruction stream executed
-    /// by the NPU front-end (Section II-B). The stream is representative, not
-    /// tile-exact: one `GEMM_OP`/`CONV_OP` is emitted per tile group.
-    pub fn instructions(&self, cfg: &NpuConfig) -> Vec<Instruction> {
-        let mut stream = Vec::new();
-        if self.weight_bytes > 0 {
-            stream.push(Instruction::LoadTile {
-                buffer: Buffer::Weight,
-                bytes: self.weight_bytes,
-            });
-        }
-        if self.input_bytes > 0 {
-            stream.push(Instruction::LoadTile {
-                buffer: Buffer::Activation,
-                bytes: self.input_bytes,
-            });
-        }
-        if let Some(shape) = self.gemm {
-            let plan = TilePlan::new(shape, cfg);
-            let per_tile = GemmShape::new(
-                shape.m.min(cfg.systolic_width),
-                shape.k.min(cfg.systolic_height),
-                shape.n.min(cfg.accumulator_depth),
-            );
-            for _ in 0..plan.tile_count() {
-                stream.push(if self.is_conv {
-                    Instruction::ConvOp { shape: per_tile }
-                } else {
-                    Instruction::GemmOp { shape: per_tile }
-                });
-            }
-        }
-        if let Some(v) = self.vector {
-            stream.push(Instruction::VectorOp {
-                kind: v.kind,
-                elements: v.elements,
-            });
-        }
-        if self.output_bytes > 0 && !self.in_place {
-            stream.push(Instruction::StoreTile {
-                buffer: Buffer::Activation,
-                bytes: self.output_bytes,
-            });
-        }
-        stream
     }
 }
 
@@ -447,7 +386,6 @@ mod tests {
         let work = LayerWork {
             gemm: None,
             vector: None,
-            is_conv: false,
             weight_bytes: 0,
             input_bytes: 0,
             output_bytes: 0,
@@ -462,35 +400,12 @@ mod tests {
     fn effective_throughput_reflects_underutilization() {
         let c = cfg();
         // A 1x1-conv-like layer with tiny reduction depth underutilizes the array.
-        let small_k = LayerWork::conv(GemmShape::new(256, 32, 4096), 256 * 4096 * 2);
+        let small_k = LayerWork::gemm(GemmShape::new(256, 32, 4096), 256 * 4096 * 2);
         // A large FC layer keeps the array busy.
         let big = LayerWork::gemm(GemmShape::new(4096, 4096, 2048), 4096 * 2048 * 2);
         let t_small = LayerTiming::model(&small_k, &c);
         let t_big = LayerTiming::model(&big, &c);
         assert!(t_big.effective_macs_per_cycle() > t_small.effective_macs_per_cycle());
-    }
-
-    #[test]
-    fn instruction_stream_shape() {
-        let c = cfg();
-        let shape = GemmShape::new(256, 256, 256);
-        let work = LayerWork::conv(shape, shape.output_bytes())
-            .with_fused_vector(VectorOpKind::Relu, shape.output_elements());
-        let stream = work.instructions(&c);
-        assert!(stream
-            .iter()
-            .any(|i| matches!(i, Instruction::LoadTile { .. })));
-        assert!(stream.iter().any(|i| i.is_gemm()));
-        assert!(stream
-            .iter()
-            .any(|i| matches!(i, Instruction::VectorOp { .. })));
-        assert!(stream
-            .iter()
-            .any(|i| matches!(i, Instruction::StoreTile { .. })));
-        // Conv layers emit CONV_OP, not GEMM_OP.
-        assert!(stream
-            .iter()
-            .all(|i| !matches!(i, Instruction::GemmOp { .. })));
     }
 
     #[test]

@@ -38,7 +38,6 @@ pub mod checkpoint;
 pub mod config;
 pub mod cycles;
 pub mod gemm;
-pub mod isa;
 pub mod layer;
 pub mod memory;
 pub mod vector;
@@ -47,7 +46,6 @@ pub use checkpoint::CheckpointModel;
 pub use config::NpuConfig;
 pub use cycles::Cycles;
 pub use gemm::{GemmShape, TilePlan};
-pub use isa::Instruction;
 pub use layer::{LayerTiming, LayerWork, PreemptionInterval};
 pub use memory::DmaModel;
 pub use vector::VectorWork;

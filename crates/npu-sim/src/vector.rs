@@ -10,7 +10,25 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::NpuConfig;
 use crate::cycles::Cycles;
-use crate::isa::VectorOpKind;
+
+/// Element-wise operations executed on the vector unit via `VECTOR_OP`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum VectorOpKind {
+    /// Rectified linear unit.
+    Relu,
+    /// Logistic sigmoid.
+    Sigmoid,
+    /// Hyperbolic tangent.
+    Tanh,
+    /// Softmax over the innermost dimension.
+    Softmax,
+    /// Element-wise addition (residual connections, bias add).
+    Add,
+    /// Max pooling window reduction.
+    MaxPool,
+    /// Average pooling window reduction.
+    AvgPool,
+}
 
 /// The element-wise work attached to a layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

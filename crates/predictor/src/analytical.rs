@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use dnn_models::layer::GemmDims;
-use dnn_models::{ModelKind, NetworkGraph, SeqSpec};
+use dnn_models::{ModelKind, Network, SeqSpec};
 use npu_sim::{Cycles, NpuConfig};
 
 use crate::seqlen::SeqLenTable;
@@ -62,10 +62,10 @@ pub fn estimate_layer_cycles(dims: GemmDims, cfg: &NpuConfig) -> Cycles {
 
 /// Estimates the end-to-end latency of a network at the given batch size by
 /// summing Algorithm 1 over every GEMM-bearing layer in execution order.
-pub fn estimate_network_cycles(network: &NetworkGraph, batch: u64, cfg: &NpuConfig) -> Cycles {
+pub fn estimate_network_cycles(network: &Network, batch: u64, cfg: &NpuConfig) -> Cycles {
     network
-        .execution_order()
-        .into_iter()
+        .layers()
+        .iter()
         .filter_map(|layer| layer.gemm_dims(batch))
         .map(|dims| estimate_layer_cycles(dims, cfg))
         .sum()
@@ -85,8 +85,8 @@ pub struct EstimateCacheStats {
 ///
 /// A cluster sweep's dispatch path asks for estimates once per request, but
 /// requests repeat a small pool of shapes thousands of times — and every
-/// uncached estimate rebuilds the network graph and walks Algorithm 1 over
-/// all of its layers. Both the graph and the estimate are pure functions of
+/// uncached estimate rebuilds the network and walks Algorithm 1 over all of
+/// its layers. Both the network and the estimate are pure functions of
 /// the key (given the predictor's NPU configuration and sequence tables),
 /// so a hit is bit-identical to a recomputation by construction; a unit
 /// test pins it anyway.
@@ -275,8 +275,8 @@ mod tests {
         let net = ModelKind::CnnAlexNet.build(1, SeqSpec::none());
         let total = estimate_network_cycles(&net, 1, &c);
         let by_hand: Cycles = net
-            .execution_order()
-            .into_iter()
+            .layers()
+            .iter()
             .filter_map(|l| l.gemm_dims(1))
             .map(|d| estimate_layer_cycles(d, &c))
             .sum();

@@ -13,7 +13,7 @@
 //!   only the input length: the exact node-level model evaluated at the mean
 //!   output length. This is used for the VI-D correlation study.
 
-use dnn_models::lowering::lower_graph;
+use dnn_models::lowering::lower_network;
 use dnn_models::{ModelKind, SeqSpec};
 use npu_sim::{Cycles, LayerTiming, NpuConfig};
 
@@ -35,7 +35,7 @@ impl OraclePredictor {
     /// sequence specification (the true output length included).
     pub fn exact_cycles(&self, kind: ModelKind, batch: u64, seq: SeqSpec) -> Cycles {
         let network = kind.build(batch, seq);
-        lower_graph(&network, batch)
+        lower_network(&network, batch)
             .iter()
             .map(|work| LayerTiming::model(work, &self.cfg).total_cycles())
             .sum()

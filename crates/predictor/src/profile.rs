@@ -94,8 +94,8 @@ impl InferenceTimePredictor for ProfiledPredictor {
         };
         let network = kind.build(batch, seq);
         network
-            .execution_order()
-            .into_iter()
+            .layers()
+            .iter()
             .map(|layer| self.profile_layer(layer, batch))
             .sum()
     }

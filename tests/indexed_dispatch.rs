@@ -2,10 +2,9 @@
 //! scan they replace.
 //!
 //! The event-heap loop's live dispatch (`jsq-live`, `least-work-live`,
-//! `predictive-live`) walks an indexed contender structure — depth
-//! buckets or a tournament tree over absolute keys — for every fresh
-//! arrival whenever the loop never steps between arrivals: no stealing and
-//! no migration. Plain, faults-only, admission-only and admission-with-
+//! `predictive-live`) walks an indexed contender structure — a tournament
+//! tree over absolute keys — for every fresh arrival whenever the loop
+//! never steps between arrivals: no stealing and no migration. Plain, faults-only, admission-only and admission-with-
 //! faults drivings take that path. This sweep drives random cluster shapes
 //! through every feature combination and asserts the outcome is exactly
 //! what the linear scan produces:
