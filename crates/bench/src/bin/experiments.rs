@@ -10,6 +10,7 @@
 //! ```
 
 use std::env;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use npu_sim::NpuConfig;
@@ -146,25 +147,30 @@ fn main() -> ExitCode {
         "sensitivity",
     ];
 
-    if options.experiment == "all" {
-        for name in all {
+    let mut out = io::stdout().lock();
+    let written = if options.experiment == "all" {
+        all.iter().try_for_each(|name| {
             eprintln!("[experiments] running {name} ...");
-            match run_one(name) {
-                Some(report) => println!("{report}\n"),
-                None => unreachable!("all experiment names are valid"),
-            }
-        }
-        ExitCode::SUCCESS
+            let report = run_one(name).expect("all experiment names are valid");
+            writeln!(out, "{report}\n")
+        })
     } else {
         match run_one(&options.experiment) {
-            Some(report) => {
-                println!("{report}");
-                ExitCode::SUCCESS
-            }
+            Some(report) => writeln!(out, "{report}"),
             None => {
                 eprintln!("unknown experiment '{}'\n{USAGE}", options.experiment);
-                ExitCode::FAILURE
+                return ExitCode::FAILURE;
             }
+        }
+    };
+    match written.and_then(|()| out.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        // The reader closed the pipe early (`experiments | head`): it has
+        // read all it wanted, so stop quietly.
+        Err(err) if err.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(err) => {
+            eprintln!("experiments: cannot write the report: {err}");
+            ExitCode::FAILURE
         }
     }
 }

@@ -3,8 +3,8 @@
 
 use dnn_models::{SeqSpec, ALL_EVAL_MODELS};
 use npu_sim::{CheckpointModel, NpuConfig};
+use prema_core::context_table;
 use prema_core::plan::ExecutionPlan;
-use prema_core::ContextTable;
 use prema_metrics::TableBuilder;
 
 /// The Section VI-F / VI-G overhead summary.
@@ -37,7 +37,7 @@ pub fn run(npu: &NpuConfig) -> OverheadSummary {
         max_live_bytes = max_live_bytes.max(peak);
     }
     OverheadSummary {
-        context_table_bits: ContextTable::sram_bits_for(16),
+        context_table_bits: context_table::sram_bits(16),
         worst_case_checkpoint_us: npu.cycles_to_micros(checkpoint.worst_case_checkpoint_cycles()),
         max_live_state_mib: max_live_bytes as f64 / (1024.0 * 1024.0),
     }

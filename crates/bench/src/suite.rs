@@ -25,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
 
-use dnn_models::{ModelKind, RNN_MODELS};
+use dnn_models::RNN_MODELS;
 use npu_sim::NpuConfig;
 use prema_core::plan::plan_cache;
 use prema_core::{NpuSimulator, Priority, SchedulerConfig, SimOutcome};
@@ -72,13 +72,6 @@ impl SuiteOptions {
             runs: 3,
             ..SuiteOptions::paper()
         }
-    }
-
-    /// Overrides the run count.
-    pub fn with_runs(mut self, runs: usize) -> Self {
-        assert!(runs > 0, "at least one run is required");
-        self.runs = runs;
-        self
     }
 
     /// Disables the parallel fan-out (single-threaded reference path).
@@ -373,16 +366,6 @@ fn collect(
     *preemptions += outcome.checkpoint_preemptions + outcome.kill_preemptions;
 }
 
-/// Convenience: isolated per-model execution times in milliseconds (batch 1),
-/// used as the Figure 14 "Isolated" bars and for sanity checks.
-pub fn isolated_latency_ms(model: ModelKind, npu: &NpuConfig) -> f64 {
-    use dnn_models::SeqSpec;
-    use prema_core::plan::ExecutionPlan;
-    let seq = SeqSpec::for_model(model, 20);
-    let plan = ExecutionPlan::compile(model, 1, seq, npu);
-    npu.cycles_to_millis(plan.total_cycles())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,7 +405,6 @@ mod tests {
         assert_eq!(SuiteOptions::paper().runs, 25);
         assert_eq!(SuiteOptions::quick().runs, 3);
         assert_eq!(SuiteOptions::default().runs, 3);
-        assert_eq!(SuiteOptions::quick().with_runs(7).runs, 7);
         assert!(SuiteOptions::paper().parallel);
         assert!(!SuiteOptions::paper().serial().parallel);
         assert!(SuiteOptions::paper().validate().is_ok());
@@ -471,12 +453,5 @@ mod tests {
             assert_eq!(sa.antt, a.antt());
             assert_eq!(sa.stp, a.stp());
         }
-    }
-
-    #[test]
-    fn isolated_latencies_are_milliseconds() {
-        let npu = NpuConfig::paper_default();
-        let vgg = isolated_latency_ms(ModelKind::CnnVggNet, &npu);
-        assert!(vgg > 1.0 && vgg < 45.0, "{vgg}");
     }
 }

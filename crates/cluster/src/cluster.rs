@@ -24,7 +24,7 @@ use npu_sim::{Cycles, NpuConfig};
 use prema_core::{
     NpuSimulator, PreparedTask, SchedulerConfig, SimOutcome, TaskId, TaskRecord, TaskRequest,
 };
-use prema_predictor::InferenceTimePredictor;
+use prema_predictor::AnalyticalPredictor;
 use prema_workload::prepare::prepare_requests;
 
 use crate::dispatch::{DispatchPolicy, Dispatcher};
@@ -141,14 +141,6 @@ impl ClusterOutcome {
             .map(|o| o.scheduler_invocations)
             .sum()
     }
-
-    /// The node that served `id`, if it was part of the run.
-    pub fn node_of(&self, id: TaskId) -> Option<usize> {
-        self.assignments
-            .iter()
-            .find(|a| a.task == id)
-            .map(|a| a.node)
-    }
 }
 
 /// An empty per-node outcome (for nodes the dispatcher sent nothing to).
@@ -255,7 +247,7 @@ impl ClusterSimulator {
     pub fn run_requests(
         &self,
         requests: &[TaskRequest],
-        predictor: Option<&dyn InferenceTimePredictor>,
+        predictor: Option<&AnalyticalPredictor>,
     ) -> ClusterOutcome {
         let tasks = prepare_requests(requests, &self.config.npu, predictor);
         self.run(&tasks)
@@ -328,9 +320,6 @@ mod tests {
             .expect("a round-robin run over a non-empty request set has at least one node outcome");
         assert_eq!(outcome.makespan(), max);
         assert!(outcome.scheduler_invocations() > 0);
-        let id = outcome.assignments[0].task;
-        assert_eq!(outcome.node_of(id), Some(outcome.assignments[0].node));
-        assert_eq!(outcome.node_of(TaskId(u64::MAX)), None);
     }
 
     #[test]

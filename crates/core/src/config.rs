@@ -102,9 +102,6 @@ pub struct SchedulerConfig {
     pub preemption: PreemptionMode,
     /// Scheduling period time-quota in milliseconds (Table II: 0.25 ms).
     pub quantum_ms: f64,
-    /// Whether a checkpointed task pays a restore latency when it is next
-    /// scheduled (enabled by default; disable to model free restores).
-    pub charge_restore: bool,
     /// Multiplier applied to the token grants of Table II (1.0 by default);
     /// exposed for the sensitivity study of Section VI-E.
     pub token_scale: f64,
@@ -118,7 +115,6 @@ impl SchedulerConfig {
             policy: PolicyKind::Prema,
             preemption: PreemptionMode::Dynamic,
             quantum_ms: 0.25,
-            charge_restore: true,
             token_scale: 1.0,
         }
     }

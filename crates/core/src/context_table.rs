@@ -1,210 +1,34 @@
-//! The inference task context table (Figure 4 of the PREMA paper).
+//! The SRAM cost of the inference task context table (Figure 4 of the PREMA
+//! paper, sized in Section VI-F).
 //!
 //! The preemption module inside the NPU tracks, per co-located task: its ID,
 //! priority, accumulated tokens, how long it has executed, how long it has
 //! waited, its estimated total execution time, and its lifecycle state. The
-//! PREMA scheduling policy (Algorithm 2) and the dynamic mechanism selection
-//! (Algorithm 3) both read and update these entries.
-//!
-//! Section VI-F sizes the hardware cost of the table: seven 64-bit fields per
+//! engine keeps those seven fields in each task's runtime state; this module
+//! prices the hardware table that would hold them: seven 64-bit fields per
 //! entry (448 bits), i.e. well under a kilobyte of SRAM even for 16
 //! co-located tasks.
-
-use std::collections::BTreeMap;
-
-use serde::{Deserialize, Serialize};
-
-use npu_sim::Cycles;
-
-use crate::task::{Priority, TaskId, TaskState};
 
 /// Number of 64-bit fields per context-table entry (Section VI-F).
 pub const FIELDS_PER_ENTRY: u64 = 7;
 /// Bits per context-table field.
 pub const BITS_PER_FIELD: u64 = 64;
 
-/// One entry of the inference task context table.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ContextEntry {
-    /// The task this entry describes.
-    pub task_id: TaskId,
-    /// The task's user-defined priority.
-    pub priority: Priority,
-    /// Accumulated scheduling tokens (Algorithm 2).
-    pub tokens: f64,
-    /// Cycles the task has executed so far.
-    pub executed: Cycles,
-    /// Cycles the task has waited in the ready queue so far.
-    pub waited: Cycles,
-    /// The predictor's estimate of the task's total execution time.
-    pub estimated: Cycles,
-    /// Lifecycle state.
-    pub state: TaskState,
-}
-
-impl ContextEntry {
-    /// Creates a fresh entry for a newly dispatched task. Its initial token
-    /// count is the priority's grant (Algorithm 2, line 3).
-    pub fn new(task_id: TaskId, priority: Priority, estimated: Cycles) -> Self {
-        ContextEntry {
-            task_id,
-            priority,
-            tokens: priority.token_grant(),
-            executed: Cycles::ZERO,
-            waited: Cycles::ZERO,
-            estimated,
-            state: TaskState::Ready,
-        }
-    }
-
-    /// The task's estimated remaining execution time.
-    pub fn estimated_remaining(&self) -> Cycles {
-        self.estimated - self.executed
-    }
-}
-
-/// The context table: one entry per co-located inference task.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ContextTable {
-    entries: BTreeMap<TaskId, ContextEntry>,
-}
-
-impl ContextTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        ContextTable::default()
-    }
-
-    /// Number of tracked tasks.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Inserts (or replaces) the entry for a task and returns the previous
-    /// entry if one existed.
-    pub fn insert(&mut self, entry: ContextEntry) -> Option<ContextEntry> {
-        self.entries.insert(entry.task_id, entry)
-    }
-
-    /// Removes a task's entry (when the task completes and its results are
-    /// returned to the CPU).
-    pub fn remove(&mut self, id: TaskId) -> Option<ContextEntry> {
-        self.entries.remove(&id)
-    }
-
-    /// The entry for `id`, if tracked.
-    pub fn get(&self, id: TaskId) -> Option<&ContextEntry> {
-        self.entries.get(&id)
-    }
-
-    /// Mutable access to the entry for `id`, if tracked.
-    pub fn get_mut(&mut self, id: TaskId) -> Option<&mut ContextEntry> {
-        self.entries.get_mut(&id)
-    }
-
-    /// Iterates over all entries in task-ID order.
-    pub fn iter(&self) -> impl Iterator<Item = &ContextEntry> {
-        self.entries.values()
-    }
-
-    /// The entries currently in the ready queue (dispatched, not running,
-    /// not completed).
-    pub fn ready_entries(&self) -> impl Iterator<Item = &ContextEntry> {
-        self.entries
-            .values()
-            .filter(|e| matches!(e.state, TaskState::Ready | TaskState::Checkpointed))
-    }
-
-    /// Size in bits of the SRAM structure needed to track `task_slots`
-    /// co-located tasks (Section VI-F: 448 bits per task).
-    pub fn sram_bits_for(task_slots: u64) -> u64 {
-        task_slots * FIELDS_PER_ENTRY * BITS_PER_FIELD
-    }
-
-    /// Size in bits for the tasks currently tracked.
-    pub fn sram_bits(&self) -> u64 {
-        Self::sram_bits_for(self.entries.len() as u64)
-    }
+/// Size in bits of the SRAM structure needed to track `task_slots`
+/// co-located tasks (Section VI-F: 448 bits per task).
+pub fn sram_bits(task_slots: u64) -> u64 {
+    task_slots * FIELDS_PER_ENTRY * BITS_PER_FIELD
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn entry(id: u64, priority: Priority) -> ContextEntry {
-        ContextEntry::new(TaskId(id), priority, Cycles::new(1_000_000))
-    }
-
-    #[test]
-    fn new_entry_starts_with_priority_grant_and_ready_state() {
-        let e = entry(1, Priority::High);
-        assert_eq!(e.tokens, 9.0);
-        assert_eq!(e.state, TaskState::Ready);
-        assert_eq!(e.executed, Cycles::ZERO);
-        assert_eq!(e.waited, Cycles::ZERO);
-        assert_eq!(e.estimated_remaining(), Cycles::new(1_000_000));
-    }
-
-    #[test]
-    fn estimated_remaining_shrinks_with_execution() {
-        let mut e = entry(1, Priority::Low);
-        e.executed = Cycles::new(400_000);
-        assert_eq!(e.estimated_remaining(), Cycles::new(600_000));
-        e.executed = Cycles::new(2_000_000);
-        assert_eq!(e.estimated_remaining(), Cycles::ZERO);
-    }
-
-    #[test]
-    fn table_insert_get_remove() {
-        let mut table = ContextTable::new();
-        assert!(table.is_empty());
-        assert!(table.insert(entry(1, Priority::Low)).is_none());
-        assert!(table.insert(entry(2, Priority::High)).is_none());
-        assert_eq!(table.len(), 2);
-        assert_eq!(table.get(TaskId(2)).unwrap().priority, Priority::High);
-        table.get_mut(TaskId(1)).unwrap().state = TaskState::Running;
-        assert_eq!(table.get(TaskId(1)).unwrap().state, TaskState::Running);
-        assert!(table.remove(TaskId(1)).is_some());
-        assert!(table.get(TaskId(1)).is_none());
-        assert_eq!(table.len(), 1);
-    }
-
-    #[test]
-    fn ready_entries_exclude_running_and_completed() {
-        let mut table = ContextTable::new();
-        table.insert(entry(1, Priority::Low));
-        table.insert(entry(2, Priority::Low));
-        table.insert(entry(3, Priority::Low));
-        table.get_mut(TaskId(1)).unwrap().state = TaskState::Running;
-        table.get_mut(TaskId(2)).unwrap().state = TaskState::Checkpointed;
-        table.get_mut(TaskId(3)).unwrap().state = TaskState::Completed;
-        let ready: Vec<_> = table.ready_entries().map(|e| e.task_id).collect();
-        assert_eq!(ready, vec![TaskId(2)]);
-    }
-
     #[test]
     fn sram_cost_matches_section_vi_f() {
         // 448 bits per task; 16 co-located tasks need 7168 bits (< 1 KB).
-        assert_eq!(ContextTable::sram_bits_for(1), 448);
-        assert_eq!(ContextTable::sram_bits_for(16), 448 * 16);
-        let mut table = ContextTable::new();
-        table.insert(entry(1, Priority::Low));
-        table.insert(entry(2, Priority::Low));
-        assert_eq!(table.sram_bits(), 896);
-    }
-
-    #[test]
-    fn iteration_is_in_task_id_order() {
-        let mut table = ContextTable::new();
-        table.insert(entry(5, Priority::Low));
-        table.insert(entry(1, Priority::Low));
-        table.insert(entry(3, Priority::Low));
-        let ids: Vec<_> = table.iter().map(|e| e.task_id.0).collect();
-        assert_eq!(ids, vec![1, 3, 5]);
+        assert_eq!(sram_bits(1), 448);
+        assert_eq!(sram_bits(16), 448 * 16);
+        assert_eq!(sram_bits(0), 0);
     }
 }

@@ -1082,11 +1082,6 @@ impl NpuSimulator {
         NpuSimulator { npu, sched }
     }
 
-    /// The NPU configuration.
-    pub fn npu_config(&self) -> &NpuConfig {
-        &self.npu
-    }
-
     /// The scheduler configuration.
     pub fn scheduler_config(&self) -> &SchedulerConfig {
         &self.sched
@@ -1674,7 +1669,7 @@ impl<S: TraceSink> SimSession<S> {
         state.leave_waiting(idx);
         let mut start = self.now;
         let mut restore_charged = Cycles::ZERO;
-        if state.runtimes[idx].needs_restore && self.sched.charge_restore {
+        if state.runtimes[idx].needs_restore {
             let restore = self
                 .checkpoint_model
                 .restore_cycles(state.runtimes[idx].checkpointed_bytes);
@@ -2845,7 +2840,6 @@ mod tests {
     #[test]
     fn simulator_accessors_and_prepare() {
         let sim = NpuSimulator::new(npu(), SchedulerConfig::paper_default());
-        assert_eq!(sim.npu_config(), &npu());
         assert_eq!(sim.scheduler_config(), &SchedulerConfig::paper_default());
         let prepared = sim.prepare(&[TaskRequest::new(TaskId(0), ModelKind::CnnMobileNet)]);
         assert_eq!(prepared.len(), 1);

@@ -4,8 +4,8 @@
 //!
 //! * **Preemption mechanisms** ([`preemption`]) — CHECKPOINT, KILL and DRAIN
 //!   (Section IV), plus the dynamic mechanism selection of Algorithm 3.
-//! * **The inference task context table** ([`context_table`], Figure 4) and
-//!   its SRAM cost model (Section VI-F).
+//! * **The SRAM cost of the inference task context table**
+//!   ([`context_table`], Figure 4 and Section VI-F).
 //! * **Scheduling policies** ([`policy`]) — NP-FCFS, RRB, HPF, TOKEN, SJF and
 //!   the token-based predictive PREMA policy (Algorithm 2).
 //! * **The multi-task NPU simulation engine** ([`engine`]) — a discrete-event
@@ -51,7 +51,6 @@ pub mod task;
 pub mod trace;
 
 pub use config::{PolicyKind, PreemptionMode, SchedulerConfig};
-pub use context_table::{ContextEntry, ContextTable};
 pub use engine::{
     DispatchSignals, EngineError, NpuSimulator, OutcomeSummary, PreparedTask, ResidentTask,
     SalvagedTask, SimOutcome, SimSession, StepOutcome, TaskRecord,

@@ -1144,7 +1144,10 @@ mod tests {
         assert_eq!(*first, fresh);
 
         // A different NPU fingerprint is a different cache entry.
-        let small = NpuConfig::builder().systolic_width(64).build();
+        let small = NpuConfig {
+            systolic_width: 64,
+            ..NpuConfig::paper_default()
+        };
         let other =
             ExecutionPlan::compile_cached(ModelKind::CnnAlexNet, 3, SeqSpec::none(), &small);
         assert!(!Arc::ptr_eq(&first, &other));

@@ -50,12 +50,6 @@ impl PreemptionMechanism {
             PreemptionMechanism::Drain => "DRAIN",
         }
     }
-
-    /// Whether the mechanism actually takes the NPU away from the running
-    /// task (DRAIN does not).
-    pub fn displaces_running_task(self) -> bool {
-        !matches!(self, PreemptionMechanism::Drain)
-    }
 }
 
 impl std::fmt::Display for PreemptionMechanism {
@@ -168,9 +162,6 @@ mod tests {
     #[test]
     fn mechanism_metadata() {
         assert_eq!(PreemptionMechanism::ALL.len(), 3);
-        assert!(PreemptionMechanism::Checkpoint.displaces_running_task());
-        assert!(PreemptionMechanism::Kill.displaces_running_task());
-        assert!(!PreemptionMechanism::Drain.displaces_running_task());
         assert_eq!(PreemptionMechanism::Kill.to_string(), "KILL");
     }
 }

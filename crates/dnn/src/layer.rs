@@ -394,15 +394,6 @@ impl Layer {
         self.gemm_dims(batch).map(|g| g.macs()).unwrap_or(0)
     }
 
-    /// Whether the layer operates in place (ACTV / POOL layers reuse the
-    /// input storage, Section IV-B), producing no new checkpointable state.
-    pub fn is_in_place(&self) -> bool {
-        matches!(
-            self.kind,
-            LayerKind::Activation { .. } | LayerKind::Pool { .. }
-        )
-    }
-
     /// Whether the layer carries layer-specific weights (CONV/FC/RECR).
     pub fn has_weights(&self) -> bool {
         self.weight_count() > 0
@@ -531,7 +522,6 @@ mod tests {
                 input_hw: (55, 55),
             },
         );
-        assert!(pool.is_in_place());
         assert!(!pool.has_weights());
         assert_eq!(pool.gemm_dims(1), None);
         assert_eq!(pool.output_hw(), Some((27, 27)));
@@ -544,7 +534,6 @@ mod tests {
                 elements_per_sample: 1000,
             },
         );
-        assert!(act.is_in_place());
         assert_eq!(act.output_elements(4), 4000);
     }
 

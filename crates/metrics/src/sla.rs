@@ -72,19 +72,6 @@ impl SlaCurve {
             .find(|p| (p.target_multiplier - target_multiplier).abs() < 1e-9)
             .map(|p| p.violation_rate)
     }
-
-    /// The smallest swept multiplier at which the violation rate drops to or
-    /// below `threshold`, if any.
-    pub fn target_meeting(&self, threshold: f64) -> Option<f64> {
-        self.points
-            .iter()
-            .filter(|p| p.violation_rate <= threshold)
-            .map(|p| p.target_multiplier)
-            .fold(None, |acc, t| match acc {
-                None => Some(t),
-                Some(best) => Some(best.min(t)),
-            })
-    }
 }
 
 #[cfg(test)]
@@ -124,13 +111,11 @@ mod tests {
     }
 
     #[test]
-    fn rate_at_and_target_meeting() {
+    fn rate_at_reads_only_swept_multipliers() {
         let o = outcomes();
         let curve = SlaCurve::sweep(&o, (2..=20).map(|n| n as f64));
         assert_eq!(curve.rate_at(2.0), Some(0.75));
         assert_eq!(curve.rate_at(21.0), None);
-        assert_eq!(curve.target_meeting(0.30), Some(5.0));
-        assert_eq!(curve.target_meeting(0.0), Some(10.0));
     }
 
     #[test]
@@ -139,7 +124,6 @@ mod tests {
         let curve = SlaCurve::sweep(&o, std::iter::empty());
         assert!(curve.points().is_empty());
         assert_eq!(curve.rate_at(2.0), None);
-        assert_eq!(curve.target_meeting(1.0), None);
         assert_eq!(curve, SlaCurve::default());
     }
 
@@ -153,7 +137,6 @@ mod tests {
         let curve = SlaCurve::sweep(&o, (1..=5).map(|n| n as f64));
         assert_eq!(curve.rate_at(3.0), Some(1.0));
         assert_eq!(curve.rate_at(4.0), Some(0.0));
-        assert_eq!(curve.target_meeting(0.0), Some(4.0));
     }
 
     #[test]

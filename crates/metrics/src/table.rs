@@ -47,19 +47,6 @@ impl TableBuilder {
         self
     }
 
-    /// Appends a row of floating-point values formatted with `precision`
-    /// decimal places, prefixed by a label cell.
-    pub fn metric_row(self, label: impl Into<String>, values: &[f64], precision: usize) -> Self {
-        let mut cells = vec![label.into()];
-        cells.extend(values.iter().map(|v| format!("{v:.precision$}")));
-        self.row(cells)
-    }
-
-    /// Number of data rows added so far.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table.
     pub fn build(&self) -> String {
         let columns = self.headers.len().max(1);
@@ -153,32 +140,13 @@ mod tests {
     }
 
     #[test]
-    fn metric_row_formats_floats() {
-        let builder = TableBuilder::new(vec!["policy".into(), "antt".into(), "stp".into()])
-            .metric_row("PREMA", &[1.2345, 0.9876], 2);
-        assert_eq!(builder.row_count(), 1);
-        let table = builder.build();
-        assert!(table.contains("1.23"));
-        assert!(table.contains("0.99"));
-    }
-
-    #[test]
     fn empty_table_still_renders_a_separator() {
         let empty = TableBuilder::new(vec![]);
-        assert_eq!(empty.row_count(), 0);
         let text = empty.build();
         let lines: Vec<&str> = text.lines().collect();
         // Header line (blank) plus the minimum-width separator, no rows.
         assert_eq!(lines.len(), 2);
         assert!(lines[1].starts_with("----"));
-    }
-
-    #[test]
-    fn metric_row_with_no_values_is_just_the_label() {
-        let builder =
-            TableBuilder::new(vec!["policy".into(), "v".into()]).metric_row("NP-FCFS", &[], 2);
-        assert_eq!(builder.row_count(), 1);
-        assert!(builder.build().contains("NP-FCFS"));
     }
 
     #[test]

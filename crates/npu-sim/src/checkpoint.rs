@@ -148,7 +148,11 @@ mod tests {
 
     #[test]
     fn smaller_sram_means_smaller_worst_case() {
-        let small_cfg = NpuConfig::builder().activation_sram_bytes(1 << 20).build();
+        let small_cfg = NpuConfig {
+            activation_sram_bytes: 1 << 20,
+            ..NpuConfig::paper_default()
+        };
+        assert!(small_cfg.validate().is_ok());
         let small = CheckpointModel::new(&small_cfg);
         let (_, big) = model();
         assert!(small.worst_case_checkpoint_cycles() < big.worst_case_checkpoint_cycles());

@@ -14,13 +14,18 @@ pub const BYTES_PER_ELEMENT: u64 = 2;
 /// 700 MHz, 8 MB of on-chip activation SRAM, 4 MB of weight SRAM, eight
 /// memory channels providing 358 GB/s at a 100-cycle access latency.
 ///
-/// Construct variations with [`NpuConfigBuilder`]:
+/// Construct variations with struct-update syntax and check them with
+/// [`NpuConfig::validate`]:
 ///
 /// ```
 /// use npu_sim::NpuConfig;
 ///
-/// let cfg = NpuConfig::builder().systolic_width(64).systolic_height(64).build();
-/// assert_eq!(cfg.systolic_width, 64);
+/// let cfg = NpuConfig {
+///     systolic_width: 64,
+///     systolic_height: 64,
+///     ..NpuConfig::paper_default()
+/// };
+/// assert!(cfg.validate().is_ok());
 /// assert_eq!(cfg.pe_count(), 64 * 64);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -63,11 +68,6 @@ impl NpuConfig {
             memory_latency_cycles: 100,
             vector_lanes: 128,
         }
-    }
-
-    /// Starts building a configuration from the paper defaults.
-    pub fn builder() -> NpuConfigBuilder {
-        NpuConfigBuilder::new()
     }
 
     /// Total number of processing elements in the systolic array.
@@ -179,96 +179,6 @@ impl Default for NpuConfig {
     }
 }
 
-/// Builder for [`NpuConfig`].
-///
-/// Starts from [`NpuConfig::paper_default`]; every setter overrides a single
-/// field and the terminal [`build`](NpuConfigBuilder::build) method panics if
-/// the result fails validation.
-#[derive(Debug, Clone, Default)]
-pub struct NpuConfigBuilder {
-    cfg: Option<NpuConfig>,
-}
-
-impl NpuConfigBuilder {
-    /// Creates a builder seeded with the paper-default configuration.
-    pub fn new() -> Self {
-        NpuConfigBuilder {
-            cfg: Some(NpuConfig::paper_default()),
-        }
-    }
-
-    fn cfg_mut(&mut self) -> &mut NpuConfig {
-        self.cfg.get_or_insert_with(NpuConfig::paper_default)
-    }
-
-    /// Sets the systolic array width (`SW`).
-    pub fn systolic_width(mut self, width: u64) -> Self {
-        self.cfg_mut().systolic_width = width;
-        self
-    }
-
-    /// Sets the systolic array height (`SH`).
-    pub fn systolic_height(mut self, height: u64) -> Self {
-        self.cfg_mut().systolic_height = height;
-        self
-    }
-
-    /// Sets the accumulator queue depth (`ACC`).
-    pub fn accumulator_depth(mut self, depth: u64) -> Self {
-        self.cfg_mut().accumulator_depth = depth;
-        self
-    }
-
-    /// Sets the PE operating frequency in MHz.
-    pub fn frequency_mhz(mut self, mhz: f64) -> Self {
-        self.cfg_mut().frequency_mhz = mhz;
-        self
-    }
-
-    /// Sets the activation SRAM capacity in bytes.
-    pub fn activation_sram_bytes(mut self, bytes: u64) -> Self {
-        self.cfg_mut().activation_sram_bytes = bytes;
-        self
-    }
-
-    /// Sets the weight SRAM capacity in bytes.
-    pub fn weight_sram_bytes(mut self, bytes: u64) -> Self {
-        self.cfg_mut().weight_sram_bytes = bytes;
-        self
-    }
-
-    /// Sets the aggregate DRAM bandwidth in GB/s.
-    pub fn memory_bandwidth_gbps(mut self, gbps: f64) -> Self {
-        self.cfg_mut().memory_bandwidth_gbps = gbps;
-        self
-    }
-
-    /// Sets the fixed DRAM access latency in cycles.
-    pub fn memory_latency_cycles(mut self, cycles: u64) -> Self {
-        self.cfg_mut().memory_latency_cycles = cycles;
-        self
-    }
-
-    /// Sets the number of vector-unit lanes.
-    pub fn vector_lanes(mut self, lanes: u64) -> Self {
-        self.cfg_mut().vector_lanes = lanes;
-        self
-    }
-
-    /// Finalizes the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails [`NpuConfig::validate`].
-    pub fn build(mut self) -> NpuConfig {
-        let cfg = self.cfg.take().unwrap_or_default();
-        if let Err(msg) = cfg.validate() {
-            panic!("invalid NpuConfig: {msg}");
-        }
-        cfg
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,34 +227,10 @@ mod tests {
     }
 
     #[test]
-    fn builder_overrides_single_fields() {
-        let cfg = NpuConfig::builder()
-            .systolic_width(64)
-            .systolic_height(32)
-            .accumulator_depth(512)
-            .frequency_mhz(1000.0)
-            .memory_bandwidth_gbps(100.0)
-            .memory_latency_cycles(50)
-            .activation_sram_bytes(1 << 20)
-            .weight_sram_bytes(1 << 20)
-            .vector_lanes(64)
-            .build();
-        assert_eq!(cfg.systolic_width, 64);
-        assert_eq!(cfg.systolic_height, 32);
-        assert_eq!(cfg.accumulator_depth, 512);
-        assert_eq!(cfg.frequency_mhz, 1000.0);
-        assert_eq!(cfg.memory_latency_cycles, 50);
-        assert_eq!(cfg.vector_lanes, 64);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid NpuConfig")]
-    fn builder_rejects_zero_dimensions() {
-        let _ = NpuConfig::builder().systolic_width(0).build();
-    }
-
-    #[test]
     fn validation_catches_bad_values() {
+        let mut cfg = NpuConfig::paper_default();
+        cfg.systolic_width = 0;
+        assert!(cfg.validate().is_err());
         let mut cfg = NpuConfig::paper_default();
         cfg.memory_bandwidth_gbps = 0.0;
         assert!(cfg.validate().is_err());
@@ -365,9 +251,15 @@ mod tests {
     fn fingerprint_distinguishes_configurations() {
         let base = NpuConfig::paper_default();
         assert_eq!(base.fingerprint(), NpuConfig::paper_default().fingerprint());
-        let small = NpuConfig::builder().systolic_width(64).build();
+        let small = NpuConfig {
+            systolic_width: 64,
+            ..NpuConfig::paper_default()
+        };
         assert_ne!(base.fingerprint(), small.fingerprint());
-        let slow = NpuConfig::builder().frequency_mhz(350.0).build();
+        let slow = NpuConfig {
+            frequency_mhz: 350.0,
+            ..NpuConfig::paper_default()
+        };
         assert_ne!(base.fingerprint(), slow.fingerprint());
     }
 

@@ -106,7 +106,11 @@ mod tests {
 
     #[test]
     fn single_lane_config_still_progresses() {
-        let c = NpuConfig::builder().vector_lanes(1).build();
+        let c = NpuConfig {
+            vector_lanes: 1,
+            ..NpuConfig::paper_default()
+        };
+        assert!(c.validate().is_ok());
         let w = VectorWork::new(VectorOpKind::Softmax, 7);
         assert_eq!(w.cycles(&c), Cycles::new(7));
     }

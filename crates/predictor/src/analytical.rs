@@ -24,7 +24,6 @@ use dnn_models::{ModelKind, Network, SeqSpec};
 use npu_sim::{Cycles, NpuConfig};
 
 use crate::seqlen::SeqLenTable;
-use crate::InferenceTimePredictor;
 
 /// Estimates the execution time of a single `(m, k, n)` layer using
 /// Algorithm 1.
@@ -152,16 +151,6 @@ impl AnalyticalPredictor {
         estimate_network_cycles(&network, batch, &self.cfg)
     }
 
-    /// The NPU configuration this predictor targets.
-    pub fn config(&self) -> &NpuConfig {
-        &self.cfg
-    }
-
-    /// The registered sequence-length table for `kind`, if any.
-    pub fn seq_table(&self, kind: ModelKind) -> Option<&SeqLenTable> {
-        self.seq_tables.get(&kind)
-    }
-
     /// Predicts the output sequence length the scheduler should plan for.
     pub fn predict_output_len(&self, kind: ModelKind, input_len: u64) -> u64 {
         if !kind.is_rnn() {
@@ -172,10 +161,13 @@ impl AnalyticalPredictor {
             _ => kind.expected_output_len(input_len),
         }
     }
-}
 
-impl InferenceTimePredictor for AnalyticalPredictor {
-    fn predict_cycles(&self, kind: ModelKind, batch: u64, input_len: u64) -> Cycles {
+    /// Predicts the isolated, uninterrupted execution time of one inference.
+    ///
+    /// `input_len` is the request's input sequence length, statically known
+    /// when the request arrives (Section V-B); CNNs ignore it. A seq2seq
+    /// model's output length comes from [`Self::predict_output_len`].
+    pub fn predict_cycles(&self, kind: ModelKind, batch: u64, input_len: u64) -> Cycles {
         let key = (kind, batch, input_len);
         {
             let mut guard = self.cache.map.lock().expect("estimate cache poisoned");
@@ -197,16 +189,14 @@ impl InferenceTimePredictor for AnalyticalPredictor {
         }
         cycles
     }
-
-    fn name(&self) -> &'static str {
-        "analytical"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dnn_models::layer::GemmDims;
+    use dnn_models::lowering::lower_network;
+    use npu_sim::LayerTiming;
 
     fn cfg() -> NpuConfig {
         NpuConfig::paper_default()
@@ -347,7 +337,6 @@ mod tests {
 
     #[test]
     fn estimate_cache_is_bit_identical_to_uncached_calls() {
-        use crate::InferenceTimePredictor;
         use dnn_models::ALL_EVAL_MODELS;
 
         let predictor = AnalyticalPredictor::new(cfg()).with_seq_table(
@@ -385,7 +374,6 @@ mod tests {
 
     #[test]
     fn racing_misses_on_one_shape_count_one_miss() {
-        use crate::InferenceTimePredictor;
         use std::sync::Barrier;
 
         const THREADS: u64 = 8;
@@ -404,11 +392,53 @@ mod tests {
         assert_eq!(stats.hits, THREADS - 1);
     }
 
+    /// The simulated isolated time: every lowered layer timed by the
+    /// simulator's layer model.
+    fn simulated_cycles(kind: ModelKind, batch: u64) -> Cycles {
+        let network = kind.build(batch, SeqSpec::none());
+        lower_network(&network, batch)
+            .iter()
+            .map(|work| LayerTiming::model(work, &cfg()).total_cycles())
+            .sum()
+    }
+
     #[test]
-    fn predictor_reports_its_name_and_config() {
+    fn estimate_stays_just_under_the_simulated_time() {
+        // Algorithm 1 ignores vector-unit work and pipeline lead-in, so it
+        // never exceeds the simulated time, yet stays in the same regime.
         let predictor = AnalyticalPredictor::new(cfg());
-        assert_eq!(predictor.name(), "analytical");
-        assert_eq!(predictor.config(), &cfg());
-        assert!(predictor.seq_table(ModelKind::RnnSpeech).is_none());
+        for kind in [ModelKind::CnnAlexNet, ModelKind::CnnMobileNet] {
+            let estimate = predictor.predict_cycles(kind, 1, 0);
+            assert!(estimate <= simulated_cycles(kind, 1), "{kind}");
+        }
+        for kind in [ModelKind::CnnAlexNet, ModelKind::CnnGoogLeNet] {
+            let estimate = predictor.predict_cycles(kind, 4, 0).get() as f64;
+            let simulated = simulated_cycles(kind, 4).get() as f64;
+            assert!(simulated >= estimate, "{kind}: {simulated} < {estimate}");
+            assert!(
+                simulated < 1.6 * estimate,
+                "{kind}: {simulated} vs {estimate}"
+            );
+        }
+    }
+
+    #[test]
+    fn mac_count_proxy_underestimates_underutilized_networks_most() {
+        // Figure 10: MACs / peak MACs per cycle ignores how a layer maps onto
+        // the array. MobileNet's depthwise layers underutilize it, so the
+        // proxy misses MobileNet by far more than it misses VGG.
+        let c = cfg();
+        let predictor = AnalyticalPredictor::new(c.clone());
+        let gap = |kind: ModelKind| {
+            let macs = kind.build(1, SeqSpec::none()).total_macs_for_batch(1);
+            let proxy = macs.div_ceil(c.peak_macs_per_cycle()).max(1);
+            predictor.predict_cycles(kind, 1, 0).get() as f64 / proxy as f64
+        };
+        let mobilenet = gap(ModelKind::CnnMobileNet);
+        let vgg = gap(ModelKind::CnnVggNet);
+        assert!(
+            mobilenet > vgg && mobilenet > 2.0,
+            "MobileNet gap {mobilenet} vs VGG gap {vgg}"
+        );
     }
 }

@@ -1,31 +1,26 @@
-//! Inference-time prediction models for multi-tasked NPU scheduling
-//! (Section V-B of the PREMA paper).
+//! Inference-time prediction for multi-tasked NPU scheduling (Section V-B
+//! of the PREMA paper).
 //!
 //! PREMA's scheduling decisions — dynamic token assignment, shortest-job
 //! candidate selection and dynamic preemption-mechanism selection — all rely
 //! on an estimate of each inference task's end-to-end execution time. This
-//! crate implements the paper's prediction stack:
+//! crate implements the paper's predictor:
 //!
 //! * [`analytical`] — the architecture-aware analytical node-level model
 //!   (Algorithm 1) tailored to the weight-stationary systolic array.
-//! * [`profile`] — the profile-driven node-level alternative: bookkeep the
-//!   average measured latency per layer configuration and reuse it.
 //! * [`seqlen`] — the profile-driven regression (lookup table) that predicts
 //!   the time-unrolled output sequence length of seq2seq RNNs from the
 //!   statically known input sequence length (Figure 9).
-//! * [`mac_proxy`] — the strawman predictor that scales a layer's MAC count
-//!   by peak throughput; Figure 10 shows why this is misleading.
-//! * [`oracle`] — an oracle that returns the exact simulated execution time,
-//!   used for the Section VI-D accuracy comparison.
 //!
-//! All predictors implement [`InferenceTimePredictor`].
+//! The Section VI-D oracle needs no predictor: preparing a workload without
+//! one attaches each task's exact simulated execution time instead.
 //!
 //! # Example
 //!
 //! ```
 //! use npu_sim::NpuConfig;
 //! use dnn_models::ModelKind;
-//! use prema_predictor::{AnalyticalPredictor, InferenceTimePredictor};
+//! use prema_predictor::AnalyticalPredictor;
 //!
 //! let cfg = NpuConfig::paper_default();
 //! let predictor = AnalyticalPredictor::new(cfg.clone());
@@ -38,58 +33,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod analytical;
-pub mod mac_proxy;
-pub mod oracle;
-pub mod profile;
 pub mod seqlen;
 
-use dnn_models::ModelKind;
-use npu_sim::Cycles;
-
 pub use analytical::{AnalyticalPredictor, EstimateCacheStats};
-pub use mac_proxy::MacProxyPredictor;
-pub use oracle::OraclePredictor;
-pub use profile::ProfiledPredictor;
 pub use seqlen::SeqLenTable;
-
-/// A model that estimates the end-to-end execution time of an inference task
-/// before it runs.
-///
-/// `input_len` is the request's input sequence length, which is statically
-/// known when the request arrives (Section V-B); it is ignored for CNNs. The
-/// predictor is responsible for estimating the *output* sequence length of
-/// seq2seq models itself (via [`SeqLenTable`] or the mean characterization
-/// relation).
-pub trait InferenceTimePredictor: std::fmt::Debug {
-    /// Predicts the isolated, uninterrupted execution time of one inference.
-    fn predict_cycles(&self, kind: ModelKind, batch: u64, input_len: u64) -> Cycles;
-
-    /// A short human-readable name for reports.
-    fn name(&self) -> &'static str;
-}
-
-/// Which predictor implementation to use; convenience for experiment configs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
-pub enum PredictorKind {
-    /// Architecture-aware analytical model (Algorithm 1). The PREMA default.
-    Analytical,
-    /// Profile-driven per-layer latency bookkeeping.
-    Profiled,
-    /// MAC-count proxy (misleading baseline, Figure 10).
-    MacProxy,
-    /// Oracle: exact simulated execution time (Section VI-D).
-    Oracle,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn predictor_kind_is_copy_and_comparable() {
-        let a = PredictorKind::Analytical;
-        let b = a;
-        assert_eq!(a, b);
-        assert_ne!(PredictorKind::Oracle, PredictorKind::MacProxy);
-    }
-}

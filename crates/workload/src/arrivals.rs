@@ -24,11 +24,8 @@
 //! the same shared helper as the finite-window generator; priorities come
 //! from a configurable per-priority rate mix instead of a uniform pool.
 //!
-//! Streams come in two forms: [`generate_open_loop`] materializes the whole
-//! window at once (the open-loop sweep's shape), while [`OpenLoopIter`]
-//! yields requests one at a time so a closed-loop driver can poll the
-//! stream incrementally as its global clock advances — collecting the
-//! iterator is bit-identical to the materialized form.
+//! [`generate_open_loop`] materializes the whole window at once; the
+//! closed-loop drivers take the prepared stream as one slice.
 //!
 //! All generation is a pure function of the seeded RNG, so a cluster sweep
 //! replaying the same seed sees bit-identical request streams.
@@ -38,7 +35,7 @@ use serde::{Deserialize, Serialize};
 
 use dnn_models::{ModelKind, ALL_EVAL_MODELS};
 use npu_sim::NpuConfig;
-use prema_core::{Priority, TaskId, TaskRequest};
+use prema_core::{Priority, TaskId};
 
 use crate::generator::{sample_request, WorkloadSpec};
 
@@ -82,25 +79,6 @@ pub enum ArrivalProcess {
 }
 
 impl ArrivalProcess {
-    /// The long-run mean arrival rate of the process, in requests per
-    /// millisecond. All three processes can be calibrated to the same
-    /// offered load through this value.
-    pub fn mean_rate_per_ms(&self) -> f64 {
-        match *self {
-            ArrivalProcess::Poisson { rate_per_ms } => rate_per_ms,
-            ArrivalProcess::Bursty {
-                on_rate_per_ms,
-                mean_on_ms,
-                mean_off_ms,
-            } => on_rate_per_ms * mean_on_ms / (mean_on_ms + mean_off_ms),
-            ArrivalProcess::Diurnal {
-                trough_rate_per_ms,
-                peak_rate_per_ms,
-                ..
-            } => 0.5 * (trough_rate_per_ms + peak_rate_per_ms),
-        }
-    }
-
     /// Validates the process parameters.
     ///
     /// # Errors
@@ -252,11 +230,6 @@ impl OpenLoopConfig {
         self
     }
 
-    /// The expected number of requests the stream generates.
-    pub fn expected_requests(&self) -> f64 {
-        self.process.mean_rate_per_ms() * self.duration_ms
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors
@@ -306,80 +279,14 @@ fn pick_priority<R: Rng + ?Sized>(
     mix.last().expect("priority mix is non-empty").0
 }
 
-/// An incrementally polled open-loop request stream: an [`Iterator`] over
-/// [`prema_core::TaskRequest`]s in arrival order with dense IDs `0..n`.
-///
-/// The arrival *times* are drawn from the process up front (they are one
-/// contiguous RNG consumption, exactly as [`generate_open_loop`] consumes
-/// them), but each request's fields — model, batch, priority, sequence
-/// lengths — are sampled lazily on [`Iterator::next`]. A closed-loop driver
-/// can therefore pull requests one global event at a time instead of
-/// materializing the whole stream, and collecting the iterator is
-/// bit-identical to [`generate_open_loop`] on the same RNG state.
-#[derive(Debug)]
-pub struct OpenLoopIter<'a, R: Rng + ?Sized> {
-    times: std::vec::IntoIter<f64>,
-    next_id: u64,
-    config: &'a OpenLoopConfig,
-    total_weight: f64,
-    timeline: NpuConfig,
-    rng: &'a mut R,
-}
-
-impl<'a, R: Rng + ?Sized> OpenLoopIter<'a, R> {
-    /// Draws the stream's arrival times and returns the lazy per-request
-    /// iterator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid.
-    pub fn new(config: &'a OpenLoopConfig, rng: &'a mut R) -> Self {
-        if let Err(msg) = config.validate() {
-            panic!("invalid OpenLoopConfig: {msg}");
-        }
-        let total_weight: f64 = config.priority_mix.iter().map(|(_, w)| w).sum();
-        let times = config.process.arrival_times(config.duration_ms, rng);
-        OpenLoopIter {
-            times: times.into_iter(),
-            next_id: 0,
-            config,
-            total_weight,
-            timeline: NpuConfig::paper_default(),
-            rng,
-        }
-    }
-}
-
-impl<R: Rng + ?Sized> Iterator for OpenLoopIter<'_, R> {
-    type Item = TaskRequest;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let t_ms = self.times.next()?;
-        let arrival = self.timeline.millis_to_cycles(t_ms);
-        let id = TaskId(self.next_id);
-        self.next_id += 1;
-        Some(sample_request(
-            id,
-            &self.config.models,
-            &self.config.batch_sizes,
-            self.rng,
-            |rng| pick_priority(&self.config.priority_mix, self.total_weight, rng),
-            |_| arrival,
-        ))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.times.size_hint()
-    }
-}
-
-impl<R: Rng + ?Sized> ExactSizeIterator for OpenLoopIter<'_, R> {}
-
 /// Generates one open-loop request stream: arrival times from the configured
 /// process, per-request fields from the same shared sampler as the
 /// finite-window generator, priorities from the weighted mix. Requests are
-/// returned in arrival order with dense IDs `0..n` (the collected form of
-/// [`OpenLoopIter`]).
+/// returned in arrival order with dense IDs `0..n`.
+///
+/// Every arrival time is drawn first, as one contiguous RNG consumption;
+/// each request's fields (model, batch, priority, sequence lengths) are then
+/// sampled in arrival order.
 ///
 /// Arrival times are converted to cycles against the Table I NPU frequency,
 /// like the finite-window generator, so streams are reproducible
@@ -389,9 +296,28 @@ impl<R: Rng + ?Sized> ExactSizeIterator for OpenLoopIter<'_, R> {}
 ///
 /// Panics if the configuration is invalid.
 pub fn generate_open_loop<R: Rng + ?Sized>(config: &OpenLoopConfig, rng: &mut R) -> WorkloadSpec {
-    WorkloadSpec {
-        requests: OpenLoopIter::new(config, rng).collect(),
+    if let Err(msg) = config.validate() {
+        panic!("invalid OpenLoopConfig: {msg}");
     }
+    let total_weight: f64 = config.priority_mix.iter().map(|(_, w)| w).sum();
+    let timeline = NpuConfig::paper_default();
+    let times = config.process.arrival_times(config.duration_ms, rng);
+    let requests = times
+        .into_iter()
+        .zip(0..)
+        .map(|(t_ms, id)| {
+            let arrival = timeline.millis_to_cycles(t_ms);
+            sample_request(
+                TaskId(id),
+                &config.models,
+                &config.batch_sizes,
+                rng,
+                |rng| pick_priority(&config.priority_mix, total_weight, rng),
+                |_| arrival,
+            )
+        })
+        .collect();
+    WorkloadSpec { requests }
 }
 
 #[cfg(test)]
@@ -428,8 +354,8 @@ mod tests {
             mean_on_ms: 5.0,
             mean_off_ms: 15.0,
         };
-        assert!((process.mean_rate_per_ms() - 1.0).abs() < 1e-12);
-        let expected = process.mean_rate_per_ms() * 4000.0;
+        // 4 per ms while on, on for 5 of every 20 ms on average: 1 per ms.
+        let expected = 4.0 * 5.0 / (5.0 + 15.0) * 4000.0;
         let mut total = 0usize;
         for seed in 0..4 {
             total += count_over(process, 4000.0, seed);
@@ -451,7 +377,6 @@ mod tests {
             peak_rate_per_ms: peak,
             period_ms: period,
         };
-        assert!((process.mean_rate_per_ms() - 2.25).abs() < 1e-12);
         // Arrivals concentrate around the mid-period peak.
         let mut rng = StdRng::seed_from_u64(9);
         let times = process.arrival_times(period, &mut rng);
@@ -506,24 +431,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_iterator_matches_the_materialized_stream() {
-        for (rate, duration, seed) in [(1.0, 60.0, 5u64), (2.5, 120.0, 0xFEED)] {
-            let config = OpenLoopConfig::poisson(rate, duration);
-            let materialized = generate_open_loop(&config, &mut StdRng::seed_from_u64(seed));
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut iter = OpenLoopIter::new(&config, &mut rng);
-            assert_eq!(iter.len(), materialized.requests.len());
-            let mut streamed = Vec::new();
-            while let Some(request) = iter.next() {
-                // The iterator advertises exactly the remaining count.
-                assert_eq!(iter.len(), materialized.requests.len() - streamed.len() - 1);
-                streamed.push(request);
-            }
-            assert_eq!(streamed, materialized.requests);
-        }
-    }
-
-    #[test]
     fn priority_mix_skews_the_stream() {
         let mut config = OpenLoopConfig::poisson(2.0, 500.0);
         config.priority_mix = vec![(Priority::Low, 1.0), (Priority::High, 9.0)];
@@ -550,12 +457,6 @@ mod tests {
             }
             assert!(request.arrival >= Cycles::ZERO);
         }
-    }
-
-    #[test]
-    fn expected_requests_matches_rate_times_duration() {
-        let config = OpenLoopConfig::poisson(1.5, 200.0);
-        assert!((config.expected_requests() - 300.0).abs() < 1e-9);
     }
 
     #[test]

@@ -500,18 +500,6 @@ impl FaultSchedule {
         }
         Ok(())
     }
-
-    /// Total down/frozen cycles per node over `nodes` nodes (nodes beyond
-    /// the schedule's highest-numbered faulty node report zero).
-    pub fn downtime_per_node(&self, nodes: usize) -> Vec<Cycles> {
-        let mut downtime = vec![Cycles::ZERO; nodes];
-        for event in &self.events {
-            if event.node < nodes {
-                downtime[event.node] += event.duration();
-            }
-        }
-        downtime
-    }
 }
 
 /// A seeded renewal fault process: the generator of [`FaultSchedule`]s.
@@ -862,11 +850,6 @@ mod tests {
         let process = FaultProcess::crashes(3, 5.0, 20.0, 500.0).with_freeze_fraction(0.5);
         let schedule = process.generate(&mut StdRng::seed_from_u64(42));
         assert!(schedule.validate().is_ok());
-        let downtime = schedule.downtime_per_node(3);
-        assert_eq!(downtime.len(), 3);
-        assert!(downtime.iter().any(|d| *d > Cycles::ZERO));
-        // Nodes past the process's range have no downtime.
-        assert_eq!(schedule.downtime_per_node(5)[4], Cycles::ZERO);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod microbench;
 pub mod prepare;
 pub mod seqlen;
 
-pub use arrivals::{generate_open_loop, ArrivalProcess, OpenLoopConfig, OpenLoopIter};
+pub use arrivals::{generate_open_loop, ArrivalProcess, OpenLoopConfig};
 pub use faults::{
     FaultKind, FaultProcess, FaultSchedule, FaultScheduleError, LinkFault, LinkFaultKind,
     LinkFaultProcess, NodeFault,

@@ -11,7 +11,7 @@ use dnn_models::{ModelKind, SeqSpec};
 use npu_sim::NpuConfig;
 use prema_core::{PreparedTask, TaskRequest};
 use prema_metrics::TaskOutcome;
-use prema_predictor::InferenceTimePredictor;
+use prema_predictor::AnalyticalPredictor;
 
 use crate::generator::WorkloadSpec;
 
@@ -88,7 +88,7 @@ impl PreparedWorkload {
 pub fn prepare_workload(
     spec: &WorkloadSpec,
     npu: &NpuConfig,
-    predictor: Option<&dyn InferenceTimePredictor>,
+    predictor: Option<&AnalyticalPredictor>,
 ) -> PreparedWorkload {
     prepare_with(spec, npu, predictor, PreparedTask::prepare)
 }
@@ -99,7 +99,7 @@ pub fn prepare_workload(
 pub fn prepare_workload_uncached(
     spec: &WorkloadSpec,
     npu: &NpuConfig,
-    predictor: Option<&dyn InferenceTimePredictor>,
+    predictor: Option<&AnalyticalPredictor>,
 ) -> PreparedWorkload {
     prepare_with(spec, npu, predictor, PreparedTask::prepare_uncached)
 }
@@ -107,7 +107,7 @@ pub fn prepare_workload_uncached(
 fn prepare_with(
     spec: &WorkloadSpec,
     npu: &NpuConfig,
-    predictor: Option<&dyn InferenceTimePredictor>,
+    predictor: Option<&AnalyticalPredictor>,
     compile: fn(TaskRequest, &NpuConfig) -> PreparedTask,
 ) -> PreparedWorkload {
     let tasks = spec
@@ -147,7 +147,7 @@ pub fn outcomes_of(records: &[prema_core::TaskRecord]) -> Vec<TaskOutcome> {
 pub fn prepare_requests(
     requests: &[TaskRequest],
     npu: &NpuConfig,
-    predictor: Option<&dyn InferenceTimePredictor>,
+    predictor: Option<&AnalyticalPredictor>,
 ) -> Vec<PreparedTask> {
     prepare_workload(
         &WorkloadSpec {
@@ -165,7 +165,6 @@ mod tests {
     use crate::generator::{generate_workload, WorkloadConfig};
     use prema_core::{NpuSimulator, SchedulerConfig};
     use prema_metrics::MultiTaskMetrics;
-    use prema_predictor::AnalyticalPredictor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -52,7 +52,7 @@ pub mod models {
     pub use dnn_models::*;
 }
 
-/// Inference-time predictors (re-export of [`prema_predictor`]).
+/// Inference-time prediction (re-export of [`prema_predictor`]).
 pub mod predictor {
     pub use prema_predictor::*;
 }
@@ -91,4 +91,4 @@ pub use prema_core::{
     TaskRecord, TaskRequest,
 };
 pub use prema_metrics::{MultiTaskMetrics, TaskOutcome};
-pub use prema_predictor::{AnalyticalPredictor, InferenceTimePredictor};
+pub use prema_predictor::AnalyticalPredictor;
