@@ -3249,6 +3249,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "invalid NpuConfig")]
+    fn zero_width_array_rejected() {
+        let zero_width = NpuConfig {
+            systolic_width: 0,
+            ..npu()
+        };
+        let _ = NpuSimulator::new(zero_width, SchedulerConfig::paper_default());
+    }
+
+    #[test]
     fn clock_scale_conversions_are_exact_and_partition_invariant() {
         // work_in over any partition of a wall span equals work_in of the
         // whole span, and consume_work's wall span converts back to exactly

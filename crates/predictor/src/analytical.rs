@@ -403,14 +403,21 @@ mod tests {
     }
 
     #[test]
-    fn estimate_stays_just_under_the_simulated_time() {
-        // Algorithm 1 ignores vector-unit work and pipeline lead-in, so it
-        // never exceeds the simulated time, yet stays in the same regime.
+    fn estimate_never_exceeds_the_simulated_time() {
+        // Algorithm 1 ignores vector-unit work and pipeline lead-in, so the
+        // simulated time bounds it from above.
         let predictor = AnalyticalPredictor::new(cfg());
         for kind in [ModelKind::CnnAlexNet, ModelKind::CnnMobileNet] {
             let estimate = predictor.predict_cycles(kind, 1, 0);
             assert!(estimate <= simulated_cycles(kind, 1), "{kind}");
         }
+    }
+
+    #[test]
+    fn estimate_stays_just_under_the_simulated_time() {
+        // What Algorithm 1 leaves out is small: the simulated time stays in
+        // the estimate's regime.
+        let predictor = AnalyticalPredictor::new(cfg());
         for kind in [ModelKind::CnnAlexNet, ModelKind::CnnGoogLeNet] {
             let estimate = predictor.predict_cycles(kind, 4, 0).get() as f64;
             let simulated = simulated_cycles(kind, 4).get() as f64;
