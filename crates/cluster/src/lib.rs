@@ -107,6 +107,6 @@ pub use online::{
 };
 pub use trace::{
     ClusterTraceEvent, ClusterTraceSink, FaultTraceKind, FlightEntry, FlightRecorder,
-    JsonTraceSink, LinkTraceKind, NodeKey, NodeKeySet, NodeSamplePoint, NodeTap, NullClusterSink,
+    JsonTraceSink, LinkTraceKind, NodeKey, NodeKeySet, NodeTap, NullClusterSink,
     TraceReconciliation, TransferFailReason, VecClusterSink, MAX_TRACE_NODES,
 };

@@ -16,25 +16,40 @@
 //! # The event horizon
 //!
 //! Waking the scheduler at every expired quantum is faithful but wasteful:
-//! most wakeups provably cannot change the schedule. [`NpuSimulator::run`]
+//! almost every wakeup re-picks the task already running. [`NpuSimulator::run`]
 //! therefore computes, at every execution step, the *event horizon* — the
-//! earliest moment at which a scheduling decision could actually change
-//! (the running task's completion or the next task arrival) — and, when
-//! every quantum wakeup before that horizon is provably inert, jumps `now`
-//! straight to the horizon. Skipped wakeups are fully accounted for: the
+//! running task's completion or the next task arrival, whichever comes
+//! first — and jumps `now` over the leading run of quantum wakeups before
+//! it whose answer is already known, stepping from the first one that could
+//! choose differently. Skipped wakeups are fully accounted for: the
 //! invocation counter advances by the number of elided quanta and their
 //! token grants are replayed in one batched, bit-identical
 //! `grant_tokens_batch` call, so the produced [`SimOutcome`] — per-task
 //! records, makespan, even the scheduler-invocation count — is exactly what
-//! stepping every quantum produces. A wakeup is provably inert when a task
-//! is running and either (a) the waiting set is empty, so there is no
-//! alternative candidate (and the paper's policies are pure functions of
-//! the task views — see [`SchedulingPolicy::select`]'s contract), or (b)
-//! the preemption mode is non-preemptive, so the scheduler would not be
-//! consulted while a task runs anyway. The step-every-quantum loop stays
+//! stepping every quantum produces. A wakeup's answer is known when a task
+//! is running and
+//!
+//! * the waiting set is empty, so there is no alternative candidate (the
+//!   policies are pure functions of the task views — see
+//!   [`SchedulingPolicy::select`]'s contract); or
+//! * the preemption mode is non-preemptive, so the scheduler is not
+//!   consulted while a task runs; or
+//! * the last wakeup left the policy's own choice running — it dispatched
+//!   onto an idle NPU or re-picked the runner, not a DRAIN or a preemption —
+//!   no state changed since (its `state_version` stamp holds), and the
+//!   policy's [`SchedulingPolicy::certificate`] rules this wakeup out. HPF,
+//!   SJF and FCFS rule out every wakeup before the horizon; TOKEN and PREMA
+//!   every wakeup before the first whose grant brings a waiting task's
+//!   tokens to a grant level at or above the current threshold, found by
+//!   replaying the same per-period `f64` grants; round-robin none.
+//!
+//! The certificate is consulted only when a quantum boundary lies before
+//! both the event horizon and the pause horizon, and
+//! [`SimSession::next_event_time`] does not use it: a cluster node that
+//! never spans a boundary pays nothing. The step-every-quantum loop stays
 //! in-tree as [`NpuSimulator::run_reference`]; `tests/determinism.rs`
 //! asserts the two paths are bit-identical across every policy and
-//! preemption mode.
+//! preemption mode, under random quanta and token scales.
 //!
 //! # Suspend / resume
 //!
@@ -58,6 +73,7 @@
 //! simulators into a closed-loop cluster: see `prema_cluster::online`.
 //!
 //! [`SchedulingPolicy::select`]: crate::policy::SchedulingPolicy::select
+//! [`SchedulingPolicy::certificate`]: crate::policy::SchedulingPolicy::certificate
 
 use std::sync::Arc;
 
@@ -68,7 +84,7 @@ use npu_sim::{CheckpointModel, Cycles, NpuConfig};
 
 use crate::config::{PreemptionMode, SchedulerConfig};
 use crate::plan::{ExecutionPlan, ProgressCursor};
-use crate::policy::{make_policy, TaskView};
+use crate::policy::{level_floor, make_policy, period_token_grant, ChoiceCertificate, TaskView};
 use crate::preemption::{select_mechanism, MechanismDecisionInputs, PreemptionMechanism};
 use crate::task::{Priority, TaskId, TaskRequest, TaskState};
 use crate::trace::{CandidateSet, NullSink, TraceEvent, TraceSink};
@@ -194,15 +210,6 @@ impl TaskRecord {
     /// The task's progress relative to isolated execution (`C_single/C_multi`).
     pub fn progress(&self) -> f64 {
         self.isolated_cycles.ratio(self.turnaround())
-    }
-
-    /// Average preemption latency experienced per preemption, if any.
-    pub fn mean_preemption_latency(&self) -> Option<Cycles> {
-        if self.preemption_count == 0 {
-            None
-        } else {
-            Some(self.checkpoint_overhead / self.preemption_count)
-        }
     }
 }
 
@@ -718,7 +725,7 @@ impl EngineState {
             if newly_waited.is_zero() {
                 continue;
             }
-            runtime.tokens += crate::policy::period_token_grant(
+            runtime.tokens += period_token_grant(
                 runtime.prepared.request.priority,
                 token_scale,
                 newly_waited,
@@ -752,26 +759,75 @@ impl EngineState {
             // What the first skipped wakeup would have seen as newly waited.
             let first_newly = effective - runtime.waited_at_last_grant - tail;
             if !first_newly.is_zero() {
-                runtime.tokens += crate::policy::period_token_grant(
-                    priority,
-                    token_scale,
-                    first_newly,
-                    runtime.estimated,
-                );
+                runtime.tokens +=
+                    period_token_grant(priority, token_scale, first_newly, runtime.estimated);
             }
             if periods > 1 {
-                let per_period = crate::policy::period_token_grant(
-                    priority,
-                    token_scale,
-                    quantum,
-                    runtime.estimated,
-                );
+                let per_period =
+                    period_token_grant(priority, token_scale, quantum, runtime.estimated);
                 for _ in 1..periods {
                     runtime.tokens += per_period;
                 }
             }
             runtime.waited_at_last_grant = effective;
         }
+    }
+
+    /// How many of the next `periods` scheduling-period wakeups leave
+    /// Algorithm 2's candidate group as it is: the wakeups before the first
+    /// whose grant brings a waiting task's tokens to a grant level (of
+    /// `levels`) at or above the current threshold. The first wakeup is
+    /// `lead` after the clock, each later one a `quantum` further; `running`
+    /// is the running task, whose tokens count towards the threshold.
+    ///
+    /// Exact, not a bound: each task's grants are replayed with the same
+    /// `f64` additions, in the same order, as stepping (and
+    /// [`EngineState::grant_tokens_batch`]) performs them, so the wakeup the
+    /// count stops at is the first whose grant reaches a level.
+    fn periods_below_levels(
+        &self,
+        levels: [f64; 3],
+        running: usize,
+        token_scale: f64,
+        quantum: Cycles,
+        lead: Cycles,
+        periods: u64,
+    ) -> u64 {
+        let max_tokens = self
+            .waiting
+            .iter()
+            .map(|&idx| self.runtimes[idx].tokens)
+            .fold(self.runtimes[running].tokens, f64::max);
+        let threshold = level_floor(levels, max_tokens);
+        let total_wait = self.total_wait;
+        let mut quiet = periods;
+        for &idx in &self.waiting {
+            let runtime = &self.runtimes[idx];
+            // The level this task reaches next that can move the group:
+            // the threshold itself from below, a higher level from inside.
+            let Some(level) = levels
+                .into_iter()
+                .find(|&level| level >= threshold && runtime.tokens < level)
+            else {
+                continue;
+            };
+            let priority = runtime.prepared.request.priority;
+            let mut tokens = runtime.tokens;
+            let first_newly =
+                runtime.effective_waited(total_wait) + lead - runtime.waited_at_last_grant;
+            if !first_newly.is_zero() {
+                tokens += period_token_grant(priority, token_scale, first_newly, runtime.estimated);
+            }
+            let per_period = period_token_grant(priority, token_scale, quantum, runtime.estimated);
+            // `tokens` holds the count after wakeup `period`'s grant.
+            let mut period = 0;
+            while period < quiet && tokens < level {
+                tokens += per_period;
+                period += 1;
+            }
+            quiet = period;
+        }
+        quiet
     }
 
     /// Rebuilds the policy's view buffer: every waiting task plus (if any)
@@ -1103,9 +1159,9 @@ impl NpuSimulator {
     /// O(w log n) in the number of waiting tasks instead of rescanning all
     /// tasks several times, and allocates nothing in steady state. On top
     /// of that, the event-horizon fast path (see the module docs) jumps
-    /// over every quantum wakeup that provably cannot change the schedule,
-    /// batching the skipped quanta's token grants and invocation counts so
-    /// the outcome is bit-identical to [`NpuSimulator::run_reference`].
+    /// over the quantum wakeups whose answer is already known, batching
+    /// the skipped quanta's token grants and invocation counts so the
+    /// outcome is bit-identical to [`NpuSimulator::run_reference`].
     ///
     /// # Panics
     ///
@@ -1227,6 +1283,7 @@ impl NpuSimulator {
             stall_until: Cycles::ZERO,
             clock: ClockScale::unit(),
             running: None,
+            choice_version: None,
             phase: Phase::Wakeup,
             scheduler_invocations: 0,
             checkpoint_preemptions: 0,
@@ -1277,6 +1334,13 @@ pub struct SimSession<S: TraceSink = NullSink> {
     /// fault driver put the node in a degrade window.
     clock: ClockScale,
     running: Option<usize>,
+    /// The state version at the end of the last wakeup that left the
+    /// policy's own choice running: it dispatched onto an idle NPU, or
+    /// `select` re-picked the running task. `None` after a wakeup that
+    /// preempted or drained. While the state version still equals it, the
+    /// policy's [`ChoiceCertificate`] says which quantum wakeups would
+    /// re-pick the runner.
+    choice_version: Option<u64>,
     phase: Phase,
     scheduler_invocations: u64,
     checkpoint_preemptions: u64,
@@ -1425,6 +1489,11 @@ impl<S: TraceSink> SimSession<S> {
         );
         self.scheduler_invocations += 1;
         self.state.grant_tokens(self.sched.token_scale);
+        // Re-stamped below unless this wakeup preempts or drains: a DRAIN
+        // keeps a task the policy did not choose, and a preemption moves
+        // the displaced task's progress after `select` saw it (CHECKPOINT
+        // runs it to its commit point), so the next wakeup is stepped.
+        self.choice_version = None;
 
         if self.running.is_none() {
             if !self.state.waiting.is_empty() {
@@ -1443,6 +1512,7 @@ impl<S: TraceSink> SimSession<S> {
                 let idx = self.state.index_of(chosen);
                 self.now = self.dispatch(idx);
                 self.running = Some(idx);
+                self.choice_version = Some(self.state.state_version);
             }
         } else if self.sched.preemption.is_preemptive() {
             let run_idx = self.running.expect("checked above");
@@ -1460,7 +1530,9 @@ impl<S: TraceSink> SimSession<S> {
                     },
                 );
             }
-            if chosen != self.state.runtimes[run_idx].id() {
+            if chosen == self.state.runtimes[run_idx].id() {
+                self.choice_version = Some(self.state.state_version);
+            } else {
                 let running_id = self.state.runtimes[run_idx].id();
                 let cand_idx = self.state.index_of(chosen);
                 let mechanism = self.pick_mechanism(run_idx, cand_idx);
@@ -1527,6 +1599,36 @@ impl<S: TraceSink> SimSession<S> {
         }
     }
 
+    /// How many of the next `periods` quantum wakeups (the first at
+    /// `next_quantum`, all before the next arrival or completion) would
+    /// re-pick the running task `run_idx` and change nothing but the
+    /// invocation count and the waiting tasks' tokens. All of them when no
+    /// competitor waits (a one-candidate `select` is a foregone conclusion)
+    /// or the mode never preempts (`select` is not consulted while a task
+    /// runs). Otherwise, while the last wakeup's stamp holds, as many as
+    /// the policy's [`ChoiceCertificate`] rules out; none once a DRAIN, a
+    /// preemption or any state change since has voided the stamp.
+    fn quiet_periods(&self, run_idx: usize, periods: u64) -> u64 {
+        if self.state.waiting.is_empty() || !self.sched.preemption.is_preemptive() {
+            return periods;
+        }
+        if self.choice_version != Some(self.state.state_version) {
+            return 0;
+        }
+        match self.policy.certificate() {
+            ChoiceCertificate::UntilEvent => periods,
+            ChoiceCertificate::GrantLevels(levels) => self.state.periods_below_levels(
+                levels,
+                run_idx,
+                self.sched.token_scale,
+                self.quantum,
+                self.next_quantum - self.now,
+                periods,
+            ),
+            ChoiceCertificate::EveryQuantum => 0,
+        }
+    }
+
     /// Executes the running task towards the next event, clamped at
     /// `horizon`. Returns whether the step reached a true event (so the
     /// next iteration is a wakeup) rather than being cut short.
@@ -1547,16 +1649,13 @@ impl<S: TraceSink> SimSession<S> {
         // ---- Event-horizon fast-forward (see the module docs) -----------------
         //
         // The next true event is the running task's completion or the
-        // next arrival, whichever comes first. Every quantum wakeup
-        // strictly before that horizon is provably inert when (a) no
-        // other task is waiting — the policies are pure functions of
-        // the views, so a one-candidate selection is a foregone
-        // conclusion — or (b) the mode is non-preemptive, where the
-        // scheduler is never consulted while a task runs. Jump straight
-        // to the last such wakeup, crediting the skipped quanta's
-        // invocations and token grants in one batch. The pause horizon
-        // clamps the jump; the remaining inert wakeups are batched on
-        // resume, with the same per-task grant sequence (the split
+        // next arrival, whichever comes first. Of the quantum wakeups
+        // strictly before that horizon, jump over the leading run that
+        // `quiet_periods` proves would re-pick the running task, crediting
+        // their invocations and token grants in one batch; the first
+        // wakeup that could choose differently is stepped. The pause
+        // horizon clamps the jump; the remaining quiet wakeups are batched
+        // on resume, with the same per-task grant sequence (the split
         // batches perform identical `f64` additions in identical order).
         if self.fast_forward {
             let event_horizon = match next_arrival {
@@ -1564,10 +1663,13 @@ impl<S: TraceSink> SimSession<S> {
                 None => completion_time,
             };
             let ff_horizon = event_horizon.min(horizon);
-            let inert = self.state.waiting.is_empty() || !self.sched.preemption.is_preemptive();
-            if inert && self.next_quantum < ff_horizon {
+            let periods = if self.next_quantum < ff_horizon {
                 let span = ff_horizon - self.next_quantum;
-                let periods = span.get().div_ceil(self.quantum.get());
+                self.quiet_periods(run_idx, span.get().div_ceil(self.quantum.get()))
+            } else {
+                0
+            };
+            if periods > 0 {
                 let last_boundary = self.next_quantum + self.quantum * (periods - 1);
                 let skip_budget = last_boundary - self.now;
                 // Wall budget → work: `work_in` carries the fractional
@@ -2618,6 +2720,7 @@ impl<S: TraceSink> SimSession<S> {
 mod tests {
     use super::*;
     use crate::config::PolicyKind;
+    use crate::trace::VecSink;
     use dnn_models::SeqSpec;
 
     fn npu() -> NpuConfig {
@@ -2776,11 +2879,10 @@ mod tests {
             simple_requests(),
         );
         let cfg = npu();
-        for record in &outcome.records {
-            if let Some(latency) = record.mean_preemption_latency() {
-                let us = cfg.cycles_to_micros(latency);
-                assert!(us < 100.0, "preemption latency {us} us is too large");
-            }
+        for record in outcome.records.iter().filter(|r| r.preemption_count > 0) {
+            let latency = record.checkpoint_overhead / record.preemption_count;
+            let us = cfg.cycles_to_micros(latency);
+            assert!(us < 100.0, "preemption latency {us} us is too large");
         }
     }
 
@@ -2949,6 +3051,156 @@ mod tests {
                 // The skipped quanta are still accounted for: the single
                 // isolated-task tail alone spans several quanta.
                 assert!(fast.scheduler_invocations > 3);
+            }
+        }
+    }
+
+    #[test]
+    fn a_grant_level_reached_exactly_at_a_boundary_gets_a_real_wakeup() {
+        // The low-priority task's estimate is one quantum, so every full
+        // period grants it exactly one token: from its seed of 1 it reaches
+        // the high-priority runner's level 9 at the eighth boundary. There
+        // TOKEN's candidate group gains it, and its lower id wins the
+        // arrival tie.
+        let sched = SchedulerConfig::named(
+            PolicyKind::Token,
+            PreemptionMode::Static(PreemptionMechanism::Checkpoint),
+        );
+        let quantum = sched.quantum_cycles(&npu());
+        let sim = NpuSimulator::new(npu(), sched);
+        let prepared = prepare(vec![
+            TaskRequest::new(TaskId(0), ModelKind::CnnAlexNet)
+                .with_priority(Priority::Low)
+                .with_estimate(quantum),
+            TaskRequest::new(TaskId(1), ModelKind::CnnVggNet).with_priority(Priority::High),
+        ]);
+        let (outcome, sink) = sim.run_traced(&prepared, VecSink::default());
+        assert_eq!(outcome, sim.run_reference(&prepared));
+        // The seven boundaries before the crossing are skipped in one
+        // batch...
+        let skip = TraceEvent::QuantumSkip {
+            from: Cycles::ZERO,
+            to: quantum * 7,
+            quanta: 7,
+            grants: 7,
+        };
+        assert!(sink.events.iter().any(|&(_, event)| event == skip));
+        // ...and the crossing itself is a real wakeup, which preempts.
+        let first_pick = sink.events.iter().find_map(|&(at, event)| match event {
+            TraceEvent::Wakeup {
+                chosen: TaskId(0), ..
+            } => Some(at),
+            _ => None,
+        });
+        assert_eq!(first_pick, Some(quantum * 8));
+    }
+
+    #[test]
+    fn a_dynamic_drain_keeps_stepping_every_quantum() {
+        // `dynamic_mode_sometimes_drains` at a short quantum: every
+        // boundary until the runner completes prefers the contender, and
+        // Algorithm 3 drains each time. A DRAIN leaves a task the policy did
+        // not choose running, so none of those wakeups may be skipped.
+        for policy in [PolicyKind::Hpf, PolicyKind::Prema] {
+            let sched = SchedulerConfig {
+                quantum_ms: 0.02,
+                ..SchedulerConfig::named(policy, PreemptionMode::Dynamic)
+            };
+            let sim = NpuSimulator::new(npu(), sched);
+            let prepared = prepare(vec![
+                TaskRequest::new(TaskId(0), ModelKind::CnnAlexNet).with_priority(Priority::Low),
+                TaskRequest::new(TaskId(1), ModelKind::CnnVggNet)
+                    .with_priority(Priority::High)
+                    .with_arrival(Cycles::new(1_400_000)),
+            ]);
+            let fast = sim.run(&prepared);
+            assert_eq!(fast, sim.run_reference(&prepared), "{policy:?}");
+            assert!(fast.drain_decisions > 2, "{policy:?}: {fast:?}");
+            assert_eq!(fast.checkpoint_preemptions, 0);
+        }
+    }
+
+    #[test]
+    fn a_checkpointed_task_can_win_back_the_next_wakeup() {
+        // Under SJF an arrival estimated one cycle shorter than the
+        // runner's remaining time preempts it, but CHECKPOINT first runs
+        // the runner to its commit point. When that drain outlasts the
+        // arrival's progress before the next boundary, the runner is the
+        // shorter job again there, so the wakeup after a preemption must
+        // be stepped even under a policy whose choice otherwise stands.
+        let sim = NpuSimulator::new(
+            npu(),
+            SchedulerConfig::named(
+                PolicyKind::Sjf,
+                PreemptionMode::Static(PreemptionMechanism::Checkpoint),
+            ),
+        );
+        let runner = prepare(vec![TaskRequest::new(TaskId(0), ModelKind::CnnVggNet)]);
+        let runner_estimate = runner[0].estimated_cycles();
+        let mut won_back = 0;
+        for k in 1..200u64 {
+            let arrival = Cycles::new(k * 7_919);
+            let remaining = runner_estimate - arrival;
+            let mut tasks = runner.clone();
+            tasks.extend(prepare(vec![TaskRequest::new(
+                TaskId(1),
+                ModelKind::CnnMobileNet,
+            )
+            .with_arrival(arrival)
+            .with_estimate(remaining - Cycles::new(1))]));
+            let reference = sim.run_reference(&tasks);
+            assert_eq!(sim.run(&tasks), reference, "arrival {arrival:?}");
+            let arrival_record = reference.record(TaskId(1)).expect("completes");
+            won_back += usize::from(arrival_record.preemption_count > 0);
+        }
+        assert!(
+            won_back > 0,
+            "some drain must outlast the arrival's head start"
+        );
+    }
+
+    #[test]
+    fn a_session_paused_inside_a_skipped_span_survives_revoke_and_inject() {
+        let quantum = SchedulerConfig::paper_default().quantum_cycles(&npu());
+        let pause = quantum * 10 + Cycles::new(quantum.get() / 2);
+        let late = PreparedTask::prepare(
+            TaskRequest::new(TaskId(2), ModelKind::CnnMobileNet)
+                .with_priority(Priority::Medium)
+                .with_arrival(pause + quantum * 3),
+            &npu(),
+        );
+        for policy in [PolicyKind::Hpf, PolicyKind::Prema] {
+            let sim = NpuSimulator::new(
+                npu(),
+                SchedulerConfig::named(policy, PreemptionMode::Dynamic),
+            );
+            let prepared = prepare(vec![
+                TaskRequest::new(TaskId(0), ModelKind::CnnVggNet).with_priority(Priority::High),
+                TaskRequest::new(TaskId(1), ModelKind::CnnAlexNet).with_priority(Priority::Low),
+            ]);
+            for revoke in [true, false] {
+                let context = format!("{policy:?}, revoke {revoke}");
+                let mut fast = sim.session_with_sink(&prepared, VecSink::default());
+                let mut reference = sim.session_reference(&prepared);
+                assert_eq!(fast.run_until(pause), StepOutcome::Paused);
+                assert_eq!(reference.run_until(pause), StepOutcome::Paused);
+                // The fast session skipped wakeups with the low-priority
+                // task waiting, and is paused with the runner mid-span.
+                let skipped = fast.sink_mut().events.iter().any(|(_, event)| {
+                    matches!(event, TraceEvent::QuantumSkip { grants, .. } if *grants > 0)
+                });
+                assert!(skipped, "{context}");
+                assert_eq!(fast.running_task(), Some(TaskId(0)), "{context}");
+                if revoke {
+                    fast.revoke(TaskId(1)).expect("never started");
+                    reference.revoke(TaskId(1)).expect("never started");
+                } else {
+                    fast.inject(late.clone()).expect("fresh id");
+                    reference.inject(late.clone()).expect("fresh id");
+                }
+                assert_eq!(fast.run_until(Cycles::MAX), StepOutcome::Drained);
+                assert_eq!(reference.run_until(Cycles::MAX), StepOutcome::Drained);
+                assert_eq!(fast.finish(), reference.finish(), "{context}");
             }
         }
     }

@@ -5,7 +5,7 @@ use npu_sim::Cycles;
 
 use crate::task::TaskId;
 
-use super::{earliest_arrival, SchedulingPolicy, TaskView};
+use super::{earliest_arrival, ChoiceCertificate, SchedulingPolicy, TaskView};
 
 /// Serve requests strictly in arrival order, ignoring priority and job
 /// length.
@@ -26,6 +26,11 @@ impl SchedulingPolicy for Fcfs {
 
     fn select(&mut self, _now: Cycles, tasks: &[TaskView]) -> TaskId {
         earliest_arrival(tasks)
+    }
+
+    /// Arrival order never changes.
+    fn certificate(&self) -> ChoiceCertificate {
+        ChoiceCertificate::UntilEvent
     }
 }
 

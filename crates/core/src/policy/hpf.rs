@@ -5,7 +5,7 @@ use npu_sim::Cycles;
 
 use crate::task::TaskId;
 
-use super::{SchedulingPolicy, TaskView};
+use super::{ChoiceCertificate, SchedulingPolicy, TaskView};
 
 /// Always serve the highest-priority schedulable task; arrival order breaks
 /// ties. Priority-aware but length-unaware: short low-priority tasks can be
@@ -31,6 +31,11 @@ impl SchedulingPolicy for HighPriorityFirst {
             .min_by_key(|t| (std::cmp::Reverse(t.priority), t.arrival, t.id))
             .expect("policy select is never called with zero tasks")
             .id
+    }
+
+    /// Priority and arrival never change.
+    fn certificate(&self) -> ChoiceCertificate {
+        ChoiceCertificate::UntilEvent
     }
 }
 

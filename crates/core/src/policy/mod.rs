@@ -68,14 +68,41 @@ pub trait SchedulingPolicy: std::fmt::Debug + Send {
     /// # Contract
     ///
     /// `select` must be a pure function of `(now, tasks)` — it must not
-    /// carry observable state between invocations. The engine's
-    /// event-horizon fast path relies on this: when the only schedulable
-    /// task is the one already running, the decision is a foregone
-    /// conclusion and the engine skips the wakeup (and therefore the
-    /// `select` call) entirely, which is only bit-identical to stepping if
-    /// elided calls could not have mutated the policy. All six paper
-    /// policies satisfy this; the determinism regression tests enforce it.
+    /// carry observable state between invocations — and must honour
+    /// [`SchedulingPolicy::certificate`]. The engine's event-horizon fast
+    /// path relies on both: it skips every quantum wakeup (and therefore
+    /// the `select` call) whose answer is already known — the only
+    /// schedulable task is the one running, or the certificate rules out
+    /// any other answer — which is only bit-identical to stepping if elided
+    /// calls could not have mutated the policy and would have re-picked the
+    /// running task. All six paper policies satisfy this; the determinism
+    /// regression tests enforce it.
     fn select(&mut self, now: Cycles, tasks: &[TaskView]) -> TaskId;
+
+    /// What can make [`SchedulingPolicy::select`] stop choosing a running
+    /// task it chose, before the next arrival or completion — that is,
+    /// while the waiting tasks only accrue waiting time and tokens and the
+    /// running task only executes. The default rules nothing out: any
+    /// quantum wakeup may change the answer (round-robin).
+    fn certificate(&self) -> ChoiceCertificate {
+        ChoiceCertificate::EveryQuantum
+    }
+}
+
+/// The answer of [`SchedulingPolicy::certificate`]: what, between one
+/// arrival or completion and the next, can make the policy stop choosing
+/// the running task it chose.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ChoiceCertificate {
+    /// Nothing can: the choice stands until the task set changes (HPF,
+    /// SJF, FCFS).
+    UntilEvent,
+    /// A waiting task's tokens reaching one of these grant levels
+    /// (ascending) at or above the current token threshold — the only way
+    /// Algorithm 2's candidate group changes (TOKEN, PREMA).
+    GrantLevels([f64; 3]),
+    /// Any quantum wakeup can.
+    EveryQuantum,
 }
 
 /// Constructs the policy implementation for a [`PolicyKind`].
@@ -93,47 +120,52 @@ pub fn make_policy(kind: PolicyKind, token_scale: f64) -> Box<dyn SchedulingPoli
     }
 }
 
+/// The Table II grant levels (1/3/9) scaled by `token_scale`, ascending:
+/// the thresholds Algorithm 2's candidate group can take.
+pub(crate) fn grant_levels(token_scale: f64) -> [f64; 3] {
+    Priority::ALL.map(|p| p.token_grant() * token_scale)
+}
+
+/// `max_tokens` rounded *down* to the closest of `levels`, or the lowest
+/// level when it is below all of them.
+pub(crate) fn level_floor(levels: [f64; 3], max_tokens: f64) -> f64 {
+    levels
+        .into_iter()
+        .rfind(|&level| max_tokens >= level)
+        .unwrap_or(levels[0])
+}
+
 /// The token threshold of Algorithm 2: the largest token count held by any
 /// schedulable task, rounded *down* to the closest priority grant level
 /// (1/3/9 scaled by `token_scale`). Tasks holding at least this many tokens
 /// form the candidate group.
 pub(crate) fn token_threshold(tasks: &[TaskView], token_scale: f64) -> f64 {
     let max_tokens = tasks.iter().map(|t| t.tokens).fold(0.0, f64::max);
-    let levels: Vec<f64> = Priority::ALL
-        .iter()
-        .map(|p| p.token_grant() * token_scale)
-        .collect();
-    let mut threshold = levels[0];
-    for &level in &levels {
-        if max_tokens >= level {
-            threshold = level;
-        }
-    }
-    threshold
+    level_floor(grant_levels(token_scale), max_tokens)
 }
 
-/// Splits tasks into the candidate group: those whose tokens reach the
-/// threshold. Falls back to all tasks if the group would be empty (which can
-/// only happen if every token count is below the lowest grant level).
-pub(crate) fn candidate_group(tasks: &[TaskView], token_scale: f64) -> Vec<TaskView> {
+/// The candidate group: the tasks whose tokens reach the threshold, in
+/// view order. It is all tasks when none does (which can only happen if
+/// every token count is below the lowest grant level). Lazy, so a policy
+/// picks its winner in one pass over the candidates.
+pub(crate) fn candidate_group(
+    tasks: &[TaskView],
+    token_scale: f64,
+) -> impl Iterator<Item = &TaskView> {
     let threshold = token_threshold(tasks, token_scale);
-    let candidates: Vec<TaskView> = tasks
-        .iter()
-        .filter(|t| t.tokens >= threshold)
-        .copied()
-        .collect();
-    if candidates.is_empty() {
-        tasks.to_vec()
+    let floor = if tasks.iter().any(|t| t.tokens >= threshold) {
+        threshold
     } else {
-        candidates
-    }
+        f64::NEG_INFINITY
+    };
+    tasks.iter().filter(move |t| t.tokens >= floor)
 }
 
 /// Deterministic arrival-order tie break used by every policy: earliest
 /// arrival first, then lowest task ID.
-pub(crate) fn earliest_arrival(tasks: &[TaskView]) -> TaskId {
+pub(crate) fn earliest_arrival<'a>(tasks: impl IntoIterator<Item = &'a TaskView>) -> TaskId {
     tasks
-        .iter()
+        .into_iter()
         .min_by_key(|t| (t.arrival, t.id))
         .expect("policy select is never called with zero tasks")
         .id
@@ -199,15 +231,14 @@ mod tests {
         let mut c = view(3, Priority::Low, 20);
         c.tokens = 4.0;
         // Threshold is 3: tasks with >= 3 tokens qualify.
-        let group = candidate_group(&[a, b, c], 1.0);
-        let ids: Vec<_> = group.iter().map(|t| t.id.0).collect();
+        let tasks = [a, b, c];
+        let ids: Vec<_> = candidate_group(&tasks, 1.0).map(|t| t.id.0).collect();
         assert_eq!(ids, vec![1, 3]);
 
         // All tokens below the lowest level: fall back to everyone.
         let mut d = view(4, Priority::Low, 0);
         d.tokens = 0.2;
-        let group = candidate_group(&[d], 1.0);
-        assert_eq!(group.len(), 1);
+        assert_eq!(candidate_group(&[d], 1.0).count(), 1);
     }
 
     #[test]

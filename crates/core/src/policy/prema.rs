@@ -17,7 +17,7 @@ use npu_sim::Cycles;
 
 use crate::task::TaskId;
 
-use super::{candidate_group, SchedulingPolicy, TaskView};
+use super::{candidate_group, grant_levels, ChoiceCertificate, SchedulingPolicy, TaskView};
 
 /// The predictive, token-based PREMA policy.
 #[derive(Debug, Clone, Copy)]
@@ -45,12 +45,17 @@ impl SchedulingPolicy for Prema {
     }
 
     fn select(&mut self, _now: Cycles, tasks: &[TaskView]) -> TaskId {
-        let candidates = candidate_group(tasks, self.token_scale);
-        candidates
-            .iter()
+        candidate_group(tasks, self.token_scale)
             .min_by_key(|t| (t.estimated_remaining(), t.arrival, t.id))
             .expect("candidate group is never empty")
             .id
+    }
+
+    /// The candidate group moves only when a waiting task's tokens reach a
+    /// grant level at or above the threshold; within it the running task's
+    /// estimated remaining time only shrinks and everyone else's is fixed.
+    fn certificate(&self) -> ChoiceCertificate {
+        ChoiceCertificate::GrantLevels(grant_levels(self.token_scale))
     }
 }
 

@@ -10,7 +10,7 @@ use npu_sim::Cycles;
 
 use crate::task::TaskId;
 
-use super::{SchedulingPolicy, TaskView};
+use super::{ChoiceCertificate, SchedulingPolicy, TaskView};
 
 /// Serve the task with the smallest estimated remaining execution time.
 #[derive(Debug, Clone, Copy, Default)]
@@ -34,6 +34,12 @@ impl SchedulingPolicy for ShortestJobFirst {
             .min_by_key(|t| (t.estimated_remaining(), t.arrival, t.id))
             .expect("policy select is never called with zero tasks")
             .id
+    }
+
+    /// The running task's estimated remaining time only shrinks, and a
+    /// waiting task's does not move.
+    fn certificate(&self) -> ChoiceCertificate {
+        ChoiceCertificate::UntilEvent
     }
 }
 

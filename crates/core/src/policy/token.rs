@@ -10,7 +10,9 @@ use npu_sim::Cycles;
 
 use crate::task::{Priority, TaskId};
 
-use super::{candidate_group, earliest_arrival, SchedulingPolicy, TaskView};
+use super::{
+    candidate_group, earliest_arrival, grant_levels, ChoiceCertificate, SchedulingPolicy, TaskView,
+};
 
 /// The tokens granted to a waiting task for one scheduling period in which it
 /// newly waited `newly_waited` cycles (Algorithm 2, line 7): the task's
@@ -59,8 +61,14 @@ impl SchedulingPolicy for TokenPolicy {
     }
 
     fn select(&mut self, _now: Cycles, tasks: &[TaskView]) -> TaskId {
-        let candidates = candidate_group(tasks, self.token_scale);
-        earliest_arrival(&candidates)
+        earliest_arrival(candidate_group(tasks, self.token_scale))
+    }
+
+    /// The candidate group moves only when a waiting task's tokens reach a
+    /// grant level at or above the threshold, and arrival order within it
+    /// never moves.
+    fn certificate(&self) -> ChoiceCertificate {
+        ChoiceCertificate::GrantLevels(grant_levels(self.token_scale))
     }
 }
 

@@ -79,6 +79,12 @@ pub struct MechanismDecisionInputs {
 /// remaining time scaled by the current task's estimated length, and vice
 /// versa — and drains when interrupting the (nearly finished) current task
 /// would hurt average turnaround more than making the candidate wait.
+///
+/// Under SJF the contender an arrival brings is the never-run arrival `N`
+/// itself, with `N.est < R.rem <= R.est` for the running task `R`, so
+/// `N.est / R.est < 1 < R.rem / N.est` and this always picks CHECKPOINT:
+/// Dynamic-SJF schedules like Static-SJF unless a checkpointed task's run
+/// to its commit point brings it back under its preemptor's remaining time.
 pub fn select_mechanism(inputs: MechanismDecisionInputs) -> PreemptionMechanism {
     let current_remaining = inputs.current_estimated - inputs.current_executed;
     let candidate_remaining = inputs.candidate_estimated - inputs.candidate_executed;

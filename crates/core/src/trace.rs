@@ -145,8 +145,10 @@ pub enum TraceEvent {
         /// The completed task.
         task: TaskId,
     },
-    /// The event-horizon fast path elided a span of provably inert quantum
-    /// wakeups, batching their token grants.
+    /// The event-horizon fast path elided a span of quantum wakeups that
+    /// would each have re-picked the running task (no competitor waiting, a
+    /// non-preemptive mode, or the policy's choice certificate), batching
+    /// their token grants.
     QuantumSkip {
         /// The clock before the jump.
         from: Cycles,

@@ -105,11 +105,6 @@ impl NpuConfig {
         cycles.to_millis(self.frequency_mhz)
     }
 
-    /// Converts microseconds into a cycle count under this configuration.
-    pub fn micros_to_cycles(&self, micros: f64) -> Cycles {
-        Cycles::from_micros(micros, self.frequency_mhz)
-    }
-
     /// Converts milliseconds into a cycle count under this configuration.
     pub fn millis_to_cycles(&self, millis: f64) -> Cycles {
         Cycles::from_millis(millis, self.frequency_mhz)
@@ -223,7 +218,7 @@ mod tests {
         let c = cfg.millis_to_cycles(0.25);
         assert_eq!(c, Cycles::new(175_000));
         assert!((cfg.cycles_to_millis(c) - 0.25).abs() < 1e-9);
-        assert!((cfg.cycles_to_micros(cfg.micros_to_cycles(59.0)) - 59.0).abs() < 1e-6);
+        assert!((cfg.cycles_to_micros(cfg.millis_to_cycles(0.059)) - 59.0).abs() < 1e-6);
     }
 
     #[test]

@@ -80,11 +80,6 @@ impl SeqLenTable {
         bucket.max = bucket.max.max(output_len);
     }
 
-    /// Number of distinct profiled input lengths.
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// Total number of recorded samples.
     pub fn sample_count(&self) -> u64 {
         self.buckets.values().map(|b| b.count).sum()
@@ -202,11 +197,13 @@ mod tests {
     #[test]
     fn counting_and_extension() {
         let mut table: SeqLenTable = [(1, 2), (2, 3)].into_iter().collect();
-        assert_eq!(table.bucket_count(), 2);
         assert_eq!(table.sample_count(), 2);
+        assert_eq!(table.observed_range(3), Some((3, 3)), "nearest bucket is 2");
         table.extend([(1, 4), (3, 9)]);
-        assert_eq!(table.bucket_count(), 3);
         assert_eq!(table.sample_count(), 4);
+        // Extending adds to an existing bucket and opens a new one.
+        assert_eq!(table.observed_range(1), Some((2, 4)));
+        assert_eq!(table.observed_range(3), Some((9, 9)));
     }
 
     #[test]

@@ -9,15 +9,15 @@
 //! full structural equality.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use prema::cluster::{
     online_outcome_hash, outcome_hash, ClusterConfig, ClusterSimulator, DispatchPolicy,
     OnlineClusterConfig, OnlineClusterSimulator, OnlineDispatchPolicy,
 };
 use prema::{
-    NpuConfig, NpuSimulator, PolicyKind, PreemptionMechanism, PreemptionMode, SchedulerConfig,
-    SimOutcome,
+    AnalyticalPredictor, NpuConfig, NpuSimulator, PolicyKind, PreemptionMechanism, PreemptionMode,
+    SchedulerConfig, SimOutcome,
 };
 use prema_bench::cluster::{run_cluster_sweep, sweep_hash, ClosedLoopVariant, ClusterSweepOptions};
 use prema_bench::suite::{run_grid, run_grid_reference, SuiteOptions};
@@ -108,6 +108,67 @@ fn fast_forwarded_records_match_stepped_records_across_all_configs() {
             );
         }
     }
+}
+
+/// Fast ≡ reference over `cases` random workloads, each under a random
+/// scheduling quantum (0.02–1.5 ms) and token scale (0.2–10) and every
+/// configuration. TOKEN and PREMA skip wakeups until a waiting task's
+/// replayed grants reach a grant level, so this checks the exact crossing
+/// at many quantum and level spacings. Half the workloads carry the
+/// analytical predictor's estimates, which can under- or overshoot the
+/// plan.
+fn assert_fast_matches_reference_under_random_quanta(cases: usize, seed: u64) {
+    let npu = NpuConfig::paper_default();
+    let predictor = AnalyticalPredictor::new(npu.clone());
+    let configs = all_scheduler_configs();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut skipped = 0;
+    for case in 0..cases {
+        let spec = generate_workload(
+            &WorkloadConfig {
+                task_count: rng.gen_range(2usize..7),
+                dispatch_window_ms: rng.gen_range(1.0..20.0),
+                ..WorkloadConfig::paper_default()
+            },
+            &mut rng,
+        );
+        let estimates = rng.gen::<bool>().then_some(&predictor);
+        let prepared = prepare_workload(&spec, &npu, estimates);
+        let quantum_ms = rng.gen_range(0.02..1.5);
+        let token_scale = rng.gen_range(0.2..10.0);
+        for cfg in &configs {
+            let cfg = SchedulerConfig {
+                quantum_ms,
+                token_scale,
+                ..cfg.clone()
+            };
+            let label = cfg.label();
+            let sim = NpuSimulator::new(npu.clone(), cfg);
+            let fast = sim.run(&prepared.tasks);
+            let stepped = sim.run_reference(&prepared.tasks);
+            assert_eq!(
+                fast, stepped,
+                "case {case}: fast path diverged from step-every-quantum under {label} \
+                 (quantum {quantum_ms} ms, token scale {token_scale})"
+            );
+            skipped += fast.quanta_skipped;
+        }
+    }
+    assert!(skipped > 0, "the fast path must actually skip wakeups");
+}
+
+/// The per-PR depth of the random quantum / token-scale sweep.
+#[test]
+fn fast_path_matches_reference_under_random_quanta_and_token_scales() {
+    assert_fast_matches_reference_under_random_quanta(400, 0x0A7A);
+}
+
+/// The nightly depth of the same sweep (release build):
+/// `cargo test --release --test determinism -- --ignored`.
+#[test]
+#[ignore = "deep sweep; run nightly in release"]
+fn fast_path_matches_reference_under_random_quanta_and_token_scales_deep() {
+    assert_fast_matches_reference_under_random_quanta(20_000, 0xDEE9);
 }
 
 /// The parallel (run × config) suite must be bit-identical to the serial,

@@ -192,6 +192,17 @@ fn dynamic_mechanism_selection_is_consistent() {
         } else {
             assert_eq!(decision, PreemptionMechanism::Checkpoint);
         }
+        // SJF's contender at an arrival: the never-run arrival itself,
+        // estimated shorter than the runner's remaining work. Always
+        // CHECKPOINT, which is why Dynamic-SJF schedules like Static-SJF.
+        let current_remaining = current_estimated - current_executed;
+        if current_remaining > 1 {
+            let shorter = MechanismDecisionInputs {
+                candidate_estimated: Cycles::new(rng.gen_range(1..current_remaining)),
+                ..inputs
+            };
+            assert_eq!(select_mechanism(shorter), PreemptionMechanism::Checkpoint);
+        }
     }
 }
 
@@ -406,10 +417,21 @@ fn run_until_composed_over_random_horizons_is_bit_identical_to_one_shot() {
                         .with_seq(SeqSpec::for_model(model, 12))
                 })
                 .collect();
-            let sim = NpuSimulator::new(cfg.clone(), SchedulerConfig::named(policy, mode));
+            // The TOKEN and PREMA certificates depend on both the quantum
+            // and the token scale, so draw them too.
+            let sched = SchedulerConfig {
+                quantum_ms: rng.gen_range(0.02..1.5),
+                token_scale: rng.gen_range(0.2..10.0),
+                ..SchedulerConfig::named(policy, mode)
+            };
+            let sim = NpuSimulator::new(cfg.clone(), sched);
             let prepared = sim.prepare(&requests);
             let one_shot = sim.run(&prepared);
             let reference = sim.run_reference(&prepared);
+            assert_eq!(
+                one_shot, reference,
+                "fast one-shot diverged from the reference under {policy:?}/{mode:?}"
+            );
 
             for (label, mut session, expected) in [
                 ("fast", sim.session(&prepared), &one_shot),
@@ -741,14 +763,13 @@ enum SessionOp {
     Unscale,
 }
 
-/// Replays `ops` on a fresh session: the same operations always build the
-/// same session, which is how a test obtains an identical twin.
+/// Replays `ops` on `session`, fresh and empty: the same operations always
+/// build the same session, which is how a test obtains an identical twin.
 fn replay_session(
-    sim: &NpuSimulator,
+    mut session: prema::SimSession,
     tasks: &[prema::PreparedTask],
     ops: &[SessionOp],
 ) -> prema::SimSession {
-    let mut session = sim.session(&[]);
     let mut horizon = Cycles::ZERO;
     for op in ops {
         match *op {
@@ -846,7 +867,18 @@ fn next_event_certificate_contract_holds_under_random_driving() {
                 _ => SessionOp::Unscale,
             });
         }
-        let session = replay_session(&sim, &tasks, &ops);
+        // The step-every-quantum reference, driven the same way, ends the
+        // same: no mutation leaves a stale choice certificate in force.
+        let drain = |mut session: prema::SimSession| {
+            assert_eq!(session.run_until(Cycles::MAX), StepOutcome::Drained);
+            session.finish()
+        };
+        assert_eq!(
+            drain(replay_session(sim.session(&[]), &tasks, &ops)),
+            drain(replay_session(sim.session_reference(&[]), &tasks, &ops)),
+            "case {case}: {ops:?}"
+        );
+        let session = replay_session(sim.session(&[]), &tasks, &ops);
         let now = session.now();
         let Some(event) = session.next_event_time() else {
             continue;
@@ -861,7 +893,7 @@ fn next_event_certificate_contract_holds_under_random_driving() {
         }
         for horizon in horizons.into_iter().filter(|&h| h < event) {
             let context = format!("case {case} at {horizon:?} (event {event:?}): {ops:?}");
-            let mut twin = replay_session(&sim, &tasks, &ops);
+            let mut twin = replay_session(sim.session(&[]), &tasks, &ops);
             let _ = twin.run_until(horizon);
             assert_eq!(twin.state_version(), session.state_version(), "{context}");
             assert_eq!(twin.queue_depth(), session.queue_depth(), "{context}");
