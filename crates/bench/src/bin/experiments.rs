@@ -95,7 +95,6 @@ fn main() -> ExitCode {
         seed: options.seed,
         workload: WorkloadConfig::paper_default(),
         npu: npu.clone(),
-        parallel: true,
     };
 
     let run_one = |name: &str| -> Option<String> {

@@ -13,6 +13,13 @@
 //! step-summary path for failed gates, and the `--trace-out` Perfetto
 //! export.
 //!
+//! Every report carries only figures that repeat exactly: outcome digests,
+//! serving metrics, and a `work` object counting what the program did
+//! (scheduler wakeups, quanta skipped, heap pushes, index re-keys, cache
+//! hits, ...). Its gates compare those exactly, so none of them reads a
+//! clock; wall-clock questions belong to the host-time benchmark under
+//! `hostbench/`.
+//!
 //! The suite (no sub-command) runs the paper's policy-comparison grid on
 //! the serial, uncached reference path and on the plan-cached, parallel
 //! fast path and requires bit-identical outcomes. `trace` writes one traced
@@ -25,7 +32,9 @@ use std::io::Write;
 use std::process::ExitCode;
 use std::str::FromStr;
 
-use prema_bench::cluster::{cell_of, run_cluster_sweep, ClusterCell, ClusterSweepOptions};
+use prema_bench::cluster::{
+    cell_of, run_cluster_sweep, ClusterCell, ClusterSweepOptions, DispatchMode,
+};
 use prema_bench::faults::{FaultCell, FaultSweepOptions};
 use prema_bench::fig11_15::{fig11_configs, fig12_configs};
 use prema_bench::json::{self, Json};
@@ -34,8 +43,9 @@ use prema_bench::object;
 use prema_bench::paired::{paired_wins, run_paired, sweep_hash, PairedCell, PairedSweep};
 use prema_bench::partition::{PartitionCell, PartitionSweepOptions};
 use prema_bench::scale::{self, ScaleCell, ScaleSweepOptions};
-use prema_bench::suite::{run_grid_instrumented, run_grid_reference, timed, SuiteOptions};
+use prema_bench::suite::{run_grid_instrumented, run_grid_reference, SuiteOptions};
 use prema_bench::trace::{run_trace_scenario, verify_reconciliation, TraceScenarioOptions};
+use prema_cluster::CountingSink;
 use prema_core::plan::plan_cache;
 use prema_core::{OutcomeSummary, SchedulerConfig, SimOutcome};
 
@@ -49,7 +59,6 @@ struct Args {
     heap_only: bool,
     rho: Option<f64>,
     duration_ms: Option<f64>,
-    reps: Option<usize>,
     out: Option<String>,
     check_baseline: Option<String>,
     trace_out: Option<String>,
@@ -65,19 +74,10 @@ fn set<T: Clone>(slot: &mut T, flag: &Option<T>) {
 /// One `--check-baseline` gate, as data.
 #[derive(Debug, Clone, Copy)]
 enum Gate {
-    /// `Same(key, when_same)`: the value under `key` equals the baseline's.
-    /// With `when_same`, the gate is skipped unless the values under that
-    /// key match too.
-    Same(&'static str, Option<&'static str>),
-    /// `Floor(rows, path, tolerance)`: the number at `path` is at most
-    /// `tolerance` below the baseline's. With `rows: Some((list, id))`,
-    /// `path` is read in each row of the `list` array and compared with the
-    /// baseline row of the same `id`; rows the baseline lacks are skipped.
-    Floor(
-        Option<(&'static str, &'static str)>,
-        &'static [&'static str],
-        f64,
-    ),
+    /// `Same(key, scope)`: the value under `key` equals the baseline's. An
+    /// object is compared leaf by leaf, and every leaf that differs fails
+    /// on its own, named by its path.
+    Same(&'static str, Scope),
     /// `AtLeast(key, min)`: the count under `key` is at least `min`.
     AtLeast(&'static str, u64),
     /// `True(key)`: the flag under `key` is true. The one gate that also
@@ -85,7 +85,21 @@ enum Gate {
     True(&'static str),
 }
 
-const HASH: Gate = Gate::Same("sweep_hash", None);
+/// Where a [`Gate::Same`] reads its key.
+#[derive(Debug, Clone, Copy)]
+enum Scope {
+    /// At the top of the report.
+    Top,
+    /// At the top of the report, and only when the values under this other
+    /// key match too; skipped otherwise.
+    When(&'static str),
+    /// `Rows(list, id)`: in each row of the `list` array, against the
+    /// baseline row with the same `id`; rows the baseline lacks are skipped.
+    Rows(&'static str, &'static str),
+}
+
+const HASH: Gate = Gate::Same("sweep_hash", Scope::Top);
+const WORK: Gate = Gate::Same("work", Scope::Top);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Status {
@@ -129,6 +143,63 @@ fn rows<'a>(doc: &'a Json, list: &str) -> &'a [Json] {
     doc.get(list).and_then(Json::as_array).unwrap_or(&[])
 }
 
+/// The number of leaves (non-object values) under `value`.
+fn leaves(value: &Json) -> usize {
+    match value {
+        Json::Object(fields) => fields.iter().map(|(_, value)| leaves(value)).sum(),
+        _ => 1,
+    }
+}
+
+/// `(path, expected, actual)` for every leaf under `path` where `actual`
+/// differs from `expected` or is missing; objects are walked key by key,
+/// the measured report's keys first.
+fn differences(
+    path: &str,
+    actual: Option<&Json>,
+    expected: Option<&Json>,
+) -> Vec<(String, String, String)> {
+    match (actual, expected) {
+        (Some(measured @ Json::Object(fields)), Some(base @ Json::Object(base_fields))) => {
+            let missing = base_fields
+                .iter()
+                .filter(|(key, _)| measured.get(key).is_none());
+            let keys = fields.iter().chain(missing).map(|(key, _)| key);
+            keys.flat_map(|key| {
+                differences(&format!("{path}.{key}"), measured.get(key), base.get(key))
+            })
+            .collect()
+        }
+        _ if actual.is_some() && actual == expected => Vec::new(),
+        _ => vec![(path.to_string(), shown(expected), shown(actual))],
+    }
+}
+
+/// A [`Gate::Same`]'s verdicts on one row (`suffix` names it; empty for
+/// the whole report): one pass, or one failure per leaf that differs.
+fn same(key: &str, suffix: &str, actual: Option<&Json>, expected: Option<&Json>) -> Vec<Verdict> {
+    let diffs = differences(key, actual, expected);
+    if !diffs.is_empty() {
+        let fail = |(path, expected, actual)| {
+            Verdict::new(false, format!("{path}{suffix}"), expected, actual)
+        };
+        return diffs.into_iter().map(fail).collect();
+    }
+    let metric = format!("{key}{suffix}");
+    vec![match actual {
+        Some(object @ Json::Object(_)) => {
+            let n = leaves(object);
+            Verdict::new(
+                true,
+                metric,
+                format!("the baseline's {n}"),
+                format!("{n} counts"),
+            )
+        }
+        _ => Verdict::new(true, metric, shown(expected), shown(actual)),
+    }]
+}
+
 /// Evaluates `gates` on a measured report against a parsed baseline.
 /// Without a baseline only [`Gate::True`] runs.
 fn check(gates: &[Gate], measured: &Json, baseline: Option<&Json>) -> Vec<Verdict> {
@@ -147,51 +218,41 @@ fn check(gates: &[Gate], measured: &Json, baseline: Option<&Json>) -> Vec<Verdic
                     .is_some_and(|n| n >= min as f64);
                 verdicts.push(Verdict::new(pass, key, format!(">= {min}"), shown(value)));
             }
-            (Gate::Same(key, grid), Some(base)) => {
-                let (expected, actual) = (base.get(key), measured.get(key));
-                let mut verdict = Verdict::new(
-                    expected.is_some() && actual == expected,
-                    key,
-                    shown(expected),
-                    shown(actual),
-                );
-                if let Some(grid) = grid.filter(|grid| measured.get(grid) != base.get(grid)) {
-                    verdict.status = Status::Skip;
-                    verdict.expected = format!("{grid} {}", shown(base.get(grid)));
-                    verdict.actual = format!("{grid} {}", shown(measured.get(grid)));
-                }
-                verdicts.push(verdict);
-            }
-            (Gate::Floor(by_row, path, tolerance), Some(base)) => {
-                let metric = path.join(".");
-                let pairs: Vec<(String, &Json, Option<&Json>)> = match by_row {
-                    None => vec![(metric, measured, Some(base))],
-                    Some((list, id)) => rows(measured, list)
-                        .iter()
-                        .map(|row| {
-                            let twin = rows(base, list).iter().find(|b| b.get(id) == row.get(id));
-                            (format!("{metric} @ {id} {}", shown(row.get(id))), row, twin)
-                        })
-                        .collect(),
+            (Gate::Same(key, scope), Some(base)) => {
+                let skip = |metric, expected, actual| Verdict {
+                    status: Status::Skip,
+                    metric,
+                    expected,
+                    actual,
                 };
-                for (metric, row, twin) in pairs {
-                    let actual = row.at(path).and_then(Json::as_f64);
-                    let reference = twin.and_then(|twin| twin.at(path)).and_then(Json::as_f64);
-                    let floor = reference.map(|reference| reference * (1.0 - tolerance));
-                    let pass = matches!((actual, floor), (Some(a), Some(f)) if a >= f);
-                    let expected = match (floor, reference) {
-                        (Some(floor), Some(reference)) => format!(
-                            ">= {floor:.0} (baseline {reference:.0}, -{:.0}% floor)",
-                            tolerance * 100.0
-                        ),
-                        _ => "a baseline figure".into(),
-                    };
-                    let actual = actual.map_or("missing".into(), |value| format!("{value:.0}"));
-                    let mut verdict = Verdict::new(pass, metric, expected, actual);
-                    if reference.is_none() && by_row.is_some() {
-                        verdict.status = Status::Skip;
+                match scope {
+                    Scope::When(grid) if measured.get(grid) != base.get(grid) => {
+                        let grid_of = |doc: &Json| format!("{grid} {}", shown(doc.get(grid)));
+                        verdicts.push(skip(key.into(), grid_of(base), grid_of(measured)));
                     }
-                    verdicts.push(verdict);
+                    Scope::Top | Scope::When(_) => {
+                        verdicts.extend(same(key, "", measured.get(key), base.get(key)));
+                    }
+                    Scope::Rows(list, id) => {
+                        for row in rows(measured, list) {
+                            let suffix = format!(" @ {id} {}", shown(row.get(id)));
+                            match rows(base, list).iter().find(|b| b.get(id) == row.get(id)) {
+                                Some(twin) => {
+                                    verdicts.extend(same(
+                                        key,
+                                        &suffix,
+                                        row.get(key),
+                                        twin.get(key),
+                                    ));
+                                }
+                                None => verdicts.push(skip(
+                                    format!("{key}{suffix}"),
+                                    "no such row".into(),
+                                    "one".into(),
+                                )),
+                            }
+                        }
+                    }
                 }
             }
             (_, None) => {}
@@ -240,6 +301,10 @@ fn announce(bench: &str, verdicts: &[Verdict]) -> Result<(), String> {
     let hint = if detail.contains("hash:") {
         " The sweeps are deterministic per seed, so a hash mismatch is a behavioural change: \
          re-commit the baseline only if it is intentional."
+    } else if detail.contains("work.") {
+        " The work counts are deterministic per seed and host-independent, so a changed count \
+         means the program now does different work for the same outcome: re-commit the \
+         baseline only if that is intended."
     } else {
         ""
     };
@@ -282,10 +347,7 @@ static COMMANDS: [Command; 7] = [
         name: "",
         flags: "[--runs N] [--seed S] [--out PATH] [--check-baseline PATH]",
         out: "BENCH_sim_suite.json",
-        gates: &[
-            Gate::True("outcomes_identical"),
-            Gate::Floor(None, &["serial_uncached", "events_per_sec"], 0.20),
-        ],
+        gates: &[Gate::True("outcomes_identical"), WORK],
         run: suite,
     },
     Command {
@@ -293,51 +355,46 @@ static COMMANDS: [Command; 7] = [
         flags: "[--nodes N] [--duration-ms D] [--seed S] [--out PATH] [--check-baseline PATH] \
                 [--trace-out PATH]",
         out: "BENCH_cluster.json",
-        gates: &[HASH, Gate::Floor(None, &["events_per_sec"], 0.20)],
+        gates: &[HASH, WORK],
         run: cluster,
     },
-    // The heap loop finishes its cells in milliseconds, so its relative
-    // wall-clock noise is higher than the longer sweeps': the wider band
-    // still catches the loop degenerating toward the stepping reference (a
-    // 5-8x change) without flaking.
+    // The scale report counts the heap loop's work per node count, so its
+    // work gate compares row by row; the nightly grid's extra node counts
+    // are rows the default baseline grid may lack.
     Command {
         name: "cluster-scale",
-        flags: "[--nodes A,B,C] [--heap-only] [--rho R] [--duration-ms D] [--seed S] [--reps N] \
+        flags: "[--nodes A,B,C] [--heap-only] [--rho R] [--duration-ms D] [--seed S] \
                 [--out PATH] [--check-baseline PATH]",
         out: "BENCH_cluster_scale.json",
         gates: &[
             HASH,
-            Gate::Same("extended_sweep_hash", Some("node_counts")),
-            Gate::Floor(
-                Some(("aggregates", "nodes")),
-                &["heap_events_per_sec"],
-                0.40,
-            ),
+            Gate::Same("extended_sweep_hash", Scope::When("node_counts")),
+            Gate::Same("work", Scope::Rows("aggregates", "nodes")),
         ],
         run: scale,
     },
     Command {
         name: "cluster-faults",
-        flags: "[--nodes N] [--rho R] [--duration-ms D] [--seed S] [--reps N] [--out PATH] \
+        flags: "[--nodes N] [--rho R] [--duration-ms D] [--seed S] [--out PATH] \
                 [--check-baseline PATH] [--trace-out PATH]",
         out: "BENCH_cluster_faults.json",
-        gates: &[HASH],
+        gates: &[HASH, WORK],
         run: faults,
     },
     Command {
         name: "cluster-migration",
-        flags: "[--nodes N] [--rho R] [--duration-ms D] [--seed S] [--reps N] [--out PATH] \
+        flags: "[--nodes N] [--rho R] [--duration-ms D] [--seed S] [--out PATH] \
                 [--check-baseline PATH] [--trace-out PATH]",
         out: "BENCH_cluster_migration.json",
-        gates: &[HASH, Gate::AtLeast("p99_wins", 2)],
+        gates: &[HASH, WORK, Gate::AtLeast("p99_wins", 2)],
         run: migration,
     },
     Command {
         name: "cluster-partition",
-        flags: "[--nodes N] [--rho R] [--duration-ms D] [--seed S] [--reps N] [--out PATH] \
+        flags: "[--nodes N] [--rho R] [--duration-ms D] [--seed S] [--out PATH] \
                 [--check-baseline PATH]",
         out: "BENCH_cluster_partition.json",
-        gates: &[HASH, Gate::AtLeast("paired_wins", 2)],
+        gates: &[HASH, WORK, Gate::AtLeast("paired_wins", 2)],
         run: partition,
     },
     Command {
@@ -422,7 +479,6 @@ fn parse(argv: &[String]) -> Result<(&'static Command, Args), String> {
             ("--seed", _) => args.seed = Some(number(flag, value()?)?),
             ("--rho", _) => args.rho = Some(number(flag, value()?)?),
             ("--duration-ms", _) => args.duration_ms = Some(number(flag, value()?)?),
-            ("--reps", _) => args.reps = Some(number(flag, value()?)?),
             ("--out", _) => args.out = Some(value()?.clone()),
             ("--check-baseline", _) => args.check_baseline = Some(value()?.clone()),
             ("--trace-out", _) => args.trace_out = Some(value()?.clone()),
@@ -516,13 +572,26 @@ fn main() -> ExitCode {
     }
 }
 
-fn eps(events: u64, wall_s: f64) -> Json {
-    Json::num(events as f64 / wall_s.max(f64::EPSILON), 0)
+/// A `work` object: the scheduler wakeups an outcome reports, then every
+/// count of a [`CountingSink`].
+fn counts(scheduler_invocations: u64, work: &CountingSink) -> Json {
+    let invocations = ("scheduler_invocations", scheduler_invocations);
+    let fields = std::iter::once(invocations).chain(work.counts());
+    Json::Object(
+        fields
+            .map(|(name, count)| (name.into(), count.into()))
+            .collect(),
+    )
 }
 
-/// An optional figure: the number, or `null` where it does not exist.
-fn maybe(value: Option<f64>, decimals: usize) -> Json {
-    Json::num(value.unwrap_or(f64::NAN), decimals)
+/// The summed scheduler wakeups and counted work of a set of cells.
+fn total<'a>(cells: impl IntoIterator<Item = (u64, &'a CountingSink)>) -> (u64, CountingSink) {
+    let mut sum = (0, CountingSink::default());
+    for (events, work) in cells {
+        sum.0 += events;
+        sum.1.add(work);
+    }
+    sum
 }
 
 fn suite_options(args: &Args) -> Result<SuiteOptions, String> {
@@ -539,12 +608,10 @@ fn suite(args: &Args) -> Result<Report, String> {
     let configs: Vec<SchedulerConfig> =
         fig11_configs().into_iter().chain(fig12_configs()).collect();
     plan_cache::clear();
-    let (reference, serial_s) = timed(1, || run_grid_reference(&configs, &opts));
+    let reference = run_grid_reference(&configs, &opts);
     plan_cache::clear();
-    let ((fast, estimates), parallel_s) = timed(1, || run_grid_instrumented(&configs, &opts));
+    let (fast, estimates) = run_grid_instrumented(&configs, &opts);
     let cache = plan_cache::stats();
-    let events =
-        |outcomes: &[SimOutcome]| -> u64 { outcomes.iter().map(|o| o.scheduler_invocations).sum() };
     let mut grid = OutcomeSummary::default();
     for s in fast.iter().map(SimOutcome::summary) {
         grid.antt += s.antt;
@@ -555,33 +622,24 @@ fn suite(args: &Args) -> Result<Report, String> {
         grid.replayed_token_grants += s.replayed_token_grants;
     }
     let cells = fast.len().max(1) as f64;
-    let lookups = (estimates.hits + estimates.misses).max(1) as f64;
     let json = object! {
         "bench" => "sim_suite_throughput",
         "runs" => opts.runs,
         "configs" => configs.len(),
         "cells" => opts.runs * configs.len(),
-        "threads" => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        "scheduler_events" => events(&fast),
-        "serial_uncached" => object! {
-            "wall_s" => Json::num(serial_s, 4), "events_per_sec" => eps(events(&reference), serial_s),
-        },
-        "parallel_cached" => object! {
-            "wall_s" => Json::num(parallel_s, 4), "events_per_sec" => eps(events(&fast), parallel_s),
-        },
-        "speedup" => Json::num(serial_s / parallel_s.max(f64::EPSILON), 2),
-        "plan_cache" => object! {
-            "hits" => cache.hits, "misses" => cache.misses, "entries" => cache.entries,
-            "hit_rate" => Json::num(cache.hit_rate(), 4),
-        },
-        "predictor_cache" => object! {
-            "hits" => estimates.hits, "misses" => estimates.misses,
-            "hit_rate" => Json::num(estimates.hits as f64 / lookups, 4),
-        },
         "grid" => object! {
             "mean_antt" => Json::num(grid.antt / cells, 4), "mean_stp" => Json::num(grid.stp / cells, 4),
-            "preemptions" => grid.preemptions, "kill_restarts" => grid.kill_restarts,
-            "quanta_skipped" => grid.quanta_skipped, "replayed_token_grants" => grid.replayed_token_grants,
+            "kill_restarts" => grid.kill_restarts,
+        },
+        "work" => object! {
+            "scheduler_events" => fast.iter().map(|o| o.scheduler_invocations).sum::<u64>(),
+            "grid" => object! {
+                "quanta_skipped" => grid.quanta_skipped,
+                "replayed_token_grants" => grid.replayed_token_grants,
+                "preemptions" => grid.preemptions,
+            },
+            "plan_cache" => object! { "hits" => cache.hits, "misses" => cache.misses },
+            "predictor_cache" => object! { "hits" => estimates.hits, "misses" => estimates.misses },
         },
         "outcomes_identical" => fast == reference,
     };
@@ -598,14 +656,13 @@ fn cluster_options(args: &Args) -> Result<ClusterSweepOptions, String> {
 
 fn cluster(args: &Args) -> Result<Report, String> {
     let opts = cluster_options(args)?;
-    let (cells, wall_s) = timed(1, || run_cluster_sweep(&opts));
-    for &load in &opts.loads {
-        let level = cells.iter().filter(|cell| cell.load == load);
-        let (events, wall) = level.fold((0, 0.0), |(e, w), c| (e + c.events, w + c.wall_s));
-        let rate = events as f64 / f64::max(wall, f64::EPSILON);
-        eprintln!("[throughput] load {load:.2}: {events} events, {rate:.0} events/sec");
-    }
-    let events: u64 = cells.iter().map(|c| c.events).sum();
+    let cells = run_cluster_sweep(&opts);
+    let work = |mode: DispatchMode| {
+        let cells = cells.iter().filter(|cell| cell.mode == mode);
+        total(cells.map(|cell| (cell.events, &cell.work)))
+    };
+    let (open_events, open_work) = work(DispatchMode::Open);
+    let (closed_events, closed_work) = work(DispatchMode::Closed);
     // One request stream per load level, replayed by every policy — count
     // each stream once, through the first policy's cells.
     let first = cells.first().map(|c| c.policy);
@@ -645,9 +702,6 @@ fn cluster(args: &Args) -> Result<Report, String> {
         "load_levels" => opts.loads.iter().map(|&load| Json::num(load, 2)).collect::<Json>(),
         "policies" => opts.policies.iter().map(|policy| policy.label()).chain(closed).collect::<Json>(),
         "unique_requests" => streams.map(|cell| cell.requests).sum::<usize>(),
-        "cluster_events" => events,
-        "wall_s" => Json::num(wall_s, 4),
-        "events_per_sec" => eps(events, wall_s),
         "top_load_queue_ms" => object! {
             "load" => Json::num(top, 2), "predictive" => at_top(&["predictive"], queue),
             "random" => at_top(&["random"], queue),
@@ -657,6 +711,15 @@ fn cluster(args: &Args) -> Result<Report, String> {
             "closed_reactive" => at_top(&["work-steal", "predictive-live"], p99),
         },
         "sweep_hash" => Json::hash(prema_bench::cluster::sweep_hash(&cells)),
+        // An open-loop node runs its engine to completion, so only its
+        // wakeups and skipped quanta are counted.
+        "work" => object! {
+            "open_loop" => object! {
+                "scheduler_invocations" => open_events,
+                "quanta_skipped" => open_work.quanta_skipped,
+            },
+            "closed_loop" => counts(closed_events, &closed_work),
+        },
         "cells" => cells.iter().map(row).collect::<Json>(),
     };
     let (nodes, seed) = (opts.nodes, opts.seed);
@@ -676,7 +739,6 @@ fn scale_options(args: &Args) -> Result<ScaleSweepOptions, String> {
     set(&mut opts.rho, &args.rho);
     set(&mut opts.duration_ms, &args.duration_ms);
     set(&mut opts.seed, &args.seed);
-    set(&mut opts.repetitions, &args.reps);
     if args.heap_only {
         opts.reference_cap = 0;
     }
@@ -686,29 +748,15 @@ fn scale_options(args: &Args) -> Result<ScaleSweepOptions, String> {
 fn scale(args: &Args) -> Result<Report, String> {
     let opts = scale_options(args)?;
     let cells = scale::run_scale_sweep(&opts);
-    let aggregates = scale::scale_aggregates(&cells);
-    let top = aggregates
-        .iter()
-        .max_by_key(|aggregate| aggregate.nodes)
-        .expect("a node count");
     let row = |cell: &ScaleCell| {
         object! {
             "nodes" => cell.nodes, "policy" => cell.policy, "requests" => cell.requests,
             "served" => cell.served, "shed" => cell.shed, "steals" => cell.steals,
-            "events" => cell.events, "wall_reference_s" => maybe(cell.wall_reference_s, 4),
-            "wall_heap_s" => Json::num(cell.wall_heap_s, 4),
-            "reference_events_per_sec" => maybe(cell.reference_events_per_sec(), 0),
-            "heap_events_per_sec" => Json::num(cell.heap_events_per_sec(), 0),
-            "speedup" => maybe(cell.speedup(), 2), "hash" => Json::hash(cell.hash),
+            "events" => cell.events, "reference" => cell.verified, "hash" => Json::hash(cell.hash),
         }
     };
-    let aggregate_rows = aggregates.iter().map(|aggregate| {
-        object! {
-            "nodes" => aggregate.nodes, "events" => aggregate.events,
-            "reference_events_per_sec" => maybe(aggregate.reference_events_per_sec(), 0),
-            "heap_events_per_sec" => Json::num(aggregate.heap_events_per_sec(), 0),
-            "speedup" => maybe(aggregate.speedup(), 2),
-        }
+    let aggregate_rows = scale::scale_aggregates(&cells).into_iter().map(|aggregate| {
+        object! { "nodes" => aggregate.nodes, "work" => counts(aggregate.events, &aggregate.work) }
     });
     let json = object! {
         "bench" => "cluster_scale_cosim",
@@ -718,11 +766,7 @@ fn scale(args: &Args) -> Result<Report, String> {
         "duration_ms" => Json::num(opts.duration_ms, 1),
         "scheduler" => "np-fcfs",
         "variants" => opts.variants.iter().map(|variant| variant.label()).collect::<Json>(),
-        "repetitions" => opts.repetitions,
         "reference_cap" => opts.reference_cap,
-        "max_nodes" => top.nodes,
-        "speedup_at_max_nodes" => maybe(top.speedup(), 2),
-        "heap_events_per_sec_at_max_nodes" => Json::num(top.heap_events_per_sec(), 0),
         "sweep_hash" => Json::hash(scale::scale_sweep_hash(&cells)),
         "extended_sweep_hash" => Json::hash(scale::scale_extended_sweep_hash(&cells)),
         "aggregates" => aggregate_rows.collect::<Json>(),
@@ -733,7 +777,8 @@ fn scale(args: &Args) -> Result<Report, String> {
 
 /// The report layout the paired sweeps share: the common options, then the
 /// sweep's own `params` (an object), then the win count under `wins` when
-/// the sweep gates one, the sweep hash and one `row` per cell.
+/// the sweep gates one, the sweep hash, the cells' summed `work` and one
+/// `row` per cell.
 fn paired_report<S: PairedSweep>(
     bench: &str,
     sweep: &S,
@@ -747,9 +792,7 @@ fn paired_report<S: PairedSweep>(
         "bench" => bench, "nodes" => base.nodes, "rho" => Json::num(base.rho, 2),
         "seed" => base.seed, "duration_ms" => Json::num(base.duration_ms, 1),
     };
-    let tail = object! {
-        "scheduler" => "prema", "dispatch" => "predictive-live", "repetitions" => base.repetitions,
-    };
+    let tail = object! { "scheduler" => "prema", "dispatch" => "predictive-live" };
     let mut fields = Vec::new();
     for part in [head, params, tail] {
         let Json::Object(part) = part else {
@@ -759,6 +802,8 @@ fn paired_report<S: PairedSweep>(
     }
     fields.extend(wins.map(|key| (key.to_string(), Json::from(paired_wins::<S>(cells)))));
     fields.push(("sweep_hash".into(), Json::hash(sweep_hash(cells))));
+    let (events, work) = total(cells.iter().map(|cell| (cell.events, &cell.work)));
+    fields.push(("work".into(), counts(events, &work)));
     fields.push(("cells".into(), cells.iter().map(row).collect()));
     Json::Object(fields)
 }
@@ -769,7 +814,6 @@ fn fault_options(args: &Args) -> Result<FaultSweepOptions, String> {
     set(&mut opts.rho, &args.rho);
     set(&mut opts.duration_ms, &args.duration_ms);
     set(&mut opts.seed, &args.seed);
-    set(&mut opts.repetitions, &args.reps);
     opts.validate().map(|()| opts)
 }
 
@@ -788,8 +832,7 @@ fn fault_report(opts: &FaultSweepOptions, cells: &[FaultCell]) -> Json {
             "freezes" => m.freezes, "recoveries" => m.recoveries,
             "availability" => Json::num(m.availability, 6), "goodput" => Json::num(m.goodput, 6),
             "p99_ms" => Json::num(m.p99_ms, 4), "antt" => Json::num(m.antt, 4),
-            "events" => cell.events, "wall_s" => Json::num(cell.wall_s, 4),
-            "events_per_sec" => eps(cell.events, cell.wall_s), "hash" => Json::hash(cell.hash),
+            "events" => cell.events, "hash" => Json::hash(cell.hash),
         }
     })
 }
@@ -812,7 +855,6 @@ fn migration_options(args: &Args) -> Result<MigrationSweepOptions, String> {
     set(&mut opts.rho, &args.rho);
     set(&mut opts.duration_ms, &args.duration_ms);
     set(&mut opts.seed, &args.seed);
-    set(&mut opts.repetitions, &args.reps);
     opts.validate().map(|()| opts)
 }
 
@@ -838,7 +880,7 @@ fn migration_report(opts: &MigrationSweepOptions, cells: &[MigrationCell]) -> Js
                 "mean_evacuation_ms" => Json::num(m.mean_evacuation_ms, 4),
                 "degraded_fraction" => Json::num(m.degraded_fraction, 6),
                 "p99_ms" => Json::num(m.p99_ms, 4), "antt" => Json::num(m.antt, 4),
-                "events" => cell.events, "wall_s" => Json::num(cell.wall_s, 4), "hash" => Json::hash(cell.hash),
+                "events" => cell.events, "hash" => Json::hash(cell.hash),
             }
         },
     )
@@ -862,7 +904,6 @@ fn partition_options(args: &Args) -> Result<PartitionSweepOptions, String> {
     set(&mut opts.rho, &args.rho);
     set(&mut opts.duration_ms, &args.duration_ms);
     set(&mut opts.seed, &args.seed);
-    set(&mut opts.repetitions, &args.reps);
     opts.validate().map(|()| opts)
 }
 
@@ -893,7 +934,7 @@ fn partition_report(opts: &PartitionSweepOptions, cells: &[PartitionCell]) -> Js
                 "link_faults" => m.link_faults, "migrations" => m.migrations,
                 "transfer_failures" => m.transfer_failures, "redirects" => m.redirects,
                 "goodput" => Json::num(m.goodput, 6), "p99_ms" => Json::num(m.p99_ms, 4),
-                "events" => cell.events, "wall_s" => Json::num(cell.wall_s, 4), "hash" => Json::hash(cell.hash),
+                "events" => cell.events, "hash" => Json::hash(cell.hash),
             }
         },
     )
@@ -987,7 +1028,7 @@ mod tests {
     /// `baseline()`.
     #[test]
     fn every_command_accepts_exactly_its_flags() {
-        let serving = "--nodes --rho --duration-ms --seed --reps --out --check-baseline";
+        let serving = "--nodes --rho --duration-ms --seed --out --check-baseline";
         let contract = [
             ("", "--runs --seed --out --check-baseline".to_string()),
             (
@@ -1001,7 +1042,7 @@ mod tests {
             ("trace", "--nodes --rho --duration-ms --seed --out".into()),
         ];
         assert_eq!(contract.len(), COMMANDS.len());
-        let every = "--runs --seed --nodes --heap-only --rho --duration-ms --reps --out \
+        let every = "--runs --seed --nodes --heap-only --rho --duration-ms --out \
                      --check-baseline --trace-out";
         for (name, accepted) in &contract {
             for flag in every.split(' ') {
@@ -1028,13 +1069,10 @@ mod tests {
         same(partition_options(&none), PartitionSweepOptions::baseline());
         same(trace_options(&none), TraceScenarioOptions::combined());
         // Flags land on their fields.
-        let (_, args) = parse(&argv("cluster-scale --nodes 4,16 --heap-only --reps 2")).unwrap();
+        let (_, args) = parse(&argv("cluster-scale --nodes 4,16 --heap-only")).unwrap();
         let opts = scale_options(&args).unwrap();
-        assert_eq!(
-            (opts.node_counts, opts.reference_cap, opts.repetitions),
-            (vec![4, 16], 0, 2)
-        );
-        let words = "cluster-faults --nodes 8 --rho 0.5 --duration-ms 50 --seed 9 --reps 2";
+        assert_eq!((opts.node_counts, opts.reference_cap), (vec![4, 16], 0));
+        let words = "cluster-faults --nodes 8 --rho 0.5 --duration-ms 50 --seed 9";
         let opts = fault_options(&parse(&argv(words)).unwrap().1).unwrap();
         assert_eq!(
             (opts.nodes, opts.rho, opts.duration_ms, opts.seed),
@@ -1082,12 +1120,12 @@ mod tests {
             "cluster --nodes 0",
             "cluster-scale --nodes 0",
             "cluster-scale --rho -1",
-            "cluster-scale --reps 0",
+            "cluster-scale --duration-ms 0",
             "cluster-faults --nodes 0",
             "cluster-faults --rho -1",
-            "cluster-faults --reps 0",
+            "cluster-faults --duration-ms -5",
             "cluster-migration --nodes 0",
-            "cluster-migration --reps 0",
+            "cluster-migration --rho 0",
             "cluster-partition --rho -1",
             "cluster-partition --trace-out x.json",
             "trace --nodes 0",
@@ -1149,20 +1187,84 @@ mod tests {
         assert_eq!(verdicts[1].status, Status::Skip);
     }
 
+    /// The `aggregates` rows of a scale report.
+    fn aggregates(doc: &mut Json) -> &mut Vec<Json> {
+        let Json::Object(fields) = doc else {
+            panic!("not an object")
+        };
+        match fields.iter_mut().find(|(k, _)| k == "aggregates") {
+            Some((_, Json::Array(rows))) => rows,
+            _ => panic!("no aggregates array"),
+        }
+    }
+
     #[test]
-    fn a_rate_below_its_floor_trips_the_floor_gate() {
-        let baseline = committed("BENCH_sim_suite.json");
-        let path = ["serial_uncached", "events_per_sec"];
-        let rate = baseline.at(&path).and_then(Json::as_f64).unwrap();
+    fn a_doctored_work_count_fails_on_its_row_and_names_the_count() {
+        let baseline = committed("BENCH_cluster_scale.json");
         let mut measured = baseline.clone();
-        let gates = named("").gates;
-        replace(&mut measured, &path, Json::num(rate * 0.81, 0));
-        assert!(failed(&check(gates, &measured, Some(&baseline))).is_empty());
-        replace(&mut measured, &path, Json::num(rate * 0.79, 0));
-        assert_eq!(
-            failed(&check(gates, &measured, Some(&baseline))),
-            [path.join(".")]
+        let sixteen = Some(Json::from(16usize));
+        let rows = aggregates(&mut measured);
+        let row = rows
+            .iter_mut()
+            .find(|row| row.get("nodes") == sixteen.as_ref());
+        let row = row.expect("a 16-node row");
+        let pushes = row
+            .at(&["work", "heap_pushes"])
+            .and_then(Json::as_f64)
+            .unwrap();
+        replace(row, &["work", "heap_pushes"], Json::from(pushes as u64 + 1));
+        let verdicts = check(named("cluster-scale").gates, &measured, Some(&baseline));
+        assert_eq!(failed(&verdicts), ["work.heap_pushes @ nodes 16"]);
+        let failure = verdicts.iter().find(|v| v.status == Status::Fail).unwrap();
+        assert_eq!(failure.expected, format!("{pushes}"));
+        assert_eq!(failure.actual, format!("{}", pushes as u64 + 1));
+        // The other rows still pass on their own.
+        let passed = verdicts.iter().filter(|v| v.status == Status::Pass);
+        let rows = passed
+            .filter(|v| v.metric.starts_with("work @ nodes"))
+            .count();
+        assert_eq!(rows, 4);
+        // A suite count nested two objects down is named by its full path.
+        let baseline = committed("BENCH_sim_suite.json");
+        let mut measured = baseline.clone();
+        replace(
+            &mut measured,
+            &["work", "grid", "quanta_skipped"],
+            Json::from(1u64),
         );
+        let verdicts = check(named("").gates, &measured, Some(&baseline));
+        assert_eq!(failed(&verdicts), ["work.grid.quanta_skipped"]);
+        assert!(announce("suite", &verdicts).is_err());
+    }
+
+    #[test]
+    fn a_row_the_baseline_lacks_is_skipped() {
+        let mut baseline = committed("BENCH_cluster_scale.json");
+        let measured = baseline.clone();
+        // A baseline of the default grid lacks the nightly 256-node row.
+        aggregates(&mut baseline).retain(|row| row.get("nodes") != Some(&Json::from(256usize)));
+        let verdicts = check(named("cluster-scale").gates, &measured, Some(&baseline));
+        assert!(failed(&verdicts).is_empty(), "{verdicts:?}");
+        let skipped: Vec<&str> = verdicts
+            .iter()
+            .filter(|v| v.status == Status::Skip)
+            .map(|v| v.metric.as_str())
+            .collect();
+        assert_eq!(skipped, ["work @ nodes 256"]);
+    }
+
+    #[test]
+    fn reps_is_an_unknown_flag() {
+        for command in &COMMANDS {
+            let words = format!("{} --reps 3", command.name);
+            let Err(error) = parse(&argv(&words)) else {
+                panic!("{words} parsed")
+            };
+            assert!(
+                error.starts_with("unknown argument --reps"),
+                "{words}: {error}"
+            );
+        }
     }
 
     #[test]
@@ -1186,14 +1288,14 @@ mod tests {
             .into_iter()
             .flat_map(|(level, migrate, stay)| {
                 [("migrate", migrate), ("stay", stay)].map(|(policy, p99)| {
-                    let (requests, served, events, wall_s, hash) = (10, 10, 100, 0.001, 7);
+                    let (requests, served, events, hash) = (10, 10, 100, 7);
                     PairedCell {
                         level,
                         policy,
                         requests,
                         served,
                         events,
-                        wall_s,
+                        work: CountingSink::default(),
                         hash,
                         metrics: metrics(p99),
                     }

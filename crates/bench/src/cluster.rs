@@ -12,7 +12,7 @@
 //! policies — open and closed — replay, so policy comparisons are paired,
 //! and every cell is a pure function of the sweep seed (the `throughput
 //! cluster` baseline gate hashes the cells to detect any behavioural
-//! divergence).
+//! divergence, and compares the work the cells did count for count).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -21,15 +21,16 @@ use dnn_models::{ModelKind, SeqSpec};
 use npu_sim::NpuConfig;
 use prema_cluster::{
     online_outcome_hash, outcome_hash, ClusterConfig, ClusterMetrics, ClusterSimulator,
-    DispatchPolicy, OnlineClusterConfig, OnlineClusterSimulator, OnlineDispatchPolicy,
+    CountingSink, DispatchPolicy, OnlineClusterConfig, OnlineClusterSimulator,
+    OnlineDispatchPolicy, OnlineOutcome,
 };
 use prema_core::plan::ExecutionPlan;
-use prema_core::SchedulerConfig;
+use prema_core::{PreparedTask, SchedulerConfig};
 use prema_predictor::AnalyticalPredictor;
 use prema_workload::arrivals::{generate_open_loop, OpenLoopConfig};
 use prema_workload::prepare::{prepare_workload, PreparedWorkload};
 
-use crate::suite::{build_predictor, run_seed, timed};
+use crate::suite::{build_predictor, run_seed};
 
 /// The p99 turnaround target (milliseconds) the sweep's `sla-admit` variant
 /// sheds against: between the committed baseline's p95 and p99 at high
@@ -129,10 +130,6 @@ pub struct ClusterSweepOptions {
     pub scheduler: SchedulerConfig,
     /// The per-node NPU configuration.
     pub npu: NpuConfig,
-    /// Whether to fan per-node open-loop simulations out over all cores
-    /// (results are bit-identical either way; the closed-loop event loop is
-    /// inherently serial).
-    pub parallel: bool,
 }
 
 impl ClusterSweepOptions {
@@ -149,7 +146,6 @@ impl ClusterSweepOptions {
             closed: ClosedLoopVariant::ALL.to_vec(),
             scheduler: SchedulerConfig::paper_default(),
             npu: NpuConfig::paper_default(),
-            parallel: true,
         }
     }
 
@@ -277,6 +273,26 @@ impl Streams {
     }
 }
 
+/// Runs the event-heap loop untraced, then once more with a
+/// [`CountingSink`] attached, and returns the untraced outcome with the
+/// counted work.
+///
+/// # Panics
+///
+/// Panics if counting perturbed the outcome.
+pub(crate) fn run_counted(
+    online: &OnlineClusterSimulator,
+    tasks: &[PreparedTask],
+) -> (OnlineOutcome, CountingSink) {
+    let outcome = online.run(tasks);
+    let (counted, work) = online.run_traced(tasks, CountingSink::default());
+    assert_eq!(
+        outcome, counted,
+        "counting the work perturbed the event-heap loop"
+    );
+    (outcome, work)
+}
+
 /// Which dispatch path a sweep cell ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DispatchMode {
@@ -318,9 +334,10 @@ pub struct ClusterCell {
     pub steals: u64,
     /// Total scheduler wakeups across the cluster.
     pub events: u64,
-    /// Wall-clock seconds this cell's simulation took (measurement only —
-    /// never part of the deterministic digest).
-    pub wall_s: f64,
+    /// The work the cell did: every count of a [`CountingSink`] for a
+    /// closed-loop cell, only the nodes' `quanta_skipped` for an open-loop
+    /// one.
+    pub work: CountingSink,
     /// The cluster serving metrics over the served work.
     pub metrics: ClusterMetrics,
     /// The deterministic outcome digest of this cell.
@@ -354,9 +371,9 @@ pub fn run_cluster_sweep(opts: &ClusterSweepOptions) -> Vec<ClusterCell> {
                 // Per-level seed: the random baseline redraws per level but
                 // stays a pure function of the sweep seed.
                 dispatch_seed: run_seed(opts.seed, 0x1000 + level),
-                parallel: opts.parallel,
             });
-            let (outcome, wall_s) = timed(1, || cluster.run(&prepared.tasks));
+            let outcome = cluster.run(&prepared.tasks);
+            let quanta_skipped = outcome.node_outcomes.iter().map(|o| o.quanta_skipped).sum();
             cells.push(ClusterCell {
                 load,
                 rate_per_ms: rate,
@@ -367,7 +384,10 @@ pub fn run_cluster_sweep(opts: &ClusterSweepOptions) -> Vec<ClusterCell> {
                 shed: 0,
                 steals: 0,
                 events: outcome.scheduler_invocations(),
-                wall_s,
+                work: CountingSink {
+                    quanta_skipped,
+                    ..CountingSink::default()
+                },
                 hash: outcome_hash(&outcome),
                 metrics: ClusterMetrics::from_outcome(&outcome, &opts.npu),
             });
@@ -378,7 +398,7 @@ pub fn run_cluster_sweep(opts: &ClusterSweepOptions) -> Vec<ClusterCell> {
                 opts.scheduler.clone(),
                 opts.npu.clone(),
             ));
-            let (outcome, wall_s) = timed(1, || online.run(&prepared.tasks));
+            let (outcome, work) = run_counted(&online, &prepared.tasks);
             cells.push(ClusterCell {
                 load,
                 rate_per_ms: rate,
@@ -389,7 +409,7 @@ pub fn run_cluster_sweep(opts: &ClusterSweepOptions) -> Vec<ClusterCell> {
                 shed: outcome.shed.len(),
                 steals: outcome.steals,
                 events: outcome.cluster.scheduler_invocations(),
-                wall_s,
+                work,
                 hash: online_outcome_hash(&outcome),
                 metrics: ClusterMetrics::from_outcome(&outcome.cluster, &opts.npu),
             });
@@ -438,6 +458,7 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.hash, y.hash);
             assert_eq!(x.metrics, y.metrics);
+            assert_eq!(x.work, y.work);
         }
         // All policies at one load level see the same stream, and the layout
         // is open policies first, then closed variants.
@@ -452,6 +473,10 @@ mod tests {
                     DispatchMode::Closed
                 };
                 assert_eq!(cell.mode, expected);
+                // Only the closed loop dispatches online, so only its cells
+                // count dispatch decisions.
+                let dispatched = cell.work.dispatch_decisions > 0;
+                assert_eq!(dispatched, expected == DispatchMode::Closed);
             }
         }
     }

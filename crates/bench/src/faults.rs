@@ -48,8 +48,6 @@ pub struct FaultSweepOptions {
     pub scheduler: SchedulerConfig,
     /// The per-node NPU configuration.
     pub npu: NpuConfig,
-    /// Wall-clock repetitions per (cell, driver); the minimum is reported.
-    pub repetitions: usize,
 }
 
 impl FaultSweepOptions {
@@ -67,7 +65,6 @@ impl FaultSweepOptions {
             freeze_fraction: 0.2,
             scheduler: SchedulerConfig::paper_default(),
             npu: NpuConfig::paper_default(),
-            repetitions: 3,
         }
     }
 
@@ -77,7 +74,6 @@ impl FaultSweepOptions {
             nodes: 2,
             duration_ms: 80.0,
             mtbf_multipliers: vec![10.0],
-            repetitions: 1,
             ..FaultSweepOptions::baseline()
         }
     }
@@ -122,7 +118,6 @@ impl PairedSweep for FaultSweepOptions {
             duration_ms: self.duration_ms,
             scheduler: &self.scheduler,
             npu: &self.npu,
-            repetitions: self.repetitions,
         }
     }
 
@@ -243,7 +238,6 @@ mod tests {
         assert!(rejects(|o| o.mtbf_multipliers = vec![0.0]));
         assert!(rejects(|o| o.downtime_ms = f64::NAN));
         assert!(rejects(|o| o.freeze_fraction = 1.5));
-        assert!(rejects(|o| o.repetitions = 0));
         assert!(FaultSweepOptions::baseline().validate().is_ok());
     }
 }

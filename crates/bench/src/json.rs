@@ -369,7 +369,7 @@ mod tests {
             "rho" => Json::num(0.75, 2),
             "levels" => [1usize, 2].into_iter().collect::<Json>(),
             "empty" => Json::Array(vec![]),
-            "timing" => crate::object! { "wall_s" => Json::num(0.5, 4) },
+            "latency" => crate::object! { "mean_ms" => Json::num(0.5, 4) },
             "p99_ms" => Json::num(f64::INFINITY, 4),
             "hash" => Json::hash(0xab),
             "cells" => Json::Array(vec![crate::object! { "ok" => true }]),
@@ -377,7 +377,7 @@ mod tests {
         assert_eq!(
             report.to_string(),
             "{\n  \"bench\": \"demo\",\n  \"rho\": 0.75,\n  \"levels\": [1, 2],\n  \
-             \"empty\": [],\n  \"timing\": { \"wall_s\": 0.5000 },\n  \"p99_ms\": null,\n  \
+             \"empty\": [],\n  \"latency\": { \"mean_ms\": 0.5000 },\n  \"p99_ms\": null,\n  \
              \"hash\": \"00000000000000ab\",\n  \"cells\": [\n    { \"ok\": true }\n  ]\n}"
         );
         assert_eq!(parse(&report.to_string()), Ok(report));

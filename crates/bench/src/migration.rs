@@ -53,8 +53,6 @@ pub struct MigrationSweepOptions {
     pub scheduler: SchedulerConfig,
     /// The per-node NPU configuration.
     pub npu: NpuConfig,
-    /// Wall-clock repetitions per (cell, driver); the minimum is reported.
-    pub repetitions: usize,
 }
 
 impl MigrationSweepOptions {
@@ -76,7 +74,6 @@ impl MigrationSweepOptions {
             sla_multiplier: 8.0,
             scheduler: SchedulerConfig::paper_default(),
             npu: NpuConfig::paper_default(),
-            repetitions: 3,
         }
     }
 
@@ -89,7 +86,6 @@ impl MigrationSweepOptions {
             severities: vec![(1, 8)],
             degrade_mtbf_ms: 40.0,
             degrade_window_ms: 25.0,
-            repetitions: 1,
             ..MigrationSweepOptions::baseline()
         }
     }
@@ -129,7 +125,6 @@ impl PairedSweep for MigrationSweepOptions {
             duration_ms: self.duration_ms,
             scheduler: &self.scheduler,
             npu: &self.npu,
-            repetitions: self.repetitions,
         }
     }
 
@@ -269,7 +264,6 @@ mod tests {
         assert!(rejects(|o| o.degrade_mtbf_ms = 0.0));
         assert!(rejects(|o| o.degrade_window_ms = f64::NAN));
         assert!(rejects(|o| o.sla_multiplier = 0.0));
-        assert!(rejects(|o| o.repetitions = 0));
         assert!(MigrationSweepOptions::baseline().validate().is_ok());
     }
 }

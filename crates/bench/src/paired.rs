@@ -11,10 +11,12 @@
 //! through **both** closed-loop drivers: the event-heap loop must be
 //! bit-identical to the stepping reference, and the outcome's books must
 //! balance: conservation, no duplicate ids, interconnect byte accounting
-//! and clean custody. Cells come back level-major, first arm first;
-//! their digests fold into the sweep hash ([`sweep_hash`]) the `throughput`
-//! baseline gates compare, and [`paired_wins`] counts the levels where the
-//! first arm wins by the sweep's own rule.
+//! and clean custody. The heap loop runs once more with a
+//! [`CountingSink`] attached, which counts the cell's work. Cells come back
+//! level-major, first arm first; their digests fold into the sweep hash
+//! ([`sweep_hash`]) the `throughput` baseline gates compare, and
+//! [`paired_wins`] counts the levels where the first arm wins by the
+//! sweep's own rule.
 
 use std::fmt;
 
@@ -22,14 +24,13 @@ use rand::rngs::StdRng;
 
 use npu_sim::NpuConfig;
 use prema_cluster::{
-    online_outcome_hash, ClusterFaultPlan, MigrationConfig, OnlineClusterConfig,
+    online_outcome_hash, ClusterFaultPlan, CountingSink, MigrationConfig, OnlineClusterConfig,
     OnlineClusterSimulator, OnlineDispatchPolicy, OnlineOutcome, RecoveryConfig,
 };
 use prema_core::{PreparedTask, SchedulerConfig};
 use prema_workload::FaultSchedule;
 
-use crate::cluster::Streams;
-use crate::suite::timed;
+use crate::cluster::{run_counted, Streams};
 
 /// The options every paired sweep shares, borrowed from its own options.
 #[derive(Debug, Clone, Copy)]
@@ -46,8 +47,6 @@ pub struct Base<'a> {
     pub scheduler: &'a SchedulerConfig,
     /// The per-node NPU configuration.
     pub npu: &'a NpuConfig,
-    /// Wall-clock repetitions per (cell, driver); the minimum is reported.
-    pub repetitions: usize,
 }
 
 impl Base<'_> {
@@ -65,9 +64,6 @@ impl Base<'_> {
         }
         if !self.duration_ms.is_finite() || self.duration_ms <= 0.0 {
             return Err("duration must be positive and finite".into());
-        }
-        if self.repetitions == 0 {
-            return Err("at least one repetition is required".into());
         }
         self.npu.validate()?;
         self.scheduler.validate()
@@ -119,8 +115,8 @@ pub trait PairedSweep {
     fn wins(first: &Self::Metrics, second: &Self::Metrics) -> bool;
 }
 
-/// One cell of a paired sweep: a (level, arm) pair measured under both
-/// drivers on the level's driving.
+/// One cell of a paired sweep: a (level, arm) pair run under both drivers
+/// on the level's driving.
 #[derive(Debug, Clone)]
 pub struct PairedCell<L, M> {
     /// The level.
@@ -133,8 +129,8 @@ pub struct PairedCell<L, M> {
     pub served: usize,
     /// Total scheduler wakeups (identical under both drivers).
     pub events: u64,
-    /// Best event-heap wall clock, seconds.
-    pub wall_s: f64,
+    /// The event-heap loop's counted work.
+    pub work: CountingSink,
     /// The deterministic outcome digest (identical under both drivers).
     pub hash: u64,
     /// The sweep's own metrics.
@@ -171,27 +167,27 @@ pub fn run_paired<S: PairedSweep>(sweep: &S) -> Cells<S> {
             .with_faults(ClusterFaultPlan::new(plan.clone()).with_recovery(arm.recovery));
             config.migration = arm.migration;
             let online = OnlineClusterSimulator::new(config);
-            let (reference, _) = timed(base.repetitions, || online.run_reference(&prepared.tasks));
-            let (heap, wall_s) = timed(base.repetitions, || online.run(&prepared.tasks));
+            let (heap, work) = run_counted(&online, &prepared.tasks);
             assert_eq!(
-                heap, reference,
+                heap,
+                online.run_reference(&prepared.tasks),
                 "event-heap loop diverged from the stepping reference at {level:?} under {}",
                 arm.label
             );
             if let Err(msg) = check_books(&heap, &prepared.tasks) {
                 panic!("{msg} at {level:?} under {}", arm.label);
             }
-            (heap, wall_s)
+            (heap, work)
         });
         let metrics = sweep.metrics(&plan, [&runs[0].0, &runs[1].0]);
-        for ((arm, (heap, wall_s)), metrics) in arms.iter().zip(runs).zip(metrics) {
+        for ((arm, (heap, work)), metrics) in arms.iter().zip(runs).zip(metrics) {
             cells.push(PairedCell {
                 level,
                 policy: arm.label,
                 requests: prepared.tasks.len(),
                 served: heap.served(),
                 events: heap.cluster.scheduler_invocations(),
-                wall_s,
+                work,
                 hash: online_outcome_hash(&heap),
                 metrics,
             });

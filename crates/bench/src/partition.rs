@@ -77,8 +77,6 @@ pub struct PartitionSweepOptions {
     pub scheduler: SchedulerConfig,
     /// The per-node NPU configuration.
     pub npu: NpuConfig,
-    /// Wall-clock repetitions per (cell, driver); the minimum is reported.
-    pub repetitions: usize,
 }
 
 impl PartitionSweepOptions {
@@ -108,7 +106,6 @@ impl PartitionSweepOptions {
             backoff_base_ms: 2.0,
             scheduler: SchedulerConfig::paper_default(),
             npu: NpuConfig::paper_default(),
-            repetitions: 3,
         }
     }
 
@@ -122,7 +119,6 @@ impl PartitionSweepOptions {
             link_outage_ms: 25.0,
             degrade_mtbf_ms: 50.0,
             degrade_window_ms: 45.0,
-            repetitions: 1,
             ..PartitionSweepOptions::baseline()
         }
     }
@@ -216,7 +212,6 @@ impl PairedSweep for PartitionSweepOptions {
             duration_ms: self.duration_ms,
             scheduler: &self.scheduler,
             npu: &self.npu,
-            repetitions: self.repetitions,
         }
     }
 
@@ -382,7 +377,6 @@ mod tests {
         assert!(rejects(|o| o.link_bandwidth = (2, 2)));
         assert!(rejects(|o| o.degrade_speed = (0, 8)));
         assert!(rejects(|o| o.delivery_timeout_ms = 0.0));
-        assert!(rejects(|o| o.repetitions = 0));
         assert!(PartitionSweepOptions::baseline().validate().is_ok());
     }
 }

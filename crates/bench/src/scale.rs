@@ -1,5 +1,5 @@
-//! The cluster-scale co-simulation benchmark: event-heap loop vs the naive
-//! stepping reference across node counts.
+//! The cluster-scale co-simulation benchmark: the event-heap loop's work
+//! across node counts, checked against the naive stepping reference.
 //!
 //! `BENCH_cluster.json` (see [`crate::cluster`]) compares *serving
 //! policies* on a small cluster; this sweep instead measures the
@@ -12,9 +12,13 @@
 //! every decision rescans residents, O(events × nodes)) and
 //! [`OnlineClusterSimulator::run`] (the event-heap loop: next-event
 //! certificates and an indexed dispatch walk, so only due nodes and
-//! nodes about to change advance) — and records both wall clocks. The two outcomes are asserted bit-identical
-//! per cell; the per-cell digest folds into the sweep hash the
-//! `throughput cluster-scale --check-baseline` gate compares.
+//! nodes about to change advance). The two outcomes are asserted
+//! bit-identical per cell; the per-cell digest folds into the sweep hash
+//! the `throughput cluster-scale --check-baseline` gate compares. The heap
+//! loop then runs once more with a [`CountingSink`] attached, and the gate
+//! compares its counts (heap pushes, index re-keys, ...) per node count
+//! exactly: a loop that starts advancing nodes it need not shows up there
+//! on any host.
 //!
 //! The default sweep runs the three *plain* live-dispatch variants on
 //! NP-FCFS nodes. Two deliberate choices:
@@ -25,20 +29,15 @@
 //!   mechanism rather than the loop. Their serving behaviour is covered by
 //!   `BENCH_cluster.json`; this sweep isolates the loop's scaling.
 //! * NP-FCFS nodes keep per-node execution on the engine's event-horizon
-//!   fast path, so node execution is nearly free and the measurement is
-//!   dominated by the co-simulation loop — the thing under test. (The
-//!   equivalence property tests still cover every scheduler and mechanism.)
-//!
-//! Wall clocks take the best of [`ScaleSweepOptions::repetitions`] runs per
-//! driver: the minimum is the standard low-noise estimator on a shared
-//! host, and the outcome is asserted identical on every repetition.
+//!   fast path, so node execution is nearly free and the work counted is
+//!   the co-simulation loop's — the thing under test. (The equivalence
+//!   property tests still cover every scheduler and mechanism.)
 
 use npu_sim::NpuConfig;
-use prema_cluster::{online_outcome_hash, OnlineClusterSimulator};
+use prema_cluster::{online_outcome_hash, CountingSink, OnlineClusterSimulator};
 use prema_core::SchedulerConfig;
 
-use crate::cluster::{ClosedLoopVariant, Streams};
-use crate::suite::timed;
+use crate::cluster::{run_counted, ClosedLoopVariant, Streams};
 
 /// Options controlling a cluster-scale sweep.
 #[derive(Debug, Clone)]
@@ -58,11 +57,9 @@ pub struct ScaleSweepOptions {
     pub scheduler: SchedulerConfig,
     /// The per-node NPU configuration.
     pub npu: NpuConfig,
-    /// Wall-clock repetitions per (cell, driver); the minimum is reported.
-    pub repetitions: usize,
     /// Largest node count the O(events × nodes) stepping reference still
     /// runs at. Cells above the cap run the event-heap loop only (their
-    /// [`ScaleCell::wall_reference_s`] is `None` and they fold into
+    /// [`ScaleCell::verified`] is false and they fold into
     /// [`scale_extended_sweep_hash`] but not [`scale_sweep_hash`]); `0`
     /// makes the whole sweep heap-only. The heap outcome is independent of
     /// whether the reference ran, so capped sweeps keep the same digests.
@@ -72,7 +69,7 @@ pub struct ScaleSweepOptions {
 impl ScaleSweepOptions {
     /// The committed-baseline sweep: 4 / 16 / 64 NP-FCFS nodes at 95 %
     /// offered load, 400 ms windows, the three plain live-dispatch
-    /// variants, best-of-3 walls.
+    /// variants.
     pub fn baseline() -> Self {
         ScaleSweepOptions {
             node_counts: vec![4, 16, 64],
@@ -86,7 +83,6 @@ impl ScaleSweepOptions {
             ],
             scheduler: SchedulerConfig::np_fcfs(),
             npu: NpuConfig::paper_default(),
-            repetitions: 3,
             reference_cap: 64,
         }
     }
@@ -113,7 +109,6 @@ impl ScaleSweepOptions {
                 ClosedLoopVariant::WorkStealing,
                 ClosedLoopVariant::SlaAdmission,
             ],
-            repetitions: 1,
             ..ScaleSweepOptions::baseline()
         }
     }
@@ -136,16 +131,13 @@ impl ScaleSweepOptions {
         if self.variants.is_empty() {
             return Err("at least one closed-loop variant is required".into());
         }
-        if self.repetitions == 0 {
-            return Err("at least one repetition is required".into());
-        }
         self.npu.validate()?;
         self.scheduler.validate()?;
         Ok(())
     }
 }
 
-/// One cell of the scale sweep: a (node count, variant) pair measured under
+/// One cell of the scale sweep: a (node count, variant) pair run under
 /// both drivers on the identical request stream.
 #[derive(Debug, Clone)]
 pub struct ScaleCell {
@@ -164,34 +156,14 @@ pub struct ScaleCell {
     /// Total scheduler wakeups across the cluster (identical under both
     /// drivers — part of the bit-identity contract).
     pub events: u64,
-    /// Best wall clock of the naive stepping reference, seconds. `None`
-    /// when the cell's node count exceeds
-    /// [`ScaleSweepOptions::reference_cap`] and only the heap loop ran.
-    pub wall_reference_s: Option<f64>,
-    /// Best wall clock of the event-heap loop, seconds.
-    pub wall_heap_s: f64,
+    /// Whether the stepping reference ran (and matched). False when the
+    /// cell's node count exceeds [`ScaleSweepOptions::reference_cap`] and
+    /// only the heap loop ran.
+    pub verified: bool,
+    /// The event-heap loop's counted work.
+    pub work: CountingSink,
     /// The deterministic outcome digest (identical under both drivers).
     pub hash: u64,
-}
-
-impl ScaleCell {
-    /// Reference events per second; `None` for heap-only cells.
-    pub fn reference_events_per_sec(&self) -> Option<f64> {
-        self.wall_reference_s
-            .map(|wall| self.events as f64 / wall.max(f64::EPSILON))
-    }
-
-    /// Event-heap events per second.
-    pub fn heap_events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall_heap_s.max(f64::EPSILON)
-    }
-
-    /// Wall-clock speedup of the event-heap loop over the reference;
-    /// `None` for heap-only cells.
-    pub fn speedup(&self) -> Option<f64> {
-        self.wall_reference_s
-            .map(|wall| wall / self.wall_heap_s.max(f64::EPSILON))
-    }
 }
 
 /// Aggregate of all cells at one node count.
@@ -201,31 +173,8 @@ pub struct ScaleAggregate {
     pub nodes: usize,
     /// Total scheduler wakeups over the node count's cells.
     pub events: u64,
-    /// Summed reference wall, seconds; `None` at heap-only node counts.
-    pub wall_reference_s: Option<f64>,
-    /// Summed event-heap wall, seconds.
-    pub wall_heap_s: f64,
-}
-
-impl ScaleAggregate {
-    /// Reference events per second at this node count; `None` when the
-    /// node count ran heap-only.
-    pub fn reference_events_per_sec(&self) -> Option<f64> {
-        self.wall_reference_s
-            .map(|wall| self.events as f64 / wall.max(f64::EPSILON))
-    }
-
-    /// Event-heap events per second at this node count.
-    pub fn heap_events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall_heap_s.max(f64::EPSILON)
-    }
-
-    /// Aggregate speedup (ratio of the events/sec figures); `None` at
-    /// heap-only node counts.
-    pub fn speedup(&self) -> Option<f64> {
-        self.wall_reference_s
-            .map(|wall| wall / self.wall_heap_s.max(f64::EPSILON))
-    }
+    /// The event-heap loop's work summed over the node count's cells.
+    pub work: CountingSink,
 }
 
 /// Runs the scale sweep. Cells are laid out node-count-major in option
@@ -250,17 +199,16 @@ pub fn run_scale_sweep(opts: &ScaleSweepOptions) -> Vec<ScaleCell> {
                 opts.scheduler.clone(),
                 opts.npu.clone(),
             ));
-            let wall_reference_s = (nodes <= opts.reference_cap)
-                .then(|| timed(opts.repetitions, || online.run_reference(&prepared.tasks)));
-            let (heap, wall_heap_s) = timed(opts.repetitions, || online.run(&prepared.tasks));
-            let wall_reference_s = wall_reference_s.map(|(reference, wall)| {
+            let (heap, work) = run_counted(&online, &prepared.tasks);
+            let verified = nodes <= opts.reference_cap;
+            if verified {
                 assert_eq!(
-                    heap, reference,
+                    heap,
+                    online.run_reference(&prepared.tasks),
                     "event-heap loop diverged from the stepping reference at \
                      {nodes} nodes under {variant}"
                 );
-                wall
-            });
+            }
             cells.push(ScaleCell {
                 nodes,
                 policy: variant.label(),
@@ -269,8 +217,8 @@ pub fn run_scale_sweep(opts: &ScaleSweepOptions) -> Vec<ScaleCell> {
                 shed: heap.shed.len(),
                 steals: heap.steals,
                 events: heap.cluster.scheduler_invocations(),
-                wall_reference_s,
-                wall_heap_s,
+                verified,
+                work,
                 hash: online_outcome_hash(&heap),
             });
         }
@@ -288,7 +236,7 @@ pub fn scale_sweep_hash(cells: &[ScaleCell]) -> u64 {
     prema_cluster::fold_hashes(
         cells
             .iter()
-            .filter(|cell| cell.wall_reference_s.is_some())
+            .filter(|cell| cell.verified)
             .map(|cell| cell.hash),
     )
 }
@@ -306,16 +254,12 @@ pub fn scale_aggregates(cells: &[ScaleCell]) -> Vec<ScaleAggregate> {
         match aggregates.iter_mut().find(|a| a.nodes == cell.nodes) {
             Some(aggregate) => {
                 aggregate.events += cell.events;
-                if let Some(wall) = cell.wall_reference_s {
-                    *aggregate.wall_reference_s.get_or_insert(0.0) += wall;
-                }
-                aggregate.wall_heap_s += cell.wall_heap_s;
+                aggregate.work.add(&cell.work);
             }
             None => aggregates.push(ScaleAggregate {
                 nodes: cell.nodes,
                 events: cell.events,
-                wall_reference_s: cell.wall_reference_s,
-                wall_heap_s: cell.wall_heap_s,
+                work: cell.work,
             }),
         }
     }
@@ -337,6 +281,7 @@ mod tests {
             assert_eq!(x.hash, y.hash);
             assert_eq!(x.events, y.events);
             assert_eq!(x.served, y.served);
+            assert_eq!(x.work, y.work);
         }
         // One stream per node count, replayed by every variant.
         for level in 0..opts.node_counts.len() {
@@ -348,11 +293,22 @@ mod tests {
         // variant migrated work — the sweep exercises both mechanisms end
         // to end.
         assert!(a.iter().any(|c| c.steals > 0));
+        // The counted work reconciles with the outcomes: stealing and
+        // shedding cells count their steals and sheds, and every node count
+        // pushed certificates on the heap.
+        for cell in &a {
+            assert_eq!(cell.work.steals, cell.steals);
+            assert_eq!(cell.work.sheds, cell.shed as u64);
+            assert!(cell.verified);
+        }
         let aggregates = scale_aggregates(&a);
         assert_eq!(aggregates.len(), opts.node_counts.len());
         for aggregate in aggregates {
             assert!(aggregate.events > 0);
-            assert!(aggregate.speedup().expect("within the reference cap") > 0.0);
+            assert!(aggregate.work.heap_pushes > 0);
+            let cells = a.iter().filter(|cell| cell.nodes == aggregate.nodes);
+            let pushes: u64 = cells.map(|cell| cell.work.heap_pushes).sum();
+            assert_eq!(aggregate.work.heap_pushes, pushes);
         }
     }
 
@@ -372,18 +328,14 @@ mod tests {
         for (cell, full) in capped.iter().zip(&verified) {
             assert_eq!(cell.hash, full.hash);
             assert_eq!(cell.events, full.events);
-            assert_eq!(
-                cell.wall_reference_s.is_some(),
-                cell.nodes <= capped_opts.reference_cap
-            );
-            assert_eq!(cell.reference_events_per_sec().is_some(), cell.nodes <= 2);
-            assert_eq!(cell.speedup().is_some(), cell.nodes <= 2);
+            assert_eq!(cell.work, full.work);
+            assert_eq!(cell.verified, cell.nodes <= capped_opts.reference_cap);
         }
         // The gate digest folds only verified cells; the extended digest
         // folds all of them and matches the uncapped sweep's.
         let verified_prefix: Vec<ScaleCell> = capped
             .iter()
-            .filter(|cell| cell.wall_reference_s.is_some())
+            .filter(|cell| cell.verified)
             .cloned()
             .collect();
         assert!(!verified_prefix.is_empty());
@@ -395,12 +347,6 @@ mod tests {
             scale_extended_sweep_hash(&capped),
             scale_extended_sweep_hash(&verified)
         );
-        // Heap-only node counts aggregate without a reference wall.
-        let aggregates = scale_aggregates(&capped);
-        assert!(aggregates
-            .iter()
-            .any(|aggregate| aggregate.wall_reference_s.is_none()
-                && aggregate.heap_events_per_sec() > 0.0));
     }
 
     #[test]
@@ -424,10 +370,6 @@ mod tests {
             },
             ScaleSweepOptions {
                 variants: vec![],
-                ..ScaleSweepOptions::quick()
-            },
-            ScaleSweepOptions {
-                repetitions: 0,
                 ..ScaleSweepOptions::quick()
             },
         ] {

@@ -78,7 +78,6 @@ pub fn report(npu: &NpuConfig, runs: usize, seed: u64) -> String {
         seed,
         workload: WorkloadConfig::paper_default(),
         npu: npu.clone(),
-        ..SuiteOptions::paper()
     };
     let mut table = TableBuilder::new(vec![
         "variation".into(),

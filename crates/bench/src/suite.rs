@@ -5,21 +5,17 @@
 //!
 //! The (run × configuration) simulation grid is embarrassingly parallel:
 //! every cell is a pure function of the run's workload (derived from a
-//! per-run seed, see [`run_seed`]) and the scheduler configuration. By
-//! default the grid fans out over all cores via `rayon`; setting
-//! [`SuiteOptions::parallel`] to `false` runs the same cells on one thread.
-//! Both paths aggregate the cells in the same deterministic order, so their
-//! results are bit-identical — the determinism regression test under
-//! `tests/` asserts exactly that.
+//! per-run seed, see [`run_seed`]) and the scheduler configuration. The
+//! grid fans out over `rayon`'s workers (`RAYON_NUM_THREADS=1` runs it on
+//! one thread) and aggregates the cells in a fixed order, so its results
+//! are bit-identical to the serial, uncached [`run_grid_reference`] — the
+//! determinism regression test under `tests/` asserts exactly that.
 //!
 //! The multi-NPU cluster serving sweep builds on the same harness plumbing
 //! (per-level [`run_seed`] derivation, [`build_predictor`]); see
 //! [`crate::cluster`], re-exported here as [`run_cluster_sweep`].
 
 pub use crate::cluster::{run_cluster_sweep, ClusterSweepOptions};
-
-use std::fmt;
-use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -48,10 +44,6 @@ pub struct SuiteOptions {
     pub workload: WorkloadConfig,
     /// NPU configuration.
     pub npu: NpuConfig,
-    /// Whether to fan the (run × configuration) simulation grid out over all
-    /// cores. Results are bit-identical either way; the serial path exists
-    /// for baseline measurements and the determinism regression test.
-    pub parallel: bool,
 }
 
 impl SuiteOptions {
@@ -62,7 +54,6 @@ impl SuiteOptions {
             seed: 2020,
             workload: WorkloadConfig::paper_default(),
             npu: NpuConfig::paper_default(),
-            parallel: true,
         }
     }
 
@@ -72,12 +63,6 @@ impl SuiteOptions {
             runs: 3,
             ..SuiteOptions::paper()
         }
-    }
-
-    /// Disables the parallel fan-out (single-threaded reference path).
-    pub fn serial(mut self) -> Self {
-        self.parallel = false;
-        self
     }
 
     /// Validates the options.
@@ -107,31 +92,6 @@ pub fn run_seed(base: u64, run: usize) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-/// Runs `run` `repetitions` times, asserting every repetition returns the
-/// identical result, and returns that result with the best (minimum) wall
-/// clock in seconds — the standard low-noise estimator on a shared host.
-///
-/// # Panics
-///
-/// Panics if `repetitions` is zero or two repetitions disagree.
-pub fn timed<T: PartialEq + fmt::Debug>(
-    repetitions: usize,
-    mut run: impl FnMut() -> T,
-) -> (T, f64) {
-    let mut best = f64::INFINITY;
-    let mut result: Option<T> = None;
-    for _ in 0..repetitions {
-        let start = Instant::now();
-        let this = run();
-        best = best.min(start.elapsed().as_secs_f64());
-        if let Some(previous) = &result {
-            assert_eq!(previous, &this, "nondeterministic repetition");
-        }
-        result = Some(this);
-    }
-    (result.expect("at least one repetition"), best)
 }
 
 impl Default for SuiteOptions {
@@ -180,10 +140,9 @@ pub fn build_predictor(npu: &NpuConfig, seed: u64) -> AnalyticalPredictor {
 }
 
 /// Runs the full (run × configuration) simulation grid — every cell is an
-/// independent [`SimOutcome`] — in parallel or serially per
-/// [`SuiteOptions::parallel`]. Cells are laid out run-major with the given
-/// configuration order, so `grid[run * configs.len() + c]` is run `run`
-/// under `configs[c]`.
+/// independent [`SimOutcome`] — over `rayon`'s workers. Cells are laid out
+/// run-major with the given configuration order, so
+/// `grid[run * configs.len() + c]` is run `run` under `configs[c]`.
 pub fn run_grid(configs: &[SchedulerConfig], opts: &SuiteOptions) -> Vec<SimOutcome> {
     run_grid_instrumented(configs, opts).0
 }
@@ -201,9 +160,6 @@ pub fn run_grid_instrumented(
     );
     assert!(opts.runs > 0, "at least one run is required");
     let predictor = build_predictor(&opts.npu, opts.seed);
-    // Results are bit-identical either way, so fanning out buys nothing on a
-    // single-core host — skip the dispatch overhead there.
-    let parallel = opts.parallel && rayon::current_num_threads() > 1;
 
     // Phase 0: generate every run's workload spec (cheap, seeded RNG) and
     // warm the plan cache on the suite's unique (model, batch, seq) keys,
@@ -216,38 +172,25 @@ pub fn run_grid_instrumented(
             generate_workload(&opts.workload, &mut rng)
         })
         .collect();
-    plan_cache::warm(&plan_keys(&specs), &opts.npu, parallel);
+    plan_cache::warm(&plan_keys(&specs), &opts.npu, true);
 
     // Phase 1: compile + estimate every run's workload. Plan compilation is
     // memoized process-wide (see `prema_core::plan::plan_cache`) and fully
     // warmed above, so every lookup here is a cache hit. Phase 2: simulate
     // every (run, config) cell. Each cell is a pure function of its
     // prepared workload and configuration, so execution order cannot affect
-    // the results; cells are aggregated run-major either way.
-    let prepare_run =
-        |spec: &_| -> PreparedWorkload { prepare_workload(spec, &opts.npu, Some(&predictor)) };
-    let outcomes = if parallel {
-        let prepared: Vec<PreparedWorkload> = specs.par_iter().map(&prepare_run).collect();
-        let cells: Vec<(usize, usize)> = (0..opts.runs)
-            .flat_map(|run| (0..configs.len()).map(move |c| (run, c)))
-            .collect();
-        let simulate = |&(run, c): &(usize, usize)| -> SimOutcome {
-            NpuSimulator::new(opts.npu.clone(), configs[c].clone()).run(&prepared[run].tasks)
-        };
-        cells.par_iter().map(&simulate).collect()
-    } else {
-        // One thread: interleave per run (prepare, then its cells) so each
-        // run's task state stays cache-hot through its simulations.
-        let mut outcomes = Vec::with_capacity(opts.runs * configs.len());
-        for spec in &specs {
-            let prepared = prepare_run(spec);
-            for cfg in configs {
-                outcomes
-                    .push(NpuSimulator::new(opts.npu.clone(), cfg.clone()).run(&prepared.tasks));
-            }
-        }
-        outcomes
+    // the results; cells come back run-major.
+    let prepared: Vec<PreparedWorkload> = specs
+        .par_iter()
+        .map(|spec| prepare_workload(spec, &opts.npu, Some(&predictor)))
+        .collect();
+    let cells: Vec<(usize, usize)> = (0..opts.runs)
+        .flat_map(|run| (0..configs.len()).map(move |c| (run, c)))
+        .collect();
+    let simulate = |&(run, c): &(usize, usize)| -> SimOutcome {
+        NpuSimulator::new(opts.npu.clone(), configs[c].clone()).run(&prepared[run].tasks)
     };
+    let outcomes = cells.par_iter().map(simulate).collect();
     let estimate_cache = predictor.cache_stats();
     (outcomes, estimate_cache)
 }
@@ -259,8 +202,8 @@ pub fn run_grid_instrumented(
 /// per-run derived seeds replaced the original single sequential RNG
 /// stream, so generated workloads — and therefore absolute figure numbers —
 /// differ from a pre-derivation sweep at the same `--seed`.) The throughput
-/// bench measures this path's wall-clock against the fast path, and the
-/// determinism regression test asserts the outcomes are bit-identical.
+/// bench and the determinism regression test assert that the fast path's
+/// outcomes are bit-identical to this one's.
 pub fn run_grid_reference(configs: &[SchedulerConfig], opts: &SuiteOptions) -> Vec<SimOutcome> {
     assert!(
         !configs.is_empty(),
@@ -296,8 +239,8 @@ pub fn run_configs(configs: &[SchedulerConfig], opts: &SuiteOptions) -> Vec<Conf
     let grid = run_grid(&grid_configs, opts);
     let stride = grid_configs.len();
 
-    // Aggregate in deterministic (run-outer, config-inner) order, identical
-    // for the parallel and serial paths.
+    // Aggregate in deterministic (run-outer, config-inner) order, whatever
+    // the number of rayon workers.
     let mut per_config_metrics: Vec<Vec<MultiTaskMetrics>> = vec![Vec::new(); configs.len()];
     let mut per_config_outcomes: Vec<Vec<TaskOutcome>> = vec![Vec::new(); configs.len()];
     let mut per_config_hp_ms: Vec<Vec<f64>> = vec![Vec::new(); configs.len()];
@@ -405,8 +348,6 @@ mod tests {
         assert_eq!(SuiteOptions::paper().runs, 25);
         assert_eq!(SuiteOptions::quick().runs, 3);
         assert_eq!(SuiteOptions::default().runs, 3);
-        assert!(SuiteOptions::paper().parallel);
-        assert!(!SuiteOptions::paper().serial().parallel);
         assert!(SuiteOptions::paper().validate().is_ok());
         assert!(SuiteOptions {
             runs: 0,
@@ -443,7 +384,7 @@ mod tests {
             SchedulerConfig::named(PolicyKind::Prema, PreemptionMode::Dynamic),
         ];
         let parallel = run_grid(&configs, &opts);
-        let serial = run_grid(&configs, &opts.clone().serial());
+        let serial = run_grid_reference(&configs, &opts);
         assert_eq!(parallel, serial);
         // The one-pass record aggregates agree cell-by-cell too (summary()
         // is bit-identical to the two-pass antt()/stp() accessors).

@@ -13,9 +13,10 @@
 //! node's memory, Section IV-A).
 //!
 //! Node simulations are pure functions of their task lists, so the per-node
-//! fan-out can run on all cores ([`ClusterConfig::parallel`]) and is
-//! bit-identical to the serial path — the same contract the single-NPU
-//! evaluation suite upholds, pinned by `tests/determinism.rs`.
+//! fan-out runs on all of rayon's workers (`RAYON_NUM_THREADS=1` runs it
+//! serially) and is bit-identical to running each node's engine in turn —
+//! the same contract the single-NPU evaluation suite upholds, pinned by
+//! `tests/determinism.rs`.
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -43,9 +44,6 @@ pub struct ClusterConfig {
     /// Seed of the dispatcher's RNG (only [`DispatchPolicy::Random`]
     /// consumes randomness; the other policies ignore it).
     pub dispatch_seed: u64,
-    /// Whether to fan the per-node simulations out over all cores. Results
-    /// are bit-identical either way.
-    pub parallel: bool,
 }
 
 impl ClusterConfig {
@@ -58,19 +56,12 @@ impl ClusterConfig {
             scheduler,
             dispatch,
             dispatch_seed: 0,
-            parallel: true,
         }
     }
 
     /// Overrides the dispatcher seed.
     pub fn with_dispatch_seed(mut self, seed: u64) -> Self {
         self.dispatch_seed = seed;
-        self
-    }
-
-    /// Disables the parallel node fan-out (single-threaded reference path).
-    pub fn serial(mut self) -> Self {
-        self.parallel = false;
         self
     }
 
@@ -228,12 +219,7 @@ impl ClusterSimulator {
                     .run(node_tasks)
             }
         };
-        let node_outcomes: Vec<SimOutcome> =
-            if self.config.parallel && rayon::current_num_threads() > 1 {
-                per_node.par_iter().map(simulate).collect()
-            } else {
-                per_node.iter().map(simulate).collect()
-            };
+        let node_outcomes: Vec<SimOutcome> = per_node.par_iter().map(simulate).collect();
 
         ClusterOutcome {
             node_outcomes,
@@ -297,15 +283,32 @@ mod tests {
     #[test]
     fn serial_and_parallel_node_fanout_are_bit_identical() {
         let requests = requests();
+        let npu = NpuConfig::paper_default();
+        let tasks = prepare_requests(&requests, &npu, None);
         for policy in DispatchPolicy::ALL {
-            let parallel = cluster(policy).run_requests(&requests, None);
-            let serial = ClusterSimulator::new(
-                ClusterConfig::new(4, SchedulerConfig::paper_default(), policy)
-                    .with_dispatch_seed(0xD15)
-                    .serial(),
-            )
-            .run_requests(&requests, None);
-            assert_eq!(parallel, serial, "{policy}");
+            let parallel = cluster(policy).run(&tasks);
+            // Each node's engine run serially over the tasks assigned to it.
+            for (node, outcome) in parallel.node_outcomes.iter().enumerate() {
+                let assigned: Vec<PreparedTask> = parallel
+                    .assignments
+                    .iter()
+                    .filter(|a| a.node == node)
+                    .map(|a| {
+                        tasks
+                            .iter()
+                            .find(|t| t.request.id == a.task)
+                            .unwrap()
+                            .clone()
+                    })
+                    .collect();
+                if assigned.is_empty() {
+                    assert_eq!(outcome, &empty_outcome(), "{policy} node {node}");
+                    continue;
+                }
+                let serial =
+                    NpuSimulator::new(npu.clone(), SchedulerConfig::paper_default()).run(&assigned);
+                assert_eq!(outcome, &serial, "{policy} node {node}");
+            }
         }
     }
 

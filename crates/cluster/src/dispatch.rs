@@ -76,12 +76,6 @@ impl DispatchPolicy {
             DispatchPolicy::Predictive => "predictive",
         }
     }
-
-    /// Whether the policy consumes the predictor's isolated-time estimates
-    /// (queue counts alone do not need them).
-    pub fn uses_predictor(self) -> bool {
-        matches!(self, DispatchPolicy::LeastWork | DispatchPolicy::Predictive)
-    }
 }
 
 impl std::fmt::Display for DispatchPolicy {
@@ -316,8 +310,6 @@ mod tests {
         labels.dedup();
         assert_eq!(labels.len(), DispatchPolicy::ALL.len());
         assert_eq!(DispatchPolicy::Predictive.to_string(), "predictive");
-        assert!(DispatchPolicy::Predictive.uses_predictor());
-        assert!(!DispatchPolicy::ShortestQueue.uses_predictor());
     }
 
     #[test]

@@ -895,7 +895,7 @@ mod tests {
             panic!("recovery queued");
         };
         let restarted = driver.redispatch(pending, 0, Cycles::new(9_999));
-        assert!(!restarted.resumes_from_checkpoint());
+        assert!(restarted.resume_executed.is_zero());
         assert_eq!(restarted.checkpoint_bytes, 0);
         let tally = driver.finish();
         assert_eq!(tally.recovery_log[0].resume_executed, Cycles::ZERO);

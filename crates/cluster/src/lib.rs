@@ -30,7 +30,7 @@
 //!   PREMA's predictor-plus-priority reasoning lifted to cluster scope.
 //! * [`cluster`] — the deterministic two-stage *open-loop* simulation:
 //!   commit every request to a node in arrival order, then run each node's
-//!   engine to completion (optionally fanned out over cores,
+//!   engine to completion (fanned out over rayon's workers,
 //!   bit-identically).
 //! * [`online`] — the *closed-loop* path: a global event queue interleaves
 //!   arrivals with node execution (each node a resumable
@@ -106,7 +106,7 @@ pub use online::{
     OnlineOutcome, SlaAdmissionConfig,
 };
 pub use trace::{
-    ClusterTraceEvent, ClusterTraceSink, FaultTraceKind, FlightEntry, FlightRecorder,
+    ClusterTraceEvent, ClusterTraceSink, CountingSink, FaultTraceKind, FlightEntry, FlightRecorder,
     JsonTraceSink, LinkTraceKind, NodeKey, NodeKeySet, NodeTap, NullClusterSink,
     TraceReconciliation, TransferFailReason, VecClusterSink, MAX_TRACE_NODES,
 };

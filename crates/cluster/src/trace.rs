@@ -22,7 +22,7 @@
 //! drives every mechanism at once with a [`FlightRecorder`] attached and
 //! dumps it on divergence).
 //!
-//! Two recording sinks ship here:
+//! Three recording sinks ship here:
 //!
 //! * [`FlightRecorder`] — a bounded ring of the last N events plus
 //!   fixed-width per-node sample rings, allocation-free after
@@ -31,6 +31,9 @@
 //!   (one pid per node, task executions as duration slices, cluster
 //!   decisions as instant events, node samples as counter tracks) behind
 //!   the `throughput trace` subcommand and the bench bins' `--trace-out`.
+//! * [`CountingSink`] — one counter per kind of work (quanta skipped,
+//!   heap pushes, index re-keys, ...), the exact `work` the `throughput`
+//!   reports carry and gate.
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -933,6 +936,133 @@ impl ClusterTraceSink for VecClusterSink {
     }
 }
 
+/// Declares [`CountingSink`] from one list of documented counters: the
+/// struct, an `add` over every field and a `counts` naming every field, so
+/// a new counter cannot be left out of either.
+macro_rules! counting_sink {
+    ($($(#[$doc:meta])+ $field:ident,)+) => {
+        /// Event counts of one traced run (or the sum of several): the work
+        /// the engine and the cluster loop did, one counter per kind of
+        /// step. Every count is a pure function of the inputs, so it
+        /// repeats exactly from run to run and on any host; the bench
+        /// reports gate them exactly.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct CountingSink {
+            $($(#[$doc])+ pub $field: u64,)+
+        }
+
+        impl CountingSink {
+            /// Adds `other`'s counts to these.
+            pub fn add(&mut self, other: &CountingSink) {
+                $(self.$field += other.$field;)+
+            }
+
+            /// Every count with its field name, in declaration order.
+            pub fn counts(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($field), self.$field)),+].into_iter()
+            }
+        }
+    };
+}
+
+counting_sink! {
+    /// Quantum wakeups the event-horizon fast path elided.
+    quanta_skipped,
+    /// Preemptions begun (CHECKPOINT or KILL).
+    preemptions,
+    /// Front-end dispatch decisions, re-dispatches included.
+    dispatch_decisions,
+    /// Work-stealing migrations.
+    steals,
+    /// Admission-control sheds.
+    sheds,
+    /// Crash windows begun.
+    crashes,
+    /// Freeze windows begun.
+    freezes,
+    /// Degrade windows begun.
+    degrades,
+    /// Salvaged tasks re-dispatched.
+    recoveries,
+    /// Checkpoint evacuations launched.
+    migrations,
+    /// Checkpoint bytes those evacuations put in flight.
+    migration_bytes,
+    /// Evacuations that landed at a destination.
+    migrations_landed,
+    /// Failed transfer attempts.
+    transfer_failures,
+    /// Failed transfers relaunched to a new destination.
+    redirects,
+    /// Completion certificates pushed on the event heap.
+    heap_pushes,
+    /// Due, still-current certificates popped.
+    heap_pops,
+    /// Stale certificates discarded at pop time.
+    heap_stale_drops,
+    /// Contender-index re-keys.
+    index_updates,
+    /// Re-keys that put the node in the linearly scanned side set.
+    index_side,
+}
+
+impl CountingSink {
+    fn engine(&mut self, event: TraceEvent) {
+        match event {
+            TraceEvent::QuantumSkip { quanta, .. } => self.quanta_skipped += quanta,
+            TraceEvent::PreemptBegin { .. } => self.preemptions += 1,
+            _ => {}
+        }
+    }
+}
+
+impl TraceSink for CountingSink {
+    fn record(&mut self, _now: Cycles, event: TraceEvent) {
+        self.engine(event);
+    }
+}
+
+impl ClusterTraceSink for CountingSink {
+    fn node_event(&mut self, _node: usize, _now: Cycles, event: TraceEvent) {
+        self.engine(event);
+    }
+
+    fn cluster_event(&mut self, _now: Cycles, event: ClusterTraceEvent) {
+        match event {
+            // By far the most frequent event (every node at every global
+            // instant); matched first and dropped.
+            ClusterTraceEvent::NodeSample { .. } => {}
+            ClusterTraceEvent::IndexUpdate { indexed, .. } => {
+                self.index_updates += 1;
+                self.index_side += u64::from(!indexed);
+            }
+            ClusterTraceEvent::HeapPush { .. } => self.heap_pushes += 1,
+            ClusterTraceEvent::HeapPop { .. } => self.heap_pops += 1,
+            ClusterTraceEvent::HeapStaleDrop { .. } => self.heap_stale_drops += 1,
+            ClusterTraceEvent::DispatchDecision { .. } => self.dispatch_decisions += 1,
+            ClusterTraceEvent::Steal { .. } => self.steals += 1,
+            ClusterTraceEvent::Shed { .. } => self.sheds += 1,
+            ClusterTraceEvent::Fault { kind, .. } => match kind {
+                FaultTraceKind::Crash => self.crashes += 1,
+                FaultTraceKind::Freeze => self.freezes += 1,
+                FaultTraceKind::Degrade { .. } => self.degrades += 1,
+                FaultTraceKind::DegradeEnd => {}
+            },
+            ClusterTraceEvent::Recovery { .. } => self.recoveries += 1,
+            ClusterTraceEvent::MigrationOut { bytes, .. } => {
+                self.migrations += 1;
+                self.migration_bytes += bytes;
+            }
+            ClusterTraceEvent::MigrationLand { .. } => self.migrations_landed += 1,
+            ClusterTraceEvent::TransferTimeout { .. } => self.transfer_failures += 1,
+            ClusterTraceEvent::Redirect { .. } => self.redirects += 1,
+            ClusterTraceEvent::Abandon { .. }
+            | ClusterTraceEvent::LinkFault { .. }
+            | ClusterTraceEvent::CustodyCheck { .. } => {}
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1018,6 +1148,76 @@ mod tests {
         assert!(json.contains(r#""name":"task 7""#));
         assert!(json.contains(r#""name":"steal""#));
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
+    }
+
+    #[test]
+    fn counting_sink_counts_each_event_kind_and_drops_node_samples() {
+        let mut counts = CountingSink::default();
+        let now = Cycles::ZERO;
+        counts.node_event(
+            3,
+            now,
+            TraceEvent::QuantumSkip {
+                from: now,
+                to: now,
+                quanta: 5,
+                grants: 0,
+            },
+        );
+        counts.record(now, TraceEvent::Complete { task: TaskId(1) });
+        for _ in 0..1000 {
+            counts.cluster_event(
+                now,
+                ClusterTraceEvent::NodeSample {
+                    node: 0,
+                    queue_depth: 1,
+                    remaining_work: now,
+                },
+            );
+        }
+        counts.cluster_event(
+            now,
+            ClusterTraceEvent::IndexUpdate {
+                node: 0,
+                penalty: 1,
+                key: (0, 0),
+                indexed: false,
+            },
+        );
+        counts.cluster_event(
+            now,
+            ClusterTraceEvent::Fault {
+                node: 2,
+                kind: FaultTraceKind::Degrade { num: 1, den: 8 },
+                until: now,
+            },
+        );
+        assert_eq!(
+            counts,
+            CountingSink {
+                quanta_skipped: 5,
+                index_updates: 1,
+                index_side: 1,
+                degrades: 1,
+                ..CountingSink::default()
+            }
+        );
+        let mut sum = counts;
+        sum.add(&counts);
+        assert_eq!(sum.quanta_skipped, 10);
+        assert_eq!(sum.index_side, 2);
+        // Every field is named, in declaration order.
+        let named: Vec<(&str, u64)> = sum.counts().filter(|&(_, n)| n > 0).collect();
+        assert_eq!(
+            named,
+            [
+                ("quanta_skipped", 10),
+                ("degrades", 2),
+                ("index_updates", 2),
+                ("index_side", 2)
+            ]
+        );
+        assert_eq!(sum.counts().count(), 19);
     }
 
     #[test]

@@ -47,15 +47,6 @@ impl PolicyKind {
             PolicyKind::Prema => "PREMA",
         }
     }
-
-    /// Whether the policy needs the task-length predictor (TOKEN, SJF and
-    /// PREMA do; FCFS, RRB and HPF do not — Figure 11's caption).
-    pub fn uses_predictor(self) -> bool {
-        matches!(
-            self,
-            PolicyKind::Token | PolicyKind::Sjf | PolicyKind::Prema
-        )
-    }
 }
 
 impl std::fmt::Display for PolicyKind {
@@ -208,16 +199,6 @@ mod tests {
         names.sort();
         names.dedup();
         assert_eq!(names.len(), PolicyKind::ALL.len());
-    }
-
-    #[test]
-    fn predictor_usage_matches_figure_eleven_caption() {
-        assert!(!PolicyKind::Fcfs.uses_predictor());
-        assert!(!PolicyKind::RoundRobin.uses_predictor());
-        assert!(!PolicyKind::Hpf.uses_predictor());
-        assert!(PolicyKind::Token.uses_predictor());
-        assert!(PolicyKind::Sjf.uses_predictor());
-        assert!(PolicyKind::Prema.uses_predictor());
     }
 
     #[test]

@@ -966,11 +966,6 @@ pub struct SalvagedTask {
 }
 
 impl SalvagedTask {
-    /// Whether the manifest resumes mid-plan (vs. restarting from scratch).
-    pub fn resumes_from_checkpoint(&self) -> bool {
-        !self.resume_executed.is_zero()
-    }
-
     /// A restart-from-zero copy of this manifest: all execution progress is
     /// discarded, the failure/preemption bookkeeping is kept. This is the
     /// recovery baseline the checkpoint-priced path is compared against.
@@ -3360,7 +3355,7 @@ mod tests {
         let mut session = sim.session(&prepared);
         assert_eq!(session.run_until(Cycles::new(600_000)), StepOutcome::Paused);
         let salvaged = session.fail().remove(0);
-        assert!(salvaged.resumes_from_checkpoint());
+        assert!(!salvaged.resume_executed.is_zero(), "resumes mid-plan");
         assert!(salvaged.checkpoint_bytes > 0);
 
         // Checkpoint-priced recovery on a fresh node at t = 1_000_000.

@@ -89,11 +89,6 @@ impl Cycles {
         Cycles((secs * freq_mhz * 1e6).round() as u64)
     }
 
-    /// Converts a number of microseconds into cycles at `freq_mhz` megahertz.
-    pub fn from_micros(micros: f64, freq_mhz: f64) -> Cycles {
-        Cycles::from_secs(micros * 1e-6, freq_mhz)
-    }
-
     /// Converts a number of milliseconds into cycles at `freq_mhz` megahertz.
     pub fn from_millis(millis: f64, freq_mhz: f64) -> Cycles {
         Cycles::from_secs(millis * 1e-3, freq_mhz)
@@ -254,7 +249,7 @@ mod tests {
 
     #[test]
     fn time_conversions_round_trip() {
-        let c = Cycles::from_micros(12.0, 700.0);
+        let c = Cycles::from_millis(0.012, 700.0);
         assert_eq!(c, Cycles::new(8_400));
         assert!((c.to_micros(700.0) - 12.0).abs() < 1e-9);
         assert!((Cycles::from_millis(1.0, 700.0).to_millis(700.0) - 1.0).abs() < 1e-9);

@@ -647,12 +647,6 @@ impl FaultProcess {
         }
         FaultSchedule::from_events(events)
     }
-
-    /// The expected number of fault windows over the whole cluster: each
-    /// node renews roughly every `mtbf + downtime` milliseconds.
-    pub fn expected_faults(&self) -> f64 {
-        self.nodes as f64 * self.duration_ms / (self.mtbf_ms + self.mean_downtime_ms)
-    }
 }
 
 /// A seeded renewal process over the *directed links* of a full-mesh
@@ -790,12 +784,6 @@ impl LinkFaultProcess {
         links.sort_by_key(|l| (l.start, l.from, l.to));
         links
     }
-
-    /// The expected number of link fault windows over the whole fabric.
-    pub fn expected_faults(&self) -> f64 {
-        (self.nodes * (self.nodes - 1)) as f64 * self.duration_ms
-            / (self.link_mtbf_ms + self.mean_outage_ms)
-    }
 }
 
 /// Draws one exponential gap with the given mean via inverse-CDF sampling.
@@ -838,7 +826,8 @@ mod tests {
             total += process.generate(&mut StdRng::seed_from_u64(seed)).len();
         }
         let mean = total as f64 / 4.0;
-        let expected = process.expected_faults();
+        // Each of the 8 nodes renews about every mtbf + downtime = 50 ms.
+        let expected = 8.0 * 2000.0 / (40.0 + 10.0);
         assert!(
             (mean - expected).abs() < 0.25 * expected,
             "mean fault count {mean} vs expected {expected}"
@@ -1031,7 +1020,9 @@ mod tests {
             total += process.generate(&mut StdRng::seed_from_u64(seed)).len();
         }
         let mean = total as f64 / 4.0;
-        let expected = process.expected_faults();
+        // Each of the 4 x 3 directed links renews about every
+        // link_mtbf + outage = 36 ms.
+        let expected = 12.0 * 1500.0 / (30.0 + 6.0);
         assert!(
             (mean - expected).abs() < 0.25 * expected,
             "mean link fault count {mean} vs expected {expected}"

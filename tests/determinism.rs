@@ -208,9 +208,9 @@ fn parallel_cached_suite_matches_serial_uncached_reference() {
 }
 
 /// The cluster serving layer is deterministic per seed for every dispatch
-/// policy and arrival process: the same seed produces a bit-identical
-/// [`prema::cluster::ClusterOutcome`] whether the per-node simulations run
-/// serially or fanned out over rayon, and across repeated invocations.
+/// policy and arrival process: the per-node simulations fanned out over
+/// rayon are bit-identical to running each node's engine in turn over the
+/// tasks assigned to it, and repeated invocations agree exactly.
 #[test]
 fn cluster_runs_are_bit_identical_across_fanout_and_invocations() {
     let npu = NpuConfig::paper_default();
@@ -232,26 +232,40 @@ fn cluster_runs_are_bit_identical_across_fanout_and_invocations() {
         let spec = generate_open_loop(&config, &mut rng);
         let prepared = prepare_workload(&spec, &npu, None);
         for dispatch in DispatchPolicy::ALL {
-            let make = |parallel: bool| {
-                let mut cluster_cfg =
-                    ClusterConfig::new(4, SchedulerConfig::paper_default(), dispatch)
-                        .with_dispatch_seed(0xC1D5);
-                cluster_cfg.parallel = parallel;
+            let make = || {
+                let cluster_cfg = ClusterConfig::new(4, SchedulerConfig::paper_default(), dispatch)
+                    .with_dispatch_seed(0xC1D5);
                 ClusterSimulator::new(cluster_cfg).run(&prepared.tasks)
             };
-            let parallel = make(true);
-            let serial = make(false);
-            let repeat = make(true);
-            assert_eq!(
-                parallel, serial,
-                "cluster outcome diverged between parallel and serial node fan-out \
-                 under {dispatch} / {process:?}"
-            );
+            let parallel = make();
+            let repeat = make();
+            for (node, outcome) in parallel.node_outcomes.iter().enumerate() {
+                let assigned: Vec<_> = parallel
+                    .assignments
+                    .iter()
+                    .filter(|a| a.node == node)
+                    .map(|a| {
+                        let task = prepared.tasks.iter().find(|t| t.request.id == a.task);
+                        task.expect("an assigned task").clone()
+                    })
+                    .collect();
+                if assigned.is_empty() {
+                    assert!(outcome.records.is_empty());
+                    continue;
+                }
+                let serial =
+                    NpuSimulator::new(npu.clone(), SchedulerConfig::paper_default()).run(&assigned);
+                assert_eq!(
+                    outcome, &serial,
+                    "node {node} diverged between the rayon fan-out and a serial engine run \
+                     under {dispatch} / {process:?}"
+                );
+            }
             assert_eq!(
                 parallel, repeat,
                 "cluster outcome not reproducible across invocations under {dispatch}"
             );
-            assert_eq!(outcome_hash(&parallel), outcome_hash(&serial));
+            assert_eq!(outcome_hash(&parallel), outcome_hash(&repeat));
         }
     }
 }
