@@ -359,7 +359,7 @@ static COMMANDS: [Command; 7] = [
         run: cluster,
     },
     // The scale report counts the heap loop's work per node count, so its
-    // work gate compares row by row; the nightly grid's extra node counts
+    // work gate compares row by row; the extended grid's extra node counts
     // are rows the default baseline grid may lack.
     Command {
         name: "cluster-scale",
@@ -1241,7 +1241,7 @@ mod tests {
     fn a_row_the_baseline_lacks_is_skipped() {
         let mut baseline = committed("BENCH_cluster_scale.json");
         let measured = baseline.clone();
-        // A baseline of the default grid lacks the nightly 256-node row.
+        // A baseline of the default grid lacks the extended grid's 256-node row.
         aggregates(&mut baseline).retain(|row| row.get("nodes") != Some(&Json::from(256usize)));
         let verdicts = check(named("cluster-scale").gates, &measured, Some(&baseline));
         assert!(failed(&verdicts).is_empty(), "{verdicts:?}");

@@ -87,7 +87,7 @@ impl ScaleSweepOptions {
         }
     }
 
-    /// The nightly extended sweep: the baseline grid plus heap-only 256-
+    /// The extended sweep CI runs: the baseline grid plus heap-only 256-
     /// and 1024-node levels, appended *after* the baseline levels so the
     /// per-level request streams (seeded by grid position) — and therefore
     /// the baseline cells' digests and the capped sweep hash — are
@@ -230,8 +230,8 @@ pub fn run_scale_sweep(opts: &ScaleSweepOptions) -> Vec<ScaleCell> {
 /// [`ScaleSweepOptions::reference_cap`]) into the sweep-identity digest the
 /// `throughput cluster-scale` baseline gate compares. Heap-only cells are
 /// excluded so the digest is stable whether or not a run extends the grid
-/// past the cap — the committed baseline value survives nightly's 256- and
-/// 1024-node columns.
+/// past the cap — the committed baseline value survives the extended
+/// grid's 256- and 1024-node columns.
 pub fn scale_sweep_hash(cells: &[ScaleCell]) -> u64 {
     prema_cluster::fold_hashes(
         cells
@@ -242,7 +242,7 @@ pub fn scale_sweep_hash(cells: &[ScaleCell]) -> u64 {
 }
 
 /// Folds *every* cell digest, heap-only columns included — the identity
-/// the nightly extended sweep pins in addition to [`scale_sweep_hash`].
+/// the extended sweep pins in addition to [`scale_sweep_hash`].
 pub fn scale_extended_sweep_hash(cells: &[ScaleCell]) -> u64 {
     prema_cluster::fold_hashes(cells.iter().map(|cell| cell.hash))
 }

@@ -8,20 +8,33 @@
 //! byte-identical node. The loop builds it only when it never steps
 //! between arrivals (no stealing, no migration).
 //!
-//! # Absolute keys
+//! # Absolute and exact keys
 //!
 //! A quiet node's state is frozen between its own advances: every mutation
 //! (due advance, inject, salvage, shed, fault edge) flows through the
 //! loop's `reschedule` hook, which refreshes this index. What changes
 //! between refreshes is the *query instant* `t`, not the node: until its
 //! next-event certificate, only the runner progresses, at one cycle per
-//! cycle, so a node paused at `now` with work-signal `v` scores at least
-//! `v - (t - now)` saturated at zero. Rewriting it as
-//! `max(0, (v + now) - t)` makes the node-side part a constant — the
-//! **absolute key** `K = v + now` — so the index can store plain integers
-//! and decode any future query's lower bound as `K.saturating_sub(t)`.
-//! Zero signals are stored as the literal key `0` (a drained component is
-//! exactly zero at every future `t`, not merely bounded by it).
+//! cycle. A work signal the runner counts toward *drains*: paused at `now`
+//! with value `v`, it scores at least `v - (t - now)` saturated at zero.
+//! Rewriting that as `max(0, (v + now) - t)` makes the node-side part a
+//! constant — the **absolute key** `K = v + now` — so the index can store
+//! plain integers and decode any future query's lower bound as
+//! `K.saturating_sub(t)`. Zero signals are stored as the literal key `0`
+//! (a drained component is exactly zero at every future `t`, not merely
+//! bounded by it).
+//!
+//! A signal the runner does not count toward is *frozen* until the node's
+//! next event, and is stored as the **exact key** `v`. For
+//! `predictive-live`'s blocking work at arrival priority `p` that is every
+//! level above the running task's priority, every level of an idle node,
+//! and every level once the runner's estimate is used up (the engine's
+//! [`DispatchSignals::runner_priority`] names the levels that drain,
+//! matching `SimSession::predicted_blocking_work_at`). Decoding `K - t`
+//! there would undershoot a value that never moved, and the walk would
+//! have to bring up nodes that cannot win. The remaining-work secondary
+//! and `least-work-live`'s primary stay absolute; `jsq-live`'s queue depth
+//! is exact for a paused node.
 //!
 //! # The saturation window, and why the staleness heap exists
 //!
@@ -29,15 +42,18 @@
 //! `(0, t]` onto `0` — and a collapsed component can reorder *lexicographic*
 //! comparisons against the tuple order the structures were built with. The
 //! index therefore maintains the invariant that **at query time every
-//! stored absolute component is either exactly `0` or exceeds `t`**: each
-//! refresh pushes its nonzero components onto a min-heap, and each query
-//! first drains the heap up to `t`, bringing up any node whose stored
-//! components actually fell inside the window (the node advances to `t`,
-//! its refresh re-anchors the key above `t`, or the signal drained to an
-//! exact zero). Under the invariant, decoded lower bounds order exactly
-//! like stored keys, so the structure minimum *is* the best remaining lower
-//! bound: a walk that brings each minimum up (re-anchoring its key to the
-//! exact score) stops once its best exact key beats the next minimum.
+//! stored absolute component is either exactly `0` or exceeds `t`** (exact
+//! components are never decoded, so they never enter the window): each
+//! refresh pushes the node's smallest nonzero absolute component onto a
+//! min-heap — the rest are at least as large, so they cannot enter the
+//! window first — and each query drains the heap up to `t`, bringing up
+//! any node whose stored components actually fell inside the window (the
+//! node advances to `t`, its refresh re-anchors the key above `t`, or the
+//! signal drained to an exact zero). Under the invariant, decoded lower
+//! bounds order exactly like stored keys, so each structure's minimum *is*
+//! its best remaining lower bound: a walk that brings each minimum up
+//! (re-anchoring its key to the exact score) stops once its best exact key
+//! beats the next minimum.
 //!
 //! # Fault-penalty tiers as the major key
 //!
@@ -64,16 +80,19 @@
 //!
 //! # Structures
 //!
-//! Every policy keeps its contenders in a [`TournamentTree`]:
+//! Every policy keeps its contenders in [`TournamentTree`]s:
 //!
 //! * `jsq-live` ([`OnlineDispatchPolicy::ShortestQueue`]): one tree keyed
 //!   (penalty, queue depth, absolute remaining work, node) — depth is exact
 //!   for a paused node, never lower-bounded.
 //! * `least-work-live` ([`OnlineDispatchPolicy::LeastWork`]): one tree
 //!   keyed (penalty, absolute remaining, node).
-//! * `predictive-live` ([`OnlineDispatchPolicy::Predictive`]): one tree per
-//!   arrival priority, keyed (penalty, absolute blocking work at that
-//!   priority, absolute remaining, node).
+//! * `predictive-live` ([`OnlineDispatchPolicy::Predictive`]): two trees
+//!   per arrival priority, each keyed (penalty, blocking work at that
+//!   priority, absolute remaining, node). The draining tree holds the
+//!   nodes whose runner counts toward the level, with absolute blocking
+//!   keys; the frozen tree holds the rest, with exact ones. A query
+//!   decodes both minima and takes the smaller, node index last.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
@@ -84,10 +103,15 @@ use prema_core::{DispatchSignals, Priority};
 use crate::online::OnlineDispatchPolicy;
 
 /// A stored contender key: (penalty tier, primary, secondary), ordered
-/// lexicographically with the node index as the final tiebreak. For
-/// `jsq-live` the primary is the exact queue depth; everywhere else both
-/// components are absolute (clock-anchored) work signals.
+/// lexicographically with the node index as the final tiebreak. The
+/// secondary is always the absolute remaining work. The primary is exact
+/// for `jsq-live` (queue depth) and in `predictive-live`'s frozen trees;
+/// everywhere else it is absolute.
 type StoredKey = (u8, u64, u64);
+
+/// The number of arrival priorities, hence of `predictive-live`'s tree
+/// pairs.
+const LEVELS: usize = Priority::ALL.len();
 
 /// The sentinel a [`TournamentTree`] leaf holds when its node is absent
 /// (diverted to the unindexed side set). Orders after every real key.
@@ -168,8 +192,13 @@ struct Entry {
     /// `false` while the node sits in the unindexed side set.
     indexed: bool,
     depth: u64,
+    /// Absolute.
     remaining: u64,
-    blocking: [u64; Priority::ALL.len()],
+    /// Absolute at the levels below `draining`, exact at the rest.
+    blocking: [u64; LEVELS],
+    /// How many levels, from the lowest priority up, the runner counts
+    /// toward: its priority's index plus one, or zero when nothing drains.
+    draining: usize,
 }
 
 /// The per-policy contender index. See the module docs for the invariants;
@@ -179,12 +208,14 @@ struct Entry {
 #[derive(Debug)]
 pub(crate) struct ContenderIndex {
     policy: OnlineDispatchPolicy,
-    /// One tree, or one per arrival priority for `predictive-live`.
+    /// One tree, or for `predictive-live` a (draining, frozen) pair per
+    /// arrival priority, at `2 * level` and `2 * level + 1`.
     trees: Vec<TournamentTree>,
     entries: Vec<Entry>,
-    /// Min-heap of (absolute key component, node): a due entry flags a node
-    /// whose stored components may have entered the saturation window.
-    /// Lazily invalidated — refreshes push, queries validate at pop.
+    /// Min-heap of (smallest nonzero absolute key component, node): a due
+    /// entry flags a node whose stored components may have entered the
+    /// saturation window. Lazily invalidated — refreshes push, queries
+    /// validate at pop.
     staleness: BinaryHeap<Reverse<(u64, u32)>>,
     /// Min-heap of (penalty-decay instant, node); see
     /// [`crate::faults::FaultDriver::penalty_with_expiry`].
@@ -197,7 +228,7 @@ pub(crate) struct ContenderIndex {
 impl ContenderIndex {
     pub(crate) fn new(policy: OnlineDispatchPolicy, nodes: usize) -> Self {
         let trees = match policy {
-            OnlineDispatchPolicy::Predictive => Priority::ALL.len(),
+            OnlineDispatchPolicy::Predictive => 2 * LEVELS,
             _ => 1,
         };
         ContenderIndex {
@@ -224,13 +255,40 @@ impl ContenderIndex {
     }
 
     /// Writes `node`'s current keys into the trees, or removes it when
-    /// diverted to the side set.
+    /// diverted to the side set. Under `predictive-live` each level's key
+    /// goes to the draining or the frozen tree of the level and leaves the
+    /// other.
     fn apply(&mut self, node: usize) {
-        let present = self.entries[node].indexed;
-        for level in 0..self.trees.len() {
-            let key = present.then(|| self.stored_key(node, level));
-            self.trees[level].set(node, key);
+        let entry = self.entries[node];
+        match self.policy {
+            OnlineDispatchPolicy::ShortestQueue | OnlineDispatchPolicy::LeastWork => {
+                let key = entry.indexed.then(|| self.stored_key(node, 0));
+                self.trees[0].set(node, key);
+            }
+            OnlineDispatchPolicy::Predictive => {
+                for level in 0..LEVELS {
+                    let key = entry.indexed.then(|| self.stored_key(node, level));
+                    let drains = level < entry.draining;
+                    self.trees[2 * level].set(node, key.filter(|_| drains));
+                    self.trees[2 * level + 1].set(node, key.filter(|_| !drains));
+                }
+            }
         }
+    }
+
+    /// The smallest nonzero absolute component `node`'s keys hold — the
+    /// first to enter the saturation window — or `None` if all are zero
+    /// or exact.
+    fn watched(&self, node: usize) -> Option<u64> {
+        let entry = &self.entries[node];
+        let draining = match self.policy {
+            OnlineDispatchPolicy::Predictive => &entry.blocking[..entry.draining],
+            _ => &[],
+        };
+        std::iter::once(entry.remaining)
+            .chain(draining.iter().copied())
+            .filter(|&component| component > 0)
+            .min()
     }
 
     /// Re-keys `node` from a fresh signal read. Returns the stored
@@ -244,8 +302,16 @@ impl ContenderIndex {
         let entry = &mut self.entries[node];
         entry.depth = signals.queue_depth as u64;
         entry.remaining = absolute(signals.remaining_work, signals.now);
+        entry.draining = signals
+            .runner_priority
+            .map_or(0, |runner| runner.index() + 1);
         for (level, slot) in entry.blocking.iter_mut().enumerate() {
-            *slot = absolute(signals.blocking_work[level], signals.now);
+            let value = signals.blocking_work[level];
+            *slot = if level < entry.draining {
+                absolute(value, signals.now)
+            } else {
+                value.get()
+            };
         }
         entry.indexed = indexed;
         let traced = {
@@ -259,23 +325,10 @@ impl ContenderIndex {
         }
         self.apply(node);
         if indexed {
-            // Arm the saturation-window watch for every nonzero absolute
-            // component this policy keys on.
-            let entry = self.entries[node];
-            let mut watch = |component: u64| {
-                if component > 0 {
-                    self.staleness.push(Reverse((component, node as u32)));
-                }
-            };
-            match self.policy {
-                OnlineDispatchPolicy::ShortestQueue | OnlineDispatchPolicy::LeastWork => {
-                    watch(entry.remaining);
-                }
-                OnlineDispatchPolicy::Predictive => {
-                    for level in 0..Priority::ALL.len() {
-                        watch(entry.blocking[level]);
-                    }
-                }
+            // Arm the saturation-window watch on the component that enters
+            // the window first.
+            if let Some(component) = self.watched(node) {
+                self.staleness.push(Reverse((component, node as u32)));
             }
         }
         traced
@@ -317,19 +370,9 @@ impl ContenderIndex {
                 return None;
             }
             self.staleness.pop();
-            let entry = &self.entries[node as usize];
-            if !entry.indexed {
-                continue;
-            }
-            let in_window = |c: u64| c > 0 && c <= t;
-            let stale = match self.policy {
-                OnlineDispatchPolicy::ShortestQueue | OnlineDispatchPolicy::LeastWork => {
-                    in_window(entry.remaining)
-                }
-                OnlineDispatchPolicy::Predictive => entry.blocking.iter().any(|&c| in_window(c)),
-            };
-            if stale {
-                return Some(node as usize);
+            let node = node as usize;
+            if self.entries[node].indexed && self.watched(node).is_some_and(|c| c <= t) {
+                return Some(node);
             }
         }
         None
@@ -339,23 +382,31 @@ impl ContenderIndex {
     /// it proves at `t`: (penalty, score pair, node). Under the window
     /// invariant this is the best lower bound over every indexed node, so a
     /// best-so-far that beats it (with the index tiebreak) ends the query.
+    /// `predictive-live` decodes the minima of the level's draining and
+    /// frozen trees and returns the smaller.
     pub(crate) fn min_lower(
         &self,
         priority: Priority,
         t: Cycles,
     ) -> Option<(u8, (u64, u64), usize)> {
         let t = t.get();
-        let level = match self.policy {
-            OnlineDispatchPolicy::Predictive => priority.index(),
-            _ => 0,
+        let decoded = |tree: usize, exact_primary: bool| {
+            let (penalty, a, b, node) = self.trees[tree].min()?;
+            let primary = if exact_primary { a } else { decode(a, t) };
+            Some(((penalty, (primary, decode(b, t))), node))
         };
-        let (penalty, a, b, node) = self.trees[level].min()?;
-        let primary = match self.policy {
-            // Depth is stored exact, not clock-anchored.
-            OnlineDispatchPolicy::ShortestQueue => a,
-            _ => decode(a, t),
+        let best = match self.policy {
+            OnlineDispatchPolicy::ShortestQueue => decoded(0, true),
+            OnlineDispatchPolicy::LeastWork => decoded(0, false),
+            OnlineDispatchPolicy::Predictive => {
+                let level = priority.index();
+                decoded(2 * level, false)
+                    .into_iter()
+                    .chain(decoded(2 * level + 1, true))
+                    .min()
+            }
         };
-        Some((penalty, (primary, decode(b, t)), node))
+        best.map(|((penalty, pair), node)| (penalty, pair, node))
     }
 
     /// The unindexed (stalled / degraded) nodes, ascending — the query's
@@ -441,7 +492,8 @@ mod tests {
             now: Cycles::new(now),
             queue_depth: 1,
             remaining_work: Cycles::new(remaining),
-            blocking_work: [Cycles::new(remaining); Priority::ALL.len()],
+            blocking_work: [Cycles::new(remaining); LEVELS],
+            runner_priority: None,
             stalled: false,
             scaled: false,
         };
@@ -464,7 +516,8 @@ mod tests {
             now: Cycles::new(10),
             queue_depth: 3,
             remaining_work: Cycles::new(70),
-            blocking_work: [Cycles::new(70); Priority::ALL.len()],
+            blocking_work: [Cycles::new(70); LEVELS],
+            runner_priority: Some(Priority::Low),
             stalled: true,
             scaled: false,
         };
@@ -474,7 +527,8 @@ mod tests {
             &DispatchSignals {
                 queue_depth: 0,
                 remaining_work: Cycles::ZERO,
-                blocking_work: [Cycles::ZERO; Priority::ALL.len()],
+                blocking_work: [Cycles::ZERO; LEVELS],
+                runner_priority: None,
                 stalled: false,
                 ..signals
             },
@@ -491,5 +545,93 @@ mod tests {
         index.refresh(0, &signals);
         index.copy_unindexed_into(&mut side);
         assert!(side.is_empty());
+    }
+
+    /// Signals of a node paused at `now` on the predictive policy's view:
+    /// blocking work per level (`[low, medium, high]`), the remaining work
+    /// being the lowest level's, and the runner that drains.
+    fn predictive(now: u64, blocking: [u64; LEVELS], runner: Option<Priority>) -> DispatchSignals {
+        DispatchSignals {
+            now: Cycles::new(now),
+            queue_depth: 2,
+            remaining_work: Cycles::new(blocking[0]),
+            blocking_work: blocking.map(Cycles::new),
+            runner_priority: runner,
+            stalled: false,
+            scaled: false,
+        }
+    }
+
+    #[test]
+    fn blocking_work_above_the_runner_is_keyed_exact() {
+        let mut index = ContenderIndex::new(OnlineDispatchPolicy::Predictive, 2);
+        // Node 0 runs a Low task (40 cycles left) with 60 cycles of High
+        // work queued behind it: a High arrival waits for exactly 60
+        // however long the Low runner runs.
+        index.refresh(0, &predictive(0, [100, 60, 60], Some(Priority::Low)));
+        for t in [30, 99] {
+            // The frozen level reads 60, not the absolute 60 - t; only
+            // the remaining-work secondary lower-bounds.
+            assert_eq!(
+                index.min_lower(Priority::High, Cycles::new(t)),
+                Some((0, (60, 100 - t), 0))
+            );
+            assert_eq!(
+                index.min_lower(Priority::Low, Cycles::new(t)),
+                Some((0, (100 - t, 100 - t), 0))
+            );
+            // The frozen 60 never enters the saturation window.
+            assert_eq!(index.pop_stale(Cycles::new(t)), None);
+        }
+        // Node 1 runs 80 cycles of High work, which drains every level.
+        index.refresh(1, &predictive(0, [80, 80, 80], Some(Priority::High)));
+        let high = |index: &ContenderIndex, t: u64| index.min_lower(Priority::High, Cycles::new(t));
+        // Early on node 0's frozen 60 beats node 1's 80 - t; at t = 20
+        // the primaries tie and node 1's smaller remaining work wins.
+        assert_eq!(high(&index, 10), Some((0, (60, 90), 0)));
+        assert_eq!(high(&index, 19), Some((0, (60, 81), 0)));
+        assert_eq!(high(&index, 20), Some((0, (60, 60), 1)));
+        assert_eq!(high(&index, 30), Some((0, (50, 50), 1)));
+        // With the secondaries tied too, the node index decides.
+        index.refresh(1, &predictive(0, [100, 80, 80], Some(Priority::High)));
+        assert_eq!(high(&index, 20), Some((0, (60, 80), 0)));
+    }
+
+    #[test]
+    fn a_used_up_estimate_keys_every_level_frozen() {
+        let mut index = ContenderIndex::new(OnlineDispatchPolicy::Predictive, 1);
+        // The runner has outlived its estimate: nothing drains, so every
+        // level's blocking work reads the same at any later instant.
+        let blocking = [50, 20, 0];
+        index.refresh(0, &predictive(100, blocking, None));
+        for level in Priority::ALL {
+            let expect = blocking[level.index()];
+            assert_eq!(
+                index.min_lower(level, Cycles::new(140)),
+                Some((0, (expect, 10), 0)),
+                "{level:?}"
+            );
+        }
+        // Only the absolute remaining work (150) is watched.
+        assert_eq!(index.staleness.len(), 1);
+        assert_eq!(index.pop_stale(Cycles::new(149)), None);
+        assert_eq!(index.pop_stale(Cycles::new(150)), Some(0));
+    }
+
+    #[test]
+    fn one_watch_per_refresh_fires_at_the_smallest_absolute_component() {
+        let mut index = ContenderIndex::new(OnlineDispatchPolicy::Predictive, 1);
+        // A Medium runner drains the Low and Medium levels (absolute 100
+        // and 70); the High level's 30 is frozen and never watched.
+        index.refresh(0, &predictive(0, [100, 70, 30], Some(Priority::Medium)));
+        assert_eq!(index.staleness.len(), 1);
+        assert_eq!(index.pop_stale(Cycles::new(69)), None);
+        assert_eq!(index.pop_stale(Cycles::new(70)), Some(0));
+        // The caller brings the node up to t = 70; its refresh re-anchors
+        // every absolute component above t, and the drain ends.
+        index.refresh(0, &predictive(70, [30, 0, 0], Some(Priority::Low)));
+        assert_eq!(index.pop_stale(Cycles::new(70)), None);
+        assert_eq!(index.pop_stale(Cycles::new(99)), None);
+        assert_eq!(index.pop_stale(Cycles::new(100)), Some(0));
     }
 }

@@ -56,10 +56,13 @@
 //! instead: tournament trees keyed on queue depth for `jsq-live` and on
 //! predicted work for `least-work-live` / `predictive-live`, fault-penalty
 //! tiers as the major key (re-tiered at every fault window edge), refreshed
-//! from the one `reschedule` funnel every session mutation flows through. A
-//! walk examines O(log nodes) candidates off the structure minimum and
-//! provably picks the scan's node; `debug_assertions` builds replay the
-//! scan after every indexed pick and assert the argmin agrees. The walk
+//! from the one `reschedule` funnel every session mutation flows through.
+//! `predictive-live` splits each arrival priority into a draining and a
+//! frozen tree, so blocking work the runner does not drain is keyed exact
+//! rather than lower-bounded. A walk examines O(log nodes) candidates off
+//! the structure minima and provably picks the scan's node;
+//! `debug_assertions` builds replay the scan after every indexed pick and
+//! assert the argmin agrees. The walk
 //! brings each contender up with the same `sync` a mutation uses: without
 //! stepping, every node holding work at an arrival pick is either current
 //! at the step or quiet through it, so that advance is one the reference

@@ -314,7 +314,8 @@ pub enum ClusterTraceEvent {
         /// The stale bound.
         bound: Cycles,
     },
-    /// One node's state sampled at a global event.
+    /// One node's state sampled at a global event (built only for sinks
+    /// whose [`ClusterTraceSink::SAMPLES`] is true).
     NodeSample {
         /// The sampled node.
         node: usize,
@@ -332,7 +333,9 @@ pub enum ClusterTraceEvent {
         node: usize,
         /// The fault-penalty tier stored as the index's major key.
         penalty: u8,
-        /// The stored policy key pair, in absolute (clock-anchored) form.
+        /// The stored policy key pair at the lowest arrival priority. Work
+        /// signals the runner drains are in absolute (clock-anchored) form;
+        /// queue depth and a frozen `predictive-live` level are exact.
         key: (u64, u64),
         /// Whether the node sits in the ordered structures (`true`) or in
         /// the linearly scanned stalled/degraded side set (`false`).
@@ -347,6 +350,11 @@ pub enum ClusterTraceEvent {
 pub trait ClusterTraceSink: std::fmt::Debug {
     /// Whether emission sites are compiled in for this sink.
     const ENABLED: bool = true;
+
+    /// Whether the loops build [`ClusterTraceEvent::NodeSample`]s for this
+    /// sink: every node, read at every global event. A sink that ignores
+    /// them sets this to `false` and the O(nodes) reads are skipped.
+    const SAMPLES: bool = true;
 
     /// Records one engine event from node `node`'s session at its local
     /// clock `now`.
@@ -401,13 +409,13 @@ impl<C: ClusterTraceSink> TraceSink for NodeTap<C> {
 /// (a node left unadvanced through `now` reads its projection there) into
 /// the cluster sink — called by the loops at global events (arrivals and
 /// fault/migration synchronization instants). O(1) per node, compiled away
-/// when the sink is disabled.
+/// when the sink is disabled or declines samples.
 pub(crate) fn sample_nodes<S: TraceSink, C: ClusterTraceSink>(
     sessions: &[SimSession<S>],
     now: Cycles,
     trace: &RefCell<C>,
 ) {
-    if !C::ENABLED {
+    if !C::ENABLED || !C::SAMPLES {
         return;
     }
     let mut sink = trace.borrow_mut();
@@ -1023,14 +1031,17 @@ impl TraceSink for CountingSink {
 }
 
 impl ClusterTraceSink for CountingSink {
+    /// No count reads node samples.
+    const SAMPLES: bool = false;
+
     fn node_event(&mut self, _node: usize, _now: Cycles, event: TraceEvent) {
         self.engine(event);
     }
 
     fn cluster_event(&mut self, _now: Cycles, event: ClusterTraceEvent) {
         match event {
-            // By far the most frequent event (every node at every global
-            // instant); matched first and dropped.
+            // Not built for this sink (`SAMPLES` is false); dropped if
+            // one arrives anyway.
             ClusterTraceEvent::NodeSample { .. } => {}
             ClusterTraceEvent::IndexUpdate { indexed, .. } => {
                 self.index_updates += 1;
@@ -1225,5 +1236,9 @@ mod tests {
         const { assert!(!NullClusterSink::ENABLED) };
         const { assert!(!<NodeTap<NullClusterSink> as TraceSink>::ENABLED) };
         const { assert!(<NodeTap<FlightRecorder> as TraceSink>::ENABLED) };
+        // Counted runs skip the per-node samples; the flight recorder keeps
+        // them in its per-node rings.
+        const { assert!(<CountingSink as ClusterTraceSink>::ENABLED && !CountingSink::SAMPLES) };
+        const { assert!(FlightRecorder::SAMPLES) };
     }
 }

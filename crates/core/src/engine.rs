@@ -107,6 +107,13 @@ pub struct DispatchSignals {
     /// [`Priority::index`]: the work the node would run before a newcomer
     /// of that priority (suffix sums of the per-priority totals).
     pub blocking_work: [Cycles; Priority::ALL.len()],
+    /// The running task's priority while its estimated remaining work is
+    /// positive; `None` when nothing runs or the estimate is used up.
+    /// Until the node's next event, blocking work at arrival priority `p`
+    /// drains one cycle per cycle exactly while this is some `r >= p`
+    /// (see [`SimSession::predicted_blocking_work_at`]); at every other
+    /// level it stays frozen.
+    pub runner_priority: Option<Priority>,
     /// The node is inside a fault stall (crash downtime or freeze): the
     /// clock is parked and nothing progresses until the window ends.
     pub stalled: bool,
@@ -2038,6 +2045,11 @@ impl<S: TraceSink> SimSession<S> {
             queue_depth: self.queue_depth(),
             remaining_work: self.state.remaining_work,
             blocking_work,
+            runner_priority: self.running.and_then(|run_idx| {
+                let runtime = &self.state.runtimes[run_idx];
+                (!runtime.remaining_estimate().is_zero())
+                    .then_some(runtime.prepared.request.priority)
+            }),
             stalled: self.stalled_until().is_some(),
             scaled: self.clock.num != self.clock.den,
         }
@@ -3152,6 +3164,46 @@ mod tests {
             won_back > 0,
             "some drain must outlast the arrival's head start"
         );
+    }
+
+    #[test]
+    fn dispatch_signals_name_the_levels_the_runner_drains() {
+        // An NP-FCFS node runs a Low task whose estimate is half its plan,
+        // with High work queued behind it.
+        let low = TaskRequest::new(TaskId(0), ModelKind::CnnVggNet).with_priority(Priority::Low);
+        let plan = prepare(vec![low])[0].isolated_cycles();
+        let tasks = prepare(vec![
+            low.with_estimate(Cycles::new(plan.get() / 2)),
+            TaskRequest::new(TaskId(1), ModelKind::CnnAlexNet)
+                .with_priority(Priority::High)
+                .with_arrival(Cycles::new(1)),
+        ]);
+        let sim = NpuSimulator::new(npu(), SchedulerConfig::np_fcfs());
+        let mut session = sim.session(&tasks);
+        let gap = Cycles::new(1_000);
+        let mut check = |at: Cycles, runner: Option<Priority>| {
+            let _ = session.run_until(at);
+            assert_eq!(session.running_task(), Some(TaskId(0)));
+            let signals = session.dispatch_signals();
+            assert_eq!(signals.runner_priority, runner, "at {at:?}");
+            let later = at + gap;
+            assert!(session.next_event_time().is_some_and(|event| later < event));
+            for priority in Priority::ALL {
+                // A level the runner counts toward drains one cycle per
+                // cycle; every other level reads the same later.
+                let stored = signals.blocking_work[priority.index()];
+                let drains = runner.is_some_and(|runner| runner >= priority);
+                let expect = if drains { stored - gap } else { stored };
+                assert_eq!(
+                    session.predicted_blocking_work_at(priority, later),
+                    expect,
+                    "{priority:?} at {at:?}"
+                );
+            }
+        };
+        check(Cycles::new(10), Some(Priority::Low));
+        // Past its estimate the runner frees nothing, at any level.
+        check(Cycles::new(plan.get() * 3 / 4), None);
     }
 
     #[test]

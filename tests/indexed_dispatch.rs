@@ -2,12 +2,14 @@
 //! scan they replace.
 //!
 //! The event-heap loop's live dispatch (`jsq-live`, `least-work-live`,
-//! `predictive-live`) walks an indexed contender structure — a tournament
-//! tree over absolute keys — for every fresh arrival whenever the loop
-//! never steps between arrivals: no stealing and no migration. Plain, faults-only, admission-only and admission-with-
-//! faults drivings take that path. This sweep drives random cluster shapes
-//! through every feature combination and asserts the outcome is exactly
-//! what the linear scan produces:
+//! `predictive-live`) walks an indexed contender structure — tournament
+//! trees over absolute keys for work the running task drains and exact
+//! keys for work it does not — for every fresh arrival whenever the loop
+//! never steps between arrivals: no stealing and no migration. Plain,
+//! faults-only, admission-only and admission-with-faults drivings take
+//! that path. The sweep drives random cluster shapes through every feature
+//! combination and asserts the outcome is exactly what the linear scan
+//! produces:
 //!
 //! * **Heap == reference, bit for bit** — the event-heap run must equal
 //!   the horizon-stepping reference (which knows nothing about the index),
@@ -23,6 +25,13 @@
 //!   is the exact scan; those drivings pin the same heap == reference
 //!   contract on the path without the index.
 //!
+//! A second test drives one stream shaped like the host-time benchmark's
+//! 1024-node fleet, scaled down to 48 nodes: the same pins hold there, and
+//! `predictive-live`'s counted certificate-heap pushes must stay within
+//! 1.25× `jsq-live`'s. A walk that keys work the runner never drains as if
+//! it drained brings up nodes that cannot win, and every such advance
+//! pushes a certificate; that shows here as the ratio climbing.
+//!
 //! Fault drivings matter most here: they exercise the penalty tiers
 //! (down > cooling > healthy) as the index's major key, the promotion
 //! heap that decays tiers at fault-drain instants, and the unindexed side
@@ -35,14 +44,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use prema::cluster::{
-    online_outcome_hash, ClusterFaultPlan, MigrationConfig, OnlineClusterConfig,
+    online_outcome_hash, ClusterFaultPlan, CountingSink, MigrationConfig, OnlineClusterConfig,
     OnlineClusterSimulator, OnlineDispatchPolicy,
 };
 use prema::workload::prepare::prepare_requests;
 use prema::workload::{
     generate_open_loop, ArrivalProcess, FaultProcess, FaultSchedule, OpenLoopConfig,
 };
-use prema::{NpuConfig, SchedulerConfig};
+use prema::{AnalyticalPredictor, NpuConfig, SchedulerConfig};
 
 /// Which subsystems a driving switches on. Without stealing and migration
 /// the loop never steps between arrivals, so the indexed pick path handles
@@ -225,5 +234,46 @@ fn indexed_dispatch_matches_the_linear_scan_exactly() {
     assert!(
         indexed_faulty_shedding >= 3,
         "only {indexed_faulty_shedding} indexed drivings shed under fault activity"
+    );
+}
+
+/// One stream shaped like the host-time benchmark's fleet-1024 workload at
+/// 48 nodes: NP-FCFS nodes, the uniform priority mix, the predictor's
+/// estimates (which undershoot some tasks, so runners outlive their
+/// estimates) and fleet-1024's per-node arrival rate, about 2.3
+/// requests/ms over 300 ms. Every policy must match the reference exactly
+/// (debug builds also replay the scan after each pick), and a counted
+/// `predictive-live` run may push at most 1.25× the certificates
+/// `jsq-live` pushes on the same stream.
+#[test]
+fn predictive_dispatch_at_fleet_shape_pushes_about_as_much_as_jsq() {
+    const NODES: usize = 48;
+    let npu = NpuConfig::paper_default();
+    let mut rng = StdRng::seed_from_u64(7);
+    let spec = generate_open_loop(&OpenLoopConfig::poisson(2.3, 300.0), &mut rng);
+    let predictor = AnalyticalPredictor::new(npu.clone());
+    let tasks = prepare_requests(&spec.requests, &npu, Some(&predictor));
+    assert!(tasks.len() > 600, "only {} requests", tasks.len());
+    let mut pushes = [0u64; POLICIES.len()];
+    for (slot, policy) in POLICIES.into_iter().enumerate() {
+        let config = OnlineClusterConfig::new(NODES, SchedulerConfig::np_fcfs(), policy);
+        let simulator = OnlineClusterSimulator::new(config);
+        let heap = simulator.run(&tasks);
+        let reference = simulator.run_reference(&tasks);
+        assert_eq!(heap, reference, "{policy:?}: indexed heap run != reference");
+        assert_eq!(
+            online_outcome_hash(&heap),
+            online_outcome_hash(&reference),
+            "{policy:?}: digest divergence"
+        );
+        let (counted, work) = simulator.run_traced(&tasks, CountingSink::default());
+        assert_eq!(counted, heap, "{policy:?}: the counted run diverged");
+        assert_eq!(work.dispatch_decisions, tasks.len() as u64);
+        pushes[slot] = work.heap_pushes;
+    }
+    let [jsq, _, predictive] = pushes;
+    assert!(
+        predictive * 4 <= jsq * 5,
+        "predictive-live pushed {predictive} certificates, more than 1.25x jsq-live's {jsq}"
     );
 }

@@ -923,12 +923,29 @@ fn next_event_certificate_contract_holds_under_random_driving() {
                 session.predicted_remaining_work_at(horizon),
                 "{context}"
             );
+            // The contender index keys blocking work exact at the levels
+            // the signals say the runner does not drain, and as a
+            // one-cycle-per-cycle lower bound at the rest.
+            let signals = session.dispatch_signals();
             for priority in Priority::ALL {
+                let projected = session.predicted_blocking_work_at(priority, horizon);
                 assert_eq!(
                     twin.predicted_blocking_work(priority),
-                    session.predicted_blocking_work_at(priority, horizon),
+                    projected,
                     "{context} {priority:?}"
                 );
+                let stored = signals.blocking_work[priority.index()];
+                if signals
+                    .runner_priority
+                    .is_some_and(|runner| runner >= priority)
+                {
+                    assert!(
+                        projected >= stored - (horizon - now),
+                        "{context} {priority:?}"
+                    );
+                } else {
+                    assert_eq!(projected, stored, "{context} {priority:?}");
+                }
             }
             let mut residents = Vec::new();
             session.resident_tasks_at_into(horizon, &mut residents);
