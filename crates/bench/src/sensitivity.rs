@@ -1,6 +1,6 @@
 //! Section VI-E sensitivity studies: scheduling quantum, token grant scale
-//! and batch-size mix. These are the ablation benches called out in
-//! DESIGN.md.
+//! and batch-size mix. `experiments sensitivity` prints them (see README,
+//! "Running the figure suite").
 
 use npu_sim::NpuConfig;
 use prema_core::SchedulerConfig;

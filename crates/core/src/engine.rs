@@ -29,15 +29,15 @@
 //! stepping every quantum produces. A wakeup's answer is known when a task
 //! is running and
 //!
-//! * the waiting set is empty, so there is no alternative candidate (the
-//!   policies are pure functions of the task views — see
-//!   [`SchedulingPolicy::select`]'s contract); or
+//! * the waiting set is empty, so there is no alternative candidate (a
+//!   policy is a pure function of the task views — see
+//!   [`PolicyKind::select`]); or
 //! * the preemption mode is non-preemptive, so the scheduler is not
 //!   consulted while a task runs; or
 //! * the last wakeup left the policy's own choice running — it dispatched
 //!   onto an idle NPU or re-picked the runner, not a DRAIN or a preemption —
 //!   no state changed since (its `state_version` stamp holds), and the
-//!   policy's [`SchedulingPolicy::certificate`] rules this wakeup out. HPF,
+//!   policy's [`PolicyKind::certificate`] rules this wakeup out. HPF,
 //!   SJF and FCFS rule out every wakeup before the horizon; TOKEN and PREMA
 //!   every wakeup before the first whose grant brings a waiting task's
 //!   tokens to a grant level at or above the current threshold, found by
@@ -72,8 +72,8 @@
 //! back ([`SimSession::revoke`]). This is what turns N independent
 //! simulators into a closed-loop cluster: see `prema_cluster::online`.
 //!
-//! [`SchedulingPolicy::select`]: crate::policy::SchedulingPolicy::select
-//! [`SchedulingPolicy::certificate`]: crate::policy::SchedulingPolicy::certificate
+//! [`PolicyKind::select`]: crate::config::PolicyKind::select
+//! [`PolicyKind::certificate`]: crate::config::PolicyKind::certificate
 
 use std::sync::Arc;
 
@@ -84,7 +84,7 @@ use npu_sim::{CheckpointModel, Cycles, NpuConfig};
 
 use crate::config::{PreemptionMode, SchedulerConfig};
 use crate::plan::{ExecutionPlan, ProgressCursor};
-use crate::policy::{level_floor, make_policy, period_token_grant, ChoiceCertificate, TaskView};
+use crate::policy::{level_floor, period_token_grant, ChoiceCertificate, TaskView};
 use crate::preemption::{select_mechanism, MechanismDecisionInputs, PreemptionMechanism};
 use crate::task::{Priority, TaskId, TaskRequest, TaskState};
 use crate::trace::{CandidateSet, NullSink, TraceEvent, TraceSink};
@@ -430,6 +430,24 @@ impl Runtime {
         self.estimated - self.cursor.executed()
     }
 
+    /// The last commit point as `(resume_executed, checkpoint_bytes)`: the
+    /// start of the interval the cursor is in (everything before it
+    /// committed at interval boundaries), with the checkpoint footprint
+    /// live there. A cursor already at a boundary keeps all its progress;
+    /// mid-interval progress is lost.
+    fn last_commit_point(&self) -> (Cycles, u64) {
+        let plan = &self.prepared.plan;
+        let resume_executed = self.cursor.executed() - self.cursor.in_interval(plan);
+        let checkpoint_bytes = if resume_executed.is_zero() {
+            0
+        } else {
+            let mut floor = ProgressCursor::start();
+            floor.advance(plan, resume_executed);
+            floor.live_checkpoint_bytes(plan)
+        };
+        (resume_executed, checkpoint_bytes)
+    }
+
     fn is_waiting(&self) -> bool {
         self.arrived
             && !self.revoked
@@ -712,11 +730,18 @@ impl EngineState {
         debug_assert!(runtime.completion.is_none());
         runtime.completion = Some(now);
         runtime.state = TaskState::Completed;
-        let leftover = runtime.remaining_estimate();
-        let priority = runtime.prepared.request.priority;
-        self.remaining_work -= leftover;
-        self.remaining_by_priority[priority.index()] -= leftover;
+        self.drop_remaining(idx);
         self.finished += 1;
+    }
+
+    /// Drops `idx`'s remaining estimate from the predicted-work totals: the
+    /// task completed or left the node.
+    fn drop_remaining(&mut self, idx: usize) {
+        let runtime = &self.runtimes[idx];
+        let removed = runtime.remaining_estimate();
+        let priority = runtime.prepared.request.priority;
+        self.remaining_work -= removed;
+        self.remaining_by_priority[priority.index()] -= removed;
     }
 
     /// Grants additional tokens to every waiting task, proportional to its
@@ -1087,19 +1112,12 @@ impl ClockScale {
     /// Advances the wall clock by exactly [`ClockScale::wall_needed`]`(work)`
     /// cycles, consuming exactly `work` work cycles; returns that wall span.
     fn consume_work(&mut self, work: Cycles) -> Cycles {
-        if self.is_unit() {
-            return work;
-        }
-        if work.is_zero() {
-            return Cycles::ZERO;
-        }
-        let need = work.get() as u128 * self.den as u128 - self.acc as u128;
-        let wall = need.div_ceil(self.num as u128);
-        // Residue of the final partially-used wall cycle: in [0, num).
-        let residue = wall * self.num as u128 - need;
-        debug_assert!(residue < self.num as u128, "wall_needed is minimal");
-        self.acc = residue as u64;
-        Cycles::new(u64::try_from(wall).unwrap_or(u64::MAX))
+        let wall = self.wall_needed(work);
+        // Minimal, so the span yields `work` and less than one more cycle:
+        // the carry it leaves is below `num`.
+        let consumed = self.work_in(wall);
+        debug_assert_eq!(consumed, work, "wall_needed is minimal");
+        wall
     }
 }
 
@@ -1273,7 +1291,6 @@ impl NpuSimulator {
         let quantum = self.sched.quantum_cycles(&self.npu);
         SimSession {
             sched: self.sched.clone(),
-            policy: make_policy(self.sched.policy, self.sched.token_scale),
             checkpoint_model: CheckpointModel::new(&self.npu),
             quantum,
             fast_forward,
@@ -1317,7 +1334,6 @@ impl NpuSimulator {
 #[derive(Debug)]
 pub struct SimSession<S: TraceSink = NullSink> {
     sched: SchedulerConfig,
-    policy: Box<dyn crate::policy::SchedulingPolicy>,
     checkpoint_model: CheckpointModel,
     quantum: Cycles,
     fast_forward: bool,
@@ -1480,6 +1496,15 @@ impl<S: TraceSink> SimSession<S> {
         }
     }
 
+    /// Removes not-yet-admitted `idx` from the pending arrival queue.
+    fn remove_pending_arrival(&mut self, idx: usize) {
+        let offset = self.arrival_order[self.next_arrival_idx..]
+            .iter()
+            .position(|&i| i == idx)
+            .expect("unadmitted task is in the pending arrival queue");
+        self.arrival_order.remove(self.next_arrival_idx + offset);
+    }
+
     /// One scheduler wakeup: grant tokens, then select / dispatch / preempt.
     fn wakeup(&mut self) {
         assert!(
@@ -1497,107 +1522,93 @@ impl<S: TraceSink> SimSession<S> {
         // runs it to its commit point), so the next wakeup is stepped.
         self.choice_version = None;
 
-        if self.running.is_none() {
-            if !self.state.waiting.is_empty() {
-                let chosen = self.policy.select(self.now, self.state.build_views(None));
+        // An idle NPU consults the policy when something waits; a busy one
+        // only in a preemptive mode.
+        let consult = match self.running {
+            None => !self.state.waiting.is_empty(),
+            Some(_) => self.sched.preemption.is_preemptive(),
+        };
+        if !consult {
+            return;
+        }
+        let chosen = self
+            .sched
+            .policy
+            .select(self.state.build_views(self.running), self.sched.token_scale);
+        if S::ENABLED {
+            let candidates = CandidateSet::capture(&self.state.views);
+            self.sink.record(
+                self.now,
+                TraceEvent::Wakeup {
+                    invocation: self.scheduler_invocations,
+                    chosen,
+                    candidates,
+                },
+            );
+        }
+        let cand_idx = self.state.index_of(chosen);
+        let idle = self.running.is_none();
+        if let Some(run_idx) = self.running {
+            if run_idx == cand_idx {
+                self.choice_version = Some(self.state.state_version);
+                return;
+            }
+            let running_id = self.state.runtimes[run_idx].id();
+            let mechanism = self.pick_mechanism(run_idx, cand_idx);
+            if mechanism == PreemptionMechanism::Drain {
+                self.drain_decisions += 1;
                 if S::ENABLED {
-                    let candidates = CandidateSet::capture(&self.state.views);
                     self.sink.record(
                         self.now,
-                        TraceEvent::Wakeup {
-                            invocation: self.scheduler_invocations,
-                            chosen,
-                            candidates,
+                        TraceEvent::DrainDecision {
+                            running: running_id,
+                            contender: chosen,
                         },
                     );
                 }
-                let idx = self.state.index_of(chosen);
-                self.now = self.dispatch(idx);
-                self.running = Some(idx);
-                self.choice_version = Some(self.state.state_version);
+                return;
             }
-        } else if self.sched.preemption.is_preemptive() {
-            let run_idx = self.running.expect("checked above");
-            let chosen = self
-                .policy
-                .select(self.now, self.state.build_views(self.running));
             if S::ENABLED {
-                let candidates = CandidateSet::capture(&self.state.views);
                 self.sink.record(
                     self.now,
-                    TraceEvent::Wakeup {
-                        invocation: self.scheduler_invocations,
-                        chosen,
-                        candidates,
+                    TraceEvent::PreemptBegin {
+                        task: running_id,
+                        by: chosen,
+                        mechanism,
                     },
                 );
             }
-            if chosen == self.state.runtimes[run_idx].id() {
-                self.choice_version = Some(self.state.state_version);
+            let checkpoint = mechanism == PreemptionMechanism::Checkpoint;
+            if checkpoint {
+                self.checkpoint_preemptions += 1;
+                self.now = self.preempt_checkpoint(run_idx);
             } else {
-                let running_id = self.state.runtimes[run_idx].id();
-                let cand_idx = self.state.index_of(chosen);
-                let mechanism = self.pick_mechanism(run_idx, cand_idx);
-                if S::ENABLED && mechanism != PreemptionMechanism::Drain {
-                    self.sink.record(
-                        self.now,
-                        TraceEvent::PreemptBegin {
-                            task: running_id,
-                            by: chosen,
-                            mechanism,
-                        },
-                    );
-                }
-                match mechanism {
-                    PreemptionMechanism::Drain => {
-                        self.drain_decisions += 1;
-                        if S::ENABLED {
-                            self.sink.record(
-                                self.now,
-                                TraceEvent::DrainDecision {
-                                    running: running_id,
-                                    contender: chosen,
-                                },
-                            );
-                        }
-                    }
-                    PreemptionMechanism::Checkpoint => {
-                        self.checkpoint_preemptions += 1;
-                        self.now = self.preempt_checkpoint(run_idx);
-                        if S::ENABLED {
-                            let bytes = self.state.runtimes[run_idx].checkpointed_bytes;
-                            self.sink.record(
-                                self.now,
-                                TraceEvent::PreemptEnd {
-                                    task: running_id,
-                                    checkpoint_bytes: bytes,
-                                    checkpoint_cycles: self
-                                        .checkpoint_model
-                                        .checkpoint_cycles(bytes),
-                                },
-                            );
-                        }
-                        self.now = self.dispatch(cand_idx);
-                        self.running = Some(cand_idx);
-                    }
-                    PreemptionMechanism::Kill => {
-                        self.kill_preemptions += 1;
-                        self.preempt_kill(run_idx);
-                        if S::ENABLED {
-                            self.sink.record(
-                                self.now,
-                                TraceEvent::PreemptEnd {
-                                    task: running_id,
-                                    checkpoint_bytes: 0,
-                                    checkpoint_cycles: Cycles::ZERO,
-                                },
-                            );
-                        }
-                        self.now = self.dispatch(cand_idx);
-                        self.running = Some(cand_idx);
-                    }
-                }
+                self.kill_preemptions += 1;
+                self.preempt_kill(run_idx);
             }
+            if S::ENABLED {
+                // KILL spills nothing (its checkpointed bytes are zero) and
+                // charges no DMA.
+                let bytes = self.state.runtimes[run_idx].checkpointed_bytes;
+                let cycles = if checkpoint {
+                    self.checkpoint_model.checkpoint_cycles(bytes)
+                } else {
+                    Cycles::ZERO
+                };
+                self.sink.record(
+                    self.now,
+                    TraceEvent::PreemptEnd {
+                        task: running_id,
+                        checkpoint_bytes: bytes,
+                        checkpoint_cycles: cycles,
+                    },
+                );
+            }
+        }
+        self.now = self.dispatch(cand_idx);
+        self.running = Some(cand_idx);
+        if idle {
+            self.choice_version = Some(self.state.state_version);
         }
     }
 
@@ -1617,7 +1628,7 @@ impl<S: TraceSink> SimSession<S> {
         if self.choice_version != Some(self.state.state_version) {
             return 0;
         }
-        match self.policy.certificate() {
+        match self.sched.policy.certificate(self.sched.token_scale) {
             ChoiceCertificate::UntilEvent => periods,
             ChoiceCertificate::GrantLevels(levels) => self.state.periods_below_levels(
                 levels,
@@ -2373,27 +2384,16 @@ impl<S: TraceSink> SimSession<S> {
         if runtime.first_start.is_some() || Some(idx) == self.running {
             return Err(EngineError::TaskAlreadyStarted(id));
         }
+        debug_assert!(runtime.cursor.executed().is_zero(), "never started");
         if runtime.arrived {
             debug_assert!(runtime.is_waiting(), "never-started admitted task waits");
             self.state.leave_waiting(idx);
         } else {
-            let tail = &self.arrival_order[self.next_arrival_idx..];
-            let offset = tail
-                .iter()
-                .position(|&i| i == idx)
-                .expect("unadmitted task is in the pending arrival queue");
-            self.arrival_order.remove(self.next_arrival_idx + offset);
+            self.remove_pending_arrival(idx);
         }
         self.state.state_version += 1;
         self.state.untrack_revocable(idx);
-        {
-            let state = &mut self.state;
-            let removed = state.runtimes[idx].remaining_estimate();
-            debug_assert_eq!(removed, state.runtimes[idx].estimated, "never started");
-            let priority = state.runtimes[idx].prepared.request.priority;
-            state.remaining_work -= removed;
-            state.remaining_by_priority[priority.index()] -= removed;
-        }
+        self.state.drop_remaining(idx);
         let runtime = &mut self.state.runtimes[idx];
         runtime.revoked = true;
         let prepared = runtime.prepared.clone();
@@ -2548,17 +2548,7 @@ impl<S: TraceSink> SimSession<S> {
     /// The same errors as [`SimSession::checkpoint_out`].
     pub fn checkpoint_preview(&self, id: TaskId) -> Result<(Cycles, u64), EngineError> {
         let idx = self.checkpointable_index(id)?;
-        let runtime = &self.state.runtimes[idx];
-        let plan = &runtime.prepared.plan;
-        let resume_executed = runtime.cursor.executed() - runtime.cursor.in_interval(plan);
-        let checkpoint_bytes = if resume_executed.is_zero() {
-            0
-        } else {
-            let mut floor = ProgressCursor::start();
-            floor.advance(plan, resume_executed);
-            floor.live_checkpoint_bytes(plan)
-        };
-        Ok((resume_executed, checkpoint_bytes))
+        Ok(self.state.runtimes[idx].last_commit_point())
     }
 
     /// Validates that `id` names a started, resident task and returns its
@@ -2595,37 +2585,14 @@ impl<S: TraceSink> SimSession<S> {
         } else if self.state.runtimes[idx].arrived {
             self.state.leave_waiting(idx);
         } else {
-            let tail = &self.arrival_order[self.next_arrival_idx..];
-            let offset = tail
-                .iter()
-                .position(|&i| i == idx)
-                .expect("unadmitted resident is in the pending arrival queue");
-            self.arrival_order.remove(self.next_arrival_idx + offset);
+            self.remove_pending_arrival(idx);
         }
         if self.state.runtimes[idx].first_start.is_none() {
             self.state.untrack_revocable(idx);
         }
-        {
-            let state = &mut self.state;
-            let removed = state.runtimes[idx].remaining_estimate();
-            let priority = state.runtimes[idx].prepared.request.priority;
-            state.remaining_work -= removed;
-            state.remaining_by_priority[priority.index()] -= removed;
-        }
+        self.state.drop_remaining(idx);
         let runtime = &mut self.state.runtimes[idx];
-        // The last commit point: the start of the interval the cursor
-        // is in (everything before it committed at interval
-        // boundaries). A cursor already at a boundary keeps all its
-        // progress; mid-interval progress is lost.
-        let plan = Arc::clone(&runtime.prepared.plan);
-        let resume_executed = runtime.cursor.executed() - runtime.cursor.in_interval(&plan);
-        let checkpoint_bytes = if resume_executed.is_zero() {
-            0
-        } else {
-            let mut floor = ProgressCursor::start();
-            floor.advance(&plan, resume_executed);
-            floor.live_checkpoint_bytes(&plan)
-        };
+        let (resume_executed, checkpoint_bytes) = runtime.last_commit_point();
         let salvage = SalvagedTask {
             prepared: runtime.prepared.clone(),
             resume_executed,
@@ -3555,6 +3522,26 @@ mod tests {
             ..npu()
         };
         let _ = NpuSimulator::new(zero_width, SchedulerConfig::paper_default());
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid SchedulerConfig")]
+    fn zero_token_scale_rejected() {
+        let sched = SchedulerConfig {
+            token_scale: 0.0,
+            ..SchedulerConfig::named(PolicyKind::Token, PreemptionMode::Dynamic)
+        };
+        let _ = NpuSimulator::new(npu(), sched);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid SchedulerConfig")]
+    fn negative_token_scale_rejected() {
+        let sched = SchedulerConfig {
+            token_scale: -1.0,
+            ..SchedulerConfig::paper_default()
+        };
+        let _ = NpuSimulator::new(npu(), sched);
     }
 
     #[test]

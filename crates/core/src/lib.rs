@@ -6,8 +6,9 @@
 //!   (Section IV), plus the dynamic mechanism selection of Algorithm 3.
 //! * **The SRAM cost of the inference task context table**
 //!   ([`context_table`], Figure 4 and Section VI-F).
-//! * **Scheduling policies** ([`policy`]) — NP-FCFS, RRB, HPF, TOKEN, SJF and
-//!   the token-based predictive PREMA policy (Algorithm 2).
+//! * **Scheduling policies** ([`policy`]) — FCFS, RRB, HPF, TOKEN, SJF and
+//!   the token-based predictive PREMA policy (Algorithm 2), one
+//!   [`PolicyKind::select`] arm each.
 //! * **The multi-task NPU simulation engine** ([`engine`]) — a discrete-event
 //!   simulator that executes compiled [`plan::ExecutionPlan`]s under a
 //!   [`config::SchedulerConfig`], producing per-task records from which
@@ -56,7 +57,7 @@ pub use engine::{
     SalvagedTask, SimOutcome, SimSession, StepOutcome, TaskRecord,
 };
 pub use plan::{ExecutionPlan, ProgressCursor};
-pub use policy::{SchedulingPolicy, TaskView};
+pub use policy::TaskView;
 pub use preemption::PreemptionMechanism;
 pub use task::{Priority, TaskId, TaskRequest, TaskState};
 pub use trace::{

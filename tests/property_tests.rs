@@ -21,6 +21,7 @@ use prema::predictor::SeqLenTable;
 use prema::scheduler::plan::reference::ReferenceCursor;
 use prema::scheduler::plan::{ExecutionPlan, ProgressCursor};
 use prema::scheduler::preemption::{select_mechanism, MechanismDecisionInputs};
+use prema::scheduler::TaskView;
 use prema::{
     NpuSimulator, PolicyKind, PreemptionMechanism, PreemptionMode, Priority, SchedulerConfig,
     StepOutcome, TaskId, TaskRequest,
@@ -203,6 +204,62 @@ fn dynamic_mechanism_selection_is_consistent() {
             };
             assert_eq!(select_mechanism(shorter), PreemptionMechanism::Checkpoint);
         }
+    }
+}
+
+/// Every policy's `select` is a total order over the task views: it
+/// returns a member of the set, and the same member however the set is
+/// ordered. The engine always builds views in id order, so only a shuffle
+/// shows a key that forgets its final id tiebreak. Values come from small
+/// ranges so that every key component but the id ties often.
+#[test]
+fn select_is_a_total_order_over_the_views() {
+    let mut rng = StdRng::seed_from_u64(0x5E1EC7);
+    for case in 0..2_000 {
+        let len = rng.gen_range(1usize..=8);
+        let mut ids: Vec<u64> = (0..16).collect();
+        shuffle(&mut ids, &mut rng);
+        let running = rng.gen_bool(0.5).then(|| rng.gen_range(0..len));
+        let mut views: Vec<TaskView> = ids[..len]
+            .iter()
+            .enumerate()
+            .map(|(i, &id)| TaskView {
+                id: TaskId(id),
+                priority: Priority::ALL[rng.gen_range(0..Priority::ALL.len())],
+                arrival: Cycles::new(rng.gen_range(0u64..3)),
+                tokens: [0.5, 1.0, 3.0, 4.5, 9.0][rng.gen_range(0usize..5)],
+                estimated_total: Cycles::new(rng.gen_range(1u64..4) * 100),
+                executed: Cycles::new(rng.gen_range(0u64..3) * 100),
+                waited: Cycles::new(rng.gen_range(0u64..3)),
+                last_scheduled: rng
+                    .gen_bool(0.5)
+                    .then(|| Cycles::new(rng.gen_range(0u64..3))),
+                is_running: running == Some(i),
+            })
+            .collect();
+        let token_scale = [0.5, 1.0, 2.0][rng.gen_range(0usize..3)];
+        for policy in PolicyKind::ALL {
+            let chosen = policy.select(&views, token_scale);
+            assert!(
+                views.iter().any(|v| v.id == chosen),
+                "case {case}: {policy} chose {chosen:?} outside {views:?}"
+            );
+            for _ in 0..4 {
+                shuffle(&mut views, &mut rng);
+                assert_eq!(
+                    policy.select(&views, token_scale),
+                    chosen,
+                    "case {case}: {policy} depends on view order: {views:?}"
+                );
+            }
+        }
+    }
+}
+
+/// Fisher-Yates shuffle.
+fn shuffle<T>(items: &mut [T], rng: &mut StdRng) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.gen_range(0..=i));
     }
 }
 
