@@ -40,7 +40,8 @@
 //! migration source), and reads every other node through its `*_at`
 //! projections: dispatch scores, admission's prediction segments, the
 //! migration deadline monitor and stay/move and redirect pricing. Each
-//! batch of mutations ends at `settle`, which re-keys the touched nodes.
+//! batch of mutations ends at `settle`, which re-keys the touched nodes
+//! and re-arms the nodes the last migration round walked.
 //!
 //! The timeline's steps can revisit the past (a steal onto a parked thief
 //! makes the next bound the thief's frozen clock), where nodes already
@@ -71,12 +72,23 @@
 //! The admission p99 over the projected segments is one in-place
 //! selection, and each node's segment is cached by `state_version` (per
 //! arrival only nodes whose state moved are re-sorted; within one shed loop
-//! only the shedded node's segment is rebuilt); the migration deadline
-//! monitor reads the same segments and walks a node's residents only once
-//! one of its started residents has slipped. Stealing, shedding and
+//! only the shedded node's segment is rebuilt). Stealing, shedding and
 //! dispatch read O(1) engine aggregates (`revocable_work`,
 //! `best_steal_candidate`, `best_shed_candidate`, the predicted-work
 //! totals) rather than resident rescans.
+//!
+//! **Migration.** The migration deadline monitor reads the same segments.
+//! Each keeps its node's largest started turnaround as a constant part and
+//! a part that grows one for one with the clock, so the first clock at
+//! which a deadline can slip has a closed form
+//! (`PredictionSegment::slip_due`). With migration on, the loop keeps each
+//! node's slip instant in a lazily invalidated min-heap, armed from the
+//! same `reschedule` funnel, and a migration round walks only the nodes
+//! due by its step instant, plus the nodes mutated since the last
+//! `settle` (the landings just injected). A degraded node is always due;
+//! a stalled one is skipped by every round and not armed. The reference
+//! walks every node, and debug builds check that every node a round
+//! leaves out has no deadline candidate.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -117,7 +129,8 @@ type PenaltyScore = (u8, (u64, u64));
 /// convert once per query. At unit clock scale the same completions are
 /// the deadline monitor's `now + scaled_wall(backlog)`, so the segment
 /// also keeps the largest started turnaround per entry form: a deadline
-/// can slip only once it passes the SLA offset.
+/// can slip only once it passes the SLA offset, and
+/// [`PredictionSegment::slip_due`] says when that can first happen.
 ///
 /// One clamp makes the absolute entries *time-limited*: when the predictor
 /// underestimated the runner, its estimated remaining saturates at zero
@@ -229,6 +242,24 @@ impl PredictionSegment {
         self.valid = true;
     }
 
+    /// The first session clock at which the migration deadline monitor
+    /// can find a started resident whose predicted turnaround is past
+    /// `offset`, read from this segment: zero when the fixed part, or the
+    /// moving part at the rebuild, is already past it; otherwise the clock
+    /// at which the moving part (growing one for one with the clock)
+    /// passes it, capped at the first clock past `valid_until`, where the
+    /// segment must rebuild. `None` when neither instant exists.
+    fn slip_due(&self, offset: Cycles) -> Option<Cycles> {
+        let (fixed, moving) = self.started_turnaround;
+        if fixed > offset || moving.is_some_and(|moving| moving > offset) {
+            return Some(Cycles::ZERO);
+        }
+        let one = Cycles::new(1);
+        let slip = moving.map(|moving| self.built + (offset - moving) + one);
+        let rebuild = (self.valid_until != Cycles::MAX).then(|| self.valid_until + one);
+        slip.into_iter().chain(rebuild).min()
+    }
+
     /// Appends the segment's predicted turnarounds (milliseconds) at the
     /// session clock `now`.
     fn append_ms(&self, now: Cycles, npu: &NpuConfig, out: &mut Vec<f64>) {
@@ -237,14 +268,34 @@ impl PredictionSegment {
             out.push(npu.cycles_to_millis(completion - arrival));
         }
     }
+}
 
-    /// The largest predicted turnaround of a started resident at the
-    /// session clock `now` (zero with none). Exact when every started
-    /// resident's completion is at or after its arrival at the rebuild;
-    /// otherwise the saturated difference makes it an upper bound.
-    fn max_started_turnaround(&self, now: Cycles) -> Cycles {
-        let (fixed, moving) = self.started_turnaround;
-        moving.map_or(fixed, |moving| fixed.max(moving + (now - self.built)))
+/// The migration deadline monitor's schedule: each node's earliest
+/// deadline-slip instant ([`PredictionSegment::slip_due`]) in a lazily
+/// invalidated min-heap, so a round walks only the nodes that are due.
+#[derive(Debug)]
+struct SlipHeap {
+    /// Each task's deadline is its arrival plus this.
+    offset: Cycles,
+    /// Min-heap of (slip instant, node). An entry is live iff `live` still
+    /// holds it; stale entries are dropped at pop time.
+    heap: BinaryHeap<Reverse<(Cycles, usize)>>,
+    /// Each node's live slip instant: `None` while unarmed (stalled,
+    /// nothing can slip, or popped and awaiting its re-arm at `settle`).
+    live: Vec<Option<Cycles>>,
+}
+
+impl SlipHeap {
+    /// Makes `due` node `i`'s live entry, pushing it unless it is live
+    /// already.
+    fn arm(&mut self, i: usize, due: Option<Cycles>) {
+        if self.live[i] == due {
+            return;
+        }
+        self.live[i] = due;
+        if let Some(due) = due {
+            self.heap.push(Reverse((due, i)));
+        }
     }
 }
 
@@ -291,6 +342,12 @@ pub(crate) struct EventHeapLoop<'a, C: ClusterTraceSink> {
     /// [`Self::reschedule`], the single funnel every session mutation
     /// flows through.
     index: Option<ContenderIndex>,
+    /// With migration on, the deadline-slip schedule migration rounds
+    /// take their sources from. Armed from [`Self::reschedule`] too.
+    slips: Option<SlipHeap>,
+    /// Nodes popped off `slips` since the last [`Nodes::settle`], which
+    /// re-arms them.
+    unarmed: Vec<usize>,
     /// Scratch for one step's due nodes (deduplicated, marked in
     /// `due_mark`).
     due_scratch: Vec<usize>,
@@ -329,6 +386,12 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
             fresh: vec![0; nodes],
             touched: Vec::new(),
             index,
+            slips: config.migration.as_ref().map(|migration| SlipHeap {
+                offset: migration.deadline_offset(&config.npu),
+                heap: BinaryHeap::with_capacity(nodes * 2),
+                live: vec![None; nodes],
+            }),
+            unarmed: Vec::new(),
             due_scratch: Vec::with_capacity(nodes),
             due_mark: vec![false; nodes],
             side_scratch: Vec::new(),
@@ -339,14 +402,18 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
     }
 
     /// Pushes node `i`'s current certificate, plus its contender-index keys
-    /// (without stepping) or its completion time (with it). The heaps
-    /// always hold each node's live entries plus stale leftovers that
-    /// pop-time validation discards.
+    /// (without stepping) or its completion time (with it), and re-arms its
+    /// deadline-slip entry (with migration). The heaps always hold each
+    /// node's live entries plus stale leftovers that pop-time validation
+    /// discards.
     fn reschedule(&mut self, i: usize) {
         if self.index.is_some() {
             self.refresh_index(i);
         } else if let Some(bound) = self.sessions[i].next_completion_time() {
             self.bounds.push(Reverse((bound, i)));
+        }
+        if self.slips.is_some() {
+            self.arm(i);
         }
         if let Some(bound) = self.sessions[i].next_event_time() {
             self.heap.push(Reverse((bound, i)));
@@ -360,6 +427,32 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
                     .cluster_event(stamp, ClusterTraceEvent::HeapPush { node: i, bound });
             }
         }
+    }
+
+    /// Arms node `i`'s deadline-slip entry from its prediction segment,
+    /// read at its horizon. A stalled node is not armed: rounds skip it,
+    /// and its stall status changes only through a call that reschedules
+    /// it. A degraded (clock-scaled) node is always due. A slip instant at
+    /// or before the read clock arms at zero, so the node stays due at
+    /// every step until it is re-armed, including steps that revisit the
+    /// past.
+    fn arm(&mut self, i: usize) {
+        let at = self.horizon(i);
+        let slips = self.slips.as_mut().expect("arming needs migration");
+        let session = &self.sessions[i];
+        let due = if session.stalled_until().is_some() {
+            None
+        } else if session.clock_scale() != (1, 1) {
+            Some(Cycles::ZERO)
+        } else {
+            let segment = &mut self.predictions[i];
+            segment.refresh(session, at, &mut self.residents_scratch);
+            let read = session.now_at(at);
+            segment
+                .slip_due(slips.offset)
+                .map(|due| if due > read { due } else { Cycles::ZERO })
+        };
+        slips.arm(i, due);
     }
 
     /// Re-keys node `i` in the contender index from a fresh signal read.
@@ -559,10 +652,21 @@ impl<C: ClusterTraceSink> Nodes<NodeTap<C>> for EventHeapLoop<'_, C> {
         &mut self.sessions[i]
     }
 
-    /// Refreshes the heap and index entries of every touched node.
+    /// Refreshes the heap and index entries of every touched node, then
+    /// re-arms every node the last migration round walked that no
+    /// reschedule re-armed. Re-arming pushes no certificate entry.
     fn settle(&mut self) {
         while let Some(i) = self.touched.pop() {
             self.reschedule(i);
+        }
+        while let Some(i) = self.unarmed.pop() {
+            if self
+                .slips
+                .as_ref()
+                .is_some_and(|slips| slips.live[i].is_none())
+            {
+                self.arm(i);
+            }
         }
     }
 
@@ -575,18 +679,33 @@ impl<C: ClusterTraceSink> Nodes<NodeTap<C>> for EventHeapLoop<'_, C> {
         }
     }
 
-    /// Reads the node's cached prediction segment: at unit clock scale its
-    /// completions are exactly the monitor's, and an overestimated
-    /// turnaround only costs a walk. A scaled node is always walked.
-    fn deadlines_quiet(&mut self, i: usize, deadline_offset: Cycles) -> bool {
-        if self.sessions[i].clock_scale() != (1, 1) {
-            return false;
+    /// Pops every live slip entry due at or before `t`, adds the nodes
+    /// touched since the last settle (their entries are stale: the
+    /// landings injected just before the round), and sorts them.
+    ///
+    /// `t` is a sound threshold. A node is read at its reach, which rises
+    /// only at a step whose instant it takes, and that step's round popped
+    /// every entry due by then; a walk re-arms a quiet node past its read
+    /// clock and a slipped one at zero. So a node left out is quiet at its
+    /// read clock: its segment is still valid there, and the segment's
+    /// turnarounds are exact, or upper bounds, of the monitor's.
+    fn migration_sources(&mut self, t: Cycles, sources: &mut Vec<usize>) {
+        let slips = self.slips.as_mut().expect("migration keeps the slip heap");
+        sources.clear();
+        while let Some(&Reverse((due, i))) = slips.heap.peek() {
+            if due > t {
+                break;
+            }
+            slips.heap.pop();
+            if slips.live[i] == Some(due) {
+                slips.live[i] = None;
+                sources.push(i);
+            }
         }
-        let at = self.horizon(i);
-        let session = &self.sessions[i];
-        let segment = &mut self.predictions[i];
-        segment.refresh(session, at, &mut self.residents_scratch);
-        segment.max_started_turnaround(session.now_at(at)) <= deadline_offset
+        self.unarmed.extend_from_slice(sources);
+        sources.extend_from_slice(&self.touched);
+        sources.sort_unstable();
+        sources.dedup();
     }
 
     /// The lazily invalidated `bounds` heap's live minimum.
@@ -878,15 +997,20 @@ mod tests {
         max
     }
 
-    /// One segment, kept across a whole random session and queried at
-    /// ascending instants inside each quiet interval the way the loop
-    /// queries it, always reports the walk's largest started turnaround.
-    /// Estimates from half to one and a half times the true length make
-    /// runners overrun (their entries turn clock-relative mid-version), and
-    /// the preemptive schedulers leave started residents ahead of the
-    /// runner.
-    #[test]
-    fn segments_track_the_largest_started_turnaround_through_quiet_intervals() {
+    /// Whether a segment certifies the session quiet at clock `now` for
+    /// the deadline offset `offset`: `now` falls before its slip instant.
+    fn quiet_at(segment: &PredictionSegment, offset: Cycles, now: Cycles) -> bool {
+        segment.slip_due(offset).is_none_or(|due| now < due)
+    }
+
+    /// A random session on one NPU under one of three schedulers, with two
+    /// to six CNN requests whose estimates are `estimate` tenths of their
+    /// true length, drawn from the given range.
+    fn random_session(
+        rng: &mut StdRng,
+        case: usize,
+        estimate: std::ops::Range<u64>,
+    ) -> SimSession<prema_core::NullSink> {
         let npu = NpuConfig::paper_default();
         let configs = [
             SchedulerConfig::paper_default(),
@@ -896,22 +1020,36 @@ mod tests {
                 PreemptionMode::Static(PreemptionMechanism::Checkpoint),
             ),
         ];
+        let sim = NpuSimulator::new(npu.clone(), configs[case % configs.len()].clone());
+        let mut session = sim.session(&[]);
+        for id in 0..rng.gen_range(2u64..7) {
+            let request =
+                TaskRequest::new(TaskId(id), CNN_MODELS[rng.gen_range(0..CNN_MODELS.len())])
+                    .with_priority(Priority::ALL[rng.gen_range(0usize..3)])
+                    .with_arrival(Cycles::new(rng.gen_range(0u64..4_000_000)));
+            let exact = PreparedTask::prepare(request, &npu).isolated_cycles();
+            let estimate = Cycles::new(exact.get() * rng.gen_range(estimate.clone()) / 10);
+            session
+                .inject(PreparedTask::prepare(request.with_estimate(estimate), &npu))
+                .expect("ids are unique");
+        }
+        session
+    }
+
+    /// One segment, kept across a whole random session and queried at
+    /// ascending instants inside each quiet interval the way the loop
+    /// queries it, certifies exactly the walk's largest started
+    /// turnaround: quiet at that offset, slipped one cycle below it.
+    /// Estimates from half to one and a half times the true length make
+    /// runners overrun (their entries turn clock-relative mid-version), and
+    /// the preemptive schedulers leave started residents ahead of the
+    /// runner.
+    #[test]
+    fn segments_track_the_largest_started_turnaround_through_quiet_intervals() {
         let mut rng = StdRng::seed_from_u64(0x5E67);
         let mut grown = 0usize;
         for case in 0..48 {
-            let sim = NpuSimulator::new(npu.clone(), configs[case % configs.len()].clone());
-            let mut session = sim.session(&[]);
-            for id in 0..rng.gen_range(2u64..7) {
-                let request =
-                    TaskRequest::new(TaskId(id), CNN_MODELS[rng.gen_range(0..CNN_MODELS.len())])
-                        .with_priority(Priority::ALL[rng.gen_range(0usize..3)])
-                        .with_arrival(Cycles::new(rng.gen_range(0u64..4_000_000)));
-                let exact = PreparedTask::prepare(request, &npu).isolated_cycles();
-                let estimate = Cycles::new(exact.get() * rng.gen_range(5u64..16) / 10);
-                session
-                    .inject(PreparedTask::prepare(request.with_estimate(estimate), &npu))
-                    .expect("ids are unique");
-            }
+            let mut session = random_session(&mut rng, case, 5..16);
             let mut segment = PredictionSegment::default();
             let mut scratch = Vec::new();
             // A preemptive session can take many wakeups to drain; a
@@ -923,10 +1061,11 @@ mod tests {
                 let mut at = session.now();
                 while at < event {
                     segment.refresh(&session, at, &mut scratch);
-                    let turnaround = segment.max_started_turnaround(session.now_at(at));
-                    assert_eq!(
-                        turnaround,
-                        walked_max_turnaround(&session, at),
+                    let now = session.now_at(at);
+                    let walked = walked_max_turnaround(&session, at);
+                    assert!(quiet_at(&segment, walked, now), "case {case} at {at:?}");
+                    assert!(
+                        walked.is_zero() || !quiet_at(&segment, walked - Cycles::new(1), now),
                         "case {case} at {at:?}"
                     );
                     grown +=
@@ -940,5 +1079,50 @@ mod tests {
             grown > 100,
             "clock-relative turnarounds are read after their rebuild"
         );
+    }
+
+    /// No deadline slips before the slip instant: with the segment
+    /// refreshed at the session clock and any offset at or above the
+    /// walk's largest started turnaround there, every instant of the
+    /// quiet interval before `slip_due(offset)` walks a largest started
+    /// turnaround at or below the offset. Estimates from 0.3 to 1.5 times
+    /// the true length make runners overrun, so the slip instant's cap at
+    /// the segment's rebuild matters.
+    #[test]
+    fn no_deadline_slips_before_the_slip_instant() {
+        let mut rng = StdRng::seed_from_u64(0x511D);
+        let (mut checked, mut capped) = (0usize, 0usize);
+        for case in 0..48 {
+            let mut session = random_session(&mut rng, case, 3..16);
+            let mut segment = PredictionSegment::default();
+            let mut scratch = Vec::new();
+            for _ in 0..10_000 {
+                let Some(event) = session.next_event_time() else {
+                    break;
+                };
+                let now = session.now();
+                segment.refresh(&session, now, &mut scratch);
+                let span = (event - now).get();
+                let offset =
+                    walked_max_turnaround(&session, now) + Cycles::new(rng.gen_range(0..=span));
+                let due = segment.slip_due(offset).unwrap_or(Cycles::MAX);
+                capped += usize::from(due < event && due == segment.valid_until + Cycles::new(1));
+                let end = due.min(event);
+                if end > now {
+                    let last = end - Cycles::new(1);
+                    let drawn = Cycles::new(rng.gen_range(now.get()..=last.get()));
+                    for at in [now, drawn, last] {
+                        assert!(
+                            walked_max_turnaround(&session, at) <= offset,
+                            "case {case}: slipped at {at:?} before {due:?}"
+                        );
+                        checked += 1;
+                    }
+                }
+                let _ = session.run_until(event);
+            }
+        }
+        assert!(checked > 1_000, "quiet intervals are checked");
+        assert!(capped > 10, "the rebuild instant caps some slip instants");
     }
 }

@@ -23,7 +23,9 @@
 //! through their projections and advances only a move's source and landing
 //! target.) At every step it runs a *migration round*:
 //!
-//! 1. **Deadline check.** Per source node, residents are walked in the
+//! 1. **Deadline check.** Per source node (`Nodes::migration_sources`:
+//!    every node under the reference, only the nodes whose deadline can
+//!    have slipped under the event heap), residents are walked in the
 //!    preemptive scheduler's drain order (priority, then arrival, then id);
 //!    each task's predicted completion is the node clock plus the
 //!    *clock-scaled* wall time of the backlog at or ahead of it. The first
@@ -222,6 +224,12 @@ impl MigrationConfig {
         self
     }
 
+    /// `sla + margin`, in cycles: each task's deadline is its arrival plus
+    /// this.
+    pub(crate) fn deadline_offset(&self, npu: &NpuConfig) -> Cycles {
+        npu.millis_to_cycles(self.sla_ms + MIGRATION_MARGIN_MS)
+    }
+
     /// Validates the configuration.
     ///
     /// # Errors
@@ -414,6 +422,13 @@ impl CustodyLedger {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// How many source nodes this thread's migration rounds walked: a
+    /// test-only work tally, read by no outcome, digest or trace.
+    pub(crate) static WALKED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// The migration decision machine of the shared closed-loop timeline (see
 /// the module docs): the deadline monitor, the stay-vs-move arbiter, the
 /// in-flight transfer queue, the custody ledger and the outcome tally. Every
@@ -424,8 +439,8 @@ pub(crate) struct MigrationDriver<'a> {
     config: &'a MigrationConfig,
     npu: &'a NpuConfig,
     checkpoint: CheckpointModel,
-    /// `sla + margin`, in cycles: each task's deadline is its arrival plus
-    /// this.
+    /// Each task's deadline is its arrival plus this
+    /// ([`MigrationConfig::deadline_offset`]).
     deadline_offset: Cycles,
     /// The run's per-directed-link fault windows, shared with the fault
     /// driver; empty means a perfect fabric (uniform pricing, everything
@@ -437,6 +452,8 @@ pub(crate) struct MigrationDriver<'a> {
     pending: BTreeMap<(Cycles, u64), PendingMigration>,
     seq: u64,
     budget_used: Vec<u32>,
+    /// Scratch for one round's source nodes ([`Nodes::migration_sources`]).
+    sources: Vec<usize>,
     /// Scratch for one source node's resident scan.
     residents: Vec<ResidentTask>,
     ledger: CustodyLedger,
@@ -454,7 +471,7 @@ impl<'a> MigrationDriver<'a> {
             config,
             npu,
             checkpoint: CheckpointModel::new(npu),
-            deadline_offset: npu.millis_to_cycles(config.sla_ms + MIGRATION_MARGIN_MS),
+            deadline_offset: config.deadline_offset(npu),
             links,
             timeout: config
                 .custody
@@ -462,6 +479,7 @@ impl<'a> MigrationDriver<'a> {
             pending: BTreeMap::new(),
             seq: 0,
             budget_used: vec![0; nodes],
+            sources: Vec::new(),
             residents: Vec::new(),
             ledger: CustodyLedger::default(),
             tally: MigrationTally::default(),
@@ -491,11 +509,13 @@ impl<'a> MigrationDriver<'a> {
 
     /// One migration round at global instant `t` over the nodes as seen at
     /// `t` (see [`Nodes`]): per source node in index order, find the first
-    /// deadline-blown started task in drain order (skipping a source the
-    /// view certifies has none), price stay-vs-move over
+    /// deadline-blown started task in drain order, price stay-vs-move over
     /// the live link state, and (budget and hysteresis permitting) extract
     /// it and put it in flight. At most one evacuation per source per
-    /// round. Closes with the custody reconciliation check.
+    /// round. The sources are the nodes [`Nodes::migration_sources`] yields:
+    /// every node under the reference, only the nodes whose deadline can
+    /// have slipped under the event heap. Closes with the custody
+    /// reconciliation check.
     ///
     /// The trace sink is borrowed only *between* session calls — the
     /// sessions' own taps borrow the same cell from inside `checkpoint_out`.
@@ -505,20 +525,31 @@ impl<'a> MigrationDriver<'a> {
         t: Cycles,
         trace: &RefCell<C>,
     ) {
-        for from in 0..nodes.sessions().len() {
-            if nodes.sessions()[from].stalled_until().is_some()
-                || self.budget_used[from] >= MIGRATION_NODE_BUDGET
-            {
-                continue;
-            }
-            if nodes.deadlines_quiet(from, self.deadline_offset) {
+        let mut sources = std::mem::take(&mut self.sources);
+        nodes.migration_sources(t, &mut sources);
+        // The oracle of the sources: a node left out is stalled, over
+        // budget or holds no deadline candidate. The reference leaves no
+        // node out, so heap ≡ reference checks every node left out.
+        #[cfg(debug_assertions)]
+        {
+            let mut listed = sources.iter().peekable();
+            for from in 0..nodes.sessions().len() {
+                if listed.next_if_eq(&&from).is_some() || self.skips(nodes.sessions(), from) {
+                    continue;
+                }
                 debug_assert!(
                     self.deadline_candidate(&nodes.sessions()[from], nodes.horizon(from))
                         .is_none(),
-                    "node {from} reported quiet with a slipped deadline at {t:?}"
+                    "node {from} left out of the migration round with a slipped deadline at {t:?}"
                 );
+            }
+        }
+        for &from in &sources {
+            if self.skips(nodes.sessions(), from) {
                 continue;
             }
+            #[cfg(test)]
+            WALKED.with(|walked| walked.set(walked.get() + 1));
             let Some((id, priority, remaining, stay)) =
                 self.deadline_candidate(&nodes.sessions()[from], nodes.horizon(from))
             else {
@@ -591,6 +622,7 @@ impl<'a> MigrationDriver<'a> {
             self.ledger.depart(id);
             self.launch(salvage, from, to, 1, transfer, t);
         }
+        self.sources = sources;
         self.ledger.check(self.pending.len());
         if C::ENABLED && self.custody_enabled() {
             trace.borrow_mut().cluster_event(
@@ -602,6 +634,12 @@ impl<'a> MigrationDriver<'a> {
                 },
             );
         }
+    }
+
+    /// Whether a round passes over source `from`: it is stalled, or it has
+    /// spent its evacuation budget.
+    fn skips<S: TraceSink>(&self, sessions: &[SimSession<S>], from: usize) -> bool {
+        sessions[from].stalled_until().is_some() || self.budget_used[from] >= MIGRATION_NODE_BUDGET
     }
 
     /// The deadline monitor over one source node: walks residents in drain

@@ -654,8 +654,8 @@ impl Books {
 /// A node strategy: how one closed-loop driver keeps the node sessions and
 /// decides over them. The shared [`Timeline`] owns everything else, so
 /// heap ≡ reference checks exactly what a strategy owns: which nodes a step
-/// advances, and how each decision (dispatch, admission, stealing, the
-/// migration deadline skip) reads them.
+/// advances, and how each decision (dispatch, admission, stealing, which
+/// nodes a migration round walks) reads them.
 ///
 /// Reads of node `i` go through its `*_at(horizon(i))` projections. A
 /// mutation goes through [`Nodes::session_mut`], which first brings the
@@ -678,13 +678,14 @@ pub(crate) trait Nodes<S: TraceSink> {
     /// A fault window edge at `t` moved node `node`'s dispatch penalty
     /// tier.
     fn retier(&mut self, _node: usize, _faults: &FaultDriver<'_>, _t: Cycles) {}
-    /// Whether node `i` is known, at its horizon, to hold no started
-    /// resident whose predicted completion is past `arrival +
-    /// deadline_offset`, so the migration deadline monitor may skip its
-    /// walk. `false` means "walk it": the reference walks every node, so
-    /// heap ≡ reference checks every skip.
-    fn deadlines_quiet(&mut self, _i: usize, _deadline_offset: Cycles) -> bool {
-        false
+    /// The nodes a migration round at step instant `t` walks, ascending,
+    /// into `sources`: at least every node, stalled and over-budget ones
+    /// aside, whose deadline monitor finds a started resident past its
+    /// deadline. The reference yields every node, so heap ≡ reference
+    /// checks every node the event heap leaves out.
+    fn migration_sources(&mut self, _t: Cycles, sources: &mut Vec<usize>) {
+        sources.clear();
+        sources.extend(0..self.sessions().len());
     }
     /// The earliest `next_completion_time` over all nodes: where the next
     /// step between two timeline instants lands.
@@ -1808,6 +1809,45 @@ mod tests {
             let node = &heap.cluster.node_outcomes[assignment.node];
             assert!(node.record(assignment.task).is_some());
         }
+    }
+
+    /// A migration round walks only the nodes whose deadline can slip: on
+    /// a 32-node storm at load 1 with crash, freeze and straggler windows,
+    /// the event-heap loop walks fewer than half the nodes the reference
+    /// walks (every node that is neither stalled nor over budget, at every
+    /// round), with the same outcome. Debug builds also check every node
+    /// it leaves out.
+    #[test]
+    fn migration_rounds_walk_only_nodes_whose_deadline_can_slip() {
+        use crate::migration::WALKED;
+        use prema_workload::FaultProcess;
+        let tasks = prepared(1.6, 40.0, 0x51B);
+        let mut rng = StdRng::seed_from_u64(0x51C);
+        let schedule = FaultProcess::crashes(8, 30.0, 3.0, 40.0)
+            .with_freeze_fraction(0.2)
+            .with_degradation(0.4, 1, 8)
+            .generate(&mut rng);
+        let config = OnlineClusterConfig::new(
+            32,
+            SchedulerConfig::paper_default(),
+            OnlineDispatchPolicy::Predictive,
+        )
+        .with_faults(ClusterFaultPlan::new(schedule))
+        .with_migration(MigrationConfig::new(40.0));
+        let simulator = OnlineClusterSimulator::new(config);
+        let walked = |run: &dyn Fn() -> OnlineOutcome| {
+            let before = WALKED.with(std::cell::Cell::get);
+            let outcome = run();
+            (outcome, WALKED.with(std::cell::Cell::get) - before)
+        };
+        let (heap, heap_walks) = walked(&|| simulator.run(&tasks));
+        let (reference, reference_walks) = walked(&|| simulator.run_reference(&tasks));
+        assert_eq!(heap, reference);
+        assert!(heap.migrations > 0, "the storm must migrate");
+        assert!(
+            heap_walks * 2 < reference_walks,
+            "the event heap walked {heap_walks} nodes, the reference {reference_walks}"
+        );
     }
 
     #[test]

@@ -464,7 +464,7 @@ impl Runtime {
         }
     }
 
-    fn view(&self, is_running: bool, total_wait: Cycles) -> TaskView {
+    fn view(&self, is_running: bool) -> TaskView {
         TaskView {
             id: self.prepared.request.id,
             priority: self.prepared.request.priority,
@@ -472,7 +472,6 @@ impl Runtime {
             tokens: self.tokens,
             estimated_total: self.estimated,
             executed: self.cursor.executed(),
-            waited: self.effective_waited(total_wait),
             last_scheduled: self.last_scheduled,
             is_running,
         }
@@ -867,23 +866,20 @@ impl EngineState {
     /// buffer, so this allocates nothing in steady state.
     fn build_views(&mut self, running: Option<usize>) -> &[TaskView] {
         self.views.clear();
-        let total_wait = self.total_wait;
         let running_id = running.map(|idx| self.runtimes[idx].id());
         let mut running_placed = running.is_none();
         for &idx in &self.waiting {
             if let (false, Some(run_idx)) = (running_placed, running) {
                 if self.runtimes[run_idx].id() < self.runtimes[idx].id() {
-                    self.views
-                        .push(self.runtimes[run_idx].view(true, total_wait));
+                    self.views.push(self.runtimes[run_idx].view(true));
                     running_placed = true;
                 }
             }
             debug_assert_ne!(Some(self.runtimes[idx].id()), running_id);
-            self.views.push(self.runtimes[idx].view(false, total_wait));
+            self.views.push(self.runtimes[idx].view(false));
         }
         if let (false, Some(run_idx)) = (running_placed, running) {
-            self.views
-                .push(self.runtimes[run_idx].view(true, total_wait));
+            self.views.push(self.runtimes[run_idx].view(true));
         }
         &self.views
     }

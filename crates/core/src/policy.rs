@@ -30,8 +30,6 @@ pub struct TaskView {
     pub estimated_total: Cycles,
     /// Cycles executed so far.
     pub executed: Cycles,
-    /// Cycles spent waiting in the ready queue so far.
-    pub waited: Cycles,
     /// When the task last started running on the NPU, if ever.
     pub last_scheduled: Option<Cycles>,
     /// Whether the task is the one currently running.
@@ -213,7 +211,6 @@ mod tests {
             tokens: priority.token_grant(),
             estimated_total: Cycles::new(1_000_000),
             executed: Cycles::ZERO,
-            waited: Cycles::ZERO,
             last_scheduled: None,
             is_running: false,
         }

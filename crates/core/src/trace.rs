@@ -248,7 +248,6 @@ mod tests {
             tokens,
             estimated_total: Cycles::new(100),
             executed: Cycles::ZERO,
-            waited: Cycles::ZERO,
             last_scheduled: None,
             is_running: false,
         }

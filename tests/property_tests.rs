@@ -230,7 +230,6 @@ fn select_is_a_total_order_over_the_views() {
                 tokens: [0.5, 1.0, 3.0, 4.5, 9.0][rng.gen_range(0usize..5)],
                 estimated_total: Cycles::new(rng.gen_range(1u64..4) * 100),
                 executed: Cycles::new(rng.gen_range(0u64..3) * 100),
-                waited: Cycles::new(rng.gen_range(0u64..3)),
                 last_scheduled: rng
                     .gen_bool(0.5)
                     .then(|| Cycles::new(rng.gen_range(0u64..3))),
