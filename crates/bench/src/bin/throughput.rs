@@ -638,7 +638,10 @@ fn suite(args: &Args) -> Result<Report, String> {
                 "replayed_token_grants" => grid.replayed_token_grants,
                 "preemptions" => grid.preemptions,
             },
-            "plan_cache" => object! { "hits" => cache.hits, "misses" => cache.misses },
+            "plan_cache" => object! {
+                "hits" => cache.hits, "misses" => cache.misses,
+                "layers" => cache.layers, "lowered" => cache.lowered,
+            },
             "predictor_cache" => object! { "hits" => estimates.hits, "misses" => estimates.misses },
         },
         "outcomes_identical" => fast == reference,

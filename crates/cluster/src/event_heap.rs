@@ -281,8 +281,12 @@ struct SlipHeap {
     /// holds it; stale entries are dropped at pop time.
     heap: BinaryHeap<Reverse<(Cycles, usize)>>,
     /// Each node's live slip instant: `None` while unarmed (stalled,
-    /// nothing can slip, or popped and awaiting its re-arm at `settle`).
+    /// retired, nothing can slip, or popped and awaiting its re-arm at
+    /// `settle`).
     live: Vec<Option<Cycles>>,
+    /// Nodes that spent their evacuation budget ([`Nodes::retire_source`]):
+    /// rounds skip them for the rest of the run, so they stay unarmed.
+    retired: Vec<bool>,
 }
 
 impl SlipHeap {
@@ -390,6 +394,7 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
                 offset: migration.deadline_offset(&config.npu),
                 heap: BinaryHeap::with_capacity(nodes * 2),
                 live: vec![None; nodes],
+                retired: vec![false; nodes],
             }),
             unarmed: Vec::new(),
             due_scratch: Vec::with_capacity(nodes),
@@ -432,15 +437,15 @@ impl<'a, C: ClusterTraceSink> EventHeapLoop<'a, C> {
     /// Arms node `i`'s deadline-slip entry from its prediction segment,
     /// read at its horizon. A stalled node is not armed: rounds skip it,
     /// and its stall status changes only through a call that reschedules
-    /// it. A degraded (clock-scaled) node is always due. A slip instant at
-    /// or before the read clock arms at zero, so the node stays due at
-    /// every step until it is re-armed, including steps that revisit the
-    /// past.
+    /// it. Nor is a retired one: rounds skip it for good. A degraded
+    /// (clock-scaled) node is always due. A slip instant at or before the
+    /// read clock arms at zero, so the node stays due at every step until
+    /// it is re-armed, including steps that revisit the past.
     fn arm(&mut self, i: usize) {
         let at = self.horizon(i);
         let slips = self.slips.as_mut().expect("arming needs migration");
         let session = &self.sessions[i];
-        let due = if session.stalled_until().is_some() {
+        let due = if slips.retired[i] || session.stalled_until().is_some() {
             None
         } else if session.clock_scale() != (1, 1) {
             Some(Cycles::ZERO)
@@ -706,6 +711,14 @@ impl<C: ClusterTraceSink> Nodes<NodeTap<C>> for EventHeapLoop<'_, C> {
         sources.extend_from_slice(&self.touched);
         sources.sort_unstable();
         sources.dedup();
+    }
+
+    /// Retires node `i` from the slip schedule: its live entry goes stale
+    /// (dropped at pop time) and [`Self::arm`] never arms it again.
+    fn retire_source(&mut self, i: usize) {
+        let slips = self.slips.as_mut().expect("migration keeps the slip heap");
+        slips.retired[i] = true;
+        slips.live[i] = None;
     }
 
     /// The lazily invalidated `bounds` heap's live minimum.
@@ -1124,5 +1137,58 @@ mod tests {
         }
         assert!(checked > 1_000, "quiet intervals are checked");
         assert!(capped > 10, "the rebuild instant caps some slip instants");
+    }
+
+    /// A migration source that spent its evacuation budget is never armed
+    /// again: retiring it drops its live slip entry, and neither a
+    /// reschedule nor a settle re-arms it, while its peer stays armed.
+    #[test]
+    fn a_retired_migration_source_is_never_armed_again() {
+        use crate::migration::MigrationConfig;
+        use crate::trace::NullClusterSink;
+        use dnn_models::ModelKind;
+        use prema_core::{NpuSimulator, SchedulerConfig};
+
+        // A 1 µs SLA: every started task is past its deadline.
+        let config = OnlineClusterConfig::new(
+            2,
+            SchedulerConfig::paper_default(),
+            OnlineDispatchPolicy::Predictive,
+        )
+        .with_migration(MigrationConfig::new(0.001));
+        let trace = Rc::new(RefCell::new(NullClusterSink));
+        let simulator = NpuSimulator::new(config.npu.clone(), config.scheduler.clone());
+        let sessions = (0..2)
+            .map(|node| simulator.session_with_sink(&[], NodeTap::new(node, Rc::clone(&trace))))
+            .collect();
+        let mut nodes = EventHeapLoop::new(&config, sessions, trace);
+        for node in 0..2 {
+            let request = TaskRequest::new(TaskId(node as u64), ModelKind::CnnVggNet);
+            let session = nodes.session_mut(node);
+            session
+                .inject(PreparedTask::prepare(request, &config.npu))
+                .expect("ids are unique");
+            let _ = session.run_until(Cycles::new(1_000));
+        }
+        nodes.settle();
+        let live = |nodes: &EventHeapLoop<'_, NullClusterSink>| {
+            nodes.slips.as_ref().expect("migration is on").live.clone()
+        };
+        assert!(live(&nodes).iter().all(Option::is_some), "both nodes armed");
+
+        nodes.retire_source(0);
+        for node in 0..2 {
+            let _ = nodes.session_mut(node);
+        }
+        nodes.settle();
+        nodes.arm(0);
+        assert_eq!(live(&nodes)[0], None, "a reschedule leaves node 0 unarmed");
+        let mut sources = Vec::new();
+        nodes.migration_sources(Cycles::MAX, &mut sources);
+        assert_eq!(sources, [1], "only node 1's entry is live");
+        nodes.settle();
+        let live = live(&nodes);
+        assert_eq!(live[0], None, "a settle leaves node 0 unarmed");
+        assert!(live[1].is_some(), "a settle re-arms node 1");
     }
 }

@@ -594,6 +594,9 @@ impl<'a> MigrationDriver<'a> {
                 .checkpoint_out(id)
                 .expect("the previewed task is still checkpointable");
             self.budget_used[from] += 1;
+            if self.budget_used[from] == MIGRATION_NODE_BUDGET {
+                nodes.retire_source(from);
+            }
             let due = t + transfer;
             self.tally.migrations += 1;
             self.tally.migration_bytes += bytes;

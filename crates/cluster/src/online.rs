@@ -687,6 +687,10 @@ pub(crate) trait Nodes<S: TraceSink> {
         sources.clear();
         sources.extend(0..self.sessions().len());
     }
+    /// Node `i` spent its last evacuation: no later round walks it, so a
+    /// strategy may stop yielding it from [`Nodes::migration_sources`].
+    /// The reference walks every node anyway.
+    fn retire_source(&mut self, _i: usize) {}
     /// The earliest `next_completion_time` over all nodes: where the next
     /// step between two timeline instants lands.
     fn next_bound(&mut self) -> Option<Cycles>;

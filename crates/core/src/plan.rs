@@ -1,11 +1,11 @@
 //! Execution plans: a task's DNN compiled down to preemption intervals.
 //!
-//! Before a request is dispatched to the NPU, its network (at the request's
-//! batch size and actual sequence lengths) is lowered layer by layer onto the
-//! NPU timing model. The result is an [`ExecutionPlan`]: for every layer, a
-//! short list of [`PreemptionInterval`]s whose boundaries are the legal
-//! CHECKPOINT preemption points and which carry the live output-activation
-//! footprint at each point.
+//! Before a request is dispatched to the NPU, its model (at the request's
+//! batch size and actual sequence lengths) is lowered onto the NPU timing
+//! model. The result is an [`ExecutionPlan`]: for every layer, a short list
+//! of [`PreemptionInterval`]s whose boundaries are the legal CHECKPOINT
+//! preemption points and which carry the live output-activation footprint
+//! at each point.
 //!
 //! [`ProgressCursor`] tracks how far through its plan a task has executed,
 //! supports advancing by an arbitrary number of cycles, and answers the two
@@ -23,9 +23,17 @@
 //! An unrolled RNN executes the same cell at every timestep, so most of a
 //! plan's layers repeat an earlier layer of the same plan exactly (98.7 %
 //! or more of the layers in the host-time benchmark's plans). Layer timing
-//! is a pure function of the lowered work and the NPU configuration, so
-//! [`ExecutionPlan::compile`] models each distinct lowered layer once and
-//! the plan stores:
+//! is a pure function of the layer's shape, the batch and the NPU
+//! configuration, so [`ExecutionPlan::compile`] compiles from the model's
+//! distinct layer shapes ([`dnn_models::LayerShapes`], from
+//! [`ModelKind::shapes`]): it lowers and times each distinct shape once and
+//! lays the plan out from the shapes' execution order. It never builds the
+//! named network, so an unrolled layer costs a shape comparison and a
+//! `u32` push, not a formatted name, a lowering and a comparison of lowered
+//! works. No two shapes of a model lower to the same work, so the plan
+//! equals the per-layer compile (build the network, lower every layer,
+//! dedupe the works); that compile survives as the tests' oracle. The plan
+//! stores:
 //!
 //! - the distinct [`LayerPlan`]s, each with its local prefix-sum table;
 //! - per layer, in execution order, only the index of its distinct layer
@@ -55,9 +63,9 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use dnn_models::lowering::lower_network;
+use dnn_models::lowering::lower_layer;
 use dnn_models::{ModelKind, SeqSpec};
-use npu_sim::{Cycles, LayerTiming, NpuConfig, PreemptionInterval};
+use npu_sim::{Cycles, LayerTiming, LayerWork, NpuConfig, PreemptionInterval};
 
 /// The modelled execution of one layer: its preemption intervals.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -93,7 +101,9 @@ pub struct ExecutionPlan {
 }
 
 /// Splits `items` into its distinct values, in order of first appearance,
-/// and the index of each item's value among them.
+/// and the index of each item's value among them. The tests' per-layer
+/// compile oracle dedupes lowered works with it.
+#[cfg(test)]
 fn dedupe<T: PartialEq>(items: Vec<T>) -> (Vec<T>, Vec<u32>) {
     let mut distinct: Vec<T> = Vec::new();
     let order = items
@@ -109,28 +119,46 @@ fn dedupe<T: PartialEq>(items: Vec<T>) -> (Vec<T>, Vec<u32>) {
     (distinct, order)
 }
 
+impl LayerPlan {
+    /// Times one lowered layer on the NPU described by `cfg`.
+    fn model(work: &LayerWork, cfg: &NpuConfig) -> Self {
+        let timing = LayerTiming::model(work, cfg);
+        let total_cycles = timing.total_cycles();
+        let macs = timing.macs();
+        LayerPlan {
+            intervals: timing.into_intervals(),
+            total_cycles,
+            macs,
+        }
+    }
+}
+
 impl ExecutionPlan {
     /// Compiles `model` at `batch`/`seq` onto the NPU described by `cfg`.
     ///
-    /// Each distinct lowered layer is timed once, however often the network
-    /// executes it.
+    /// Lowers and times each distinct layer shape ([`ModelKind::shapes`])
+    /// once, however often the network executes it, and lays the plan out
+    /// in execution order. No network is built and no layer is named.
     pub fn compile(model: ModelKind, batch: u64, seq: SeqSpec, cfg: &NpuConfig) -> Self {
-        let network = model.build(batch, seq);
-        let (works, order) = dedupe(lower_network(&network, batch));
-        let layers = works
+        Self::compile_counting(model, batch, seq, cfg).0
+    }
+
+    /// [`Self::compile`], also returning how many layers it lowered: one
+    /// per distinct shape.
+    fn compile_counting(
+        model: ModelKind,
+        batch: u64,
+        seq: SeqSpec,
+        cfg: &NpuConfig,
+    ) -> (Self, usize) {
+        let (shapes, mut order) = model.shapes(batch, seq).into_parts();
+        // The order grew by pushes; the plan keeps it for its lifetime.
+        order.shrink_to_fit();
+        let layers = shapes
             .iter()
-            .map(|work| {
-                let timing = LayerTiming::model(work, cfg);
-                let total_cycles = timing.total_cycles();
-                let macs = timing.macs();
-                LayerPlan {
-                    intervals: timing.into_intervals(),
-                    total_cycles,
-                    macs,
-                }
-            })
+            .map(|shape| LayerPlan::model(&lower_layer(shape, batch), cfg))
             .collect();
-        Self::from_distinct(layers, order)
+        (Self::from_distinct(layers, order), shapes.len())
     }
 
     /// Assembles a plan from per-layer plans in execution order, sharing
@@ -324,6 +352,8 @@ pub mod plan_cache {
     static SHARDS: OnceLock<Vec<Shard>> = OnceLock::new();
     static HITS: AtomicU64 = AtomicU64::new(0);
     static MISSES: AtomicU64 = AtomicU64::new(0);
+    static LAYERS: AtomicU64 = AtomicU64::new(0);
+    static LOWERED: AtomicU64 = AtomicU64::new(0);
 
     fn shards() -> &'static [Shard] {
         SHARDS.get_or_init(|| {
@@ -350,6 +380,11 @@ pub mod plan_cache {
         pub misses: u64,
         /// Plans currently resident.
         pub entries: usize,
+        /// Executed layers of the plans compiled on a miss.
+        pub layers: u64,
+        /// Layers those compiles lowered and timed: one per distinct layer
+        /// shape of each plan, far below `layers` for unrolled RNNs.
+        pub lowered: u64,
     }
 
     impl CacheStats {
@@ -385,10 +420,20 @@ pub mod plan_cache {
         // parallel suite would otherwise serialize on first touch. A racing
         // compile of the same key produces an identical plan; first insert
         // wins and the loser's work is discarded.
-        MISSES.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(ExecutionPlan::compile(model, batch, seq, cfg));
+        let plan = compile(&key);
         let mut map = shard.lock().expect("plan cache poisoned");
         Arc::clone(map.entry(key).or_insert(plan))
+    }
+
+    /// Compiles `key`'s plan as a miss, counting its layers and the layers
+    /// it lowered.
+    fn compile(key: &PlanKey) -> Arc<ExecutionPlan> {
+        let (plan, lowered) =
+            ExecutionPlan::compile_counting(key.model, key.batch, key.seq, &key.npu);
+        MISSES.fetch_add(1, Ordering::Relaxed);
+        LAYERS.fetch_add(plan.layer_count() as u64, Ordering::Relaxed);
+        LOWERED.fetch_add(lowered as u64, Ordering::Relaxed);
+        Arc::new(plan)
     }
 
     /// Pre-compiles every not-yet-cached `(model, batch, seq)` key for `cfg`,
@@ -422,20 +467,13 @@ pub mod plan_cache {
                 missing.push(key);
             }
         }
-        let compiled_count = missing.len();
-        let compile = |key: &PlanKey| -> (PlanKey, Arc<ExecutionPlan>) {
-            let plan = Arc::new(ExecutionPlan::compile(
-                key.model, key.batch, key.seq, &key.npu,
-            ));
-            (key.clone(), plan)
-        };
-        let compiled: Vec<(PlanKey, Arc<ExecutionPlan>)> = if parallel && missing.len() > 1 {
+        let compiled: Vec<Arc<ExecutionPlan>> = if parallel && missing.len() > 1 {
             missing.par_iter().map(compile).collect()
         } else {
             missing.iter().map(compile).collect()
         };
-        MISSES.fetch_add(compiled_count as u64, Ordering::Relaxed);
-        for (key, plan) in compiled {
+        let compiled_count = compiled.len();
+        for (key, plan) in missing.into_iter().zip(compiled) {
             let shard = shard_of(&key);
             let mut map = shard.lock().expect("plan cache poisoned");
             map.entry(key).or_insert(plan);
@@ -448,6 +486,8 @@ pub mod plan_cache {
         CacheStats {
             hits: HITS.load(Ordering::Relaxed),
             misses: MISSES.load(Ordering::Relaxed),
+            layers: LAYERS.load(Ordering::Relaxed),
+            lowered: LOWERED.load(Ordering::Relaxed),
             entries: shards()
                 .iter()
                 .map(|s| s.lock().expect("plan cache poisoned").len())
@@ -460,8 +500,9 @@ pub mod plan_cache {
         for shard in shards() {
             shard.lock().expect("plan cache poisoned").clear();
         }
-        HITS.store(0, Ordering::Relaxed);
-        MISSES.store(0, Ordering::Relaxed);
+        for counter in [&HITS, &MISSES, &LAYERS, &LOWERED] {
+            counter.store(0, Ordering::Relaxed);
+        }
     }
 }
 
@@ -782,6 +823,7 @@ pub mod reference {
 mod tests {
     use super::reference::ReferenceCursor;
     use super::*;
+    use dnn_models::lowering::lower_network;
 
     fn cfg() -> NpuConfig {
         NpuConfig::paper_default()
@@ -1071,33 +1113,54 @@ mod tests {
         }
     }
 
-    /// The deduplicated plan must equal modelling every lowered layer on its
-    /// own: a dedupe key coarser than the lowered work would hand a layer
-    /// another layer's timing, which the cursor tests cannot see (both
-    /// cursors would read the same wrong layer).
+    /// The plan oracle: build the named network, lower every layer, dedupe
+    /// the lowered works by equality, time each distinct work once and lay
+    /// the plan out in execution order.
+    fn compile_per_layer(
+        model: ModelKind,
+        batch: u64,
+        seq: SeqSpec,
+        c: &NpuConfig,
+    ) -> ExecutionPlan {
+        let (works, order) = dedupe(lower_network(&model.build(batch, seq), batch));
+        let layers = works.iter().map(|work| LayerPlan::model(work, c)).collect();
+        ExecutionPlan::from_distinct(layers, order)
+    }
+
+    /// The plan compiled from shapes must equal the per-layer oracle, plan
+    /// for plan: a dedupe key coarser than the lowered work would hand a
+    /// layer another layer's timing, and one finer would store a layer
+    /// twice; the cursor tests see neither (both cursors would read the
+    /// same plan). Covers every model at six batches and, per RNN, 120
+    /// (input, output) length pairs.
     #[test]
     fn deduplicated_plan_equals_the_per_layer_compile() {
         let c = cfg();
-        for &model in &dnn_models::ALL_EVAL_MODELS {
-            for batch in [1u64, 4, 16] {
-                for input_len in [5u64, 20, 40] {
-                    let seq = SeqSpec::for_model(model, input_len);
+        let lengths = [1u64, 2, 3, 5, 8, 13, 21, 34, 50, 100];
+        let rnn_seqs: Vec<SeqSpec> = lengths
+            .iter()
+            .flat_map(|&input| {
+                lengths
+                    .iter()
+                    .chain(&[55, 150])
+                    .map(move |&output| SeqSpec::new(input, output))
+            })
+            .collect();
+        assert!(rnn_seqs.len() >= 100);
+        let models = dnn_models::ALL_EVAL_MODELS
+            .into_iter()
+            .chain([ModelKind::ResNet50]);
+        for model in models {
+            let seqs = if model.is_rnn() {
+                &rnn_seqs[..]
+            } else {
+                &[SeqSpec::none()][..]
+            };
+            for batch in [1u64, 2, 3, 4, 8, 16] {
+                for &seq in seqs {
                     let plan = ExecutionPlan::compile(model, batch, seq, &c);
-                    let works = lower_network(&model.build(batch, seq), batch);
-                    let context = format!("{model:?} batch {batch} input {input_len}");
-                    assert_eq!(plan.layer_count(), works.len(), "{context}");
-                    for (layer, work) in plan.layers().zip(&works) {
-                        let timing = LayerTiming::model(work, &c);
-                        assert_eq!(layer.intervals, timing.intervals(), "{context}");
-                        assert_eq!(layer.total_cycles, timing.total_cycles(), "{context}");
-                        assert_eq!(layer.macs, timing.macs(), "{context}");
-                    }
-                    let cycles: Cycles = plan.layers().map(|l| l.total_cycles).sum();
-                    let macs: u64 = plan.layers().map(|l| l.macs).sum();
-                    let intervals: usize = plan.layers().map(|l| l.intervals.len()).sum();
-                    assert_eq!(plan.total_cycles(), cycles, "{context}");
-                    assert_eq!(plan.total_macs(), macs, "{context}");
-                    assert_eq!(plan.interval_count(), intervals, "{context}");
+                    let oracle = compile_per_layer(model, batch, seq, &c);
+                    assert!(plan == oracle, "{model:?} batch {batch} {seq:?}");
                 }
             }
         }

@@ -185,6 +185,18 @@ impl Layer {
         }
     }
 
+    /// Creates a layer with an empty name, the form a model builder hands
+    /// to a [`LayerSink`](crate::LayerSink) along with the name.
+    pub fn unnamed(kind: LayerKind) -> Self {
+        Layer::new(String::new(), kind)
+    }
+
+    /// This layer under `name`.
+    pub(crate) fn named(mut self, name: String) -> Self {
+        self.name = name;
+        self
+    }
+
     /// Fuses an activation function with this layer (executed by the vector
     /// unit as part of the same `VECTOR_OP`, Section IV-B).
     pub fn fused(mut self, activation: ActivationKind) -> Self {

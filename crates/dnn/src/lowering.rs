@@ -75,6 +75,11 @@ pub fn lower_layer(layer: &Layer, batch: u64) -> LayerWork {
 }
 
 /// Lowers every layer of a network in execution order.
+///
+/// Plan compilation no longer calls this: it lowers each distinct shape of
+/// [`ModelKind::shapes`](crate::ModelKind::shapes) once. This per-layer
+/// walk over the named [`Network`] stays as the oracle the compile path is
+/// tested against.
 pub fn lower_network(network: &Network, batch: u64) -> Vec<LayerWork> {
     network
         .layers()
@@ -87,6 +92,7 @@ pub fn lower_network(network: &Network, batch: u64) -> Vec<LayerWork> {
 mod tests {
     use super::*;
     use crate::layer::RecurrentKind;
+    use crate::network::LayerSink;
 
     #[test]
     fn conv_lowers_to_conv_work() {
@@ -162,20 +168,20 @@ mod tests {
     #[test]
     fn lower_network_preserves_layer_count() {
         let mut net = Network::new("net");
-        net.push(Layer::new(
-            "fc1",
-            LayerKind::FullyConnected {
+        net.push(
+            format_args!("fc1"),
+            Layer::unnamed(LayerKind::FullyConnected {
                 in_features: 10,
                 out_features: 20,
-            },
-        ));
-        net.push(Layer::new(
-            "relu",
-            LayerKind::Activation {
+            }),
+        );
+        net.push(
+            format_args!("relu"),
+            Layer::unnamed(LayerKind::Activation {
                 kind: ActivationKind::Relu,
                 elements_per_sample: 20,
-            },
-        ));
+            }),
+        );
         let works = lower_network(&net, 4);
         assert_eq!(works.len(), 2);
         assert!(works[0].gemm.is_some());

@@ -5,44 +5,50 @@
 //! image.
 
 use crate::layer::{ActivationKind, PoolKind};
-use crate::network::Network;
+use crate::network::LayerSink;
 
 use super::builders::{conv_relu, fully_connected, pool};
 
-/// Builds AlexNet.
-pub fn build() -> Network {
-    let mut net = Network::new("alexnet");
-
-    net.push(conv_relu("conv1", 3, 96, 11, 4, 0, 227));
+/// Pushes AlexNet's layers into `net`.
+pub fn build<S: LayerSink>(mut net: S) -> S {
+    net.push(format_args!("conv1"), conv_relu(3, 96, 11, 4, 0, 227));
     // 96 x 55 x 55 -> pool -> 96 x 27 x 27
-    net.push(pool("pool1", PoolKind::Max, 3, 2, 96, 55));
+    net.push(format_args!("pool1"), pool(PoolKind::Max, 3, 2, 96, 55));
 
-    net.push(conv_relu("conv2", 96, 256, 5, 1, 2, 27));
+    net.push(format_args!("conv2"), conv_relu(96, 256, 5, 1, 2, 27));
     // 256 x 27 x 27 -> pool -> 256 x 13 x 13
-    net.push(pool("pool2", PoolKind::Max, 3, 2, 256, 27));
+    net.push(format_args!("pool2"), pool(PoolKind::Max, 3, 2, 256, 27));
 
-    net.push(conv_relu("conv3", 256, 384, 3, 1, 1, 13));
-    net.push(conv_relu("conv4", 384, 384, 3, 1, 1, 13));
-    net.push(conv_relu("conv5", 384, 256, 3, 1, 1, 13));
+    net.push(format_args!("conv3"), conv_relu(256, 384, 3, 1, 1, 13));
+    net.push(format_args!("conv4"), conv_relu(384, 384, 3, 1, 1, 13));
+    net.push(format_args!("conv5"), conv_relu(384, 256, 3, 1, 1, 13));
     // 256 x 13 x 13 -> pool -> 256 x 6 x 6
-    net.push(pool("pool5", PoolKind::Max, 3, 2, 256, 13));
+    net.push(format_args!("pool5"), pool(PoolKind::Max, 3, 2, 256, 13));
 
-    net.push(fully_connected(
-        "fc6",
-        256 * 6 * 6,
-        4096,
-        ActivationKind::Relu,
-    ));
-    net.push(fully_connected("fc7", 4096, 4096, ActivationKind::Relu));
-    net.push(fully_connected("fc8", 4096, 1000, ActivationKind::Softmax));
+    net.push(
+        format_args!("fc6"),
+        fully_connected(256 * 6 * 6, 4096, ActivationKind::Relu),
+    );
+    net.push(
+        format_args!("fc7"),
+        fully_connected(4096, 4096, ActivationKind::Relu),
+    );
+    net.push(
+        format_args!("fc8"),
+        fully_connected(4096, 1000, ActivationKind::Softmax),
+    );
 
     net
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::layer::LayerKind;
+    use crate::network::Network;
+
+    fn build() -> Network {
+        super::build(Network::new("alexnet"))
+    }
 
     #[test]
     fn layer_inventory() {

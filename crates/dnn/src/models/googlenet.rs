@@ -7,7 +7,7 @@
 //! GMACs and 7 M parameters per 224×224 image.
 
 use crate::layer::{ActivationKind, PoolKind};
-use crate::network::Network;
+use crate::network::LayerSink;
 
 use super::builders::{conv_relu, elementwise, fully_connected, pool};
 
@@ -34,91 +34,61 @@ impl InceptionSpec {
 ///
 /// The module runs its four branch heads first, all of which read the
 /// module input, then each branch's second layer, then the concatenation.
-fn inception(net: &mut Network, spec: &InceptionSpec) -> u64 {
+fn inception<S: LayerSink>(net: &mut S, spec: &InceptionSpec) -> u64 {
     let s = spec.spatial;
     let name = spec.name;
     let cin = spec.in_channels;
 
-    net.push(conv_relu(
-        &format!("{name}_1x1"),
-        cin,
-        spec.branch1x1,
-        1,
-        1,
-        0,
-        s,
-    ));
-    net.push(conv_relu(
-        &format!("{name}_3x3_reduce"),
-        cin,
-        spec.branch3x3_reduce,
-        1,
-        1,
-        0,
-        s,
-    ));
-    net.push(conv_relu(
-        &format!("{name}_5x5_reduce"),
-        cin,
-        spec.branch5x5_reduce,
-        1,
-        1,
-        0,
-        s,
-    ));
-    net.push(pool(&format!("{name}_pool"), PoolKind::Max, 3, 1, cin, s));
+    net.push(
+        format_args!("{name}_1x1"),
+        conv_relu(cin, spec.branch1x1, 1, 1, 0, s),
+    );
+    net.push(
+        format_args!("{name}_3x3_reduce"),
+        conv_relu(cin, spec.branch3x3_reduce, 1, 1, 0, s),
+    );
+    net.push(
+        format_args!("{name}_5x5_reduce"),
+        conv_relu(cin, spec.branch5x5_reduce, 1, 1, 0, s),
+    );
+    net.push(
+        format_args!("{name}_pool"),
+        pool(PoolKind::Max, 3, 1, cin, s),
+    );
 
-    net.push(conv_relu(
-        &format!("{name}_3x3"),
-        spec.branch3x3_reduce,
-        spec.branch3x3,
-        3,
-        1,
-        1,
-        s,
-    ));
-    net.push(conv_relu(
-        &format!("{name}_5x5"),
-        spec.branch5x5_reduce,
-        spec.branch5x5,
-        5,
-        1,
-        2,
-        s,
-    ));
+    net.push(
+        format_args!("{name}_3x3"),
+        conv_relu(spec.branch3x3_reduce, spec.branch3x3, 3, 1, 1, s),
+    );
+    net.push(
+        format_args!("{name}_5x5"),
+        conv_relu(spec.branch5x5_reduce, spec.branch5x5, 5, 1, 2, s),
+    );
     // A 3x3/1 max pool without padding shrinks the map by 2; the original
     // network pads to keep it constant, so the projection sees `s` again.
-    net.push(conv_relu(
-        &format!("{name}_pool_proj"),
-        cin,
-        spec.pool_proj,
-        1,
-        1,
-        0,
-        s,
-    ));
+    net.push(
+        format_args!("{name}_pool_proj"),
+        conv_relu(cin, spec.pool_proj, 1, 1, 0, s),
+    );
 
     // Channel-wise concatenation of the four branches: a cheap on-chip copy,
     // modelled as a single element-wise layer.
     let out_channels = spec.output_channels();
-    net.push(elementwise(
-        &format!("{name}_concat"),
-        ActivationKind::Relu,
-        out_channels * s * s,
-    ));
+    net.push(
+        format_args!("{name}_concat"),
+        elementwise(ActivationKind::Relu, out_channels * s * s),
+    );
     out_channels
 }
 
-/// Builds GoogLeNet.
-pub fn build() -> Network {
-    let mut net = Network::new("googlenet");
-
+/// Pushes GoogLeNet's layers into `net`.
+pub fn build<S: LayerSink>(mut net: S) -> S {
     // Stem: 7x7/2 conv, pool, 1x1 conv, 3x3 conv, pool.
-    net.push(conv_relu("conv1_7x7", 3, 64, 7, 2, 3, 224));
-    net.push(pool("pool1", PoolKind::Max, 3, 2, 64, 112));
-    net.push(conv_relu("conv2_1x1", 64, 64, 1, 1, 0, 56));
-    net.push(conv_relu("conv2_3x3", 64, 192, 3, 1, 1, 56));
-    net.push(pool("pool2", PoolKind::Max, 3, 2, 192, 56));
+    net.push(format_args!("conv1_7x7"), conv_relu(3, 64, 7, 2, 3, 224));
+    net.push(format_args!("pool1"), pool(PoolKind::Max, 3, 2, 64, 112));
+    net.push(format_args!("conv2_1x1"), conv_relu(64, 64, 1, 1, 0, 56));
+    net.push(format_args!("conv2_3x3"), conv_relu(64, 192, 3, 1, 1, 56));
+    net.push(format_args!("pool2"), pool(PoolKind::Max, 3, 2, 192, 56));
 
     let specs_28 = [
         InceptionSpec {
@@ -148,7 +118,10 @@ pub fn build() -> Network {
     for spec in &specs_28 {
         channels = inception(&mut net, spec);
     }
-    net.push(pool("pool3", PoolKind::Max, 3, 2, channels, 28));
+    net.push(
+        format_args!("pool3"),
+        pool(PoolKind::Max, 3, 2, channels, 28),
+    );
 
     let specs_14 = [
         InceptionSpec {
@@ -210,7 +183,10 @@ pub fn build() -> Network {
     for spec in &specs_14 {
         channels = inception(&mut net, spec);
     }
-    net.push(pool("pool4", PoolKind::Max, 3, 2, channels, 14));
+    net.push(
+        format_args!("pool4"),
+        pool(PoolKind::Max, 3, 2, channels, 14),
+    );
 
     let specs_7 = [
         InceptionSpec {
@@ -240,21 +216,26 @@ pub fn build() -> Network {
         channels = inception(&mut net, spec);
     }
 
-    net.push(pool("avg_pool", PoolKind::Avg, 7, 1, channels, 7));
-    net.push(fully_connected(
-        "fc",
-        channels,
-        1000,
-        ActivationKind::Softmax,
-    ));
+    net.push(
+        format_args!("avg_pool"),
+        pool(PoolKind::Avg, 7, 1, channels, 7),
+    );
+    net.push(
+        format_args!("fc"),
+        fully_connected(channels, 1000, ActivationKind::Softmax),
+    );
 
     net
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::layer::LayerKind;
+    use crate::network::Network;
+
+    fn build() -> Network {
+        super::build(Network::new("googlenet"))
+    }
 
     #[test]
     fn has_nine_inception_modules() {

@@ -8,7 +8,7 @@
 //! 224×224 image.
 
 use crate::layer::{ActivationKind, PoolKind};
-use crate::network::Network;
+use crate::network::LayerSink;
 
 use super::builders::{conv_relu, depthwise_relu, fully_connected, pool};
 
@@ -30,43 +30,39 @@ const BLOCKS: [(u64, u64, u64, u64); 13] = [
     (1024, 1024, 1, 7),
 ];
 
-/// Builds MobileNet v1.
-pub fn build() -> Network {
-    let mut net = Network::new("mobilenet_v1");
-
-    net.push(conv_relu("conv_stem", 3, 32, 3, 2, 1, 224));
+/// Pushes MobileNet v1's layers into `net`.
+pub fn build<S: LayerSink>(mut net: S) -> S {
+    net.push(format_args!("conv_stem"), conv_relu(3, 32, 3, 2, 1, 224));
     for (idx, &(in_ch, out_ch, stride, hw)) in BLOCKS.iter().enumerate() {
         let block = idx + 1;
-        net.push(depthwise_relu(
-            &format!("dw{block}"),
-            in_ch,
-            3,
-            stride,
-            1,
-            hw,
-        ));
+        net.push(
+            format_args!("dw{block}"),
+            depthwise_relu(in_ch, 3, stride, 1, hw),
+        );
         let pw_hw = if stride == 2 { hw / 2 } else { hw };
-        net.push(conv_relu(
-            &format!("pw{block}"),
-            in_ch,
-            out_ch,
-            1,
-            1,
-            0,
-            pw_hw,
-        ));
+        net.push(
+            format_args!("pw{block}"),
+            conv_relu(in_ch, out_ch, 1, 1, 0, pw_hw),
+        );
     }
 
-    net.push(pool("avg_pool", PoolKind::Avg, 7, 1, 1024, 7));
-    net.push(fully_connected("fc", 1024, 1000, ActivationKind::Softmax));
+    net.push(format_args!("avg_pool"), pool(PoolKind::Avg, 7, 1, 1024, 7));
+    net.push(
+        format_args!("fc"),
+        fully_connected(1024, 1000, ActivationKind::Softmax),
+    );
 
     net
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::layer::LayerKind;
+    use crate::network::Network;
+
+    fn build() -> Network {
+        super::build(Network::new("mobilenet_v1"))
+    }
 
     #[test]
     fn layer_inventory() {

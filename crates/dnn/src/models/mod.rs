@@ -15,6 +15,12 @@
 //!
 //! CNN topologies are statically shaped; RNN topologies are time-unrolled at
 //! build time according to a [`SeqSpec`] (Figure 8 of the paper).
+//!
+//! Each model has one builder, which pushes its layers into a [`LayerSink`]
+//! with `format_args!` names. [`ModelKind::build`] runs it into a named
+//! [`Network`]; [`ModelKind::shapes`] runs the same builder into a
+//! [`LayerShapes`], which keeps each distinct layer shape once and formats
+//! no name.
 
 mod alexnet;
 mod googlenet;
@@ -31,7 +37,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::network::Network;
+use crate::network::{LayerShapes, LayerSink, Network};
 
 /// Sequence-length specification for time-unrolled RNN models.
 ///
@@ -203,14 +209,36 @@ impl ModelKind {
         (out.round() as u64).max(if self.is_rnn() { 1 } else { 0 })
     }
 
-    /// Builds this model's network, its layers in execution order, at the
-    /// given batch size and (for RNNs) sequence specification.
+    /// Builds this model's network, its named layers in execution order,
+    /// at the given batch size and (for RNNs) sequence specification.
     ///
     /// # Panics
     ///
     /// Panics if `batch` is zero, or if an RNN model is built with a zero
     /// input or output sequence length.
     pub fn build(self, batch: u64, seq: SeqSpec) -> Network {
+        self.push_layers(batch, seq, Network::new)
+    }
+
+    /// The same layers as [`ModelKind::build`], as each distinct shape once
+    /// plus the execution order, without naming any layer. This is what
+    /// plan compilation and Algorithm 1 read.
+    ///
+    /// # Panics
+    ///
+    /// As [`ModelKind::build`].
+    pub fn shapes(self, batch: u64, seq: SeqSpec) -> LayerShapes {
+        self.push_layers(batch, seq, |_| LayerShapes::default())
+    }
+
+    /// Runs this model's builder into the sink `new_sink` makes from the
+    /// network name.
+    fn push_layers<S: LayerSink>(
+        self,
+        batch: u64,
+        seq: SeqSpec,
+        new_sink: impl FnOnce(&'static str) -> S,
+    ) -> S {
         assert!(batch > 0, "batch size must be non-zero");
         if self.is_rnn() {
             assert!(
@@ -219,15 +247,15 @@ impl ModelKind {
             );
         }
         match self {
-            ModelKind::CnnAlexNet => alexnet::build(),
-            ModelKind::CnnGoogLeNet => googlenet::build(),
-            ModelKind::CnnVggNet => vggnet::build(),
-            ModelKind::CnnMobileNet => mobilenet::build(),
-            ModelKind::ResNet50 => resnet::build(),
-            ModelKind::RnnSentiment => rnn_sa::build(seq),
-            ModelKind::RnnTranslation1 => rnn_mt::build("rnn_mt1", 32_000, seq),
-            ModelKind::RnnTranslation2 => rnn_mt::build("rnn_mt2", 42_000, seq),
-            ModelKind::RnnSpeech => rnn_asr::build(seq),
+            ModelKind::CnnAlexNet => alexnet::build(new_sink("alexnet")),
+            ModelKind::CnnGoogLeNet => googlenet::build(new_sink("googlenet")),
+            ModelKind::CnnVggNet => vggnet::build(new_sink("vgg16")),
+            ModelKind::CnnMobileNet => mobilenet::build(new_sink("mobilenet_v1")),
+            ModelKind::ResNet50 => resnet::build(new_sink("resnet50")),
+            ModelKind::RnnSentiment => rnn_sa::build(new_sink("rnn_sa"), seq),
+            ModelKind::RnnTranslation1 => rnn_mt::build(new_sink("rnn_mt1"), 32_000, seq),
+            ModelKind::RnnTranslation2 => rnn_mt::build(new_sink("rnn_mt2"), 42_000, seq),
+            ModelKind::RnnSpeech => rnn_asr::build(new_sink("rnn_asr"), seq),
         }
     }
 }
@@ -319,6 +347,51 @@ mod tests {
             let net = kind.build(1, seq);
             assert!(net.layer_count() > 3, "{kind} too small");
             assert!(net.total_macs() > 0, "{kind} has no compute");
+        }
+    }
+
+    /// Replaying the shapes (`distinct[order[l]]`) gives the built
+    /// network's kinds and fused activations in order, at the input lengths
+    /// `tests/execution_order.rs` pins; each distinct shape is filed once,
+    /// in order of first execution.
+    #[test]
+    fn shapes_replay_the_built_network() {
+        for kind in ALL_EVAL_MODELS.into_iter().chain([ModelKind::ResNet50]) {
+            for input_len in [5, 20, 50] {
+                for batch in [1, 4] {
+                    let seq = SeqSpec::for_model(kind, input_len);
+                    let net = kind.build(batch, seq);
+                    let shapes = kind.shapes(batch, seq);
+                    let context = format!("{kind} at batch {batch}, input length {input_len}");
+                    assert_eq!(shapes.order().len(), net.layer_count(), "{context}");
+                    let replayed = shapes
+                        .order()
+                        .iter()
+                        .map(|&slot| &shapes.distinct()[slot as usize]);
+                    for (l, (shape, layer)) in replayed.zip(net.layers()).enumerate() {
+                        assert_eq!(shape.kind(), layer.kind(), "{context}, layer {l}");
+                        assert_eq!(
+                            shape.fused_activation(),
+                            layer.fused_activation(),
+                            "{context}, layer {l}"
+                        );
+                    }
+                    let mut next = 0;
+                    for &slot in shapes.order() {
+                        assert!(slot <= next, "{context}: slot {slot} skips slot {next}");
+                        next += u32::from(slot == next);
+                    }
+                    assert_eq!(next as usize, shapes.distinct().len(), "{context}");
+                    let distinct = shapes.distinct();
+                    for (a, x) in distinct.iter().enumerate() {
+                        for y in &distinct[a + 1..] {
+                            let same = x.kind() == y.kind()
+                                && x.fused_activation() == y.fused_activation();
+                            assert!(!same, "{context}: a shape filed twice");
+                        }
+                    }
+                }
+            }
         }
     }
 

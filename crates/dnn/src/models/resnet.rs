@@ -8,7 +8,7 @@
 //! 224×224 image.
 
 use crate::layer::{ActivationKind, PoolKind};
-use crate::network::Network;
+use crate::network::LayerSink;
 
 use super::builders::{conv_relu, elementwise, fully_connected, pool};
 
@@ -23,14 +23,14 @@ struct StageSpec {
     first_stride: u64,
 }
 
-/// Appends one bottleneck block.
+/// Appends bottleneck block `block` of stage `stage`.
 ///
 /// A projection shortcut replaces the identity when the shape changes. It
 /// reads the block input, like the first 1×1 convolution, and runs right
 /// after it; the residual addition joins both paths last.
-fn bottleneck(
-    net: &mut Network,
-    name: &str,
+fn bottleneck<S: LayerSink>(
+    net: &mut S,
+    (stage, block): (&str, usize),
     in_channels: u64,
     mid_channels: u64,
     out_channels: u64,
@@ -38,58 +38,35 @@ fn bottleneck(
     stride: u64,
 ) {
     let out_hw = input_hw / stride;
-    net.push(conv_relu(
-        &format!("{name}_1x1a"),
-        in_channels,
-        mid_channels,
-        1,
-        stride,
-        0,
-        input_hw,
-    ));
+    net.push(
+        format_args!("{stage}_{block}_1x1a"),
+        conv_relu(in_channels, mid_channels, 1, stride, 0, input_hw),
+    );
     if in_channels != out_channels || stride != 1 {
-        net.push(conv_relu(
-            &format!("{name}_proj"),
-            in_channels,
-            out_channels,
-            1,
-            stride,
-            0,
-            input_hw,
-        ));
+        net.push(
+            format_args!("{stage}_{block}_proj"),
+            conv_relu(in_channels, out_channels, 1, stride, 0, input_hw),
+        );
     }
-    net.push(conv_relu(
-        &format!("{name}_3x3"),
-        mid_channels,
-        mid_channels,
-        3,
-        1,
-        1,
-        out_hw,
-    ));
-    net.push(conv_relu(
-        &format!("{name}_1x1b"),
-        mid_channels,
-        out_channels,
-        1,
-        1,
-        0,
-        out_hw,
-    ));
+    net.push(
+        format_args!("{stage}_{block}_3x3"),
+        conv_relu(mid_channels, mid_channels, 3, 1, 1, out_hw),
+    );
+    net.push(
+        format_args!("{stage}_{block}_1x1b"),
+        conv_relu(mid_channels, out_channels, 1, 1, 0, out_hw),
+    );
     // Residual addition followed by ReLU, executed on the vector unit.
-    net.push(elementwise(
-        &format!("{name}_add"),
-        ActivationKind::Relu,
-        out_channels * out_hw * out_hw,
-    ));
+    net.push(
+        format_args!("{stage}_{block}_add"),
+        elementwise(ActivationKind::Relu, out_channels * out_hw * out_hw),
+    );
 }
 
-/// Builds ResNet-50.
-pub fn build() -> Network {
-    let mut net = Network::new("resnet50");
-
-    net.push(conv_relu("conv1", 3, 64, 7, 2, 3, 224));
-    net.push(pool("pool1", PoolKind::Max, 3, 2, 64, 112));
+/// Pushes ResNet-50's layers into `net`.
+pub fn build<S: LayerSink>(mut net: S) -> S {
+    net.push(format_args!("conv1"), conv_relu(3, 64, 7, 2, 3, 224));
+    net.push(format_args!("pool1"), pool(PoolKind::Max, 3, 2, 64, 112));
 
     let stages = [
         StageSpec {
@@ -136,7 +113,7 @@ pub fn build() -> Network {
             };
             bottleneck(
                 &mut net,
-                &format!("{}_{}", stage.name, block + 1),
+                (stage.name, block + 1),
                 in_channels,
                 stage.mid_channels,
                 stage.out_channels,
@@ -147,15 +124,22 @@ pub fn build() -> Network {
         }
     }
 
-    net.push(pool("avg_pool", PoolKind::Avg, 7, 1, 2048, 7));
-    net.push(fully_connected("fc", 2048, 1000, ActivationKind::Softmax));
+    net.push(format_args!("avg_pool"), pool(PoolKind::Avg, 7, 1, 2048, 7));
+    net.push(
+        format_args!("fc"),
+        fully_connected(2048, 1000, ActivationKind::Softmax),
+    );
 
     net
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::network::Network;
+
+    fn build() -> Network {
+        super::build(Network::new("resnet50"))
+    }
 
     #[test]
     fn has_sixteen_bottleneck_blocks() {

@@ -8,7 +8,7 @@
 //! classifier, unrolled for the (input-data dependent) output text length.
 
 use crate::layer::ActivationKind;
-use crate::network::Network;
+use crate::network::LayerSink;
 
 use super::builders::{fully_connected, lstm_step};
 use super::SeqSpec;
@@ -24,10 +24,9 @@ const SPELLER_LAYERS: u64 = 2;
 /// Output character-set size.
 const CHARSET: u64 = 30;
 
-/// Builds the time-unrolled Listen-Attend-Spell network.
-pub fn build(seq: SeqSpec) -> Network {
+/// Pushes the time-unrolled Listen-Attend-Spell network into `net`.
+pub fn build<S: LayerSink>(mut net: S, seq: SeqSpec) -> S {
     let frames = seq.input_len.max(1);
-    let mut net = Network::new("rnn_asr");
 
     // Listener: pyramidal BLSTM. Layer `l` processes frames / 2^l steps, two
     // directions per step.
@@ -38,8 +37,10 @@ pub fn build(seq: SeqSpec) -> Network {
         let input_size = if layer == 0 { FEATURES } else { 2 * HIDDEN };
         for t in 0..steps {
             for direction in ["fwd", "bwd"] {
-                let name = format!("listen_l{layer}_{direction}_t{t}");
-                net.push(lstm_step(&name, input_size, HIDDEN));
+                net.push(
+                    format_args!("listen_l{layer}_{direction}_t{t}"),
+                    lstm_step(input_size, HIDDEN),
+                );
             }
         }
     }
@@ -48,24 +49,19 @@ pub fn build(seq: SeqSpec) -> Network {
     for t in 0..seq.output_len.max(1) {
         for layer in 0..SPELLER_LAYERS {
             let input_size = if layer == 0 { 2 * HIDDEN } else { HIDDEN };
-            net.push(lstm_step(
-                &format!("spell_l{layer}_t{t}"),
-                input_size,
-                HIDDEN,
-            ));
+            net.push(
+                format_args!("spell_l{layer}_t{t}"),
+                lstm_step(input_size, HIDDEN),
+            );
         }
-        net.push(fully_connected(
-            &format!("attention_t{t}"),
-            2 * HIDDEN,
-            HIDDEN,
-            ActivationKind::Tanh,
-        ));
-        net.push(fully_connected(
-            &format!("char_t{t}"),
-            HIDDEN,
-            CHARSET,
-            ActivationKind::Softmax,
-        ));
+        net.push(
+            format_args!("attention_t{t}"),
+            fully_connected(2 * HIDDEN, HIDDEN, ActivationKind::Tanh),
+        );
+        net.push(
+            format_args!("char_t{t}"),
+            fully_connected(HIDDEN, CHARSET, ActivationKind::Softmax),
+        );
     }
 
     net
@@ -74,6 +70,11 @@ pub fn build(seq: SeqSpec) -> Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::Network;
+
+    fn build(seq: SeqSpec) -> Network {
+        super::build(Network::new("rnn_asr"), seq)
+    }
 
     #[test]
     fn pyramidal_listener_halves_steps_per_layer() {

@@ -11,7 +11,7 @@
 //! their input→output length characteristics.
 
 use crate::layer::ActivationKind;
-use crate::network::Network;
+use crate::network::LayerSink;
 
 use super::builders::{fully_connected, lstm_step};
 use super::SeqSpec;
@@ -23,19 +23,20 @@ const HIDDEN: u64 = 1024;
 /// Encoder / decoder depth.
 const LAYERS: u64 = 4;
 
-/// Builds the time-unrolled translation network.
+/// Pushes the time-unrolled translation network into `net`.
 ///
 /// `vocab` is the target-language vocabulary size used by the per-step output
 /// projection; `seq.input_len` encoder steps and `seq.output_len` decoder
 /// steps are unrolled.
-pub fn build(name: &str, vocab: u64, seq: SeqSpec) -> Network {
-    let mut net = Network::new(name);
-
+pub fn build<S: LayerSink>(mut net: S, vocab: u64, seq: SeqSpec) -> S {
     // Encoder.
     for t in 0..seq.input_len.max(1) {
         for layer in 0..LAYERS {
             let input_size = if layer == 0 { EMBED } else { HIDDEN };
-            net.push(lstm_step(&format!("enc_l{layer}_t{t}"), input_size, HIDDEN));
+            net.push(
+                format_args!("enc_l{layer}_t{t}"),
+                lstm_step(input_size, HIDDEN),
+            );
         }
     }
 
@@ -44,20 +45,19 @@ pub fn build(name: &str, vocab: u64, seq: SeqSpec) -> Network {
     for t in 0..seq.output_len.max(1) {
         for layer in 0..LAYERS {
             let input_size = if layer == 0 { EMBED } else { HIDDEN };
-            net.push(lstm_step(&format!("dec_l{layer}_t{t}"), input_size, HIDDEN));
+            net.push(
+                format_args!("dec_l{layer}_t{t}"),
+                lstm_step(input_size, HIDDEN),
+            );
         }
-        net.push(fully_connected(
-            &format!("attention_t{t}"),
-            2 * HIDDEN,
-            HIDDEN,
-            ActivationKind::Tanh,
-        ));
-        net.push(fully_connected(
-            &format!("proj_t{t}"),
-            HIDDEN,
-            vocab,
-            ActivationKind::Softmax,
-        ));
+        net.push(
+            format_args!("attention_t{t}"),
+            fully_connected(2 * HIDDEN, HIDDEN, ActivationKind::Tanh),
+        );
+        net.push(
+            format_args!("proj_t{t}"),
+            fully_connected(HIDDEN, vocab, ActivationKind::Softmax),
+        );
     }
 
     net
@@ -65,7 +65,12 @@ pub fn build(name: &str, vocab: u64, seq: SeqSpec) -> Network {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::SeqSpec;
+    use crate::network::Network;
+
+    fn build(name: &str, vocab: u64, seq: SeqSpec) -> Network {
+        super::build(Network::new(name), vocab, seq)
+    }
 
     #[test]
     fn layer_count_scales_with_both_sequence_lengths() {

@@ -7,7 +7,7 @@
 //! known as soon as the request arrives.
 
 use crate::layer::ActivationKind;
-use crate::network::Network;
+use crate::network::LayerSink;
 
 use super::builders::{fully_connected, lstm_step};
 use super::SeqSpec;
@@ -21,33 +21,34 @@ const LAYERS: u64 = 2;
 /// Number of sentiment classes.
 const CLASSES: u64 = 2;
 
-/// Builds the time-unrolled sentiment-analysis network for the given
-/// sequence specification. Only `seq.input_len` matters; the recurrence is
-/// unrolled exactly that many steps.
-pub fn build(seq: SeqSpec) -> Network {
-    let mut net = Network::new("rnn_sa");
+/// Pushes the time-unrolled sentiment-analysis network for the given
+/// sequence specification into `net`. Only `seq.input_len` matters; the
+/// recurrence is unrolled exactly that many steps.
+pub fn build<S: LayerSink>(mut net: S, seq: SeqSpec) -> S {
     for t in 0..seq.input_len.max(1) {
         for layer in 0..LAYERS {
             let input_size = if layer == 0 { INPUT_DIM } else { HIDDEN };
-            net.push(lstm_step(
-                &format!("lstm_l{layer}_t{t}"),
-                input_size,
-                HIDDEN,
-            ));
+            net.push(
+                format_args!("lstm_l{layer}_t{t}"),
+                lstm_step(input_size, HIDDEN),
+            );
         }
     }
-    net.push(fully_connected(
-        "classifier",
-        HIDDEN,
-        CLASSES,
-        ActivationKind::Softmax,
-    ));
+    net.push(
+        format_args!("classifier"),
+        fully_connected(HIDDEN, CLASSES, ActivationKind::Softmax),
+    );
     net
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::SeqSpec;
+    use crate::network::Network;
+
+    fn build(seq: SeqSpec) -> Network {
+        super::build(Network::new("rnn_sa"), seq)
+    }
 
     #[test]
     fn unrolls_two_layers_per_step_plus_classifier() {

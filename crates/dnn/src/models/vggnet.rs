@@ -5,53 +5,59 @@
 //! 224×224 image — the longest-running CNN in the PREMA evaluation.
 
 use crate::layer::{ActivationKind, PoolKind};
-use crate::network::Network;
+use crate::network::LayerSink;
 
 use super::builders::{conv_relu, fully_connected, pool};
 
-/// Builds VGG-16.
-pub fn build() -> Network {
-    let mut net = Network::new("vgg16");
+/// Pushes VGG-16's layers into `net`.
+pub fn build<S: LayerSink>(mut net: S) -> S {
+    net.push(format_args!("c01"), conv_relu(3, 64, 3, 1, 1, 224));
+    net.push(format_args!("c02"), conv_relu(64, 64, 3, 1, 1, 224));
+    net.push(format_args!("pool1"), pool(PoolKind::Max, 2, 2, 64, 224));
 
-    net.push(conv_relu("c01", 3, 64, 3, 1, 1, 224));
-    net.push(conv_relu("c02", 64, 64, 3, 1, 1, 224));
-    net.push(pool("pool1", PoolKind::Max, 2, 2, 64, 224));
+    net.push(format_args!("c03"), conv_relu(64, 128, 3, 1, 1, 112));
+    net.push(format_args!("c04"), conv_relu(128, 128, 3, 1, 1, 112));
+    net.push(format_args!("pool2"), pool(PoolKind::Max, 2, 2, 128, 112));
 
-    net.push(conv_relu("c03", 64, 128, 3, 1, 1, 112));
-    net.push(conv_relu("c04", 128, 128, 3, 1, 1, 112));
-    net.push(pool("pool2", PoolKind::Max, 2, 2, 128, 112));
+    net.push(format_args!("c05"), conv_relu(128, 256, 3, 1, 1, 56));
+    net.push(format_args!("c06"), conv_relu(256, 256, 3, 1, 1, 56));
+    net.push(format_args!("c07"), conv_relu(256, 256, 3, 1, 1, 56));
+    net.push(format_args!("pool3"), pool(PoolKind::Max, 2, 2, 256, 56));
 
-    net.push(conv_relu("c05", 128, 256, 3, 1, 1, 56));
-    net.push(conv_relu("c06", 256, 256, 3, 1, 1, 56));
-    net.push(conv_relu("c07", 256, 256, 3, 1, 1, 56));
-    net.push(pool("pool3", PoolKind::Max, 2, 2, 256, 56));
+    net.push(format_args!("c08"), conv_relu(256, 512, 3, 1, 1, 28));
+    net.push(format_args!("c09"), conv_relu(512, 512, 3, 1, 1, 28));
+    net.push(format_args!("c10"), conv_relu(512, 512, 3, 1, 1, 28));
+    net.push(format_args!("pool4"), pool(PoolKind::Max, 2, 2, 512, 28));
 
-    net.push(conv_relu("c08", 256, 512, 3, 1, 1, 28));
-    net.push(conv_relu("c09", 512, 512, 3, 1, 1, 28));
-    net.push(conv_relu("c10", 512, 512, 3, 1, 1, 28));
-    net.push(pool("pool4", PoolKind::Max, 2, 2, 512, 28));
+    net.push(format_args!("c11"), conv_relu(512, 512, 3, 1, 1, 14));
+    net.push(format_args!("c12"), conv_relu(512, 512, 3, 1, 1, 14));
+    net.push(format_args!("c13"), conv_relu(512, 512, 3, 1, 1, 14));
+    net.push(format_args!("pool5"), pool(PoolKind::Max, 2, 2, 512, 14));
 
-    net.push(conv_relu("c11", 512, 512, 3, 1, 1, 14));
-    net.push(conv_relu("c12", 512, 512, 3, 1, 1, 14));
-    net.push(conv_relu("c13", 512, 512, 3, 1, 1, 14));
-    net.push(pool("pool5", PoolKind::Max, 2, 2, 512, 14));
-
-    net.push(fully_connected(
-        "fc1",
-        512 * 7 * 7,
-        4096,
-        ActivationKind::Relu,
-    ));
-    net.push(fully_connected("fc2", 4096, 4096, ActivationKind::Relu));
-    net.push(fully_connected("fc3", 4096, 1000, ActivationKind::Softmax));
+    net.push(
+        format_args!("fc1"),
+        fully_connected(512 * 7 * 7, 4096, ActivationKind::Relu),
+    );
+    net.push(
+        format_args!("fc2"),
+        fully_connected(4096, 4096, ActivationKind::Relu),
+    );
+    net.push(
+        format_args!("fc3"),
+        fully_connected(4096, 1000, ActivationKind::Softmax),
+    );
 
     net
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::layer::LayerKind;
+    use crate::network::Network;
+
+    fn build() -> Network {
+        super::build(Network::new("vgg16"))
+    }
 
     #[test]
     fn layer_inventory() {

@@ -4,7 +4,10 @@
 //! systolic-array tiles the layer splits into and the per-tile latency as the
 //! maximum of the tile's compute phase and the (double-buffered) memory phase
 //! that prefetches the next tile's operands. The network-wide latency is the
-//! sum over all layers.
+//! sum over all layers. The predictor reads the model's distinct layer
+//! shapes ([`dnn_models::LayerShapes`]): it runs Algorithm 1 once per
+//! distinct shape and sums the per-layer cycles over the execution order,
+//! the same integer sum as the walk over every layer of the built network.
 //!
 //! Two deliberate deviations from the paper's pseudo-code:
 //!
@@ -20,7 +23,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use dnn_models::layer::GemmDims;
-use dnn_models::{ModelKind, Network, SeqSpec};
+use dnn_models::{LayerShapes, ModelKind, Network, SeqSpec};
 use npu_sim::{Cycles, NpuConfig};
 
 use crate::seqlen::SeqLenTable;
@@ -61,6 +64,10 @@ pub fn estimate_layer_cycles(dims: GemmDims, cfg: &NpuConfig) -> Cycles {
 
 /// Estimates the end-to-end latency of a network at the given batch size by
 /// summing Algorithm 1 over every GEMM-bearing layer in execution order.
+///
+/// The predictor no longer calls this: it estimates each distinct shape of
+/// [`ModelKind::shapes`] once. This walk over the named [`Network`] stays
+/// as the oracle the shapes estimate is tested against.
 pub fn estimate_network_cycles(network: &Network, batch: u64, cfg: &NpuConfig) -> Cycles {
     network
         .layers()
@@ -70,12 +77,33 @@ pub fn estimate_network_cycles(network: &Network, batch: u64, cfg: &NpuConfig) -
         .sum()
 }
 
+/// Estimates the same sum from a model's distinct layer shapes: Algorithm 1
+/// runs once per distinct GEMM-bearing shape, and the per-layer estimates
+/// are summed over the execution order in integer cycles, so the result
+/// equals [`estimate_network_cycles`] over the built network exactly.
+fn estimate_shapes_cycles(shapes: &LayerShapes, batch: u64, cfg: &NpuConfig) -> Cycles {
+    let per_shape: Vec<Cycles> = shapes
+        .distinct()
+        .iter()
+        .map(|shape| {
+            shape
+                .gemm_dims(batch)
+                .map_or(Cycles::ZERO, |dims| estimate_layer_cycles(dims, cfg))
+        })
+        .collect();
+    shapes
+        .order()
+        .iter()
+        .map(|&slot| per_shape[slot as usize])
+        .sum()
+}
+
 /// Statistics of one predictor's estimate cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EstimateCacheStats {
     /// Estimates answered from the cache.
     pub hits: u64,
-    /// Estimates computed by running Algorithm 1 over the built network.
+    /// Estimates computed by running Algorithm 1 over the model's layers.
     pub misses: u64,
 }
 
@@ -83,12 +111,13 @@ pub struct EstimateCacheStats {
 /// `(model, batch, input_len)` request shape.
 ///
 /// A cluster sweep's dispatch path asks for estimates once per request, but
-/// requests repeat a small pool of shapes thousands of times — and every
-/// uncached estimate rebuilds the network and walks Algorithm 1 over all of
-/// its layers. Both the network and the estimate are pure functions of
-/// the key (given the predictor's NPU configuration and sequence tables),
-/// so a hit is bit-identical to a recomputation by construction; a unit
-/// test pins it anyway.
+/// requests repeat a small pool of shapes thousands of times. An uncached
+/// estimate runs the model's builder into [`LayerShapes`] (no network, no
+/// layer names), runs Algorithm 1 once per distinct layer shape and sums
+/// over the execution order. The estimate is a pure function of the key
+/// (given the predictor's NPU configuration and sequence tables), so a hit
+/// is bit-identical to a recomputation by construction; a unit test pins
+/// it anyway.
 type EstimateKey = (ModelKind, u64, u64);
 
 #[derive(Debug, Default)]
@@ -147,8 +176,7 @@ impl AnalyticalPredictor {
         } else {
             SeqSpec::none()
         };
-        let network = kind.build(batch, seq);
-        estimate_network_cycles(&network, batch, &self.cfg)
+        estimate_shapes_cycles(&kind.shapes(batch, seq), batch, &self.cfg)
     }
 
     /// Predicts the output sequence length the scheduler should plan for.
@@ -196,6 +224,7 @@ mod tests {
     use super::*;
     use dnn_models::layer::GemmDims;
     use dnn_models::lowering::lower_network;
+    use dnn_models::ALL_EVAL_MODELS;
     use npu_sim::LayerTiming;
 
     fn cfg() -> NpuConfig {
@@ -274,6 +303,33 @@ mod tests {
         assert!(total > Cycles::ZERO);
     }
 
+    /// The shapes estimate equals the oracle, Algorithm 1 over every layer
+    /// of the built network, for every model, at three batches and input
+    /// lengths 1–100 (with the predicted output lengths).
+    #[test]
+    fn shapes_estimate_equals_the_network_estimate() {
+        let c = cfg();
+        let predictor = AnalyticalPredictor::new(c.clone());
+        let models = ALL_EVAL_MODELS.into_iter().chain([ModelKind::ResNet50]);
+        for kind in models {
+            for batch in [1u64, 4, 16] {
+                for input_len in 1..=100 {
+                    let seq = if kind.is_rnn() {
+                        SeqSpec::new(input_len, predictor.predict_output_len(kind, input_len))
+                    } else {
+                        SeqSpec::none()
+                    };
+                    let oracle = estimate_network_cycles(&kind.build(batch, seq), batch, &c);
+                    assert_eq!(
+                        predictor.predict_cycles_uncached(kind, batch, input_len),
+                        oracle,
+                        "{kind} b{batch} len{input_len}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn cnn_inference_times_are_in_the_millisecond_range() {
         let c = cfg();
@@ -337,8 +393,6 @@ mod tests {
 
     #[test]
     fn estimate_cache_is_bit_identical_to_uncached_calls() {
-        use dnn_models::ALL_EVAL_MODELS;
-
         let predictor = AnalyticalPredictor::new(cfg()).with_seq_table(
             ModelKind::RnnTranslation1,
             SeqLenTable::from_samples([(20, 35)]),
