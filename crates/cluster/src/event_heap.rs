@@ -19,13 +19,17 @@
 //! must see exactly what the reference saw.
 //!
 //! **One certificate per node.** [`SimSession::next_event_time`] is the
-//! earliest instant at which `run_until` would do more than move the clock
-//! and the runner's cursor (a completion, an admission, a contended policy
-//! wakeup, a stall end; a degraded node is always due). Before it, the
-//! node's `*_at` projections — the clock and the runner's linear progress
-//! extrapolated — read exactly what an advanced node would report; queue
-//! depths, stall status and the steal/shed candidates do not move while a
-//! node is quiet. The loop keeps the certificates in a binary min-heap with
+//! earliest instant at which `run_until` would do more than move the
+//! clock, the runner's cursor, the waiting tasks' tokens and the
+//! invocation count: a completion, an admission, a quantum wakeup the
+//! policy's choice certificate does not rule out, a stall end. It is exact
+//! on a degraded node too, and the session stores it, so a read is a field
+//! load. Before it, the node's `*_at` projections — the clock and the
+//! runner's progress extrapolated, through the clock's fractional carry on
+//! a degraded node — read exactly what an advanced node would report;
+//! queue depths, stall status and the steal/shed candidates do not move
+//! while a node is quiet, and no cluster read sees tokens or invocation
+//! counts. The loop keeps the certificates in a binary min-heap with
 //! *lazy invalidation* (every session mutation pushes the fresh one; stale
 //! entries are discarded at pop time).
 //!
@@ -1137,6 +1141,67 @@ mod tests {
         }
         assert!(checked > 1_000, "quiet intervals are checked");
         assert!(capped > 10, "the rebuild instant caps some slip instants");
+    }
+
+    /// A degraded node gets an exact certificate: on a small
+    /// Dynamic-PREMA cluster with one quarter-speed window on node 0, the
+    /// loop pops the straggler far fewer times inside the window than the
+    /// steps the window spans (one per arrival: nothing steps between
+    /// arrivals without stealing or migration), with the reference's
+    /// outcome. A degraded node that was always due would be popped at
+    /// every one of those steps.
+    #[test]
+    fn a_degraded_node_is_popped_only_at_its_events() {
+        use crate::faults::ClusterFaultPlan;
+        use crate::online::OnlineClusterSimulator;
+        use crate::trace::{FlightEntry, VecClusterSink};
+        use prema_workload::arrivals::{generate_open_loop, OpenLoopConfig};
+        use prema_workload::prepare::prepare_requests;
+        use prema_workload::{FaultKind, FaultSchedule, NodeFault};
+
+        let npu = NpuConfig::paper_default();
+        let mut rng = StdRng::seed_from_u64(0xDE6);
+        let stream = generate_open_loop(&OpenLoopConfig::poisson(1.5, 40.0), &mut rng);
+        let tasks = prepare_requests(&stream.requests, &npu, None);
+        let (start, end) = (npu.millis_to_cycles(2.0), npu.millis_to_cycles(38.0));
+        let schedule = FaultSchedule::from_events(vec![NodeFault {
+            node: 0,
+            start,
+            end,
+            kind: FaultKind::Degrade {
+                speed_num: 1,
+                speed_den: 4,
+            },
+        }]);
+        let config = OnlineClusterConfig::new(
+            4,
+            SchedulerConfig::paper_default(),
+            OnlineDispatchPolicy::Predictive,
+        )
+        .with_faults(ClusterFaultPlan::new(schedule));
+        let simulator = OnlineClusterSimulator::new(config);
+        let (heap, sink) = simulator.run_traced(&tasks, VecClusterSink::default());
+        assert_eq!(heap, simulator.run_reference(&tasks));
+        assert_eq!(heap.degrades, 1);
+
+        let (mut steps, mut pops) = (0usize, 0usize);
+        for entry in &sink.entries {
+            if let FlightEntry::Cluster { now, event } = entry {
+                if *now <= start || *now >= end {
+                    continue;
+                }
+                match event {
+                    ClusterTraceEvent::DispatchDecision { .. } => steps += 1,
+                    ClusterTraceEvent::HeapPop { node: 0, .. } => pops += 1,
+                    _ => {}
+                }
+            }
+        }
+        assert!(steps > 40, "the window spans {steps} steps");
+        assert!(
+            pops * 2 < steps,
+            "node 0 was popped at {pops} of the {steps} steps its degrade window spans"
+        );
     }
 
     /// A migration source that spent its evacuation budget is never armed

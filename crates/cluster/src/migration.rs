@@ -576,9 +576,9 @@ impl<'a> MigrationDriver<'a> {
                 let Some(transfer) = self.links.transfer_cycles(from, to, bytes, t) else {
                     continue;
                 };
-                let queue =
-                    target.predicted_blocking_work_at(priority, nodes.horizon(to)) + remaining;
-                let move_cost = transfer + restore + target.scaled_wall_for_work(queue);
+                let at = nodes.horizon(to);
+                let queue = target.predicted_blocking_work_at(priority, at) + remaining;
+                let move_cost = transfer + restore + target.scaled_wall_for_work_at(at, queue);
                 if best.is_none_or(|(cost, _, _)| move_cost < cost) {
                     best = Some((move_cost, to, transfer));
                 }
@@ -668,7 +668,7 @@ impl<'a> MigrationDriver<'a> {
             if !resident.started {
                 continue;
             }
-            let stay = session.scaled_wall_for_work(backlog);
+            let stay = session.scaled_wall_for_work_at(at, backlog);
             if now + stay > resident.arrival + self.deadline_offset {
                 return Some((
                     resident.id,
@@ -810,11 +810,11 @@ impl<'a> MigrationDriver<'a> {
             let Some(transfer) = self.links.transfer_cycles(from, to, bytes, t) else {
                 continue;
             };
+            let at = nodes.horizon(to);
             let cost = transfer
                 + restore
-                + target.scaled_wall_for_work(
-                    target.predicted_blocking_work_at(priority, nodes.horizon(to)),
-                );
+                + target
+                    .scaled_wall_for_work_at(at, target.predicted_blocking_work_at(priority, at));
             if best.is_none_or(|(c, _, _)| cost < c) {
                 best = Some((cost, to, transfer));
             }

@@ -43,10 +43,13 @@
 //!   tokens to a grant level at or above the current threshold, found by
 //!   replaying the same per-period `f64` grants; round-robin none.
 //!
-//! The certificate is consulted only when a quantum boundary lies before
-//! both the event horizon and the pause horizon, and
-//! [`SimSession::next_event_time`] does not use it: a cluster node that
-//! never spans a boundary pays nothing. The step-every-quantum loop stays
+//! The fast path consults the certificate only when a quantum boundary
+//! lies before both the event horizon and the pause horizon. The session's
+//! next-event certificate ([`SimSession::next_event_time`]) reads it as
+//! well: once per stamp, the session stores the first boundary before the
+//! event horizon that the certificate does not rule out, so a cluster
+//! driver leaves a node unadvanced across the wakeups the engine would
+//! skip. The step-every-quantum loop stays
 //! in-tree as [`NpuSimulator::run_reference`]; `tests/determinism.rs`
 //! asserts the two paths are bit-identical across every policy and
 //! preemption mode, under random quanta and token scales.
@@ -110,9 +113,10 @@ pub struct DispatchSignals {
     /// The running task's priority while its estimated remaining work is
     /// positive; `None` when nothing runs or the estimate is used up.
     /// Until the node's next event, blocking work at arrival priority `p`
-    /// drains one cycle per cycle exactly while this is some `r >= p`
-    /// (see [`SimSession::predicted_blocking_work_at`]); at every other
-    /// level it stays frozen.
+    /// drains while this is some `r >= p` (see
+    /// [`SimSession::predicted_blocking_work_at`]): one cycle per cycle on
+    /// a node neither `stalled` nor `scaled`, slower on a scaled one and
+    /// not at all on a stalled one. At every other level it stays frozen.
     pub runner_priority: Option<Priority>,
     /// The node is inside a fault stall (crash downtime or freeze): the
     /// clock is parked and nothing progresses until the window ends.
@@ -1092,6 +1096,13 @@ impl ClockScale {
         Cycles::new(u64::try_from(work).unwrap_or(u64::MAX))
     }
 
+    /// The work `wall` more wall cycles yield and the clock they leave
+    /// behind, without advancing this one (a projection peek).
+    fn after(mut self, wall: Cycles) -> (Cycles, ClockScale) {
+        let work = self.work_in(wall);
+        (work, self)
+    }
+
     /// Minimal wall span after which exactly `work` more work cycles have
     /// accrued from the current carry. Non-mutating (a completion-time
     /// peek).
@@ -1285,7 +1296,7 @@ impl NpuSimulator {
         arrival_order.sort_by_key(|&i| (state.runtimes[i].admit_at, state.runtimes[i].id()));
 
         let quantum = self.sched.quantum_cycles(&self.npu);
-        SimSession {
+        let mut session = SimSession {
             sched: self.sched.clone(),
             checkpoint_model: CheckpointModel::new(&self.npu),
             quantum,
@@ -1299,6 +1310,8 @@ impl NpuSimulator {
             clock: ClockScale::unit(),
             running: None,
             choice_version: None,
+            choice_until: None,
+            next_event: None,
             phase: Phase::Wakeup,
             scheduler_invocations: 0,
             checkpoint_preemptions: 0,
@@ -1307,7 +1320,9 @@ impl NpuSimulator {
             quanta_skipped: 0,
             replayed_token_grants: 0,
             sink,
-        }
+        };
+        session.refresh_next_event();
+        session
     }
 }
 
@@ -1355,6 +1370,16 @@ pub struct SimSession<S: TraceSink = NullSink> {
     /// policy's [`ChoiceCertificate`] says which quantum wakeups would
     /// re-pick the runner.
     choice_version: Option<u64>,
+    /// While `choice_version` holds and a competitor waits in a preemptive
+    /// mode: the first quantum boundary the certificate does not rule out
+    /// before the event horizon (or the first at or past it). Computed
+    /// once per stamp by [`SimSession::refresh_next_event`] and cleared
+    /// by every wakeup, which re-stamps.
+    choice_until: Option<Cycles>,
+    /// The next-event certificate [`SimSession::next_event_time`] reads,
+    /// refreshed at the end of every `&mut self` entry point that can
+    /// move it.
+    next_event: Option<Cycles>,
     phase: Phase,
     scheduler_invocations: u64,
     checkpoint_preemptions: u64,
@@ -1393,6 +1418,13 @@ impl<S: TraceSink> SimSession<S> {
     ///
     /// Panics if the scheduler livelocks (see the engine docs).
     pub fn run_until(&mut self, horizon: Cycles) -> StepOutcome {
+        let outcome = self.run_events(horizon);
+        self.refresh_next_event();
+        outcome
+    }
+
+    /// The event loop behind [`SimSession::run_until`].
+    fn run_events(&mut self, horizon: Cycles) -> StepOutcome {
         loop {
             if self.state.finished == self.state.len() {
                 return StepOutcome::Drained;
@@ -1426,9 +1458,7 @@ impl<S: TraceSink> SimSession<S> {
                         // whichever comes first — the jump has no side
                         // effects, so clamping composes exactly).
                         let next = self
-                            .arrival_order
-                            .get(self.next_arrival_idx)
-                            .map(|&i| self.state.runtimes[i].admit_at)
+                            .next_admission()
                             .expect("tasks remain, so an arrival must be pending");
                         if next > horizon {
                             self.now = self.now.max(horizon);
@@ -1501,6 +1531,20 @@ impl<S: TraceSink> SimSession<S> {
         self.arrival_order.remove(self.next_arrival_idx + offset);
     }
 
+    /// The admission instant of the next pending arrival, if any.
+    fn next_admission(&self) -> Option<Cycles> {
+        self.arrival_order
+            .get(self.next_arrival_idx)
+            .map(|&i| self.state.runtimes[i].admit_at)
+    }
+
+    /// The wall instant at which the running task `run_idx`, executing
+    /// from `from` without preemption, completes: its remaining plan
+    /// progress (work) converted exactly under the clock scale and carry.
+    fn completion_from(&self, run_idx: usize, from: Cycles) -> Cycles {
+        from + self.clock.wall_needed(self.state.plan_remaining(run_idx))
+    }
+
     /// One scheduler wakeup: grant tokens, then select / dispatch / preempt.
     fn wakeup(&mut self) {
         assert!(
@@ -1517,6 +1561,7 @@ impl<S: TraceSink> SimSession<S> {
         // the displaced task's progress after `select` saw it (CHECKPOINT
         // runs it to its commit point), so the next wakeup is stepped.
         self.choice_version = None;
+        self.choice_until = None;
 
         // An idle NPU consults the policy when something waits; a busy one
         // only in a preemptive mode.
@@ -1608,8 +1653,20 @@ impl<S: TraceSink> SimSession<S> {
         }
     }
 
-    /// How many of the next `periods` quantum wakeups (the first at
-    /// `next_quantum`, all before the next arrival or completion) would
+    /// Whether a competitor waits in a preemptive mode, so a quantum
+    /// wakeup consults the policy with more than one candidate.
+    fn contended(&self) -> bool {
+        !self.state.waiting.is_empty() && self.sched.preemption.is_preemptive()
+    }
+
+    /// Whether the last wakeup's choice stamp still holds (see
+    /// `choice_version`).
+    fn choice_stands(&self) -> bool {
+        self.choice_version == Some(self.state.state_version)
+    }
+
+    /// How many of the next `periods` quantum wakeups (the first at the
+    /// boundary `first`, all before the next arrival or completion) would
     /// re-pick the running task `run_idx` and change nothing but the
     /// invocation count and the waiting tasks' tokens. All of them when no
     /// competitor waits (a one-candidate `select` is a foregone conclusion)
@@ -1617,11 +1674,11 @@ impl<S: TraceSink> SimSession<S> {
     /// runs). Otherwise, while the last wakeup's stamp holds, as many as
     /// the policy's [`ChoiceCertificate`] rules out; none once a DRAIN, a
     /// preemption or any state change since has voided the stamp.
-    fn quiet_periods(&self, run_idx: usize, periods: u64) -> u64 {
-        if self.state.waiting.is_empty() || !self.sched.preemption.is_preemptive() {
+    fn quiet_periods(&self, run_idx: usize, first: Cycles, periods: u64) -> u64 {
+        if !self.contended() {
             return periods;
         }
-        if self.choice_version != Some(self.state.state_version) {
+        if !self.choice_stands() {
             return 0;
         }
         match self.sched.policy.certificate(self.sched.token_scale) {
@@ -1631,7 +1688,7 @@ impl<S: TraceSink> SimSession<S> {
                 run_idx,
                 self.sched.token_scale,
                 self.quantum,
-                self.next_quantum - self.now,
+                first - self.now,
                 periods,
             ),
             ChoiceCertificate::EveryQuantum => 0,
@@ -1643,17 +1700,8 @@ impl<S: TraceSink> SimSession<S> {
     /// next iteration is a wakeup) rather than being cut short.
     fn execute_step(&mut self, run_idx: usize, horizon: Cycles) -> bool {
         self.next_quantum = realign_quantum(self.next_quantum, self.now, self.quantum);
-        let next_arrival = self
-            .arrival_order
-            .get(self.next_arrival_idx)
-            .map(|&i| self.state.runtimes[i].admit_at);
-        let remaining = {
-            let runtime = &self.state.runtimes[run_idx];
-            runtime.cursor.remaining(&runtime.prepared.plan)
-        };
-        // `remaining` is plan-progress (work); the completion instant is a
-        // wall time, exact under the current clock scale and carry.
-        let completion_time = self.now + self.clock.wall_needed(remaining);
+        let next_arrival = self.next_admission();
+        let completion_time = self.completion_from(run_idx, self.now);
 
         // ---- Event-horizon fast-forward (see the module docs) -----------------
         //
@@ -1674,7 +1722,8 @@ impl<S: TraceSink> SimSession<S> {
             let ff_horizon = event_horizon.min(horizon);
             let periods = if self.next_quantum < ff_horizon {
                 let span = ff_horizon - self.next_quantum;
-                self.quiet_periods(run_idx, span.get().div_ceil(self.quantum.get()))
+                let boundaries = span.get().div_ceil(self.quantum.get());
+                self.quiet_periods(run_idx, self.next_quantum, boundaries)
             } else {
                 0
             };
@@ -2075,64 +2124,83 @@ impl<S: TraceSink> SimSession<S> {
         // monotonically through fault windows.
         let resume = self.now.max(self.stall_until);
         if let Some(run_idx) = self.running {
-            let runtime = &self.state.runtimes[run_idx];
-            let remaining = runtime.cursor.remaining(&runtime.prepared.plan);
-            // Work → wall under the current clock scale (exact carry peek).
-            return Some(resume + self.clock.wall_needed(remaining));
+            return Some(self.completion_from(run_idx, resume));
         }
         if !self.state.waiting.is_empty() {
             return Some(resume);
         }
-        self.arrival_order
-            .get(self.next_arrival_idx)
-            .map(|&i| self.state.runtimes[i].admit_at.max(resume))
+        self.next_admission().map(|admit| admit.max(resume))
     }
 
     /// The session's *next-event certificate*: the earliest instant at which
-    /// [`SimSession::run_until`] would do more than move the clock and the
-    /// running task's progress cursor. That is the first of
+    /// [`SimSession::run_until`] would do more than move the clock, the
+    /// runner's cursor, the waiting tasks' tokens and the invocation count.
+    /// That is the first of
     ///
-    /// * the running task's completion;
+    /// * the running task's completion, exact under the clock scale and
+    ///   its carry (a degraded session gets an exact certificate too);
     /// * the admission of a pending arrival;
-    /// * a scheduling-period wakeup with a competitor waiting (preemptive
-    ///   modes only — every other wakeup is inert);
+    /// * a quantum wakeup that could drop the runner: with a competitor
+    ///   waiting in a preemptive mode, the next quantum boundary, or, while
+    ///   the last wakeup's choice stamp holds, the first boundary the
+    ///   policy's [`ChoiceCertificate`] does not rule out (every other
+    ///   wakeup re-picks the runner, granting tokens and nothing else);
     /// * the end of a fault stall.
     ///
-    /// A clock-scaled (degraded) session reports its own clock: it is always
-    /// due. `None` once drained — a drained session's `run_until` does
-    /// nothing at all.
+    /// `None` once drained — a drained session's `run_until` does nothing
+    /// at all. O(1): the certificate is stored, refreshed by every call
+    /// that can move it.
     ///
     /// For every horizon strictly before the certificate, `run_until` leaves
     /// the whole closed-loop surface unchanged except [`SimSession::now`] and
-    /// the runner's progress, both of which move linearly; the `*_at` reads
-    /// ([`SimSession::now_at`], [`SimSession::predicted_remaining_work_at`],
+    /// the runner's progress; the `*_at` reads ([`SimSession::now_at`],
+    /// [`SimSession::predicted_remaining_work_at`],
     /// [`SimSession::predicted_blocking_work_at`],
-    /// [`SimSession::resident_tasks_at_into`]) extrapolate exactly that
+    /// [`SimSession::resident_tasks_at_into`],
+    /// [`SimSession::scaled_wall_for_work_at`]) extrapolate exactly that
     /// motion, so a cluster driver can leave a quiet node unadvanced and
     /// still read what an advanced one would report.
     pub fn next_event_time(&self) -> Option<Cycles> {
+        debug_assert_eq!(
+            self.next_event,
+            self.certify(),
+            "the stored next-event certificate went stale"
+        );
+        self.next_event
+    }
+
+    /// Recomputes the stored certificate at the end of a mutating call,
+    /// computing `choice_until` first if the stamp holds and it is not
+    /// known yet.
+    fn refresh_next_event(&mut self) {
+        if let Some(run_idx) = self.running {
+            if self.choice_until.is_none() && self.contended() && self.choice_stands() {
+                self.choice_until = Some(self.choice_bound(run_idx));
+            }
+        }
+        self.next_event = self.certify();
+    }
+
+    /// The certificate from its inputs, taking `choice_until` as given.
+    fn certify(&self) -> Option<Cycles> {
         if self.is_drained() {
             return None;
         }
         if self.now < self.stall_until {
             return Some(self.stall_until);
         }
-        if !self.clock.is_unit() {
-            return Some(self.now);
-        }
         let arrival = self
-            .arrival_order
-            .get(self.next_arrival_idx)
-            .map_or(Cycles::MAX, |&i| {
-                self.state.runtimes[i].admit_at.max(self.now)
-            });
+            .next_admission()
+            .map_or(Cycles::MAX, |admit| admit.max(self.now));
         let own = match self.running {
             Some(run_idx) => {
-                let completion = self.now + self.state.plan_remaining(run_idx);
-                if !self.state.waiting.is_empty() && self.sched.preemption.is_preemptive() {
-                    completion.min(realign_quantum(self.next_quantum, self.now, self.quantum))
-                } else {
+                let completion = self.completion_from(run_idx, self.now);
+                if !self.contended() {
                     completion
+                } else if let Some(until) = self.choice_until.filter(|_| self.choice_stands()) {
+                    completion.min(until)
+                } else {
+                    completion.min(realign_quantum(self.next_quantum, self.now, self.quantum))
                 }
             }
             None if !self.state.waiting.is_empty() => self.now,
@@ -2141,21 +2209,46 @@ impl<S: TraceSink> SimSession<S> {
         Some(own.min(arrival))
     }
 
-    /// The running task's progress gained by `at` along the session's quiet
-    /// interval, or `None` when `at` is not strictly inside it (at or
+    /// The first quantum boundary before the event horizon (the runner's
+    /// completion or the next admission) whose wakeup the choice
+    /// certificate does not rule out, or the first boundary at or past the
+    /// horizon if it rules them all out. Replays the same grants as the
+    /// fast path's [`SimSession::quiet_periods`].
+    fn choice_bound(&self, run_idx: usize) -> Cycles {
+        let first = realign_quantum(self.next_quantum, self.now, self.quantum);
+        let mut horizon = self.completion_from(run_idx, self.now);
+        if let Some(admit) = self.next_admission() {
+            horizon = horizon.min(admit.max(self.now));
+        }
+        if first >= horizon {
+            return first;
+        }
+        let periods = (horizon - first).get().div_ceil(self.quantum.get());
+        first + self.quantum * self.quiet_periods(run_idx, first, periods)
+    }
+
+    /// The wall cycles the runner executes by `at` along the session's
+    /// quiet interval, or `None` when `at` is not strictly inside it (at or
     /// before the clock, at or past [`SimSession::next_event_time`], or
-    /// drained) — the session then reads as-is.
-    fn quiet_gain(&self, at: Cycles) -> Option<Cycles> {
+    /// drained) — the session then reads as-is. A stalled node's runner
+    /// executes nothing before the stall ends.
+    fn quiet_wall(&self, at: Cycles) -> Option<Cycles> {
         if at <= self.now || self.next_event_time().is_none_or(|event| at >= event) {
             return None;
         }
-        // Inside the quiet interval the clock runs at unit scale; a stalled
-        // node's runner makes no progress before the stall ends.
         let stalled = self.now < self.stall_until;
         Some(match self.running {
             Some(_) if !stalled => at - self.now,
             _ => Cycles::ZERO,
         })
+    }
+
+    /// The running task's progress (work) gained by `at` along the quiet
+    /// interval: the wall span it executes converted through a peek of the
+    /// clock carry, `(acc + wall * num) / den`. `None` when the session
+    /// reads as-is (see [`SimSession::quiet_wall`]).
+    fn quiet_gain(&self, at: Cycles) -> Option<Cycles> {
+        self.quiet_wall(at).map(|wall| self.clock.after(wall).0)
     }
 
     /// The running task's estimated-remaining decrease by `at` (zero when
@@ -2176,7 +2269,7 @@ impl<S: TraceSink> SimSession<S> {
     /// [`SimSession::now`] as a `run_until(at)` would leave it, for `at`
     /// before [`SimSession::next_event_time`]; otherwise the clock as-is.
     pub fn now_at(&self, at: Cycles) -> Cycles {
-        if self.quiet_gain(at).is_some() {
+        if self.quiet_wall(at).is_some() {
             at
         } else {
             self.now
@@ -2244,6 +2337,7 @@ impl<S: TraceSink> SimSession<S> {
                 },
             );
         }
+        self.refresh_next_event();
         Ok(())
     }
 
@@ -2303,6 +2397,7 @@ impl<S: TraceSink> SimSession<S> {
                 },
             );
         }
+        self.refresh_next_event();
         Ok(())
     }
 
@@ -2397,6 +2492,7 @@ impl<S: TraceSink> SimSession<S> {
         if S::ENABLED {
             self.sink.record(self.now, TraceEvent::Revoke { task: id });
         }
+        self.refresh_next_event();
         Ok(prepared)
     }
 
@@ -2414,6 +2510,7 @@ impl<S: TraceSink> SimSession<S> {
     pub fn stall(&mut self, until: Cycles) {
         self.stall_until = self.stall_until.max(until);
         self.state.state_version += 1;
+        self.refresh_next_event();
         if S::ENABLED {
             self.sink.record(
                 self.now,
@@ -2456,6 +2553,7 @@ impl<S: TraceSink> SimSession<S> {
         );
         self.clock = ClockScale::new(num, den);
         self.state.state_version += 1;
+        self.refresh_next_event();
         if S::ENABLED {
             self.sink
                 .record(self.now, TraceEvent::ClockScale { num, den });
@@ -2473,6 +2571,15 @@ impl<S: TraceSink> SimSession<S> {
     /// migration arbiter prices "stay on this straggler" with this.
     pub fn scaled_wall_for_work(&self, work: Cycles) -> Cycles {
         self.clock.wall_needed(work)
+    }
+
+    /// [`SimSession::scaled_wall_for_work`] as a `run_until(at)` would leave
+    /// the clock's carry (see [`SimSession::now_at`]).
+    pub fn scaled_wall_for_work_at(&self, at: Cycles, work: Cycles) -> Cycles {
+        match self.quiet_wall(at) {
+            Some(wall) => self.clock.after(wall).1.wall_needed(work),
+            None => self.clock.wall_needed(work),
+        }
     }
 
     /// Crashes the node: every resident task is drained off the session and
@@ -2500,6 +2607,7 @@ impl<S: TraceSink> SimSession<S> {
         }
         self.state.state_version += 1;
         self.phase = Phase::Wakeup;
+        self.refresh_next_event();
         salvaged
     }
 
@@ -2530,6 +2638,7 @@ impl<S: TraceSink> SimSession<S> {
             // scheduler wakeup, exactly as after a crash.
             self.phase = Phase::Wakeup;
         }
+        self.refresh_next_event();
         Ok(salvage)
     }
 
@@ -3616,19 +3725,35 @@ mod tests {
         let bound = session.next_completion_time().expect("running");
         assert_eq!(
             session.next_event_time(),
-            Some(session.now()),
-            "a scaled session is always due"
+            Some(bound),
+            "a scaled lone runner's certificate is its exact completion"
         );
         let wall = session.scaled_wall_for_work(Cycles::new(100));
         assert!(
             wall >= Cycles::new(298) && wall <= Cycles::new(300),
             "100 work cycles at 1/3 speed cost 300 wall cycles minus the carry, got {wall:?}"
         );
-        // The bound is exact: one cycle earlier the task is still live.
+        // Inside the certificate the projections read what a twin advanced
+        // there reports, carry included.
+        let last = bound - Cycles::new(1);
+        let mut twin = sim.session(&prepared);
+        twin.set_clock_scale(1, 3);
+        assert_eq!(twin.run_until(Cycles::new(100_000)), StepOutcome::Paused);
+        assert_eq!(twin.run_until(last), StepOutcome::Paused);
+        assert_eq!(twin.now(), session.now_at(last));
         assert_eq!(
-            session.run_until(bound - Cycles::new(1)),
-            StepOutcome::Paused
+            twin.predicted_remaining_work(),
+            session.predicted_remaining_work_at(last)
         );
+        for work in [1u64, 2, 3, 100, 1_000] {
+            assert_eq!(
+                twin.scaled_wall_for_work(Cycles::new(work)),
+                session.scaled_wall_for_work_at(last, Cycles::new(work)),
+                "{work} work cycles"
+            );
+        }
+        // The bound is exact: one cycle earlier the task is still live.
+        assert_eq!(session.run_until(last), StepOutcome::Paused);
         assert!(!session.is_drained());
         assert_eq!(session.run_until(bound), StepOutcome::Drained);
         let record = session.finish();

@@ -870,7 +870,11 @@ fn replay_session(
 /// every horizon strictly before `next_event_time()`, `run_until` leaves the
 /// closed-loop surface unchanged except the clock and the runner's
 /// progress, and the `*_at` projections read exactly what an identical
-/// twin advanced to that horizon reports.
+/// twin advanced to that horizon reports. The drivings reach into the
+/// quiet intervals of degraded (clock-scaled) sessions, where the
+/// projections peek the clock's fractional carry, and past quantum
+/// boundaries whose contended wakeups the policy's choice certificate
+/// rules out.
 #[test]
 fn next_event_certificate_contract_holds_under_random_driving() {
     let npu = NpuConfig::paper_default();
@@ -893,9 +897,11 @@ fn next_event_certificate_contract_holds_under_random_driving() {
     }
     assert_eq!(configs.len(), 14);
     let mut rng = StdRng::seed_from_u64(0xCE27);
-    let mut projected = 0usize;
+    let (mut projected, mut scaled, mut past_boundary) = (0usize, 0usize, 0usize);
     for case in 0..168 {
-        let sim = NpuSimulator::new(npu.clone(), configs[case % configs.len()].clone());
+        let config = &configs[case % configs.len()];
+        let quantum = config.quantum_cycles(&npu).get();
+        let sim = NpuSimulator::new(npu.clone(), config.clone());
         let task_count = rng.gen_range(2usize..7);
         let requests: Vec<TaskRequest> = (0..task_count)
             .map(|i| {
@@ -934,80 +940,125 @@ fn next_event_certificate_contract_holds_under_random_driving() {
             drain(replay_session(sim.session_reference(&[]), &tasks, &ops)),
             "case {case}: {ops:?}"
         );
-        let session = replay_session(sim.session(&[]), &tasks, &ops);
-        let now = session.now();
-        let Some(event) = session.next_event_time() else {
-            continue;
-        };
-        assert!(event >= now, "case {case}: the certificate is never past");
-        let mut horizons = vec![now.saturating_sub(Cycles::new(1)), now];
-        if event > now + Cycles::new(1) {
-            horizons.push(event - Cycles::new(1));
-            for _ in 0..3 {
-                horizons.push(Cycles::new(rng.gen_range(now.get()..event.get())));
-            }
-        }
-        for horizon in horizons.into_iter().filter(|&h| h < event) {
-            let context = format!("case {case} at {horizon:?} (event {event:?}): {ops:?}");
-            let mut twin = replay_session(sim.session(&[]), &tasks, &ops);
-            let _ = twin.run_until(horizon);
-            assert_eq!(twin.state_version(), session.state_version(), "{context}");
-            assert_eq!(twin.queue_depth(), session.queue_depth(), "{context}");
-            assert_eq!(
-                twin.next_completion_time(),
-                session.next_completion_time(),
-                "{context}"
-            );
-            assert_eq!(twin.revocable_work(), session.revocable_work(), "{context}");
-            assert_eq!(
-                twin.best_steal_candidate(),
-                session.best_steal_candidate(),
-                "{context}"
-            );
-            assert_eq!(
-                twin.best_shed_candidate(),
-                session.best_shed_candidate(),
-                "{context}"
-            );
-            assert_eq!(twin.running_task(), session.running_task(), "{context}");
-            assert_eq!(twin.stalled_until(), session.stalled_until(), "{context}");
-            assert_eq!(twin.next_event_time(), Some(event), "{context}");
-
-            assert_eq!(twin.now(), session.now_at(horizon), "{context}");
-            assert_eq!(
-                twin.predicted_remaining_work(),
-                session.predicted_remaining_work_at(horizon),
-                "{context}"
-            );
-            // The contender index keys blocking work exact at the levels
-            // the signals say the runner does not drain, and as a
-            // one-cycle-per-cycle lower bound at the rest.
-            let signals = session.dispatch_signals();
-            for priority in Priority::ALL {
-                let projected = session.predicted_blocking_work_at(priority, horizon);
-                assert_eq!(
-                    twin.predicted_blocking_work(priority),
-                    projected,
-                    "{context} {priority:?}"
-                );
-                let stored = signals.blocking_work[priority.index()];
-                if signals
-                    .runner_priority
-                    .is_some_and(|runner| runner >= priority)
-                {
-                    assert!(
-                        projected >= stored - (horizon - now),
-                        "{context} {priority:?}"
-                    );
-                } else {
-                    assert_eq!(projected, stored, "{context} {priority:?}");
+        // The contract holds after every prefix of the driving.
+        for len in 1..=ops.len() {
+            let ops = &ops[..len];
+            let session = replay_session(sim.session(&[]), &tasks, ops);
+            let now = session.now();
+            let Some(event) = session.next_event_time() else {
+                continue;
+            };
+            assert!(event >= now, "case {case}: the certificate is never past");
+            let mut horizons = vec![now.saturating_sub(Cycles::new(1)), now];
+            if event > now + Cycles::new(1) {
+                horizons.push(event - Cycles::new(1));
+                for _ in 0..3 {
+                    horizons.push(Cycles::new(rng.gen_range(now.get()..event.get())));
                 }
             }
-            let mut residents = Vec::new();
-            session.resident_tasks_at_into(horizon, &mut residents);
-            assert_eq!(twin.resident_tasks(), residents, "{context}");
-            projected += usize::from(horizon > now);
+            // Inside the quiet interval an admitted resident has arrived by the
+            // clock (a later injection would make the certificate the clock).
+            let contended = config.preemption.is_preemptive()
+                && session.running_task().is_some_and(|runner| {
+                    session
+                        .resident_tasks()
+                        .iter()
+                        .any(|r| r.id != runner && r.arrival <= now)
+                });
+            if contended {
+                // The quantum boundaries are the multiples of the quantum: stop
+                // on the first two after the clock (a stepped wakeup the
+                // certificate rules out) and just past them.
+                let first = (now.get() / quantum + 1) * quantum;
+                for boundary in [first, first + quantum] {
+                    horizons.extend([Cycles::new(boundary), Cycles::new(boundary + 1)]);
+                }
+            }
+            for horizon in horizons.into_iter().filter(|&h| h < event) {
+                let context = format!("case {case} at {horizon:?} (event {event:?}): {ops:?}");
+                let mut twin = replay_session(sim.session(&[]), &tasks, ops);
+                let _ = twin.run_until(horizon);
+                assert_eq!(twin.state_version(), session.state_version(), "{context}");
+                assert_eq!(twin.queue_depth(), session.queue_depth(), "{context}");
+                assert_eq!(
+                    twin.next_completion_time(),
+                    session.next_completion_time(),
+                    "{context}"
+                );
+                assert_eq!(twin.revocable_work(), session.revocable_work(), "{context}");
+                assert_eq!(
+                    twin.best_steal_candidate(),
+                    session.best_steal_candidate(),
+                    "{context}"
+                );
+                assert_eq!(
+                    twin.best_shed_candidate(),
+                    session.best_shed_candidate(),
+                    "{context}"
+                );
+                assert_eq!(twin.running_task(), session.running_task(), "{context}");
+                assert_eq!(twin.stalled_until(), session.stalled_until(), "{context}");
+                assert_eq!(twin.next_event_time(), Some(event), "{context}");
+
+                assert_eq!(twin.now(), session.now_at(horizon), "{context}");
+                assert_eq!(
+                    twin.predicted_remaining_work(),
+                    session.predicted_remaining_work_at(horizon),
+                    "{context}"
+                );
+                // The contender index keys blocking work exact at the levels
+                // the signals say the runner does not drain, and as a
+                // one-cycle-per-cycle lower bound at the rest.
+                let signals = session.dispatch_signals();
+                for priority in Priority::ALL {
+                    let projected = session.predicted_blocking_work_at(priority, horizon);
+                    assert_eq!(
+                        twin.predicted_blocking_work(priority),
+                        projected,
+                        "{context} {priority:?}"
+                    );
+                    let stored = signals.blocking_work[priority.index()];
+                    if signals
+                        .runner_priority
+                        .is_some_and(|runner| runner >= priority)
+                    {
+                        assert!(
+                            projected >= stored - (horizon - now),
+                            "{context} {priority:?}"
+                        );
+                    } else {
+                        assert_eq!(projected, stored, "{context} {priority:?}");
+                    }
+                }
+                let mut residents = Vec::new();
+                session.resident_tasks_at_into(horizon, &mut residents);
+                assert_eq!(twin.resident_tasks(), residents, "{context}");
+                for _ in 0..4 {
+                    let work = Cycles::new(rng.gen_range(0u64..5_000_000));
+                    assert_eq!(
+                        twin.scaled_wall_for_work(work),
+                        session.scaled_wall_for_work_at(horizon, work),
+                        "{context} {work:?}"
+                    );
+                }
+                let inside = horizon > now;
+                projected += usize::from(inside);
+                scaled += usize::from(inside && session.clock_scale() != (1, 1));
+                past_boundary +=
+                    usize::from(contended && horizon.get() / quantum > now.get() / quantum);
+            }
         }
     }
-    assert!(projected > 100, "the drivings reach into quiet intervals");
+    assert!(
+        projected > 1_000,
+        "{projected} horizons inside a quiet interval"
+    );
+    assert!(
+        scaled > 300,
+        "{scaled} horizons inside a degraded session's quiet interval"
+    );
+    assert!(
+        past_boundary > 30,
+        "{past_boundary} horizons past a contended quantum boundary"
+    );
 }
