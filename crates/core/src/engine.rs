@@ -441,15 +441,8 @@ impl Runtime {
     /// mid-interval progress is lost.
     fn last_commit_point(&self) -> (Cycles, u64) {
         let plan = &self.prepared.plan;
-        let resume_executed = self.cursor.executed() - self.cursor.in_interval(plan);
-        let checkpoint_bytes = if resume_executed.is_zero() {
-            0
-        } else {
-            let mut floor = ProgressCursor::start();
-            floor.advance(plan, resume_executed);
-            floor.live_checkpoint_bytes(plan)
-        };
-        (resume_executed, checkpoint_bytes)
+        let commit = self.cursor.last_commit(plan);
+        (commit.executed(), commit.live_checkpoint_bytes(plan))
     }
 
     fn is_waiting(&self) -> bool {
@@ -3000,6 +2993,47 @@ mod tests {
             "PREMA should improve the high-priority task's turnaround"
         );
         assert!(prema.antt() <= baseline.antt() + 1e-9);
+    }
+
+    /// How many plan-position lookups `run` makes on this thread.
+    fn position_lookups(run: impl FnOnce() -> SimOutcome) -> (SimOutcome, u64) {
+        let lookups = || crate::plan::LOOKUPS.with(std::cell::Cell::get);
+        let before = lookups();
+        let outcome = run();
+        (outcome, lookups() - before)
+    }
+
+    /// The engine's step path reads no plan table: a non-preemptive
+    /// session advances every task to completion without once looking up
+    /// where in its plan the task stands.
+    #[test]
+    fn an_np_fcfs_session_draining_a_batch_makes_no_lookup() {
+        let (outcome, lookups) = position_lookups(|| {
+            run(
+                PolicyKind::Fcfs,
+                PreemptionMode::NonPreemptive,
+                simple_requests(),
+            )
+        });
+        assert_eq!(outcome.records.len(), 3);
+        assert_eq!(lookups, 0);
+    }
+
+    /// A CHECKPOINT preemption looks the position up twice: once for the
+    /// distance to the boundary it drains to, once for the bytes it spills
+    /// there.
+    #[test]
+    fn one_checkpoint_preemption_makes_two_lookups() {
+        let requests = simple_requests().into_iter().take(2).collect();
+        let (outcome, lookups) = position_lookups(|| {
+            run(
+                PolicyKind::Hpf,
+                PreemptionMode::Static(PreemptionMechanism::Checkpoint),
+                requests,
+            )
+        });
+        assert_eq!(outcome.checkpoint_preemptions, 1);
+        assert_eq!(lookups, 2);
     }
 
     #[test]

@@ -292,8 +292,9 @@ fn cursor_conserves_cycles_under_arbitrary_stepping() {
     }
 }
 
-/// The prefix-sum progress cursor is observably equivalent to the original
-/// nested interval-walk cursor on random plans under random budget
+/// The positionless progress cursor, which looks its position up in the
+/// plan's prefix-sum tables, is observably equivalent to the original
+/// nested interval-walk cursor on random compiled plans under random budget
 /// sequences — including zero budgets, boundary-exact budgets and
 /// overshooting budgets. Every observable is compared after every step:
 /// consumed cycles, executed total, completion, layer index, distance to the
